@@ -7,12 +7,15 @@ from .equivalence import (
     BindingMap,
     BindingResult,
     CandidateGraph,
+    CompiledReference,
     LeConfig,
     LeReport,
     bind_optimized,
     bind_original,
+    compile_reference,
     le_score,
     propositional_score,
+    score_group,
 )
 from .service import ScoreRequest, ScoreResponse, ServiceConfig, handle_request, serve, serve_socket
 from .sgrpo import (

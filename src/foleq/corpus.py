@@ -19,7 +19,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .equivalence import DEFAULT_LE, LeConfig, LeReport, le_score
+from .equivalence import DEFAULT_LE, LeConfig, LeReport, score_group
+from .equivalence import le_score  # noqa: F401  (foleq.corpus.le_score stays importable; perfbench wraps it)
 from .syntax import CapExceeded, ParseError
 
 
@@ -154,24 +155,37 @@ def corpus_le(
 ) -> CorpusReport:
     """Score every pair, treating unparseable or over-cap pairs as 0.
 
-    The mean is taken over the whole corpus (failures contribute 0), and
-    ``per_pair`` keeps one slot per input pair so callers can line results
-    back up with their inputs.
+    Pairs are scored in groups that share a reference (one ``score_group``
+    call each), so equal pairs share one ``LeReport``.  The mean is taken
+    over the whole corpus (failures contribute 0), and ``per_pair`` keeps
+    one slot per input pair so callers can line results back up with their
+    inputs.
     """
     if not pairs:
         raise ValueError("empty corpus")
+    by_reference: dict[str, list[int]] = {}
+    for index, pair in enumerate(pairs):
+        by_reference.setdefault(pair.reference, []).append(index)
+    results: list[LeReport | ParseError | CapExceeded | None] = [None] * len(pairs)
+    for reference, indices in by_reference.items():
+        predictions = [pairs[i].prediction for i in indices]
+        try:
+            group = score_group(predictions, reference, mode=mode, config=config)
+        except ParseError as exc:
+            group = [exc] * len(indices)
+        for i, result in zip(indices, group):
+            results[i] = result
+
     per_pair: list[LeReport | None] = []
     failures: list[tuple[str, str]] = []
     score_sum = 0.0
-    for pair in pairs:
-        try:
-            report = le_score(pair.prediction, pair.reference, mode=mode, config=config)
-        except (ParseError, CapExceeded) as exc:
-            failures.append((pair.id, str(exc)))
+    for pair, result in zip(pairs, results):
+        if isinstance(result, LeReport):
+            per_pair.append(result)
+            score_sum += result.score
+        else:
+            failures.append((pair.id, str(result)))
             per_pair.append(None)
-            continue
-        per_pair.append(report)
-        score_sum += report.score
     return CorpusReport(
         bleu=corpus_bleu(pairs, bleu_config),
         mean_le=score_sum / len(pairs),

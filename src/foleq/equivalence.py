@@ -24,6 +24,12 @@ Two binding searches are provided:
 Ties between equal-scoring bindings break toward the smaller summed edit
 distance, then toward the first-enumerated assignment, which makes both
 searches deterministic.
+
+A GRPO-style group scores many predictions against one reference, so
+``score_group`` compiles the reference once (``CompiledReference``), scores
+each distinct prediction text once, and builds one prediction's edit
+distances and candidate graph once for all of its bracketing trees.
+``le_score`` is the same path for a group of one.
 """
 
 from __future__ import annotations
@@ -273,21 +279,69 @@ def _eval_bits(node, varmap: list[int], patterns: tuple[int, ...], mask: int) ->
     return left ^ right
 
 
-class _Scorer:
-    """Shared state for scoring many bindings of one (prediction, reference)
-    pair: compiled skeletons, cached reference tables, and the row counter."""
+class CompiledReference:
+    """A reference formula prepared once for scoring any number of
+    predictions: its canonical tree, its distinct atoms, its compiled
+    quantifier-free skeleton, and its truth table per variable count (built
+    on first use).  ``compile_reference`` builds one from text."""
 
-    def __init__(self, pred: FolExpr, ref: FolExpr, max_atoms: int):
-        self.pred_atoms = atoms_of(pred)
-        self.ref_atoms = atoms_of(ref)
-        self.n_p = len(self.pred_atoms)
-        self.n_r = len(self.ref_atoms)
+    def __init__(self, tree: FolExpr):
+        """``tree`` should already be canonicalized."""
+        self.tree = tree
+        self.atoms = atoms_of(tree)
+        ordinals = {a.canonical_text: j for j, a in enumerate(self.atoms)}
+        self.code = _compile(_strip_quantifiers(tree), ordinals)
+        self._bits: dict[int, int] = {}
+        self._last_tables: tuple[tuple, "_AtomTables"] | None = None
+
+    def bits(self, k: int) -> int:
+        """Truth-table mask of the skeleton over ``k`` variables, reference
+        atom j being variable j."""
+        bits = self._bits.get(k)
+        if bits is None:
+            patterns, mask, _ = _var_patterns(k)
+            bits = self._bits[k] = _eval_bits(self.code, range(len(self.atoms)), patterns, mask)
+        return bits
+
+    def _tables(self, pred_atoms: tuple[AtomicUnit, ...], mode: str, config: LeConfig) -> "_AtomTables":
+        """Binding-search tables for ``pred_atoms``, keeping the last ones
+        built.  Every reading of a flat chain keeps its operands, and the
+        quantifiers inside them, in one pre-order, so all bracketing trees
+        of one prediction have the same canonical atoms and share them."""
+        key = (pred_atoms, mode, config)
+        last = self._last_tables
+        if last is not None and last[0] == key:
+            return last[1]
+        tables = _AtomTables(pred_atoms, self.atoms, mode, config)
+        self._last_tables = (key, tables)
+        return tables
+
+
+def compile_reference(reference: str) -> CompiledReference:
+    """Parse ``reference`` in precedence mode and compile it for scoring.
+    Raises ``ParseError`` for malformed text."""
+    return CompiledReference(canonicalize(parse(reference)))
+
+
+class _Scorer:
+    """Shared state for scoring many bindings of one prediction tree against
+    a compiled reference: the tree's compiled skeleton and the row counter."""
+
+    def __init__(
+        self,
+        pred: FolExpr,
+        pred_atoms: tuple[AtomicUnit, ...],
+        ref: CompiledReference,
+        max_atoms: int,
+    ):
+        self.pred_atoms = pred_atoms
+        self.ref = ref
+        self.ref_atoms = ref.atoms
+        self.n_p = len(pred_atoms)
+        self.n_r = len(ref.atoms)
         self.max_atoms = max_atoms
-        pred_ord = {a.canonical_text: i for i, a in enumerate(self.pred_atoms)}
-        ref_ord = {a.canonical_text: j for j, a in enumerate(self.ref_atoms)}
+        pred_ord = {a.canonical_text: i for i, a in enumerate(pred_atoms)}
         self.pred_code = _compile(_strip_quantifiers(pred), pred_ord)
-        self.ref_code = _compile(_strip_quantifiers(ref), ref_ord)
-        self._ref_bits: dict[int, int] = {}
         self.assignments_evaluated = 0
 
     def score(self, mapping: list[int | None]) -> float:
@@ -306,10 +360,7 @@ class _Scorer:
                 slot += 1
             else:
                 varmap.append(m)
-        ref_bits = self._ref_bits.get(k)
-        if ref_bits is None:
-            ref_bits = _eval_bits(self.ref_code, list(range(self.n_r)), patterns, mask)
-            self._ref_bits[k] = ref_bits
+        ref_bits = self.ref.bits(k)
         pred_bits = _eval_bits(self.pred_code, varmap, patterns, mask)
         self.assignments_evaluated += rows
         return (rows - (pred_bits ^ ref_bits).bit_count()) / rows
@@ -329,7 +380,7 @@ class _Scorer:
 def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_atoms: int = 16) -> float:
     """Truth-table agreement of the two skeletons under a fixed binding.
     Both trees should already be canonicalized."""
-    scorer = _Scorer(pred, ref, max_atoms)
+    scorer = _Scorer(pred, atoms_of(pred), CompiledReference(ref), max_atoms)
     pred_index = {a.canonical_text: i for i, a in enumerate(scorer.pred_atoms)}
     ref_index = {a.canonical_text: j for j, a in enumerate(scorer.ref_atoms)}
     mapping: list[int | None] = [None] * scorer.n_p
@@ -345,22 +396,43 @@ def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_at
 # --- binding searches --------------------------------------------------------
 
 
-def _lev_table(pred_atoms, ref_atoms) -> list[list[int]]:
-    return [[levenshtein(p.canonical_text, r.canonical_text) for r in ref_atoms] for p in pred_atoms]
+class _AtomTables:
+    """What a binding search reads from the two atom lists: edit distances,
+    each prediction atom's candidate reference atoms in ascending edit
+    distance, and, in optimized mode, the candidate graph's components.
+    They depend on the atoms alone, so one prediction's trees share them."""
+
+    def __init__(
+        self,
+        pred_atoms: tuple[AtomicUnit, ...],
+        ref_atoms: tuple[AtomicUnit, ...],
+        mode: str,
+        config: LeConfig,
+    ):
+        n_p, n_r = len(pred_atoms), len(ref_atoms)
+        if mode == "original" and max(n_p, n_r) > config.max_factorial_atoms:
+            raise CapExceeded(
+                f"{max(n_p, n_r)} atoms exceeds the factorial-search cap {config.max_factorial_atoms}"
+            )
+        lev = [[levenshtein(p.canonical_text, r.canonical_text) for r in ref_atoms] for p in pred_atoms]
+        self.components: tuple[Component, ...] = ()
+        if mode == "original":
+            candidates = {i: list(range(n_r)) for i in range(n_p)}
+        else:
+            graph = CandidateGraph.build(pred_atoms, ref_atoms, config.similarity)
+            candidates = {}
+            for i, j, _ in graph.edges:
+                candidates.setdefault(i, []).append(j)
+            self.components = graph.components
+        for i, row in candidates.items():
+            row.sort(key=lambda j, i=i: (lev[i][j], j))
+        self.lev = lev
+        self.candidates = candidates
 
 
-def bind_original(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -> BindingResult:
-    """Exhaustive search over every complete injective matching of the
-    smaller atom set, candidates tried in ascending edit-distance order.
-    Factorial in the atom count, so guarded by ``max_factorial_atoms``."""
-    scorer = _Scorer(pred, ref, config.max_atoms)
+def _search_original(scorer: _Scorer, tables: _AtomTables, config: LeConfig) -> BindingResult:
     n_p, n_r = scorer.n_p, scorer.n_r
-    if max(n_p, n_r) > config.max_factorial_atoms:
-        raise CapExceeded(
-            f"{max(n_p, n_r)} atoms exceeds the factorial-search cap {config.max_factorial_atoms}"
-        )
-    lev = _lev_table(scorer.pred_atoms, scorer.ref_atoms)
-    cand = [sorted(range(n_r), key=lambda j, i=i: (lev[i][j], j)) for i in range(n_p)]
+    lev, cand = tables.lev, tables.candidates
     skips_total = max(0, n_p - n_r)
 
     mapping: list[int | None] = [None] * n_p
@@ -423,28 +495,11 @@ def _max_matching_size(preds: tuple[int, ...], adj: dict[int, list[int]]) -> int
     return size
 
 
-def bind_optimized(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -> BindingResult:
-    """Candidate-restricted binding search.
-
-    Builds the relatedness graph, fixes one-to-one components outright, and
-    enumerates maximum-cardinality injective assignments inside each
-    one-to-many component (components in first-occurrence order, earlier
-    choices fixed, later components unbound while a component is searched).
-    A component stops early at ``component_cap`` scored assignments and
-    keeps its best so far, flagged via ``truncated``.
-    """
-    scorer = _Scorer(pred, ref, config.max_atoms)
-    graph = CandidateGraph.build(scorer.pred_atoms, scorer.ref_atoms, config.similarity)
-    lev = _lev_table(scorer.pred_atoms, scorer.ref_atoms)
-    adj: dict[int, list[int]] = {}
-    for i, j, _ in graph.edges:
-        adj.setdefault(i, []).append(j)
-    for i in adj:
-        adj[i].sort(key=lambda j, i=i: (lev[i][j], j))
-
+def _search_optimized(scorer: _Scorer, tables: _AtomTables, config: LeConfig) -> BindingResult:
+    lev, adj = tables.lev, tables.candidates
     mapping: list[int | None] = [None] * scorer.n_p
     multi: list[Component] = []
-    for comp in graph.components:
+    for comp in tables.components:
         if len(comp.prediction_atoms) == 1 and len(comp.reference_atoms) == 1:
             mapping[comp.prediction_atoms[0]] = comp.reference_atoms[0]
         else:
@@ -511,6 +566,44 @@ def bind_optimized(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -
         scorer.assignments_evaluated,
         truncated,
     )
+
+
+_SEARCHES = {"original": _search_original, "optimized": _search_optimized}
+
+
+def _bind(pred: FolExpr, ref: FolExpr | CompiledReference, mode: str, config: LeConfig) -> BindingResult:
+    if not isinstance(ref, CompiledReference):
+        ref = CompiledReference(ref)
+    pred_atoms = atoms_of(pred)
+    tables = ref._tables(pred_atoms, mode, config)
+    return _SEARCHES[mode](_Scorer(pred, pred_atoms, ref, config.max_atoms), tables, config)
+
+
+def bind_original(
+    pred: FolExpr, ref: FolExpr | CompiledReference, config: LeConfig = DEFAULT_LE
+) -> BindingResult:
+    """Exhaustive search over every complete injective matching of the
+    smaller atom set, candidates tried in ascending edit-distance order.
+    Factorial in the atom count, so guarded by ``max_factorial_atoms``.
+    ``pred`` is a canonical tree; ``ref`` a canonical tree or a compiled
+    reference."""
+    return _bind(pred, ref, "original", config)
+
+
+def bind_optimized(
+    pred: FolExpr, ref: FolExpr | CompiledReference, config: LeConfig = DEFAULT_LE
+) -> BindingResult:
+    """Candidate-restricted binding search.
+
+    Builds the relatedness graph, fixes one-to-one components outright, and
+    enumerates maximum-cardinality injective assignments inside each
+    one-to-many component (components in first-occurrence order, earlier
+    choices fixed, later components unbound while a component is searched).
+    A component stops early at ``component_cap`` scored assignments and
+    keeps its best so far, flagged via ``truncated``.  ``pred`` is a
+    canonical tree; ``ref`` a canonical tree or a compiled reference.
+    """
+    return _bind(pred, ref, "optimized", config)
 
 
 # --- top-level scoring -------------------------------------------------------
@@ -595,24 +688,7 @@ def _prediction_trees(tokens, config: LeConfig) -> list[FolExpr]:
     return trees
 
 
-def le_score(
-    prediction: str,
-    reference: str,
-    mode: str = "optimized",
-    config: LeConfig = DEFAULT_LE,
-) -> LeReport:
-    """Score ``prediction`` against ``reference``.
-
-    The reference parses in precedence mode.  When the prediction's
-    outermost connective chain is ambiguous (no parentheses fix a reading),
-    every bracketing of that chain is scored (chunked per
-    ``config.chunk_size``) and the maximum over trees and bindings wins.
-    Parse errors propagate; callers that need a never-fail reward should
-    map them to 0 (the service and corpus layers do).
-    """
-    if mode not in ("original", "optimized"):
-        raise ValueError(f"unknown scoring mode {mode!r}")
-    ref_tree = canonicalize(parse(reference))
+def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config: LeConfig) -> LeReport:
     tokens = lex(prediction)
     if not tokens:
         raise ParseError("empty formula")
@@ -624,7 +700,7 @@ def le_score(
     bindings = 0
     truncated = False
     for tree in trees:
-        result = bind(canonicalize(tree), ref_tree, config)
+        result = bind(canonicalize(tree), ref, config)
         assignments += result.assignments_evaluated
         bindings += result.bindings_explored
         truncated = truncated or result.truncated
@@ -633,7 +709,7 @@ def le_score(
 
     assert best is not None
     score, result = best
-    atom_count = len(atoms_of(ref_tree)) + len(result.binding.unbound_prediction)
+    atom_count = len(ref.atoms) + len(result.binding.unbound_prediction)
     return LeReport(
         score=score,
         binding=result.binding,
@@ -644,3 +720,62 @@ def le_score(
         mode=mode,
         truncated=truncated,
     )
+
+
+def score_group(
+    predictions: list[str],
+    reference: str | CompiledReference,
+    mode: str = "optimized",
+    config: LeConfig = DEFAULT_LE,
+) -> list[LeReport | ParseError | CapExceeded]:
+    """Score each of ``predictions`` against one shared ``reference``.
+
+    The reference is compiled once (pass a ``CompiledReference`` to reuse
+    one across calls) and each distinct prediction text is scored once, so
+    equal predictions share one ``LeReport``; treat reports as read-only.
+    The result is aligned with ``predictions``: a report, or the
+    ``ParseError`` / ``CapExceeded`` that prediction raised (without its
+    traceback).  An unknown
+    mode raises ``ValueError`` and a malformed reference raises its
+    ``ParseError``.
+    """
+    if mode not in _SEARCHES:
+        raise ValueError(f"unknown scoring mode {mode!r}")
+    if not isinstance(reference, CompiledReference):
+        reference = compile_reference(reference)
+    scored: dict[str, LeReport | ParseError | CapExceeded] = {}
+    results = []
+    for prediction in predictions:
+        result = scored.get(prediction)
+        if result is None:
+            try:
+                result = _score_prediction(prediction, reference, mode, config)
+            except (ParseError, CapExceeded) as exc:
+                # The traceback's frames lead back to this frame, which holds
+                # the exception: dropping it avoids a cycle per failure.
+                result = exc.with_traceback(None)
+            scored[prediction] = result
+        results.append(result)
+    return results
+
+
+def le_score(
+    prediction: str,
+    reference: str | CompiledReference,
+    mode: str = "optimized",
+    config: LeConfig = DEFAULT_LE,
+) -> LeReport:
+    """Score ``prediction`` against ``reference``.
+
+    The reference parses in precedence mode.  When the prediction's
+    outermost connective chain is ambiguous (no parentheses fix a reading),
+    every bracketing of that chain is scored (chunked per
+    ``config.chunk_size``) and the maximum over trees and bindings wins.
+    Parse errors propagate; callers that need a never-fail reward should
+    map them to 0 (the service and corpus layers do).  This is
+    ``score_group`` for a group of one.
+    """
+    (result,) = score_group([prediction], reference, mode, config)
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -20,9 +20,10 @@ import socket
 from dataclasses import dataclass, replace
 
 from .corpus import BleuConfig, DEFAULT_BLEU, EvalPair, corpus_bleu
-from .equivalence import DEFAULT_LE, LeConfig, le_score
+from .equivalence import DEFAULT_LE, LeConfig, compile_reference, le_score
 from .similarity import SimilarityConfig
-from .syntax import CapExceeded, ParseError, parse
+from .syntax import CapExceeded, ParseError
+from .syntax import parse  # noqa: F401  (foleq.service.parse stays importable; perfbench wraps it)
 
 OPS = ("le_score", "bleu_pair")
 MODES = ("original", "optimized")
@@ -157,17 +158,17 @@ def handle_request(req: ScoreRequest, config: ServiceConfig) -> ScoreResponse:
             return ScoreResponse(id=req.id, score=value)
 
         mode = req.mode or config.mode
+        # a bad reference is a caller bug (hard error); a bad prediction is
+        # model output (degrade to zero reward)
         try:
-            report = le_score(req.prediction, req.reference, mode=mode, config=le_config)
+            reference = compile_reference(req.reference)
+        except ParseError as exc:
+            return _error(req.id, BAD_REQUEST, f"unparseable reference: {exc}")
+        try:
+            report = le_score(req.prediction, reference, mode=mode, config=le_config)
         except CapExceeded as exc:
             return _error(req.id, CAP_EXCEEDED, str(exc))
         except (ParseError, ValueError) as exc:
-            # distinguish a bad reference (caller bug, hard error) from a bad
-            # prediction (model output, degrade to zero reward)
-            try:
-                parse(req.reference)
-            except ParseError:
-                return _error(req.id, BAD_REQUEST, f"unparseable reference: {exc}")
             return ScoreResponse(
                 id=req.id, score=0.0, detail={"warning": f"unparseable prediction: {exc}"}
             )

@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equivalence import DEFAULT_LE, LeConfig, le_score
+from .equivalence import DEFAULT_LE, LeConfig, score_group
+from .equivalence import le_score  # noqa: F401  (foleq.sgrpo.le_score stays importable; perfbench wraps it)
 from .syntax import CapExceeded, ParseError
 
 ROLES = ("current", "old", "reference")
@@ -329,12 +330,16 @@ def default_demo_config(
     return TrainDemoConfig(vocab=vocab, references=references, iterations=iterations, hp=hp)
 
 
-def _reward(text: str, reference: str, config: LeConfig) -> float:
+def _rewards(texts: list[str], reference: str, config: LeConfig) -> np.ndarray:
+    """Optimized-mode scores clamped to [0, 1]; a text (or reference) that
+    fails to parse or exceeds a cap earns 0."""
     try:
-        score = le_score(text, reference, mode="optimized", config=config).score
-    except (ParseError, CapExceeded):
-        return 0.0
-    return min(1.0, max(0.0, score))
+        results = score_group(texts, reference, mode="optimized", config=config)
+    except ParseError:
+        return np.zeros(len(texts))
+    return np.array(
+        [0.0 if isinstance(r, (ParseError, CapExceeded)) else min(1.0, max(0.0, r.score)) for r in results]
+    )
 
 
 def train_demo(config: TrainDemoConfig) -> list[dict]:
@@ -354,12 +359,8 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
         all_rewards = []
         for prompt in prompts:
             group = sample_group(old, prompt, hp, rng)
-            rewards = np.array(
-                [
-                    _reward(" ".join(config.vocab[t] for t in output), prompt.reference_formula, config.le)
-                    for output in group.outputs
-                ]
-            )
+            texts = [" ".join(config.vocab[t] for t in output) for output in group.outputs]
+            rewards = _rewards(texts, prompt.reference_formula, config.le)
             group = replace(group, rewards=rewards)
             group = replace(group, advantages=group_advantages(rewards, hp.std_epsilon))
             groups.append(group)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -364,6 +365,25 @@ def test_train_demo_improves_rewards():
     trace = train_demo(config)
     assert trace[0]["mean_reward"] < 0.3
     assert max(record["mean_reward"] for record in trace) > 0.7
+
+
+# Trace of train_demo(default_demo_config(iterations=30, seed=0)) before rewards
+# were scored per group: deduplicating repeated sample texts must change
+# neither the RNG stream nor the order of rewards.
+PINNED_MEAN_REWARDS = [
+    0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.041666666666666664,
+    0.14583333333333334, 0.0, 0.041666666666666664, 0.03125, 0.09375, 0.15625, 0.359375,
+    0.20833333333333334, 0.3645833333333333, 0.375, 0.40625, 0.4375, 0.4479166666666667,
+    0.3333333333333333, 0.2916666666666667, 0.4375, 0.40625, 0.6770833333333334,
+]
+PINNED_TRACE_SHA256 = "12be9bfeefb1ee06030db22ab587137717f84da707f4d3813e8b839e6d603dd8"
+
+
+def test_train_demo_trace_is_pinned():
+    trace = train_demo(default_demo_config(iterations=30, seed=0))
+    assert [record["mean_reward"] for record in trace] == PINNED_MEAN_REWARDS
+    assert trace[-1]["reward_std"] == 0.44767435306133957
+    assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == PINNED_TRACE_SHA256
 
 
 def test_write_trace_round_trips(tmp_path):
