@@ -17,7 +17,7 @@ import json
 import sys
 
 from .corpus import corpus_le, load_pairs
-from .equivalence import le_score
+from .equivalence import compile_reference, le_score
 from .service import ServiceConfig, serve, serve_socket
 from .sgrpo import TrainDemoConfig, Hyperparams, default_demo_config, train_demo, write_trace
 from .syntax import CapExceeded, ParseError, canonicalize, parse, render
@@ -100,14 +100,15 @@ def _cmd_parse(args) -> int:
 def _score_single(args, config: ServiceConfig) -> int:
     mode = args.mode or config.mode
     try:
-        report = le_score(args.prediction, args.reference, mode=mode, config=config.le)
-    except (ParseError, CapExceeded, ValueError) as exc:
-        try:
-            parse(args.reference)
-        except ParseError:
-            print(f"unparseable reference: {exc}", file=sys.stderr)
-            return DATA_ERROR
-        print(f"warning: unparseable prediction, scoring 0: {exc}", file=sys.stderr)
+        reference = compile_reference(args.reference)
+    except ParseError as exc:
+        print(f"unparseable reference: {exc}", file=sys.stderr)
+        return DATA_ERROR
+    try:
+        report = le_score(args.prediction, reference, mode=mode, config=config.le)
+    except (ParseError, CapExceeded) as exc:
+        reason = "cap exceeded" if isinstance(exc, CapExceeded) else "unparseable prediction"
+        print(f"warning: {reason}, scoring 0: {exc}", file=sys.stderr)
         print(json.dumps({"score": 0.0, "mode": mode}, ensure_ascii=False))
         return 0
     print(json.dumps(report.to_dict(), ensure_ascii=False))

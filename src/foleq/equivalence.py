@@ -9,21 +9,26 @@ truth assignments on which the two skeletons agree, so it is 1.0 exactly
 for equivalent readings and 0.0 for a formula against its negation under
 the identity binding.
 
-Two binding searches are provided:
+One binding search serves both modes; the mode picks the candidate
+graph it searches.  The search fixes every one-to-one component of the
+graph outright and enumerates the maximum-cardinality injective
+assignments inside each larger component, trying candidates in ascending
+edit-distance order.
 
 ``bind_original``
-    Exhausts every complete injective matching of the smaller atom set
-    (n! for equal sides), trying candidates in ascending edit-distance
-    order.
+    Searches the complete graph, every prediction atom a candidate for
+    every reference atom, as one component with no cap: it exhausts every
+    complete injective matching of the smaller atom set (n! for equal
+    sides), so ``max_factorial_atoms`` bounds it.
 
 ``bind_optimized``
-    Restricts candidates to atom pairs whose names are related under the
-    similarity backend, fixes one-to-one components outright, and
-    enumerates injective assignments only inside one-to-many components.
+    Searches the relatedness graph, whose edges join atom pairs with
+    similar names under the similarity backend, and stops a component
+    after ``component_cap`` scored assignments.
 
 Ties between equal-scoring bindings break toward the smaller summed edit
 distance, then toward the first-enumerated assignment, which makes both
-searches deterministic.
+modes deterministic.
 
 A GRPO-style group scores many predictions against one reference, so
 ``score_group`` compiles the reference once (``CompiledReference``), scores
@@ -52,14 +57,13 @@ from .syntax import (
     Not,
     ParseError,
     Quantified,
+    atom_text,
     atoms_of,
     canonicalize,
     enumerate_bracketings,
     lex,
     parse,
-    _Parser,
 )
-from . import syntax as _syntax
 
 
 @dataclass(frozen=True)
@@ -252,7 +256,7 @@ def _strip_quantifiers(expr: FolExpr) -> FolExpr:
 def _compile(expr: FolExpr, ordinals: dict[str, int]):
     """Lower a quantifier-free tree to nested tuples holding atom ordinals."""
     if isinstance(expr, Atom):
-        return ("atom", ordinals[_syntax.atom_text(expr.predicate, expr.args)])
+        return ("atom", ordinals[atom_text(expr.predicate, expr.args)])
     if isinstance(expr, Not):
         return ("not", _compile(expr.body, ordinals))
     assert isinstance(expr, Binary)
@@ -397,10 +401,11 @@ def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_at
 
 
 class _AtomTables:
-    """What a binding search reads from the two atom lists: edit distances,
-    each prediction atom's candidate reference atoms in ascending edit
-    distance, and, in optimized mode, the candidate graph's components.
-    They depend on the atoms alone, so one prediction's trees share them."""
+    """What the binding search reads from the two atom lists: edit
+    distances, each prediction atom's candidate reference atoms in ascending
+    edit distance, the candidate graph's components, and the component cap
+    (None in original mode).  They depend on the atoms alone, so one
+    prediction's trees share them."""
 
     def __init__(
         self,
@@ -410,68 +415,24 @@ class _AtomTables:
         config: LeConfig,
     ):
         n_p, n_r = len(pred_atoms), len(ref_atoms)
-        if mode == "original" and max(n_p, n_r) > config.max_factorial_atoms:
-            raise CapExceeded(
-                f"{max(n_p, n_r)} atoms exceeds the factorial-search cap {config.max_factorial_atoms}"
-            )
-        lev = [[levenshtein(p.canonical_text, r.canonical_text) for r in ref_atoms] for p in pred_atoms]
-        self.components: tuple[Component, ...] = ()
+        self.lev = [[levenshtein(p.canonical_text, r.canonical_text) for r in ref_atoms] for p in pred_atoms]
         if mode == "original":
-            candidates = {i: list(range(n_r)) for i in range(n_p)}
+            if max(n_p, n_r) > config.max_factorial_atoms:
+                raise CapExceeded(
+                    f"{max(n_p, n_r)} atoms exceeds the factorial-search cap {config.max_factorial_atoms}"
+                )
+            self.candidates = {i: list(range(n_r)) for i in range(n_p)}
+            self.components = (Component(tuple(range(n_p)), tuple(range(n_r))),)
+            self.component_cap: int | None = None
         else:
             graph = CandidateGraph.build(pred_atoms, ref_atoms, config.similarity)
-            candidates = {}
+            self.candidates = {}
             for i, j, _ in graph.edges:
-                candidates.setdefault(i, []).append(j)
+                self.candidates.setdefault(i, []).append(j)
             self.components = graph.components
-        for i, row in candidates.items():
-            row.sort(key=lambda j, i=i: (lev[i][j], j))
-        self.lev = lev
-        self.candidates = candidates
-
-
-def _search_original(scorer: _Scorer, tables: _AtomTables, config: LeConfig) -> BindingResult:
-    n_p, n_r = scorer.n_p, scorer.n_r
-    lev, cand = tables.lev, tables.candidates
-    skips_total = max(0, n_p - n_r)
-
-    mapping: list[int | None] = [None] * n_p
-    used = [False] * n_r
-    state = {"best": None, "score": -1.0, "dist": 0, "explored": 0}
-
-    def leaf():
-        score = scorer.score(mapping)
-        state["explored"] += 1
-        dist = sum(lev[i][m] for i, m in enumerate(mapping) if m is not None)
-        if score > state["score"] or (score == state["score"] and dist < state["dist"]):
-            state["best"] = list(mapping)
-            state["score"] = score
-            state["dist"] = dist
-
-    def rec(i: int, skips_left: int):
-        if i == n_p:
-            if skips_left == 0:
-                leaf()
-            return
-        for j in cand[i]:
-            if not used[j]:
-                used[j] = True
-                mapping[i] = j
-                rec(i + 1, skips_left)
-                mapping[i] = None
-                used[j] = False
-        if skips_left > 0:
-            rec(i + 1, skips_left - 1)
-
-    rec(0, skips_total)
-    best = state["best"]
-    assert best is not None
-    return BindingResult(
-        scorer.binding_from(best),
-        state["score"],
-        state["explored"],
-        scorer.assignments_evaluated,
-    )
+            self.component_cap = config.component_cap
+        for i, row in self.candidates.items():
+            row.sort(key=lambda j, i=i: (self.lev[i][j], j))
 
 
 def _max_matching_size(preds: tuple[int, ...], adj: dict[int, list[int]]) -> int:
@@ -495,8 +456,11 @@ def _max_matching_size(preds: tuple[int, ...], adj: dict[int, list[int]]) -> int
     return size
 
 
-def _search_optimized(scorer: _Scorer, tables: _AtomTables, config: LeConfig) -> BindingResult:
-    lev, adj = tables.lev, tables.candidates
+def _search(scorer: _Scorer, tables: _AtomTables) -> BindingResult:
+    """Fix one-to-one components outright, then enumerate the
+    maximum-cardinality injective assignments of each larger component in
+    turn, candidates in ascending edit distance, keeping the best."""
+    lev, adj, cap = tables.lev, tables.candidates, tables.component_cap
     mapping: list[int | None] = [None] * scorer.n_p
     multi: list[Component] = []
     for comp in tables.components:
@@ -508,52 +472,44 @@ def _search_optimized(scorer: _Scorer, tables: _AtomTables, config: LeConfig) ->
     explored = 0
     truncated = False
     final_score: float | None = None
+    used = [False] * scorer.n_r
 
     for comp in multi:
         preds = comp.prediction_atoms
-        target = _max_matching_size(preds, adj)
-        skips_total = len(preds) - target
-        used: set[int] = set()
-        best = {"assign": None, "score": -1.0, "dist": 0, "count": 0}
-        capped = False
+        size = len(preds)
+        best_assign: list[int | None] = []
+        best_score, best_dist, count = -1.0, 0, 0
 
-        def rec(pos: int, skips_left: int):
-            nonlocal capped, explored
-            if capped:
-                return
-            if pos == len(preds):
-                if skips_left != 0:
-                    return
+        def rec(pos: int, skips_left: int, dist: int) -> bool:
+            """Extend the assignment from ``preds[pos]`` on; ``dist`` is the
+            edit distance summed so far.  True once ``cap`` are scored."""
+            nonlocal best_assign, best_score, best_dist, count
+            if pos == size:
+                if skips_left:
+                    return False
                 score = scorer.score(mapping)
-                explored += 1
-                best["count"] += 1
-                dist = sum(lev[i][mapping[i]] for i in preds if mapping[i] is not None)
-                if score > best["score"] or (score == best["score"] and dist < best["dist"]):
-                    best["assign"] = [mapping[i] for i in preds]
-                    best["score"] = score
-                    best["dist"] = dist
-                if best["count"] >= config.component_cap:
-                    capped = True
-                return
+                count += 1
+                if score > best_score or (score == best_score and dist < best_dist):
+                    best_assign, best_score, best_dist = [mapping[i] for i in preds], score, dist
+                return count == cap
             i = preds[pos]
+            row = lev[i]
             for j in adj[i]:
-                if j not in used:
-                    used.add(j)
+                if not used[j]:
+                    used[j] = True
                     mapping[i] = j
-                    rec(pos + 1, skips_left)
+                    capped = rec(pos + 1, skips_left, dist + row[j])
                     mapping[i] = None
-                    used.discard(j)
+                    used[j] = False
                     if capped:
-                        return
-            if skips_left > 0:
-                rec(pos + 1, skips_left - 1)
+                        return True
+            return skips_left > 0 and rec(pos + 1, skips_left - 1, dist)
 
-        rec(0, skips_total)
-        truncated = truncated or capped
-        assert best["assign"] is not None
-        for i, j in zip(preds, best["assign"]):
+        truncated = rec(0, size - _max_matching_size(preds, adj), 0) or truncated
+        explored += count
+        for i, j in zip(preds, best_assign):
             mapping[i] = j
-        final_score = best["score"]
+        final_score = best_score
 
     if final_score is None:
         final_score = scorer.score(mapping)
@@ -568,22 +524,20 @@ def _search_optimized(scorer: _Scorer, tables: _AtomTables, config: LeConfig) ->
     )
 
 
-_SEARCHES = {"original": _search_original, "optimized": _search_optimized}
-
-
 def _bind(pred: FolExpr, ref: FolExpr | CompiledReference, mode: str, config: LeConfig) -> BindingResult:
     if not isinstance(ref, CompiledReference):
         ref = CompiledReference(ref)
     pred_atoms = atoms_of(pred)
     tables = ref._tables(pred_atoms, mode, config)
-    return _SEARCHES[mode](_Scorer(pred, pred_atoms, ref, config.max_atoms), tables, config)
+    return _search(_Scorer(pred, pred_atoms, ref, config.max_atoms), tables)
 
 
 def bind_original(
     pred: FolExpr, ref: FolExpr | CompiledReference, config: LeConfig = DEFAULT_LE
 ) -> BindingResult:
     """Exhaustive search over every complete injective matching of the
-    smaller atom set, candidates tried in ascending edit-distance order.
+    smaller atom set, candidates tried in ascending edit-distance order: the
+    binding search over the complete graph, with no ``component_cap``.
     Factorial in the atom count, so guarded by ``max_factorial_atoms``.
     ``pred`` is a canonical tree; ``ref`` a canonical tree or a compiled
     reference."""
@@ -609,90 +563,8 @@ def bind_optimized(
 # --- top-level scoring -------------------------------------------------------
 
 
-def _matching_paren(tokens, start: int) -> int | None:
-    depth = 0
-    for idx in range(start, len(tokens)):
-        kind = tokens[idx].kind
-        if kind == _syntax.LPAREN:
-            depth += 1
-        elif kind == _syntax.RPAREN:
-            depth -= 1
-            if depth == 0:
-                return idx
-    return None
-
-
-def _operand_span(tokens, j: int, end: int) -> int | None:
-    """End index of the single unary operand starting at ``j``, or None."""
-    while j < end:
-        kind = tokens[j].kind
-        if kind == _syntax.NOT:
-            j += 1
-        elif kind in _syntax.QUANTIFIERS:
-            if j + 1 >= end or tokens[j + 1].kind != _syntax.IDENT:
-                return None
-            j += 2
-        else:
-            break
-    if j >= end:
-        return None
-    kind = tokens[j].kind
-    if kind == _syntax.IDENT:
-        if j + 1 < end and tokens[j + 1].kind == _syntax.LPAREN:
-            close = _matching_paren(tokens, j + 1)
-            return None if close is None else close + 1
-        return j + 1
-    if kind == _syntax.LPAREN:
-        close = _matching_paren(tokens, j)
-        return None if close is None else close + 1
-    return None
-
-
-def _strip_wrappers(tokens) -> tuple[list[tuple], list]:
-    """Peel whole-formula negation/quantifier prefixes and enclosing parens,
-    returning (wrappers outermost-first, inner token slice)."""
-    wrappers: list[tuple] = []
-    start, end = 0, len(tokens)
-    while start < end:
-        kind = tokens[start].kind
-        if kind == _syntax.NOT and _operand_span(tokens, start + 1, end) == end:
-            wrappers.append((_syntax.NOT,))
-            start += 1
-        elif (
-            kind in _syntax.QUANTIFIERS
-            and start + 1 < end
-            and tokens[start + 1].kind == _syntax.IDENT
-            and _operand_span(tokens, start + 2, end) == end
-        ):
-            wrappers.append((kind, tokens[start + 1].text))
-            start += 2
-        elif kind == _syntax.LPAREN and _matching_paren(tokens, start) == end - 1:
-            start += 1
-            end -= 1
-        else:
-            break
-    return wrappers, list(tokens[start:end])
-
-
-def _prediction_trees(tokens, config: LeConfig) -> list[FolExpr]:
-    wrappers, chain = _strip_wrappers(tokens)
-    if not chain:
-        # Malformed input; let the plain parser raise the proper error.
-        return [_Parser(list(tokens), "precedence").parse()]
-    trees = enumerate_bracketings(chain, chunk_size=config.chunk_size, max_operators=config.max_chain_operators)
-    for wrapper in reversed(wrappers):
-        if wrapper[0] == _syntax.NOT:
-            trees = [Not(t) for t in trees]
-        else:
-            trees = [Quantified(wrapper[0], wrapper[1], t) for t in trees]
-    return trees
-
-
 def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config: LeConfig) -> LeReport:
-    tokens = lex(prediction)
-    if not tokens:
-        raise ParseError("empty formula")
-    trees = _prediction_trees(tokens, config)
+    trees = enumerate_bracketings(lex(prediction), config.chunk_size, config.max_chain_operators)
 
     bind = bind_original if mode == "original" else bind_optimized
     best: tuple[float, BindingResult] | None = None
@@ -739,7 +611,7 @@ def score_group(
     mode raises ``ValueError`` and a malformed reference raises its
     ``ParseError``.
     """
-    if mode not in _SEARCHES:
+    if mode not in ("original", "optimized"):
         raise ValueError(f"unknown scoring mode {mode!r}")
     if not isinstance(reference, CompiledReference):
         reference = compile_reference(reference)

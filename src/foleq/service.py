@@ -16,6 +16,7 @@ that stalls its training loop is worse than one that reports a zero.
 from __future__ import annotations
 
 import json
+import os
 import socket
 from dataclasses import dataclass, replace
 
@@ -193,45 +194,39 @@ def handle_line(line: str, config: ServiceConfig) -> ScoreResponse | None:
     return handle_request(req, config)
 
 
-def serve(in_stream, out_stream, config: ServiceConfig | None = None) -> None:
-    """Serve newline-delimited JSON until a shutdown request or EOF.
-    A shutdown request gets no response; malformed lines get a BAD_REQUEST
-    with synthetic id \"?\" and the loop continues."""
+def serve(in_stream, out_stream, config: ServiceConfig | None = None) -> bool:
+    """Serve newline-delimited JSON until a shutdown request or EOF, and
+    return whether a shutdown request ended it.  A shutdown request gets no
+    response; malformed lines get a BAD_REQUEST with synthetic id \"?\" and
+    the loop continues."""
     config = config or ServiceConfig()
     for line in in_stream:
         if not line.strip():
             continue
         response = handle_line(line, config)
         if response is None:
-            break
+            return True
         out_stream.write(response.to_json() + "\n")
         out_stream.flush()
+    return False
 
 
 def serve_socket(path: str, config: ServiceConfig | None = None) -> None:
-    """Accept one Unix-socket connection at a time and run the line loop on
-    it.  A shutdown request closes the connection and stops the listener."""
-    config = config or ServiceConfig()
-    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    try:
+    """Accept one Unix-socket connection at a time and run :func:`serve` on
+    it.  A shutdown request closes the connection and stops the listener,
+    which then removes the socket file it bound."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
         listener.bind(path)
-        listener.listen(1)
-        while True:
-            conn, _ = listener.accept()
-            with conn:
-                reader = conn.makefile("r", encoding="utf-8", newline="\n")
-                writer = conn.makefile("w", encoding="utf-8", newline="\n")
-                shut_down = False
-                for line in reader:
-                    if not line.strip():
-                        continue
-                    response = handle_line(line, config)
-                    if response is None:
-                        shut_down = True
-                        break
-                    writer.write(response.to_json() + "\n")
-                    writer.flush()
-            if shut_down:
-                break
-    finally:
-        listener.close()
+        try:
+            listener.listen(1)
+            shut_down = False
+            while not shut_down:
+                conn, _ = listener.accept()
+                with (
+                    conn,
+                    conn.makefile("r", encoding="utf-8", newline="\n") as reader,
+                    conn.makefile("w", encoding="utf-8", newline="\n") as writer,
+                ):
+                    shut_down = serve(reader, writer, config)
+        finally:
+            os.unlink(path)

@@ -197,11 +197,38 @@ class AtomicUnit:
 # --- parsing -----------------------------------------------------------------
 
 
+def _reduce(out: list[FolExpr], pending: list[str]) -> None:
+    right = out.pop()
+    out[-1] = Binary(pending.pop(), out[-1], right)
+
+
+def _fold(operands: list[FolExpr], ops: list[str]) -> FolExpr:
+    """The precedence-mode tree of a flat chain, built without recursion:
+    an operator first reduces every pending one that binds tighter, or as
+    tightly when it groups to the left."""
+    out = [operands[0]]
+    pending: list[str] = []
+    for op, operand in zip(ops, operands[1:]):
+        prec = _PREC[op]
+        while pending and (_PREC[pending[-1]] > prec or (_PREC[pending[-1]] == prec and op != IMPLIES)):
+            _reduce(out, pending)
+        pending.append(op)
+        out.append(operand)
+    while pending:
+        _reduce(out, pending)
+    return out[0]
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], mode: str = "precedence"):
+        if not tokens:
+            raise ParseError("empty formula")
         self.tokens = tokens
         self.pos = 0
         self.mode = mode
+        # The operands and operators of the last parenthesized chain with at
+        # least one operator that unary() closed.
+        self.last_group: tuple[list[FolExpr], list[str]] | None = None
 
     def peek(self) -> Token | None:
         if self.pos < len(self.tokens):
@@ -224,53 +251,30 @@ class _Parser:
         return self.take()
 
     def parse(self) -> FolExpr:
-        expr = self.expr() if self.mode == "precedence" else self.fp_expr()
+        expr = _fold(*self.chain()) if self.mode == "precedence" else self.fp_expr()
+        self.finish()
+        return expr
+
+    def finish(self) -> None:
         tok = self.peek()
         if tok is not None:
             if tok.kind == RPAREN:
                 raise ParseError("unbalanced parentheses", tok.position)
             raise ParseError(f"unexpected token {tok.text!r}", tok.position)
-        return expr
 
     # precedence mode
 
-    def expr(self) -> FolExpr:
-        return self.iff_level()
-
-    def iff_level(self) -> FolExpr:
-        left = self.implies_level()
+    def chain(self) -> tuple[list[FolExpr], list[str]]:
+        """A flat connective chain: its unary operands and operator kinds."""
+        operands = [self.unary()]
+        ops: list[str] = []
         while True:
             tok = self.peek()
-            if tok is None or tok.kind not in (IFF, XOR):
-                return left
+            if tok is None or tok.kind not in BINARY_OPS:
+                return operands, ops
             self.take()
-            left = Binary(tok.kind, left, self.implies_level())
-
-    def implies_level(self) -> FolExpr:
-        left = self.or_level()
-        tok = self.peek()
-        if tok is not None and tok.kind == IMPLIES:
-            self.take()
-            return Binary(IMPLIES, left, self.implies_level())
-        return left
-
-    def or_level(self) -> FolExpr:
-        left = self.and_level()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != OR:
-                return left
-            self.take()
-            left = Binary(OR, left, self.and_level())
-
-    def and_level(self) -> FolExpr:
-        left = self.unary()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != AND:
-                return left
-            self.take()
-            left = Binary(AND, left, self.unary())
+            ops.append(tok.kind)
+            operands.append(self.unary())
 
     def unary(self) -> FolExpr:
         tok = self.peek()
@@ -287,9 +291,12 @@ class _Parser:
             return self.atom()
         if tok.kind == LPAREN:
             self.take()
-            inner = self.expr()
+            operands, ops = self.chain()
             self.close_paren(tok)
-            return inner
+            if not ops:
+                return operands[0]
+            self.last_group = (operands, ops)
+            return _fold(operands, ops)
         raise ParseError(f"unexpected token {tok.text!r}", tok.position)
 
     def atom(self) -> FolExpr:
@@ -363,10 +370,7 @@ def parse(text: str, mode: str = "precedence") -> FolExpr:
     """
     if mode not in ("precedence", "fully-parenthesized"):
         raise ValueError(f"unknown parse mode {mode!r}")
-    tokens = lex(text)
-    if not tokens:
-        raise ParseError("empty formula")
-    return _Parser(tokens, mode).parse()
+    return _Parser(lex(text), mode).parse()
 
 
 # --- rendering ---------------------------------------------------------------
@@ -498,22 +502,6 @@ def atoms_of(expr: FolExpr) -> tuple[AtomicUnit, ...]:
 # --- bracketing enumeration --------------------------------------------------
 
 
-def _split_chain(tokens: list[Token]) -> tuple[list[FolExpr], list[str]]:
-    """Split a flat connective chain into parsed operands and operator kinds."""
-    parser = _Parser(list(tokens), "precedence")
-    operands = [parser.unary()]
-    ops: list[str] = []
-    while True:
-        tok = parser.peek()
-        if tok is None:
-            return operands, ops
-        if tok.kind not in BINARY_OPS:
-            raise ParseError(f"expected a binary connective, found {tok.text!r}", tok.position)
-        parser.take()
-        ops.append(tok.kind)
-        operands.append(parser.unary())
-
-
 def _all_bracketings(operands: list[FolExpr], ops: list[str]) -> list[FolExpr]:
     memo: dict[tuple[int, int], list[FolExpr]] = {}
 
@@ -535,28 +523,10 @@ def _all_bracketings(operands: list[FolExpr], ops: list[str]) -> list[FolExpr]:
     return trees(0, len(operands) - 1)
 
 
-def enumerate_bracketings(
-    tokens: list[Token],
-    chunk_size: int | None = None,
-    max_operators: int = 16,
-) -> list[FolExpr]:
-    """All binary-tree readings of a flat, unparenthesized connective chain.
-
-    With ``chunk_size=None`` the full Catalan(k) set is produced for k
-    operators.  With ``chunk_size=m`` the operand chain is partitioned into
-    consecutive chunks of at most m operands; bracketings are enumerated
-    within each chunk and the chunk roots are then bracketed over the
-    (shorter) bridge chain, which keeps the count far below Catalan(k) once
-    k >= m.  Either way the precedence-mode parse is the first element and
-    duplicates are removed by structural equality.
-    """
-    if chunk_size is not None and chunk_size < 2:
-        raise ValueError("chunk_size must be at least 2")
-    operands, ops = _split_chain(tokens)
+def _chain_readings(operands: list[FolExpr], ops: list[str], chunk_size: int | None) -> list[FolExpr]:
+    """The readings of one flat chain, described at enumerate_bracketings."""
     k = len(ops)
-    if k > max_operators:
-        raise CapExceeded(f"connective chain has {k} operators (cap {max_operators})")
-    precedence_tree = _Parser(list(tokens), "precedence").parse()
+    precedence_tree = _fold(operands, ops)
     if k <= 1:
         return [precedence_tree]
 
@@ -581,3 +551,49 @@ def enumerate_bracketings(
             seen.add(tree)
             result.append(tree)
     return result
+
+
+def enumerate_bracketings(
+    tokens: list[Token],
+    chunk_size: int | None = None,
+    max_operators: int = 16,
+) -> list[FolExpr]:
+    """All binary-tree readings of a formula's outermost flat connective
+    chain.
+
+    ``tokens`` must parse in precedence mode; a malformed formula raises the
+    ``ParseError`` that :func:`parse` gives.  When one chain makes up the
+    whole formula except for negations, quantifiers and parentheses wrapped
+    around all of it, as in ``¬∀x (A ∧ B ∧ C)``, the chain inside them is
+    the one read in every way, and each reading keeps the wrappers.
+
+    With ``chunk_size=None`` the full Catalan(k) set is produced for k
+    operators.  With ``chunk_size=m`` the operand chain is partitioned into
+    consecutive chunks of at most m operands; bracketings are enumerated
+    within each chunk and the chunk roots are then bracketed over the
+    (shorter) bridge chain, which keeps the count far below Catalan(k) once
+    k >= m.  Either way the precedence-mode parse is the first element and
+    duplicates are removed by structural equality.
+    """
+    if chunk_size is not None and chunk_size < 2:
+        raise ValueError("chunk_size must be at least 2")
+    parser = _Parser(tokens)
+    operands, ops = parser.chain()
+    parser.finish()
+    wrappers: list[FolExpr] = []
+    if not ops and parser.last_group is not None:
+        # The formula is one operand; it ends in the last group closed.
+        node = operands[0]
+        while isinstance(node, (Not, Quantified)):
+            wrappers.append(node)
+            node = node.body
+        operands, ops = parser.last_group
+    if len(ops) > max_operators:
+        raise CapExceeded(f"connective chain has {len(ops)} operators (cap {max_operators})")
+    readings = _chain_readings(operands, ops, chunk_size)
+    for wrapper in reversed(wrappers):
+        if isinstance(wrapper, Not):
+            readings = [Not(t) for t in readings]
+        else:
+            readings = [Quantified(wrapper.quantifier, wrapper.variable, t) for t in readings]
+    return readings

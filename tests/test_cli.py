@@ -98,6 +98,15 @@ def test_score_unparseable_prediction_warns_and_scores_zero(capsys):
     assert "unparseable prediction" in err
 
 
+def test_score_cap_exceeded_prediction_warns_with_the_cap(capsys):
+    prediction = " ∧ ".join(f"X{i}" for i in range(15))
+    code, out, err = run(capsys, "score", prediction, "A ∧ B")
+    assert code == 0
+    assert json.loads(out)["score"] == 0.0
+    assert "unparseable" not in err
+    assert "cap exceeded, scoring 0: 17 combined atoms exceeds the truth-table cap 16" in err
+
+
 def test_score_unparseable_reference_is_data_error(capsys):
     code, out, err = run(capsys, "score", "A", "((")
     assert code == 2

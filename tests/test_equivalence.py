@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foleq.equivalence import (
     BindingMap,
@@ -101,9 +101,12 @@ def test_bind_original_matches_matching_oracle(seed):
 def test_bind_original_explores_all_permutations():
     pred = canon(" ∧ ".join(f"P{i}" for i in range(6)))
     ref = canon(" ∧ ".join(f"Q{i}" for i in range(6)))
-    result = bind_original(pred, ref)
-    assert result.bindings_explored == 720
-    assert result.score == 1.0
+    # original mode is exhaustive: the component cap does not apply to it
+    for config in (LeConfig(), LeConfig(component_cap=2)):
+        result = bind_original(pred, ref, config)
+        assert result.bindings_explored == 720
+        assert result.score == 1.0
+        assert not result.truncated
 
 
 def test_bind_original_unequal_sides_binds_smaller_side_fully():
@@ -298,6 +301,30 @@ def test_parse_errors_propagate():
         le_score("((", "A")
     with pytest.raises(ParseError):
         le_score("A", "((")
+
+
+PREDICTION_TOKENS = ["A", "B", "P(x)", "Q(x, y)", "x", "¬", "∀x", "∃", "∧", "∨", "→", "↔", "⊕", "(", ")", ","]
+
+
+@settings(max_examples=300, deadline=None)
+@example(["A", "B"])
+@example(["(", "x", "∧", ")"])
+@given(st.lists(st.sampled_from(PREDICTION_TOKENS), max_size=12))
+def test_prediction_fails_exactly_as_parse_does(parts):
+    text = " ".join(parts)
+    try:
+        parse(text)
+        expected = None
+    except ParseError as exc:
+        expected = str(exc)
+    try:
+        le_score(text, "A")
+        got = None
+    except ParseError as exc:
+        got = str(exc)
+    except CapExceeded:
+        got = None
+    assert got == expected
 
 
 def test_unknown_mode_rejected():

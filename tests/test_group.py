@@ -11,7 +11,6 @@ import foleq.equivalence as equivalence
 from foleq.equivalence import (
     DEFAULT_LE,
     LeConfig,
-    _prediction_trees,
     bind_optimized,
     bind_original,
     compile_reference,
@@ -56,7 +55,7 @@ def unshared(prediction, reference, mode, config=DEFAULT_LE):
     """Fields of ``le_score`` computed with no compiled reference and no
     shared tables: every tree is bound against a freshly parsed reference."""
     ref_tree = canonicalize(parse(reference))
-    trees = _prediction_trees(lex(prediction), config)
+    trees = enumerate_bracketings(lex(prediction), config.chunk_size, config.max_chain_operators)
     bind = bind_original if mode == "original" else bind_optimized
     results = [bind(canonicalize(tree), ref_tree, config) for tree in trees]
     best = results[0]

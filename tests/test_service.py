@@ -2,6 +2,7 @@ import io
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -189,22 +190,24 @@ def test_serve_id_bijection_under_pipelining():
 
 # --- socket transport --------------------------------------------------------------------
 
-def test_serve_socket_round_trip(tmp_path):
-    path = str(tmp_path / "scoring.sock")
+def start_socket_service(path):
+    """Run ``serve_socket(path)`` on a thread; return it and a connected client."""
     thread = threading.Thread(target=serve_socket, args=(path,), daemon=True)
     thread.start()
     for _ in range(100):
+        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
-            client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             client.connect(path)
-            break
+            return thread, client
         except (FileNotFoundError, ConnectionRefusedError):
             client.close()
-            import time
-
             time.sleep(0.02)
-    else:
-        pytest.fail("service socket never came up")
+    pytest.fail("service socket never came up")
+
+
+def test_serve_socket_round_trip(tmp_path):
+    path = str(tmp_path / "scoring.sock")
+    thread, client = start_socket_service(path)
     with client:
         writer = client.makefile("w", encoding="utf-8", newline="\n")
         reader = client.makefile("r", encoding="utf-8", newline="\n")
@@ -220,6 +223,23 @@ def test_serve_socket_round_trip(tmp_path):
     assert first == {"id": "s1", "score": 1.0, "detail": first["detail"]}
     assert first["score"] == 1.0
     assert second["id"] == "s2" and second["score"] == 0.0
+
+
+def test_serve_socket_restarts_on_the_same_path(tmp_path):
+    path = tmp_path / "scoring.sock"
+    for _ in range(2):
+        thread, client = start_socket_service(str(path))
+        with client:
+            client.sendall(b'{"op": "shutdown"}\n')
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert not path.exists()
+
+
+def test_serve_reports_whether_shutdown_ended_it():
+    out = io.StringIO()
+    assert serve(io.StringIO('{"op": "shutdown"}\n'), out) is True
+    assert serve(io.StringIO(json.dumps(le_request("r1", "A", "A")) + "\n"), out) is False
 
 
 # --- configuration --------------------------------------------------------------------------

@@ -209,6 +209,17 @@ def test_enumeration_includes_precedence_parse_first():
     assert len(trees) == 2
 
 
+@pytest.mark.parametrize(
+    "text, other",
+    [
+        ("¬(A ∧ B ∧ C)", "¬(A ∧ (B ∧ C))"),
+        ("∀x ((P(x) → Q(x) → R(x)))", "∀x ((P(x) → Q(x)) → R(x))"),
+    ],
+)
+def test_enumeration_sees_through_whole_formula_wrappers(text, other):
+    assert enumerate_bracketings(lex(text)) == [parse(text), parse(other)]
+
+
 def test_single_operand_chain():
     tokens = lex("¬P(x)")
     assert enumerate_bracketings(tokens) == [parse("¬P(x)")]
