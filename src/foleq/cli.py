@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .corpus import corpus_le, load_pairs
 from .equivalence import compile_reference, le_score
 from .service import ServiceConfig, serve, serve_socket
-from .sgrpo import TrainDemoConfig, Hyperparams, default_demo_config, train_demo, write_trace
+from .sgrpo import TrainDemoConfig, default_demo_config, train_demo, write_trace
 from .syntax import CapExceeded, ParseError, canonicalize, parse, render
 
 USAGE_ERROR = 1
@@ -77,13 +78,19 @@ def _load_config_file(path: str) -> dict:
     return raw
 
 
-def _service_config(args) -> ServiceConfig:
-    mapping = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for flag in ("mode", "threshold", "max_atoms", "chunk_size"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            mapping[flag] = value
-    return ServiceConfig.from_mapping(mapping)
+def _service_config(args) -> ServiceConfig | None:
+    """The config file overlaid with the flags, or None after saying on
+    stderr why it is bad."""
+    try:
+        mapping = _load_config_file(args.config) if args.config else {}
+        for flag in ("mode", "threshold", "max_atoms", "chunk_size"):
+            value = getattr(args, flag, None)
+            if value is not None:
+                mapping[flag] = value
+        return ServiceConfig.from_mapping(mapping)
+    except (OSError, ValueError, TypeError) as exc:
+        print(f"bad config: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_parse(args) -> int:
@@ -130,10 +137,8 @@ def _read_aligned(pred_path: str, ref_path: str):
 
 
 def _cmd_score(args) -> int:
-    try:
-        config = _service_config(args)
-    except (OSError, ValueError) as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
+    config = _service_config(args)
+    if config is None:
         return DATA_ERROR
 
     if args.prediction is not None and args.reference is not None and not args.pred_file:
@@ -184,10 +189,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    try:
-        config = _service_config(args)
-    except (OSError, ValueError) as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
+    config = _service_config(args)
+    if config is None:
         return DATA_ERROR
     if args.stdio:
         serve(sys.stdin, sys.stdout, config)
@@ -240,19 +243,11 @@ def _demo_config_from_mapping(raw: dict) -> TrainDemoConfig:
         learning_rate=float(raw.get("learning_rate", 0.5)),
         seed=int(raw.get("seed", 0)),
     )
-    if "vocab" not in raw and "references" not in raw and "group_size" not in raw:
-        return base
-    hp = base.hp
-    if "group_size" in raw:
-        hp = Hyperparams(
-            group_size=int(raw["group_size"]),
-            learning_rate=hp.learning_rate,
-            seed=hp.seed,
-        )
-    return TrainDemoConfig(
+    hp = replace(base.hp, group_size=int(raw.get("group_size", base.hp.group_size)))
+    return replace(
+        base,
         vocab=tuple(raw.get("vocab", base.vocab)),
         references=tuple(raw.get("references", base.references)),
-        iterations=base.iterations,
         hp=hp,
     )
 

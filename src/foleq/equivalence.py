@@ -243,18 +243,11 @@ def _var_patterns(k: int) -> tuple[tuple[int, ...], int, int]:
     return tuple(patterns), (1 << rows) - 1, rows
 
 
-def _strip_quantifiers(expr: FolExpr) -> FolExpr:
-    if isinstance(expr, Quantified):
-        return _strip_quantifiers(expr.body)
-    if isinstance(expr, Not):
-        return Not(_strip_quantifiers(expr.body))
-    if isinstance(expr, Binary):
-        return Binary(expr.op, _strip_quantifiers(expr.left), _strip_quantifiers(expr.right))
-    return expr
-
-
 def _compile(expr: FolExpr, ordinals: dict[str, int]):
-    """Lower a quantifier-free tree to nested tuples holding atom ordinals."""
+    """Lower a tree's propositional skeleton, quantifiers dropped, to nested
+    tuples holding atom ordinals."""
+    while isinstance(expr, Quantified):
+        expr = expr.body
     if isinstance(expr, Atom):
         return ("atom", ordinals[atom_text(expr.predicate, expr.args)])
     if isinstance(expr, Not):
@@ -294,7 +287,7 @@ class CompiledReference:
         self.tree = tree
         self.atoms = atoms_of(tree)
         ordinals = {a.canonical_text: j for j, a in enumerate(self.atoms)}
-        self.code = _compile(_strip_quantifiers(tree), ordinals)
+        self.code = _compile(tree, ordinals)
         self._bits: dict[int, int] = {}
         self._last_tables: tuple[tuple, "_AtomTables"] | None = None
 
@@ -345,7 +338,7 @@ class _Scorer:
         self.n_r = len(ref.atoms)
         self.max_atoms = max_atoms
         pred_ord = {a.canonical_text: i for i, a in enumerate(pred_atoms)}
-        self.pred_code = _compile(_strip_quantifiers(pred), pred_ord)
+        self.pred_code = _compile(pred, pred_ord)
         self.assignments_evaluated = 0
 
     def score(self, mapping: list[int | None]) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 
 # Token kinds.
@@ -225,7 +226,10 @@ class _Parser:
             raise ParseError("empty formula")
         self.tokens = tokens
         self.pos = 0
-        self.mode = mode
+        # The most operators one chain may hold at top level and inside one
+        # parenthesis group; fully-parenthesized text gives each binary
+        # connective its own parentheses.
+        self.top_ops, self.group_ops = (None, None) if mode == "precedence" else (0, 1)
         # The operands and operators of the last parenthesized chain with at
         # least one operator that unary() closed.
         self.last_group: tuple[list[FolExpr], list[str]] | None = None
@@ -251,7 +255,7 @@ class _Parser:
         return self.take()
 
     def parse(self) -> FolExpr:
-        expr = _fold(*self.chain()) if self.mode == "precedence" else self.fp_expr()
+        expr = _fold(*self.chain(self.top_ops))
         self.finish()
         return expr
 
@@ -262,16 +266,17 @@ class _Parser:
                 raise ParseError("unbalanced parentheses", tok.position)
             raise ParseError(f"unexpected token {tok.text!r}", tok.position)
 
-    # precedence mode
-
-    def chain(self) -> tuple[list[FolExpr], list[str]]:
-        """A flat connective chain: its unary operands and operator kinds."""
+    def chain(self, max_ops: int | None = None) -> tuple[list[FolExpr], list[str]]:
+        """A flat connective chain: its unary operands and operator kinds,
+        at most ``max_ops`` operators when that is not None."""
         operands = [self.unary()]
         ops: list[str] = []
         while True:
             tok = self.peek()
             if tok is None or tok.kind not in BINARY_OPS:
                 return operands, ops
+            if len(ops) == max_ops:
+                raise ParseError(f"connective {tok.text!r} needs its own parentheses", tok.position)
             self.take()
             ops.append(tok.kind)
             operands.append(self.unary())
@@ -291,7 +296,7 @@ class _Parser:
             return self.atom()
         if tok.kind == LPAREN:
             self.take()
-            operands, ops = self.chain()
+            operands, ops = self.chain(self.group_ops)
             self.close_paren(tok)
             if not ops:
                 return operands[0]
@@ -326,47 +331,16 @@ class _Parser:
             raise ParseError(f"expected ')', found {tok.text!r}", tok.position)
         self.take()
 
-    # fully-parenthesized mode: every binary connective sits inside its own
-    # parentheses, so at most one connective appears per paren group.
-
-    def fp_expr(self) -> FolExpr:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        if tok.kind == NOT:
-            self.take()
-            return Not(self.fp_expr())
-        if tok.kind in QUANTIFIERS:
-            self.take()
-            var = self.expect(IDENT, "a quantified variable name")
-            return Quantified(tok.kind, var.text, self.fp_expr())
-        if tok.kind == IDENT:
-            return self.atom()
-        if tok.kind == LPAREN:
-            self.take()
-            first = self.fp_expr()
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == RPAREN:
-                self.take()
-                return first
-            if nxt is None or nxt.kind not in BINARY_OPS:
-                raise ParseError(
-                    "expected a binary connective or ')'",
-                    None if nxt is None else nxt.position,
-                )
-            self.take()
-            second = self.fp_expr()
-            self.close_paren(tok)
-            return Binary(nxt.kind, first, second)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.position)
-
 
 def parse(text: str, mode: str = "precedence") -> FolExpr:
     """Parse ``text`` into a formula tree.
 
-    ``mode`` is ``"precedence"`` (default) or ``"fully-parenthesized"``; the
-    latter rejects any binary connective that is not wrapped in its own
-    parentheses.
+    ``mode`` is ``"precedence"`` (default) or ``"fully-parenthesized"``.
+    Both modes read one grammar, and fully-parenthesized mode adds one
+    rule: a connective chain holds no operator at top level and at most one
+    inside a parenthesis group.  So every binary connective needs its own
+    parentheses, a connective past the limit raises ``ParseError`` at its
+    offset, and text both modes accept gives the same tree in each.
     """
     if mode not in ("precedence", "fully-parenthesized"):
         raise ValueError(f"unknown parse mode {mode!r}")
@@ -574,9 +548,17 @@ def enumerate_bracketings(
     (shorter) bridge chain, which keeps the count far below Catalan(k) once
     k >= m.  Either way the precedence-mode parse is the first element and
     duplicates are removed by structural equality.
+
+    A formula of more tokens than half the interpreter's recursion limit,
+    or whose chain has more than ``max_operators`` operators, raises
+    ``CapExceeded``.  No tree walk of a formula nests deeper than its token
+    count, so the token cap keeps scoring clear of ``RecursionError``.
     """
     if chunk_size is not None and chunk_size < 2:
         raise ValueError("chunk_size must be at least 2")
+    max_tokens = sys.getrecursionlimit() // 2
+    if len(tokens) > max_tokens:
+        raise CapExceeded(f"formula has {len(tokens)} tokens (cap {max_tokens})")
     parser = _Parser(tokens)
     operands, ops = parser.chain()
     parser.finish()

@@ -1,11 +1,13 @@
 import io
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
-from foleq.cli import run_cli
+from foleq.cli import _demo_config_from_mapping, run_cli
 from foleq.corpus import EvalPair, corpus_le
+from foleq.sgrpo import default_demo_config
 
 
 def run(capsys, *argv):
@@ -208,6 +210,19 @@ def test_bad_config_file_is_data_error(tmp_path, capsys):
     assert "bad config" in err
 
 
+@pytest.mark.parametrize("command", [["score", "A", "A"], ["serve", "--stdio"]])
+@pytest.mark.parametrize("content", [{"chunk_size": None}, {"ngram_sizes": 3}])
+def test_wrong_typed_config_value_is_data_error(tmp_path, monkeypatch, capsys, command, content):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(content), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code, out, err = run(capsys, *command, "--config", str(config_path))
+    assert code == 2
+    assert err.startswith("bad config: ")
+    assert "Traceback" not in err
+    assert not out
+
+
 # --- serve subcommand ---------------------------------------------------------------------
 
 def test_serve_stdio(monkeypatch, capsys):
@@ -259,3 +274,30 @@ def test_train_demo_rejects_unknown_config_keys(tmp_path, capsys):
     code, _, err = run(capsys, "train-demo", "--config", str(config_path))
     assert code == 2
     assert "unknown keys" in err
+
+
+def test_train_demo_config_sets_vocab_references_and_group_size(tmp_path, capsys):
+    raw = {
+        "iterations": 2,
+        "seed": 3,
+        "vocab": ["(", ")", "P", "Q", "x", "¬", "∧"],
+        "references": ["( P ( x ) ∧ ¬ Q ( x ) )"],
+        "group_size": 4,
+    }
+    base = default_demo_config(iterations=2, seed=3)
+    assert _demo_config_from_mapping(raw) == replace(
+        base,
+        vocab=tuple(raw["vocab"]),
+        references=tuple(raw["references"]),
+        hp=replace(base.hp, group_size=4),
+    )
+    config_path = tmp_path / "demo.json"
+    config_path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, _ = run(capsys, "train-demo", "--config", str(config_path))
+    assert code == 0
+    assert json.loads(out)["iterations"] == 2
+
+    config_path.write_text(json.dumps(dict(raw, group_size=1)), encoding="utf-8")
+    code, _, err = run(capsys, "train-demo", "--config", str(config_path))
+    assert code == 2
+    assert "group_size must be at least 2" in err

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -124,6 +125,15 @@ def test_corpus_le_runs_in_both_modes():
     pairs = [EvalPair("0", "A → B", "¬A ∨ B")]
     for mode in ("original", "optimized"):
         assert corpus_le(pairs, mode=mode).mean_le == 1.0
+
+
+def test_corpus_le_scores_an_over_long_prediction_zero():
+    cap = sys.getrecursionlimit() // 2
+    pairs = [EvalPair("deep", "¬" * (3 * cap) + "A", "A"), EvalPair("same", "A", "A")]
+    report = corpus_le(pairs)
+    assert report.failures == [("deep", f"formula has {3 * cap + 1} tokens (cap {cap})")]
+    assert report.per_pair[0] is None
+    assert report.mean_le == 0.5
 
 
 def test_corpus_le_empty_rejected():

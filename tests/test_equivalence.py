@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -325,6 +326,16 @@ def test_prediction_fails_exactly_as_parse_does(parts):
     except CapExceeded:
         got = None
     assert got == expected
+
+
+def test_over_long_prediction_is_cap_exceeded():
+    cap = sys.getrecursionlimit() // 2
+    with pytest.raises(CapExceeded, match=rf"formula has {3 * cap + 1} tokens \(cap {cap}\)"):
+        le_score("¬" * (3 * cap) + "A", "A")
+    # an even run of negations inside the cap still reads as its atom
+    assert le_score("¬" * (cap - 100) + "P(x)", "P(x)").score == 1.0
+    for mode in ("original", "optimized"):
+        assert le_score("¬" * (cap - 1) + "A", "¬A", mode=mode).score == 1.0
 
 
 def test_unknown_mode_rejected():

@@ -1,6 +1,7 @@
 import io
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -81,6 +82,15 @@ def test_cap_exceeded_reported():
     response = handle_request(request, CONFIG)
     assert response.error is not None
     assert response.error["code"] == CAP_EXCEEDED
+
+
+def test_over_long_prediction_is_cap_exceeded():
+    cap = sys.getrecursionlimit() // 2
+    response = handle_line(json.dumps(le_request("deep", "¬" * (3 * cap) + "A", "A")), CONFIG)
+    assert response.error == {
+        "code": CAP_EXCEEDED,
+        "message": f"formula has {3 * cap + 1} tokens (cap {cap})",
+    }
 
 
 def test_mode_override_per_request():

@@ -1,7 +1,8 @@
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foleq.syntax import (
     Atom,
@@ -114,6 +115,58 @@ def test_fully_parenthesized_mode_accepts_explicit_trees():
 def test_fully_parenthesized_mode_rejects_chains():
     with pytest.raises(ParseError):
         parse("(A ∧ B ∧ C)", mode="fully-parenthesized")
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("(A ∧ B ∨ C)", 7), ("A ∧ B", 2), ("∀x P(x) → Q(x)", 8)],
+)
+def test_fully_parenthesized_mode_points_at_the_extra_connective(text, position):
+    with pytest.raises(ParseError, match="needs its own parentheses") as err:
+        parse(text, mode="fully-parenthesized")
+    assert err.value.position == position
+
+
+SYMBOLS = {"forall": "∀", "exists": "∃", "and": "∧", "or": "∨", "implies": "→", "iff": "↔", "xor": "⊕"}
+
+
+def fully_parenthesized(expr) -> str:
+    """Every binary connective wrapped in its own parentheses."""
+    if isinstance(expr, Atom):
+        return render(expr)
+    if isinstance(expr, Not):
+        return "¬" + fully_parenthesized(expr.body)
+    if isinstance(expr, Quantified):
+        return f"{SYMBOLS[expr.quantifier]}{expr.variable} {fully_parenthesized(expr.body)}"
+    return f"({fully_parenthesized(expr.left)} {SYMBOLS[expr.op]} {fully_parenthesized(expr.right)})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_fully_parenthesized_rendering_parses_back_in_both_modes(seed):
+    expr = random_formula(random.Random(seed), max_atoms=6, max_depth=5)
+    text = fully_parenthesized(expr)
+    assert parse(text, mode="fully-parenthesized") == expr
+    assert parse(text) == expr
+
+
+SOUP_TOKENS = ["A", "B", "P(x)", "x", "¬", "∀x", "∃y", "∧", "∨", "→", "↔", "⊕", "(", ")", ","]
+
+
+@settings(max_examples=300, deadline=None)
+@example(["(", "A", "∧", "B", "∨", "C", ")"])
+@example(["A", "∧", "B"])
+@example(["∀x", "(", "P(x)", "→", "Q(x)", ")"])
+@given(st.lists(st.sampled_from(SOUP_TOKENS), max_size=14))
+def test_fully_parenthesized_mode_accepts_a_subset_with_the_same_trees(parts):
+    text = " ".join(parts)
+    try:
+        tree = parse(text, mode="fully-parenthesized")
+    except ParseError:
+        return
+    assert tree == parse(text)
+    # each binary connective sits in a parenthesis group of its own
+    assert sum(p in "∧∨→↔⊕" for p in parts) <= parts.count("(")
 
 
 # --- rendering ----------------------------------------------------------------
@@ -253,6 +306,13 @@ def test_operator_cap():
     tokens = lex(" ∧ ".join(f"A{i}" for i in range(20)))
     with pytest.raises(CapExceeded):
         enumerate_bracketings(tokens)
+
+
+def test_token_cap_follows_the_recursion_limit():
+    cap = sys.getrecursionlimit() // 2
+    assert len(enumerate_bracketings(lex("¬" * (cap - 1) + "A"))) == 1
+    with pytest.raises(CapExceeded, match=rf"formula has {cap + 1} tokens \(cap {cap}\)"):
+        enumerate_bracketings(lex("¬" * cap + "A"))
 
 
 def test_chunk_size_validation():
