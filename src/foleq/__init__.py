@@ -41,6 +41,7 @@ from .syntax import (
     Binary,
     CapExceeded,
     FolExpr,
+    FormulaError,
     LexError,
     Not,
     ParseError,

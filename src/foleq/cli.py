@@ -18,10 +18,9 @@ import sys
 from dataclasses import replace
 
 from .corpus import corpus_le, load_pairs
-from .equivalence import compile_reference, le_score
-from .service import ServiceConfig, serve, serve_socket
+from .service import CAP_EXCEEDED, ScoreRequest, ServiceConfig, handle_request, serve, serve_socket
 from .sgrpo import TrainDemoConfig, default_demo_config, train_demo, write_trace
-from .syntax import CapExceeded, ParseError, canonicalize, parse, render
+from .syntax import FormulaError, canonicalize, parse, render
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -96,7 +95,7 @@ def _service_config(args) -> ServiceConfig | None:
 def _cmd_parse(args) -> int:
     try:
         tree = parse(args.formula, mode=args.input_mode)
-    except ParseError as exc:
+    except FormulaError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return DATA_ERROR
     print(repr(tree))
@@ -105,20 +104,22 @@ def _cmd_parse(args) -> int:
 
 
 def _score_single(args, config: ServiceConfig) -> int:
-    mode = args.mode or config.mode
-    try:
-        reference = compile_reference(args.reference)
-    except ParseError as exc:
-        print(f"unparseable reference: {exc}", file=sys.stderr)
+    """Score one pair as the service does and report its answer: a warning
+    or ``CAP_EXCEEDED`` scores 0 with a warning, any other error exits 2."""
+    response = handle_request(ScoreRequest("cli", "le_score", args.prediction, args.reference), config)
+    error = response.error
+    if error is not None and error["code"] == CAP_EXCEEDED:
+        reason, message = "cap exceeded", error["message"]
+    elif error is not None:
+        print(error["message"], file=sys.stderr)
         return DATA_ERROR
-    try:
-        report = le_score(args.prediction, reference, mode=mode, config=config.le)
-    except (ParseError, CapExceeded) as exc:
-        reason = "cap exceeded" if isinstance(exc, CapExceeded) else "unparseable prediction"
-        print(f"warning: {reason}, scoring 0: {exc}", file=sys.stderr)
-        print(json.dumps({"score": 0.0, "mode": mode}, ensure_ascii=False))
+    elif "warning" in response.detail:
+        reason, _, message = response.detail["warning"].partition(": ")
+    else:
+        print(json.dumps(response.detail, ensure_ascii=False))
         return 0
-    print(json.dumps(report.to_dict(), ensure_ascii=False))
+    print(f"warning: {reason}, scoring 0: {message}", file=sys.stderr)
+    print(json.dumps({"score": 0.0, "mode": config.mode}, ensure_ascii=False))
     return 0
 
 
@@ -163,8 +164,7 @@ def _cmd_score(args) -> int:
         print("no valid pairs found", file=sys.stderr)
         return DATA_ERROR
 
-    mode = args.mode or config.mode
-    report = corpus_le(pairs, mode=mode, config=config.le, bleu_config=config.bleu)
+    report = corpus_le(pairs, mode=config.mode, config=config.le, bleu_config=config.bleu)
     for lineno, message in load_failures:
         print(f"warning: line {lineno}: {message}", file=sys.stderr)
     summary = {

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .equivalence import DEFAULT_LE, LeConfig, LeReport, score_group
 from .equivalence import le_score  # noqa: F401  (foleq.corpus.le_score stays importable; perfbench wraps it)
-from .syntax import CapExceeded, ParseError
+from .syntax import FormulaError
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,8 @@ def corpus_le(
     config: LeConfig = DEFAULT_LE,
     bleu_config: BleuConfig = DEFAULT_BLEU,
 ) -> CorpusReport:
-    """Score every pair, treating unparseable or over-cap pairs as 0.
+    """Score every pair, treating a pair whose prediction or reference is
+    unparseable or over a cap as 0.
 
     Pairs are scored in groups that share a reference (one ``score_group``
     call each), so equal pairs share one ``LeReport``.  The mean is taken
@@ -166,12 +167,12 @@ def corpus_le(
     by_reference: dict[str, list[int]] = {}
     for index, pair in enumerate(pairs):
         by_reference.setdefault(pair.reference, []).append(index)
-    results: list[LeReport | ParseError | CapExceeded | None] = [None] * len(pairs)
+    results: list[LeReport | FormulaError | None] = [None] * len(pairs)
     for reference, indices in by_reference.items():
         predictions = [pairs[i].prediction for i in indices]
         try:
             group = score_group(predictions, reference, mode=mode, config=config)
-        except ParseError as exc:
+        except FormulaError as exc:
             group = [exc] * len(indices)
         for i, result in zip(indices, group):
             results[i] = result

@@ -54,8 +54,8 @@ from .syntax import (
     Binary,
     CapExceeded,
     FolExpr,
+    FormulaError,
     Not,
-    ParseError,
     Quantified,
     atom_text,
     atoms_of,
@@ -316,7 +316,7 @@ class CompiledReference:
 
 def compile_reference(reference: str) -> CompiledReference:
     """Parse ``reference`` in precedence mode and compile it for scoring.
-    Raises ``ParseError`` for malformed text."""
+    Raises the ``FormulaError`` that :func:`parse` raises."""
     return CompiledReference(canonicalize(parse(reference)))
 
 
@@ -592,30 +592,29 @@ def score_group(
     reference: str | CompiledReference,
     mode: str = "optimized",
     config: LeConfig = DEFAULT_LE,
-) -> list[LeReport | ParseError | CapExceeded]:
+) -> list[LeReport | FormulaError]:
     """Score each of ``predictions`` against one shared ``reference``.
 
     The reference is compiled once (pass a ``CompiledReference`` to reuse
     one across calls) and each distinct prediction text is scored once, so
     equal predictions share one ``LeReport``; treat reports as read-only.
     The result is aligned with ``predictions``: a report, or the
-    ``ParseError`` / ``CapExceeded`` that prediction raised (without its
-    traceback).  An unknown
-    mode raises ``ValueError`` and a malformed reference raises its
-    ``ParseError``.
+    ``FormulaError`` that prediction raised (without its traceback).  An
+    unknown mode raises ``ValueError`` and a reference that fails to parse
+    raises its ``FormulaError``.
     """
     if mode not in ("original", "optimized"):
         raise ValueError(f"unknown scoring mode {mode!r}")
     if not isinstance(reference, CompiledReference):
         reference = compile_reference(reference)
-    scored: dict[str, LeReport | ParseError | CapExceeded] = {}
+    scored: dict[str, LeReport | FormulaError] = {}
     results = []
     for prediction in predictions:
         result = scored.get(prediction)
         if result is None:
             try:
                 result = _score_prediction(prediction, reference, mode, config)
-            except (ParseError, CapExceeded) as exc:
+            except FormulaError as exc:
                 # The traceback's frames lead back to this frame, which holds
                 # the exception: dropping it avoids a cycle per failure.
                 result = exc.with_traceback(None)
@@ -636,8 +635,8 @@ def le_score(
     outermost connective chain is ambiguous (no parentheses fix a reading),
     every bracketing of that chain is scored (chunked per
     ``config.chunk_size``) and the maximum over trees and bindings wins.
-    Parse errors propagate; callers that need a never-fail reward should
-    map them to 0 (the service and corpus layers do).  This is
+    A ``FormulaError`` propagates; callers that need a never-fail reward
+    map it to 0 (the service and corpus layers do).  This is
     ``score_group`` for a group of one.
     """
     (result,) = score_group([prediction], reference, mode, config)

@@ -8,9 +8,15 @@ on the wire so every emitted reward shares that range.
 
 The service is stateless: configuration is fixed at startup and each
 request is scored independently, so identical requests produce identical
-responses.  A scoring failure on the prediction side degrades to score
-0.0 with a warning detail rather than an error, because a reward channel
-that stalls its training loop is worse than one that reports a zero.
+responses.  :func:`handle_request` is the one place that decides between a
+score, a zero and an error; the CLI scores a single pair through it too.
+A prediction that fails to parse scores 0.0 with a warning detail, because
+a reward channel that stalls its training loop is worse than one that
+reports a zero, and a prediction over a cap answers ``CAP_EXCEEDED``.  A
+reference that fails to parse or is over the token cap is a caller bug and
+answers ``BAD_REQUEST``, as does an override that raises ``chunk_size`` or
+``max_atoms`` above the configured value.  Anything else answers
+``INTERNAL``.
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ from dataclasses import dataclass, replace
 
 from .corpus import BleuConfig, DEFAULT_BLEU, EvalPair, corpus_bleu
 from .equivalence import DEFAULT_LE, LeConfig, compile_reference, le_score
-from .similarity import SimilarityConfig
-from .syntax import CapExceeded, ParseError
+from .syntax import CapExceeded, FormulaError, ParseError
 from .syntax import parse  # noqa: F401  (foleq.service.parse stays importable; perfbench wraps it)
 
 OPS = ("le_score", "bleu_pair")
@@ -32,6 +37,21 @@ MODES = ("original", "optimized")
 BAD_REQUEST = "BAD_REQUEST"
 CAP_EXCEEDED = "CAP_EXCEEDED"
 INTERNAL = "INTERNAL"
+
+_LE_KEYS = frozenset({"threshold", "ngram_sizes", "chunk_size", "max_atoms"})
+
+
+def _le_config(raw: dict, base: LeConfig) -> LeConfig:
+    """``base`` with the flat keys threshold, ngram_sizes, chunk_size and
+    max_atoms of ``raw`` applied; ``base`` itself when ``raw`` has none."""
+    if not _LE_KEYS & raw.keys():
+        return base
+    sim = base.similarity
+    threshold = float(raw.get("threshold", sim.threshold))
+    sim = replace(sim, threshold=threshold, ngram_sizes=frozenset(raw.get("ngram_sizes", sim.ngram_sizes)))
+    chunk_size = int(raw["chunk_size"]) if "chunk_size" in raw else base.chunk_size
+    max_atoms = int(raw.get("max_atoms", base.max_atoms))
+    return replace(base, similarity=sim, chunk_size=chunk_size, max_atoms=max_atoms)
 
 
 @dataclass(frozen=True)
@@ -49,22 +69,11 @@ class ServiceConfig:
         """Build from a flat key-value mapping (the config-file format).
         Recognized keys: threshold, chunk_size, max_atoms, mode,
         ngram_sizes, bleu_smoothing."""
-        unknown = set(raw) - {
-            "threshold", "chunk_size", "max_atoms", "mode", "ngram_sizes", "bleu_smoothing",
-        }
+        unknown = set(raw) - _LE_KEYS - {"mode", "bleu_smoothing"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        sim = SimilarityConfig(
-            ngram_sizes=frozenset(raw.get("ngram_sizes", (2, 3))),
-            threshold=float(raw.get("threshold", 0.6)),
-        )
-        le = LeConfig(
-            similarity=sim,
-            chunk_size=int(raw.get("chunk_size", DEFAULT_LE.chunk_size)),
-            max_atoms=int(raw.get("max_atoms", DEFAULT_LE.max_atoms)),
-        )
         bleu = BleuConfig(smoothing_floor=float(raw.get("bleu_smoothing", 0.0)))
-        return ServiceConfig(le=le, bleu=bleu, mode=raw.get("mode", "optimized"))
+        return ServiceConfig(le=_le_config(raw, DEFAULT_LE), bleu=bleu, mode=raw.get("mode", "optimized"))
 
 
 @dataclass(frozen=True)
@@ -130,27 +139,17 @@ def parse_request(raw: dict) -> ScoreRequest:
     return ScoreRequest(rid, op, prediction, reference, mode, overrides)
 
 
-def _apply_overrides(config: ServiceConfig, overrides: dict | None) -> LeConfig:
-    le = config.le
-    if not overrides:
-        return le
-    if "threshold" in overrides:
-        sim = replace(le.similarity, threshold=float(overrides["threshold"]))
-        le = replace(le, similarity=sim)
-    if "chunk_size" in overrides:
-        le = replace(le, chunk_size=int(overrides["chunk_size"]))
-    if "max_atoms" in overrides:
-        le = replace(le, max_atoms=int(overrides["max_atoms"]))
-    return le
-
-
 def handle_request(req: ScoreRequest, config: ServiceConfig) -> ScoreResponse:
     """Score one request.  Stateless; never raises for request-level
     problems, returning an error response instead."""
     try:
         try:
-            le_config = _apply_overrides(config, req.overrides)
-        except (ValueError, TypeError) as exc:
+            le_config = _le_config(req.overrides or {}, config.le)
+            for key in ("chunk_size", "max_atoms"):
+                limit, value = getattr(config.le, key), getattr(le_config, key)
+                if limit is not None and value > limit:
+                    raise ValueError(f"{key} {value} is above the service's {limit}")
+        except (ValueError, TypeError, OverflowError) as exc:
             return _error(req.id, BAD_REQUEST, f"bad overrides: {exc}")
 
         if req.op == "bleu_pair":
@@ -159,20 +158,16 @@ def handle_request(req: ScoreRequest, config: ServiceConfig) -> ScoreResponse:
             return ScoreResponse(id=req.id, score=value)
 
         mode = req.mode or config.mode
-        # a bad reference is a caller bug (hard error); a bad prediction is
-        # model output (degrade to zero reward)
         try:
             reference = compile_reference(req.reference)
-        except ParseError as exc:
+        except FormulaError as exc:
             return _error(req.id, BAD_REQUEST, f"unparseable reference: {exc}")
         try:
             report = le_score(req.prediction, reference, mode=mode, config=le_config)
         except CapExceeded as exc:
             return _error(req.id, CAP_EXCEEDED, str(exc))
-        except (ParseError, ValueError) as exc:
-            return ScoreResponse(
-                id=req.id, score=0.0, detail={"warning": f"unparseable prediction: {exc}"}
-            )
+        except ParseError as exc:
+            return ScoreResponse(id=req.id, score=0.0, detail={"warning": f"unparseable prediction: {exc}"})
         return ScoreResponse(id=req.id, score=report.score, detail=report.to_dict())
     except Exception as exc:  # pragma: no cover - defensive catch-all
         return _error(req.id, INTERNAL, f"{type(exc).__name__}: {exc}")

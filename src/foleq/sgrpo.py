@@ -4,7 +4,7 @@ The policy holds one independent categorical distribution per (prompt,
 position) over a small vocabulary of formula tokens, so sequences are
 sampled position by position without autoregressive conditioning.  Each
 training step samples a group of G sequences from a frozen snapshot,
-scores them with the equivalence engine (rewards clamped to [0, 1]),
+scores them with the equivalence engine (rewards in [0, 1]),
 normalizes rewards into group-relative advantages, and ascends
 
     (1/G) sum_i [ clip(ratio_i, 1-eps, 1+eps) * adv_i
@@ -27,7 +27,7 @@ import numpy as np
 
 from .equivalence import DEFAULT_LE, LeConfig, score_group
 from .equivalence import le_score  # noqa: F401  (foleq.sgrpo.le_score stays importable; perfbench wraps it)
-from .syntax import CapExceeded, ParseError
+from .syntax import FormulaError
 
 ROLES = ("current", "old", "reference")
 
@@ -331,15 +331,13 @@ def default_demo_config(
 
 
 def _rewards(texts: list[str], reference: str, config: LeConfig) -> np.ndarray:
-    """Optimized-mode scores clamped to [0, 1]; a text (or reference) that
-    fails to parse or exceeds a cap earns 0."""
+    """Optimized-mode scores; a text (or reference) that fails to parse or
+    exceeds a cap earns 0."""
     try:
         results = score_group(texts, reference, mode="optimized", config=config)
-    except ParseError:
+    except FormulaError:
         return np.zeros(len(texts))
-    return np.array(
-        [0.0 if isinstance(r, (ParseError, CapExceeded)) else min(1.0, max(0.0, r.score)) for r in results]
-    )
+    return np.array([0.0 if isinstance(r, FormulaError) else r.score for r in results])
 
 
 def train_demo(config: TrainDemoConfig) -> list[dict]:

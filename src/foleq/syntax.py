@@ -47,7 +47,11 @@ _PREC = {IFF: 1, XOR: 1, IMPLIES: 2, OR: 3, AND: 4}
 _UNARY_PREC = 5
 
 
-class ParseError(ValueError):
+class FormulaError(Exception):
+    """Formula text that cannot be scored: a ``ParseError`` or ``CapExceeded``."""
+
+
+class ParseError(FormulaError, ValueError):
     """Malformed formula text.  ``position`` is a 0-based character offset."""
 
     def __init__(self, message: str, position: int | None = None):
@@ -61,8 +65,8 @@ class LexError(ParseError):
     """A character that starts no token."""
 
 
-class CapExceeded(RuntimeError):
-    """A configurable search or enumeration limit was exceeded."""
+class CapExceeded(FormulaError, RuntimeError):
+    """A formula-length, search or enumeration limit was exceeded."""
 
 
 @dataclass(frozen=True)
@@ -222,8 +226,13 @@ def _fold(operands: list[FolExpr], ops: list[str]) -> FolExpr:
 
 class _Parser:
     def __init__(self, tokens: list[Token], mode: str = "precedence"):
+        """Text of more tokens than half the recursion limit raises
+        ``CapExceeded``; no parse or scoring walk nests deeper than that."""
         if not tokens:
             raise ParseError("empty formula")
+        max_tokens = sys.getrecursionlimit() // 2
+        if len(tokens) > max_tokens:
+            raise CapExceeded(f"formula has {len(tokens)} tokens (cap {max_tokens})")
         self.tokens = tokens
         self.pos = 0
         # The most operators one chain may hold at top level and inside one
@@ -549,16 +558,11 @@ def enumerate_bracketings(
     k >= m.  Either way the precedence-mode parse is the first element and
     duplicates are removed by structural equality.
 
-    A formula of more tokens than half the interpreter's recursion limit,
-    or whose chain has more than ``max_operators`` operators, raises
-    ``CapExceeded``.  No tree walk of a formula nests deeper than its token
-    count, so the token cap keeps scoring clear of ``RecursionError``.
+    A chain of more than ``max_operators`` operators raises
+    ``CapExceeded``, as does a formula over the parser's token cap.
     """
     if chunk_size is not None and chunk_size < 2:
         raise ValueError("chunk_size must be at least 2")
-    max_tokens = sys.getrecursionlimit() // 2
-    if len(tokens) > max_tokens:
-        raise CapExceeded(f"formula has {len(tokens)} tokens (cap {max_tokens})")
     parser = _Parser(tokens)
     operands, ops = parser.chain()
     parser.finish()

@@ -181,19 +181,18 @@ def test_criterion_04_complexity():
         ref = canonicalize(_balanced_tree(rng, ref_atoms))
         pairs.append((pred, ref))
 
-    start = time.perf_counter()
-    original_explored = []
-    for pred, ref in pairs:
-        result = bind_original(pred, ref)
-        original_explored.append(result.bindings_explored)
-    original_time = time.perf_counter() - start
+    def best_of_3(bind):
+        """The fastest of three passes over the pairs, and the bindings each
+        pair explored; the best pass keeps a busy host out of the ratio."""
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            explored = [bind(pred, ref).bindings_explored for pred, ref in pairs]
+            times.append(time.perf_counter() - start)
+        return min(times), explored
 
-    start = time.perf_counter()
-    optimized_explored = []
-    for pred, ref in pairs:
-        result = bind_optimized(pred, ref)
-        optimized_explored.append(result.bindings_explored)
-    optimized_time = time.perf_counter() - start
+    original_time, original_explored = best_of_3(bind_original)
+    optimized_time, optimized_explored = best_of_3(bind_optimized)
 
     assert all(count == 720 for count in original_explored), original_explored
     assert all(count <= 36 for count in optimized_explored), optimized_explored

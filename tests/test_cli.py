@@ -115,6 +115,20 @@ def test_score_unparseable_reference_is_data_error(capsys):
     assert "unparseable reference" in err
 
 
+@pytest.mark.parametrize(
+    "deep", ["(" * 600 + "A" + ")" * 600, " → ".join(["A"] * 1200)], ids=["parentheses", "chain"]
+)
+def test_over_long_reference_is_data_error(capsys, deep):
+    code, out, err = run(capsys, "score", "A", deep)
+    assert code == 2
+    assert not out
+    assert err.startswith("unparseable reference: formula has ")
+    assert "Traceback" not in err
+    code, out, err = run(capsys, "parse", deep)
+    assert code == 2
+    assert err.startswith("parse error: formula has ")
+
+
 def test_score_threshold_flag(capsys):
     code, out, _ = run(capsys, "score", "Pred(x)", "Predicate(x)", "--threshold", "0.4")
     assert json.loads(out)["score"] == 1.0

@@ -136,6 +136,17 @@ def test_corpus_le_scores_an_over_long_prediction_zero():
     assert report.mean_le == 0.5
 
 
+def test_corpus_le_fails_every_pair_of_an_over_long_reference():
+    cap = sys.getrecursionlimit() // 2
+    deep = "(" * 600 + "A" + ")" * 600
+    pairs = [EvalPair("a", "A", deep), EvalPair("b", "B", deep), EvalPair("same", "A", "A")]
+    report = corpus_le(pairs)
+    message = f"formula has 1201 tokens (cap {cap})"
+    assert report.failures == [("a", message), ("b", message)]
+    assert report.per_pair[:2] == [None, None]
+    assert report.mean_le == pytest.approx(1 / 3)
+
+
 def test_corpus_le_empty_rejected():
     with pytest.raises(ValueError):
         corpus_le([])

@@ -6,11 +6,14 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from foleq.equivalence import le_score
+from foleq.equivalence import LeConfig, le_score
+from foleq.syntax import lex
 from foleq.service import (
     BAD_REQUEST,
     CAP_EXCEEDED,
+    INTERNAL,
     ScoreRequest,
     ScoreResponse,
     ServiceConfig,
@@ -93,6 +96,55 @@ def test_over_long_prediction_is_cap_exceeded():
     }
 
 
+def test_over_long_reference_is_bad_request():
+    cap = sys.getrecursionlimit() // 2
+    for reference, tokens in [("(" * 600 + "A" + ")" * 600, 1201), (" → ".join(["A"] * 1200), 2399)]:
+        response = handle_line(json.dumps(le_request("deep", "A", reference)), CONFIG)
+        assert response.error == {
+            "code": BAD_REQUEST,
+            "message": f"unparseable reference: formula has {tokens} tokens (cap {cap})",
+        }
+
+
+# Each construct that nests, n levels deep.
+_NESTINGS = [
+    lambda n: "¬" * n + "A",
+    lambda n: "(" * n + "A" + ")" * n,
+    lambda n: " → ".join(["P(x)"] * (n + 1)),
+    lambda n: "∀x " * n + "P(x)",
+    lambda n: "(¬" * n + "A" + ")" * n,
+]
+
+
+def test_every_nesting_at_the_token_cap_answers_without_internal():
+    cap = sys.getrecursionlimit() // 2
+    for build in _NESTINGS:
+        base = len(lex(build(0)))
+        deepest = (cap - base) // (len(lex(build(1))) - base)
+        for text in (build(deepest), build(deepest + 1)):
+            for prediction, reference in ((text, "A"), ("A", text)):
+                for mode in ("original", "optimized"):
+                    line = json.dumps(le_request("cap", prediction, reference, mode=mode))
+                    response = handle_line(line, CONFIG)
+                    assert response.error is None or response.error["code"] != INTERNAL, response.error
+
+
+# Hypothesis raises the recursion limit while it runs a test, so the runs
+# reach far past the token cap at any limit.
+_DEEP_RUN = st.builds(lambda build, n: build(n), st.sampled_from(_NESTINGS), st.integers(0, 2500))
+_FRAGMENT = st.one_of(_DEEP_RUN, st.text("PQAx(),¬∧∨→↔⊕∀∃ ", max_size=12), st.text(max_size=4))
+_FORMULA_TEXT = st.one_of(_DEEP_RUN, st.lists(_FRAGMENT, max_size=4).map("".join))
+
+
+@settings(max_examples=150, deadline=None)
+@given(prediction=_FORMULA_TEXT, reference=_FORMULA_TEXT, mode=st.sampled_from(["original", "optimized"]))
+@example(prediction="A", reference="(" * 2500 + "A" + ")" * 2500, mode="optimized")
+@example(prediction="A", reference=" → ".join(["A"] * 2500), mode="original")
+def test_no_text_answers_internal(prediction, reference, mode):
+    response = handle_line(json.dumps(le_request("p", prediction, reference, mode=mode)), CONFIG)
+    assert response.error is None or response.error["code"] != INTERNAL, response.error
+
+
 def test_mode_override_per_request():
     # unrelated names: the optimized search leaves atoms unbound (0.5), the
     # exhaustive search still tries the full matching (1.0)
@@ -112,6 +164,30 @@ def test_threshold_override_changes_binding():
     strict = handle_request(parse_request(le_request("b", "Pred(x)", "Predicate(x)")), CONFIG)
     assert lenient.score == 1.0
     assert strict.score == 0.5
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"chunk_size": 5}, "chunk_size 5 is above the service's 4"),
+    ({"max_atoms": 17}, "max_atoms 17 is above the service's 16"),
+])
+def test_overrides_may_not_raise_a_cost_cap(overrides, message):
+    response = handle_request(parse_request(le_request("a", "A ∧ B", "A ∧ B", overrides=overrides)), CONFIG)
+    assert response.error == {"code": BAD_REQUEST, "message": f"bad overrides: {message}"}
+
+
+def test_overrides_may_lower_the_cost_caps():
+    overrides = {"max_atoms": 12, "chunk_size": 3, "threshold": 0.5}
+    response = handle_request(parse_request(le_request("a", "A ∧ B", "A ∧ B", overrides=overrides)), CONFIG)
+    assert response.score == 1.0
+    # with no chunking configured, any chunk size is a tighter limit
+    unchunked = ServiceConfig(le=LeConfig(chunk_size=None))
+    response = handle_request(parse_request(le_request("a", "A ∧ B", "A ∧ B", overrides={"chunk_size": 9})), unchunked)
+    assert response.score == 1.0
+
+
+def test_infinite_override_is_bad_request():
+    line = json.dumps(le_request("a", "A", "A", overrides={"max_atoms": float("inf")}))
+    assert handle_line(line, CONFIG).error["code"] == BAD_REQUEST
 
 
 def test_bleu_pair_rescaled_to_unit_interval():
@@ -265,6 +341,10 @@ def test_config_from_mapping_applies_values():
     assert config.le.max_atoms == 8
     assert config.mode == "original"
     assert config.bleu.smoothing_floor == 0.01
+
+
+def test_config_from_mapping_without_scoring_keys_keeps_the_defaults():
+    assert ServiceConfig.from_mapping({"mode": "original"}).le is ServiceConfig().le
 
 
 def test_config_from_mapping_rejects_unknown_keys():

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from foleq.equivalence import DEFAULT_LE
 from foleq.sgrpo import (
     Hyperparams,
     PolicyParams,
@@ -18,6 +19,7 @@ from foleq.sgrpo import (
     sample_group,
     sft_term,
     sgrpo_objective,
+    _rewards,
     train_demo,
     write_trace,
 )
@@ -384,6 +386,12 @@ def test_train_demo_trace_is_pinned():
     assert [record["mean_reward"] for record in trace] == PINNED_MEAN_REWARDS
     assert trace[-1]["reward_std"] == 0.44767435306133957
     assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == PINNED_TRACE_SHA256
+
+
+def test_rewards_are_zero_for_a_failed_text_or_reference():
+    assert list(_rewards(["A", "((", "¬" * 600 + "A"], "A", DEFAULT_LE)) == [1.0, 0.0, 0.0]
+    for deep in ("(" * 600 + "A" + ")" * 600, " → ".join(["A"] * 1200)):
+        assert list(_rewards(["A", "B"], deep, DEFAULT_LE)) == [0.0, 0.0]
 
 
 def test_write_trace_round_trips(tmp_path):

@@ -8,6 +8,7 @@ from foleq.syntax import (
     Atom,
     Binary,
     CapExceeded,
+    FormulaError,
     LexError,
     Not,
     ParseError,
@@ -313,6 +314,20 @@ def test_token_cap_follows_the_recursion_limit():
     assert len(enumerate_bracketings(lex("¬" * (cap - 1) + "A"))) == 1
     with pytest.raises(CapExceeded, match=rf"formula has {cap + 1} tokens \(cap {cap}\)"):
         enumerate_bracketings(lex("¬" * cap + "A"))
+
+
+def test_parse_has_the_same_token_cap():
+    cap = sys.getrecursionlimit() // 2
+    depth = (cap - 1) // 2
+    assert parse("(" * depth + "A" + ")" * depth) == Atom("A")
+    for mode in ("precedence", "fully-parenthesized"):
+        with pytest.raises(CapExceeded, match=rf"formula has {2 * depth + 3} tokens \(cap {cap}\)"):
+            parse("(" * (depth + 1) + "A" + ")" * (depth + 1), mode=mode)
+
+
+def test_formula_errors_share_one_base():
+    assert issubclass(ParseError, FormulaError) and issubclass(CapExceeded, FormulaError)
+    assert issubclass(LexError, FormulaError)
 
 
 def test_chunk_size_validation():
