@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equivalence import DEFAULT_LE, LeConfig, score_group
+from .equivalence import DEFAULT_LE, CompiledReference, LeConfig, compile_reference, score_group
 from .equivalence import le_score  # noqa: F401  (foleq.sgrpo.le_score stays importable; perfbench wraps it)
 from .syntax import FormulaError
 
@@ -177,11 +177,74 @@ class ObjectiveParts:
     kl: float
 
 
-def _sequence_ratios(current: PolicyParams, group: SampleGroup, prompt: PromptSpec) -> np.ndarray:
-    logp = current.log_probs(prompt.prompt_id)
-    positions = np.arange(group.outputs.shape[1])
-    new_lp = logp[positions[None, :], group.outputs]
-    return np.exp((new_lp - group.old_logprobs).sum(axis=1))
+def _objective_and_gradient(
+    logp: np.ndarray,
+    ref_logp: np.ndarray,
+    prompt: PromptSpec,
+    group: SampleGroup,
+    hp: Hyperparams,
+) -> tuple[ObjectiveParts, np.ndarray]:
+    """The objective parts of one group and their analytic gradient in the
+    prompt's (T, V) logits slice, vectorized over the G samples.
+    ``logp`` and ``ref_logp`` are the prompt's current and reference
+    log-softmax, shape (T, V).
+
+    The gradient adds the per-sample terms in the order a per-sample loop
+    would (surrogate term i, then minus KL term i), so it is bit-identical
+    to one."""
+    if group.advantages is None:
+        raise ValueError("group advantages must be populated before the objective")
+    adv = group.advantages
+    outputs = group.outputs
+    G, T = outputs.shape
+    positions = np.arange(T)
+    lp_cur = logp[positions[None, :], outputs]  # (G, T)
+    lp_ref = ref_logp[positions[None, :], outputs]
+    ratios = np.exp((lp_cur - group.old_logprobs).sum(axis=1))
+    low, high = 1.0 - hp.clip_epsilon, 1.0 + hp.clip_epsilon
+    clipped = np.clip(ratios, low, high)
+    not_clipped = (low < ratios) & (ratios < high)
+    if hp.use_ppo_min:
+        unclipped_terms, clipped_terms = ratios * adv, clipped * adv
+        surrogate_terms = np.minimum(unclipped_terms, clipped_terms)
+        # the gradient follows whichever branch the min selects; ties take
+        # the unclipped branch
+        active = (unclipped_terms <= clipped_terms) | not_clipped
+    else:
+        surrogate_terms = clipped * adv
+        active = not_clipped
+    log_r = lp_ref - lp_cur
+    r = np.exp(log_r)
+    kl = float(np.mean(np.mean(r - log_r - 1.0, axis=1)))
+    label = np.asarray(prompt.label)
+    label_positions = np.arange(len(label))
+    sft = float(np.sum(logp[label_positions, label] - ref_logp[label_positions, label]))
+    surrogate = float(surrogate_terms.mean())
+    total = surrogate + hp.sft_weight * sft - hp.kl_beta * kl
+    parts = ObjectiveParts(total=total, surrogate=surrogate, sft=sft, kl=kl)
+
+    probs = np.exp(logp)
+    # d log pi(o_t) / d z[t, v] = onehot(o_t) - p[t]
+    onehot = np.zeros((G,) + probs.shape)
+    onehot[np.arange(G)[:, None], positions[None, :], outputs] = 1.0
+    d_logp = onehot - probs
+    coeff = np.where(active, adv * ratios, 0.0)
+    surrogate_grads = (coeff / G)[:, None, None] * d_logp
+    if hp.kl_beta != 0.0:
+        # d (r - log r - 1)/T d z[t, v] = (1 - r_t)(onehot - p)/T
+        kl_grads = (hp.kl_beta / G) * (((1.0 - r)[:, :, None] * d_logp) / T)
+        terms = np.empty((2 * G,) + probs.shape)
+        terms[0::2] = surrogate_grads
+        terms[1::2] = -kl_grads
+    else:
+        terms = surrogate_grads
+    slice_grad = terms.sum(axis=0)
+    if hp.sft_weight != 0.0:
+        sft_grad = np.zeros_like(probs)
+        sft_grad[label_positions, label] += 1.0
+        sft_grad[label_positions] -= probs[label_positions]
+        slice_grad += hp.sft_weight * sft_grad
+    return parts, slice_grad
 
 
 def sgrpo_objective(
@@ -194,21 +257,11 @@ def sgrpo_objective(
 ) -> ObjectiveParts:
     """Objective for one group, with the surrogate, supervised, and KL terms
     exposed separately for logging."""
-    if group.advantages is None:
-        raise ValueError("group advantages must be populated before the objective")
-    ratios = _sequence_ratios(current, group, prompt)
-    clipped = np.clip(ratios, 1.0 - hp.clip_epsilon, 1.0 + hp.clip_epsilon)
-    if hp.use_ppo_min:
-        surrogate_terms = np.minimum(ratios * group.advantages, clipped * group.advantages)
-    else:
-        surrogate_terms = clipped * group.advantages
-    surrogate = float(surrogate_terms.mean())
-    kl = float(
-        np.mean([kl_estimate(current, reference, out, prompt) for out in group.outputs])
+    pid = prompt.prompt_id
+    parts, _ = _objective_and_gradient(
+        current.log_probs(pid), reference.log_probs(pid), prompt, group, hp
     )
-    sft = sft_term(current, reference, prompt)
-    total = surrogate + hp.sft_weight * sft - hp.kl_beta * kl
-    return ObjectiveParts(total=total, surrogate=surrogate, sft=sft, kl=kl)
+    return parts
 
 
 def objective_gradient(
@@ -221,57 +274,11 @@ def objective_gradient(
 ) -> np.ndarray:
     """Analytic gradient of the objective in ``current.logits``, same shape
     as the logits tensor (zero outside this prompt's slice)."""
-    if group.advantages is None:
-        raise ValueError("group advantages must be populated before the gradient")
     pid = prompt.prompt_id
     grad = np.zeros_like(current.logits)
-    logp = current.log_probs(pid)  # (T, V)
-    probs = np.exp(logp)
-    G, T = group.outputs.shape
-    positions = np.arange(T)
-
-    ratios = _sequence_ratios(current, group, prompt)
-    low, high = 1.0 - hp.clip_epsilon, 1.0 + hp.clip_epsilon
-    slice_grad = np.zeros_like(probs)
-
-    for i in range(G):
-        out = group.outputs[i]
-        adv = group.advantages[i]
-        # d log pi(o_t) / d z[t, v] = onehot(o_t) - p[t]
-        not_clipped = low < ratios[i] < high
-        if hp.use_ppo_min:
-            # gradient follows whichever branch the min selects; ties take
-            # the unclipped branch
-            unclipped_val = ratios[i] * adv
-            clipped_val = float(np.clip(ratios[i], low, high)) * adv
-            active = unclipped_val <= clipped_val or not_clipped
-            coeff = adv * ratios[i] if active else 0.0
-        else:
-            coeff = adv * ratios[i] if not_clipped else 0.0
-        if coeff != 0.0:
-            onehot = np.zeros_like(probs)
-            onehot[positions, out] = 1.0
-            slice_grad += (coeff / G) * (onehot - probs)
-
-        if hp.kl_beta != 0.0:
-            lp_ref = reference.log_probs(pid)[positions, out]
-            lp_cur = logp[positions, out]
-            r = np.exp(lp_ref - lp_cur)  # (T,)
-            # d (r - log r - 1)/T d z[t, v] = (1 - r_t)(onehot - p)/T
-            kl_onehot = np.zeros_like(probs)
-            kl_onehot[positions, out] = 1.0
-            kl_grad = ((1.0 - r)[:, None] * (kl_onehot - probs)) / T
-            slice_grad -= (hp.kl_beta / G) * kl_grad
-
-    if hp.sft_weight != 0.0:
-        label = np.asarray(prompt.label)
-        label_positions = np.arange(len(label))
-        sft_grad = np.zeros_like(probs)
-        sft_grad[label_positions, label] += 1.0
-        sft_grad[label_positions] -= probs[label_positions]
-        slice_grad += hp.sft_weight * sft_grad
-
-    grad[pid] = slice_grad
+    _, grad[pid] = _objective_and_gradient(
+        current.log_probs(pid), reference.log_probs(pid), prompt, group, hp
+    )
     return grad
 
 
@@ -330,14 +337,36 @@ def default_demo_config(
     return TrainDemoConfig(vocab=vocab, references=references, iterations=iterations, hp=hp)
 
 
-def _rewards(texts: list[str], reference: str, config: LeConfig) -> np.ndarray:
-    """Optimized-mode scores; a text (or reference) that fails to parse or
-    exceeds a cap earns 0."""
-    try:
-        results = score_group(texts, reference, mode="optimized", config=config)
-    except FormulaError:
-        return np.zeros(len(texts))
-    return np.array([0.0 if isinstance(r, FormulaError) else r.score for r in results])
+# Prediction texts whose reward one prompt remembers; a full memo is
+# emptied before the next group is looked up in it.
+_REWARD_MEMO_LIMIT = 4096
+
+
+class _PromptRewards:
+    """Optimized-mode rewards against one reference, compiled once, with a
+    bounded memo from prediction text to reward (scoring is deterministic
+    for a fixed mode and config).  A text (or the reference) that fails to
+    parse or exceeds a cap earns 0."""
+
+    def __init__(self, reference: str, config: LeConfig):
+        try:
+            self.reference: CompiledReference | None = compile_reference(reference)
+        except FormulaError:
+            self.reference = None
+        self.config = config
+        self.memo: dict[str, float] = {}
+
+    def __call__(self, texts: list[str]) -> np.ndarray:
+        if self.reference is None:
+            return np.zeros(len(texts))
+        if len(self.memo) >= _REWARD_MEMO_LIMIT:
+            self.memo.clear()
+        todo = [text for text in dict.fromkeys(texts) if text not in self.memo]
+        if todo:
+            results = score_group(todo, self.reference, "optimized", self.config)
+            for text, result in zip(todo, results):
+                self.memo[text] = 0.0 if isinstance(result, FormulaError) else result.score
+        return np.array([self.memo[text] for text in texts])
 
 
 def train_demo(config: TrainDemoConfig) -> list[dict]:
@@ -349,16 +378,18 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
     shape = (len(prompts), hp.max_length, len(config.vocab))
     current = PolicyParams(np.zeros(shape), "current")
     reference = current.snapshot("reference")
+    ref_logps = [reference.log_probs(prompt.prompt_id) for prompt in prompts]
+    reward_memos = [_PromptRewards(prompt.reference_formula, config.le) for prompt in prompts]
     trace: list[dict] = []
 
     for iteration in range(config.iterations):
         old = current.snapshot("old")
         groups = []
         all_rewards = []
-        for prompt in prompts:
+        for prompt, prompt_rewards in zip(prompts, reward_memos):
             group = sample_group(old, prompt, hp, rng)
             texts = [" ".join(config.vocab[t] for t in output) for output in group.outputs]
-            rewards = _rewards(texts, prompt.reference_formula, config.le)
+            rewards = prompt_rewards(texts)
             group = replace(group, rewards=rewards)
             group = replace(group, advantages=group_advantages(rewards, hp.std_epsilon))
             groups.append(group)
@@ -368,10 +399,13 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
         for _ in range(hp.inner_epochs):
             grad = np.zeros_like(current.logits)
             parts_acc[:] = 0.0
-            for prompt, group in zip(prompts, groups):
-                parts = sgrpo_objective(current, old, reference, prompt, group, hp)
+            for prompt, group, ref_logp in zip(prompts, groups, ref_logps):
+                pid = prompt.prompt_id
+                parts, slice_grad = _objective_and_gradient(
+                    current.log_probs(pid), ref_logp, prompt, group, hp
+                )
                 parts_acc += (parts.total, parts.surrogate, parts.sft, parts.kl)
-                grad += objective_gradient(current, old, reference, prompt, group, hp)
+                grad[pid] += slice_grad
             current = PolicyParams(current.logits + hp.learning_rate * grad, "current")
 
         pooled = np.concatenate(all_rewards)

@@ -137,44 +137,53 @@ def lex(text: str) -> list[Token]:
 class FolExpr:
     """Base class for formula nodes.  Instances are immutable and hashable."""
 
+    def __repr__(self) -> str:
+        # Iterative: a tree at the token cap nests deeper than a recursive
+        # repr (two interpreter frames per node) can go.
+        parts: list[str] = []
+        stack: list[FolExpr | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif isinstance(item, Atom):
+                args = f", {item.args!r}" if item.args else ""
+                parts.append(f"Atom({item.predicate!r}{args})")
+            elif isinstance(item, Not):
+                parts.append("Not(")
+                stack += [")", item.body]
+            elif isinstance(item, Binary):
+                parts.append(f"Binary({item.op!r}, ")
+                stack += [")", item.right, ", ", item.left]
+            else:
+                parts.append(f"Quantified({item.quantifier!r}, {item.variable!r}, ")
+                stack += [")", item.body]
+        return "".join(parts)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Atom(FolExpr):
     predicate: str
     args: tuple[str, ...] = ()
 
-    def __repr__(self) -> str:
-        if not self.args:
-            return f"Atom({self.predicate!r})"
-        return f"Atom({self.predicate!r}, {self.args!r})"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Not(FolExpr):
     body: FolExpr
 
-    def __repr__(self) -> str:
-        return f"Not({self.body!r})"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Binary(FolExpr):
     op: str
     left: FolExpr
     right: FolExpr
 
-    def __repr__(self) -> str:
-        return f"Binary({self.op!r}, {self.left!r}, {self.right!r})"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Quantified(FolExpr):
     quantifier: str
     variable: str
     body: FolExpr
-
-    def __repr__(self) -> str:
-        return f"Quantified({self.quantifier!r}, {self.variable!r}, {self.body!r})"
 
 
 def atom_text(predicate: str, args: tuple[str, ...]) -> str:

@@ -1,9 +1,10 @@
 """Shared test oracles, deliberately independent of the library internals.
 
 The truth-table oracle evaluates formulas row by row over explicit
-assignment dictionaries instead of bitmask arithmetic, and the binding
-oracle enumerates complete injective matchings with itertools.  Slow but
-obviously correct, which is the point.
+assignment dictionaries instead of bitmask arithmetic, the binding
+oracle enumerates complete injective matchings with itertools, and the
+S-GRPO oracle computes the objective and its gradient one sample at a
+time.  Slow but obviously correct, which is the point.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
+from foleq.sgrpo import ObjectiveParts, kl_estimate, sft_term
 from foleq.similarity import levenshtein
 from foleq.syntax import Atom, Binary, FolExpr, Not, Quantified, atoms_of
 
@@ -170,3 +174,85 @@ def random_formula(
         if _binary_nodes(expr) > 12:
             continue
         return expr
+
+
+# --- per-sample S-GRPO objective and gradient ----------------------------------
+
+
+def _sequence_ratios(current, group, prompt):
+    logp = current.log_probs(prompt.prompt_id)
+    positions = np.arange(group.outputs.shape[1])
+    new_lp = logp[positions[None, :], group.outputs]
+    return np.exp((new_lp - group.old_logprobs).sum(axis=1))
+
+
+def per_sample_objective(current, old, reference, prompt, group, hp) -> ObjectiveParts:
+    """The S-GRPO objective parts, with the KL term estimated per sample."""
+    ratios = _sequence_ratios(current, group, prompt)
+    clipped = np.clip(ratios, 1.0 - hp.clip_epsilon, 1.0 + hp.clip_epsilon)
+    if hp.use_ppo_min:
+        surrogate_terms = np.minimum(ratios * group.advantages, clipped * group.advantages)
+    else:
+        surrogate_terms = clipped * group.advantages
+    surrogate = float(surrogate_terms.mean())
+    kl = float(
+        np.mean([kl_estimate(current, reference, out, prompt) for out in group.outputs])
+    )
+    sft = sft_term(current, reference, prompt)
+    total = surrogate + hp.sft_weight * sft - hp.kl_beta * kl
+    return ObjectiveParts(total=total, surrogate=surrogate, sft=sft, kl=kl)
+
+
+def per_sample_gradient(current, old, reference, prompt, group, hp) -> np.ndarray:
+    """The analytic gradient in ``current.logits``, accumulated one sample
+    at a time: surrogate term i, then minus KL term i, then the label term."""
+    pid = prompt.prompt_id
+    grad = np.zeros_like(current.logits)
+    logp = current.log_probs(pid)  # (T, V)
+    probs = np.exp(logp)
+    G, T = group.outputs.shape
+    positions = np.arange(T)
+
+    ratios = _sequence_ratios(current, group, prompt)
+    low, high = 1.0 - hp.clip_epsilon, 1.0 + hp.clip_epsilon
+    slice_grad = np.zeros_like(probs)
+
+    for i in range(G):
+        out = group.outputs[i]
+        adv = group.advantages[i]
+        # d log pi(o_t) / d z[t, v] = onehot(o_t) - p[t]
+        not_clipped = low < ratios[i] < high
+        if hp.use_ppo_min:
+            # gradient follows whichever branch the min selects; ties take
+            # the unclipped branch
+            unclipped_val = ratios[i] * adv
+            clipped_val = float(np.clip(ratios[i], low, high)) * adv
+            active = unclipped_val <= clipped_val or not_clipped
+            coeff = adv * ratios[i] if active else 0.0
+        else:
+            coeff = adv * ratios[i] if not_clipped else 0.0
+        if coeff != 0.0:
+            onehot = np.zeros_like(probs)
+            onehot[positions, out] = 1.0
+            slice_grad += (coeff / G) * (onehot - probs)
+
+        if hp.kl_beta != 0.0:
+            lp_ref = reference.log_probs(pid)[positions, out]
+            lp_cur = logp[positions, out]
+            r = np.exp(lp_ref - lp_cur)  # (T,)
+            # d (r - log r - 1)/T d z[t, v] = (1 - r_t)(onehot - p)/T
+            kl_onehot = np.zeros_like(probs)
+            kl_onehot[positions, out] = 1.0
+            kl_grad = ((1.0 - r)[:, None] * (kl_onehot - probs)) / T
+            slice_grad -= (hp.kl_beta / G) * kl_grad
+
+    if hp.sft_weight != 0.0:
+        label = np.asarray(prompt.label)
+        label_positions = np.arange(len(label))
+        sft_grad = np.zeros_like(probs)
+        sft_grad[label_positions, label] += 1.0
+        sft_grad[label_positions] -= probs[label_positions]
+        slice_grad += hp.sft_weight * sft_grad
+
+    grad[pid] = slice_grad
+    return grad

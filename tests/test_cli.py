@@ -41,6 +41,14 @@ def test_parse_error_exits_2(capsys):
     assert not out
 
 
+def test_parse_prints_a_tree_at_the_token_cap(capsys):
+    depth = sys.getrecursionlimit() // 2 - 1
+    code, out, err = run(capsys, "parse", "¬" * depth + "A")
+    assert code == 0
+    assert out.splitlines() == ["Not(" * depth + "Atom('A')" + ")" * depth, "¬" * depth + "A"]
+    assert "Traceback" not in err
+
+
 # --- usage errors -----------------------------------------------------------------
 
 def test_unknown_flag_exits_1(capsys):

@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import foleq.equivalence
+import foleq.sgrpo
 from foleq.equivalence import DEFAULT_LE
 from foleq.sgrpo import (
     Hyperparams,
@@ -19,12 +22,14 @@ from foleq.sgrpo import (
     sample_group,
     sft_term,
     sgrpo_objective,
-    _rewards,
+    _PromptRewards,
     train_demo,
     write_trace,
 )
 from foleq.equivalence import le_score
 from foleq.syntax import parse
+
+from helpers import per_sample_gradient, per_sample_objective
 
 
 def make_policy(rng, prompts=2, length=4, vocab=5, role="current", scale=0.8):
@@ -295,6 +300,43 @@ def test_gradient_requires_advantages():
         objective_gradient(current, old, current.snapshot("reference"), prompt, group, hp)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    G=st.integers(2, 9),
+    T=st.integers(1, 6),
+    V=st.integers(2, 6),
+    drift=st.sampled_from([0.0, 0.05, 0.5, 3.0]),
+    use_ppo_min=st.booleans(),
+    kl_beta=st.sampled_from([0.0, 0.04, 0.9]),
+    sft_weight=st.sampled_from([0.0, 1.0, 0.3]),
+    equal_rewards=st.booleans(),
+)
+def test_group_pass_equals_the_per_sample_reference(
+    seed, G, T, V, drift, use_ppo_min, kl_beta, sft_weight, equal_rewards
+):
+    # drift 0 keeps every ratio at 1 (unclipped); larger drifts clip more
+    rng = np.random.default_rng(seed)
+    hp = Hyperparams(
+        group_size=G, max_length=T, kl_beta=kl_beta, sft_weight=sft_weight, use_ppo_min=use_ppo_min
+    )
+    old = make_policy(rng, prompts=2, length=T, vocab=V, role="old")
+    current = PolicyParams(old.logits + drift * rng.normal(size=old.logits.shape), "current")
+    reference = make_policy(rng, prompts=2, length=T, vocab=V, role="reference")
+    label = tuple(int(v) for v in rng.integers(0, V, int(rng.integers(1, T + 1))))
+    prompt = PromptSpec(int(rng.integers(0, 2)), label, "A")
+    group = sample_group(old.snapshot("old"), prompt, hp, rng)
+    rewards = np.full(G, 0.5) if equal_rewards else rng.random(G)
+    group = replace(group, rewards=rewards, advantages=group_advantages(rewards))
+
+    parts = sgrpo_objective(current, old, reference, prompt, group, hp)
+    want = per_sample_objective(current, old, reference, prompt, group, hp)
+    assert (parts.total, parts.surrogate, parts.sft, parts.kl) == (want.total, want.surrogate, want.sft, want.kl)
+    grad = objective_gradient(current, old, reference, prompt, group, hp)
+    assert grad.shape == current.logits.shape
+    assert np.array_equal(grad, per_sample_gradient(current, old, reference, prompt, group, hp))
+
+
 # --- policy container ----------------------------------------------------------------------
 
 def test_log_probs_normalized():
@@ -388,10 +430,51 @@ def test_train_demo_trace_is_pinned():
     assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == PINNED_TRACE_SHA256
 
 
+def test_train_demo_compiles_each_reference_once_and_scores_each_text_once(monkeypatch):
+    compiled = []
+    real_compile = foleq.equivalence.compile_reference
+
+    def counting_compile(text):
+        compiled.append(text)
+        return real_compile(text)
+
+    scored = []
+    real_score = foleq.equivalence._score_prediction
+
+    def counting_score(prediction, ref, mode, config):
+        scored.append((id(ref), prediction))
+        return real_score(prediction, ref, mode, config)
+
+    requested = set()
+    real_call = _PromptRewards.__call__
+
+    def recording_call(self, texts):
+        requested.update((id(self.reference), text) for text in texts)
+        return real_call(self, texts)
+
+    monkeypatch.setattr(foleq.sgrpo, "compile_reference", counting_compile)
+    monkeypatch.setattr(foleq.equivalence, "compile_reference", counting_compile)
+    monkeypatch.setattr(foleq.equivalence, "_score_prediction", counting_score)
+    monkeypatch.setattr(_PromptRewards, "__call__", recording_call)
+    config = default_demo_config(iterations=30, seed=0)
+    train_demo(config)
+    assert sorted(compiled) == sorted(config.references)
+    assert len(scored) == len(set(scored))
+    assert set(scored) == requested
+
+
+def test_train_demo_trace_is_pinned_with_a_one_entry_reward_memo(monkeypatch):
+    # a memo emptied every group: each lookup must still find what it scored
+    monkeypatch.setattr(foleq.sgrpo, "_REWARD_MEMO_LIMIT", 1)
+    trace = train_demo(default_demo_config(iterations=30, seed=0))
+    assert [record["mean_reward"] for record in trace] == PINNED_MEAN_REWARDS
+    assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == PINNED_TRACE_SHA256
+
+
 def test_rewards_are_zero_for_a_failed_text_or_reference():
-    assert list(_rewards(["A", "((", "¬" * 600 + "A"], "A", DEFAULT_LE)) == [1.0, 0.0, 0.0]
+    assert list(_PromptRewards("A", DEFAULT_LE)(["A", "((", "¬" * 600 + "A"])) == [1.0, 0.0, 0.0]
     for deep in ("(" * 600 + "A" + ")" * 600, " → ".join(["A"] * 1200)):
-        assert list(_rewards(["A", "B"], deep, DEFAULT_LE)) == [0.0, 0.0]
+        assert list(_PromptRewards(deep, DEFAULT_LE)(["A", "B"])) == [0.0, 0.0]
 
 
 def test_write_trace_round_trips(tmp_path):

@@ -228,6 +228,18 @@ def test_canonicalize_shadowing():
     assert render(canonicalize(expr)) == "∀v1 (P(v1) ∧ ∃v2 Q(v2))"
 
 
+@settings(max_examples=200, deadline=None)
+@example(0, "v1", "v2")
+@given(st.integers(0, 10 ** 9), st.sampled_from(["x", "v1", "v2"]), st.sampled_from(["y", "v1", "v3"]))
+def test_canonicalize_is_idempotent(seed, x_name, y_name):
+    # renaming x and y to fresh-looking names makes free names collide with
+    # the names canonicalization hands out
+    expr = random_formula(random.Random(seed), max_atoms=6, max_depth=5)
+    expr = parse(render(expr).replace("x", x_name).replace("y", y_name))
+    once = canonicalize(expr)
+    assert canonicalize(once) == once
+
+
 # --- atom extraction -----------------------------------------------------------
 
 def test_atoms_of_dedupes_in_order():
@@ -323,6 +335,16 @@ def test_parse_has_the_same_token_cap():
     for mode in ("precedence", "fully-parenthesized"):
         with pytest.raises(CapExceeded, match=rf"formula has {2 * depth + 3} tokens \(cap {cap}\)"):
             parse("(" * (depth + 1) + "A" + ")" * (depth + 1), mode=mode)
+
+
+def test_repr_of_a_tree_at_the_token_cap():
+    cap = sys.getrecursionlimit() // 2
+    depth = cap - 1
+    assert repr(parse("¬" * depth + "A")) == "Not(" * depth + "Atom('A')" + ")" * depth
+    quantifiers = (cap - 4) // 2
+    assert repr(parse("∀x " * quantifiers + "P(x)")) == (
+        "Quantified('forall', 'x', " * quantifiers + "Atom('P', ('x',))" + ")" * quantifiers
+    )
 
 
 def test_formula_errors_share_one_base():
