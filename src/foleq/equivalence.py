@@ -31,15 +31,15 @@ distance, then toward the first-enumerated assignment, which makes both
 modes deterministic.
 
 A GRPO-style group scores many predictions against one reference, so
-``score_group`` compiles the reference once (``CompiledReference``), scores
-each distinct prediction text once, and builds one prediction's edit
-distances and candidate graph once for all of its bracketing trees.
+``score_group`` compiles the reference once (``CompiledReference``) and
+scores each distinct prediction text once, with one renaming, atom list and
+candidate graph for all of its readings, each joined from operand codes.
 ``le_score`` is the same path for a group of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .similarity import DEFAULT_SIMILARITY, SimilarityConfig, levenshtein, ngram_cosine
@@ -60,9 +60,11 @@ from .syntax import (
     atom_text,
     atoms_of,
     canonicalize,
-    enumerate_bracketings,
+    chain_readings,
+    enumerate_bracketings,  # unused here, but tracers patch this attribute
     lex,
     parse,
+    split_chain,
 )
 
 
@@ -164,14 +166,12 @@ class CandidateGraph:
             if a != b:
                 parent[a] = b
 
-        groups: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
+        groups: dict[tuple[str, int], tuple[set[int], set[int]]] = {}
         for i, j, _ in edges:
             root = find(("p", i))
-            preds, refs = groups.setdefault(root, ([], []))
-            if i not in preds:
-                preds.append(i)
-            if j not in refs:
-                refs.append(j)
+            preds, refs = groups.setdefault(root, (set(), set()))
+            preds.add(i)
+            refs.add(j)
         components = [
             Component(tuple(sorted(preds)), tuple(sorted(refs)))
             for preds, refs in groups.values()
@@ -276,20 +276,22 @@ def _eval_bits(node, varmap: list[int], patterns: tuple[int, ...], mask: int) ->
     return left ^ right
 
 
+def _compile_tree(tree: FolExpr):
+    """A canonical tree's distinct atoms and its compiled skeleton."""
+    atoms = atoms_of(tree)
+    return atoms, _compile(tree, {a.canonical_text: i for i, a in enumerate(atoms)})
+
+
 class CompiledReference:
     """A reference formula prepared once for scoring any number of
-    predictions: its canonical tree, its distinct atoms, its compiled
-    quantifier-free skeleton, and its truth table per variable count (built
-    on first use).  ``compile_reference`` builds one from text."""
+    predictions: its distinct atoms, its compiled quantifier-free skeleton,
+    and its truth table per variable count (built on first use).
+    ``compile_reference`` builds one from text."""
 
     def __init__(self, tree: FolExpr):
         """``tree`` should already be canonicalized."""
-        self.tree = tree
-        self.atoms = atoms_of(tree)
-        ordinals = {a.canonical_text: j for j, a in enumerate(self.atoms)}
-        self.code = _compile(tree, ordinals)
+        self.atoms, self.code = _compile_tree(tree)
         self._bits: dict[int, int] = {}
-        self._last_tables: tuple[tuple, "_AtomTables"] | None = None
 
     def bits(self, k: int) -> int:
         """Truth-table mask of the skeleton over ``k`` variables, reference
@@ -300,19 +302,6 @@ class CompiledReference:
             bits = self._bits[k] = _eval_bits(self.code, range(len(self.atoms)), patterns, mask)
         return bits
 
-    def _tables(self, pred_atoms: tuple[AtomicUnit, ...], mode: str, config: LeConfig) -> "_AtomTables":
-        """Binding-search tables for ``pred_atoms``, keeping the last ones
-        built.  Every reading of a flat chain keeps its operands, and the
-        quantifiers inside them, in one pre-order, so all bracketing trees
-        of one prediction have the same canonical atoms and share them."""
-        key = (pred_atoms, mode, config)
-        last = self._last_tables
-        if last is not None and last[0] == key:
-            return last[1]
-        tables = _AtomTables(pred_atoms, self.atoms, mode, config)
-        self._last_tables = (key, tables)
-        return tables
-
 
 def compile_reference(reference: str) -> CompiledReference:
     """Parse ``reference`` in precedence mode and compile it for scoring.
@@ -321,24 +310,24 @@ def compile_reference(reference: str) -> CompiledReference:
 
 
 class _Scorer:
-    """Shared state for scoring many bindings of one prediction tree against
-    a compiled reference: the tree's compiled skeleton and the row counter."""
+    """Shared state for scoring many bindings of one prediction reading
+    against a compiled reference: the reading's atoms and compiled skeleton
+    (as ``_compile_tree`` gives them) and the row counter."""
 
     def __init__(
         self,
-        pred: FolExpr,
         pred_atoms: tuple[AtomicUnit, ...],
+        pred_code,
         ref: CompiledReference,
         max_atoms: int,
     ):
         self.pred_atoms = pred_atoms
+        self.pred_code = pred_code
         self.ref = ref
         self.ref_atoms = ref.atoms
         self.n_p = len(pred_atoms)
         self.n_r = len(ref.atoms)
         self.max_atoms = max_atoms
-        pred_ord = {a.canonical_text: i for i, a in enumerate(pred_atoms)}
-        self.pred_code = _compile(pred, pred_ord)
         self.assignments_evaluated = 0
 
     def score(self, mapping: list[int | None]) -> float:
@@ -349,14 +338,9 @@ class _Scorer:
         if k > self.max_atoms:
             raise CapExceeded(f"{k} combined atoms exceeds the truth-table cap {self.max_atoms}")
         patterns, mask, rows = _var_patterns(k)
-        varmap: list[int] = []
-        slot = self.n_r
-        for m in mapping:
-            if m is None:
-                varmap.append(slot)
-                slot += 1
-            else:
-                varmap.append(m)
+        # Unbound prediction atoms take the variables after the reference's.
+        free = iter(range(self.n_r, k))
+        varmap = [next(free) if m is None else m for m in mapping]
         ref_bits = self.ref.bits(k)
         pred_bits = _eval_bits(self.pred_code, varmap, patterns, mask)
         self.assignments_evaluated += rows
@@ -377,7 +361,7 @@ class _Scorer:
 def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_atoms: int = 16) -> float:
     """Truth-table agreement of the two skeletons under a fixed binding.
     Both trees should already be canonicalized."""
-    scorer = _Scorer(pred, atoms_of(pred), CompiledReference(ref), max_atoms)
+    scorer = _Scorer(*_compile_tree(pred), CompiledReference(ref), max_atoms)
     pred_index = {a.canonical_text: i for i, a in enumerate(scorer.pred_atoms)}
     ref_index = {a.canonical_text: j for j, a in enumerate(scorer.ref_atoms)}
     mapping: list[int | None] = [None] * scorer.n_p
@@ -398,7 +382,7 @@ class _AtomTables:
     distances, each prediction atom's candidate reference atoms in ascending
     edit distance, the candidate graph's components, and the component cap
     (None in original mode).  They depend on the atoms alone, so one
-    prediction's trees share them."""
+    prediction's readings share them."""
 
     def __init__(
         self,
@@ -520,9 +504,8 @@ def _search(scorer: _Scorer, tables: _AtomTables) -> BindingResult:
 def _bind(pred: FolExpr, ref: FolExpr | CompiledReference, mode: str, config: LeConfig) -> BindingResult:
     if not isinstance(ref, CompiledReference):
         ref = CompiledReference(ref)
-    pred_atoms = atoms_of(pred)
-    tables = ref._tables(pred_atoms, mode, config)
-    return _search(_Scorer(pred, pred_atoms, ref, config.max_atoms), tables)
+    scorer = _Scorer(*_compile_tree(pred), ref, config.max_atoms)
+    return _search(scorer, _AtomTables(scorer.pred_atoms, ref.atoms, mode, config))
 
 
 def bind_original(
@@ -557,31 +540,49 @@ def bind_optimized(
 
 
 def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config: LeConfig) -> LeReport:
-    trees = enumerate_bracketings(lex(prediction), config.chunk_size, config.max_chain_operators)
+    """Bind every reading that enumerate_bracketings gives.  Readings keep
+    the quantifiers and atoms in one pre-order, so one renaming and one atom
+    list, taken from the left-deep reading, serve them all; its code splits
+    back into operand codes.  The skeleton drops quantifiers, so only the
+    parity of the negations wrapped around the chain is kept."""
+    wrappers, operands, ops = split_chain(lex(prediction), config.max_chain_operators)
+    tree = operands[0]
+    for op, operand in zip(ops, operands[1:]):
+        tree = Binary(op, tree, operand)
+    for wrapper in reversed(wrappers):
+        if isinstance(wrapper, Quantified):
+            tree = replace(wrapper, body=tree)
+    pred_atoms, code = _compile_tree(canonicalize(tree))
+    codes = []
+    for _ in ops:
+        _, code, right = code
+        codes.append(right)
+    codes = [code, *reversed(codes)]
+    negated = sum(isinstance(wrapper, Not) for wrapper in wrappers) % 2
+    readings = chain_readings(codes, ops, config.chunk_size, lambda *node: node)
+    tables = _AtomTables(pred_atoms, ref.atoms, mode, config)
 
-    bind = bind_original if mode == "original" else bind_optimized
-    best: tuple[float, BindingResult] | None = None
+    best: BindingResult | None = None
     assignments = 0
     bindings = 0
     truncated = False
-    for tree in trees:
-        result = bind(canonicalize(tree), ref, config)
+    for reading in readings:
+        pred_code = ("not", reading) if negated else reading
+        result = _search(_Scorer(pred_atoms, pred_code, ref, config.max_atoms), tables)
         assignments += result.assignments_evaluated
         bindings += result.bindings_explored
         truncated = truncated or result.truncated
-        if best is None or result.score > best[0]:
-            best = (result.score, result)
+        if best is None or result.score > best.score:
+            best = result
 
     assert best is not None
-    score, result = best
-    atom_count = len(ref.atoms) + len(result.binding.unbound_prediction)
     return LeReport(
-        score=score,
-        binding=result.binding,
-        atom_count=atom_count,
+        score=best.score,
+        binding=best.binding,
+        atom_count=len(ref.atoms) + len(best.binding.unbound_prediction),
         assignments_evaluated=assignments,
         bindings_explored=bindings,
-        trees_explored=len(trees),
+        trees_explored=len(readings),
         mode=mode,
         truncated=truncated,
     )

@@ -40,6 +40,10 @@ INTERNAL = "INTERNAL"
 
 _LE_KEYS = frozenset({"threshold", "ngram_sizes", "chunk_size", "max_atoms"})
 
+# Seconds a socket connection may stay silent (or leave a response unread)
+# before it is closed, so that one idle client cannot hold the listener.
+_READ_TIMEOUT_S = 10.0
+
 
 def _le_config(raw: dict, base: LeConfig) -> LeConfig:
     """``base`` with the flat keys threshold, ngram_sizes, chunk_size and
@@ -208,8 +212,10 @@ def serve(in_stream, out_stream, config: ServiceConfig | None = None) -> bool:
 
 def serve_socket(path: str, config: ServiceConfig | None = None) -> None:
     """Accept one Unix-socket connection at a time and run :func:`serve` on
-    it.  A shutdown request closes the connection and stops the listener,
-    which then removes the socket file it bound."""
+    it.  A connection silent for ``_READ_TIMEOUT_S`` seconds, or closed by
+    its client before it reads its answers, is closed and the listener
+    accepts the next one.  A shutdown request closes the connection and
+    stops the listener, which then removes the socket file it bound."""
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
         listener.bind(path)
         try:
@@ -217,11 +223,15 @@ def serve_socket(path: str, config: ServiceConfig | None = None) -> None:
             shut_down = False
             while not shut_down:
                 conn, _ = listener.accept()
-                with (
-                    conn,
-                    conn.makefile("r", encoding="utf-8", newline="\n") as reader,
-                    conn.makefile("w", encoding="utf-8", newline="\n") as writer,
-                ):
-                    shut_down = serve(reader, writer, config)
+                conn.settimeout(_READ_TIMEOUT_S)
+                try:
+                    with (
+                        conn,
+                        conn.makefile("r", encoding="utf-8", newline="\n") as reader,
+                        conn.makefile("w", encoding="utf-8", newline="\n") as writer,
+                    ):
+                        shut_down = serve(reader, writer, config)
+                except (TimeoutError, ConnectionError):
+                    pass  # only this connection ends; the listener goes on
         finally:
             os.unlink(path)

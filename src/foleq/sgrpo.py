@@ -390,8 +390,7 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
             group = sample_group(old, prompt, hp, rng)
             texts = [" ".join(config.vocab[t] for t in output) for output in group.outputs]
             rewards = prompt_rewards(texts)
-            group = replace(group, rewards=rewards)
-            group = replace(group, advantages=group_advantages(rewards, hp.std_epsilon))
+            group = replace(group, rewards=rewards, advantages=group_advantages(rewards, hp.std_epsilon))
             groups.append(group)
             all_rewards.append(rewards)
 

@@ -19,10 +19,11 @@ reads as ``(∀x P(x)) ∧ Q(x)``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 # Token kinds.
 FORALL = "forall"
@@ -211,25 +212,25 @@ class AtomicUnit:
 # --- parsing -----------------------------------------------------------------
 
 
-def _reduce(out: list[FolExpr], pending: list[str]) -> None:
+def _reduce(out: list, pending: list[str], join) -> None:
     right = out.pop()
-    out[-1] = Binary(pending.pop(), out[-1], right)
+    out[-1] = join(pending.pop(), out[-1], right)
 
 
-def _fold(operands: list[FolExpr], ops: list[str]) -> FolExpr:
-    """The precedence-mode tree of a flat chain, built without recursion:
+def _fold(operands: list, ops: list[str], join=Binary):
+    """The precedence-mode reading of a flat chain, built without recursion:
     an operator first reduces every pending one that binds tighter, or as
-    tightly when it groups to the left."""
+    tightly when it groups to the left.  ``join(op, left, right)`` builds nodes."""
     out = [operands[0]]
     pending: list[str] = []
     for op, operand in zip(ops, operands[1:]):
         prec = _PREC[op]
         while pending and (_PREC[pending[-1]] > prec or (_PREC[pending[-1]] == prec and op != IMPLIES)):
-            _reduce(out, pending)
+            _reduce(out, pending, join)
         pending.append(op)
         out.append(operand)
     while pending:
-        _reduce(out, pending)
+        _reduce(out, pending, join)
     return out[0]
 
 
@@ -494,55 +495,66 @@ def atoms_of(expr: FolExpr) -> tuple[AtomicUnit, ...]:
 # --- bracketing enumeration --------------------------------------------------
 
 
-def _all_bracketings(operands: list[FolExpr], ops: list[str]) -> list[FolExpr]:
-    memo: dict[tuple[int, int], list[FolExpr]] = {}
-
-    def trees(i: int, j: int) -> list[FolExpr]:
+def _all_bracketings(operands: list, ops: list[str], join) -> list:
+    @functools.cache
+    def trees(i: int, j: int) -> list:
         if i == j:
             return [operands[i]]
-        key = (i, j)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        out: list[FolExpr] = []
-        for split in range(i, j):
-            for left in trees(i, split):
-                for right in trees(split + 1, j):
-                    out.append(Binary(ops[split], left, right))
-        memo[key] = out
-        return out
+        return [
+            join(ops[split], left, right)
+            for split in range(i, j)
+            for left in trees(i, split)
+            for right in trees(split + 1, j)
+        ]
 
     return trees(0, len(operands) - 1)
 
 
-def _chain_readings(operands: list[FolExpr], ops: list[str], chunk_size: int | None) -> list[FolExpr]:
-    """The readings of one flat chain, described at enumerate_bracketings."""
+def chain_readings(operands: list, ops: list[str], chunk_size: int | None, join=Binary) -> list:
+    """The readings of one flat chain, described at enumerate_bracketings,
+    each built by ``join`` as :func:`_fold` builds one."""
     k = len(ops)
-    precedence_tree = _fold(operands, ops)
+    precedence = _fold(operands, ops, join)
     if k <= 1:
-        return [precedence_tree]
+        return [precedence]
 
     if chunk_size is None or k < chunk_size:
-        enumerated = _all_bracketings(operands, ops)
+        enumerated = _all_bracketings(operands, ops, join)
     else:
         starts = list(range(0, len(operands), chunk_size))
         chunk_lists = []
         for s in starts:
             e = min(s + chunk_size, len(operands))
-            chunk_lists.append(_all_bracketings(operands[s:e], ops[s : e - 1]))
+            chunk_lists.append(_all_bracketings(operands[s:e], ops[s : e - 1], join))
         bridge_ops = [ops[min(s + chunk_size, len(operands)) - 1] for s in starts[:-1]]
         # Cartesian product over per-chunk trees, then bracket the roots.
         enumerated = []
         for combo in itertools.product(*chunk_lists):
-            enumerated.extend(_all_bracketings(list(combo), bridge_ops))
+            enumerated.extend(_all_bracketings(list(combo), bridge_ops, join))
 
-    result = [precedence_tree]
-    seen = {precedence_tree}
-    for tree in enumerated:
-        if tree not in seen:
-            seen.add(tree)
-            result.append(tree)
-    return result
+    # Distinct bracketings build distinct readings (the more operands a left
+    # subtree spans, the larger it is), so only the precedence one can repeat.
+    return [precedence] + [reading for reading in enumerated if reading != precedence]
+
+
+def split_chain(tokens: list[Token], max_operators: int = 16) -> tuple[list[FolExpr], list[FolExpr], list[str]]:
+    """The negations and quantifiers wrapped around a formula's outermost
+    flat connective chain (outermost first, bodies kept), the chain's
+    operands and its operator kinds; raises as enumerate_bracketings does."""
+    parser = _Parser(tokens)
+    operands, ops = parser.chain()
+    parser.finish()
+    wrappers: list[FolExpr] = []
+    if not ops and parser.last_group is not None:
+        # The formula is one operand; it ends in the last group closed.
+        node = operands[0]
+        while isinstance(node, (Not, Quantified)):
+            wrappers.append(node)
+            node = node.body
+        operands, ops = parser.last_group
+    if len(ops) > max_operators:
+        raise CapExceeded(f"connective chain has {len(ops)} operators (cap {max_operators})")
+    return wrappers, operands, ops
 
 
 def enumerate_bracketings(
@@ -565,30 +577,15 @@ def enumerate_bracketings(
     within each chunk and the chunk roots are then bracketed over the
     (shorter) bridge chain, which keeps the count far below Catalan(k) once
     k >= m.  Either way the precedence-mode parse is the first element and
-    duplicates are removed by structural equality.
+    no reading repeats.
 
     A chain of more than ``max_operators`` operators raises
     ``CapExceeded``, as does a formula over the parser's token cap.
     """
     if chunk_size is not None and chunk_size < 2:
         raise ValueError("chunk_size must be at least 2")
-    parser = _Parser(tokens)
-    operands, ops = parser.chain()
-    parser.finish()
-    wrappers: list[FolExpr] = []
-    if not ops and parser.last_group is not None:
-        # The formula is one operand; it ends in the last group closed.
-        node = operands[0]
-        while isinstance(node, (Not, Quantified)):
-            wrappers.append(node)
-            node = node.body
-        operands, ops = parser.last_group
-    if len(ops) > max_operators:
-        raise CapExceeded(f"connective chain has {len(ops)} operators (cap {max_operators})")
-    readings = _chain_readings(operands, ops, chunk_size)
+    wrappers, operands, ops = split_chain(tokens, max_operators)
+    readings = chain_readings(operands, ops, chunk_size)
     for wrapper in reversed(wrappers):
-        if isinstance(wrapper, Not):
-            readings = [Not(t) for t in readings]
-        else:
-            readings = [Quantified(wrapper.quantifier, wrapper.variable, t) for t in readings]
+        readings = [replace(wrapper, body=t) for t in readings]
     return readings

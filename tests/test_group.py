@@ -247,3 +247,72 @@ def test_every_bracketing_has_the_same_canonical_atoms(seed, operators, chunk_si
     first = atoms_of(canonicalize(trees[0]))
     for tree in trees[1:]:
         assert atoms_of(canonicalize(tree)) == first, (text, render(tree))
+
+
+# --- one derivation per prediction --------------------------------------------
+
+_ATOMS = ["A", "B", "P(x)", "Q(y)", "R(x, y)", "P(v1)", "Q(v2)"]
+_QUANTIFIED = ["∀x P(x)", "∃y R(x, y)", "¬∃x Q(x)", "∀v1 P(v1)", "∃x ∀y R(x, y)"]
+_SUB_CHAINS = ["(A ∨ P(x))", "(Q(y) → ∀x P(x))", "(¬B ∧ (P(v1) ⊕ Q(y)))"]
+
+
+@st.composite
+def wrapped_chains(draw, most_operands=9):
+    """A parenthesized chain under 0-5 mixed ¬/∀x/∃y wrappers.  Operands may
+    use a wrapper's variable, repeat an earlier operand, be quantified or a
+    parenthesized sub-chain, or use free names (v1, v2) that fresh names
+    must skip."""
+    operands = []
+    for _ in range(draw(st.integers(2, most_operands))):
+        kind = draw(st.sampled_from(["atom", "atom", "quantified", "sub-chain", "repeat"]))
+        if kind == "repeat" and operands:
+            operands.append(draw(st.sampled_from(operands)))
+        elif kind == "quantified":
+            operands.append(draw(st.sampled_from(_QUANTIFIED)))
+        elif kind == "sub-chain":
+            operands.append(draw(st.sampled_from(_SUB_CHAINS)))
+        else:
+            operands.append(draw(st.sampled_from(_ATOMS)))
+    text = operands[0]
+    for operand in operands[1:]:
+        text += f" {draw(st.sampled_from(['∧', '∨', '→', '↔', '⊕']))} {operand}"
+    wrappers = draw(st.lists(st.sampled_from(["¬", "∀x ", "∃y "]), max_size=5))
+    return "".join(wrappers) + f"({text})"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(MODES), st.sampled_from([None, 2, 3, 4]))
+def test_group_equals_unshared_on_wrapped_chains(data, mode, chunk_size):
+    # Unchunked, 9 operands have 1,430 readings; with 7 atoms, original mode
+    # binds each of them 5,040 times, over a minute in each of the two
+    # scorers.  So unchunked chains stop at 7 operands (132 readings).
+    most = 9 if chunk_size else 7
+    prediction = data.draw(wrapped_chains(most), label="prediction")
+    reference = data.draw(st.one_of(st.just(prediction), wrapped_chains(most)), label="reference")
+    config = LeConfig(chunk_size=chunk_size)
+    (result,) = score_group([prediction], reference, mode, config)
+    try:
+        expected = unshared(prediction, reference, mode, config)
+    except (ParseError, CapExceeded) as exc:
+        expected = (type(exc), str(exc))
+    assert ((type(result), str(result)) if isinstance(result, Exception) else fields(result)) == expected
+
+
+def test_one_prediction_is_renamed_listed_and_tabled_once(monkeypatch):
+    text = "(" + " ∧ ".join("ABCDEFGHIJKLMNOP") + ")"
+    reference = compile_reference(text)
+    calls = {"canonicalize": 0, "atoms_of": 0, "_AtomTables": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(equivalence, name, counting(name, getattr(equivalence, name)))
+    report = le_score("¬¬" + text, reference)
+    assert report.trees_explored == 3126
+    assert report.score == 1.0
+    assert calls == {"canonicalize": 1, "atoms_of": 1, "_AtomTables": 1}

@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import foleq.service as service
 from foleq.equivalence import LeConfig, le_score
 from foleq.syntax import lex
 from foleq.service import (
@@ -309,6 +310,44 @@ def test_serve_socket_round_trip(tmp_path):
     assert first == {"id": "s1", "score": 1.0, "detail": first["detail"]}
     assert first["score"] == 1.0
     assert second["id"] == "s2" and second["score"] == 0.0
+
+
+def test_serve_socket_drops_a_silent_client_and_serves_the_next(tmp_path, monkeypatch):
+    monkeypatch.setattr(service, "_READ_TIMEOUT_S", 0.3)
+    path = tmp_path / "scoring.sock"
+    thread, silent = start_socket_service(str(path))
+    second = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    second.settimeout(10)
+    with silent, second, second.makefile("r", encoding="utf-8", newline="\n") as reader:
+        second.connect(str(path))
+        second.sendall((json.dumps(le_request("t1", "A ∧ B", "B ∧ A")) + "\n").encode())
+        answer = json.loads(reader.readline())
+        silent.settimeout(10)
+        assert silent.recv(1) == b""  # the listener closed it
+        second.sendall(b'{"op": "shutdown"}\n')
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert not path.exists()
+    assert answer["id"] == "t1" and answer["score"] == 1.0
+
+
+def test_serve_socket_outlives_a_client_that_leaves_before_its_answer(tmp_path):
+    path = tmp_path / "scoring.sock"
+    thread, leaving = start_socket_service(str(path))
+    chain = "(" + " ∧ ".join("ABCDEFGHIJKLMNOPA") + ")"  # 8,751 readings: slower than the close
+    with leaving:
+        leaving.sendall((json.dumps(le_request("gone", chain, chain)) + "\n").encode())
+    second = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    second.settimeout(10)
+    with second, second.makefile("r", encoding="utf-8", newline="\n") as reader:
+        second.connect(str(path))
+        second.sendall((json.dumps(le_request("t2", "A", "A")) + "\n").encode())
+        answer = json.loads(reader.readline())
+        second.sendall(b'{"op": "shutdown"}\n')
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert not path.exists()
+    assert answer["id"] == "t2" and answer["score"] == 1.0
 
 
 def test_serve_socket_restarts_on_the_same_path(tmp_path):

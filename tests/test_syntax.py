@@ -303,6 +303,19 @@ def test_chunked_counts_match_product_of_catalans():
     assert chunked[0] == parse(" ∨ ".join(f"A{i}" for i in range(7)))
 
 
+@pytest.mark.parametrize("operands", [["A"], ["A", "(A ∧ A)", "¬A"], ["(A ∧ B)", "A", "B", "(A ∧ B) ∧ A"]])
+def test_readings_are_pairwise_distinct(operands):
+    # Scoring keeps every reading without a dedup: only the precedence
+    # reading may equal an enumerated one, and it is listed once.
+    for k in range(1, 11):
+        text = f"({operands[0]})"
+        for i in range(1, k + 1):
+            text += f" {'∧∨→'[i % 3]} ({operands[i % len(operands)]})"
+        for chunk_size in [None, *range(2, k + 1)]:
+            readings = enumerate_bracketings(lex(text), chunk_size=chunk_size)
+            assert len(set(readings)) == len(readings), (text, chunk_size)
+
+
 def test_chunked_equals_full_when_chain_fits_one_chunk():
     tokens = lex("A ∧ B ∨ C")
     assert enumerate_bracketings(tokens, chunk_size=4) == enumerate_bracketings(tokens)
