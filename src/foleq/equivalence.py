@@ -34,13 +34,17 @@ A GRPO-style group scores many predictions against one reference, so
 ``score_group`` compiles the reference once (``CompiledReference``) and
 scores each distinct prediction text once, with one renaming, atom list and
 candidate graph for all of its readings, each joined from operand codes.
-``le_score`` is the same path for a group of one.
+The compiled reference remembers each prediction atom text's candidate row,
+edit distances are computed only where the search enumerates, and readings
+with equal truth tables share one search.  ``le_score`` is the same path for
+a group of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from .similarity import DEFAULT_SIMILARITY, SimilarityConfig, levenshtein, ngram_cosine
 from .syntax import (
@@ -143,13 +147,25 @@ class CandidateGraph:
         pred_atoms: tuple[AtomicUnit, ...],
         ref_atoms: tuple[AtomicUnit, ...],
         config: SimilarityConfig = DEFAULT_SIMILARITY,
+        rows: dict[str, tuple[tuple[int, float], ...]] | None = None,
     ) -> "CandidateGraph":
+        """``rows``, when given, memoizes each prediction atom text's
+        (reference index, similarity) edges; it must belong to these
+        reference atoms and this ``config``."""
         edges = []
         for i, p in enumerate(pred_atoms):
-            for j, r in enumerate(ref_atoms):
-                sim = ngram_cosine(p.canonical_text, r.canonical_text, config)
-                if sim >= config.threshold:
-                    edges.append((i, j, sim))
+            text = p.canonical_text
+            row = None if rows is None else rows.get(text)
+            if row is None:
+                row = []
+                for j, r in enumerate(ref_atoms):
+                    sim = ngram_cosine(text, r.canonical_text, config)
+                    if sim >= config.threshold:
+                        row.append((j, sim))
+                row = tuple(row)
+                if rows is not None:
+                    rows[text] = row
+            edges.extend((i, j, sim) for j, sim in row)
 
         parent: dict[tuple[str, int], tuple[str, int]] = {}
 
@@ -282,16 +298,31 @@ def _compile_tree(tree: FolExpr):
     return atoms, _compile(tree, {a.canonical_text: i for i, a in enumerate(atoms)})
 
 
+# Prediction atom texts whose candidate row one compiled reference remembers
+# per similarity config; a full memo is emptied before the next lookup.
+_CANDIDATE_ROW_LIMIT = 4096
+
+
 class CompiledReference:
     """A reference formula prepared once for scoring any number of
     predictions: its distinct atoms, its compiled quantifier-free skeleton,
-    and its truth table per variable count (built on first use).
-    ``compile_reference`` builds one from text."""
+    its truth table per variable count and each prediction atom text's
+    candidate row (both built on first use).  ``compile_reference`` builds
+    one from text."""
 
     def __init__(self, tree: FolExpr):
         """``tree`` should already be canonicalized."""
         self.atoms, self.code = _compile_tree(tree)
         self._bits: dict[int, int] = {}
+        self._rows: dict[SimilarityConfig, dict[str, tuple[tuple[int, float], ...]]] = {}
+
+    def candidate_rows(self, config: SimilarityConfig) -> dict[str, tuple[tuple[int, float], ...]]:
+        """The memo that ``CandidateGraph.build`` reads and fills for these
+        atoms under ``config``."""
+        rows = self._rows.setdefault(config, {})
+        if len(rows) >= _CANDIDATE_ROW_LIMIT:
+            rows.clear()
+        return rows
 
     def bits(self, k: int) -> int:
         """Truth-table mask of the skeleton over ``k`` variables, reference
@@ -346,16 +377,17 @@ class _Scorer:
         self.assignments_evaluated += rows
         return (rows - (pred_bits ^ ref_bits).bit_count()) / rows
 
-    def binding_from(self, mapping: list[int | None]) -> BindingMap:
-        pairs = tuple(
-            (self.pred_atoms[i], self.ref_atoms[m]) for i, m in enumerate(mapping) if m is not None
-        )
-        used = {m for m in mapping if m is not None}
-        return BindingMap(
-            pairs,
-            tuple(self.pred_atoms[i] for i, m in enumerate(mapping) if m is None),
-            tuple(self.ref_atoms[j] for j in range(self.n_r) if j not in used),
-        )
+
+def _binding_from(
+    pred_atoms: tuple[AtomicUnit, ...], ref_atoms: tuple[AtomicUnit, ...], mapping: list[int | None]
+) -> BindingMap:
+    pairs = tuple((pred_atoms[i], ref_atoms[m]) for i, m in enumerate(mapping) if m is not None)
+    used = {m for m in mapping if m is not None}
+    return BindingMap(
+        pairs,
+        tuple(pred_atoms[i] for i, m in enumerate(mapping) if m is None),
+        tuple(ref_atoms[j] for j in range(len(ref_atoms)) if j not in used),
+    )
 
 
 def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_atoms: int = 16) -> float:
@@ -378,46 +410,56 @@ def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_at
 
 
 class _AtomTables:
-    """What the binding search reads from the two atom lists: edit
-    distances, each prediction atom's candidate reference atoms in ascending
-    edit distance, the candidate graph's components, and the component cap
-    (None in original mode).  They depend on the atoms alone, so one
-    prediction's readings share them."""
+    """What the binding search reads from the two atom lists: the candidate
+    graph's components, the component cap (None in original mode), and, for
+    each prediction atom of a component the search enumerates (more than
+    one atom on a side), its candidate reference atoms as (index, edit
+    distance) in ascending (distance, index) order.  One-to-one components
+    are fixed outright, so no other edit distance is computed.  The tables
+    depend on the atoms alone, so one prediction's readings share them."""
 
     def __init__(
         self,
         pred_atoms: tuple[AtomicUnit, ...],
-        ref_atoms: tuple[AtomicUnit, ...],
+        ref: CompiledReference,
         mode: str,
         config: LeConfig,
     ):
-        n_p, n_r = len(pred_atoms), len(ref_atoms)
-        self.lev = [[levenshtein(p.canonical_text, r.canonical_text) for r in ref_atoms] for p in pred_atoms]
+        n_p, n_r = len(pred_atoms), len(ref.atoms)
+        adj: dict[int, range | list[int]]
         if mode == "original":
             if max(n_p, n_r) > config.max_factorial_atoms:
                 raise CapExceeded(
                     f"{max(n_p, n_r)} atoms exceeds the factorial-search cap {config.max_factorial_atoms}"
                 )
-            self.candidates = {i: list(range(n_r)) for i in range(n_p)}
+            adj = {i: range(n_r) for i in range(n_p)}
             self.components = (Component(tuple(range(n_p)), tuple(range(n_r))),)
             self.component_cap: int | None = None
         else:
-            graph = CandidateGraph.build(pred_atoms, ref_atoms, config.similarity)
-            self.candidates = {}
+            graph = CandidateGraph.build(
+                pred_atoms, ref.atoms, config.similarity, ref.candidate_rows(config.similarity)
+            )
+            adj = {}
             for i, j, _ in graph.edges:
-                self.candidates.setdefault(i, []).append(j)
+                adj.setdefault(i, []).append(j)
             self.components = graph.components
             self.component_cap = config.component_cap
-        for i, row in self.candidates.items():
-            row.sort(key=lambda j, i=i: (self.lev[i][j], j))
+        self.candidates: dict[int, list[tuple[int, int]]] = {}
+        for comp in self.components:
+            if len(comp.prediction_atoms) > 1 or len(comp.reference_atoms) > 1:
+                for i in comp.prediction_atoms:
+                    text = pred_atoms[i].canonical_text
+                    row = sorted((levenshtein(text, ref.atoms[j].canonical_text), j) for j in adj[i])
+                    self.candidates[i] = [(j, dist) for dist, j in row]
 
 
-def _max_matching_size(preds: tuple[int, ...], adj: dict[int, list[int]]) -> int:
-    """Maximum bipartite matching size via augmenting paths."""
+def _max_matching_size(preds: tuple[int, ...], adj: dict[int, list[tuple[int, int]]]) -> int:
+    """Maximum bipartite matching size via augmenting paths over candidate
+    rows of (reference index, edit distance)."""
     match_ref: dict[int, int] = {}
 
     def augment(i: int, visited: set[int]) -> bool:
-        for j in adj[i]:
+        for j, _ in adj[i]:
             if j in visited:
                 continue
             visited.add(j)
@@ -433,11 +475,21 @@ def _max_matching_size(preds: tuple[int, ...], adj: dict[int, list[int]]) -> int
     return size
 
 
-def _search(scorer: _Scorer, tables: _AtomTables) -> BindingResult:
+class _Found(NamedTuple):
+    """A binding search's best mapping, its score and what the search cost."""
+
+    mapping: list[int | None]
+    score: float
+    bindings_explored: int
+    assignments_evaluated: int
+    truncated: bool
+
+
+def _search(scorer: _Scorer, tables: _AtomTables) -> _Found:
     """Fix one-to-one components outright, then enumerate the
     maximum-cardinality injective assignments of each larger component in
     turn, candidates in ascending edit distance, keeping the best."""
-    lev, adj, cap = tables.lev, tables.candidates, tables.component_cap
+    adj, cap = tables.candidates, tables.component_cap
     mapping: list[int | None] = [None] * scorer.n_p
     multi: list[Component] = []
     for comp in tables.components:
@@ -470,12 +522,11 @@ def _search(scorer: _Scorer, tables: _AtomTables) -> BindingResult:
                     best_assign, best_score, best_dist = [mapping[i] for i in preds], score, dist
                 return count == cap
             i = preds[pos]
-            row = lev[i]
-            for j in adj[i]:
+            for j, d in adj[i]:
                 if not used[j]:
                     used[j] = True
                     mapping[i] = j
-                    capped = rec(pos + 1, skips_left, dist + row[j])
+                    capped = rec(pos + 1, skips_left, dist + d)
                     mapping[i] = None
                     used[j] = False
                     if capped:
@@ -492,20 +543,21 @@ def _search(scorer: _Scorer, tables: _AtomTables) -> BindingResult:
         final_score = scorer.score(mapping)
         explored += 1
 
-    return BindingResult(
-        scorer.binding_from(mapping),
-        final_score,
-        explored,
-        scorer.assignments_evaluated,
-        truncated,
-    )
+    return _Found(mapping, final_score, explored, scorer.assignments_evaluated, truncated)
 
 
 def _bind(pred: FolExpr, ref: FolExpr | CompiledReference, mode: str, config: LeConfig) -> BindingResult:
     if not isinstance(ref, CompiledReference):
         ref = CompiledReference(ref)
     scorer = _Scorer(*_compile_tree(pred), ref, config.max_atoms)
-    return _search(scorer, _AtomTables(scorer.pred_atoms, ref.atoms, mode, config))
+    found = _search(scorer, _AtomTables(scorer.pred_atoms, ref, mode, config))
+    return BindingResult(
+        _binding_from(scorer.pred_atoms, ref.atoms, found.mapping),
+        found.score,
+        found.bindings_explored,
+        found.assignments_evaluated,
+        found.truncated,
+    )
 
 
 def bind_original(
@@ -544,7 +596,12 @@ def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config
     the quantifiers and atoms in one pre-order, so one renaming and one atom
     list, taken from the left-deep reading, serve them all; its code splits
     back into operand codes.  The skeleton drops quantifiers, so only the
-    parity of the negations wrapped around the chain is kept."""
+    parity of the negations wrapped around the chain is kept.
+
+    A reading's search reads nothing of it but its truth table over the
+    prediction's own atoms, so readings with equal tables share one search
+    (its counters still add up per reading).  Past ``max_atoms`` every score
+    raises ``CapExceeded``, so no table is built there."""
     wrappers, operands, ops = split_chain(lex(prediction), config.max_chain_operators)
     tree = operands[0]
     for op, operand in zip(ops, operands[1:]):
@@ -560,26 +617,37 @@ def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config
     codes = [code, *reversed(codes)]
     negated = sum(isinstance(wrapper, Not) for wrapper in wrappers) % 2
     readings = chain_readings(codes, ops, config.chunk_size, lambda *node: node)
-    tables = _AtomTables(pred_atoms, ref.atoms, mode, config)
+    tables = _AtomTables(pred_atoms, ref, mode, config)
 
-    best: BindingResult | None = None
+    n_p = len(pred_atoms)
+    tabled = len(readings) > 1 and n_p <= config.max_atoms
+    if tabled:
+        patterns, mask, _ = _var_patterns(n_p)
+    searched: dict[int, _Found] = {}
+    best: _Found | None = None
     assignments = 0
     bindings = 0
     truncated = False
     for reading in readings:
         pred_code = ("not", reading) if negated else reading
-        result = _search(_Scorer(pred_atoms, pred_code, ref, config.max_atoms), tables)
-        assignments += result.assignments_evaluated
-        bindings += result.bindings_explored
-        truncated = truncated or result.truncated
-        if best is None or result.score > best.score:
-            best = result
+        table = _eval_bits(pred_code, range(n_p), patterns, mask) if tabled else None
+        found = searched.get(table)
+        if found is None:
+            found = _search(_Scorer(pred_atoms, pred_code, ref, config.max_atoms), tables)
+            if tabled:
+                searched[table] = found
+        assignments += found.assignments_evaluated
+        bindings += found.bindings_explored
+        truncated = truncated or found.truncated
+        if best is None or found.score > best.score:
+            best = found
 
     assert best is not None
+    binding = _binding_from(pred_atoms, ref.atoms, best.mapping)
     return LeReport(
         score=best.score,
-        binding=best.binding,
-        atom_count=len(ref.atoms) + len(best.binding.unbound_prediction),
+        binding=binding,
+        atom_count=len(ref.atoms) + len(binding.unbound_prediction),
         assignments_evaluated=assignments,
         bindings_explored=bindings,
         trees_explored=len(readings),

@@ -2,9 +2,10 @@
 
 The truth-table oracle evaluates formulas row by row over explicit
 assignment dictionaries instead of bitmask arithmetic, the binding
-oracle enumerates complete injective matchings with itertools, and the
-S-GRPO oracle computes the objective and its gradient one sample at a
-time.  Slow but obviously correct, which is the point.
+oracle enumerates complete injective matchings with itertools, the
+per-reading loop binds every bracketing tree of a prediction from scratch,
+and the S-GRPO oracle computes the objective and its gradient one sample at
+a time.  Slow but obviously correct, which is the point.
 """
 
 from __future__ import annotations
@@ -14,9 +15,21 @@ import random
 
 import numpy as np
 
+from foleq.equivalence import DEFAULT_LE, bind_optimized, bind_original
 from foleq.sgrpo import ObjectiveParts, kl_estimate, sft_term
 from foleq.similarity import levenshtein
-from foleq.syntax import Atom, Binary, FolExpr, Not, Quantified, atoms_of
+from foleq.syntax import (
+    Atom,
+    Binary,
+    FolExpr,
+    Not,
+    Quantified,
+    atoms_of,
+    canonicalize,
+    enumerate_bracketings,
+    lex,
+    parse,
+)
 
 
 def strip_quantifiers(expr: FolExpr) -> FolExpr:
@@ -107,6 +120,36 @@ def best_complete_matching(pred: FolExpr, ref: FolExpr):
             best[1].add(frozenset(mapping.items()))
     (neg_score, dist), mappings = best
     return -neg_score, dist, mappings
+
+
+# --- per-reading scoring loop ---------------------------------------------------
+
+
+def unshared(prediction: str, reference: str, mode: str, config=DEFAULT_LE) -> tuple:
+    """The fields of ``le_score`` computed with nothing shared: every
+    bracketing tree is bound on its own against a freshly parsed reference,
+    equal readings included, and the first strictly best tree wins.  In the
+    order score, binding pairs, unbound prediction and reference texts, atom
+    count, rows, bindings, trees, truncated."""
+    ref_tree = canonicalize(parse(reference))
+    trees = enumerate_bracketings(lex(prediction), config.chunk_size, config.max_chain_operators)
+    bind = bind_original if mode == "original" else bind_optimized
+    results = [bind(canonicalize(tree), ref_tree, config) for tree in trees]
+    best = results[0]
+    for result in results[1:]:
+        if result.score > best.score:
+            best = result
+    return (
+        best.score,
+        best.binding.as_dict(),
+        [a.canonical_text for a in best.binding.unbound_prediction],
+        [a.canonical_text for a in best.binding.unbound_reference],
+        len(atoms_of(ref_tree)) + len(best.binding.unbound_prediction),
+        sum(r.assignments_evaluated for r in results),
+        sum(r.bindings_explored for r in results),
+        len(trees),
+        any(r.truncated for r in results),
+    )
 
 
 # --- random formula generation ------------------------------------------------

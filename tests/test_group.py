@@ -2,6 +2,7 @@
 report (or exception) it gets when scored alone, and alone must equal
 binding every bracketing tree from scratch, with nothing shared."""
 
+import itertools
 import random
 
 import pytest
@@ -10,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 import foleq.equivalence as equivalence
 from foleq.equivalence import (
     DEFAULT_LE,
+    CandidateGraph,
     LeConfig,
-    bind_optimized,
-    bind_original,
     compile_reference,
     le_score,
     score_group,
 )
+from foleq.similarity import SimilarityConfig
 from foleq.syntax import (
     Atom,
     Binary,
@@ -31,7 +32,7 @@ from foleq.syntax import (
     parse,
     render,
 )
-from helpers import random_formula
+from helpers import eval_row, random_formula, unshared
 from test_acceptance import LAW_PAIRS
 
 MODES = ("original", "optimized")
@@ -48,30 +49,6 @@ def fields(report):
         report.bindings_explored,
         report.trees_explored,
         report.truncated,
-    )
-
-
-def unshared(prediction, reference, mode, config=DEFAULT_LE):
-    """Fields of ``le_score`` computed with no compiled reference and no
-    shared tables: every tree is bound against a freshly parsed reference."""
-    ref_tree = canonicalize(parse(reference))
-    trees = enumerate_bracketings(lex(prediction), config.chunk_size, config.max_chain_operators)
-    bind = bind_original if mode == "original" else bind_optimized
-    results = [bind(canonicalize(tree), ref_tree, config) for tree in trees]
-    best = results[0]
-    for result in results[1:]:
-        if result.score > best.score:
-            best = result
-    return (
-        best.score,
-        best.binding.as_dict(),
-        [a.canonical_text for a in best.binding.unbound_prediction],
-        [a.canonical_text for a in best.binding.unbound_reference],
-        len(atoms_of(ref_tree)) + len(best.binding.unbound_prediction),
-        sum(r.assignments_evaluated for r in results),
-        sum(r.bindings_explored for r in results),
-        len(trees),
-        any(r.truncated for r in results),
     )
 
 
@@ -254,23 +231,26 @@ def test_every_bracketing_has_the_same_canonical_atoms(seed, operators, chunk_si
 _ATOMS = ["A", "B", "P(x)", "Q(y)", "R(x, y)", "P(v1)", "Q(v2)"]
 _QUANTIFIED = ["∀x P(x)", "∃y R(x, y)", "¬∃x Q(x)", "∀v1 P(v1)", "∃x ∀y R(x, y)"]
 _SUB_CHAINS = ["(A ∨ P(x))", "(Q(y) → ∀x P(x))", "(¬B ∧ (P(v1) ⊕ Q(y)))"]
+_SIMILAR = ["Likes(x)", "Like(x)", "Liked(y)", "Likes(v1)", "(Like(x) ∧ Likes(y))"]
 
 
 @st.composite
 def wrapped_chains(draw, most_operands=9):
     """A parenthesized chain under 0-5 mixed ¬/∀x/∃y wrappers.  Operands may
     use a wrapper's variable, repeat an earlier operand, be quantified or a
-    parenthesized sub-chain, or use free names (v1, v2) that fresh names
-    must skip."""
+    parenthesized sub-chain, have names similar enough to share a candidate
+    component, or use free names (v1, v2) that fresh names must skip."""
     operands = []
     for _ in range(draw(st.integers(2, most_operands))):
-        kind = draw(st.sampled_from(["atom", "atom", "quantified", "sub-chain", "repeat"]))
+        kind = draw(st.sampled_from(["atom", "atom", "quantified", "sub-chain", "similar", "repeat"]))
         if kind == "repeat" and operands:
             operands.append(draw(st.sampled_from(operands)))
         elif kind == "quantified":
             operands.append(draw(st.sampled_from(_QUANTIFIED)))
         elif kind == "sub-chain":
             operands.append(draw(st.sampled_from(_SUB_CHAINS)))
+        elif kind == "similar":
+            operands.append(draw(st.sampled_from(_SIMILAR)))
         else:
             operands.append(draw(st.sampled_from(_ATOMS)))
     text = operands[0]
@@ -284,18 +264,25 @@ def wrapped_chains(draw, most_operands=9):
 @given(st.data(), st.sampled_from(MODES), st.sampled_from([None, 2, 3, 4]))
 def test_group_equals_unshared_on_wrapped_chains(data, mode, chunk_size):
     # Unchunked, 9 operands have 1,430 readings; with 7 atoms, original mode
-    # binds each of them 5,040 times, over a minute in each of the two
-    # scorers.  So unchunked chains stop at 7 operands (132 readings).
+    # binds each of them 5,040 times, over a minute in the per-reading loop.
+    # So unchunked chains stop at 7 operands (132 readings).
     most = 9 if chunk_size else 7
-    prediction = data.draw(wrapped_chains(most), label="prediction")
-    reference = data.draw(st.one_of(st.just(prediction), wrapped_chains(most)), label="reference")
+    first = data.draw(wrapped_chains(most), label="prediction")
+    # The group's predictions draw from one atom pool, so they repeat atom
+    # texts, and a repeated prediction text is scored once.  The others are
+    # shorter to bound the per-reading loop's time.
+    others = data.draw(st.lists(st.one_of(st.just(first), wrapped_chains(6)), max_size=3), label="others")
+    predictions = [first, *others]
+    reference = data.draw(st.one_of(st.just(first), wrapped_chains(most)), label="reference")
     config = LeConfig(chunk_size=chunk_size)
-    (result,) = score_group([prediction], reference, mode, config)
-    try:
-        expected = unshared(prediction, reference, mode, config)
-    except (ParseError, CapExceeded) as exc:
-        expected = (type(exc), str(exc))
-    assert ((type(result), str(result)) if isinstance(result, Exception) else fields(result)) == expected
+    group = score_group(predictions, reference, mode, config)
+    for prediction, result in zip(predictions, group):
+        try:
+            expected = unshared(prediction, reference, mode, config)
+        except (ParseError, CapExceeded) as exc:
+            expected = (type(exc), str(exc))
+        got = (type(result), str(result)) if isinstance(result, Exception) else fields(result)
+        assert got == expected, prediction
 
 
 def test_one_prediction_is_renamed_listed_and_tabled_once(monkeypatch):
@@ -316,3 +303,112 @@ def test_one_prediction_is_renamed_listed_and_tabled_once(monkeypatch):
     assert report.trees_explored == 3126
     assert report.score == 1.0
     assert calls == {"canonicalize": 1, "atoms_of": 1, "_AtomTables": 1}
+
+
+# --- tables built only where the search reads them ------------------------------
+
+
+def _counting(calls, real):
+    def wrapper(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    return wrapper
+
+
+def test_edit_distances_only_for_enumerated_components(monkeypatch):
+    calls = []
+    monkeypatch.setattr(equivalence, "levenshtein", _counting(calls, equivalence.levenshtein))
+    # Distinct names: every component is one-to-one and fixed outright.
+    assert le_score("Apple ∧ (Banana → Cherry)", "(Banana → Cherry) ∧ Apple").score == 1.0
+    assert calls == []
+    # Original mode enumerates its one complete component: every pair.
+    le_score("Apple ∧ (Banana → Cherry)", "(Banana → Cherry) ∧ Apple", "original")
+    names = ["Apple", "Banana", "Cherry"]
+    assert sorted(calls) == sorted(itertools.product(names, names))
+
+    calls.clear()
+    prediction, reference = "Likes(a) ∧ Like(a) ∧ Zebra", "Liked(a) ∧ Likes(a) ∧ Zebra"
+    pred_atoms = atoms_of(canonicalize(parse(prediction)))
+    ref_atoms = compile_reference(reference).atoms
+    graph = CandidateGraph.build(pred_atoms, ref_atoms)
+    multi = {
+        i
+        for comp in graph.components
+        if len(comp.prediction_atoms) > 1 or len(comp.reference_atoms) > 1
+        for i in comp.prediction_atoms
+    }
+    edges = [
+        (pred_atoms[i].canonical_text, ref_atoms[j].canonical_text) for i, j, _ in graph.edges if i in multi
+    ]
+    assert len(multi) == 2 and len(edges) < len(graph.edges) < len(pred_atoms) * len(ref_atoms)
+    assert le_score(prediction, reference).score == 1.0
+    assert sorted(calls) == sorted(edges)
+
+
+def test_a_group_computes_each_candidate_row_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(equivalence, "ngram_cosine", _counting(calls, equivalence.ngram_cosine))
+    reference = "∀x (Likes(x) → (Owns(x) ∧ Rides(x)))"
+    predictions = [
+        "∀x (Likes(x) → (Owns(x) ∧ Rides(x)))",
+        "∀y (Like(y) → (Rides(y) ∧ Owns(y)))",
+        "∀x (¬Likes(x) ∨ (Owns(x) ∧ Rides(x)))",
+        "∀x (Likes(x) → Owns(x)) ∧ ∀x (Likes(x) → Rides(x))",
+        "Likes(a) ∧ Owns(a)",
+        "∀x (Liked(x) → Owns(x) ∧ Ride(x))",
+        "Owns(a) ∨ Likes(a) ∨ Rides(a)",
+        "∀x (Likes(x) ↔ Owns(x))",
+    ]
+    score_group(predictions, reference)
+    ref_texts = [a.canonical_text for a in compile_reference(reference).atoms]
+    pred_atoms = [atoms_of(canonicalize(parse(p))) for p in predictions]
+    pred_texts = {a.canonical_text for atoms in pred_atoms for a in atoms}
+    assert sorted(calls) == sorted(itertools.product(pred_texts, ref_texts))
+    assert len(calls) < sum(map(len, pred_atoms)) * len(ref_texts)
+
+    # A compiled reference keeps its rows across calls, per similarity config.
+    compiled = compile_reference(reference)
+    score_group(predictions, compiled)
+    calls.clear()
+    score_group(predictions[::-1], compiled)
+    assert calls == []
+    score_group(predictions, compiled, config=LeConfig(similarity=SimilarityConfig(threshold=0.5)))
+    assert len(calls) == len(pred_texts) * len(ref_texts)
+
+
+def _truth_table(tree, names):
+    return tuple(
+        eval_row(tree, dict(zip(names, values))) for values in itertools.product([False, True], repeat=len(names))
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "prediction",
+    [
+        "A ∧ B ∧ C ∧ D ∧ A",
+        "A → B → C → A",
+        "¬¬¬(A ⊕ B ↔ C → A ∨ D)",
+        "∀x (P(x) → Q(x) ↔ P(x) ∧ R(x) ∨ Q(x))",
+        "A ↔ B ↔ A ↔ C ↔ B ⊕ C",
+        "Likes(a) ∨ Like(a) ∧ Liked(a) → Likes(a)",
+    ],
+)
+def test_one_search_per_distinct_reading_truth_table(monkeypatch, mode, prediction):
+    searches = []
+    monkeypatch.setattr(equivalence, "_search", _counting(searches, equivalence._search))
+    reference = "(A ∧ Likes(a)) → (B ∨ ∀x P(x))"
+    report = le_score(prediction, reference, mode)
+    trees = [canonicalize(tree) for tree in enumerate_bracketings(lex(prediction), DEFAULT_LE.chunk_size)]
+    names = [a.canonical_text for a in atoms_of(trees[0])]
+    tables = {_truth_table(tree, names) for tree in trees}
+    assert len(tables) < len(trees) == report.trees_explored
+    assert len(searches) == len(tables)
+    assert fields(report) == unshared(prediction, reference, mode)
+
+
+def test_equal_readings_of_a_long_chain_share_one_search():
+    chain = "(" + " ∧ ".join("ABCDEFGABCDEFGABC") + ")"
+    report = le_score(chain, chain, "original")
+    assert (report.score, report.trees_explored, report.bindings_explored) == (1.0, 8751, 44_105_040)
