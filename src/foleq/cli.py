@@ -175,13 +175,15 @@ def _cmd_score(args) -> int:
     }
     print(json.dumps(summary, ensure_ascii=False))
     if args.out:
-        errors = dict(report.failures)
+        # failures follow the input order of the None slots in per_pair;
+        # ids need not be unique, so pair them by position, not by id.
+        errors = iter(message for _, message in report.failures)
         with open(args.out, "w", encoding="utf-8") as handle:
             for pair, item in zip(pairs, report.per_pair):
                 record: dict = {"id": pair.id}
                 if item is None:
                     record["score"] = 0.0
-                    record["error"] = errors.get(pair.id, "failed to score")
+                    record["error"] = next(errors)
                 else:
                     record.update(item.to_dict())
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")

@@ -107,31 +107,41 @@ _PAD_RE = re.compile(r"(<->|->|[∀∃¬∧∨→↔⊕()~&|^,])")
 
 def tokenize_formula(text: str) -> list[str]:
     """Whitespace tokens after padding connectives, parens, and commas."""
-    return _PAD_RE.sub(r" \1 ", text).split()
+    # With one capture group, split puts each match between the text around
+    # it, so joining with spaces pads every match as ``sub(r" \1 ")`` would.
+    return " ".join(_PAD_RE.split(text)).split()
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 def corpus_bleu(pairs: list[EvalPair], config: BleuConfig = DEFAULT_BLEU) -> float:
-    """Corpus BLEU on a 0-100 scale with a single reference per pair."""
+    """Corpus BLEU on a 0-100 scale with a single reference per pair.
+
+    Each distinct reference text is tokenized and counted once per call.
+    """
     if not pairs:
         raise ValueError("empty corpus")
+    orders = range(1, config.max_order + 1)
     matched = [0] * config.max_order
     total = [0] * config.max_order
     pred_len = 0
     ref_len = 0
+    references: dict[str, tuple[int, list[Counter]]] = {}
     for pair in pairs:
+        if pair.reference not in references:
+            ref_tokens = tokenize_formula(pair.reference)
+            references[pair.reference] = len(ref_tokens), [_ngrams(ref_tokens, n) for n in orders]
+        ref_count, ref_counters = references[pair.reference]
+        ref_len += ref_count
         pred_tokens = tokenize_formula(pair.prediction)
-        ref_tokens = tokenize_formula(pair.reference)
         pred_len += len(pred_tokens)
-        ref_len += len(ref_tokens)
-        for n in range(1, config.max_order + 1):
+        for n, ref_grams in zip(orders, ref_counters):
             pred_grams = _ngrams(pred_tokens, n)
-            ref_grams = _ngrams(ref_tokens, n)
-            total[n - 1] += sum(pred_grams.values())
-            matched[n - 1] += sum(min(count, ref_grams[gram]) for gram, count in pred_grams.items())
+            common = pred_grams.keys() & ref_grams.keys()
+            total[n - 1] += max(0, len(pred_tokens) - n + 1)
+            matched[n - 1] += sum(map(min, map(pred_grams.__getitem__, common), map(ref_grams.__getitem__, common)))
     if pred_len == 0:
         return 0.0
     log_sum = 0.0

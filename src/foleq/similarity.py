@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,10 @@ def ngram_cosine(a: str, b: str, config: SimilarityConfig = DEFAULT_SIMILARITY) 
         a, b = a.lower(), b.lower()
     va, norm_a = _gram_vector(a, config.ngram_sizes)
     vb, norm_b = _gram_vector(b, config.ngram_sizes)
-    if not va or not vb:
+    common = va.keys() & vb.keys()
+    if not common:
         return 0.0
-    if len(vb) < len(va):
-        va, vb = vb, va
-    dot = sum(count * vb[gram] for gram, count in va.items())
-    if dot == 0:
-        return 0.0
+    dot = sum(map(mul, map(va.__getitem__, common), map(vb.__getitem__, common)))
     return dot / (norm_a * norm_b)
 
 

@@ -4,17 +4,21 @@ The truth-table oracle evaluates formulas row by row over explicit
 assignment dictionaries instead of bitmask arithmetic, the binding
 oracle enumerates complete injective matchings with itertools, the
 per-reading loop binds every bracketing tree of a prediction from scratch,
-and the S-GRPO oracle computes the objective and its gradient one sample at
-a time.  Slow but obviously correct, which is the point.
+the S-GRPO oracle computes the objective and its gradient one sample at
+a time, and the BLEU oracle re-counts both sides of every pair.  Slow but
+obviously correct, which is the point.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 
 import numpy as np
 
+from foleq.corpus import _PAD_RE, DEFAULT_BLEU
 from foleq.equivalence import DEFAULT_LE, bind_optimized, bind_original
 from foleq.sgrpo import ObjectiveParts, kl_estimate, sft_term
 from foleq.similarity import levenshtein
@@ -299,3 +303,48 @@ def per_sample_gradient(current, old, reference, prompt, group, hp) -> np.ndarra
 
     grad[pid] = slice_grad
     return grad
+
+
+# --- per-pair corpus BLEU --------------------------------------------------------
+
+
+def _pad_tokens(text: str) -> list[str]:
+    return _PAD_RE.sub(r" \1 ", text).split()
+
+
+def _slice_ngrams(tokens: list[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def per_pair_bleu(pairs, config=DEFAULT_BLEU) -> float:
+    """Corpus BLEU that tokenizes and counts both sides of every pair anew,
+    one slice per n-gram and one lookup per predicted gram."""
+    if not pairs:
+        raise ValueError("empty corpus")
+    matched = [0] * config.max_order
+    total = [0] * config.max_order
+    pred_len = 0
+    ref_len = 0
+    for pair in pairs:
+        pred_tokens = _pad_tokens(pair.prediction)
+        ref_tokens = _pad_tokens(pair.reference)
+        pred_len += len(pred_tokens)
+        ref_len += len(ref_tokens)
+        for n in range(1, config.max_order + 1):
+            pred_grams = _slice_ngrams(pred_tokens, n)
+            ref_grams = _slice_ngrams(ref_tokens, n)
+            total[n - 1] += sum(pred_grams.values())
+            matched[n - 1] += sum(min(count, ref_grams[gram]) for gram, count in pred_grams.items())
+    if pred_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(config.max_order):
+        precision = matched[n] / total[n] if total[n] else 0.0
+        if precision <= 0.0:
+            if config.smoothing_floor > 0.0:
+                precision = config.smoothing_floor
+            else:
+                return 0.0
+        log_sum += math.log(precision)
+    brevity = 1.0 if pred_len > ref_len else math.exp(1.0 - ref_len / pred_len)
+    return 100.0 * brevity * math.exp(log_sum / config.max_order)

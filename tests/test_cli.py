@@ -179,6 +179,23 @@ def test_score_corpus_out_file(tmp_path, capsys):
     assert rows[2]["score"] == 0.0 and "error" in rows[2]
 
 
+def test_score_out_file_keeps_each_error_with_its_row_when_ids_repeat(tmp_path, capsys):
+    path = tmp_path / "pairs.jsonl"
+    rows = [
+        {"id": "x", "prediction": "((", "reference": "A"},
+        {"id": "x", "prediction": "B", "reference": "A $"},
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    out_path = tmp_path / "per-pair.jsonl"
+    code, _, _ = run(capsys, "score", "--pred-file", str(path), "--out", str(out_path))
+    assert code == 0
+    written = [json.loads(line) for line in out_path.read_text(encoding="utf-8").splitlines()]
+    assert written == [
+        {"id": "x", "score": 0.0, "error": "unexpected end of input"},
+        {"id": "x", "score": 0.0, "error": "unexpected character '$' (offset 2)"},
+    ]
+
+
 def test_score_tsv_corpus(tmp_path, capsys):
     path = tmp_path / "pairs.tsv"
     path.write_text("A ∧ B\tB ∧ A\nx9\t¬¬A\tA\n", encoding="utf-8")

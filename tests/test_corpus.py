@@ -3,8 +3,11 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from foleq import corpus
 from foleq.corpus import (
+    _PAD_RE,
     BleuConfig,
     DEFAULT_BLEU,
     EvalPair,
@@ -13,6 +16,17 @@ from foleq.corpus import (
     load_pairs,
     tokenize_formula,
 )
+from helpers import per_pair_bleu
+
+# Pieces joined without separators, so that "<" "-" ">" can meet as "<->"
+# and "-" ">" as "->"; every connective in both spellings, whitespace and
+# empty pieces included.
+TOKEN_POOL = [
+    "<->", "->", "<", "-", ">",
+    "∀", "forall", "∃", "exists", "¬", "~", "∧", "&", "∨", "|", "→", "↔", "⊕", "^",
+    "(", ")", ",", "P", "Q", "x", "y", "v1", "Foo", "\t", " ", "",
+]
+formula_text = st.lists(st.sampled_from(TOKEN_POOL), max_size=16).map("".join)
 
 
 # --- tokenization ----------------------------------------------------------------
@@ -31,6 +45,12 @@ def test_tokenizer_commas_and_quantifiers():
 
 def test_tokenizer_collapses_whitespace():
     assert tokenize_formula("  A   ∧  B ") == ["A", "∧", "B"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula_text)
+def test_tokenizer_equals_padding_substitution(text):
+    assert tokenize_formula(text) == _PAD_RE.sub(r" \1 ", text).split()
 
 
 # --- corpus BLEU -----------------------------------------------------------------
@@ -103,6 +123,39 @@ def test_bleu_empty_corpus_rejected():
 
 def test_bleu_empty_prediction():
     assert corpus_bleu([EvalPair("0", "", "A ∧ B")]) == 0.0
+
+
+@st.composite
+def bleu_corpora(draw):
+    references = draw(st.lists(formula_text, min_size=1, max_size=4))
+    size = draw(st.integers(1, 12))
+    pairs = [
+        EvalPair(str(i), draw(formula_text), draw(st.sampled_from(references)))
+        for i in range(size)
+    ]
+    config = BleuConfig(draw(st.integers(1, 6)), draw(st.sampled_from([0.0, 0.01])))
+    return pairs, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(bleu_corpora())
+def test_bleu_equals_per_pair_counting(case):
+    pairs, config = case
+    assert corpus_bleu(pairs, config) == per_pair_bleu(pairs, config)
+
+
+def test_bleu_tokenizes_a_shared_reference_once(monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return tokenize_formula(text)
+
+    monkeypatch.setattr(corpus, "tokenize_formula", counting)
+    pairs = [EvalPair(str(i), f"P{i}(x) ∧ Q(x)", "P(x) ∧ Q(x)") for i in range(8)]
+    corpus_bleu(pairs)
+    assert len(calls) == 9
+    assert calls.count("P(x) ∧ Q(x)") == 1
 
 
 # --- corpus LE ---------------------------------------------------------------------

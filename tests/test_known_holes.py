@@ -1,0 +1,30 @@
+"""Pinned values of places where the metric can be gamed.
+
+Each test states today's score for a pair that a policy could exploit.  A
+change to one of these values is a deliberate decision about the metric:
+update the pinned value and say why in the change log, never as a side
+effect of another change.
+"""
+
+import pytest
+
+from foleq.equivalence import le_score
+
+MODES = ["optimized", "original"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_flipped_quantifier_scores_full(mode):
+    # The truth-table skeleton drops quantifiers, so ∀ and ∃ over the same
+    # body are indistinguishable.  Changing this value is a deliberate
+    # decision about the metric.
+    assert le_score("∀x P(x)", "∃x P(x)", mode=mode).score == 1.0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_renamed_predicates_score_full(mode):
+    # Original mode binds atoms exhaustively, and in optimized mode the
+    # shared argument text after canonical renaming makes P(v1) and R(v1)
+    # similar enough to bind, so renaming every predicate keeps the score.
+    # Changing this value is a deliberate decision about the metric.
+    assert le_score("∀x (P(x) → Q(x))", "∀x (R(x) → S(x))", mode=mode).score == 1.0
