@@ -42,9 +42,9 @@ a group of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .similarity import DEFAULT_SIMILARITY, SimilarityConfig, levenshtein, ngram_cosine
 from .syntax import (
@@ -61,9 +61,8 @@ from .syntax import (
     FormulaError,
     Not,
     Quantified,
-    atom_text,
-    atoms_of,
-    canonicalize,
+    atoms_of,  # unused here, but tracers patch this attribute
+    canonicalize,  # unused here, but tracers patch this attribute
     chain_readings,
     enumerate_bracketings,  # unused here, but tracers patch this attribute
     lex,
@@ -259,17 +258,56 @@ def _var_patterns(k: int) -> tuple[tuple[int, ...], int, int]:
     return tuple(patterns), (1 << rows) - 1, rows
 
 
-def _compile(expr: FolExpr, ordinals: dict[str, int]):
-    """Lower a tree's propositional skeleton, quantifiers dropped, to nested
-    tuples holding atom ordinals."""
-    while isinstance(expr, Quantified):
-        expr = expr.body
-    if isinstance(expr, Atom):
-        return ("atom", ordinals[atom_text(expr.predicate, expr.args)])
-    if isinstance(expr, Not):
-        return ("not", _compile(expr.body, ordinals))
-    assert isinstance(expr, Binary)
-    return (expr.op, _compile(expr.left, ordinals), _compile(expr.right, ordinals))
+def _lower(operands: list[FolExpr], wrappers: Sequence[FolExpr] = ()) -> tuple[tuple[AtomicUnit, ...], list]:
+    """Lower formulas read in one scope, in one walk: the distinct atoms and
+    each operand's propositional skeleton.
+
+    The operands are read in order inside the quantifiers among ``wrappers``
+    (outermost first, bodies ignored), as their left-deep chain would be.
+    Bound variables are renamed as ``canonicalize`` renames them and the
+    atoms come in the order ``atoms_of`` gives for the renamed tree.  A
+    skeleton drops quantifiers and is a nested tuple: ``("atom", ordinal)``,
+    ``("not", body)`` or ``(op, left, right)``."""
+    # Atom keys in first-occurrence order, each a predicate and arguments in
+    # which a bound name is the index of its quantifier in pre-order.
+    ordinals: dict[tuple[str, tuple[str | int, ...]], int] = {}
+    quantifiers = 0
+
+    def walk(expr: FolExpr, env: dict[str, int]):
+        nonlocal quantifiers
+        if isinstance(expr, Atom):
+            key = (expr.predicate, tuple([env.get(a, a) for a in expr.args]))
+            ordinal = ordinals.get(key)
+            if ordinal is None:
+                ordinal = ordinals[key] = len(ordinals)
+            return ("atom", ordinal)
+        if isinstance(expr, Not):
+            return ("not", walk(expr.body, env))
+        if isinstance(expr, Binary):
+            return (expr.op, walk(expr.left, env), walk(expr.right, env))
+        env = {**env, expr.variable: quantifiers}
+        quantifiers += 1
+        return walk(expr.body, env)
+
+    env: dict[str, int] = {}
+    for wrapper in wrappers:
+        if isinstance(wrapper, Quantified):
+            env[wrapper.variable] = quantifiers
+            quantifiers += 1
+    codes = [walk(operand, env) for operand in operands]
+    # Fresh names skip every name that occurs free.
+    free = {a for _, args in ordinals for a in args if isinstance(a, str)}
+    names: list[str] = []
+    counter = 0
+    while len(names) < quantifiers:
+        counter += 1
+        if f"v{counter}" not in free:
+            names.append(f"v{counter}")
+    atoms = tuple(
+        AtomicUnit(predicate, tuple([a if isinstance(a, str) else names[a] for a in args]))
+        for predicate, args in ordinals
+    )
+    return atoms, codes
 
 
 def _eval_bits(node, varmap: list[int], patterns: tuple[int, ...], mask: int) -> int:
@@ -292,12 +330,6 @@ def _eval_bits(node, varmap: list[int], patterns: tuple[int, ...], mask: int) ->
     return left ^ right
 
 
-def _compile_tree(tree: FolExpr):
-    """A canonical tree's distinct atoms and its compiled skeleton."""
-    atoms = atoms_of(tree)
-    return atoms, _compile(tree, {a.canonical_text: i for i, a in enumerate(atoms)})
-
-
 # Prediction atom texts whose candidate row one compiled reference remembers
 # per similarity config; a full memo is emptied before the next lookup.
 _CANDIDATE_ROW_LIMIT = 4096
@@ -311,8 +343,9 @@ class CompiledReference:
     one from text."""
 
     def __init__(self, tree: FolExpr):
-        """``tree`` should already be canonicalized."""
-        self.atoms, self.code = _compile_tree(tree)
+        """``tree``'s bound variables are renamed as ``canonicalize`` renames
+        them, which leaves a canonical tree as it is."""
+        self.atoms, (self.code,) = _lower([tree])
         self._bits: dict[int, int] = {}
         self._rows: dict[SimilarityConfig, dict[str, tuple[tuple[int, float], ...]]] = {}
 
@@ -337,13 +370,13 @@ class CompiledReference:
 def compile_reference(reference: str) -> CompiledReference:
     """Parse ``reference`` in precedence mode and compile it for scoring.
     Raises the ``FormulaError`` that :func:`parse` raises."""
-    return CompiledReference(canonicalize(parse(reference)))
+    return CompiledReference(parse(reference))
 
 
 class _Scorer:
     """Shared state for scoring many bindings of one prediction reading
-    against a compiled reference: the reading's atoms and compiled skeleton
-    (as ``_compile_tree`` gives them) and the row counter."""
+    against a compiled reference: the reading's atoms and skeleton (as
+    ``_lower`` gives them) and the row counter."""
 
     def __init__(
         self,
@@ -392,8 +425,11 @@ def _binding_from(
 
 def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_atoms: int = 16) -> float:
     """Truth-table agreement of the two skeletons under a fixed binding.
-    Both trees should already be canonicalized."""
-    scorer = _Scorer(*_compile_tree(pred), CompiledReference(ref), max_atoms)
+    Both trees' bound variables are renamed as ``canonicalize`` renames
+    them, so the binding names atoms of the renamed trees; canonical trees
+    are left as they are."""
+    pred_atoms, (pred_code,) = _lower([pred])
+    scorer = _Scorer(pred_atoms, pred_code, CompiledReference(ref), max_atoms)
     pred_index = {a.canonical_text: i for i, a in enumerate(scorer.pred_atoms)}
     ref_index = {a.canonical_text: j for j, a in enumerate(scorer.ref_atoms)}
     mapping: list[int | None] = [None] * scorer.n_p
@@ -549,7 +585,8 @@ def _search(scorer: _Scorer, tables: _AtomTables) -> _Found:
 def _bind(pred: FolExpr, ref: FolExpr | CompiledReference, mode: str, config: LeConfig) -> BindingResult:
     if not isinstance(ref, CompiledReference):
         ref = CompiledReference(ref)
-    scorer = _Scorer(*_compile_tree(pred), ref, config.max_atoms)
+    pred_atoms, (pred_code,) = _lower([pred])
+    scorer = _Scorer(pred_atoms, pred_code, ref, config.max_atoms)
     found = _search(scorer, _AtomTables(scorer.pred_atoms, ref, mode, config))
     return BindingResult(
         _binding_from(scorer.pred_atoms, ref.atoms, found.mapping),
@@ -567,8 +604,9 @@ def bind_original(
     smaller atom set, candidates tried in ascending edit-distance order: the
     binding search over the complete graph, with no ``component_cap``.
     Factorial in the atom count, so guarded by ``max_factorial_atoms``.
-    ``pred`` is a canonical tree; ``ref`` a canonical tree or a compiled
-    reference."""
+    ``pred`` is a tree; ``ref`` a tree or a compiled reference.  Bound
+    variables are renamed as ``canonicalize`` renames them, so trees need
+    not be canonicalized first and the result names the renamed atoms."""
     return _bind(pred, ref, "original", config)
 
 
@@ -582,8 +620,10 @@ def bind_optimized(
     one-to-many component (components in first-occurrence order, earlier
     choices fixed, later components unbound while a component is searched).
     A component stops early at ``component_cap`` scored assignments and
-    keeps its best so far, flagged via ``truncated``.  ``pred`` is a
-    canonical tree; ``ref`` a canonical tree or a compiled reference.
+    keeps its best so far, flagged via ``truncated``.  ``pred`` is a tree;
+    ``ref`` a tree or a compiled reference.  Bound variables are renamed as
+    ``canonicalize`` renames them, so trees need not be canonicalized first
+    and the result names the renamed atoms.
     """
     return _bind(pred, ref, "optimized", config)
 
@@ -593,28 +633,17 @@ def bind_optimized(
 
 def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config: LeConfig) -> LeReport:
     """Bind every reading that enumerate_bracketings gives.  Readings keep
-    the quantifiers and atoms in one pre-order, so one renaming and one atom
-    list, taken from the left-deep reading, serve them all; its code splits
-    back into operand codes.  The skeleton drops quantifiers, so only the
-    parity of the negations wrapped around the chain is kept.
+    the quantifiers and atoms in one pre-order, so one lowering of the
+    chain's operands inside its quantifiers gives the renaming, the atom
+    list and the operand codes of them all.  The skeleton drops quantifiers,
+    so only the parity of the negations wrapped around the chain is kept.
 
     A reading's search reads nothing of it but its truth table over the
     prediction's own atoms, so readings with equal tables share one search
     (its counters still add up per reading).  Past ``max_atoms`` every score
     raises ``CapExceeded``, so no table is built there."""
     wrappers, operands, ops = split_chain(lex(prediction), config.max_chain_operators)
-    tree = operands[0]
-    for op, operand in zip(ops, operands[1:]):
-        tree = Binary(op, tree, operand)
-    for wrapper in reversed(wrappers):
-        if isinstance(wrapper, Quantified):
-            tree = replace(wrapper, body=tree)
-    pred_atoms, code = _compile_tree(canonicalize(tree))
-    codes = []
-    for _ in ops:
-        _, code, right = code
-        codes.append(right)
-    codes = [code, *reversed(codes)]
+    pred_atoms, codes = _lower(operands, wrappers)
     negated = sum(isinstance(wrapper, Not) for wrapper in wrappers) % 2
     readings = chain_readings(codes, ops, config.chunk_size, lambda *node: node)
     tables = _AtomTables(pred_atoms, ref, mode, config)

@@ -23,7 +23,8 @@ import functools
 import itertools
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 # Token kinds.
 FORALL = "forall"
@@ -70,14 +71,13 @@ class CapExceeded(FormulaError, RuntimeError):
     """A formula-length, search or enumeration limit was exceeded."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     position: int
 
 
-_SINGLE_CHAR = {
+_KINDS = {
     "∀": FORALL,
     "∃": EXISTS,
     "¬": NOT,
@@ -87,47 +87,35 @@ _SINGLE_CHAR = {
     "∨": OR,
     "|": OR,
     "→": IMPLIES,
+    "->": IMPLIES,
     "↔": IFF,
+    "<->": IFF,
     "⊕": XOR,
     "^": XOR,
     "(": LPAREN,
     ")": RPAREN,
     ",": COMMA,
+    "forall": FORALL,
+    "exists": EXISTS,
 }
-_KEYWORDS = {"forall": FORALL, "exists": EXISTS}
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# Whitespace, then a token (group 1) or a character that starts none (group
+# 2).  ``\s`` matches exactly the characters ``str.isspace`` accepts, and a
+# token never starts with one, so successive matches cover the text.  ``lex``
+# scans the text without its trailing whitespace (``str.rstrip`` strips
+# exactly those characters and moves no offset): at a trailing-whitespace
+# offset the pattern fails only after backtracking over the rest of the run,
+# which makes a long run quadratic.
+_TOKEN_RE = re.compile(r"\s*(?:(<->|->|[∀∃¬~∧&∨|→↔⊕^(),]|[A-Za-z][A-Za-z0-9_]*)|(\S))")
 
 
 def lex(text: str) -> list[Token]:
     """Tokenize ``text``, accepting Unicode and ASCII spellings together."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(Token(IFF, "<->", i))
-            i += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token(IMPLIES, "->", i))
-            i += 2
-            continue
-        kind = _SINGLE_CHAR.get(ch)
-        if kind is not None:
-            tokens.append(Token(kind, ch, i))
-            i += 1
-            continue
-        match = _IDENT_RE.match(text, i)
-        if match is not None:
-            word = match.group()
-            tokens.append(Token(_KEYWORDS.get(word, IDENT), word, i))
-            i = match.end()
-            continue
-        raise LexError(f"unexpected character {ch!r}", i)
+    for match in _TOKEN_RE.finditer(text.rstrip()):
+        word = match[1]
+        if word is None:
+            raise LexError(f"unexpected character {match[2]!r}", match.start(2))
+        tokens.append(Token(_KINDS.get(word, IDENT), word, match.start(1)))
     return tokens
 
 
@@ -200,10 +188,10 @@ class AtomicUnit:
 
     predicate: str
     args: tuple[str, ...]
+    canonical_text: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def canonical_text(self) -> str:
-        return atom_text(self.predicate, self.args)
+    def __post_init__(self):
+        object.__setattr__(self, "canonical_text", atom_text(self.predicate, self.args))
 
     def __repr__(self) -> str:
         return f"AtomicUnit({self.canonical_text!r})"
@@ -234,6 +222,10 @@ def _fold(operands: list, ops: list[str], join=Binary):
     return out[0]
 
 
+_END = "end"  # the kind of the sentinel token after the last one
+_END_TOKEN = Token(_END, "", -1)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], mode: str = "precedence"):
         """Text of more tokens than half the recursion limit raises
@@ -243,7 +235,8 @@ class _Parser:
         max_tokens = sys.getrecursionlimit() // 2
         if len(tokens) > max_tokens:
             raise CapExceeded(f"formula has {len(tokens)} tokens (cap {max_tokens})")
-        self.tokens = tokens
+        # Reads index the list directly; the sentinel stops every one of them.
+        self.tokens = [*tokens, _END_TOKEN]
         self.pos = 0
         # The most operators one chain may hold at top level and inside one
         # parenthesis group; fully-parenthesized text gives each binary
@@ -253,25 +246,15 @@ class _Parser:
         # least one operator that unary() closed.
         self.last_group: tuple[list[FolExpr], list[str]] | None = None
 
-    def peek(self) -> Token | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def take(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {what}, found end of input")
-        if tok.kind != kind:
+    def ident(self, what: str) -> str:
+        """Pass the identifier at the cursor and return its text."""
+        tok = self.tokens[self.pos]
+        if tok.kind != IDENT:
+            if tok.kind == _END:
+                raise ParseError(f"expected {what}, found end of input")
             raise ParseError(f"expected {what}, found {tok.text!r}", tok.position)
-        return self.take()
+        self.pos += 1
+        return tok.text
 
     def parse(self) -> FolExpr:
         expr = _fold(*self.chain(self.top_ops))
@@ -279,76 +262,75 @@ class _Parser:
         return expr
 
     def finish(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            if tok.kind == RPAREN:
-                raise ParseError("unbalanced parentheses", tok.position)
+        tok = self.tokens[self.pos]
+        if tok.kind == RPAREN:
+            raise ParseError("unbalanced parentheses", tok.position)
+        if tok.kind != _END:
             raise ParseError(f"unexpected token {tok.text!r}", tok.position)
 
     def chain(self, max_ops: int | None = None) -> tuple[list[FolExpr], list[str]]:
         """A flat connective chain: its unary operands and operator kinds,
         at most ``max_ops`` operators when that is not None."""
+        tokens = self.tokens
         operands = [self.unary()]
         ops: list[str] = []
         while True:
-            tok = self.peek()
-            if tok is None or tok.kind not in BINARY_OPS:
+            tok = tokens[self.pos]
+            if tok.kind not in BINARY_OPS:
                 return operands, ops
             if len(ops) == max_ops:
                 raise ParseError(f"connective {tok.text!r} needs its own parentheses", tok.position)
-            self.take()
+            self.pos += 1
             ops.append(tok.kind)
             operands.append(self.unary())
 
     def unary(self) -> FolExpr:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
+        tok = self.tokens[self.pos]
         if tok.kind == NOT:
-            self.take()
+            self.pos += 1
             return Not(self.unary())
         if tok.kind in QUANTIFIERS:
-            self.take()
-            var = self.expect(IDENT, "a quantified variable name")
-            return Quantified(tok.kind, var.text, self.unary())
+            self.pos += 1
+            var = self.ident("a quantified variable name")
+            return Quantified(tok.kind, var, self.unary())
         if tok.kind == IDENT:
             return self.atom()
         if tok.kind == LPAREN:
-            self.take()
+            self.pos += 1
             operands, ops = self.chain(self.group_ops)
             self.close_paren(tok)
             if not ops:
                 return operands[0]
             self.last_group = (operands, ops)
             return _fold(operands, ops)
+        if tok.kind == _END:
+            raise ParseError("unexpected end of input")
         raise ParseError(f"unexpected token {tok.text!r}", tok.position)
 
     def atom(self) -> FolExpr:
-        name = self.take()
-        tok = self.peek()
-        if tok is None or tok.kind != LPAREN:
+        tokens = self.tokens
+        name = tokens[self.pos]
+        self.pos += 1
+        if tokens[self.pos].kind != LPAREN:
             return Atom(name.text)
-        self.take()
-        tok = self.peek()
-        if tok is not None and tok.kind == RPAREN:
+        self.pos += 1
+        tok = tokens[self.pos]
+        if tok.kind == RPAREN:
             raise ParseError("empty argument list", tok.position)
-        args = [self.expect(IDENT, "an argument name").text]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == COMMA:
-                self.take()
-                args.append(self.expect(IDENT, "an argument name").text)
-                continue
-            self.close_paren(name)
-            return Atom(name.text, tuple(args))
+        args = [self.ident("an argument name")]
+        while tokens[self.pos].kind == COMMA:
+            self.pos += 1
+            args.append(self.ident("an argument name"))
+        self.close_paren(name)
+        return Atom(name.text, tuple(args))
 
     def close_paren(self, opener: Token) -> None:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unbalanced parentheses", opener.position)
+        tok = self.tokens[self.pos]
         if tok.kind != RPAREN:
+            if tok.kind == _END:
+                raise ParseError("unbalanced parentheses", opener.position)
             raise ParseError(f"expected ')', found {tok.text!r}", tok.position)
-        self.take()
+        self.pos += 1
 
 
 def parse(text: str, mode: str = "precedence") -> FolExpr:

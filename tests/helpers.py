@@ -5,7 +5,9 @@ assignment dictionaries instead of bitmask arithmetic, the binding
 oracle enumerates complete injective matchings with itertools, the
 per-reading loop binds every bracketing tree of a prediction from scratch,
 the S-GRPO oracle computes the objective and its gradient one sample at
-a time, and the BLEU oracle re-counts both sides of every pair.  Slow but
+a time, the BLEU oracle re-counts both sides of every pair, the lexer
+oracle reads one character at a time, and the lowering oracle renames,
+lists atoms and compiles a skeleton in three separate walks.  Slow but
 obviously correct, which is the point.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -23,17 +26,125 @@ from foleq.equivalence import DEFAULT_LE, bind_optimized, bind_original
 from foleq.sgrpo import ObjectiveParts, kl_estimate, sft_term
 from foleq.similarity import levenshtein
 from foleq.syntax import (
+    AND,
+    COMMA,
+    EXISTS,
+    FORALL,
+    IDENT,
+    IFF,
+    IMPLIES,
+    LPAREN,
+    NOT,
+    OR,
+    RPAREN,
+    XOR,
     Atom,
     Binary,
     FolExpr,
+    LexError,
     Not,
     Quantified,
+    Token,
+    atom_text,
     atoms_of,
     canonicalize,
     enumerate_bracketings,
     lex,
     parse,
 )
+
+
+# --- per-character lexer ---------------------------------------------------------
+
+_SINGLE_CHAR = {
+    "∀": FORALL,
+    "∃": EXISTS,
+    "¬": NOT,
+    "~": NOT,
+    "∧": AND,
+    "&": AND,
+    "∨": OR,
+    "|": OR,
+    "→": IMPLIES,
+    "↔": IFF,
+    "⊕": XOR,
+    "^": XOR,
+    "(": LPAREN,
+    ")": RPAREN,
+    ",": COMMA,
+}
+_KEYWORDS = {"forall": FORALL, "exists": EXISTS}
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+def lex_by_char(text: str) -> list[Token]:
+    """Tokenize one character at a time: whitespace by ``str.isspace``,
+    ``<->`` before ``->``, then the one-character tokens, then identifiers."""
+    tokens: list[Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("<->", i):
+            tokens.append(Token(IFF, "<->", i))
+            i += 3
+            continue
+        if text.startswith("->", i):
+            tokens.append(Token(IMPLIES, "->", i))
+            i += 2
+            continue
+        kind = _SINGLE_CHAR.get(ch)
+        if kind is not None:
+            tokens.append(Token(kind, ch, i))
+            i += 1
+            continue
+        match = _IDENT_RE.match(text, i)
+        if match is not None:
+            word = match.group()
+            tokens.append(Token(_KEYWORDS.get(word, IDENT), word, i))
+            i = match.end()
+            continue
+        raise LexError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+# --- three-walk lowering -----------------------------------------------------------
+
+
+def _compile(expr: FolExpr, ordinals: dict[str, int]):
+    """A canonical tree's propositional skeleton, quantifiers dropped, as
+    nested tuples holding atom ordinals."""
+    while isinstance(expr, Quantified):
+        expr = expr.body
+    if isinstance(expr, Atom):
+        return ("atom", ordinals[atom_text(expr.predicate, expr.args)])
+    if isinstance(expr, Not):
+        return ("not", _compile(expr.body, ordinals))
+    return (expr.op, _compile(expr.left, ordinals), _compile(expr.right, ordinals))
+
+
+def lower_by_three_walks(operands: list[FolExpr], wrappers: list[FolExpr] = ()) -> tuple:
+    """The atoms and operand skeletons of the left-deep chain of
+    ``operands`` inside the quantifiers among ``wrappers``: the chain is
+    built as a tree, renamed by ``canonicalize``, listed by ``atoms_of`` and
+    compiled, and the code is split back into operand codes."""
+    tree = operands[0]
+    for operand in operands[1:]:
+        tree = Binary("and", tree, operand)
+    for wrapper in reversed(wrappers):
+        if isinstance(wrapper, Quantified):
+            tree = Quantified(wrapper.quantifier, wrapper.variable, tree)
+    tree = canonicalize(tree)
+    atoms = atoms_of(tree)
+    code = _compile(tree, {a.canonical_text: i for i, a in enumerate(atoms)})
+    codes = []
+    for _ in operands[1:]:
+        _, code, right = code
+        codes.append(right)
+    return atoms, [code, *reversed(codes)]
 
 
 def strip_quantifiers(expr: FolExpr) -> FolExpr:

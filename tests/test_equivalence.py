@@ -12,12 +12,27 @@ from foleq.equivalence import (
     LeConfig,
     bind_optimized,
     bind_original,
+    _lower,
     le_score,
     propositional_score,
 )
 from foleq.similarity import SimilarityConfig, levenshtein
-from foleq.syntax import CapExceeded, ParseError, atoms_of, canonicalize, parse
-from helpers import agreement, best_complete_matching, random_formula
+from foleq.syntax import (
+    BINARY_OPS,
+    Atom,
+    Binary,
+    CapExceeded,
+    Not,
+    ParseError,
+    Quantified,
+    atoms_of,
+    canonicalize,
+    lex,
+    parse,
+    render,
+    split_chain,
+)
+from helpers import agreement, best_complete_matching, lower_by_three_walks, random_formula
 
 
 def canon(text: str):
@@ -81,6 +96,52 @@ def test_score_matches_row_oracle(seed):
     got = propositional_score(pred, ref, binding)
     want = agreement(pred, ref, {p.canonical_text: r.canonical_text for p, r in pairs})
     assert got == pytest.approx(want, abs=1e-12)
+
+
+# --- one lowering walk against rename, list and compile -------------------------
+
+def _negated(count: int, body):
+    for _ in range(count):
+        body = Not(body)
+    return body
+
+
+# Free v1/v2 collide with the fresh names, z is quantified but never used,
+# and two predicates over four names make atoms repeat.
+_LOWERING_FORMULAS = st.recursive(
+    st.builds(
+        Atom, st.sampled_from(["P", "Q"]), st.lists(st.sampled_from(["x", "y", "v1", "v2"]), max_size=2).map(tuple)
+    ),
+    lambda children: st.one_of(
+        st.builds(_negated, st.integers(1, 40), children),
+        st.builds(Quantified, st.sampled_from(["forall", "exists"]), st.sampled_from(["x", "y", "v1", "z"]), children),
+        st.builds(Binary, st.sampled_from(BINARY_OPS), children, children),
+    ),
+    max_leaves=8,
+)
+
+
+def _texts_and_codes(lower, operands, wrappers=()):
+    atoms, codes = lower(operands, wrappers)
+    return [a.canonical_text for a in atoms], codes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LOWERING_FORMULAS)
+@example(parse("∀x ∃x P(x)"))
+@example(parse("∀x (P(x) ∧ P(v1) ∧ ∃y Q(v2, y))"))
+@example(parse("∀z ∀x P(x) ∧ ∀z P(x)"))
+@example(parse("¬" * 60 + "∀x (P(x) ∧ P(x) ∧ ¬¬P(x))"))
+def test_lowering_matches_rename_list_and_compile(tree):
+    assert _texts_and_codes(_lower, [tree]) == _texts_and_codes(lower_by_three_walks, [tree])
+    # The chain form that scoring lowers: the operands of the outermost
+    # chain inside the wrappers around it.
+    try:
+        wrappers, operands, _ = split_chain(lex(render(tree)))
+    except CapExceeded:
+        return
+    lowered = _texts_and_codes(_lower, operands, wrappers)
+    assert lowered == _texts_and_codes(lower_by_three_walks, operands, wrappers)
 
 
 # --- exhaustive binding search ---------------------------------------------------

@@ -1,5 +1,7 @@
 import random
+import re
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +22,7 @@ from foleq.syntax import (
     parse,
     render,
 )
-from helpers import random_formula
+from helpers import lex_by_char, random_formula
 
 
 # --- lexing -------------------------------------------------------------------
@@ -47,6 +49,58 @@ def test_lex_rejects_unknown_character():
 
 def test_lex_error_is_parse_error():
     assert issubclass(LexError, ParseError)
+
+
+def test_regex_whitespace_is_exactly_str_isspace():
+    # lex skips whitespace with the regex class \s; the per-character
+    # lexer it replaced skipped what str.isspace accepts.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [ch for ch in every if ch.isspace()]
+
+
+TOKEN_SOUP = [
+    "∀", "∃", "¬", "~", "∧", "&", "∨", "|", "→", "->", "↔", "<->", "⊕", "^", "(", ")", ",",
+    "<-", "<", "-", ">", " ", "\t", "\n", "\u2003", "\x1c", "\x85", "é", "0", "7", "_",
+    "A", "x", "P1", "v_2", "forall", "forallx", "exists", "existsy",
+]
+
+
+def _lexed(lexer, text):
+    try:
+        return lexer(text)
+    except LexError as exc:
+        return (str(exc), exc.position)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(TOKEN_SOUP), max_size=24).map("".join))
+@example("A<->B->C<-D")
+@example("forallx forall x existsy")
+def test_lex_matches_the_per_character_lexer(text):
+    assert _lexed(lex, text) == _lexed(lex_by_char, text)
+
+
+RUN = 20_000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A" + " " * RUN,
+        " " * RUN,
+        "A" + " " * RUN + "B" + " \x85\t" * RUN,
+        "A" + " " * RUN + "$" + " " * RUN,
+        "forall" + "\n" * RUN,
+    ],
+    ids=["trailing", "only", "interior-and-trailing", "after-an-error", "newlines"],
+)
+def test_lex_is_linear_in_whitespace_runs(text):
+    # A scan that backtracks over trailing whitespace at every offset takes
+    # seconds on these runs; a linear one takes well under a millisecond.
+    start = time.perf_counter()
+    result = _lexed(lex, text)
+    assert time.perf_counter() - start < 0.5
+    assert result == _lexed(lex_by_char, text)
 
 
 # --- parsing ------------------------------------------------------------------
@@ -116,6 +170,68 @@ def test_fully_parenthesized_mode_accepts_explicit_trees():
 def test_fully_parenthesized_mode_rejects_chains():
     with pytest.raises(ParseError):
         parse("(A ∧ B ∧ C)", mode="fully-parenthesized")
+
+
+# Every error the parser raises, by text, in both modes: (text, mode or
+# None for both, error type, message).  The offset is the one in the message.
+PARSE_ERRORS = [
+    ("", None, ParseError, "empty formula"),
+    ("   ", None, ParseError, "empty formula"),
+    ("P $ Q", None, LexError, "unexpected character '$' (offset 2)"),
+    ("A <- B", None, LexError, "unexpected character '<' (offset 2)"),
+    ("∀", None, ParseError, "expected a quantified variable name, found end of input"),
+    ("∀ ∧ A", None, ParseError, "expected a quantified variable name, found '∧' (offset 2)"),
+    ("∀x", None, ParseError, "unexpected end of input"),
+    ("¬", None, ParseError, "unexpected end of input"),
+    ("(", None, ParseError, "unexpected end of input"),
+    ("A)", None, ParseError, "unbalanced parentheses (offset 1)"),
+    ("¬(A ∧ B))", None, ParseError, "unbalanced parentheses (offset 8)"),
+    ("A B", None, ParseError, "unexpected token 'B' (offset 2)"),
+    ("∧ A", None, ParseError, "unexpected token '∧' (offset 0)"),
+    (")", None, ParseError, "unexpected token ')' (offset 0)"),
+    ("A ∧", "precedence", ParseError, "unexpected end of input"),
+    ("A ∧", "fully-parenthesized", ParseError, "connective '∧' needs its own parentheses (offset 2)"),
+    ("A ∧ B", "fully-parenthesized", ParseError, "connective '∧' needs its own parentheses (offset 2)"),
+    ("(A ∧ B ∧ C)", "fully-parenthesized", ParseError, "connective '∧' needs its own parentheses (offset 7)"),
+    ("(A ∧ B) ∨ C", "fully-parenthesized", ParseError, "connective '∨' needs its own parentheses (offset 8)"),
+    ("P()", None, ParseError, "empty argument list (offset 2)"),
+    ("P(", None, ParseError, "expected an argument name, found end of input"),
+    ("P(x,", None, ParseError, "expected an argument name, found end of input"),
+    ("P(∧", None, ParseError, "expected an argument name, found '∧' (offset 2)"),
+    ("P(x, )", None, ParseError, "expected an argument name, found ')' (offset 5)"),
+    ("(A", None, ParseError, "unbalanced parentheses (offset 0)"),
+    ("P(x", None, ParseError, "unbalanced parentheses (offset 0)"),
+    ("((A ∧ B)", None, ParseError, "unbalanced parentheses (offset 0)"),
+    ("A ∧ (B", "precedence", ParseError, "unbalanced parentheses (offset 4)"),
+    ("A ∧ (B", "fully-parenthesized", ParseError, "connective '∧' needs its own parentheses (offset 2)"),
+    ("(A B", None, ParseError, "expected ')', found 'B' (offset 3)"),
+    ("P(x y)", None, ParseError, "expected ')', found 'y' (offset 4)"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, mode, error, message",
+    [
+        (text, mode, error, message)
+        for text, modes, error, message in PARSE_ERRORS
+        for mode in ([modes] if modes else ["precedence", "fully-parenthesized"])
+    ],
+)
+def test_parse_error_texts_and_offsets(text, mode, error, message):
+    with pytest.raises(error) as err:
+        parse(text, mode)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    offset = re.search(r" \(offset (\d+)\)$", message)
+    assert err.value.position == (int(offset[1]) if offset else None)
+
+
+@pytest.mark.parametrize("mode", ["precedence", "fully-parenthesized"])
+def test_token_cap_error_text(mode):
+    cap = sys.getrecursionlimit() // 2
+    with pytest.raises(CapExceeded) as err:
+        parse("¬" * cap + "A", mode)
+    assert str(err.value) == f"formula has {cap + 1} tokens (cap {cap})"
 
 
 @pytest.mark.parametrize(
