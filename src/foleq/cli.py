@@ -195,6 +195,12 @@ def _cmd_serve(args) -> int:
     if config is None:
         return DATA_ERROR
     if args.stdio:
+        # As on the socket: bytes that are not UTF-8 read as U+FFFD, and a
+        # lone surrogate from a JSON escape is written back as that escape.
+        for stream, errors in ((sys.stdin, "replace"), (sys.stdout, "backslashreplace")):
+            reconfigure = getattr(stream, "reconfigure", None)
+            if reconfigure is not None:
+                reconfigure(errors=errors)
         serve(sys.stdin, sys.stdout, config)
     else:
         serve_socket(args.socket, config)
@@ -245,13 +251,18 @@ def _demo_config_from_mapping(raw: dict) -> TrainDemoConfig:
         learning_rate=float(raw.get("learning_rate", 0.5)),
         seed=int(raw.get("seed", 0)),
     )
+    for key in ("vocab", "references"):
+        if key in raw and not (isinstance(raw[key], list) and all(isinstance(v, str) for v in raw[key])):
+            raise ValueError(f"{key} must be a list of strings")
     hp = replace(base.hp, group_size=int(raw.get("group_size", base.hp.group_size)))
-    return replace(
+    config = replace(
         base,
         vocab=tuple(raw.get("vocab", base.vocab)),
         references=tuple(raw.get("references", base.references)),
         hp=hp,
     )
+    config.prompts()  # every reference must be max_length tokens of the vocab
+    return config
 
 
 def run_cli(argv: list[str] | None = None) -> int:

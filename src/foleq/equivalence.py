@@ -33,11 +33,11 @@ modes deterministic.
 A GRPO-style group scores many predictions against one reference, so
 ``score_group`` compiles the reference once (``CompiledReference``) and
 scores each distinct prediction text once, with one renaming, atom list and
-candidate graph for all of its readings, each joined from operand codes.
-The compiled reference remembers each prediction atom text's candidate row,
-edit distances are computed only where the search enumerates, and readings
-with equal truth tables share one search.  ``le_score`` is the same path for
-a group of one.
+search plan (``_AtomTables``) for all of its readings, each joined from
+operand codes.  The compiled reference remembers each prediction atom text's
+candidate row, edit distances are computed only where the search enumerates,
+and readings with equal truth tables share one search.  ``le_score`` is the
+same path for a group of one.
 """
 
 from __future__ import annotations
@@ -166,24 +166,25 @@ class CandidateGraph:
                     rows[text] = row
             edges.extend((i, j, sim) for j, sim in row)
 
-        parent: dict[tuple[str, int], tuple[str, int]] = {}
+        # Union-find over node ids: prediction atom i is node i, reference
+        # atom j is node n_p + j.
+        n_p = len(pred_atoms)
+        parent = list(range(n_p + len(ref_atoms)))
 
-        def find(x):
+        def find(x: int) -> int:
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
             return x
 
         for i, j, _ in edges:
-            for node in (("p", i), ("r", j)):
-                parent.setdefault(node, node)
-            a, b = find(("p", i)), find(("r", j))
+            a, b = find(i), find(n_p + j)
             if a != b:
                 parent[a] = b
 
-        groups: dict[tuple[str, int], tuple[set[int], set[int]]] = {}
+        groups: dict[int, tuple[set[int], set[int]]] = {}
         for i, j, _ in edges:
-            root = find(("p", i))
+            root = find(i)
             preds, refs = groups.setdefault(root, (set(), set()))
             preds.add(i)
             refs.add(j)
@@ -373,42 +374,21 @@ def compile_reference(reference: str) -> CompiledReference:
     return CompiledReference(parse(reference))
 
 
-class _Scorer:
-    """Shared state for scoring many bindings of one prediction reading
-    against a compiled reference: the reading's atoms and skeleton (as
-    ``_lower`` gives them) and the row counter."""
-
-    def __init__(
-        self,
-        pred_atoms: tuple[AtomicUnit, ...],
-        pred_code,
-        ref: CompiledReference,
-        max_atoms: int,
-    ):
-        self.pred_atoms = pred_atoms
-        self.pred_code = pred_code
-        self.ref = ref
-        self.ref_atoms = ref.atoms
-        self.n_p = len(pred_atoms)
-        self.n_r = len(ref.atoms)
-        self.max_atoms = max_atoms
-        self.assignments_evaluated = 0
-
-    def score(self, mapping: list[int | None]) -> float:
-        """Agreement fraction for one binding.  ``mapping[i]`` is the
-        reference index bound to prediction atom i, or None when unbound."""
-        unbound = sum(1 for m in mapping if m is None)
-        k = self.n_r + unbound
-        if k > self.max_atoms:
-            raise CapExceeded(f"{k} combined atoms exceeds the truth-table cap {self.max_atoms}")
-        patterns, mask, rows = _var_patterns(k)
-        # Unbound prediction atoms take the variables after the reference's.
-        free = iter(range(self.n_r, k))
-        varmap = [next(free) if m is None else m for m in mapping]
-        ref_bits = self.ref.bits(k)
-        pred_bits = _eval_bits(self.pred_code, varmap, patterns, mask)
-        self.assignments_evaluated += rows
-        return (rows - (pred_bits ^ ref_bits).bit_count()) / rows
+def _agreement(code, mapping: list[int | None], ref: CompiledReference, max_atoms: int) -> tuple[int, int]:
+    """Truth-table agreement of the prediction skeleton ``code`` with ``ref``
+    under one binding: the agreeing rows and the row count.  ``mapping[i]``
+    is the reference index bound to prediction atom i, or None when unbound;
+    unbound atoms take the variables after the reference's."""
+    n_r = len(ref.atoms)
+    k = n_r + mapping.count(None)
+    if k > max_atoms:
+        raise CapExceeded(f"{k} combined atoms exceeds the truth-table cap {max_atoms}")
+    patterns, mask, rows = _var_patterns(k)
+    free = iter(range(n_r, k))
+    varmap = [next(free) if m is None else m for m in mapping]
+    ref_bits = ref.bits(k)
+    pred_bits = _eval_bits(code, varmap, patterns, mask)
+    return rows - (pred_bits ^ ref_bits).bit_count(), rows
 
 
 def _binding_from(
@@ -429,30 +409,37 @@ def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_at
     them, so the binding names atoms of the renamed trees; canonical trees
     are left as they are."""
     pred_atoms, (pred_code,) = _lower([pred])
-    scorer = _Scorer(pred_atoms, pred_code, CompiledReference(ref), max_atoms)
-    pred_index = {a.canonical_text: i for i, a in enumerate(scorer.pred_atoms)}
-    ref_index = {a.canonical_text: j for j, a in enumerate(scorer.ref_atoms)}
-    mapping: list[int | None] = [None] * scorer.n_p
+    compiled = CompiledReference(ref)
+    pred_index = {a.canonical_text: i for i, a in enumerate(pred_atoms)}
+    ref_index = {a.canonical_text: j for j, a in enumerate(compiled.atoms)}
+    mapping: list[int | None] = [None] * len(pred_atoms)
     for p, r in binding.pairs:
         if p.canonical_text not in pred_index:
             raise ValueError(f"binding names unknown prediction atom {p.canonical_text!r}")
         if r.canonical_text not in ref_index:
             raise ValueError(f"binding names unknown reference atom {r.canonical_text!r}")
         mapping[pred_index[p.canonical_text]] = ref_index[r.canonical_text]
-    return scorer.score(mapping)
+    agree, rows = _agreement(pred_code, mapping, compiled, max_atoms)
+    return agree / rows
 
 
 # --- binding searches --------------------------------------------------------
 
 
 class _AtomTables:
-    """What the binding search reads from the two atom lists: the candidate
-    graph's components, the component cap (None in original mode), and, for
-    each prediction atom of a component the search enumerates (more than
-    one atom on a side), its candidate reference atoms as (index, edit
-    distance) in ascending (distance, index) order.  One-to-one components
-    are fixed outright, so no other edit distance is computed.  The tables
-    depend on the atoms alone, so one prediction's readings share them."""
+    """The binding search's plan for one prediction's atoms against a
+    compiled reference.  It depends on the atoms alone, so one prediction's
+    readings share it, and the search reads nothing else of a reading but
+    its skeleton.
+
+    ``start`` binds every one-to-one component of the candidate graph and
+    leaves every other atom unbound.  ``enumerated`` lists each larger
+    component (more than one atom on a side), in order, as its prediction
+    atoms and its skip budget: how many of them a maximum-cardinality
+    assignment leaves unbound.  ``candidates`` gives each of those atoms its
+    candidate reference atoms as (index, edit distance) in ascending
+    (distance, index) order; no other edit distance is computed.  The
+    component cap is None in original mode."""
 
     def __init__(
         self,
@@ -461,6 +448,8 @@ class _AtomTables:
         mode: str,
         config: LeConfig,
     ):
+        self.ref = ref
+        self.max_atoms = config.max_atoms
         n_p, n_r = len(pred_atoms), len(ref.atoms)
         adj: dict[int, range | list[int]]
         if mode == "original":
@@ -469,7 +458,7 @@ class _AtomTables:
                     f"{max(n_p, n_r)} atoms exceeds the factorial-search cap {config.max_factorial_atoms}"
                 )
             adj = {i: range(n_r) for i in range(n_p)}
-            self.components = (Component(tuple(range(n_p)), tuple(range(n_r))),)
+            components: Sequence[Component] = (Component(tuple(range(n_p)), tuple(range(n_r))),)
             self.component_cap: int | None = None
         else:
             graph = CandidateGraph.build(
@@ -478,15 +467,21 @@ class _AtomTables:
             adj = {}
             for i, j, _ in graph.edges:
                 adj.setdefault(i, []).append(j)
-            self.components = graph.components
+            components = graph.components
             self.component_cap = config.component_cap
+        self.start: list[int | None] = [None] * n_p
+        self.enumerated: list[tuple[tuple[int, ...], int]] = []
         self.candidates: dict[int, list[tuple[int, int]]] = {}
-        for comp in self.components:
-            if len(comp.prediction_atoms) > 1 or len(comp.reference_atoms) > 1:
-                for i in comp.prediction_atoms:
-                    text = pred_atoms[i].canonical_text
-                    row = sorted((levenshtein(text, ref.atoms[j].canonical_text), j) for j in adj[i])
-                    self.candidates[i] = [(j, dist) for dist, j in row]
+        for comp in components:
+            preds, refs = comp.prediction_atoms, comp.reference_atoms
+            if len(preds) == 1 and len(refs) == 1:
+                self.start[preds[0]] = refs[0]
+                continue
+            for i in preds:
+                text = pred_atoms[i].canonical_text
+                row = sorted((levenshtein(text, ref.atoms[j].canonical_text), j) for j in adj[i])
+                self.candidates[i] = [(j, dist) for dist, j in row]
+            self.enumerated.append((preds, len(preds) - _max_matching_size(preds, self.candidates)))
 
 
 def _max_matching_size(preds: tuple[int, ...], adj: dict[int, list[tuple[int, int]]]) -> int:
@@ -521,26 +516,20 @@ class _Found(NamedTuple):
     truncated: bool
 
 
-def _search(scorer: _Scorer, tables: _AtomTables) -> _Found:
-    """Fix one-to-one components outright, then enumerate the
-    maximum-cardinality injective assignments of each larger component in
-    turn, candidates in ascending edit distance, keeping the best."""
+def _search(code, tables: _AtomTables) -> _Found:
+    """Search the bindings of one reading, given by its skeleton ``code``:
+    from the plan's start mapping, enumerate the maximum-cardinality
+    injective assignments of each enumerated component in turn, candidates
+    in ascending edit distance, keeping the best."""
+    ref, max_atoms = tables.ref, tables.max_atoms
     adj, cap = tables.candidates, tables.component_cap
-    mapping: list[int | None] = [None] * scorer.n_p
-    multi: list[Component] = []
-    for comp in tables.components:
-        if len(comp.prediction_atoms) == 1 and len(comp.reference_atoms) == 1:
-            mapping[comp.prediction_atoms[0]] = comp.reference_atoms[0]
-        else:
-            multi.append(comp)
-
-    explored = 0
+    mapping = tables.start.copy()
+    used = [False] * len(ref.atoms)
+    explored = assignments = 0
     truncated = False
     final_score: float | None = None
-    used = [False] * scorer.n_r
 
-    for comp in multi:
-        preds = comp.prediction_atoms
+    for preds, skips in tables.enumerated:
         size = len(preds)
         best_assign: list[int | None] = []
         best_score, best_dist, count = -1.0, 0, 0
@@ -548,11 +537,13 @@ def _search(scorer: _Scorer, tables: _AtomTables) -> _Found:
         def rec(pos: int, skips_left: int, dist: int) -> bool:
             """Extend the assignment from ``preds[pos]`` on; ``dist`` is the
             edit distance summed so far.  True once ``cap`` are scored."""
-            nonlocal best_assign, best_score, best_dist, count
+            nonlocal best_assign, best_score, best_dist, count, assignments
             if pos == size:
                 if skips_left:
                     return False
-                score = scorer.score(mapping)
+                agree, rows = _agreement(code, mapping, ref, max_atoms)
+                assignments += rows
+                score = agree / rows
                 count += 1
                 if score > best_score or (score == best_score and dist < best_dist):
                     best_assign, best_score, best_dist = [mapping[i] for i in preds], score, dist
@@ -569,27 +560,28 @@ def _search(scorer: _Scorer, tables: _AtomTables) -> _Found:
                         return True
             return skips_left > 0 and rec(pos + 1, skips_left - 1, dist)
 
-        truncated = rec(0, size - _max_matching_size(preds, adj), 0) or truncated
+        truncated = rec(0, skips, 0) or truncated
         explored += count
         for i, j in zip(preds, best_assign):
             mapping[i] = j
         final_score = best_score
 
     if final_score is None:
-        final_score = scorer.score(mapping)
+        agree, rows = _agreement(code, mapping, ref, max_atoms)
+        assignments += rows
+        final_score = agree / rows
         explored += 1
 
-    return _Found(mapping, final_score, explored, scorer.assignments_evaluated, truncated)
+    return _Found(mapping, final_score, explored, assignments, truncated)
 
 
 def _bind(pred: FolExpr, ref: FolExpr | CompiledReference, mode: str, config: LeConfig) -> BindingResult:
     if not isinstance(ref, CompiledReference):
         ref = CompiledReference(ref)
     pred_atoms, (pred_code,) = _lower([pred])
-    scorer = _Scorer(pred_atoms, pred_code, ref, config.max_atoms)
-    found = _search(scorer, _AtomTables(scorer.pred_atoms, ref, mode, config))
+    found = _search(pred_code, _AtomTables(pred_atoms, ref, mode, config))
     return BindingResult(
-        _binding_from(scorer.pred_atoms, ref.atoms, found.mapping),
+        _binding_from(pred_atoms, ref.atoms, found.mapping),
         found.score,
         found.bindings_explored,
         found.assignments_evaluated,
@@ -662,7 +654,7 @@ def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config
         table = _eval_bits(pred_code, range(n_p), patterns, mask) if tabled else None
         found = searched.get(table)
         if found is None:
-            found = _search(_Scorer(pred_atoms, pred_code, ref, config.max_atoms), tables)
+            found = _search(pred_code, tables)
             if tabled:
                 searched[table] = found
         assignments += found.assignments_evaluated

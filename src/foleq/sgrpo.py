@@ -41,7 +41,6 @@ class Hyperparams:
     std_epsilon: float = 1e-8
     learning_rate: float = 0.5
     max_length: int = 12
-    inner_epochs: int = 1
     seed: int = 0
     use_ppo_min: bool = False
 
@@ -54,8 +53,8 @@ class Hyperparams:
             raise ValueError("kl_beta and sft_weight must be non-negative")
         if self.std_epsilon <= 0:
             raise ValueError("std_epsilon must be positive")
-        if self.max_length < 1 or self.inner_epochs < 1:
-            raise ValueError("max_length and inner_epochs must be positive")
+        if self.max_length < 1:
+            raise ValueError("max_length must be positive")
 
 
 @dataclass(frozen=True)
@@ -395,17 +394,13 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
             all_rewards.append(rewards)
 
         parts_acc = np.zeros(4)
-        for _ in range(hp.inner_epochs):
-            grad = np.zeros_like(current.logits)
-            parts_acc[:] = 0.0
-            for prompt, group, ref_logp in zip(prompts, groups, ref_logps):
-                pid = prompt.prompt_id
-                parts, slice_grad = _objective_and_gradient(
-                    current.log_probs(pid), ref_logp, prompt, group, hp
-                )
-                parts_acc += (parts.total, parts.surrogate, parts.sft, parts.kl)
-                grad[pid] += slice_grad
-            current = PolicyParams(current.logits + hp.learning_rate * grad, "current")
+        grad = np.zeros_like(current.logits)
+        for prompt, group, ref_logp in zip(prompts, groups, ref_logps):
+            pid = prompt.prompt_id
+            parts, slice_grad = _objective_and_gradient(current.log_probs(pid), ref_logp, prompt, group, hp)
+            parts_acc += (parts.total, parts.surrogate, parts.sft, parts.kl)
+            grad[pid] += slice_grad
+        current = PolicyParams(current.logits + hp.learning_rate * grad, "current")
 
         pooled = np.concatenate(all_rewards)
         mean_parts = parts_acc / len(prompts)

@@ -8,6 +8,7 @@ import pytest
 from foleq.cli import _demo_config_from_mapping, run_cli
 from foleq.corpus import EvalPair, corpus_le
 from foleq.sgrpo import default_demo_config
+from test_service import NOT_UTF8_LINES, check_not_utf8_answers
 
 
 def run(capsys, *argv):
@@ -278,6 +279,18 @@ def test_serve_stdio(monkeypatch, capsys):
     assert responses[0]["score"] == 1.0
 
 
+def test_serve_stdio_under_strict_decoding_outlives_requests_that_are_not_utf8(monkeypatch):
+    lines = [*NOT_UTF8_LINES, json.dumps({"id": "q2", "op": "le_score", "prediction": "A", "reference": "A"}).encode()]
+    out = io.BytesIO()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"".join(lines) + b"\n"), encoding="utf-8"))
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="utf-8", newline="\n"))
+    assert run_cli(["serve", "--stdio"]) == 0
+    sys.stdout.flush()
+    answers = [json.loads(line) for line in out.getvalue().splitlines()]
+    check_not_utf8_answers(answers[:4])
+    assert answers[4]["id"] == "q2" and answers[4]["score"] == 1.0
+
+
 def test_serve_requires_transport(capsys):
     code, _, _ = run(capsys, "serve")
     assert code == 1
@@ -340,3 +353,22 @@ def test_train_demo_config_sets_vocab_references_and_group_size(tmp_path, capsys
     code, _, err = run(capsys, "train-demo", "--config", str(config_path))
     assert code == 2
     assert "group_size must be at least 2" in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ({"references": ["P ( x )"]}, "reference must be exactly 12 tokens: 'P ( x )'"),
+        ({"references": ["( P ( x ) → ¬ Z ( x ) )"]}, "reference tokens not in vocab: ['Z']"),
+        ({"references": "( P ( x ) → ¬ Q ( x ) )"}, "references must be a list of strings"),
+        ({"references": [["P"]]}, "references must be a list of strings"),
+        ({"vocab": "()PQRx¬∧∨→∀y"}, "vocab must be a list of strings"),
+        ({"vocab": ["(", ")", 1]}, "vocab must be a list of strings"),
+    ],
+)
+def test_train_demo_bad_prompts_are_a_data_error(tmp_path, capsys, content, message):
+    config_path = tmp_path / "demo.json"
+    config_path.write_text(json.dumps(dict(content, iterations=2)), encoding="utf-8")
+    code, out, err = run(capsys, "train-demo", "--config", str(config_path))
+    assert (code, out) == (2, "")
+    assert err == f"bad demo config: {message}\n"

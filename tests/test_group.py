@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import foleq.equivalence as equivalence
 from foleq.equivalence import (
@@ -15,6 +15,7 @@ from foleq.equivalence import (
     LeConfig,
     compile_reference,
     le_score,
+    propositional_score,
     score_group,
 )
 from foleq.similarity import SimilarityConfig
@@ -412,3 +413,43 @@ def test_equal_readings_of_a_long_chain_share_one_search():
     chain = "(" + " ∧ ".join("ABCDEFGABCDEFGABC") + ")"
     report = le_score(chain, chain, "original")
     assert (report.score, report.trees_explored, report.bindings_explored) == (1.0, 8751, 44_105_040)
+
+
+# --- one search plan per prediction ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "prediction, components",
+    [
+        # Distinct one-letter names: optimized mode fixes every atom outright.
+        ("A → B ↔ C ∧ D ⊕ A ∨ B → C", {"original": 1, "optimized": 0}),
+        ("Likes(a) ∨ Like(a) ∧ Liked(a) → Likes(a) ⊕ Like(a)", {"original": 1, "optimized": 1}),
+        ("Likes(a) ∨ Like(a) ∧ Owns(a) → Own(a) ⊕ Likes(a)", {"original": 1, "optimized": 2}),
+    ],
+)
+@pytest.mark.parametrize("mode", MODES)
+def test_each_component_is_matched_once_per_prediction(monkeypatch, mode, prediction, components):
+    matchings, searches = [], []
+    monkeypatch.setattr(equivalence, "_max_matching_size", _counting(matchings, equivalence._max_matching_size))
+    monkeypatch.setattr(equivalence, "_search", _counting(searches, equivalence._search))
+    report = le_score(prediction, prediction, mode)
+    assert report.score == 1.0
+    assert len(searches) > 1
+    assert len(matchings) == components[mode]
+
+
+_PLAN_PREDICATES = ["Likes", "Like", "Liked", "Owns", "Own", "P"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(MODES))
+def test_a_reports_binding_rescores_to_its_score(seed, mode):
+    """For a prediction with one reading, the report's binding scored on
+    its own gives the report's score."""
+    rng = random.Random(seed)
+    prediction = render(random_formula(rng, max_atoms=5, max_depth=4, predicates=_PLAN_PREDICATES))
+    reference = render(random_formula(rng, max_atoms=5, max_depth=4, predicates=_PLAN_PREDICATES))
+    report = le_score(prediction, reference, mode)
+    assume(report.trees_explored == 1)
+    pred, ref = canonicalize(parse(prediction)), canonicalize(parse(reference))
+    assert propositional_score(pred, ref, report.binding) == report.score

@@ -350,6 +350,51 @@ def test_serve_socket_outlives_a_client_that_leaves_before_its_answer(tmp_path):
     assert answer["id"] == "t2" and answer["score"] == 1.0
 
 
+# Lines that are not UTF-8, or that spell a lone surrogate as a JSON escape,
+# with the answer each gets.
+NOT_UTF8_LINES = [
+    b'{"id": "a", "op": "le_score", "prediction": "A", "reference": "A \xff"}\n',
+    b'{"id": "b", "op": "le_score", "prediction": "A \xff", "reference": "A"}\n',
+    b"\xff\xfe\n",
+    b'{"id": "\\ud800", "op": "le_score", "prediction": "A", "reference": "A"}\n',
+]
+
+
+def check_not_utf8_answers(answers):
+    assert answers[0] == {
+        "id": "a",
+        "error": {"code": BAD_REQUEST, "message": "unparseable reference: unexpected character '\ufffd' (offset 2)"},
+    }
+    assert answers[1] == {
+        "id": "b",
+        "score": 0.0,
+        "detail": {"warning": "unparseable prediction: unexpected character '\ufffd' (offset 2)"},
+    }
+    assert answers[2]["id"] == "?" and answers[2]["error"]["code"] == BAD_REQUEST
+    assert answers[3]["id"] == "\ud800" and answers[3]["score"] == 1.0
+
+
+def test_serve_socket_outlives_requests_that_are_not_utf8(tmp_path):
+    path = tmp_path / "scoring.sock"
+    thread, bad = start_socket_service(str(path))
+    bad.settimeout(10)
+    with bad, bad.makefile("rb") as reader:
+        bad.sendall(b"".join(NOT_UTF8_LINES))
+        answers = [json.loads(reader.readline()) for _ in NOT_UTF8_LINES]
+    second = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    second.settimeout(10)
+    with second, second.makefile("r", encoding="utf-8", newline="\n") as reader:
+        second.connect(str(path))
+        second.sendall((json.dumps(le_request("t3", "A", "A")) + "\n").encode())
+        answer = json.loads(reader.readline())
+        second.sendall(b'{"op": "shutdown"}\n')
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert not path.exists()
+    check_not_utf8_answers(answers)
+    assert answer["id"] == "t3" and answer["score"] == 1.0
+
+
 def test_serve_socket_restarts_on_the_same_path(tmp_path):
     path = tmp_path / "scoring.sock"
     for _ in range(2):
