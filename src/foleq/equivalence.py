@@ -35,9 +35,13 @@ A GRPO-style group scores many predictions against one reference, so
 scores each distinct prediction text once, with one renaming, atom list and
 search plan (``_AtomTables``) for all of its readings, each joined from
 operand codes.  The compiled reference remembers each prediction atom text's
-candidate row, edit distances are computed only where the search enumerates,
-and readings with equal truth tables share one search.  ``le_score`` is the
-same path for a group of one.
+candidate row, and edit distances are computed only where the search
+enumerates.  A prediction whose readings have one distinct truth table is
+searched once, as that reading alone.  One with several distinct tables is
+searched in one lockstep walk (``_search_lockstep``): at each binding the
+reference skeleton is evaluated once under the inverse mapping, and every
+reading's table is scored against it with one XOR.  ``le_score`` is the same
+path for a group of one.
 """
 
 from __future__ import annotations
@@ -374,6 +378,13 @@ def compile_reference(reference: str) -> CompiledReference:
     return CompiledReference(parse(reference))
 
 
+def _capped_patterns(k: int, max_atoms: int) -> tuple[tuple[int, ...], int, int]:
+    """``_var_patterns(k)``, or ``CapExceeded`` when ``k`` passes ``max_atoms``."""
+    if k > max_atoms:
+        raise CapExceeded(f"{k} combined atoms exceeds the truth-table cap {max_atoms}")
+    return _var_patterns(k)
+
+
 def _agreement(code, mapping: list[int | None], ref: CompiledReference, max_atoms: int) -> tuple[int, int]:
     """Truth-table agreement of the prediction skeleton ``code`` with ``ref``
     under one binding: the agreeing rows and the row count.  ``mapping[i]``
@@ -381,9 +392,7 @@ def _agreement(code, mapping: list[int | None], ref: CompiledReference, max_atom
     unbound atoms take the variables after the reference's."""
     n_r = len(ref.atoms)
     k = n_r + mapping.count(None)
-    if k > max_atoms:
-        raise CapExceeded(f"{k} combined atoms exceeds the truth-table cap {max_atoms}")
-    patterns, mask, rows = _var_patterns(k)
+    patterns, mask, rows = _capped_patterns(k, max_atoms)
     free = iter(range(n_r, k))
     varmap = [next(free) if m is None else m for m in mapping]
     ref_bits = ref.bits(k)
@@ -516,51 +525,81 @@ class _Found(NamedTuple):
     truncated: bool
 
 
+def _enumerate(tables: _AtomTables, preds: tuple[int, ...], skips: int, mapping: list[int | None], leaf) -> int:
+    """Walk the maximum-cardinality injective assignments of the enumerated
+    component ``preds`` with skip budget ``skips``: each atom tries its
+    candidates in ascending edit distance, then, while the budget lasts,
+    staying unbound.  At each complete assignment, written into ``mapping``,
+    it calls ``leaf(dist)`` with the summed edit distance.  Returns the
+    number of leaves, which reaches the component cap only when the walk
+    stops there; ``mapping`` is left as it was given."""
+    adj, cap = tables.candidates, tables.component_cap
+    used = [False] * len(tables.ref.atoms)
+    last = len(preds) - 1
+    count = 0
+
+    def rec(pos: int, skips_left: int, dist: int) -> bool:
+        """Extend the assignment from ``preds[pos]`` on; ``dist`` is the
+        edit distance summed so far.  True once ``cap`` leaves are walked."""
+        nonlocal count
+        i = preds[pos]
+        if pos == last:
+            # Each way to place the last atom that spends the whole skip
+            # budget completes an assignment.
+            if skips_left == 1:
+                leaf(dist)
+                count += 1
+                return count == cap
+            if skips_left == 0:
+                for j, d in adj[i]:
+                    if not used[j]:
+                        mapping[i] = j
+                        leaf(dist + d)
+                        mapping[i] = None
+                        count += 1
+                        if count == cap:
+                            return True
+            return False
+        for j, d in adj[i]:
+            if not used[j]:
+                used[j] = True
+                mapping[i] = j
+                capped = rec(pos + 1, skips_left, dist + d)
+                mapping[i] = None
+                used[j] = False
+                if capped:
+                    return True
+        return skips_left > 0 and rec(pos + 1, skips_left - 1, dist)
+
+    rec(0, skips, 0)
+    return count
+
+
 def _search(code, tables: _AtomTables) -> _Found:
     """Search the bindings of one reading, given by its skeleton ``code``:
     from the plan's start mapping, enumerate the maximum-cardinality
     injective assignments of each enumerated component in turn, candidates
     in ascending edit distance, keeping the best."""
     ref, max_atoms = tables.ref, tables.max_atoms
-    adj, cap = tables.candidates, tables.component_cap
     mapping = tables.start.copy()
-    used = [False] * len(ref.atoms)
     explored = assignments = 0
     truncated = False
     final_score: float | None = None
 
     for preds, skips in tables.enumerated:
-        size = len(preds)
         best_assign: list[int | None] = []
-        best_score, best_dist, count = -1.0, 0, 0
+        best_score, best_dist = -1.0, 0
 
-        def rec(pos: int, skips_left: int, dist: int) -> bool:
-            """Extend the assignment from ``preds[pos]`` on; ``dist`` is the
-            edit distance summed so far.  True once ``cap`` are scored."""
-            nonlocal best_assign, best_score, best_dist, count, assignments
-            if pos == size:
-                if skips_left:
-                    return False
-                agree, rows = _agreement(code, mapping, ref, max_atoms)
-                assignments += rows
-                score = agree / rows
-                count += 1
-                if score > best_score or (score == best_score and dist < best_dist):
-                    best_assign, best_score, best_dist = [mapping[i] for i in preds], score, dist
-                return count == cap
-            i = preds[pos]
-            for j, d in adj[i]:
-                if not used[j]:
-                    used[j] = True
-                    mapping[i] = j
-                    capped = rec(pos + 1, skips_left, dist + d)
-                    mapping[i] = None
-                    used[j] = False
-                    if capped:
-                        return True
-            return skips_left > 0 and rec(pos + 1, skips_left - 1, dist)
+        def leaf(dist: int) -> None:
+            nonlocal best_assign, best_score, best_dist, assignments
+            agree, rows = _agreement(code, mapping, ref, max_atoms)
+            assignments += rows
+            score = agree / rows
+            if score > best_score or (score == best_score and dist < best_dist):
+                best_assign, best_score, best_dist = [mapping[i] for i in preds], score, dist
 
-        truncated = rec(0, skips, 0) or truncated
+        count = _enumerate(tables, preds, skips, mapping, leaf)
+        truncated = truncated or count == tables.component_cap
         explored += count
         for i, j in zip(preds, best_assign):
             mapping[i] = j
@@ -573,6 +612,105 @@ def _search(code, tables: _AtomTables) -> _Found:
         explored += 1
 
     return _Found(mapping, final_score, explored, assignments, truncated)
+
+
+def _search_lockstep(truth_tables: Sequence[int], tables: _AtomTables) -> list[_Found]:
+    """``_search`` for several readings in one walk, each reading given by
+    its truth table over the prediction's own atoms (atom i being variable
+    i); returns each table's result.
+
+    The walk is ``_search``'s, leaf for leaf.  At each leaf the reference
+    skeleton is evaluated once under the inverse mapping: prediction atom i
+    is variable i and each unbound reference atom takes a variable after
+    them.  That is as many variables as ``_search`` uses, since both count
+    every bound pair once and every unbound atom on either side once, and
+    it only renames them, so the agreeing rows are the same.  Each table,
+    widened to those variables by repetition, is then scored with one XOR
+    and ``bit_count``, and keeps its best by (score, summed distance, first
+    enumerated) as ``_search`` does.
+
+    A later component sees what the earlier ones won, which can differ
+    between readings.  So readings walk in groups keyed by their earlier
+    winners, and a group splits where its readings' winners differ.  A
+    component's leaves and their row count do not depend on the reading,
+    so every table gets the same counters."""
+    ref, max_atoms = tables.ref, tables.max_atoms
+    n_p, n_r = len(tables.start), len(ref.atoms)
+    # Each group: the mapping its readings' earlier components won, and the
+    # indices of its tables.
+    groups: list[tuple[list[int | None], Sequence[int]]] = [(tables.start, range(len(truth_tables)))]
+    unbound = tables.start.count(None)
+
+    def widened(k: int) -> list[int]:
+        repeat = ((1 << (1 << k)) - 1) // ((1 << (1 << n_p)) - 1)
+        return [table * repeat for table in truth_tables]
+
+    def reference_bits(mapping: list[int | None], patterns: tuple[int, ...], mask: int) -> int:
+        varmap = [-1] * n_r
+        for i, j in enumerate(mapping):
+            if j is not None:
+                varmap[j] = i
+        free = n_p
+        for j, var in enumerate(varmap):
+            if var < 0:
+                varmap[j] = free
+                free += 1
+        return _eval_bits(ref.code, varmap, patterns, mask)
+
+    if not tables.enumerated:
+        patterns, mask, rows = _capped_patterns(n_r + unbound, max_atoms)
+        bits = reference_bits(tables.start, patterns, mask)
+        return [
+            _Found(tables.start, (rows - (wide ^ bits).bit_count()) / rows, 1, rows, False)
+            for wide in widened(n_r + unbound)
+        ]
+
+    explored = assignments = 0
+    truncated = False
+    for preds, skips in tables.enumerated:
+        unbound -= len(preds) - skips
+        patterns, mask, rows = _capped_patterns(n_r + unbound, max_atoms)
+        wide = widened(n_r + unbound)
+        # Each table's best leaf so far: disagreeing rows, summed distance
+        # and the component's assignment.
+        best_off = [rows + 1] * len(truth_tables)
+        best_dist = [0] * len(truth_tables)
+        best_assign: list[tuple[int | None, ...]] = [()] * len(truth_tables)
+        split = []
+        for start, members in groups:
+            mapping = start.copy()
+
+            def leaf(dist: int) -> None:
+                bits = reference_bits(mapping, patterns, mask)
+                assign = None
+                for t in members:
+                    off = (wide[t] ^ bits).bit_count()
+                    if off < best_off[t] or (off == best_off[t] and dist < best_dist[t]):
+                        if assign is None:
+                            assign = tuple([mapping[i] for i in preds])
+                        best_off[t], best_dist[t], best_assign[t] = off, dist, assign
+
+            count = _enumerate(tables, preds, skips, mapping, leaf)
+            by_winner: dict[tuple[int | None, ...], list[int]] = {}
+            for t in members:
+                by_winner.setdefault(best_assign[t], []).append(t)
+            for assign, winners in by_winner.items():
+                won = mapping.copy()
+                for i, j in zip(preds, assign):
+                    won[i] = j
+                split.append((won, winners))
+        groups = split
+        # Every group walks the same leaves.
+        explored += count
+        assignments += count * rows
+        truncated = truncated or count == tables.component_cap
+
+    found = {
+        t: _Found(mapping, (rows - best_off[t]) / rows, explored, assignments, truncated)
+        for mapping, members in groups
+        for t in members
+    }
+    return [found[t] for t in range(len(truth_tables))]
 
 
 def _bind(pred: FolExpr, ref: FolExpr | CompiledReference, mode: str, config: LeConfig) -> BindingResult:
@@ -631,39 +769,44 @@ def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config
     so only the parity of the negations wrapped around the chain is kept.
 
     A reading's search reads nothing of it but its truth table over the
-    prediction's own atoms, so readings with equal tables share one search
-    (its counters still add up per reading).  Past ``max_atoms`` every score
-    raises ``CapExceeded``, so no table is built there."""
+    prediction's own atoms, and the walk over bindings does not depend on
+    the reading.  So readings with equal tables share one result, a single
+    distinct table is searched as that reading alone (``_search``), and
+    several distinct tables are scored in one lockstep walk
+    (``_search_lockstep``).  The report's counters still add up per reading.
+    Past ``max_atoms`` every score raises ``CapExceeded``, so no table is
+    built there."""
     wrappers, operands, ops = split_chain(lex(prediction), config.max_chain_operators)
     pred_atoms, codes = _lower(operands, wrappers)
     negated = sum(isinstance(wrapper, Not) for wrapper in wrappers) % 2
     readings = chain_readings(codes, ops, config.chunk_size, lambda *node: node)
     tables = _AtomTables(pred_atoms, ref, mode, config)
 
+    skeletons = [("not", reading) if negated else reading for reading in readings]
     n_p = len(pred_atoms)
-    tabled = len(readings) > 1 and n_p <= config.max_atoms
-    if tabled:
+    if len(skeletons) > 1 and n_p <= config.max_atoms:
         patterns, mask, _ = _var_patterns(n_p)
-    searched: dict[int, _Found] = {}
-    best: _Found | None = None
-    assignments = 0
-    bindings = 0
+        distinct: dict[int, int] = {}
+        positions = [
+            distinct.setdefault(_eval_bits(code, range(n_p), patterns, mask), len(distinct)) for code in skeletons
+        ]
+        if len(distinct) > 1:
+            by_table = _search_lockstep(list(distinct), tables)
+        else:
+            by_table = [_search(skeletons[0], tables)]
+        found = [by_table[position] for position in positions]
+    else:
+        found = [_search(code, tables) for code in skeletons]
+    best = found[0]
+    assignments = bindings = 0
     truncated = False
-    for reading in readings:
-        pred_code = ("not", reading) if negated else reading
-        table = _eval_bits(pred_code, range(n_p), patterns, mask) if tabled else None
-        found = searched.get(table)
-        if found is None:
-            found = _search(pred_code, tables)
-            if tabled:
-                searched[table] = found
-        assignments += found.assignments_evaluated
-        bindings += found.bindings_explored
-        truncated = truncated or found.truncated
-        if best is None or found.score > best.score:
-            best = found
+    for result in found:
+        assignments += result.assignments_evaluated
+        bindings += result.bindings_explored
+        truncated = truncated or result.truncated
+        if result.score > best.score:
+            best = result
 
-    assert best is not None
     binding = _binding_from(pred_atoms, ref.atoms, best.mapping)
     return LeReport(
         score=best.score,

@@ -397,15 +397,22 @@ def _truth_table(tree, names):
     ],
 )
 def test_one_search_per_distinct_reading_truth_table(monkeypatch, mode, prediction):
-    searches = []
+    searches, lockstep = [], []
     monkeypatch.setattr(equivalence, "_search", _counting(searches, equivalence._search))
+    monkeypatch.setattr(equivalence, "_search_lockstep", _counting(lockstep, equivalence._search_lockstep))
     reference = "(A ∧ Likes(a)) → (B ∨ ∀x P(x))"
     report = le_score(prediction, reference, mode)
     trees = [canonicalize(tree) for tree in enumerate_bracketings(lex(prediction), DEFAULT_LE.chunk_size)]
     names = [a.canonical_text for a in atoms_of(trees[0])]
     tables = {_truth_table(tree, names) for tree in trees}
     assert len(tables) < len(trees) == report.trees_explored
-    assert len(searches) == len(tables)
+    if len(tables) == 1:
+        # One distinct table takes the one-reading search.
+        assert (len(searches), len(lockstep)) == (1, 0)
+    else:
+        assert (len(searches), len(lockstep)) == (0, 1)
+        truth_tables, _ = lockstep[0]
+        assert len(truth_tables) == len(set(truth_tables)) == len(tables)
     assert fields(report) == unshared(prediction, reference, mode)
 
 
@@ -413,6 +420,76 @@ def test_equal_readings_of_a_long_chain_share_one_search():
     chain = "(" + " ∧ ".join("ABCDEFGABCDEFGABC") + ")"
     report = le_score(chain, chain, "original")
     assert (report.score, report.trees_explored, report.bindings_explored) == (1.0, 8751, 44_105_040)
+
+
+# --- one walk for every distinct reading table ----------------------------------
+
+
+def test_a_chain_of_many_tables_is_searched_in_one_walk(monkeypatch):
+    searches, lockstep = [], []
+    monkeypatch.setattr(equivalence, "_search", _counting(searches, equivalence._search))
+    monkeypatch.setattr(equivalence, "_search_lockstep", _counting(lockstep, equivalence._search_lockstep))
+    chain = "(A → B ↔ C ∧ D ⊕ E ∨ F → G ∧ A ↔ B → C ⊕ D ∨ E ∧ F ↔ G → A)"
+    report = le_score(chain, chain, "original")
+    assert (report.score, report.trees_explored, report.bindings_explored) == (1.0, 1251, 6_305_040)
+    assert (len(searches), len(lockstep)) == (0, 1)
+    assert len(lockstep[0][0]) == 585
+
+
+@pytest.mark.parametrize(
+    "prediction, reference",
+    [
+        # Two enumerated components, whose first one some readings win with
+        # a different assignment than others: the second is walked once per
+        # distinct first winner.
+        ("Owned(b) ∧ Liked(a) ⊕ Own(a) → Liked(a) ⊕ Owns(a) ⊕ Q", "Own(a) → Liked(a) ∨ Q ∨ Owned(b) ∨ Like(a)"),
+        ("P ∧ Own(a) → Own(a) ∨ Likes(a) ∨ Q ∧ Own(a)", "Likes(a) ∨ Own(a) ∨ Owns(a) → Q ∨ Liked(a) ⊕ P"),
+    ],
+)
+def test_readings_that_win_differently_equal_unshared(monkeypatch, prediction, reference):
+    lockstep = []
+    monkeypatch.setattr(equivalence, "_search_lockstep", _counting(lockstep, equivalence._search_lockstep))
+    report = le_score(prediction, reference)
+    assert len(lockstep) == 1 and len(lockstep[0][1].enumerated) == 2
+    assert fields(report) == unshared(prediction, reference, "optimized")
+
+
+_SIMILAR_NAMES = ["Likes(a)", "Like(a)", "Liked(a)", "Owns(a)", "Own(a)", "Owned(b)", "P", "Q"]
+
+
+@st.composite
+def similar_name_chains(draw):
+    """A flat chain of 2-6 operands over names similar enough to share
+    candidate components; an operand may be negated."""
+    operands = [
+        draw(st.sampled_from(["", "¬"])) + draw(st.sampled_from(_SIMILAR_NAMES))
+        for _ in range(draw(st.integers(2, 6)))
+    ]
+    text = operands[0]
+    for operand in operands[1:]:
+        text += f" {draw(st.sampled_from(['∧', '∨', '→', '↔', '⊕']))} {operand}"
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    similar_name_chains(),
+    similar_name_chains(),
+    st.sampled_from(MODES),
+    st.sampled_from([LeConfig(component_cap=3), LeConfig(max_atoms=5)]),
+)
+def test_lockstep_equals_unshared_on_unequal_atom_counts(prediction, reference, mode, config):
+    # Unequal atom counts leave atoms unbound, which widens each reading's
+    # table past the prediction's own atoms.
+    pred_atoms = atoms_of(canonicalize(parse(prediction)))
+    ref_atoms = atoms_of(canonicalize(parse(reference)))
+    assume(len(pred_atoms) != len(ref_atoms))
+    got = outcome(lambda: le_score(prediction, reference, mode, config))
+    try:
+        expected = unshared(prediction, reference, mode, config)
+    except CapExceeded as exc:
+        expected = (type(exc), str(exc))
+    assert got == expected
 
 
 # --- one search plan per prediction ---------------------------------------------------
@@ -429,12 +506,12 @@ def test_equal_readings_of_a_long_chain_share_one_search():
 )
 @pytest.mark.parametrize("mode", MODES)
 def test_each_component_is_matched_once_per_prediction(monkeypatch, mode, prediction, components):
-    matchings, searches = [], []
+    matchings, lockstep = [], []
     monkeypatch.setattr(equivalence, "_max_matching_size", _counting(matchings, equivalence._max_matching_size))
-    monkeypatch.setattr(equivalence, "_search", _counting(searches, equivalence._search))
+    monkeypatch.setattr(equivalence, "_search_lockstep", _counting(lockstep, equivalence._search_lockstep))
     report = le_score(prediction, prediction, mode)
     assert report.score == 1.0
-    assert len(searches) > 1
+    assert len(lockstep) == 1 and len(lockstep[0][0]) > 1
     assert len(matchings) == components[mode]
 
 

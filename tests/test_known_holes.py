@@ -28,3 +28,21 @@ def test_renamed_predicates_score_full(mode):
     # similar enough to bind, so renaming every predicate keeps the score.
     # Changing this value is a deliberate decision about the metric.
     assert le_score("∀x (P(x) → Q(x))", "∀x (R(x) → S(x))", mode=mode).score == 1.0
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "prediction, reference, score",
+    [
+        ("A ∧ ¬A", "A ∧ B ∧ C ∧ D", 0.9375),
+        ("A ∨ ¬A", "A → (B → (C → D))", 0.9375),
+        ("A ∨ ¬A", "B → C", 0.75),
+        ("Mortal(x)", "∀x (Man(x) → Mortal(x))", 0.75),
+    ],
+)
+def test_constant_or_partial_answers_score_the_agreement_fraction(mode, prediction, reference, score):
+    # Raw truth-table agreement pays a constant answer the reference's
+    # false (or true) fraction, and a lone conclusion the rows on which it
+    # agrees with the implication, without modelling the reference.
+    # Changing these values is a deliberate decision about the metric.
+    assert le_score(prediction, reference, mode=mode).score == score
