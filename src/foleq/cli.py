@@ -224,7 +224,7 @@ def _cmd_train_demo(args) -> int:
 
     try:
         config = _demo_config_from_mapping(raw)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         print(f"bad demo config: {exc}", file=sys.stderr)
         return DATA_ERROR
 

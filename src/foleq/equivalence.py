@@ -36,12 +36,12 @@ scores each distinct prediction text once, with one renaming, atom list and
 search plan (``_AtomTables``) for all of its readings, each joined from
 operand codes.  The compiled reference remembers each prediction atom text's
 candidate row, and edit distances are computed only where the search
-enumerates.  A prediction whose readings have one distinct truth table is
-searched once, as that reading alone.  One with several distinct tables is
-searched in one lockstep walk (``_search_lockstep``): at each binding the
-reference skeleton is evaluated once under the inverse mapping, and every
-reading's table is scored against it with one XOR.  ``le_score`` is the same
-path for a group of one.
+enumerates.  Every prediction's bindings are walked once (``_search``),
+however many readings it has: at each binding the reference skeleton is
+evaluated once under the inverse mapping, and each distinct reading truth
+table is scored against it with one XOR.  ``bind_original`` and
+``bind_optimized`` are that walk for one reading, and ``le_score`` is the
+same path for a group of one.
 """
 
 from __future__ import annotations
@@ -342,16 +342,14 @@ _CANDIDATE_ROW_LIMIT = 4096
 
 class CompiledReference:
     """A reference formula prepared once for scoring any number of
-    predictions: its distinct atoms, its compiled quantifier-free skeleton,
-    its truth table per variable count and each prediction atom text's
-    candidate row (both built on first use).  ``compile_reference`` builds
-    one from text."""
+    predictions: its distinct atoms, its compiled quantifier-free skeleton
+    and each prediction atom text's candidate row (built on first use).
+    ``compile_reference`` builds one from text."""
 
     def __init__(self, tree: FolExpr):
         """``tree``'s bound variables are renamed as ``canonicalize`` renames
         them, which leaves a canonical tree as it is."""
         self.atoms, (self.code,) = _lower([tree])
-        self._bits: dict[int, int] = {}
         self._rows: dict[SimilarityConfig, dict[str, tuple[tuple[int, float], ...]]] = {}
 
     def candidate_rows(self, config: SimilarityConfig) -> dict[str, tuple[tuple[int, float], ...]]:
@@ -361,15 +359,6 @@ class CompiledReference:
         if len(rows) >= _CANDIDATE_ROW_LIMIT:
             rows.clear()
         return rows
-
-    def bits(self, k: int) -> int:
-        """Truth-table mask of the skeleton over ``k`` variables, reference
-        atom j being variable j."""
-        bits = self._bits.get(k)
-        if bits is None:
-            patterns, mask, _ = _var_patterns(k)
-            bits = self._bits[k] = _eval_bits(self.code, range(len(self.atoms)), patterns, mask)
-        return bits
 
 
 def compile_reference(reference: str) -> CompiledReference:
@@ -385,19 +374,23 @@ def _capped_patterns(k: int, max_atoms: int) -> tuple[tuple[int, ...], int, int]
     return _var_patterns(k)
 
 
-def _agreement(code, mapping: list[int | None], ref: CompiledReference, max_atoms: int) -> tuple[int, int]:
-    """Truth-table agreement of the prediction skeleton ``code`` with ``ref``
-    under one binding: the agreeing rows and the row count.  ``mapping[i]``
-    is the reference index bound to prediction atom i, or None when unbound;
-    unbound atoms take the variables after the reference's."""
-    n_r = len(ref.atoms)
-    k = n_r + mapping.count(None)
-    patterns, mask, rows = _capped_patterns(k, max_atoms)
-    free = iter(range(n_r, k))
-    varmap = [next(free) if m is None else m for m in mapping]
-    ref_bits = ref.bits(k)
-    pred_bits = _eval_bits(code, varmap, patterns, mask)
-    return rows - (pred_bits ^ ref_bits).bit_count(), rows
+def _reference_bits(
+    ref: CompiledReference, mapping: list[int | None], patterns: tuple[int, ...], mask: int
+) -> int:
+    """Truth-table mask of ``ref``'s skeleton under the inverse of one
+    binding: prediction atom i is variable i, the reference atom bound to it
+    shares that variable, and each unbound reference atom takes a variable
+    after the prediction's, in order."""
+    varmap = [-1] * len(ref.atoms)
+    for i, j in enumerate(mapping):
+        if j is not None:
+            varmap[j] = i
+    free = len(mapping)
+    for j, var in enumerate(varmap):
+        if var < 0:
+            varmap[j] = free
+            free += 1
+    return _eval_bits(ref.code, varmap, patterns, mask)
 
 
 def _binding_from(
@@ -428,8 +421,9 @@ def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_at
         if r.canonical_text not in ref_index:
             raise ValueError(f"binding names unknown reference atom {r.canonical_text!r}")
         mapping[pred_index[p.canonical_text]] = ref_index[r.canonical_text]
-    agree, rows = _agreement(pred_code, mapping, compiled, max_atoms)
-    return agree / rows
+    patterns, mask, rows = _capped_patterns(len(compiled.atoms) + mapping.count(None), max_atoms)
+    pred_bits = _eval_bits(pred_code, range(len(pred_atoms)), patterns, mask)
+    return (rows - (pred_bits ^ _reference_bits(compiled, mapping, patterns, mask)).bit_count()) / rows
 
 
 # --- binding searches --------------------------------------------------------
@@ -575,102 +569,61 @@ def _enumerate(tables: _AtomTables, preds: tuple[int, ...], skips: int, mapping:
     return count
 
 
-def _search(code, tables: _AtomTables) -> _Found:
-    """Search the bindings of one reading, given by its skeleton ``code``:
-    from the plan's start mapping, enumerate the maximum-cardinality
-    injective assignments of each enumerated component in turn, candidates
-    in ascending edit distance, keeping the best."""
-    ref, max_atoms = tables.ref, tables.max_atoms
-    mapping = tables.start.copy()
-    explored = assignments = 0
-    truncated = False
-    final_score: float | None = None
+def _search(skeletons: Sequence, tables: _AtomTables) -> list[_Found]:
+    """Search the bindings of a prediction's readings, each given by its
+    skeleton, in one walk; returns each reading's result.
 
-    for preds, skips in tables.enumerated:
-        best_assign: list[int | None] = []
-        best_score, best_dist = -1.0, 0
-
-        def leaf(dist: int) -> None:
-            nonlocal best_assign, best_score, best_dist, assignments
-            agree, rows = _agreement(code, mapping, ref, max_atoms)
-            assignments += rows
-            score = agree / rows
-            if score > best_score or (score == best_score and dist < best_dist):
-                best_assign, best_score, best_dist = [mapping[i] for i in preds], score, dist
-
-        count = _enumerate(tables, preds, skips, mapping, leaf)
-        truncated = truncated or count == tables.component_cap
-        explored += count
-        for i, j in zip(preds, best_assign):
-            mapping[i] = j
-        final_score = best_score
-
-    if final_score is None:
-        agree, rows = _agreement(code, mapping, ref, max_atoms)
-        assignments += rows
-        final_score = agree / rows
-        explored += 1
-
-    return _Found(mapping, final_score, explored, assignments, truncated)
-
-
-def _search_lockstep(truth_tables: Sequence[int], tables: _AtomTables) -> list[_Found]:
-    """``_search`` for several readings in one walk, each reading given by
-    its truth table over the prediction's own atoms (atom i being variable
-    i); returns each table's result.
-
-    The walk is ``_search``'s, leaf for leaf.  At each leaf the reference
-    skeleton is evaluated once under the inverse mapping: prediction atom i
-    is variable i and each unbound reference atom takes a variable after
-    them.  That is as many variables as ``_search`` uses, since both count
-    every bound pair once and every unbound atom on either side once, and
-    it only renames them, so the agreeing rows are the same.  Each table,
-    widened to those variables by repetition, is then scored with one XOR
-    and ``bit_count``, and keeps its best by (score, summed distance, first
-    enumerated) as ``_search`` does.
+    From the plan's start mapping, the walk enumerates the
+    maximum-cardinality injective assignments of each enumerated component
+    in turn, candidates in ascending edit distance.  At each binding the
+    reference skeleton is evaluated once under the inverse mapping
+    (``_reference_bits``).  That uses one variable per bound pair and per
+    unbound atom on either side, as many as a forward evaluation of the
+    prediction would, and only renames them, so the agreeing rows are the
+    same.  Each reading's truth table over the prediction's own atoms, atom
+    i being variable i, is built once, widened to those variables by
+    repetition and scored with one XOR and ``bit_count``.  Readings with
+    equal tables share one result, and each table keeps its best binding by
+    (score, summed distance, first enumerated).
 
     A later component sees what the earlier ones won, which can differ
-    between readings.  So readings walk in groups keyed by their earlier
-    winners, and a group splits where its readings' winners differ.  A
+    between tables.  So tables walk in groups keyed by their earlier
+    winners, and a group splits where its tables' winners differ.  A
     component's leaves and their row count do not depend on the reading,
-    so every table gets the same counters."""
-    ref, max_atoms = tables.ref, tables.max_atoms
+    so every reading gets the same counters.
+
+    The first component's binding has the most variables, never fewer than
+    the prediction's atoms, so its truth-table cap is checked before any
+    table is built."""
+    ref = tables.ref
     n_p, n_r = len(tables.start), len(ref.atoms)
-    # Each group: the mapping its readings' earlier components won, and the
+    unbound = tables.start.count(None)
+    preds, skips = tables.enumerated[0] if tables.enumerated else ((), 0)
+    patterns, mask, rows = _capped_patterns(n_r + unbound - len(preds) + skips, tables.max_atoms)
+
+    own_patterns, own_mask, _ = _var_patterns(n_p)
+    distinct: dict[int, int] = {}
+    positions = [
+        distinct.setdefault(_eval_bits(code, range(n_p), own_patterns, own_mask), len(distinct))
+        for code in skeletons
+    ]
+    truth_tables = list(distinct)
+    # Each group: the mapping its tables' earlier components won, and the
     # indices of its tables.
     groups: list[tuple[list[int | None], Sequence[int]]] = [(tables.start, range(len(truth_tables)))]
-    unbound = tables.start.count(None)
-
-    def widened(k: int) -> list[int]:
-        repeat = ((1 << (1 << k)) - 1) // ((1 << (1 << n_p)) - 1)
-        return [table * repeat for table in truth_tables]
-
-    def reference_bits(mapping: list[int | None], patterns: tuple[int, ...], mask: int) -> int:
-        varmap = [-1] * n_r
-        for i, j in enumerate(mapping):
-            if j is not None:
-                varmap[j] = i
-        free = n_p
-        for j, var in enumerate(varmap):
-            if var < 0:
-                varmap[j] = free
-                free += 1
-        return _eval_bits(ref.code, varmap, patterns, mask)
-
-    if not tables.enumerated:
-        patterns, mask, rows = _capped_patterns(n_r + unbound, max_atoms)
-        bits = reference_bits(tables.start, patterns, mask)
-        return [
-            _Found(tables.start, (rows - (wide ^ bits).bit_count()) / rows, 1, rows, False)
-            for wide in widened(n_r + unbound)
-        ]
 
     explored = assignments = 0
     truncated = False
+    if not tables.enumerated:
+        bits = _reference_bits(ref, tables.start, patterns, mask)
+        repeat = mask // own_mask
+        best_off = [(table * repeat ^ bits).bit_count() for table in truth_tables]
+        explored, assignments = 1, rows
     for preds, skips in tables.enumerated:
         unbound -= len(preds) - skips
-        patterns, mask, rows = _capped_patterns(n_r + unbound, max_atoms)
-        wide = widened(n_r + unbound)
+        patterns, mask, rows = _var_patterns(n_r + unbound)
+        repeat = mask // own_mask
+        wide = [table * repeat for table in truth_tables]
         # Each table's best leaf so far: disagreeing rows, summed distance
         # and the component's assignment.
         best_off = [rows + 1] * len(truth_tables)
@@ -681,7 +634,7 @@ def _search_lockstep(truth_tables: Sequence[int], tables: _AtomTables) -> list[_
             mapping = start.copy()
 
             def leaf(dist: int) -> None:
-                bits = reference_bits(mapping, patterns, mask)
+                bits = _reference_bits(ref, mapping, patterns, mask)
                 assign = None
                 for t in members:
                     off = (wide[t] ^ bits).bit_count()
@@ -710,14 +663,14 @@ def _search_lockstep(truth_tables: Sequence[int], tables: _AtomTables) -> list[_
         for mapping, members in groups
         for t in members
     }
-    return [found[t] for t in range(len(truth_tables))]
+    return [found[position] for position in positions]
 
 
 def _bind(pred: FolExpr, ref: FolExpr | CompiledReference, mode: str, config: LeConfig) -> BindingResult:
     if not isinstance(ref, CompiledReference):
         ref = CompiledReference(ref)
     pred_atoms, (pred_code,) = _lower([pred])
-    found = _search(pred_code, _AtomTables(pred_atoms, ref, mode, config))
+    (found,) = _search([pred_code], _AtomTables(pred_atoms, ref, mode, config))
     return BindingResult(
         _binding_from(pred_atoms, ref.atoms, found.mapping),
         found.score,
@@ -770,33 +723,16 @@ def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config
 
     A reading's search reads nothing of it but its truth table over the
     prediction's own atoms, and the walk over bindings does not depend on
-    the reading.  So readings with equal tables share one result, a single
-    distinct table is searched as that reading alone (``_search``), and
-    several distinct tables are scored in one lockstep walk
-    (``_search_lockstep``).  The report's counters still add up per reading.
-    Past ``max_atoms`` every score raises ``CapExceeded``, so no table is
-    built there."""
+    the reading.  So every reading goes to one ``_search``, which walks the
+    bindings once and scores each distinct table at every binding; readings
+    with equal tables share one result.  The report's counters still add up
+    per reading."""
     wrappers, operands, ops = split_chain(lex(prediction), config.max_chain_operators)
     pred_atoms, codes = _lower(operands, wrappers)
     negated = sum(isinstance(wrapper, Not) for wrapper in wrappers) % 2
     readings = chain_readings(codes, ops, config.chunk_size, lambda *node: node)
-    tables = _AtomTables(pred_atoms, ref, mode, config)
-
     skeletons = [("not", reading) if negated else reading for reading in readings]
-    n_p = len(pred_atoms)
-    if len(skeletons) > 1 and n_p <= config.max_atoms:
-        patterns, mask, _ = _var_patterns(n_p)
-        distinct: dict[int, int] = {}
-        positions = [
-            distinct.setdefault(_eval_bits(code, range(n_p), patterns, mask), len(distinct)) for code in skeletons
-        ]
-        if len(distinct) > 1:
-            by_table = _search_lockstep(list(distinct), tables)
-        else:
-            by_table = [_search(skeletons[0], tables)]
-        found = [by_table[position] for position in positions]
-    else:
-        found = [_search(code, tables) for code in skeletons]
+    found = _search(skeletons, _AtomTables(pred_atoms, ref, mode, config))
     best = found[0]
     assignments = bindings = 0
     truncated = False

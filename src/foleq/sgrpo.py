@@ -21,6 +21,7 @@ term); ``use_ppo_min=True`` restores the conventional min form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,6 +46,9 @@ class Hyperparams:
     use_ppo_min: bool = False
 
     def __post_init__(self):
+        rates = (self.learning_rate, self.kl_beta, self.sft_weight, self.clip_epsilon)
+        if not all(map(math.isfinite, rates)):
+            raise ValueError("learning_rate, kl_beta, sft_weight and clip_epsilon must be finite")
         if self.group_size < 2:
             raise ValueError("group_size must be at least 2")
         if not 0.0 < self.clip_epsilon < 1.0:

@@ -3,12 +3,14 @@
 The truth-table oracle evaluates formulas row by row over explicit
 assignment dictionaries instead of bitmask arithmetic, the binding
 oracle enumerates complete injective matchings with itertools, the
-per-reading loop binds every bracketing tree of a prediction from scratch,
-the S-GRPO oracle computes the objective and its gradient one sample at
-a time, the BLEU oracle re-counts both sides of every pair, the lexer
-oracle reads one character at a time, and the lowering oracle renames,
-lists atoms and compiles a skeleton in three separate walks.  Slow but
-obviously correct, which is the point.
+forward search scores one reading at a time against the reference's own
+table (it shares only the library's search plan and assignment walk),
+the per-reading loop binds every bracketing tree of a prediction from
+scratch through it, the S-GRPO oracle computes the objective and its
+gradient one sample at a time, the BLEU oracle re-counts both sides of
+every pair, the lexer oracle reads one character at a time, and the
+lowering oracle renames, lists atoms and compiles a skeleton in three
+separate walks.  Slow but obviously correct, which is the point.
 """
 
 from __future__ import annotations
@@ -18,11 +20,19 @@ import math
 import random
 import re
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 
 from foleq.corpus import _PAD_RE, DEFAULT_BLEU
-from foleq.equivalence import DEFAULT_LE, bind_optimized, bind_original
+from foleq.equivalence import (
+    DEFAULT_LE,
+    BindingMap,
+    BindingResult,
+    CompiledReference,
+    _AtomTables,
+    _enumerate,
+)
 from foleq.sgrpo import ObjectiveParts, kl_estimate, sft_term
 from foleq.similarity import levenshtein
 from foleq.syntax import (
@@ -40,6 +50,7 @@ from foleq.syntax import (
     XOR,
     Atom,
     Binary,
+    CapExceeded,
     FolExpr,
     LexError,
     Not,
@@ -237,19 +248,119 @@ def best_complete_matching(pred: FolExpr, ref: FolExpr):
     return -neg_score, dist, mappings
 
 
+# --- forward binding search, one reading at a time --------------------------------
+
+
+@lru_cache(maxsize=None)
+def _row_patterns(k: int) -> tuple[tuple[int, ...], int, int]:
+    """Variable i's truth-table mask over ``k`` variables, built row by row
+    (variable i is true on row r iff bit i of r is set), the all-ones mask
+    and the row count."""
+    rows = 1 << k
+    patterns = tuple(int("".join("01"[r >> i & 1] for r in reversed(range(rows))), 2) for i in range(k))
+    return patterns, (1 << rows) - 1, rows
+
+
+def skeleton_bits(code, varmap, patterns: tuple[int, ...], mask: int) -> int:
+    """Truth-table mask of a skeleton, atom ordinal o being variable
+    ``varmap[o]``."""
+    tag = code[0]
+    if tag == "atom":
+        return patterns[varmap[code[1]]]
+    if tag == "not":
+        return mask ^ skeleton_bits(code[1], varmap, patterns, mask)
+    left = skeleton_bits(code[1], varmap, patterns, mask)
+    right = skeleton_bits(code[2], varmap, patterns, mask)
+    return {
+        "and": left & right,
+        "or": left | right,
+        "implies": (mask ^ left) | right,
+        "iff": mask ^ left ^ right,
+        "xor": left ^ right,
+    }[tag]
+
+
+def skeleton_table(code, n: int) -> int:
+    """Truth-table mask of a skeleton over its own ``n`` atoms, ordinal o
+    being variable o."""
+    patterns, mask, _ = _row_patterns(n)
+    return skeleton_bits(code, range(n), patterns, mask)
+
+
+def forward_bind(pred: FolExpr, ref: FolExpr, mode: str, config=DEFAULT_LE) -> BindingResult:
+    """``bind_original`` / ``bind_optimized`` for one reading, scored
+    forward: at each binding the prediction's skeleton is evaluated with
+    each bound atom on its reference atom's variable and each unbound one
+    after the reference's, and compared with the reference's own table over
+    that many variables.  It shares the library's search plan
+    (``_AtomTables``) and assignment walk (``_enumerate``), but none of its
+    evaluation, table widening, grouping of readings or cap check."""
+    compiled = CompiledReference(ref)
+    pred_atoms, (code,) = lower_by_three_walks([pred])
+    tables = _AtomTables(pred_atoms, compiled, mode, config)
+    n_r = len(compiled.atoms)
+    ref_bits: dict[int, int] = {}
+
+    def agreement(mapping: list) -> tuple[int, int]:
+        k = n_r + mapping.count(None)
+        if k > config.max_atoms:
+            raise CapExceeded(f"{k} combined atoms exceeds the truth-table cap {config.max_atoms}")
+        patterns, mask, rows = _row_patterns(k)
+        if k not in ref_bits:
+            ref_bits[k] = skeleton_bits(compiled.code, range(n_r), patterns, mask)
+        free = iter(range(n_r, k))
+        varmap = [next(free) if m is None else m for m in mapping]
+        return rows - (skeleton_bits(code, varmap, patterns, mask) ^ ref_bits[k]).bit_count(), rows
+
+    mapping = tables.start.copy()
+    explored = assignments = 0
+    truncated = False
+    final_score = None
+    for preds, skips in tables.enumerated:
+        best_assign: list = []
+        best_score, best_dist = -1.0, 0
+
+        def leaf(dist: int) -> None:
+            nonlocal best_assign, best_score, best_dist, assignments
+            agree, rows = agreement(mapping)
+            assignments += rows
+            score = agree / rows
+            if score > best_score or (score == best_score and dist < best_dist):
+                best_assign, best_score, best_dist = [mapping[i] for i in preds], score, dist
+
+        count = _enumerate(tables, preds, skips, mapping, leaf)
+        truncated = truncated or count == tables.component_cap
+        explored += count
+        for i, j in zip(preds, best_assign):
+            mapping[i] = j
+        final_score = best_score
+    if final_score is None:
+        agree, rows = agreement(mapping)
+        assignments += rows
+        final_score = agree / rows
+        explored += 1
+
+    used = {j for j in mapping if j is not None}
+    binding = BindingMap(
+        tuple((pred_atoms[i], compiled.atoms[j]) for i, j in enumerate(mapping) if j is not None),
+        tuple(pred_atoms[i] for i, j in enumerate(mapping) if j is None),
+        tuple(a for j, a in enumerate(compiled.atoms) if j not in used),
+    )
+    return BindingResult(binding, final_score, explored, assignments, truncated)
+
+
 # --- per-reading scoring loop ---------------------------------------------------
 
 
 def unshared(prediction: str, reference: str, mode: str, config=DEFAULT_LE) -> tuple:
     """The fields of ``le_score`` computed with nothing shared: every
     bracketing tree is bound on its own against a freshly parsed reference,
-    equal readings included, and the first strictly best tree wins.  In the
-    order score, binding pairs, unbound prediction and reference texts, atom
-    count, rows, bindings, trees, truncated."""
+    equal readings included, by the forward search, and the first strictly
+    best tree wins.  In the order score, binding pairs, unbound prediction
+    and reference texts, atom count, rows, bindings, trees, truncated."""
     ref_tree = canonicalize(parse(reference))
     trees = enumerate_bracketings(lex(prediction), config.chunk_size, config.max_chain_operators)
-    bind = bind_original if mode == "original" else bind_optimized
-    results = [bind(canonicalize(tree), ref_tree, config) for tree in trees]
+    results = [forward_bind(canonicalize(tree), ref_tree, mode, config) for tree in trees]
     best = results[0]
     for result in results[1:]:
         if result.score > best.score:

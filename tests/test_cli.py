@@ -355,6 +355,30 @@ def test_train_demo_config_sets_vocab_references_and_group_size(tmp_path, capsys
     assert "group_size must be at least 2" in err
 
 
+@pytest.mark.parametrize("learning_rate", ["nan", "inf", "-inf"])
+def test_train_demo_non_finite_learning_rate_is_a_data_error(capsys, learning_rate):
+    code, out, err = run(capsys, "train-demo", "--iterations", "3", f"--learning-rate={learning_rate}")
+    assert (code, out) == (2, "")
+    assert err == "bad demo config: learning_rate, kl_beta, sft_weight and clip_epsilon must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"iterations": 1e400}', "cannot convert float infinity to integer"),
+        ('{"seed": 1e400}', "cannot convert float infinity to integer"),
+        ('{"group_size": -1e400}', "cannot convert float infinity to integer"),
+        ('{"learning_rate": NaN}', "learning_rate, kl_beta, sft_weight and clip_epsilon must be finite"),
+    ],
+)
+def test_train_demo_overflowing_config_is_a_data_error(tmp_path, capsys, content, message):
+    config_path = tmp_path / "demo.json"
+    config_path.write_text(content, encoding="utf-8")
+    code, out, err = run(capsys, "train-demo", "--config", str(config_path))
+    assert (code, out) == (2, "")
+    assert err == f"bad demo config: {message}\n"
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

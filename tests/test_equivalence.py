@@ -32,7 +32,7 @@ from foleq.syntax import (
     render,
     split_chain,
 )
-from helpers import agreement, best_complete_matching, lower_by_three_walks, random_formula
+from helpers import agreement, best_complete_matching, forward_bind, lower_by_three_walks, random_formula
 
 
 def canon(text: str):
@@ -273,6 +273,42 @@ def test_bind_optimized_processes_components_sequentially():
     result = bind_optimized(pred, ref)
     assert result.score == 1.0
     assert result.binding.as_dict() == {"Alpha1": "Alpha2", "Beta1": "Beta2"}
+
+
+def _bound(bind):
+    try:
+        result = bind()
+    except CapExceeded as exc:
+        return str(exc)
+    return (
+        result.score,
+        result.binding.as_dict(),
+        [a.canonical_text for a in result.binding.unbound_prediction],
+        [a.canonical_text for a in result.binding.unbound_reference],
+        result.bindings_explored,
+        result.assignments_evaluated,
+        result.truncated,
+    )
+
+
+_BIND_PREDICATES = ["Likes", "Like", "Liked", "Owns", "Own", "P"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 10 ** 9),
+    st.sampled_from(["original", "optimized"]),
+    st.sampled_from([DEFAULT_LE, LeConfig(component_cap=3), LeConfig(max_atoms=5)]),
+)
+def test_bind_equals_the_forward_search(seed, mode, config):
+    """One reading bound by the library equals the forward search, which
+    evaluates the prediction under each binding against the reference's own
+    table: score, binding, counters, truncation and ``CapExceeded`` text."""
+    rng = random.Random(seed)
+    pred = random_formula(rng, max_atoms=6, max_depth=4, predicates=_BIND_PREDICATES)
+    ref = random_formula(rng, max_atoms=6, max_depth=4, predicates=_BIND_PREDICATES)
+    bind = bind_original if mode == "original" else bind_optimized
+    assert _bound(lambda: bind(pred, ref, config)) == _bound(lambda: forward_bind(pred, ref, mode, config))
 
 
 # --- top-level scoring ------------------------------------------------------------

@@ -33,7 +33,7 @@ from foleq.syntax import (
     parse,
     render,
 )
-from helpers import eval_row, random_formula, unshared
+from helpers import eval_row, random_formula, skeleton_table, unshared
 from test_acceptance import LAW_PAIRS
 
 MODES = ("original", "optimized")
@@ -384,6 +384,20 @@ def _truth_table(tree, names):
     )
 
 
+def _reading_tables(prediction: str) -> tuple[int, set]:
+    """The number of readings of ``prediction`` and their distinct truth
+    tables, row by row over the parsed trees."""
+    trees = [canonicalize(tree) for tree in enumerate_bracketings(lex(prediction), DEFAULT_LE.chunk_size)]
+    names = [a.canonical_text for a in atoms_of(trees[0])]
+    return len(trees), {_truth_table(tree, names) for tree in trees}
+
+
+def _searched_tables(call) -> set[int]:
+    """The distinct truth tables of the readings one ``_search`` call got."""
+    skeletons, plan = call
+    return {skeleton_table(code, len(plan.start)) for code in skeletons}
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize(
     "prediction",
@@ -397,22 +411,16 @@ def _truth_table(tree, names):
     ],
 )
 def test_one_search_per_distinct_reading_truth_table(monkeypatch, mode, prediction):
-    searches, lockstep = [], []
+    searches = []
     monkeypatch.setattr(equivalence, "_search", _counting(searches, equivalence._search))
-    monkeypatch.setattr(equivalence, "_search_lockstep", _counting(lockstep, equivalence._search_lockstep))
     reference = "(A ∧ Likes(a)) → (B ∨ ∀x P(x))"
     report = le_score(prediction, reference, mode)
-    trees = [canonicalize(tree) for tree in enumerate_bracketings(lex(prediction), DEFAULT_LE.chunk_size)]
-    names = [a.canonical_text for a in atoms_of(trees[0])]
-    tables = {_truth_table(tree, names) for tree in trees}
-    assert len(tables) < len(trees) == report.trees_explored
-    if len(tables) == 1:
-        # One distinct table takes the one-reading search.
-        assert (len(searches), len(lockstep)) == (1, 0)
-    else:
-        assert (len(searches), len(lockstep)) == (0, 1)
-        truth_tables, _ = lockstep[0]
-        assert len(truth_tables) == len(set(truth_tables)) == len(tables)
+    readings, tables = _reading_tables(prediction)
+    assert len(tables) < readings == report.trees_explored
+    # One search gets every reading, one distinct table or several.
+    assert len(searches) == 1
+    assert len(searches[0][0]) == readings
+    assert len(_searched_tables(searches[0])) == len(tables)
     assert fields(report) == unshared(prediction, reference, mode)
 
 
@@ -426,14 +434,16 @@ def test_equal_readings_of_a_long_chain_share_one_search():
 
 
 def test_a_chain_of_many_tables_is_searched_in_one_walk(monkeypatch):
-    searches, lockstep = [], []
+    searches, walks = [], []
     monkeypatch.setattr(equivalence, "_search", _counting(searches, equivalence._search))
-    monkeypatch.setattr(equivalence, "_search_lockstep", _counting(lockstep, equivalence._search_lockstep))
+    monkeypatch.setattr(equivalence, "_enumerate", _counting(walks, equivalence._enumerate))
     chain = "(A → B ↔ C ∧ D ⊕ E ∨ F → G ∧ A ↔ B → C ⊕ D ∨ E ∧ F ↔ G → A)"
     report = le_score(chain, chain, "original")
     assert (report.score, report.trees_explored, report.bindings_explored) == (1.0, 1251, 6_305_040)
-    assert (len(searches), len(lockstep)) == (0, 1)
-    assert len(lockstep[0][0]) == 585
+    assert len(searches) == 1
+    assert len(_searched_tables(searches[0])) == 585
+    # Original mode has one component: its bindings are walked once.
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize(
@@ -447,11 +457,42 @@ def test_a_chain_of_many_tables_is_searched_in_one_walk(monkeypatch):
     ],
 )
 def test_readings_that_win_differently_equal_unshared(monkeypatch, prediction, reference):
-    lockstep = []
-    monkeypatch.setattr(equivalence, "_search_lockstep", _counting(lockstep, equivalence._search_lockstep))
+    searches = []
+    monkeypatch.setattr(equivalence, "_search", _counting(searches, equivalence._search))
     report = le_score(prediction, reference)
-    assert len(lockstep) == 1 and len(lockstep[0][1].enumerated) == 2
+    assert len(searches) == 1 and len(searches[0][1].enumerated) == 2
+    assert len(_searched_tables(searches[0])) == len(_reading_tables(prediction)[1]) > 1
     assert fields(report) == unshared(prediction, reference, "optimized")
+
+
+@pytest.mark.parametrize(
+    "prediction, reference, readings, combined",
+    [
+        # One reading.
+        ("A ∧ (B ∧ (C ∧ (D ∧ (E ∧ F))))", "A", 1, {"original": 6, "optimized": 6}),
+        ("A ∧ (B ∧ (C ∧ (D ∧ (E ∧ F))))", "A ∧ Z", 1, {"original": 6, "optimized": 7}),
+        # Five readings, five distinct tables.
+        ("A → B ↔ C ∧ D ⊕ E ∨ F", "A ∧ Z", 5, {"original": 6, "optimized": 7}),
+        ("A → B ↔ C ∧ D ⊕ E ∨ F", "Likes(a) ∨ Own(a)", 5, {"original": 6, "optimized": 8}),
+        # Similar names: optimized mode enumerates a component first.
+        (
+            "Likes(a) → Like(a) ↔ Liked(a) ∧ Owns(a) ⊕ Own(a) ∨ P",
+            "Likes(a) ∨ Own(a)",
+            5,
+            {"original": 6, "optimized": 7},
+        ),
+    ],
+)
+@pytest.mark.parametrize("mode", MODES)
+def test_a_prediction_past_the_truth_table_cap_keeps_its_message(mode, prediction, reference, readings, combined):
+    # The prediction alone has 6 atoms, past max_atoms=5; the message counts
+    # the combined atoms of the first component's bindings.
+    assert len(atoms_of(canonicalize(parse(prediction)))) == 6
+    count, tables = _reading_tables(prediction)
+    assert count == len(tables) == readings
+    with pytest.raises(CapExceeded) as raised:
+        le_score(prediction, reference, mode, LeConfig(max_atoms=5))
+    assert str(raised.value) == f"{combined[mode]} combined atoms exceeds the truth-table cap 5"
 
 
 _SIMILAR_NAMES = ["Likes(a)", "Like(a)", "Liked(a)", "Owns(a)", "Own(a)", "Owned(b)", "P", "Q"]
@@ -506,12 +547,13 @@ def test_lockstep_equals_unshared_on_unequal_atom_counts(prediction, reference, 
 )
 @pytest.mark.parametrize("mode", MODES)
 def test_each_component_is_matched_once_per_prediction(monkeypatch, mode, prediction, components):
-    matchings, lockstep = [], []
+    matchings, searches = [], []
     monkeypatch.setattr(equivalence, "_max_matching_size", _counting(matchings, equivalence._max_matching_size))
-    monkeypatch.setattr(equivalence, "_search_lockstep", _counting(lockstep, equivalence._search_lockstep))
+    monkeypatch.setattr(equivalence, "_search", _counting(searches, equivalence._search))
     report = le_score(prediction, prediction, mode)
     assert report.score == 1.0
-    assert len(lockstep) == 1 and len(lockstep[0][0]) > 1
+    assert len(searches) == 1
+    assert len(_searched_tables(searches[0])) == len(_reading_tables(prediction)[1]) > 1
     assert len(matchings) == components[mode]
 
 

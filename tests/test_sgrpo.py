@@ -347,6 +347,13 @@ def test_log_probs_normalized():
         assert np.allclose(sums, 1.0)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "kl_beta", "sft_weight", "clip_epsilon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_hyperparams_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        Hyperparams(**{field: value})
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         PolicyParams(np.zeros((2, 2, 2)), "newest")
