@@ -87,7 +87,7 @@ def _service_config(args) -> ServiceConfig | None:
             if value is not None:
                 mapping[flag] = value
         return ServiceConfig.from_mapping(mapping)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return None
 

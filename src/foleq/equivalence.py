@@ -39,16 +39,18 @@ candidate row, and edit distances are computed only where the search
 enumerates.  Every prediction's bindings are walked once (``_search``),
 however many readings it has: at each binding the reference skeleton is
 evaluated once under the inverse mapping, and each distinct reading truth
-table is scored against it with one XOR.  ``bind_original`` and
-``bind_optimized`` are that walk for one reading, and ``le_score`` is the
-same path for a group of one.
+table is scored against it with one XOR.  The walk gives one answer, the
+binding and score of the first best reading, and its counters are one
+reading's: the report multiplies them by the number of readings.
+``bind_original`` and ``bind_optimized`` are that walk for one reading, and
+``le_score`` is the same path for a group of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .similarity import DEFAULT_SIMILARITY, SimilarityConfig, levenshtein, ngram_cosine
 from .syntax import (
@@ -451,6 +453,7 @@ class _AtomTables:
         mode: str,
         config: LeConfig,
     ):
+        self.pred_atoms = pred_atoms
         self.ref = ref
         self.max_atoms = config.max_atoms
         n_p, n_r = len(pred_atoms), len(ref.atoms)
@@ -509,16 +512,6 @@ def _max_matching_size(preds: tuple[int, ...], adj: dict[int, list[tuple[int, in
     return size
 
 
-class _Found(NamedTuple):
-    """A binding search's best mapping, its score and what the search cost."""
-
-    mapping: list[int | None]
-    score: float
-    bindings_explored: int
-    assignments_evaluated: int
-    truncated: bool
-
-
 def _enumerate(tables: _AtomTables, preds: tuple[int, ...], skips: int, mapping: list[int | None], leaf) -> int:
     """Walk the maximum-cardinality injective assignments of the enumerated
     component ``preds`` with skip budget ``skips``: each atom tries its
@@ -569,9 +562,10 @@ def _enumerate(tables: _AtomTables, preds: tuple[int, ...], skips: int, mapping:
     return count
 
 
-def _search(skeletons: Sequence, tables: _AtomTables) -> list[_Found]:
+def _search(skeletons: Sequence, tables: _AtomTables) -> BindingResult:
     """Search the bindings of a prediction's readings, each given by its
-    skeleton, in one walk; returns each reading's result.
+    skeleton, in one walk; returns the first best reading's binding and
+    score and the cost of the walk.
 
     From the plan's start mapping, the walk enumerates the
     maximum-cardinality injective assignments of each enumerated component
@@ -580,17 +574,19 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> list[_Found]:
     (``_reference_bits``).  That uses one variable per bound pair and per
     unbound atom on either side, as many as a forward evaluation of the
     prediction would, and only renames them, so the agreeing rows are the
-    same.  Each reading's truth table over the prediction's own atoms, atom
-    i being variable i, is built once, widened to those variables by
-    repetition and scored with one XOR and ``bit_count``.  Readings with
-    equal tables share one result, and each table keeps its best binding by
-    (score, summed distance, first enumerated).
+    same.  Each distinct reading truth table over the prediction's own
+    atoms, atom i being variable i, is built once, widened to those
+    variables by repetition and scored with one XOR and ``bit_count``; each
+    keeps its best binding by (score, summed distance, first enumerated).
 
     A later component sees what the earlier ones won, which can differ
     between tables.  So tables walk in groups keyed by their earlier
     winners, and a group splits where its tables' winners differ.  A
     component's leaves and their row count do not depend on the reading,
-    so every reading gets the same counters.
+    so the counters are one reading's.  Every table's final score is over
+    the last component's rows, and the tables come in the order of their
+    first reading, so the first table with the fewest disagreeing rows
+    holds the first best reading.
 
     The first component's binding has the most variables, never fewer than
     the prediction's atoms, so its truth-table cap is checked before any
@@ -602,12 +598,7 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> list[_Found]:
     patterns, mask, rows = _capped_patterns(n_r + unbound - len(preds) + skips, tables.max_atoms)
 
     own_patterns, own_mask, _ = _var_patterns(n_p)
-    distinct: dict[int, int] = {}
-    positions = [
-        distinct.setdefault(_eval_bits(code, range(n_p), own_patterns, own_mask), len(distinct))
-        for code in skeletons
-    ]
-    truth_tables = list(distinct)
+    truth_tables = list(dict.fromkeys(_eval_bits(code, range(n_p), own_patterns, own_mask) for code in skeletons))
     # Each group: the mapping its tables' earlier components won, and the
     # indices of its tables.
     groups: list[tuple[list[int | None], Sequence[int]]] = [(tables.start, range(len(truth_tables)))]
@@ -658,26 +649,18 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> list[_Found]:
         assignments += count * rows
         truncated = truncated or count == tables.component_cap
 
-    found = {
-        t: _Found(mapping, (rows - best_off[t]) / rows, explored, assignments, truncated)
-        for mapping, members in groups
-        for t in members
-    }
-    return [found[position] for position in positions]
+    off = min(best_off)
+    best = best_off.index(off)
+    mapping = next(won for won, members in groups if best in members)
+    binding = _binding_from(tables.pred_atoms, ref.atoms, mapping)
+    return BindingResult(binding, (rows - off) / rows, explored, assignments, truncated)
 
 
 def _bind(pred: FolExpr, ref: FolExpr | CompiledReference, mode: str, config: LeConfig) -> BindingResult:
     if not isinstance(ref, CompiledReference):
         ref = CompiledReference(ref)
-    pred_atoms, (pred_code,) = _lower([pred])
-    (found,) = _search([pred_code], _AtomTables(pred_atoms, ref, mode, config))
-    return BindingResult(
-        _binding_from(pred_atoms, ref.atoms, found.mapping),
-        found.score,
-        found.bindings_explored,
-        found.assignments_evaluated,
-        found.truncated,
-    )
+    pred_atoms, codes = _lower([pred])
+    return _search(codes, _AtomTables(pred_atoms, ref, mode, config))
 
 
 def bind_original(
@@ -724,35 +707,24 @@ def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config
     A reading's search reads nothing of it but its truth table over the
     prediction's own atoms, and the walk over bindings does not depend on
     the reading.  So every reading goes to one ``_search``, which walks the
-    bindings once and scores each distinct table at every binding; readings
-    with equal tables share one result.  The report's counters still add up
-    per reading."""
+    bindings once, scores each distinct table at every binding and returns
+    the first best reading's binding and score.  The walk's counters are one
+    reading's, so the report multiplies them by the number of readings."""
     wrappers, operands, ops = split_chain(lex(prediction), config.max_chain_operators)
     pred_atoms, codes = _lower(operands, wrappers)
     negated = sum(isinstance(wrapper, Not) for wrapper in wrappers) % 2
     readings = chain_readings(codes, ops, config.chunk_size, lambda *node: node)
     skeletons = [("not", reading) if negated else reading for reading in readings]
-    found = _search(skeletons, _AtomTables(pred_atoms, ref, mode, config))
-    best = found[0]
-    assignments = bindings = 0
-    truncated = False
-    for result in found:
-        assignments += result.assignments_evaluated
-        bindings += result.bindings_explored
-        truncated = truncated or result.truncated
-        if result.score > best.score:
-            best = result
-
-    binding = _binding_from(pred_atoms, ref.atoms, best.mapping)
+    result = _search(skeletons, _AtomTables(pred_atoms, ref, mode, config))
     return LeReport(
-        score=best.score,
-        binding=binding,
-        atom_count=len(ref.atoms) + len(binding.unbound_prediction),
-        assignments_evaluated=assignments,
-        bindings_explored=bindings,
+        score=result.score,
+        binding=result.binding,
+        atom_count=len(ref.atoms) + len(result.binding.unbound_prediction),
+        assignments_evaluated=result.assignments_evaluated * len(readings),
+        bindings_explored=result.bindings_explored * len(readings),
         trees_explored=len(readings),
         mode=mode,
-        truncated=truncated,
+        truncated=result.truncated,
     )
 
 

@@ -51,11 +51,22 @@ def _le_config(raw: dict, base: LeConfig) -> LeConfig:
     if not _LE_KEYS & raw.keys():
         return base
     sim = base.similarity
-    threshold = float(raw.get("threshold", sim.threshold))
+    threshold = float(_typed(raw, "threshold", (int, float), "a number", sim.threshold))
     sim = replace(sim, threshold=threshold, ngram_sizes=frozenset(raw.get("ngram_sizes", sim.ngram_sizes)))
-    chunk_size = int(raw["chunk_size"]) if "chunk_size" in raw else base.chunk_size
-    max_atoms = int(raw.get("max_atoms", base.max_atoms))
+    chunk_size = _typed(raw, "chunk_size", int, "an integer", base.chunk_size)
+    max_atoms = _typed(raw, "max_atoms", int, "an integer", base.max_atoms)
     return replace(base, similarity=sim, chunk_size=chunk_size, max_atoms=max_atoms)
+
+
+def _typed(raw: dict, key: str, types, kind: str, default):
+    """``raw[key]``, or ``default`` when ``raw`` has no ``key``.  A given
+    value must be an instance of ``types`` and not a bool."""
+    if key not in raw:
+        return default
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{key} must be {kind}, not {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,8 @@ class Hyperparams:
             raise ValueError("std_epsilon must be positive")
         if self.max_length < 1:
             raise ValueError("max_length must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

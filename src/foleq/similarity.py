@@ -1,8 +1,8 @@
 """String similarity used to restrict atom-matching candidates.
 
 The default backend is a character n-gram cosine over pooled 2- and 3-gram
-counts.  Strings shorter than n contribute themselves as a single gram so
-that every non-empty string is fully similar to itself.  The relatedness
+counts.  Strings shorter than n contribute themselves as a single gram, and
+every non-empty string scores exactly 1.0 against itself.  The relatedness
 threshold is inclusive: a score of exactly ``threshold`` counts as related.
 """
 
@@ -24,6 +24,8 @@ class SimilarityConfig:
     def __post_init__(self):
         if not self.ngram_sizes:
             raise ValueError("ngram_sizes must be non-empty")
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in self.ngram_sizes):
+            raise ValueError("ngram sizes must be integers")
         if any(n < 1 for n in self.ngram_sizes):
             raise ValueError("ngram sizes must be >= 1")
         if not 0.0 <= self.threshold <= 1.0:
@@ -72,6 +74,8 @@ def ngram_cosine(a: str, b: str, config: SimilarityConfig = DEFAULT_SIMILARITY) 
     """Cosine of pooled character n-gram count vectors, in [0, 1]."""
     if not config.case_sensitive:
         a, b = a.lower(), b.lower()
+    if a == b and a:
+        return 1.0  # the norms' product can round below the dot product
     va, norm_a = _gram_vector(a, config.ngram_sizes)
     vb, norm_b = _gram_vector(b, config.ngram_sizes)
     common = va.keys() & vb.keys()

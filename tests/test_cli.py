@@ -251,7 +251,19 @@ def test_bad_config_file_is_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["score", "A", "A"], ["serve", "--stdio"]])
-@pytest.mark.parametrize("content", [{"chunk_size": None}, {"ngram_sizes": 3}])
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"chunk_size": None},
+        {"ngram_sizes": 3},
+        {"ngram_sizes": [2.5]},
+        {"ngram_sizes": [2, 3.0]},
+        {"chunk_size": 2.7},
+        {"max_atoms": "3"},
+        {"threshold": "0.5"},
+        {"threshold": 10**400},
+    ],
+)
 def test_wrong_typed_config_value_is_data_error(tmp_path, monkeypatch, capsys, command, content):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(content), encoding="utf-8")
@@ -360,6 +372,12 @@ def test_train_demo_non_finite_learning_rate_is_a_data_error(capsys, learning_ra
     code, out, err = run(capsys, "train-demo", "--iterations", "3", f"--learning-rate={learning_rate}")
     assert (code, out) == (2, "")
     assert err == "bad demo config: learning_rate, kl_beta, sft_weight and clip_epsilon must be finite\n"
+
+
+def test_train_demo_negative_seed_is_a_data_error(capsys):
+    code, out, err = run(capsys, "train-demo", "--iterations", "3", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "bad demo config: seed must be non-negative\n"
 
 
 @pytest.mark.parametrize(

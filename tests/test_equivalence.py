@@ -346,6 +346,16 @@ def test_reflexivity_random_formulas():
             assert le_score(text, text, mode=mode).score == 1.0
 
 
+@pytest.mark.parametrize("mode", ["original", "optimized"])
+@pytest.mark.parametrize("formula", ["B", "P(x)", "Mortal(x)", "A ∧ B", "∀x (P(x) → Q(x))"])
+def test_reflexivity_at_threshold_one(mode, formula):
+    # Every atom is related to itself even when only equal texts relate.
+    config = LeConfig(similarity=SimilarityConfig(threshold=1.0))
+    report = le_score(formula, formula, mode=mode, config=config)
+    assert report.score == 1.0
+    assert report.binding.unbound_prediction == ()
+
+
 def test_negation_scores_zero():
     for f in ["A", "A ∧ B", "A ∨ B ∨ C", "∀x P(x)", "A ↔ B"]:
         for mode in ("original", "optimized"):

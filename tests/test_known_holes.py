@@ -9,6 +9,7 @@ effect of another change.
 import pytest
 
 from foleq.equivalence import le_score
+from foleq.similarity import ngram_cosine
 
 MODES = ["optimized", "original"]
 
@@ -46,3 +47,16 @@ def test_constant_or_partial_answers_score_the_agreement_fraction(mode, predicti
     # agrees with the implication, without modelling the reference.
     # Changing these values is a deliberate decision about the metric.
     assert le_score(prediction, reference, mode=mode).score == score
+
+
+@pytest.mark.parametrize("mode, score", [("optimized", 0.5), ("original", 1.0)])
+def test_exact_threshold_pair_is_unrelated_in_floating_point(mode, score):
+    # P(x) and Q(x) share three of five grams, so their exact cosine is
+    # 3/5, the default threshold, which README calls inclusive.  The float
+    # cosine is 0.5999999999999999, so optimized mode leaves both atoms
+    # unbound, while original mode binds every atom regardless.  Changing
+    # these values is a deliberate decision about the metric.
+    assert ngram_cosine("P(x)", "Q(x)") == 0.5999999999999999
+    report = le_score("P(x)", "Q(x)", mode=mode)
+    assert report.score == score
+    assert report.binding.as_dict() == ({} if mode == "optimized" else {"P(x)": "Q(x)"})

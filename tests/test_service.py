@@ -186,6 +186,24 @@ def test_overrides_may_lower_the_cost_caps():
     assert response.score == 1.0
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"chunk_size": 2.7}, "chunk_size must be an integer, not 2.7"),
+    ({"chunk_size": None}, "chunk_size must be an integer, not None"),
+    ({"max_atoms": "3"}, "max_atoms must be an integer, not '3'"),
+    ({"max_atoms": True}, "max_atoms must be an integer, not True"),
+    ({"threshold": "0.5"}, "threshold must be a number, not '0.5'"),
+    ({"threshold": False}, "threshold must be a number, not False"),
+])
+def test_wrong_typed_override_is_bad_request(overrides, message):
+    line = json.dumps(le_request("a", "A ∧ B", "A ∧ B", overrides=overrides))
+    assert handle_line(line, CONFIG).error == {"code": BAD_REQUEST, "message": f"bad overrides: {message}"}
+
+
+def test_integer_threshold_override_is_a_number():
+    response = handle_request(parse_request(le_request("a", "P(x)", "P(x)", overrides={"threshold": 1})), CONFIG)
+    assert response.score == 1.0
+
+
 def test_infinite_override_is_bad_request():
     line = json.dumps(le_request("a", "A", "A", overrides={"max_atoms": float("inf")}))
     assert handle_line(line, CONFIG).error["code"] == BAD_REQUEST

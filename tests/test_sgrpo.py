@@ -372,6 +372,8 @@ def test_hyperparams_validation():
         Hyperparams(kl_beta=-0.1)
     with pytest.raises(ValueError):
         Hyperparams(std_epsilon=0.0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        Hyperparams(seed=-1)
 
 
 # --- demo loop -------------------------------------------------------------------------------

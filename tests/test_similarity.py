@@ -132,7 +132,11 @@ def test_default_threshold_on_similar_predicates():
 
 def test_threshold_is_inclusive():
     config = SimilarityConfig(threshold=1.0)
-    assert is_related("abc", "abc", config)
+    # One-character and bracketed texts too: their cosine against
+    # themselves must not round below 1.0.
+    for text in ("abc", "a", "P(x)"):
+        assert ngram_cosine(text, text, config) == 1.0
+        assert is_related(text, text, config)
 
 
 def test_config_validation():
@@ -142,6 +146,9 @@ def test_config_validation():
         SimilarityConfig(ngram_sizes=frozenset())
     with pytest.raises(ValueError):
         SimilarityConfig(ngram_sizes=frozenset({0}))
+    for sizes in ({2.5}, {2, 3.0}, {True}):
+        with pytest.raises(ValueError, match="ngram sizes must be integers"):
+            SimilarityConfig(ngram_sizes=frozenset(sizes))
 
 
 def test_default_config_values():
