@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from .corpus import corpus_le, load_pairs
-from .service import CAP_EXCEEDED, ScoreRequest, ServiceConfig, handle_request, serve, serve_socket
+from .service import CAP_EXCEEDED, ScoreRequest, ServiceConfig, _typed, handle_request, serve, serve_socket
 from .sgrpo import TrainDemoConfig, default_demo_config, train_demo, write_trace
 from .syntax import FormulaError, canonicalize, parse, render
 
@@ -77,19 +77,27 @@ def _load_config_file(path: str) -> dict:
     return raw
 
 
-def _service_config(args) -> ServiceConfig | None:
-    """The config file overlaid with the flags, or None after saying on
-    stderr why it is bad."""
+def _config(args, flags, build, label: str):
+    """``build`` of the ``--config`` file overlaid with the set ``flags``,
+    or None after saying on stderr, after ``label``, why it is bad."""
     try:
         mapping = _load_config_file(args.config) if args.config else {}
-        for flag in ("mode", "threshold", "max_atoms", "chunk_size"):
-            value = getattr(args, flag, None)
-            if value is not None:
-                mapping[flag] = value
-        return ServiceConfig.from_mapping(mapping)
+        mapping.update((flag, getattr(args, flag)) for flag in flags if getattr(args, flag) is not None)
+        return build(mapping)
     except (OSError, ValueError, TypeError, OverflowError) as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
+        print(f"{label}: {exc}", file=sys.stderr)
         return None
+
+
+def _writable(path: str) -> bool:
+    """Whether ``path`` can be opened for writing, after saying on stderr
+    why not; it is checked before the work whose results it takes."""
+    try:
+        open(path, "w", encoding="utf-8").close()
+        return True
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
 
 
 def _cmd_parse(args) -> int:
@@ -138,7 +146,7 @@ def _read_aligned(pred_path: str, ref_path: str):
 
 
 def _cmd_score(args) -> int:
-    config = _service_config(args)
+    config = _config(args, ("mode", "threshold", "max_atoms", "chunk_size"), ServiceConfig.from_mapping, "bad config")
     if config is None:
         return DATA_ERROR
 
@@ -162,6 +170,8 @@ def _cmd_score(args) -> int:
         return DATA_ERROR
     if not pairs:
         print("no valid pairs found", file=sys.stderr)
+        return DATA_ERROR
+    if args.out and not _writable(args.out):
         return DATA_ERROR
 
     report = corpus_le(pairs, mode=config.mode, config=config.le, bleu_config=config.bleu)
@@ -191,7 +201,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    config = _service_config(args)
+    config = _config(args, (), ServiceConfig.from_mapping, "bad config")
     if config is None:
         return DATA_ERROR
     if args.stdio:
@@ -208,26 +218,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_train_demo(args) -> int:
-    raw: dict = {}
-    if args.config:
-        try:
-            raw = _load_config_file(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"bad config: {exc}", file=sys.stderr)
-            return DATA_ERROR
-    if args.iterations is not None:
-        raw["iterations"] = args.iterations
-    if args.learning_rate is not None:
-        raw["learning_rate"] = args.learning_rate
-    if args.seed is not None:
-        raw["seed"] = args.seed
-
-    try:
-        config = _demo_config_from_mapping(raw)
-    except (ValueError, TypeError, OverflowError) as exc:
-        print(f"bad demo config: {exc}", file=sys.stderr)
+    config = _config(args, ("iterations", "learning_rate", "seed"), _demo_config_from_mapping, "bad demo config")
+    if config is None or (args.trace and not _writable(args.trace)):
         return DATA_ERROR
-
     trace = train_demo(config)
     if args.trace:
         write_trace(trace, args.trace)
@@ -246,19 +239,21 @@ def _demo_config_from_mapping(raw: dict) -> TrainDemoConfig:
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown keys: {sorted(unknown)}")
-    base = default_demo_config(
-        iterations=int(raw.get("iterations", 500)),
-        learning_rate=float(raw.get("learning_rate", 0.5)),
-        seed=int(raw.get("seed", 0)),
-    )
+    base = default_demo_config()
     for key in ("vocab", "references"):
         if key in raw and not (isinstance(raw[key], list) and all(isinstance(v, str) for v in raw[key])):
             raise ValueError(f"{key} must be a list of strings")
-    hp = replace(base.hp, group_size=int(raw.get("group_size", base.hp.group_size)))
+    hp = replace(
+        base.hp,
+        learning_rate=float(_typed(raw, "learning_rate", (int, float), "a number", base.hp.learning_rate)),
+        seed=_typed(raw, "seed", int, "an integer", base.hp.seed),
+        group_size=_typed(raw, "group_size", int, "an integer", base.hp.group_size),
+    )
     config = replace(
         base,
         vocab=tuple(raw.get("vocab", base.vocab)),
         references=tuple(raw.get("references", base.references)),
+        iterations=_typed(raw, "iterations", int, "an integer", base.iterations),
         hp=hp,
     )
     config.prompts()  # every reference must be max_length tokens of the vocab

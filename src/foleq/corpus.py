@@ -61,7 +61,7 @@ def load_pairs(path, fmt: str = "jsonl") -> tuple[list[EvalPair], list[tuple[int
     """Read evaluation pairs from a jsonl or tsv file.
 
     Malformed rows are skipped and reported as (line number, message).
-    Missing ids default to the 0-based row index of the kept pairs.
+    Missing or null ids default to the 0-based row index of the kept pairs.
     """
     if fmt not in ("jsonl", "tsv"):
         raise ValueError(f"unknown corpus format {fmt!r}")
@@ -86,9 +86,8 @@ def load_pairs(path, fmt: str = "jsonl") -> tuple[list[EvalPair], list[tuple[int
                 if not isinstance(prediction, str) or not isinstance(reference, str):
                     failures.append((lineno, "prediction and reference must be strings"))
                     continue
-                pair_id = row.get("id", str(len(pairs)))
-                if not isinstance(pair_id, str):
-                    pair_id = str(pair_id)
+                pair_id = row.get("id")
+                pair_id = str(len(pairs)) if pair_id is None else str(pair_id)
             else:
                 cells = line.split("\t")
                 if len(cells) == 2:

@@ -87,7 +87,7 @@ class ServiceConfig:
         unknown = set(raw) - _LE_KEYS - {"mode", "bleu_smoothing"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        bleu = BleuConfig(smoothing_floor=float(raw.get("bleu_smoothing", 0.0)))
+        bleu = BleuConfig(smoothing_floor=float(_typed(raw, "bleu_smoothing", (int, float), "a number", 0.0)))
         return ServiceConfig(le=_le_config(raw, DEFAULT_LE), bleu=bleu, mode=raw.get("mode", "optimized"))
 
 
@@ -148,7 +148,7 @@ def parse_request(raw: dict) -> ScoreRequest:
     if overrides is not None:
         if not isinstance(overrides, dict):
             raise ValueError("overrides must be an object")
-        unknown = set(overrides) - {"threshold", "chunk_size", "max_atoms"}
+        unknown = set(overrides) - (_LE_KEYS - {"ngram_sizes"})
         if unknown:
             raise ValueError(f"unknown override keys: {sorted(unknown)}")
     return ScoreRequest(rid, op, prediction, reference, mode, overrides)

@@ -229,6 +229,16 @@ def test_score_aligned_files_length_mismatch(tmp_path, capsys):
     assert "line counts differ" in err
 
 
+def test_score_unwritable_out_file_is_data_error_before_scoring(tmp_path, capsys):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in FIXTURE) + "\n", encoding="utf-8")
+    out_path = tmp_path / "absent" / "per-pair.jsonl"
+    code, out, err = run(capsys, "score", "--pred-file", str(path), "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot write {out_path}: ")
+    assert "Traceback" not in err
+
+
 def test_score_missing_file_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "score", "--pred-file", str(tmp_path / "absent.jsonl"))
     assert code == 2
@@ -262,6 +272,8 @@ def test_bad_config_file_is_data_error(tmp_path, capsys):
         {"max_atoms": "3"},
         {"threshold": "0.5"},
         {"threshold": 10**400},
+        {"bleu_smoothing": True},
+        {"bleu_smoothing": "0.01"},
     ],
 )
 def test_wrong_typed_config_value_is_data_error(tmp_path, monkeypatch, capsys, command, content):
@@ -324,6 +336,14 @@ def test_train_demo_writes_trace(tmp_path, capsys):
     assert records[0]["iter"] == 0
 
 
+def test_train_demo_unwritable_trace_is_data_error_before_training(tmp_path, capsys):
+    trace_path = tmp_path / "absent" / "trace.jsonl"
+    code, out, err = run(capsys, "train-demo", "--iterations", "2", "--trace", str(trace_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot write {trace_path}: ")
+    assert "Traceback" not in err
+
+
 def test_train_demo_config_file(tmp_path, capsys):
     config_path = tmp_path / "demo.json"
     config_path.write_text(json.dumps({"iterations": 2, "seed": 3}), encoding="utf-8")
@@ -383,10 +403,17 @@ def test_train_demo_negative_seed_is_a_data_error(capsys):
 @pytest.mark.parametrize(
     "content, message",
     [
-        ('{"iterations": 1e400}', "cannot convert float infinity to integer"),
-        ('{"seed": 1e400}', "cannot convert float infinity to integer"),
-        ('{"group_size": -1e400}', "cannot convert float infinity to integer"),
+        ('{"iterations": 1e400}', "iterations must be an integer, not inf"),
+        ('{"seed": 1e400}', "seed must be an integer, not inf"),
+        ('{"group_size": -1e400}', "group_size must be an integer, not -inf"),
         ('{"learning_rate": NaN}', "learning_rate, kl_beta, sft_weight and clip_epsilon must be finite"),
+        ('{"iterations": 2.7}', "iterations must be an integer, not 2.7"),
+        ('{"iterations": true}', "iterations must be an integer, not True"),
+        ('{"seed": 1.9}', "seed must be an integer, not 1.9"),
+        ('{"group_size": 2.9}', "group_size must be an integer, not 2.9"),
+        ('{"learning_rate": "0.1"}', "learning_rate must be a number, not '0.1'"),
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ("[2]", "config file must hold a JSON object"),
     ],
 )
 def test_train_demo_overflowing_config_is_a_data_error(tmp_path, capsys, content, message):

@@ -213,11 +213,12 @@ def test_load_jsonl(tmp_path):
         {"id": "a", "prediction": "A", "reference": "A"},
         {"prediction": "B", "reference": "B"},
         {"id": 7, "prediction": "C", "reference": "C"},
+        {"id": None, "prediction": "D", "reference": "D"},
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     pairs, failures = load_pairs(path)
     assert not failures
-    assert [p.id for p in pairs] == ["a", "1", "7"]
+    assert [p.id for p in pairs] == ["a", "1", "7", "3"]
     assert pairs[1].prediction == "B"
 
 

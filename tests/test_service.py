@@ -49,6 +49,7 @@ def test_parse_request_happy_path():
     {"id": "x", "op": "le_score", "prediction": "A"},                  # missing reference
     le_request("x", "A", "A", mode="turbo"),
     le_request("x", "A", "A", overrides={"verbosity": 3}),
+    le_request("x", "A", "A", overrides={"ngram_sizes": [2]}),         # a config key, not an override
     le_request("x", "A", "A", overrides=[1, 2]),
     "just a string",
 ])
