@@ -48,6 +48,7 @@ reading's: the report multiplies them by the number of readings.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -59,20 +60,17 @@ from .syntax import (
     IMPLIES,
     OR,
     XOR,
-    Atom,
     AtomicUnit,
-    Binary,
     CapExceeded,
     FolExpr,
     FormulaError,
-    Not,
-    Quantified,
     atoms_of,  # unused here, but tracers patch this attribute
     canonicalize,  # unused here, but tracers patch this attribute
     chain_readings,
     enumerate_bracketings,  # unused here, but tracers patch this attribute
     lex,
     parse,
+    render,
     split_chain,
 )
 
@@ -265,56 +263,45 @@ def _var_patterns(k: int) -> tuple[tuple[int, ...], int, int]:
     return tuple(patterns), (1 << rows) - 1, rows
 
 
-def _lower(operands: list[FolExpr], wrappers: Sequence[FolExpr] = ()) -> tuple[tuple[AtomicUnit, ...], list]:
-    """Lower formulas read in one scope, in one walk: the distinct atoms and
-    each operand's propositional skeleton.
-
-    The operands are read in order inside the quantifiers among ``wrappers``
-    (outermost first, bodies ignored), as their left-deep chain would be.
+class _Lowering:
+    """A node factory (see ``syntax.TREES``) that lowers one formula while
+    it is parsed: it builds each node's propositional skeleton, a nested
+    tuple ``("atom", ordinal)``, ``("not", body)`` or ``(op, left, right)``
+    with quantifiers dropped, and ``atoms()`` then lists the distinct atoms.
     Bound variables are renamed as ``canonicalize`` renames them and the
-    atoms come in the order ``atoms_of`` gives for the renamed tree.  A
-    skeleton drops quantifiers and is a nested tuple: ``("atom", ordinal)``,
-    ``("not", body)`` or ``(op, left, right)``."""
-    # Atom keys in first-occurrence order, each a predicate and arguments in
-    # which a bound name is the index of its quantifier in pre-order.
-    ordinals: dict[tuple[str, tuple[str | int, ...]], int] = {}
-    quantifiers = 0
+    atoms come in the order ``atoms_of`` gives for the renamed tree."""
 
-    def walk(expr: FolExpr, env: dict[str, int]):
-        nonlocal quantifiers
-        if isinstance(expr, Atom):
-            key = (expr.predicate, tuple([env.get(a, a) for a in expr.args]))
-            ordinal = ordinals.get(key)
-            if ordinal is None:
-                ordinal = ordinals[key] = len(ordinals)
-            return ("atom", ordinal)
-        if isinstance(expr, Not):
-            return ("not", walk(expr.body, env))
-        if isinstance(expr, Binary):
-            return (expr.op, walk(expr.left, env), walk(expr.right, env))
-        env = {**env, expr.variable: quantifiers}
-        quantifiers += 1
-        return walk(expr.body, env)
+    def __init__(self):
+        # Atom keys in first-occurrence order, each a predicate and arguments
+        # in which a bound name is the index of its quantifier in pre-order.
+        self.ordinals: dict[tuple[str, tuple[str | int, ...]], int] = {}
+        self.scope: dict[str, int] = {}
+        self.quantifiers = 0
 
-    env: dict[str, int] = {}
-    for wrapper in wrappers:
-        if isinstance(wrapper, Quantified):
-            env[wrapper.variable] = quantifiers
-            quantifiers += 1
-    codes = [walk(operand, env) for operand in operands]
-    # Fresh names skip every name that occurs free.
-    free = {a for _, args in ordinals for a in args if isinstance(a, str)}
-    names: list[str] = []
-    counter = 0
-    while len(names) < quantifiers:
-        counter += 1
-        if f"v{counter}" not in free:
-            names.append(f"v{counter}")
-    atoms = tuple(
-        AtomicUnit(predicate, tuple([a if isinstance(a, str) else names[a] for a in args]))
-        for predicate, args in ordinals
-    )
-    return atoms, codes
+    def atom(self, name: str, args: tuple[str, ...]):
+        key = (name, tuple([self.scope.get(a, a) for a in args]))
+        return ("atom", self.ordinals.setdefault(key, len(self.ordinals)))
+
+    negate = staticmethod(lambda body: ("not", body))
+    join = staticmethod(lambda *node: node)
+
+    def quantify(self, kind: str, var: str, parse_body):
+        outer = self.scope
+        self.scope = {**outer, var: self.quantifiers}
+        self.quantifiers += 1
+        body = parse_body()
+        self.scope = outer
+        return body
+
+    def atoms(self) -> tuple[AtomicUnit, ...]:
+        # Fresh names skip every name that occurs free.
+        free = {a for _, args in self.ordinals for a in args if isinstance(a, str)}
+        fresh = (f"v{i}" for i in itertools.count(1) if f"v{i}" not in free)
+        names = list(itertools.islice(fresh, self.quantifiers))
+        return tuple(
+            AtomicUnit(predicate, tuple([a if isinstance(a, str) else names[a] for a in args]))
+            for predicate, args in self.ordinals
+        )
 
 
 def _eval_bits(node, varmap: list[int], patterns: tuple[int, ...], mask: int) -> int:
@@ -348,10 +335,8 @@ class CompiledReference:
     and each prediction atom text's candidate row (built on first use).
     ``compile_reference`` builds one from text."""
 
-    def __init__(self, tree: FolExpr):
-        """``tree``'s bound variables are renamed as ``canonicalize`` renames
-        them, which leaves a canonical tree as it is."""
-        self.atoms, (self.code,) = _lower([tree])
+    def __init__(self, atoms: tuple[AtomicUnit, ...], code):
+        self.atoms, self.code = atoms, code
         self._rows: dict[SimilarityConfig, dict[str, tuple[tuple[int, float], ...]]] = {}
 
     def candidate_rows(self, config: SimilarityConfig) -> dict[str, tuple[tuple[int, float], ...]]:
@@ -366,7 +351,9 @@ class CompiledReference:
 def compile_reference(reference: str) -> CompiledReference:
     """Parse ``reference`` in precedence mode and compile it for scoring.
     Raises the ``FormulaError`` that :func:`parse` raises."""
-    return CompiledReference(parse(reference))
+    lowering = _Lowering()
+    code = parse(reference, nodes=lowering)
+    return CompiledReference(lowering.atoms(), code)
 
 
 def _capped_patterns(k: int, max_atoms: int) -> tuple[tuple[int, ...], int, int]:
@@ -409,11 +396,12 @@ def _binding_from(
 
 def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_atoms: int = 16) -> float:
     """Truth-table agreement of the two skeletons under a fixed binding.
-    Both trees' bound variables are renamed as ``canonicalize`` renames
-    them, so the binding names atoms of the renamed trees; canonical trees
-    are left as they are."""
-    pred_atoms, (pred_code,) = _lower([pred])
-    compiled = CompiledReference(ref)
+    Both trees are lowered through their rendering, and their bound
+    variables are renamed as ``canonicalize`` renames them, so the binding
+    names atoms of the renamed trees; canonical trees are left as they are."""
+    lowered = compile_reference(render(pred))
+    pred_atoms = lowered.atoms
+    compiled = compile_reference(render(ref))
     pred_index = {a.canonical_text: i for i, a in enumerate(pred_atoms)}
     ref_index = {a.canonical_text: j for j, a in enumerate(compiled.atoms)}
     mapping: list[int | None] = [None] * len(pred_atoms)
@@ -424,7 +412,7 @@ def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_at
             raise ValueError(f"binding names unknown reference atom {r.canonical_text!r}")
         mapping[pred_index[p.canonical_text]] = ref_index[r.canonical_text]
     patterns, mask, rows = _capped_patterns(len(compiled.atoms) + mapping.count(None), max_atoms)
-    pred_bits = _eval_bits(pred_code, range(len(pred_atoms)), patterns, mask)
+    pred_bits = _eval_bits(lowered.code, range(len(pred_atoms)), patterns, mask)
     return (rows - (pred_bits ^ _reference_bits(compiled, mapping, patterns, mask)).bit_count()) / rows
 
 
@@ -658,9 +646,9 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> BindingResult:
 
 def _bind(pred: FolExpr, ref: FolExpr | CompiledReference, mode: str, config: LeConfig) -> BindingResult:
     if not isinstance(ref, CompiledReference):
-        ref = CompiledReference(ref)
-    pred_atoms, codes = _lower([pred])
-    return _search(codes, _AtomTables(pred_atoms, ref, mode, config))
+        ref = compile_reference(render(ref))
+    lowered = compile_reference(render(pred))
+    return _search([lowered.code], _AtomTables(lowered.atoms, ref, mode, config))
 
 
 def bind_original(
@@ -699,10 +687,10 @@ def bind_optimized(
 
 def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config: LeConfig) -> LeReport:
     """Bind every reading that enumerate_bracketings gives.  Readings keep
-    the quantifiers and atoms in one pre-order, so one lowering of the
-    chain's operands inside its quantifiers gives the renaming, the atom
-    list and the operand codes of them all.  The skeleton drops quantifiers,
-    so only the parity of the negations wrapped around the chain is kept.
+    the quantifiers and atoms in one pre-order, so the prediction is parsed
+    and lowered once, straight to the renaming, the atom list and the
+    operand codes of them all.  The skeleton drops quantifiers, so only the
+    parity of the negations wrapped around the chain is kept.
 
     A reading's search reads nothing of it but its truth table over the
     prediction's own atoms, and the walk over bindings does not depend on
@@ -710,12 +698,14 @@ def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config
     bindings once, scores each distinct table at every binding and returns
     the first best reading's binding and score.  The walk's counters are one
     reading's, so the report multiplies them by the number of readings."""
-    wrappers, operands, ops = split_chain(lex(prediction), config.max_chain_operators)
-    pred_atoms, codes = _lower(operands, wrappers)
-    negated = sum(isinstance(wrapper, Not) for wrapper in wrappers) % 2
-    readings = chain_readings(codes, ops, config.chunk_size, lambda *node: node)
+    lowering = _Lowering()
+    wrapped, operands, ops = split_chain(lex(prediction), config.max_chain_operators, lowering)
+    negated = False
+    while wrapped is not None and wrapped[0] == "not":
+        negated, wrapped = not negated, wrapped[1]
+    readings = chain_readings(operands, ops, config.chunk_size, lowering.join)
     skeletons = [("not", reading) if negated else reading for reading in readings]
-    result = _search(skeletons, _AtomTables(pred_atoms, ref, mode, config))
+    result = _search(skeletons, _AtomTables(lowering.atoms(), ref, mode, config))
     return LeReport(
         score=result.score,
         binding=result.binding,

@@ -24,6 +24,7 @@ import itertools
 import re
 import sys
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import NamedTuple
 
 # Token kinds.
@@ -199,6 +200,13 @@ class AtomicUnit:
 
 # --- parsing -----------------------------------------------------------------
 
+# The node factory that builds trees.  A parser builds every node with its
+# factory's atom(name, args), negate(body), join(op, left, right) and
+# quantify(kind, var, parse_body), which calls parse_body() once.
+TREES = SimpleNamespace(
+    atom=Atom, negate=Not, join=Binary, quantify=lambda kind, var, parse_body: Quantified(kind, var, parse_body())
+)
+
 
 def _reduce(out: list, pending: list[str], join) -> None:
     right = out.pop()
@@ -227,7 +235,7 @@ _END_TOKEN = Token(_END, "", -1)
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], mode: str = "precedence"):
+    def __init__(self, tokens: list[Token], mode: str = "precedence", nodes=TREES):
         """Text of more tokens than half the recursion limit raises
         ``CapExceeded``; no parse or scoring walk nests deeper than that."""
         if not tokens:
@@ -238,13 +246,14 @@ class _Parser:
         # Reads index the list directly; the sentinel stops every one of them.
         self.tokens = [*tokens, _END_TOKEN]
         self.pos = 0
+        self.nodes = nodes
         # The most operators one chain may hold at top level and inside one
         # parenthesis group; fully-parenthesized text gives each binary
         # connective its own parentheses.
         self.top_ops, self.group_ops = (None, None) if mode == "precedence" else (0, 1)
         # The operands and operators of the last parenthesized chain with at
         # least one operator that unary() closed.
-        self.last_group: tuple[list[FolExpr], list[str]] | None = None
+        self.last_group: tuple[list, list[str]] | None = None
 
     def ident(self, what: str) -> str:
         """Pass the identifier at the cursor and return its text."""
@@ -256,8 +265,8 @@ class _Parser:
         self.pos += 1
         return tok.text
 
-    def parse(self) -> FolExpr:
-        expr = _fold(*self.chain(self.top_ops))
+    def parse(self):
+        expr = _fold(*self.chain(self.top_ops), self.nodes.join)
         self.finish()
         return expr
 
@@ -268,7 +277,7 @@ class _Parser:
         if tok.kind != _END:
             raise ParseError(f"unexpected token {tok.text!r}", tok.position)
 
-    def chain(self, max_ops: int | None = None) -> tuple[list[FolExpr], list[str]]:
+    def chain(self, max_ops: int | None = None) -> tuple[list, list[str]]:
         """A flat connective chain: its unary operands and operator kinds,
         at most ``max_ops`` operators when that is not None."""
         tokens = self.tokens
@@ -284,15 +293,15 @@ class _Parser:
             ops.append(tok.kind)
             operands.append(self.unary())
 
-    def unary(self) -> FolExpr:
+    def unary(self):
         tok = self.tokens[self.pos]
         if tok.kind == NOT:
             self.pos += 1
-            return Not(self.unary())
+            return self.nodes.negate(self.unary())
         if tok.kind in QUANTIFIERS:
             self.pos += 1
             var = self.ident("a quantified variable name")
-            return Quantified(tok.kind, var, self.unary())
+            return self.nodes.quantify(tok.kind, var, self.unary)
         if tok.kind == IDENT:
             return self.atom()
         if tok.kind == LPAREN:
@@ -302,17 +311,17 @@ class _Parser:
             if not ops:
                 return operands[0]
             self.last_group = (operands, ops)
-            return _fold(operands, ops)
+            return _fold(operands, ops, self.nodes.join)
         if tok.kind == _END:
             raise ParseError("unexpected end of input")
         raise ParseError(f"unexpected token {tok.text!r}", tok.position)
 
-    def atom(self) -> FolExpr:
+    def atom(self):
         tokens = self.tokens
         name = tokens[self.pos]
         self.pos += 1
         if tokens[self.pos].kind != LPAREN:
-            return Atom(name.text)
+            return self.nodes.atom(name.text, ())
         self.pos += 1
         tok = tokens[self.pos]
         if tok.kind == RPAREN:
@@ -322,7 +331,7 @@ class _Parser:
             self.pos += 1
             args.append(self.ident("an argument name"))
         self.close_paren(name)
-        return Atom(name.text, tuple(args))
+        return self.nodes.atom(name.text, tuple(args))
 
     def close_paren(self, opener: Token) -> None:
         tok = self.tokens[self.pos]
@@ -333,8 +342,9 @@ class _Parser:
         self.pos += 1
 
 
-def parse(text: str, mode: str = "precedence") -> FolExpr:
-    """Parse ``text`` into a formula tree.
+def parse(text: str, mode: str = "precedence", nodes=TREES):
+    """Parse ``text`` into a formula tree, or into what the node factory
+    ``nodes`` builds (see ``TREES``).
 
     ``mode`` is ``"precedence"`` (default) or ``"fully-parenthesized"``.
     Both modes read one grammar, and fully-parenthesized mode adds one
@@ -345,7 +355,7 @@ def parse(text: str, mode: str = "precedence") -> FolExpr:
     """
     if mode not in ("precedence", "fully-parenthesized"):
         raise ValueError(f"unknown parse mode {mode!r}")
-    return _Parser(lex(text), mode).parse()
+    return _Parser(lex(text), mode, nodes).parse()
 
 
 # --- rendering ---------------------------------------------------------------
@@ -519,24 +529,21 @@ def chain_readings(operands: list, ops: list[str], chunk_size: int | None, join=
     return [precedence] + [reading for reading in enumerated if reading != precedence]
 
 
-def split_chain(tokens: list[Token], max_operators: int = 16) -> tuple[list[FolExpr], list[FolExpr], list[str]]:
-    """The negations and quantifiers wrapped around a formula's outermost
-    flat connective chain (outermost first, bodies kept), the chain's
-    operands and its operator kinds; raises as enumerate_bracketings does."""
-    parser = _Parser(tokens)
+def split_chain(tokens: list[Token], max_operators: int = 16, nodes=TREES) -> tuple:
+    """The whole formula when negations and quantifiers wrap its outermost
+    flat connective chain (else None), that chain's operands and its operator
+    kinds, built by ``nodes``; raises as enumerate_bracketings does."""
+    parser = _Parser(tokens, nodes=nodes)
     operands, ops = parser.chain()
     parser.finish()
-    wrappers: list[FolExpr] = []
+    wrapped = None
     if not ops and parser.last_group is not None:
         # The formula is one operand; it ends in the last group closed.
-        node = operands[0]
-        while isinstance(node, (Not, Quantified)):
-            wrappers.append(node)
-            node = node.body
+        wrapped = operands[0]
         operands, ops = parser.last_group
     if len(ops) > max_operators:
         raise CapExceeded(f"connective chain has {len(ops)} operators (cap {max_operators})")
-    return wrappers, operands, ops
+    return wrapped, operands, ops
 
 
 def enumerate_bracketings(
@@ -566,8 +573,12 @@ def enumerate_bracketings(
     """
     if chunk_size is not None and chunk_size < 2:
         raise ValueError("chunk_size must be at least 2")
-    wrappers, operands, ops = split_chain(tokens, max_operators)
+    wrapped, operands, ops = split_chain(tokens, max_operators)
     readings = chain_readings(operands, ops, chunk_size)
+    wrappers = []
+    while isinstance(wrapped, (Not, Quantified)):
+        wrappers.append(wrapped)
+        wrapped = wrapped.body
     for wrapper in reversed(wrappers):
         readings = [replace(wrapper, body=t) for t in readings]
     return readings

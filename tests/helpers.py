@@ -29,9 +29,9 @@ from foleq.equivalence import (
     DEFAULT_LE,
     BindingMap,
     BindingResult,
-    CompiledReference,
     _AtomTables,
     _enumerate,
+    compile_reference,
 )
 from foleq.sgrpo import ObjectiveParts, kl_estimate, sft_term
 from foleq.similarity import levenshtein
@@ -62,6 +62,7 @@ from foleq.syntax import (
     enumerate_bracketings,
     lex,
     parse,
+    render,
 )
 
 
@@ -295,7 +296,7 @@ def forward_bind(pred: FolExpr, ref: FolExpr, mode: str, config=DEFAULT_LE) -> B
     that many variables.  It shares the library's search plan
     (``_AtomTables``) and assignment walk (``_enumerate``), but none of its
     evaluation, table widening, grouping of readings or cap check."""
-    compiled = CompiledReference(ref)
+    compiled = compile_reference(render(ref))
     pred_atoms, (code,) = lower_by_three_walks([pred])
     tables = _AtomTables(pred_atoms, compiled, mode, config)
     n_r = len(compiled.atoms)

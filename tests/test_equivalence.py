@@ -12,7 +12,8 @@ from foleq.equivalence import (
     LeConfig,
     bind_optimized,
     bind_original,
-    _lower,
+    _Lowering,
+    compile_reference,
     le_score,
     propositional_score,
 )
@@ -121,8 +122,7 @@ _LOWERING_FORMULAS = st.recursive(
 )
 
 
-def _texts_and_codes(lower, operands, wrappers=()):
-    atoms, codes = lower(operands, wrappers)
+def _texts_and_codes(atoms, codes):
     return [a.canonical_text for a in atoms], codes
 
 
@@ -133,15 +133,22 @@ def _texts_and_codes(lower, operands, wrappers=()):
 @example(parse("∀z ∀x P(x) ∧ ∀z P(x)"))
 @example(parse("¬" * 60 + "∀x (P(x) ∧ P(x) ∧ ¬¬P(x))"))
 def test_lowering_matches_rename_list_and_compile(tree):
-    assert _texts_and_codes(_lower, [tree]) == _texts_and_codes(lower_by_three_walks, [tree])
+    compiled = compile_reference(render(tree))
+    assert _texts_and_codes(compiled.atoms, [compiled.code]) == _texts_and_codes(*lower_by_three_walks([tree]))
     # The chain form that scoring lowers: the operands of the outermost
     # chain inside the wrappers around it.
     try:
-        wrappers, operands, _ = split_chain(lex(render(tree)))
+        wrapped, operands, _ = split_chain(lex(render(tree)))
     except CapExceeded:
         return
-    lowered = _texts_and_codes(_lower, operands, wrappers)
-    assert lowered == _texts_and_codes(lower_by_three_walks, operands, wrappers)
+    lowering = _Lowering()
+    _, codes, _ = split_chain(lex(render(tree)), nodes=lowering)
+    wrappers = []
+    while isinstance(wrapped, (Not, Quantified)):
+        wrappers.append(wrapped)
+        wrapped = wrapped.body
+    lowered = _texts_and_codes(lowering.atoms(), codes)
+    assert lowered == _texts_and_codes(*lower_by_three_walks(operands, wrappers))
 
 
 # --- exhaustive binding search ---------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import foleq.equivalence as equivalence
+from foleq.corpus import EvalPair, corpus_le
 from foleq.equivalence import (
     DEFAULT_LE,
     CandidateGraph,
@@ -289,7 +290,7 @@ def test_group_equals_unshared_on_wrapped_chains(data, mode, chunk_size):
 def test_one_prediction_is_renamed_listed_and_tabled_once(monkeypatch):
     text = "(" + " ∧ ".join("ABCDEFGHIJKLMNOP") + ")"
     reference = compile_reference(text)
-    calls = {"_lower": 0, "_AtomTables": 0}
+    calls = {"split_chain": 0, "_AtomTables": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -303,7 +304,45 @@ def test_one_prediction_is_renamed_listed_and_tabled_once(monkeypatch):
     report = le_score("¬¬" + text, reference)
     assert report.trees_explored == 3126
     assert report.score == 1.0
-    assert calls == {"_lower": 1, "_AtomTables": 1}
+    assert calls == {"split_chain": 1, "_AtomTables": 1}
+
+
+def test_scoring_text_builds_no_tree(monkeypatch):
+    reference = "∀x (P(x) → Q(x)) ∧ (A ∨ B ∨ C)"
+    predictions = [
+        "¬¬∀y ¬¬(A ∨ C ∨ B ∨ ∃z Q(z))",  # a wrapped chain
+        "∀y (P(y) → Q(y)) ∧ (C ∨ B ∨ A)",  # quantified
+        "∀x ∃x P(x) ∧ Q(v1)",
+        "A ∧ ∧ B",  # unparseable
+        reference,
+    ]
+    pairs = [EvalPair(str(i), prediction, reference) for i, prediction in enumerate(predictions)]
+
+    def scored():
+        def shown(result):
+            return (type(result), str(result)) if isinstance(result, Exception) else result.to_dict()
+
+        groups = [[shown(r) for r in score_group(predictions, reference, mode)] for mode in MODES]
+        corpus = corpus_le(pairs)
+        corpus_rows = [None if r is None else r.to_dict() for r in corpus.per_pair]
+        return groups, le_score(predictions[1], reference).to_dict(), corpus.mean_le, corpus_rows, corpus.failures
+
+    expected = scored()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"scoring built a {type(self).__name__} node")
+
+    for node in (Atom, Not, Binary, Quantified):
+        monkeypatch.setattr(node, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a Atom node"):
+        parse("A")
+    assert scored() == expected
+    groups, single, _, _, _ = expected
+    wrapped, quantified, _, unparseable, same = groups[1]
+    assert wrapped["trees_explored"] == 5
+    assert quantified["score"] == same["score"] == 1.0
+    assert unparseable[0] is ParseError
+    assert single == groups[1][1]
 
 
 # --- tables built only where the search reads them ------------------------------
