@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .corpus import corpus_le, load_pairs
+from .corpus import corpus_le, decode_json, load_pairs
 from .service import CAP_EXCEEDED, ScoreRequest, ServiceConfig, _typed, handle_request, serve, serve_socket
 from .sgrpo import TrainDemoConfig, default_demo_config, train_demo, write_trace
 from .syntax import FormulaError, canonicalize, parse, render
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+        raw = decode_json(handle.read())
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
     return raw
@@ -151,6 +151,9 @@ def _cmd_score(args) -> int:
         return DATA_ERROR
 
     if args.prediction is not None and args.reference is not None and not args.pred_file:
+        if args.out:
+            print("--out needs --pred-file", file=sys.stderr)
+            return USAGE_ERROR
         return _score_single(args, config)
     if not args.pred_file:
         print("score needs either two formulas or --pred-file", file=sys.stderr)

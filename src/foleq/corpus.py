@@ -46,6 +46,29 @@ class BleuConfig:
 DEFAULT_BLEU = BleuConfig()
 
 
+class JsonError(ValueError):
+    """Text that ``decode_json`` cannot read.  Its text gives the reason and,
+    for malformed JSON, the position; ``msg`` gives the reason alone."""
+
+    def __init__(self, message: str, msg: str):
+        super().__init__(message)
+        self.msg = msg
+
+
+def decode_json(text: str):
+    """The value of one JSON text, read for every outside input.  Text that
+    is not JSON, nests deeper than the decoder can follow or spells an
+    integer past the interpreter's digit limit raises ``JsonError``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise JsonError(str(exc), exc.msg) from None
+    except RecursionError:
+        raise JsonError("nested too deeply", "nested too deeply") from None
+    except ValueError as exc:  # the integer digit limit
+        raise JsonError(str(exc), str(exc)) from None
+
+
 @dataclass(eq=False)
 class CorpusReport:
     """``per_pair`` is aligned with the input pairs; entries are None for
@@ -74,8 +97,8 @@ def load_pairs(path, fmt: str = "jsonl") -> tuple[list[EvalPair], list[tuple[int
                 continue
             if fmt == "jsonl":
                 try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    row = decode_json(line)
+                except JsonError as exc:
                     failures.append((lineno, f"invalid json: {exc.msg}"))
                     continue
                 if not isinstance(row, dict):

@@ -26,7 +26,7 @@ import os
 import socket
 from dataclasses import dataclass, replace
 
-from .corpus import BleuConfig, DEFAULT_BLEU, EvalPair, corpus_bleu
+from .corpus import BleuConfig, DEFAULT_BLEU, EvalPair, JsonError, corpus_bleu, decode_json
 from .equivalence import DEFAULT_LE, LeConfig, compile_reference, le_score
 from .syntax import CapExceeded, FormulaError, ParseError
 from .syntax import parse  # noqa: F401  (foleq.service.parse stays importable; perfbench wraps it)
@@ -191,8 +191,8 @@ def handle_request(req: ScoreRequest, config: ServiceConfig) -> ScoreResponse:
 def handle_line(line: str, config: ServiceConfig) -> ScoreResponse | None:
     """Process one wire line.  Returns None for a shutdown request."""
     try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
+        raw = decode_json(line)
+    except JsonError as exc:
         return _error("?", BAD_REQUEST, f"malformed JSON: {exc}")
     if isinstance(raw, dict) and raw.get("op") == "shutdown":
         return None

@@ -202,9 +202,14 @@ class AtomicUnit:
 
 # The node factory that builds trees.  A parser builds every node with its
 # factory's atom(name, args), negate(body), join(op, left, right) and
-# quantify(kind, var, parse_body), which calls parse_body() once.
+# quantify(kind, var, parse_body), which calls parse_body() once.  That call
+# is one interpreter frame more per quantifier, which takes two tokens, so
+# no parse nests deeper than its token count.
 TREES = SimpleNamespace(
-    atom=Atom, negate=Not, join=Binary, quantify=lambda kind, var, parse_body: Quantified(kind, var, parse_body())
+    atom=Atom,
+    negate=Not,
+    join=Binary,
+    quantify=lambda kind, var, parse_body: Quantified(kind, var, parse_body()),
 )
 
 

@@ -252,6 +252,13 @@ def test_score_corpus_with_config_file(tmp_path, capsys):
     assert json.loads(out)["score"] == 1.0
 
 
+def test_score_out_with_a_single_pair_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "single.out"
+    code, out, err = run(capsys, "score", "A", "A", "--out", str(out_path))
+    assert (code, out, err) == (1, "", "--out needs --pred-file\n")
+    assert not out_path.exists()
+
+
 def test_bad_config_file_is_data_error(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"volume": 11}), encoding="utf-8")
@@ -422,6 +429,18 @@ def test_train_demo_overflowing_config_is_a_data_error(tmp_path, capsys, content
     code, out, err = run(capsys, "train-demo", "--config", str(config_path))
     assert (code, out) == (2, "")
     assert err == f"bad demo config: {message}\n"
+
+
+@pytest.mark.parametrize("content", ["[" * 100_000, '{"seed": -' + "9" * 5000 + "}"], ids=["deep", "huge"])
+def test_train_demo_hostile_config_is_a_data_error(tmp_path, capsys, content):
+    # A config nested past the decoder's depth, and a seed past the
+    # interpreter's digit limit (negative where no limit applies).
+    config_path = tmp_path / "demo.json"
+    config_path.write_text(content, encoding="utf-8")
+    code, out, err = run(capsys, "train-demo", "--config", str(config_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("bad demo config: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -238,6 +238,25 @@ def test_load_jsonl_reports_bad_rows(tmp_path):
     assert [lineno for lineno, _ in failures] == [2, 3, 4]
 
 
+def test_load_jsonl_reports_hostile_rows_and_keeps_reading(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(
+        "[" * 100_000 + "\n"
+        + '{"prediction": "A", "reference": "A", "id": ' + "9" * 5000 + "}\n"
+        + '{"prediction": "B", "reference": "B"}\n',
+        encoding="utf-8",
+    )
+    pairs, failures = load_pairs(path)
+    assert failures[0] == (1, "invalid json: nested too deeply")
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+        assert [lineno for lineno, _ in failures] == [1, 2]
+        assert failures[1][1].startswith("invalid json: Exceeds the limit")
+        assert [p.prediction for p in pairs] == ["B"]
+    else:
+        assert len(failures) == 1
+        assert [p.prediction for p in pairs] == ["A", "B"]
+
+
 def test_load_tsv_two_and_three_columns(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text(

@@ -147,6 +147,41 @@ def test_no_text_answers_internal(prediction, reference, mode):
     assert response.error is None or response.error["code"] != INTERNAL, response.error
 
 
+# Whole wire lines: values nested past the decoder's depth, and integers
+# past the interpreter's digit limit, in a bare line and in request fields.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_DEEP_VALUE = st.builds(
+    lambda brackets, depth, closed: brackets[0] * depth + ("0" + brackets[1] * depth if closed else ""),
+    st.sampled_from([("[", "]"), ('{"a": ', "}")]),
+    st.integers(1, 100_000),
+    st.booleans(),
+)
+_HUGE_INT = st.builds(lambda sign, digits: sign + "9" * digits, st.sampled_from(["", "-"]), st.integers(1, 6000))
+_WIRE_SLOTS = [
+    "{}",
+    '{{"id": {}, "op": "le_score", "prediction": "A", "reference": "A"}}',
+    '{{"id": "w", "op": "le_score", "prediction": "A", "reference": "A", "overrides": {{"max_atoms": {}}}}}',
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(slot=st.sampled_from(_WIRE_SLOTS), value=st.one_of(_DEEP_VALUE, _HUGE_INT))
+@example(slot="{}", value="[" * 100_000)
+@example(slot="{}", value="9" * 5000)
+@example(slot=_WIRE_SLOTS[2], value="9" * 5000)
+def test_no_wire_line_answers_internal_or_stops_the_loop(slot, value):
+    out = io.StringIO()
+    valid = json.dumps(le_request("ok", "A", "A"))
+    assert serve(io.StringIO(slot.format(value) + "\n" + valid + "\n"), out, CONFIG) is False
+    first, second = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert ("score" in first) != ("error" in first)
+    assert "error" not in first or first["error"]["code"] != INTERNAL, first
+    digits = len(value.lstrip("-"))
+    if not value.lstrip("-").isdigit() or 0 < _DIGIT_LIMIT < digits:
+        assert first["error"]["code"] == BAD_REQUEST
+    assert (second["id"], second["score"]) == ("ok", 1.0)
+
+
 def test_mode_override_per_request():
     # unrelated names: the optimized search leaves atoms unbound (0.5), the
     # exhaustive search still tries the full matching (1.0)
