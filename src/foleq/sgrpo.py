@@ -3,8 +3,8 @@
 The policy holds one independent categorical distribution per (prompt,
 position) over a small vocabulary of formula tokens, so sequences are
 sampled position by position without autoregressive conditioning.  Each
-training step samples a group of G sequences from a frozen snapshot,
-scores them with the equivalence engine (rewards in [0, 1]),
+training step samples a group of G sequences per prompt from a frozen
+snapshot, scores them with the equivalence engine (rewards in [0, 1]),
 normalizes rewards into group-relative advantages, and ascends
 
     (1/G) sum_i [ clip(ratio_i, 1-eps, 1+eps) * adv_i
@@ -16,13 +16,21 @@ sequence against the frozen reference policy, and kl_i is the per-token
 r - log r - 1 estimate against the reference averaged over positions.
 The clip term is used as written (no pairwise min with the unclipped
 term); ``use_ppo_min=True`` restores the conventional min form.
+
+A demo iteration is one step over every prompt at once, on arrays shaped
+(prompts, group, positions, vocab): one log-softmax and one ``exp`` serve
+the sampling, the snapshot's log-probs (the policy moves once per
+iteration, so the snapshot is the current policy) and the objective.  Only
+the reward lookups run per prompt.  ``sample_group``, ``sgrpo_objective``,
+``objective_gradient`` and ``group_advantages`` are the one-prompt case of
+the same code.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +39,11 @@ from .equivalence import le_score  # noqa: F401  (foleq.sgrpo.le_score stays imp
 from .syntax import FormulaError
 
 ROLES = ("current", "old", "reference")
+
+# A demo step holds about prompts * 2 * group_size * max_length * vocab
+# floats (the gradient's stacked per-sample terms): 3 MiB per prompt at
+# 1024 samples, 12 positions and 16 tokens.
+MAX_GROUP_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -51,6 +64,8 @@ class Hyperparams:
             raise ValueError("learning_rate, kl_beta, sft_weight and clip_epsilon must be finite")
         if self.group_size < 2:
             raise ValueError("group_size must be at least 2")
+        if self.group_size > MAX_GROUP_SIZE:
+            raise ValueError(f"group_size must be at most {MAX_GROUP_SIZE}")
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ValueError("clip_epsilon must lie in (0, 1)")
         if self.kl_beta < 0 or self.sft_weight < 0:
@@ -68,6 +83,12 @@ class PromptSpec:
     prompt_id: int
     label: tuple[int, ...]
     reference_formula: str
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last (vocab) axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,27 +111,42 @@ class PolicyParams:
 
     def log_probs(self, prompt_id: int) -> np.ndarray:
         """Per-position log-softmax, shape (max_length, vocab)."""
-        z = self.logits[prompt_id]
-        z = z - z.max(axis=-1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        return _log_softmax(self.logits[prompt_id])
 
 
 @dataclass(frozen=True, eq=False)
 class SampleGroup:
-    """One group of sampled sequences.  Rewards and advantages are attached
-    later via :func:`dataclasses.replace`, which re-runs validation."""
+    """Sampled sequences: one group shaped (G, T), or one group per prompt
+    shaped (P, G, T).  Rewards and advantages, one per sequence, are
+    attached later via :func:`dataclasses.replace`, which re-runs
+    validation."""
 
-    outputs: np.ndarray  # (G, T) token ids
-    old_logprobs: np.ndarray  # (G, T) log-probs under the sampling snapshot
-    rewards: np.ndarray | None = None  # (G,) in [0, 1]
-    advantages: np.ndarray | None = None  # (G,)
+    outputs: np.ndarray  # (..., G, T) token ids
+    old_logprobs: np.ndarray  # (..., G, T) log-probs under the sampling snapshot
+    rewards: np.ndarray | None = None  # (..., G) in [0, 1]
+    advantages: np.ndarray | None = None  # (..., G)
 
     def __post_init__(self):
         if self.rewards is not None:
-            if self.rewards.shape != (self.outputs.shape[0],):
+            if self.rewards.shape != self.outputs.shape[:-1]:
                 raise ValueError("rewards must have one entry per sampled sequence")
             if np.any(self.rewards < 0.0) or np.any(self.rewards > 1.0):
                 raise ValueError("rewards must lie in [0, 1]")
+
+
+def _sample(
+    logp: np.ndarray, probs: np.ndarray, group_size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``group_size`` sequences per prompt from the snapshot whose (P, T, V)
+    log-softmax is ``logp`` and softmax ``probs``, with one (P, G, T) draw:
+    the token ids and their log-probs, both (P, G, T)."""
+    P, T, V = probs.shape
+    cumulative = np.cumsum(probs, axis=-1)
+    cumulative[..., -1] = 1.0
+    draws = rng.random((P, group_size, T))
+    outputs = (draws[..., None] >= cumulative[:, None]).sum(axis=-1)
+    outputs = np.minimum(outputs, V - 1)
+    return outputs, logp[np.arange(P)[:, None, None], np.arange(T), outputs]
 
 
 def sample_group(
@@ -119,34 +155,29 @@ def sample_group(
     hp: Hyperparams,
     rng: np.random.Generator | None = None,
 ) -> SampleGroup:
-    """Sample ``hp.group_size`` sequences of length ``hp.max_length`` from a
-    frozen snapshot.  Deterministic for a fixed generator state."""
+    """Sample ``hp.group_size`` sequences, one token per position of the
+    policy, from a frozen snapshot.  Deterministic for a fixed generator
+    state."""
     if policy.role != "old":
         raise ValueError("sampling must use an 'old' snapshot of the policy")
     if rng is None:
         rng = np.random.default_rng(hp.seed)
-    logp = policy.log_probs(prompt.prompt_id)  # (T, V)
-    probs = np.exp(logp)
-    cumulative = np.cumsum(probs, axis=-1)
-    cumulative[:, -1] = 1.0
-    draws = rng.random((hp.group_size, hp.max_length))
-    outputs = (draws[:, :, None] >= cumulative[None, :, :]).sum(axis=-1)
-    outputs = np.minimum(outputs, probs.shape[-1] - 1)
-    positions = np.arange(hp.max_length)
-    old_logprobs = logp[positions[None, :], outputs]
-    return SampleGroup(outputs=outputs, old_logprobs=old_logprobs)
+    logp = policy.log_probs(prompt.prompt_id)[None]
+    outputs, old_logprobs = _sample(logp, np.exp(logp), hp.group_size, rng)
+    return SampleGroup(outputs=outputs[0], old_logprobs=old_logprobs[0])
 
 
 def group_advantages(rewards: np.ndarray, std_epsilon: float = 1e-8) -> np.ndarray:
-    """Group-relative advantages: center by the group mean and divide by the
-    population standard deviation (floored at ``std_epsilon``).  An all-equal
-    group yields all-zero advantages."""
+    """Group-relative advantages, one group per row of the last axis: center
+    by the group mean and divide by the population standard deviation
+    (floored at ``std_epsilon``).  An all-equal group yields all-zero
+    advantages."""
     rewards = np.asarray(rewards, dtype=float)
+    centered = rewards - rewards.mean(axis=-1, keepdims=True)
+    scale = np.maximum(rewards.std(axis=-1, keepdims=True), std_epsilon)
     # summing identical floats can round, leaving a spurious residue after centering
-    if rewards.size and np.all(rewards == rewards.flat[0]):
-        return np.zeros_like(rewards)
-    centered = rewards - rewards.mean()
-    return centered / max(float(rewards.std()), std_epsilon)
+    equal = np.all(rewards == rewards[..., :1], axis=-1, keepdims=True)
+    return np.where(equal, 0.0, centered / scale)
 
 
 def kl_estimate(
@@ -184,28 +215,31 @@ class ObjectiveParts:
 
 def _objective_and_gradient(
     logp: np.ndarray,
+    probs: np.ndarray,
     ref_logp: np.ndarray,
-    prompt: PromptSpec,
+    labels: np.ndarray,
     group: SampleGroup,
     hp: Hyperparams,
-) -> tuple[ObjectiveParts, np.ndarray]:
-    """The objective parts of one group and their analytic gradient in the
-    prompt's (T, V) logits slice, vectorized over the G samples.
-    ``logp`` and ``ref_logp`` are the prompt's current and reference
-    log-softmax, shape (T, V).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The objective parts of every prompt's group and their analytic
+    gradient in the logits, vectorized over the P prompts and G samples.
+    ``logp`` is the current log-softmax, ``probs`` its ``exp`` and
+    ``ref_logp`` the reference log-softmax, each (P, T, V); ``labels`` is
+    (P, L) and ``group`` holds (P, G, T) samples with their advantages.
+    Returns the parts as (P, 4) rows of (total, surrogate, sft, kl) and the
+    (P, T, V) gradient.
 
-    The gradient adds the per-sample terms in the order a per-sample loop
-    would (surrogate term i, then minus KL term i), so it is bit-identical
-    to one."""
-    if group.advantages is None:
-        raise ValueError("group advantages must be populated before the objective")
+    The gradient adds each prompt's per-sample terms in the order a
+    per-sample loop would (surrogate term i, then minus KL term i), so it is
+    bit-identical to one."""
     adv = group.advantages
     outputs = group.outputs
-    G, T = outputs.shape
+    P, G, T = outputs.shape
+    prompt_index = np.arange(P)[:, None, None]
     positions = np.arange(T)
-    lp_cur = logp[positions[None, :], outputs]  # (G, T)
-    lp_ref = ref_logp[positions[None, :], outputs]
-    ratios = np.exp((lp_cur - group.old_logprobs).sum(axis=1))
+    lp_cur = logp[prompt_index, positions, outputs]  # (P, G, T)
+    lp_ref = ref_logp[prompt_index, positions, outputs]
+    ratios = np.exp((lp_cur - group.old_logprobs).sum(axis=-1))  # (P, G)
     low, high = 1.0 - hp.clip_epsilon, 1.0 + hp.clip_epsilon
     clipped = np.clip(ratios, low, high)
     not_clipped = (low < ratios) & (ratios < high)
@@ -220,36 +254,56 @@ def _objective_and_gradient(
         active = not_clipped
     log_r = lp_ref - lp_cur
     r = np.exp(log_r)
-    kl = float(np.mean(np.mean(r - log_r - 1.0, axis=1)))
-    label = np.asarray(prompt.label)
-    label_positions = np.arange(len(label))
-    sft = float(np.sum(logp[label_positions, label] - ref_logp[label_positions, label]))
-    surrogate = float(surrogate_terms.mean())
+    kl = (r - log_r - 1.0).mean(axis=-1).mean(axis=-1)
+    label_index = np.arange(P)[:, None]
+    label_positions = np.arange(labels.shape[-1])
+    sft = (logp[label_index, label_positions, labels] - ref_logp[label_index, label_positions, labels]).sum(axis=-1)
+    surrogate = surrogate_terms.mean(axis=-1)
     total = surrogate + hp.sft_weight * sft - hp.kl_beta * kl
-    parts = ObjectiveParts(total=total, surrogate=surrogate, sft=sft, kl=kl)
+    parts = np.stack([total, surrogate, sft, kl], axis=-1)
 
-    probs = np.exp(logp)
     # d log pi(o_t) / d z[t, v] = onehot(o_t) - p[t]
-    onehot = np.zeros((G,) + probs.shape)
-    onehot[np.arange(G)[:, None], positions[None, :], outputs] = 1.0
-    d_logp = onehot - probs
+    onehot = np.zeros((P, G) + probs.shape[1:])
+    onehot[prompt_index, np.arange(G)[:, None], positions, outputs] = 1.0
+    d_logp = onehot - probs[:, None]
     coeff = np.where(active, adv * ratios, 0.0)
-    surrogate_grads = (coeff / G)[:, None, None] * d_logp
+    surrogate_grads = (coeff / G)[..., None, None] * d_logp
     if hp.kl_beta != 0.0:
         # d (r - log r - 1)/T d z[t, v] = (1 - r_t)(onehot - p)/T
-        kl_grads = (hp.kl_beta / G) * (((1.0 - r)[:, :, None] * d_logp) / T)
-        terms = np.empty((2 * G,) + probs.shape)
-        terms[0::2] = surrogate_grads
-        terms[1::2] = -kl_grads
+        kl_grads = (hp.kl_beta / G) * (((1.0 - r)[..., None] * d_logp) / T)
+        terms = np.empty((P, 2 * G) + probs.shape[1:])
+        terms[:, 0::2] = surrogate_grads
+        terms[:, 1::2] = -kl_grads
     else:
         terms = surrogate_grads
-    slice_grad = terms.sum(axis=0)
+    # a sum over an outer axis adds its slices in order
+    grad = terms.sum(axis=1)
     if hp.sft_weight != 0.0:
         sft_grad = np.zeros_like(probs)
-        sft_grad[label_positions, label] += 1.0
-        sft_grad[label_positions] -= probs[label_positions]
-        slice_grad += hp.sft_weight * sft_grad
-    return parts, slice_grad
+        sft_grad[label_index, label_positions, labels] += 1.0
+        sft_grad[:, label_positions] -= probs[:, label_positions]
+        grad += hp.sft_weight * sft_grad
+    return parts, grad
+
+
+def _one_prompt(
+    current: PolicyParams,
+    reference: PolicyParams,
+    prompt: PromptSpec,
+    group: SampleGroup,
+    hp: Hyperparams,
+) -> tuple[ObjectiveParts, np.ndarray]:
+    """``_objective_and_gradient`` for one prompt's (G, T) group: its parts
+    and its (T, V) gradient slice."""
+    if group.advantages is None:
+        raise ValueError("group advantages must be populated before the objective")
+    pid = prompt.prompt_id
+    logp = current.log_probs(pid)[None]
+    batch = SampleGroup(group.outputs[None], group.old_logprobs[None], advantages=group.advantages[None])
+    parts, grad = _objective_and_gradient(
+        logp, np.exp(logp), reference.log_probs(pid)[None], np.array([prompt.label]), batch, hp
+    )
+    return ObjectiveParts(*map(float, parts[0])), grad[0]
 
 
 def sgrpo_objective(
@@ -262,11 +316,7 @@ def sgrpo_objective(
 ) -> ObjectiveParts:
     """Objective for one group, with the surrogate, supervised, and KL terms
     exposed separately for logging."""
-    pid = prompt.prompt_id
-    parts, _ = _objective_and_gradient(
-        current.log_probs(pid), reference.log_probs(pid), prompt, group, hp
-    )
-    return parts
+    return _one_prompt(current, reference, prompt, group, hp)[0]
 
 
 def objective_gradient(
@@ -279,11 +329,8 @@ def objective_gradient(
 ) -> np.ndarray:
     """Analytic gradient of the objective in ``current.logits``, same shape
     as the logits tensor (zero outside this prompt's slice)."""
-    pid = prompt.prompt_id
     grad = np.zeros_like(current.logits)
-    _, grad[pid] = _objective_and_gradient(
-        current.log_probs(pid), reference.log_probs(pid), prompt, group, hp
-    )
+    _, grad[prompt.prompt_id] = _one_prompt(current, reference, prompt, group, hp)
     return grad
 
 
@@ -376,40 +423,36 @@ class _PromptRewards:
 
 def train_demo(config: TrainDemoConfig) -> list[dict]:
     """Run the demo loop and return one trace record per iteration with keys
-    iter, mean_reward, reward_std, surrogate, sft, kl, objective."""
+    iter, mean_reward, reward_std, surrogate, sft, kl, objective.  Each
+    iteration is one step over every prompt's group at once."""
     hp = config.hp
     prompts = config.prompts()
     rng = np.random.default_rng(hp.seed)
     shape = (len(prompts), hp.max_length, len(config.vocab))
     current = PolicyParams(np.zeros(shape), "current")
-    reference = current.snapshot("reference")
-    ref_logps = [reference.log_probs(prompt.prompt_id) for prompt in prompts]
+    ref_logp = _log_softmax(current.logits)  # the reference policy is the starting one
+    labels = np.array([prompt.label for prompt in prompts])
     reward_memos = [_PromptRewards(prompt.reference_formula, config.le) for prompt in prompts]
+    word = config.vocab.__getitem__
     trace: list[dict] = []
 
     for iteration in range(config.iterations):
-        old = current.snapshot("old")
-        groups = []
-        all_rewards = []
-        for prompt, prompt_rewards in zip(prompts, reward_memos):
-            group = sample_group(old, prompt, hp, rng)
-            texts = [" ".join(config.vocab[t] for t in output) for output in group.outputs]
-            rewards = prompt_rewards(texts)
-            group = replace(group, rewards=rewards, advantages=group_advantages(rewards, hp.std_epsilon))
-            groups.append(group)
-            all_rewards.append(rewards)
-
-        parts_acc = np.zeros(4)
-        grad = np.zeros_like(current.logits)
-        for prompt, group, ref_logp in zip(prompts, groups, ref_logps):
-            pid = prompt.prompt_id
-            parts, slice_grad = _objective_and_gradient(current.log_probs(pid), ref_logp, prompt, group, hp)
-            parts_acc += (parts.total, parts.surrogate, parts.sft, parts.kl)
-            grad[pid] += slice_grad
+        # The policy moves once per iteration, so the sampling snapshot is
+        # the current policy: one log-softmax serves every phase.
+        logp = _log_softmax(current.logits)
+        probs = np.exp(logp)
+        outputs, old_logprobs = _sample(logp, probs, hp.group_size, rng)
+        rewards = np.array([
+            prompt_rewards([" ".join(map(word, output)) for output in prompt_outputs])
+            for prompt_rewards, prompt_outputs in zip(reward_memos, outputs.tolist())
+        ])
+        group = SampleGroup(outputs, old_logprobs, rewards, group_advantages(rewards, hp.std_epsilon))
+        parts, grad = _objective_and_gradient(logp, probs, ref_logp, labels, group, hp)
         current = PolicyParams(current.logits + hp.learning_rate * grad, "current")
 
-        pooled = np.concatenate(all_rewards)
-        mean_parts = parts_acc / len(prompts)
+        pooled = rewards.ravel()
+        # a running total over the prompts, in order, from 0.0
+        mean_parts = parts.sum(axis=0, initial=0.0) / len(prompts)
         trace.append(
             {
                 "iter": iteration,

@@ -7,7 +7,8 @@ forward search scores one reading at a time against the reference's own
 table (it shares only the library's search plan and assignment walk),
 the per-reading loop binds every bracketing tree of a prediction from
 scratch through it, the S-GRPO oracle computes the objective and its
-gradient one sample at a time, the BLEU oracle re-counts both sides of
+gradient one sample at a time, the demo-trainer oracle samples, scores
+and steps one prompt at a time, the BLEU oracle re-counts both sides of
 every pair, the lexer oracle reads one character at a time, and the
 lowering oracle renames, lists atoms and compiles a skeleton in three
 separate walks.  Slow but obviously correct, which is the point.
@@ -20,6 +21,7 @@ import math
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +35,15 @@ from foleq.equivalence import (
     _enumerate,
     compile_reference,
 )
-from foleq.sgrpo import ObjectiveParts, kl_estimate, sft_term
+from foleq.sgrpo import (
+    ObjectiveParts,
+    PolicyParams,
+    _PromptRewards,
+    group_advantages,
+    kl_estimate,
+    sample_group,
+    sft_term,
+)
 from foleq.similarity import levenshtein
 from foleq.syntax import (
     AND,
@@ -526,6 +536,56 @@ def per_sample_gradient(current, old, reference, prompt, group, hp) -> np.ndarra
 
     grad[pid] = slice_grad
     return grad
+
+
+# --- per-prompt S-GRPO demo loop --------------------------------------------------
+
+
+def per_prompt_train_demo(config) -> list[dict]:
+    """``train_demo`` one prompt at a time: each iteration copies an "old"
+    snapshot, samples and scores each prompt's group in turn, then adds each
+    prompt's per-sample objective parts and gradient slice to running
+    totals."""
+    hp = config.hp
+    prompts = config.prompts()
+    rng = np.random.default_rng(hp.seed)
+    shape = (len(prompts), hp.max_length, len(config.vocab))
+    current = PolicyParams(np.zeros(shape), "current")
+    reference = current.snapshot("reference")
+    reward_memos = [_PromptRewards(prompt.reference_formula, config.le) for prompt in prompts]
+    trace = []
+    for iteration in range(config.iterations):
+        old = current.snapshot("old")
+        groups = []
+        for prompt, prompt_rewards in zip(prompts, reward_memos):
+            group = sample_group(old, prompt, hp, rng)
+            texts = [" ".join(config.vocab[t] for t in output) for output in group.outputs]
+            rewards = prompt_rewards(texts)
+            groups.append(replace(group, rewards=rewards, advantages=group_advantages(rewards, hp.std_epsilon)))
+
+        parts_acc = np.zeros(4)
+        grad = np.zeros_like(current.logits)
+        for prompt, group in zip(prompts, groups):
+            pid = prompt.prompt_id
+            parts = per_sample_objective(current, old, reference, prompt, group, hp)
+            parts_acc += (parts.total, parts.surrogate, parts.sft, parts.kl)
+            grad[pid] += per_sample_gradient(current, old, reference, prompt, group, hp)[pid]
+        current = PolicyParams(current.logits + hp.learning_rate * grad, "current")
+
+        pooled = np.concatenate([group.rewards for group in groups])
+        mean_parts = parts_acc / len(prompts)
+        trace.append(
+            {
+                "iter": iteration,
+                "mean_reward": float(pooled.mean()),
+                "reward_std": float(pooled.std()),
+                "surrogate": float(mean_parts[1]),
+                "sft": float(mean_parts[2]),
+                "kl": float(mean_parts[3]),
+                "objective": float(mean_parts[0]),
+            }
+        )
+    return trace
 
 
 # --- per-pair corpus BLEU --------------------------------------------------------

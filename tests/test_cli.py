@@ -418,6 +418,9 @@ def test_train_demo_negative_seed_is_a_data_error(capsys):
         ('{"iterations": true}', "iterations must be an integer, not True"),
         ('{"seed": 1.9}', "seed must be an integer, not 1.9"),
         ('{"group_size": 2.9}', "group_size must be an integer, not 2.9"),
+        ('{"group_size": 1000000000000000}', "group_size must be at most 1024"),
+        ('{"group_size": 1000000000000000000}', "group_size must be at most 1024"),
+        ('{"group_size": 100000000000000000000}', "group_size must be at most 1024"),
         ('{"learning_rate": "0.1"}', "learning_rate must be a number, not '0.1'"),
         ("not json", "Expecting value: line 1 column 1 (char 0)"),
         ("[2]", "config file must hold a JSON object"),
