@@ -17,7 +17,7 @@ from .equivalence import (
     propositional_score,
     score_group,
 )
-from .service import ScoreRequest, ScoreResponse, ServiceConfig, handle_request, serve, serve_socket
+from .service import BindError, ScoreRequest, ScoreResponse, ServiceConfig, handle_request, serve, serve_socket
 from .sgrpo import (
     Hyperparams,
     ObjectiveParts,

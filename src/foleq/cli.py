@@ -7,7 +7,8 @@ Subcommands:
   train-demo  run the small policy-optimization demonstration
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-unparseable input).  Diagnostics go to stderr; results go to stdout.
+unparseable input, an unwritable output path or a socket path that cannot
+be bound).  Diagnostics go to stderr; results go to stdout.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import json
 import sys
 from dataclasses import replace
 
-from .corpus import corpus_le, decode_json, load_pairs
-from .service import CAP_EXCEEDED, ScoreRequest, ServiceConfig, _typed, handle_request, serve, serve_socket
+from .corpus import corpus_le, decode_json, load_pairs, open_text
+from .service import CAP_EXCEEDED, BindError, ScoreRequest, ServiceConfig, _typed, handle_request, serve, serve_socket
 from .sgrpo import TrainDemoConfig, default_demo_config, train_demo, write_trace
 from .syntax import FormulaError, canonicalize, parse, render
 
@@ -70,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         raw = decode_json(handle.read())
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
@@ -93,7 +94,7 @@ def _writable(path: str) -> bool:
     """Whether ``path`` can be opened for writing, after saying on stderr
     why not; it is checked before the work whose results it takes."""
     try:
-        open(path, "w", encoding="utf-8").close()
+        open_text(path, "w").close()
         return True
     except OSError as exc:
         print(f"cannot write {path}: {exc}", file=sys.stderr)
@@ -134,9 +135,9 @@ def _score_single(args, config: ServiceConfig) -> int:
 def _read_aligned(pred_path: str, ref_path: str):
     from .corpus import EvalPair
 
-    with open(pred_path, "r", encoding="utf-8") as handle:
+    with open_text(pred_path) as handle:
         preds = [line.rstrip("\n") for line in handle]
-    with open(ref_path, "r", encoding="utf-8") as handle:
+    with open_text(ref_path) as handle:
         refs = [line.rstrip("\n") for line in handle]
     if len(preds) != len(refs):
         raise ValueError(
@@ -191,7 +192,7 @@ def _cmd_score(args) -> int:
         # failures follow the input order of the None slots in per_pair;
         # ids need not be unique, so pair them by position, not by id.
         errors = iter(message for _, message in report.failures)
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with open_text(args.out, "w") as handle:
             for pair, item in zip(pairs, report.per_pair):
                 record: dict = {"id": pair.id}
                 if item is None:
@@ -215,8 +216,12 @@ def _cmd_serve(args) -> int:
             if reconfigure is not None:
                 reconfigure(errors=errors)
         serve(sys.stdin, sys.stdout, config)
-    else:
+        return 0
+    try:
         serve_socket(args.socket, config)
+    except BindError as exc:
+        print(f"cannot bind {args.socket}: {exc}", file=sys.stderr)
+        return DATA_ERROR
     return 0
 
 

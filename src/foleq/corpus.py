@@ -5,7 +5,7 @@ and commas with spaces and splitting on whitespace, so ``P(x)∧Q(x)`` and
 ``P ( x ) ∧ Q ( x )`` tokenize identically.  BLEU is the standard corpus
 form: geometric mean of modified n-gram precisions for n = 1..4 times the
 brevity penalty, on a 0-100 scale.  Smoothing is off by default; a floor
-epsilon can be configured for short corpora.
+epsilon in [0, 1] can be configured for short corpora.
 
 Pairs that fail to parse score 0 rather than being dropped, so the mean
 equivalence score cannot be gamed by emitting garbage.
@@ -39,8 +39,9 @@ class BleuConfig:
     def __post_init__(self):
         if self.max_order < 1:
             raise ValueError("max_order must be positive")
-        if self.smoothing_floor < 0:
-            raise ValueError("smoothing_floor must be non-negative")
+        # a precision never exceeds 1, so neither may its floor; nan fails too
+        if not 0.0 <= self.smoothing_floor <= 1.0:
+            raise ValueError(f"smoothing_floor must lie in [0, 1], not {self.smoothing_floor!r}")
 
 
 DEFAULT_BLEU = BleuConfig()
@@ -69,6 +70,15 @@ def decode_json(text: str):
         raise JsonError(str(exc), str(exc)) from None
 
 
+def open_text(path, mode: str = "r"):
+    """``path`` opened as UTF-8 text, for every outside file.  Bytes that are
+    not UTF-8 read as U+FFFD, so only the row holding them goes bad, and a
+    lone surrogate (a JSON escape such as ``"\\ud800"``) is written back as
+    that escape, as on the wire."""
+    errors = "replace" if mode == "r" else "backslashreplace"
+    return open(path, mode, encoding="utf-8", errors=errors)
+
+
 @dataclass(eq=False)
 class CorpusReport:
     """``per_pair`` is aligned with the input pairs; entries are None for
@@ -90,7 +100,7 @@ def load_pairs(path, fmt: str = "jsonl") -> tuple[list[EvalPair], list[tuple[int
         raise ValueError(f"unknown corpus format {fmt!r}")
     pairs: list[EvalPair] = []
     failures: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line.strip():

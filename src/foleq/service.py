@@ -221,6 +221,11 @@ def serve(in_stream, out_stream, config: ServiceConfig | None = None) -> bool:
     return False
 
 
+class BindError(OSError):
+    """:func:`serve_socket` could not bind its path, which it leaves as it
+    found it (it may be a live server's socket)."""
+
+
 def serve_socket(path: str, config: ServiceConfig | None = None) -> None:
     """Accept one Unix-socket connection at a time and run :func:`serve` on
     it.  Bytes that are not UTF-8 are read as U+FFFD, so they get the answer
@@ -229,9 +234,13 @@ def serve_socket(path: str, config: ServiceConfig | None = None) -> None:
     ``_READ_TIMEOUT_S`` seconds, or closed by its client before it reads its
     answers, is closed and the listener accepts the next one.  A shutdown
     request closes the connection and stops the listener, which then removes
-    the socket file it bound."""
+    the socket file it bound.  A path that cannot be bound, because it
+    exists or its directory does not, raises :class:`BindError`."""
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
-        listener.bind(path)
+        try:
+            listener.bind(path)
+        except OSError as exc:
+            raise BindError(*exc.args) from exc
         try:
             listener.listen(1)
             shut_down = False

@@ -3,27 +3,28 @@
 The policy holds one independent categorical distribution per (prompt,
 position) over a small vocabulary of formula tokens, so sequences are
 sampled position by position without autoregressive conditioning.  Each
-training step samples a group of G sequences per prompt from a frozen
-snapshot, scores them with the equivalence engine (rewards in [0, 1]),
-normalizes rewards into group-relative advantages, and ascends
+training step samples a group of G sequences per prompt from the current
+policy, with no frozen snapshot, scores them with the equivalence engine
+(rewards in [0, 1]), normalizes rewards into group-relative advantages,
+and ascends
 
     (1/G) sum_i [ clip(ratio_i, 1-eps, 1+eps) * adv_i
                   + sft_weight * sft - kl_beta * kl_i ]
 
 where ratio_i is the sequence-level product of per-token probability
-ratios against the snapshot, sft is the supervised log-ratio of the label
-sequence against the frozen reference policy, and kl_i is the per-token
-r - log r - 1 estimate against the reference averaged over positions.
-The clip term is used as written (no pairwise min with the unclipped
-term); ``use_ppo_min=True`` restores the conventional min form.
+ratios against the sampling log-probs (``SampleGroup.old_logprobs``), sft
+is the supervised log-ratio of the label sequence against the frozen
+reference policy, and kl_i is the per-token r - log r - 1 estimate
+against the reference averaged over positions.  The clip term is used as
+written (no pairwise min with the unclipped term); ``use_ppo_min=True``
+restores the conventional min form.
 
 A demo iteration is one step over every prompt at once, on arrays shaped
 (prompts, group, positions, vocab): one log-softmax and one ``exp`` serve
-the sampling, the snapshot's log-probs (the policy moves once per
-iteration, so the snapshot is the current policy) and the objective.  Only
-the reward lookups run per prompt.  ``sample_group``, ``sgrpo_objective``,
-``objective_gradient`` and ``group_advantages`` are the one-prompt case of
-the same code.
+the sampling, the sampling log-probs and the objective, since the policy
+moves once per iteration.  Only the reward lookups run per prompt.
+``sample_group``, ``sgrpo_objective``, ``objective_gradient`` and
+``group_advantages`` are the one-prompt case of the same code.
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import open_text
 from .equivalence import DEFAULT_LE, CompiledReference, LeConfig, compile_reference, score_group
 from .equivalence import le_score  # noqa: F401  (foleq.sgrpo.le_score stays importable; perfbench wraps it)
 from .syntax import FormulaError
-
-ROLES = ("current", "old", "reference")
 
 # A demo step holds about prompts * 2 * group_size * max_length * vocab
 # floats (the gradient's stacked per-sample terms): 3 MiB per prompt at
@@ -96,18 +96,12 @@ class PolicyParams:
     """Logits shaped (num_prompts, max_length, vocab_size)."""
 
     logits: np.ndarray
-    role: str = "current"
 
     def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValueError(f"unknown policy role {self.role!r}")
         if self.logits.ndim != 3:
             raise ValueError("logits must be (prompts, positions, vocab)")
         if not np.all(np.isfinite(self.logits)):
             raise ValueError("logits must be finite")
-
-    def snapshot(self, role: str) -> "PolicyParams":
-        return PolicyParams(self.logits.copy(), role)
 
     def log_probs(self, prompt_id: int) -> np.ndarray:
         """Per-position log-softmax, shape (max_length, vocab)."""
@@ -122,7 +116,7 @@ class SampleGroup:
     validation."""
 
     outputs: np.ndarray  # (..., G, T) token ids
-    old_logprobs: np.ndarray  # (..., G, T) log-probs under the sampling snapshot
+    old_logprobs: np.ndarray  # (..., G, T) log-probs under the sampling policy
     rewards: np.ndarray | None = None  # (..., G) in [0, 1]
     advantages: np.ndarray | None = None  # (..., G)
 
@@ -137,7 +131,7 @@ class SampleGroup:
 def _sample(
     logp: np.ndarray, probs: np.ndarray, group_size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``group_size`` sequences per prompt from the snapshot whose (P, T, V)
+    """``group_size`` sequences per prompt from the policy whose (P, T, V)
     log-softmax is ``logp`` and softmax ``probs``, with one (P, G, T) draw:
     the token ids and their log-probs, both (P, G, T)."""
     P, T, V = probs.shape
@@ -156,10 +150,8 @@ def sample_group(
     rng: np.random.Generator | None = None,
 ) -> SampleGroup:
     """Sample ``hp.group_size`` sequences, one token per position of the
-    policy, from a frozen snapshot.  Deterministic for a fixed generator
-    state."""
-    if policy.role != "old":
-        raise ValueError("sampling must use an 'old' snapshot of the policy")
+    policy, with their log-probs under it.  Deterministic for a fixed
+    generator state."""
     if rng is None:
         rng = np.random.default_rng(hp.seed)
     logp = policy.log_probs(prompt.prompt_id)[None]
@@ -308,7 +300,6 @@ def _one_prompt(
 
 def sgrpo_objective(
     current: PolicyParams,
-    old: PolicyParams,
     reference: PolicyParams,
     prompt: PromptSpec,
     group: SampleGroup,
@@ -321,7 +312,6 @@ def sgrpo_objective(
 
 def objective_gradient(
     current: PolicyParams,
-    old: PolicyParams,
     reference: PolicyParams,
     prompt: PromptSpec,
     group: SampleGroup,
@@ -429,7 +419,7 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
     prompts = config.prompts()
     rng = np.random.default_rng(hp.seed)
     shape = (len(prompts), hp.max_length, len(config.vocab))
-    current = PolicyParams(np.zeros(shape), "current")
+    current = PolicyParams(np.zeros(shape))
     ref_logp = _log_softmax(current.logits)  # the reference policy is the starting one
     labels = np.array([prompt.label for prompt in prompts])
     reward_memos = [_PromptRewards(prompt.reference_formula, config.le) for prompt in prompts]
@@ -437,8 +427,8 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
     trace: list[dict] = []
 
     for iteration in range(config.iterations):
-        # The policy moves once per iteration, so the sampling snapshot is
-        # the current policy: one log-softmax serves every phase.
+        # The policy moves once per iteration, so the sampling policy is
+        # the current one: one log-softmax serves every phase.
         logp = _log_softmax(current.logits)
         probs = np.exp(logp)
         outputs, old_logprobs = _sample(logp, probs, hp.group_size, rng)
@@ -448,7 +438,7 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
         ])
         group = SampleGroup(outputs, old_logprobs, rewards, group_advantages(rewards, hp.std_epsilon))
         parts, grad = _objective_and_gradient(logp, probs, ref_logp, labels, group, hp)
-        current = PolicyParams(current.logits + hp.learning_rate * grad, "current")
+        current = PolicyParams(current.logits + hp.learning_rate * grad)
 
         pooled = rewards.ravel()
         # a running total over the prompts, in order, from 0.0
@@ -468,6 +458,6 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
 
 
 def write_trace(trace: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_text(path, "w") as handle:
         for record in trace:
             handle.write(json.dumps(record) + "\n")

@@ -466,7 +466,7 @@ def _sequence_ratios(current, group, prompt):
     return np.exp((new_lp - group.old_logprobs).sum(axis=1))
 
 
-def per_sample_objective(current, old, reference, prompt, group, hp) -> ObjectiveParts:
+def per_sample_objective(current, reference, prompt, group, hp) -> ObjectiveParts:
     """The S-GRPO objective parts, with the KL term estimated per sample."""
     ratios = _sequence_ratios(current, group, prompt)
     clipped = np.clip(ratios, 1.0 - hp.clip_epsilon, 1.0 + hp.clip_epsilon)
@@ -483,7 +483,7 @@ def per_sample_objective(current, old, reference, prompt, group, hp) -> Objectiv
     return ObjectiveParts(total=total, surrogate=surrogate, sft=sft, kl=kl)
 
 
-def per_sample_gradient(current, old, reference, prompt, group, hp) -> np.ndarray:
+def per_sample_gradient(current, reference, prompt, group, hp) -> np.ndarray:
     """The analytic gradient in ``current.logits``, accumulated one sample
     at a time: surrogate term i, then minus KL term i, then the label term."""
     pid = prompt.prompt_id
@@ -542,23 +542,22 @@ def per_sample_gradient(current, old, reference, prompt, group, hp) -> np.ndarra
 
 
 def per_prompt_train_demo(config) -> list[dict]:
-    """``train_demo`` one prompt at a time: each iteration copies an "old"
-    snapshot, samples and scores each prompt's group in turn, then adds each
-    prompt's per-sample objective parts and gradient slice to running
+    """``train_demo`` one prompt at a time: each iteration samples and
+    scores each prompt's group in turn from the current policy, then adds
+    each prompt's per-sample objective parts and gradient slice to running
     totals."""
     hp = config.hp
     prompts = config.prompts()
     rng = np.random.default_rng(hp.seed)
     shape = (len(prompts), hp.max_length, len(config.vocab))
-    current = PolicyParams(np.zeros(shape), "current")
-    reference = current.snapshot("reference")
+    current = PolicyParams(np.zeros(shape))
+    reference = current  # the reference policy is the starting one
     reward_memos = [_PromptRewards(prompt.reference_formula, config.le) for prompt in prompts]
     trace = []
     for iteration in range(config.iterations):
-        old = current.snapshot("old")
         groups = []
         for prompt, prompt_rewards in zip(prompts, reward_memos):
-            group = sample_group(old, prompt, hp, rng)
+            group = sample_group(current, prompt, hp, rng)
             texts = [" ".join(config.vocab[t] for t in output) for output in group.outputs]
             rewards = prompt_rewards(texts)
             groups.append(replace(group, rewards=rewards, advantages=group_advantages(rewards, hp.std_epsilon)))
@@ -567,10 +566,10 @@ def per_prompt_train_demo(config) -> list[dict]:
         grad = np.zeros_like(current.logits)
         for prompt, group in zip(prompts, groups):
             pid = prompt.prompt_id
-            parts = per_sample_objective(current, old, reference, prompt, group, hp)
+            parts = per_sample_objective(current, reference, prompt, group, hp)
             parts_acc += (parts.total, parts.surrogate, parts.sft, parts.kl)
-            grad[pid] += per_sample_gradient(current, old, reference, prompt, group, hp)[pid]
-        current = PolicyParams(current.logits + hp.learning_rate * grad, "current")
+            grad[pid] += per_sample_gradient(current, reference, prompt, group, hp)[pid]
+        current = PolicyParams(current.logits + hp.learning_rate * grad)
 
         pooled = np.concatenate([group.rewards for group in groups])
         mean_parts = parts_acc / len(prompts)

@@ -249,15 +249,15 @@ def test_criterion_06_binding_oracle():
 
 # --- 7: gradient check ----------------------------------------------------------------------
 
-def _finite_difference(current, old, reference, prompt, group, hp, step=1e-5):
+def _finite_difference(current, reference, prompt, group, hp, step=1e-5):
     grad = np.zeros_like(current.logits)
     for index in np.ndindex(*current.logits.shape):
         plus = current.logits.copy()
         plus[index] += step
         minus = current.logits.copy()
         minus[index] -= step
-        up = sgrpo_objective(PolicyParams(plus, "current"), old, reference, prompt, group, hp).total
-        down = sgrpo_objective(PolicyParams(minus, "current"), old, reference, prompt, group, hp).total
+        up = sgrpo_objective(PolicyParams(plus), reference, prompt, group, hp).total
+        down = sgrpo_objective(PolicyParams(minus), reference, prompt, group, hp).total
         grad[index] = (up - down) / (2 * step)
     return grad
 
@@ -279,10 +279,10 @@ def test_criterion_07_gradient():
         rng = np.random.default_rng(900 + index)
         hp = Hyperparams(group_size=4, max_length=length, kl_beta=beta,
                          sft_weight=lam, use_ppo_min=use_min)
-        current = PolicyParams(rng.normal(0, 0.8, (prompts, length, vocab)), "current")
+        current = PolicyParams(rng.normal(0, 0.8, (prompts, length, vocab)))
         offset = rng.normal(0, 0.5, (prompts, length, vocab)) if drift else 0.0
-        old = PolicyParams(current.logits + offset, "old")
-        reference = PolicyParams(rng.normal(0, 0.8, (prompts, length, vocab)), "reference")
+        old = PolicyParams(current.logits + offset)
+        reference = PolicyParams(rng.normal(0, 0.8, (prompts, length, vocab)))
         prompt = PromptSpec(index % prompts, tuple(rng.integers(0, vocab, length)), "A")
         outputs = rng.integers(0, vocab, (hp.group_size, length))
         positions = np.arange(length)
@@ -290,8 +290,8 @@ def test_criterion_07_gradient():
         rewards = rng.random(hp.group_size)
         group = SampleGroup(outputs, old_lp, rewards, group_advantages(rewards))
 
-        analytic = objective_gradient(current, old, reference, prompt, group, hp)
-        numeric = _finite_difference(current, old, reference, prompt, group, hp)
+        analytic = objective_gradient(current, reference, prompt, group, hp)
+        numeric = _finite_difference(current, reference, prompt, group, hp)
         scale = max(np.abs(numeric).max(), 1e-12)
         rel_err = np.abs(analytic - numeric).max() / scale
         assert rel_err < 1e-4, (index, beta, lam, drift, use_min, rel_err)

@@ -1,5 +1,7 @@
 import io
 import json
+import math
+import socket
 import sys
 from dataclasses import replace
 
@@ -197,6 +199,40 @@ def test_score_out_file_keeps_each_error_with_its_row_when_ids_repeat(tmp_path, 
     ]
 
 
+@pytest.mark.parametrize("layout", ["jsonl", "tsv", "aligned"])
+def test_score_fails_only_the_row_with_a_byte_that_is_not_utf8(tmp_path, capsys, layout):
+    preds, refs = tmp_path / "preds", tmp_path / "refs"
+    if layout == "jsonl":
+        preds.write_bytes(b'{"prediction": "A \xff", "reference": "A"}\n{"prediction": "B", "reference": "B"}\n')
+        argv = ["--pred-file", str(preds)]
+    elif layout == "tsv":
+        preds.write_bytes(b"A \xff\tA\nB\tB\n")
+        argv = ["--pred-file", str(preds), "--format", "tsv"]
+    else:
+        preds.write_bytes(b"A \xff\nB\n")
+        refs.write_bytes(b"A\nB\n")
+        argv = ["--pred-file", str(preds), "--ref-file", str(refs)]
+    out_path = tmp_path / "per-pair.jsonl"
+    code, out, err = run(capsys, "score", *argv, "--out", str(out_path))
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    assert (summary["pairs"], summary["failures"], summary["mean_le"]) == (2, 1, 0.5)
+    rows = [json.loads(line) for line in out_path.read_text(encoding="utf-8").splitlines()]
+    assert rows[0]["error"] == "unexpected character '\ufffd' (offset 2)"
+    assert rows[1]["score"] == 1.0
+
+
+def test_score_out_writes_a_lone_surrogate_id_as_its_escape(tmp_path, capsys):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text('{"id": "\\ud800", "prediction": "A", "reference": "A"}\n', encoding="utf-8")
+    out_path = tmp_path / "per-pair.jsonl"
+    code, _, err = run(capsys, "score", "--pred-file", str(path), "--out", str(out_path))
+    assert (code, err) == (0, "")
+    text = out_path.read_text(encoding="utf-8")
+    assert text.startswith('{"id": "\\ud800", "score": 1.0')
+    assert json.loads(text)["id"] == "\ud800"
+
+
 def test_score_tsv_corpus(tmp_path, capsys):
     path = tmp_path / "pairs.tsv"
     path.write_text("A ∧ B\tB ∧ A\nx9\t¬¬A\tA\n", encoding="utf-8")
@@ -281,6 +317,9 @@ def test_bad_config_file_is_data_error(tmp_path, capsys):
         {"threshold": 10**400},
         {"bleu_smoothing": True},
         {"bleu_smoothing": "0.01"},
+        {"bleu_smoothing": 5},
+        {"bleu_smoothing": math.inf},
+        {"bleu_smoothing": math.nan},
     ],
 )
 def test_wrong_typed_config_value_is_data_error(tmp_path, monkeypatch, capsys, command, content):
@@ -320,6 +359,27 @@ def test_serve_stdio_under_strict_decoding_outlives_requests_that_are_not_utf8(m
     answers = [json.loads(line) for line in out.getvalue().splitlines()]
     check_not_utf8_answers(answers[:4])
     assert answers[4]["id"] == "q2" and answers[4]["score"] == 1.0
+
+
+def test_serve_socket_on_an_existing_path_is_data_error_and_keeps_the_file(tmp_path, capsys):
+    path = tmp_path / "stale.sock"
+    path.write_text("not a socket", encoding="utf-8")
+    code, out, err = run(capsys, "serve", "--socket", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot bind {path}: ")
+    assert path.read_text(encoding="utf-8") == "not a socket"
+
+
+def test_serve_socket_error_after_binding_is_not_a_bind_error(tmp_path, monkeypatch):
+    def refuse(self, backlog):
+        raise OSError("listen refused")
+
+    monkeypatch.setattr(socket.socket, "listen", refuse)
+    path = tmp_path / "scoring.sock"
+    with pytest.raises(OSError, match="listen refused") as caught:
+        run_cli(["serve", "--socket", str(path)])
+    assert type(caught.value) is OSError
+    assert not path.exists()
 
 
 def test_serve_requires_transport(capsys):

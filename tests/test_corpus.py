@@ -82,6 +82,18 @@ def test_bleu_smoothing_floor_applies_to_empty_orders():
     assert smoothed == pytest.approx(100.0 * (1.0 * 0.01 * 0.01 * 0.01) ** 0.25)
 
 
+@pytest.mark.parametrize("floor", [5.0, math.inf, math.nan, -0.01])
+def test_bleu_smoothing_floor_outside_the_unit_interval_is_refused(floor):
+    with pytest.raises(ValueError, match=r"smoothing_floor must lie in \[0, 1\]"):
+        BleuConfig(smoothing_floor=floor)
+
+
+def test_bleu_smoothing_floor_of_one_is_accepted():
+    # unigram 2/4; the three higher orders match nothing and take the floor
+    pairs = [EvalPair("0", "P ( x )", "Q ( y )")]
+    assert corpus_bleu(pairs, BleuConfig(smoothing_floor=1.0)) == pytest.approx(100.0 * 0.5 ** 0.25)
+
+
 def test_bleu_too_short_for_higher_orders_scores_zero():
     # a 3-token prediction has no 4-grams, so the 4-gram precision is zero
     pairs = [EvalPair("0", "A ∧ B", "A ∧ B ∨ C")]
@@ -271,6 +283,18 @@ def test_load_tsv_two_and_three_columns(tmp_path):
         ("x1", "P(a)", "P(a)"),
     ]
     assert [lineno for lineno, _ in failures] == [3]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+def test_load_reads_a_byte_that_is_not_utf8_as_a_replacement_character(tmp_path, fmt):
+    # the bad byte spoils its own row's text, not the whole file
+    path = tmp_path / "pairs"
+    rows = ([b'{"prediction": "A \xff", "reference": "A"}', b'{"prediction": "B", "reference": "B"}']
+            if fmt == "jsonl" else [b"A \xff\tA", b"B\tB"])
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    pairs, failures = load_pairs(path, fmt=fmt)
+    assert not failures
+    assert [(p.prediction, p.reference) for p in pairs] == [("A \ufffd", "A"), ("B", "B")]
 
 
 def test_load_rejects_unknown_format(tmp_path):

@@ -32,12 +32,12 @@ from foleq.syntax import parse
 from helpers import per_prompt_train_demo, per_sample_gradient, per_sample_objective
 
 
-def make_policy(rng, prompts=2, length=4, vocab=5, role="current", scale=0.8):
-    return PolicyParams(rng.normal(0.0, scale, (prompts, length, vocab)), role)
+def make_policy(rng, prompts=2, length=4, vocab=5, scale=0.8):
+    return PolicyParams(rng.normal(0.0, scale, (prompts, length, vocab)))
 
 
 def make_group(rng, policy, prompt, hp):
-    group = sample_group(policy.snapshot("old"), prompt, hp, rng)
+    group = sample_group(policy, prompt, hp, rng)
     rewards = rng.random(hp.group_size)
     group = replace(group, rewards=rewards)
     return replace(group, advantages=group_advantages(rewards, hp.std_epsilon))
@@ -95,8 +95,8 @@ def test_advantages_of_many_groups_equal_row_by_row_calls(std_epsilon):
 # --- KL and SFT terms --------------------------------------------------------------
 
 def test_kl_single_position_worked_example():
-    current = PolicyParams(np.log(np.full((1, 1, 4), 0.25)), "current")
-    reference = PolicyParams(np.log(np.array([[[0.5, 0.25, 0.125, 0.125]]])), "reference")
+    current = PolicyParams(np.log(np.full((1, 1, 4), 0.25)))
+    reference = PolicyParams(np.log(np.array([[[0.5, 0.25, 0.125, 0.125]]])))
     prompt = PromptSpec(0, (0,), "A")
     got = kl_estimate(current, reference, np.array([0]), prompt)
     assert got == pytest.approx(2.0 - math.log(2.0) - 1.0, abs=1e-12)
@@ -107,14 +107,14 @@ def test_kl_zero_when_policies_match():
     policy = make_policy(rng)
     prompt = PromptSpec(0, (0, 1, 2, 3), "A")
     out = np.array([1, 0, 2, 4])
-    assert kl_estimate(policy, policy.snapshot("reference"), out, prompt) == pytest.approx(0.0)
+    assert kl_estimate(policy, policy, out, prompt) == pytest.approx(0.0)
 
 
 def test_kl_nonnegative_on_random_policies():
     rng = np.random.default_rng(4)
     for _ in range(25):
         current = make_policy(rng)
-        reference = make_policy(rng, role="reference")
+        reference = make_policy(rng)
         out = rng.integers(0, 5, 4)
         prompt = PromptSpec(1, (0,) * 4, "A")
         assert kl_estimate(current, reference, out, prompt) >= 0.0
@@ -124,13 +124,13 @@ def test_sft_term_zero_at_reference():
     rng = np.random.default_rng(5)
     policy = make_policy(rng)
     prompt = PromptSpec(0, (2, 2, 0, 4), "A")
-    assert sft_term(policy, policy.snapshot("reference"), prompt) == pytest.approx(0.0)
+    assert sft_term(policy, policy, prompt) == pytest.approx(0.0)
 
 
 def test_sft_term_matches_manual_sum():
     rng = np.random.default_rng(6)
     current = make_policy(rng)
-    reference = make_policy(rng, role="reference")
+    reference = make_policy(rng)
     prompt = PromptSpec(1, (0, 3, 1, 2), "A")
     label = np.array(prompt.label)
     manual = float(
@@ -142,27 +142,20 @@ def test_sft_term_matches_manual_sum():
 def test_sft_term_rises_when_label_is_boosted():
     rng = np.random.default_rng(7)
     current = make_policy(rng)
-    reference = current.snapshot("reference")
+    reference = current
     prompt = PromptSpec(0, (1, 1, 1, 1), "A")
     boosted = current.logits.copy()
     boosted[0, :, 1] += 2.0
-    assert sft_term(PolicyParams(boosted, "current"), reference, prompt) > 0.0
+    assert sft_term(PolicyParams(boosted), reference, prompt) > 0.0
 
 
 # --- sampling -------------------------------------------------------------------------
 
-def test_sample_group_requires_old_snapshot():
-    rng = np.random.default_rng(8)
-    policy = make_policy(rng)
-    with pytest.raises(ValueError):
-        sample_group(policy, PromptSpec(0, (0,), "A"), Hyperparams())
-
-
 def test_sample_group_deterministic_and_consistent():
     rng_a = np.random.default_rng(9)
     rng_b = np.random.default_rng(9)
-    policy = make_policy(rng_a, role="old")
-    policy_b = PolicyParams(policy.logits.copy(), "old")
+    policy = make_policy(rng_a)
+    policy_b = PolicyParams(policy.logits.copy())
     hp = Hyperparams(group_size=6, max_length=4)
     prompt = PromptSpec(1, (0, 1, 2, 3), "A")
     g1 = sample_group(policy, prompt, hp, np.random.default_rng(42))
@@ -180,7 +173,7 @@ def test_sample_group_matches_distribution():
     # a heavily skewed single position should sample mostly its mode
     logits = np.zeros((1, 1, 3))
     logits[0, 0] = [5.0, 0.0, 0.0]
-    policy = PolicyParams(logits, "old")
+    policy = PolicyParams(logits)
     hp = Hyperparams(group_size=16, max_length=1)
     counts = np.zeros(3)
     for seed in range(30):
@@ -192,7 +185,7 @@ def test_sample_group_matches_distribution():
 
 def test_sample_group_rejects_bad_rewards():
     rng = np.random.default_rng(10)
-    policy = make_policy(rng, role="old")
+    policy = make_policy(rng)
     hp = Hyperparams(group_size=4, max_length=4)
     group = sample_group(policy, PromptSpec(0, (0,) * 4, "A"), hp, rng)
     with pytest.raises(ValueError):
@@ -206,24 +199,22 @@ def test_sample_group_rejects_bad_rewards():
 def test_objective_requires_advantages():
     rng = np.random.default_rng(12)
     current = make_policy(rng)
-    old = current.snapshot("old")
-    reference = current.snapshot("reference")
     hp = Hyperparams(group_size=4, max_length=4)
     prompt = PromptSpec(0, (0,) * 4, "A")
-    group = sample_group(old, prompt, hp, rng)
+    group = sample_group(current, prompt, hp, rng)
     with pytest.raises(ValueError):
-        sgrpo_objective(current, old, reference, prompt, group, hp)
+        sgrpo_objective(current, current, prompt, group, hp)
 
 
 def test_objective_composition():
     rng = np.random.default_rng(13)
     current = make_policy(rng)
-    old = make_policy(rng, role="old")
-    reference = make_policy(rng, role="reference")
+    old = make_policy(rng)
+    reference = make_policy(rng)
     hp = Hyperparams(group_size=4, max_length=4)
     prompt = PromptSpec(1, (0, 1, 2, 3), "A")
     group = make_group(rng, old, prompt, hp)
-    parts = sgrpo_objective(current, old, reference, prompt, group, hp)
+    parts = sgrpo_objective(current, reference, prompt, group, hp)
     assert parts.total == pytest.approx(
         parts.surrogate + hp.sft_weight * parts.sft - hp.kl_beta * parts.kl, abs=1e-12
     )
@@ -234,16 +225,16 @@ def test_objective_surrogate_is_clipped():
     # boosting token 0 sends sample 0's ratio far above 1+eps and sample 1's
     # far below 1-eps, so the surrogate is exactly (1.2*adv0 + 0.8*adv1)/2
     hp = Hyperparams(group_size=2, max_length=2, clip_epsilon=0.2)
-    old = PolicyParams(np.zeros((1, 2, 3)), "old")
-    current = PolicyParams(old.logits + np.array([8.0, 0.0, 0.0]), "current")
-    reference = old.snapshot("reference")
+    old = PolicyParams(np.zeros((1, 2, 3)))
+    current = PolicyParams(old.logits + np.array([8.0, 0.0, 0.0]))
+    reference = old
     prompt = PromptSpec(0, (0, 0), "A")
     outputs = np.array([[0, 0], [1, 1]])
     positions = np.arange(2)
     old_lp = old.log_probs(0)[positions[None, :], outputs]
     rewards = np.array([1.0, 0.0])
     group = SampleGroup(outputs, old_lp, rewards, group_advantages(rewards))
-    parts = sgrpo_objective(current, old, reference, prompt, group, hp)
+    parts = sgrpo_objective(current, reference, prompt, group, hp)
     adv = group.advantages
     assert adv == pytest.approx([1.0, -1.0])
     assert parts.surrogate == pytest.approx((1.2 * adv[0] + 0.8 * adv[1]) / 2, abs=1e-9)
@@ -253,29 +244,27 @@ def test_objective_min_form_lower_or_equal():
     rng = np.random.default_rng(14)
     for _ in range(20):
         current = make_policy(rng)
-        old = make_policy(rng, role="old")
-        reference = make_policy(rng, role="reference")
+        old = make_policy(rng)
+        reference = make_policy(rng)
         hp = Hyperparams(group_size=4, max_length=4)
         prompt = PromptSpec(0, (0, 1, 2, 3), "A")
         group = make_group(rng, old, prompt, hp)
-        plain = sgrpo_objective(current, old, reference, prompt, group, hp)
-        minned = sgrpo_objective(
-            current, old, reference, prompt, group, replace(hp, use_ppo_min=True)
-        )
+        plain = sgrpo_objective(current, reference, prompt, group, hp)
+        minned = sgrpo_objective(current, reference, prompt, group, replace(hp, use_ppo_min=True))
         assert minned.surrogate <= plain.surrogate + 1e-12
 
 
 # --- gradient ---------------------------------------------------------------------------
 
-def central_difference(current, old, reference, prompt, group, hp, step=1e-5):
+def central_difference(current, reference, prompt, group, hp, step=1e-5):
     grad = np.zeros_like(current.logits)
     for index in np.ndindex(*current.logits.shape):
         plus = current.logits.copy()
         plus[index] += step
         minus = current.logits.copy()
         minus[index] -= step
-        f_plus = sgrpo_objective(PolicyParams(plus, "current"), old, reference, prompt, group, hp).total
-        f_minus = sgrpo_objective(PolicyParams(minus, "current"), old, reference, prompt, group, hp).total
+        f_plus = sgrpo_objective(PolicyParams(plus), reference, prompt, group, hp).total
+        f_minus = sgrpo_objective(PolicyParams(minus), reference, prompt, group, hp).total
         grad[index] = (f_plus - f_minus) / (2 * step)
     return grad
 
@@ -284,12 +273,12 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(15)
     hp = Hyperparams(group_size=3, max_length=3)
     current = make_policy(rng, prompts=2, length=3, vocab=4)
-    old = make_policy(rng, prompts=2, length=3, vocab=4, role="old")
-    reference = make_policy(rng, prompts=2, length=3, vocab=4, role="reference")
+    old = make_policy(rng, prompts=2, length=3, vocab=4)
+    reference = make_policy(rng, prompts=2, length=3, vocab=4)
     prompt = PromptSpec(0, (1, 2, 0), "A")
     group = make_group(rng, old, prompt, hp)
-    analytic = objective_gradient(current, old, reference, prompt, group, hp)
-    numeric = central_difference(current, old, reference, prompt, group, hp)
+    analytic = objective_gradient(current, reference, prompt, group, hp)
+    numeric = central_difference(current, reference, prompt, group, hp)
     scale = max(np.abs(numeric).max(), 1e-12)
     assert np.abs(analytic - numeric).max() / scale < 1e-6
 
@@ -298,11 +287,11 @@ def test_gradient_zero_outside_prompt_slice():
     rng = np.random.default_rng(16)
     hp = Hyperparams(group_size=3, max_length=3)
     current = make_policy(rng, prompts=3, length=3, vocab=4)
-    old = make_policy(rng, prompts=3, length=3, vocab=4, role="old")
-    reference = make_policy(rng, prompts=3, length=3, vocab=4, role="reference")
+    old = make_policy(rng, prompts=3, length=3, vocab=4)
+    reference = make_policy(rng, prompts=3, length=3, vocab=4)
     prompt = PromptSpec(1, (0, 1, 2), "A")
     group = make_group(rng, old, prompt, hp)
-    grad = objective_gradient(current, old, reference, prompt, group, hp)
+    grad = objective_gradient(current, reference, prompt, group, hp)
     assert np.all(grad[0] == 0.0) and np.all(grad[2] == 0.0)
     assert np.any(grad[1] != 0.0)
 
@@ -310,12 +299,11 @@ def test_gradient_zero_outside_prompt_slice():
 def test_gradient_requires_advantages():
     rng = np.random.default_rng(17)
     current = make_policy(rng)
-    old = current.snapshot("old")
     hp = Hyperparams(group_size=4, max_length=4)
     prompt = PromptSpec(0, (0,) * 4, "A")
-    group = sample_group(old, prompt, hp, rng)
+    group = sample_group(current, prompt, hp, rng)
     with pytest.raises(ValueError):
-        objective_gradient(current, old, current.snapshot("reference"), prompt, group, hp)
+        objective_gradient(current, current, prompt, group, hp)
 
 
 @settings(max_examples=300, deadline=None)
@@ -338,21 +326,21 @@ def test_group_pass_equals_the_per_sample_reference(
     hp = Hyperparams(
         group_size=G, max_length=T, kl_beta=kl_beta, sft_weight=sft_weight, use_ppo_min=use_ppo_min
     )
-    old = make_policy(rng, prompts=2, length=T, vocab=V, role="old")
-    current = PolicyParams(old.logits + drift * rng.normal(size=old.logits.shape), "current")
-    reference = make_policy(rng, prompts=2, length=T, vocab=V, role="reference")
+    old = make_policy(rng, prompts=2, length=T, vocab=V)
+    current = PolicyParams(old.logits + drift * rng.normal(size=old.logits.shape))
+    reference = make_policy(rng, prompts=2, length=T, vocab=V)
     label = tuple(int(v) for v in rng.integers(0, V, int(rng.integers(1, T + 1))))
     prompt = PromptSpec(int(rng.integers(0, 2)), label, "A")
-    group = sample_group(old.snapshot("old"), prompt, hp, rng)
+    group = sample_group(old, prompt, hp, rng)
     rewards = np.full(G, 0.5) if equal_rewards else rng.random(G)
     group = replace(group, rewards=rewards, advantages=group_advantages(rewards))
 
-    parts = sgrpo_objective(current, old, reference, prompt, group, hp)
-    want = per_sample_objective(current, old, reference, prompt, group, hp)
+    parts = sgrpo_objective(current, reference, prompt, group, hp)
+    want = per_sample_objective(current, reference, prompt, group, hp)
     assert (parts.total, parts.surrogate, parts.sft, parts.kl) == (want.total, want.surrogate, want.sft, want.kl)
-    grad = objective_gradient(current, old, reference, prompt, group, hp)
+    grad = objective_gradient(current, reference, prompt, group, hp)
     assert grad.shape == current.logits.shape
-    assert np.array_equal(grad, per_sample_gradient(current, old, reference, prompt, group, hp))
+    assert np.array_equal(grad, per_sample_gradient(current, reference, prompt, group, hp))
 
 
 # --- policy container ----------------------------------------------------------------------
@@ -373,8 +361,6 @@ def test_hyperparams_reject_non_finite_values(field, value):
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        PolicyParams(np.zeros((2, 2, 2)), "newest")
     with pytest.raises(ValueError):
         PolicyParams(np.zeros((2, 2)))
     with pytest.raises(ValueError):
