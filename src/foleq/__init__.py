@@ -5,7 +5,6 @@ reward signal."""
 from .corpus import BleuConfig, CorpusReport, EvalPair, corpus_bleu, corpus_le, load_pairs, tokenize_formula
 from .equivalence import (
     BindingMap,
-    BindingResult,
     CandidateGraph,
     CompiledReference,
     LeConfig,

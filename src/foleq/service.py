@@ -51,8 +51,10 @@ def _le_config(raw: dict, base: LeConfig) -> LeConfig:
     if not _LE_KEYS & raw.keys():
         return base
     sim = base.similarity
-    threshold = float(_typed(raw, "threshold", (int, float), "a number", sim.threshold))
-    sim = replace(sim, threshold=threshold, ngram_sizes=frozenset(raw.get("ngram_sizes", sim.ngram_sizes)))
+    sizes = _typed(raw, "ngram_sizes", list, "a list of positive integers", sim.ngram_sizes)
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in sizes):
+        raise ValueError(f"ngram_sizes must be a list of positive integers, not {sizes!r}")
+    sim = replace(sim, threshold=_fraction(raw, "threshold", sim.threshold), ngram_sizes=frozenset(sizes))
     chunk_size = _typed(raw, "chunk_size", int, "an integer", base.chunk_size)
     max_atoms = _typed(raw, "max_atoms", int, "an integer", base.max_atoms)
     return replace(base, similarity=sim, chunk_size=chunk_size, max_atoms=max_atoms)
@@ -69,6 +71,15 @@ def _typed(raw: dict, key: str, types, kind: str, default):
     return value
 
 
+def _fraction(raw: dict, key: str, default: float) -> float:
+    """``raw[key]`` as a float in [0, 1], or ``default`` when ``raw`` has
+    no ``key``; compared before conversion, so no integer overflows."""
+    value = _typed(raw, key, (int, float), "a number", default)
+    if not 0 <= value <= 1:  # nan fails too
+        raise ValueError(f"{key} must lie in [0, 1], not {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     le: LeConfig = DEFAULT_LE
@@ -77,7 +88,7 @@ class ServiceConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"unknown scoring mode {self.mode!r}")
+            raise ValueError(f"mode must be one of {list(MODES)}, not {self.mode!r}")
 
     @staticmethod
     def from_mapping(raw: dict) -> "ServiceConfig":
@@ -87,7 +98,7 @@ class ServiceConfig:
         unknown = set(raw) - _LE_KEYS - {"mode", "bleu_smoothing"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        bleu = BleuConfig(smoothing_floor=float(_typed(raw, "bleu_smoothing", (int, float), "a number", 0.0)))
+        bleu = BleuConfig(smoothing_floor=_fraction(raw, "bleu_smoothing", DEFAULT_BLEU.smoothing_floor))
         return ServiceConfig(le=_le_config(raw, DEFAULT_LE), bleu=bleu, mode=raw.get("mode", "optimized"))
 
 

@@ -30,7 +30,7 @@ from foleq.corpus import _PAD_RE, DEFAULT_BLEU
 from foleq.equivalence import (
     DEFAULT_LE,
     BindingMap,
-    BindingResult,
+    LeReport,
     _AtomTables,
     _enumerate,
     compile_reference,
@@ -298,7 +298,7 @@ def skeleton_table(code, n: int) -> int:
     return skeleton_bits(code, range(n), patterns, mask)
 
 
-def forward_bind(pred: FolExpr, ref: FolExpr, mode: str, config=DEFAULT_LE) -> BindingResult:
+def forward_bind(pred: FolExpr, ref: FolExpr, mode: str, config=DEFAULT_LE) -> LeReport:
     """``bind_original`` / ``bind_optimized`` for one reading, scored
     forward: at each binding the prediction's skeleton is evaluated with
     each bound atom on its reference atom's variable and each unbound one
@@ -357,7 +357,16 @@ def forward_bind(pred: FolExpr, ref: FolExpr, mode: str, config=DEFAULT_LE) -> B
         tuple(pred_atoms[i] for i, j in enumerate(mapping) if j is None),
         tuple(a for j, a in enumerate(compiled.atoms) if j not in used),
     )
-    return BindingResult(binding, final_score, explored, assignments, truncated)
+    return LeReport(
+        score=final_score,
+        binding=binding,
+        atom_count=n_r + len(binding.unbound_prediction),
+        assignments_evaluated=assignments,
+        bindings_explored=explored,
+        trees_explored=1,
+        mode=mode,
+        truncated=truncated,
+    )
 
 
 # --- per-reading scoring loop ---------------------------------------------------

@@ -309,10 +309,15 @@ def test_bad_config_file_is_data_error(tmp_path, capsys):
     [
         {"chunk_size": None},
         {"ngram_sizes": 3},
+        {"ngram_sizes": "23"},
+        {"ngram_sizes": {"2": 1}},
         {"ngram_sizes": [2.5]},
         {"ngram_sizes": [2, 3.0]},
         {"chunk_size": 2.7},
         {"max_atoms": "3"},
+        {"max_atoms": 0},
+        {"max_atoms": 64},
+        {"mode": "fast"},
         {"threshold": "0.5"},
         {"threshold": 10**400},
         {"bleu_smoothing": True},
@@ -329,6 +334,8 @@ def test_wrong_typed_config_value_is_data_error(tmp_path, monkeypatch, capsys, c
     code, out, err = run(capsys, *command, "--config", str(config_path))
     assert code == 2
     assert err.startswith("bad config: ")
+    (key,) = content
+    assert key in err
     assert "Traceback" not in err
     assert not out
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,9 +10,11 @@ from foleq.equivalence import (
     BindingMap,
     CandidateGraph,
     DEFAULT_LE,
+    MAX_TABLE_ATOMS,
     LeConfig,
     bind_optimized,
     bind_original,
+    _enumerate,
     _Lowering,
     compile_reference,
     le_score,
@@ -318,6 +321,53 @@ def test_bind_equals_the_forward_search(seed, mode, config):
     assert _bound(lambda: bind(pred, ref, config)) == _bound(lambda: forward_bind(pred, ref, mode, config))
 
 
+@st.composite
+def candidate_tables(draw):
+    """Up to 5 prediction atoms, each with a row of (reference index, edit
+    distance) over up to 4 reference atoms, in ascending (distance, index)."""
+    n_r = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        refs = draw(st.lists(st.integers(0, n_r - 1), unique=True, max_size=n_r))
+        rows.append(sorted(((j, draw(st.integers(0, 3))) for j in refs), key=lambda jd: (jd[1], jd[0])))
+    return n_r, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_tables(), st.integers(1, 6))
+def test_walk_equals_the_product_of_candidate_rows(table, cap):
+    """``_enumerate`` visits the injective assignments that bind as many
+    atoms as a maximum matching allows, in the order of the product of each
+    atom's candidates followed by staying unbound, and stops at the cap."""
+    n_r, rows = table
+    preds = tuple(range(len(rows)))
+    assignments = [
+        combo
+        for combo in itertools.product(*[[j for j, _ in row] + [None] for row in rows])
+        if len({j for j in combo if j is not None}) == len(combo) - combo.count(None)
+    ]
+    most_bound = max(len(combo) - combo.count(None) for combo in assignments)
+    skips = len(preds) - most_bound
+    distance = [dict(row) for row in rows]
+    expected = [
+        (combo, sum(distance[i][j] for i, j in enumerate(combo) if j is not None))
+        for combo in assignments
+        if combo.count(None) == skips
+    ]
+
+    for component_cap in (None, cap):
+        tables = SimpleNamespace(
+            candidates=dict(enumerate(rows)), component_cap=component_cap, ref=SimpleNamespace(atoms=range(n_r))
+        )
+        mapping = [None] * len(preds)
+        leaves = []
+        count = _enumerate(tables, preds, skips, mapping, lambda dist: leaves.append((tuple(mapping), dist)))
+        walked = expected if component_cap is None else expected[:component_cap]
+        assert leaves == walked
+        assert count == len(walked)
+        assert mapping == [None] * len(preds)
+
+
 # --- top-level scoring ------------------------------------------------------------
 
 LAW_PAIRS = [
@@ -450,6 +500,28 @@ def test_over_long_prediction_is_cap_exceeded():
     assert le_score("¬" * (cap - 100) + "P(x)", "P(x)").score == 1.0
     for mode in ("original", "optimized"):
         assert le_score("¬" * (cap - 1) + "A", "¬A", mode=mode).score == 1.0
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("max_atoms", 0, "max_atoms must be positive, not 0"),
+        ("max_factorial_atoms", 0, "max_factorial_atoms must be positive, not 0"),
+        ("component_cap", -1, "component_cap must be positive, not -1"),
+        ("max_chain_operators", 0, "max_chain_operators must be positive, not 0"),
+        ("max_atoms", MAX_TABLE_ATOMS + 1, f"max_atoms must be at most {MAX_TABLE_ATOMS}"),
+    ],
+)
+def test_config_names_the_cap_it_refuses(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LeConfig(**{field: value})
+
+
+def test_atom_cap_may_reach_the_ceiling():
+    atoms = [f"P{i}" for i in range(MAX_TABLE_ATOMS)]
+    formula = "(" + " ∧ ".join(atoms[:10]) + ") ∨ (" + " ∧ ".join(atoms[10:]) + ")"
+    report = le_score(formula, formula, config=LeConfig(max_atoms=MAX_TABLE_ATOMS))
+    assert (report.score, report.atom_count) == (1.0, MAX_TABLE_ATOMS)
 
 
 def test_unknown_mode_rejected():

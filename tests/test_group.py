@@ -611,3 +611,21 @@ def test_a_reports_binding_rescores_to_its_score(seed, mode):
     assume(report.trees_explored == 1)
     pred, ref = canonicalize(parse(prediction)), canonicalize(parse(reference))
     assert propositional_score(pred, ref, report.binding) == report.score
+
+
+def test_candidate_row_memo_reset_keeps_every_report(monkeypatch):
+    rng = random.Random(5)
+    reference = render(random_formula(rng, max_atoms=5, max_depth=4, predicates=_PLAN_PREDICATES))
+    predictions = [render(random_formula(rng, max_atoms=5, max_depth=4, predicates=_PLAN_PREDICATES)) for _ in range(16)]
+
+    def scored():
+        compiled = compile_reference(reference)
+        reports = [r.to_dict() for r in score_group(predictions, compiled)]
+        return reports, set(compiled._rows[DEFAULT_LE.similarity])
+
+    expected, memo = scored()
+    # A one-entry memo is emptied before every prediction but the first.
+    monkeypatch.setattr(equivalence, "_CANDIDATE_ROW_LIMIT", 1)
+    reports, last = scored()
+    assert reports == expected
+    assert last == {a.canonical_text for a in compile_reference(predictions[-1]).atoms} < memo

@@ -229,6 +229,8 @@ def test_overrides_may_lower_the_cost_caps():
     ({"max_atoms": True}, "max_atoms must be an integer, not True"),
     ({"threshold": "0.5"}, "threshold must be a number, not '0.5'"),
     ({"threshold": False}, "threshold must be a number, not False"),
+    ({"threshold": 2}, "threshold must lie in [0, 1], not 2"),
+    ({"max_atoms": 64}, "max_atoms must be at most 20"),
 ])
 def test_wrong_typed_override_is_bad_request(overrides, message):
     line = json.dumps(le_request("a", "A ∧ B", "A ∧ B", overrides=overrides))
