@@ -39,7 +39,8 @@ candidate row, and edit distances are computed only where the search
 enumerates.  Every prediction's bindings are walked once (``_search``),
 however many readings it has: at each binding the reference skeleton is
 evaluated once under the inverse mapping, and each distinct reading truth
-table is scored against it with one XOR.  The search returns the report:
+table is scored against it with one XOR; bindings that cannot change the
+report are counted, not evaluated.  The search returns the report:
 the binding and score of the first best reading, and counters that are one
 reading's walk times the number of readings.  ``bind_original`` and
 ``bind_optimized`` are that search for one reading (``trees_explored`` 1),
@@ -49,6 +50,7 @@ and ``le_score`` is the same path for a group of one.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -497,42 +499,80 @@ def _max_matching_size(preds: tuple[int, ...], adj: dict[int, list[tuple[int, in
     return size
 
 
-def _enumerate(tables: _AtomTables, preds: tuple[int, ...], skips: int, mapping: list[int | None], leaf) -> int:
+def _enumerate(
+    tables: _AtomTables, preds: tuple[int, ...], skips: int, mapping: list[int | None], leaf, bound: int | None = None
+) -> tuple[int, bool]:
     """Walk the maximum-cardinality injective assignments of the enumerated
     component ``preds`` with skip budget ``skips``: each atom tries its
     candidates in ascending edit distance, then, while the budget lasts,
     staying unbound.  At each complete assignment, written into ``mapping``,
-    it calls ``leaf(dist)`` with the summed edit distance.  Returns the
-    number of leaves, which reaches the component cap only when the walk
-    stops there; ``mapping`` is left as it was given."""
-    adj, cap = tables.candidates, tables.component_cap
+    it calls ``leaf(dist)`` with the summed edit distance; ``leaf`` returns
+    the bound for the leaves after it (None for none).
+
+    Edit distances are not negative, so once a prefix's summed distance
+    reaches the bound, no leaf under it is walked: its leaves are counted
+    (memoised on the position, the reference atoms in use and the skips
+    left).  With no bound every leaf is walked.  The walk stops at the
+    component cap, counting past it only far enough to see whether a leaf
+    lies there.  Returns the number of leaves walked or counted, at most the
+    cap, and whether any leaf lies past the cap; ``mapping`` is left as it
+    was given."""
+    # sys.maxsize stands for no cap and no bound: ints compare faster than
+    # math.inf, and no count or summed distance reaches it.
+    adj = tables.candidates
+    cap = sys.maxsize if tables.component_cap is None else tables.component_cap
+    end = len(preds)
     used = [False] * len(tables.ref.atoms)
     count = 0
+    limit = sys.maxsize if bound is None else bound
+    sizes: dict[tuple[int, int, int], int] = {}
+
+    def size(pos: int, taken: int, skips_left: int) -> int:
+        """The number of leaves under a prefix whose reference atoms in use
+        are the bits of ``taken``."""
+        if pos == end:
+            return 1
+        key = (pos, taken, skips_left)
+        found = sizes.get(key)
+        if found is None:
+            found = sum(size(pos + 1, taken | 1 << j, skips_left) for j, _ in adj[preds[pos]] if not taken >> j & 1)
+            if skips_left:
+                found += size(pos + 1, taken, skips_left - 1)
+            sizes[key] = found
+        return found
 
     def rec(pos: int, skips_left: int, dist: int) -> bool:
         """Extend the assignment from ``preds[pos]`` on; ``dist`` is the
-        edit distance summed so far.  True once ``cap`` leaves are walked."""
-        nonlocal count
-        if pos == len(preds):
+        edit distance summed so far.  True once a leaf lies past the cap."""
+        nonlocal count, limit
+        if dist >= limit:
+            count += size(pos, sum([1 << j for j, in_use in enumerate(used) if in_use]), skips_left)
+        elif pos == end:
             # The skip budget comes from a maximum matching, so no complete
             # assignment leaves any of it unspent.
-            leaf(dist)
+            found = leaf(dist)
+            limit = sys.maxsize if found is None else found
             count += 1
-            return count == cap
-        i = preds[pos]
-        for j, d in adj[i]:
-            if not used[j]:
-                used[j] = True
-                mapping[i] = j
-                capped = rec(pos + 1, skips_left, dist + d)
-                mapping[i] = None
-                used[j] = False
-                if capped:
-                    return True
-        return skips_left > 0 and rec(pos + 1, skips_left - 1, dist)
+        else:
+            i = preds[pos]
+            for j, d in adj[i]:
+                if not used[j]:
+                    used[j] = True
+                    mapping[i] = j
+                    stop = rec(pos + 1, skips_left, dist + d)
+                    mapping[i] = None
+                    used[j] = False
+                    if stop:
+                        return True
+            return skips_left > 0 and rec(pos + 1, skips_left - 1, dist)
+        if count < cap:
+            return False
+        # At the cap: the rest is only counted, until a leaf lies past it.
+        limit = 0
+        return count > cap
 
-    rec(0, skips, 0)
-    return count
+    past = rec(0, skips, 0)
+    return (cap, True) if past else (count, False)
 
 
 def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
@@ -563,6 +603,23 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
     come in the order of their first reading, so the first table with the
     fewest disagreeing rows holds the first best reading.
 
+    The walk evaluates only the bindings that can still change the report
+    (branch and bound with an exact bound); the counters still cover every
+    binding walked or counted, so the report is the exhaustive walk's.  At
+    every leaf of a component the reference's atoms take distinct variables
+    out of the same number, so its table has the same number of true rows,
+    and no leaf disagrees with table t on fewer than ``floor[t]``, the
+    difference of the two tables' true-row counts.  A table whose best is at
+    its floor is settled: only a leaf with a smaller summed distance can
+    replace its best.  In the last component a table is dropped once its
+    floor is above the fewest disagreeing rows found so far, or equal to it
+    with a later index than the first table holding them, since it can no
+    longer be reported; earlier components keep every table, because their
+    winners seed the later groups.  Once every table a group still scores
+    is settled, no leaf whose summed distance reaches the largest of their
+    best distances is evaluated, and ``_enumerate`` counts those subtrees
+    instead of walking them.
+
     The first component's binding has the most variables, never fewer than
     the prediction's atoms, so its truth-table cap is checked before any
     table is built."""
@@ -585,7 +642,8 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
         repeat = mask // own_mask
         best_off = [(table * repeat ^ bits).bit_count() for table in truth_tables]
         explored, assignments = 1, rows
-    for preds, skips in tables.enumerated:
+    last = len(tables.enumerated) - 1
+    for c, (preds, skips) in enumerate(tables.enumerated):
         unbound -= len(preds) - skips
         patterns, mask, rows = _var_patterns(n_r + unbound)
         repeat = mask // own_mask
@@ -595,21 +653,47 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
         best_off = [rows + 1] * len(truth_tables)
         best_dist = [0] * len(truth_tables)
         best_assign: list[tuple[int | None, ...]] = [()] * len(truth_tables)
+        # No leaf disagrees with table t on fewer than floor[t] rows, set at
+        # the first evaluated leaf; in the last component, the fewest
+        # disagreeing rows found so far and the first table with them.
+        floor: list[int] = []
+        least, first = rows + 1, len(truth_tables)
         split = []
         for start, members in groups:
             mapping = start.copy()
+            # The tables whose best can still change the report.
+            live = members
+            if c == last and floor:
+                live = [t for t in members if (floor[t], t) <= (least, first)]
 
-            def leaf(dist: int) -> None:
+            # The summed distance from which no leaf is evaluated.
+            bound = None if live else 0
+
+            def leaf(dist: int) -> int | None:
+                nonlocal live, least, first, bound
                 bits = _reference_bits(ref, mapping, patterns, mask)
+                if not floor:
+                    ones = bits.bit_count()
+                    floor.extend(abs(ones - table.bit_count()) for table in wide)
                 assign = None
-                for t in members:
+                for t in live:
                     off = (wide[t] ^ bits).bit_count()
                     if off < best_off[t] or (off == best_off[t] and dist < best_dist[t]):
                         if assign is None:
                             assign = tuple([mapping[i] for i in preds])
                         best_off[t], best_dist[t], best_assign[t] = off, dist, assign
+                        if (off, t) < (least, first):
+                            least, first = off, t
+                if assign is not None:
+                    if c == last:
+                        live = [t for t in live if (floor[t], t) <= (least, first)]
+                    # A settled table's best is at its floor, so only a leaf
+                    # with a smaller summed distance can replace it.
+                    if all(best_off[t] == floor[t] for t in live):
+                        bound = max([best_dist[t] for t in live], default=0)
+                return bound
 
-            count = _enumerate(tables, preds, skips, mapping, leaf)
+            count, cut = _enumerate(tables, preds, skips, mapping, leaf, bound)
             by_winner: dict[tuple[int | None, ...], list[int]] = {}
             for t in members:
                 by_winner.setdefault(best_assign[t], []).append(t)
@@ -622,7 +706,7 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
         # Every group walks the same leaves.
         explored += count
         assignments += count * rows
-        truncated = truncated or count == tables.component_cap
+        truncated = truncated or cut
 
     off = min(best_off)
     best = best_off.index(off)
@@ -670,12 +754,12 @@ def bind_optimized(
     enumerates maximum-cardinality injective assignments inside each
     one-to-many component (components in first-occurrence order, earlier
     choices fixed, later components unbound while a component is searched).
-    A component stops early at ``component_cap`` scored assignments and
-    keeps its best so far, flagged via ``truncated``.  ``pred`` is a tree;
-    ``ref`` a tree or a compiled reference.  Bound variables are renamed as
-    ``canonicalize`` renames them, so trees need not be canonicalized first
-    and the report names the renamed atoms.  The report is ``_search``'s
-    for one reading: ``trees_explored`` is 1.
+    A component stops early at ``component_cap`` assignments and keeps its
+    best so far, flagged via ``truncated`` when an assignment lies past the
+    cap.  ``pred`` is a tree; ``ref`` a tree or a compiled reference.  Bound
+    variables are renamed as ``canonicalize`` renames them, so trees need
+    not be canonicalized first and the report names the renamed atoms.  The
+    report is ``_search``'s for one reading: ``trees_explored`` is 1.
     """
     return _bind(pred, ref, "optimized", config)
 

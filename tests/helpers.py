@@ -299,23 +299,30 @@ def skeleton_table(code, n: int) -> int:
 
 
 def forward_bind(pred: FolExpr, ref: FolExpr, mode: str, config=DEFAULT_LE) -> LeReport:
-    """``bind_original`` / ``bind_optimized`` for one reading, scored
-    forward: at each binding the prediction's skeleton is evaluated with
-    each bound atom on its reference atom's variable and each unbound one
-    after the reference's, and compared with the reference's own table over
-    that many variables.  It shares the library's search plan
-    (``_AtomTables``) and assignment walk (``_enumerate``), but none of its
-    evaluation, table widening, grouping of readings or cap check."""
+    """``bind_original`` / ``bind_optimized`` for one reading, by the
+    forward search over the library's search plan (``_AtomTables``)."""
     compiled = compile_reference(render(ref))
     pred_atoms, (code,) = lower_by_three_walks([pred])
-    tables = _AtomTables(pred_atoms, compiled, mode, config)
+    return forward_search(code, _AtomTables(pred_atoms, compiled, mode, config), config.max_atoms)
+
+
+def forward_search(code, tables, max_atoms: int) -> LeReport:
+    """The binding search for one reading, the skeleton ``code`` over the
+    plan's prediction atoms, scored forward: at each binding the
+    prediction's skeleton is evaluated with each bound atom on its reference
+    atom's variable and each unbound one after the reference's, and compared
+    with the reference's own table over that many variables.  It shares the
+    library's assignment walk (``_enumerate``), unbounded, so it evaluates
+    every binding, but none of the search's evaluation, table widening,
+    grouping of readings or cap check."""
+    compiled, pred_atoms, mode = tables.ref, tables.pred_atoms, tables.mode
     n_r = len(compiled.atoms)
     ref_bits: dict[int, int] = {}
 
     def agreement(mapping: list) -> tuple[int, int]:
         k = n_r + mapping.count(None)
-        if k > config.max_atoms:
-            raise CapExceeded(f"{k} combined atoms exceeds the truth-table cap {config.max_atoms}")
+        if k > max_atoms:
+            raise CapExceeded(f"{k} combined atoms exceeds the truth-table cap {max_atoms}")
         patterns, mask, rows = _row_patterns(k)
         if k not in ref_bits:
             ref_bits[k] = skeleton_bits(compiled.code, range(n_r), patterns, mask)
@@ -339,8 +346,8 @@ def forward_bind(pred: FolExpr, ref: FolExpr, mode: str, config=DEFAULT_LE) -> L
             if score > best_score or (score == best_score and dist < best_dist):
                 best_assign, best_score, best_dist = [mapping[i] for i in preds], score, dist
 
-        count = _enumerate(tables, preds, skips, mapping, leaf)
-        truncated = truncated or count == tables.component_cap
+        count, cut = _enumerate(tables, preds, skips, mapping, leaf)
+        truncated = truncated or cut
         explored += count
         for i, j in zip(preds, best_assign):
             mapping[i] = j

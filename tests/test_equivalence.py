@@ -14,8 +14,11 @@ from foleq.equivalence import (
     LeConfig,
     bind_optimized,
     bind_original,
+    CompiledReference,
+    _AtomTables,
     _enumerate,
     _Lowering,
+    _search,
     compile_reference,
     le_score,
     propositional_score,
@@ -24,6 +27,7 @@ from foleq.similarity import SimilarityConfig, levenshtein
 from foleq.syntax import (
     BINARY_OPS,
     Atom,
+    AtomicUnit,
     Binary,
     CapExceeded,
     Not,
@@ -36,7 +40,14 @@ from foleq.syntax import (
     render,
     split_chain,
 )
-from helpers import agreement, best_complete_matching, forward_bind, lower_by_three_walks, random_formula
+from helpers import (
+    agreement,
+    best_complete_matching,
+    forward_bind,
+    forward_search,
+    lower_by_three_walks,
+    random_formula,
+)
 
 
 def canon(text: str):
@@ -334,11 +345,14 @@ def candidate_tables(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(candidate_tables(), st.integers(1, 6))
-def test_walk_equals_the_product_of_candidate_rows(table, cap):
+@given(candidate_tables(), st.integers(0, 16))
+def test_walk_equals_the_product_of_candidate_rows(table, bound):
     """``_enumerate`` visits the injective assignments that bind as many
     atoms as a maximum matching allows, in the order of the product of each
-    atom's candidates followed by staying unbound, and stops at the cap."""
+    atom's candidates followed by staying unbound, and stops at the cap,
+    reporting a cut only when a leaf lies past it.  Under a fixed bound it
+    walks exactly the leaves whose summed distance is below the bound, in
+    the same order, and counts the rest."""
     n_r, rows = table
     preds = tuple(range(len(rows)))
     assignments = [
@@ -355,17 +369,81 @@ def test_walk_equals_the_product_of_candidate_rows(table, cap):
         if combo.count(None) == skips
     ]
 
-    for component_cap in (None, cap):
+    for component_cap in (None, *range(1, 7)):
         tables = SimpleNamespace(
             candidates=dict(enumerate(rows)), component_cap=component_cap, ref=SimpleNamespace(atoms=range(n_r))
         )
-        mapping = [None] * len(preds)
-        leaves = []
-        count = _enumerate(tables, preds, skips, mapping, lambda dist: leaves.append((tuple(mapping), dist)))
         walked = expected if component_cap is None else expected[:component_cap]
-        assert leaves == walked
-        assert count == len(walked)
-        assert mapping == [None] * len(preds)
+        for walk_bound in (None, bound):
+            mapping = [None] * len(preds)
+            leaves = []
+
+            def leaf(dist):
+                leaves.append((tuple(mapping), dist))
+                return walk_bound
+
+            count, cut = _enumerate(tables, preds, skips, mapping, leaf, walk_bound)
+            assert leaves == [(combo, dist) for combo, dist in walked if walk_bound is None or dist < walk_bound]
+            assert count == len(walked)
+            assert cut == (len(walked) < len(expected))
+            assert mapping == [None] * len(preds)
+
+
+_PLAN_ATOMS = [AtomicUnit(name, (arg,)) for name in _BIND_PREDICATES for arg in "ab"]
+
+
+def _skeletons(n: int):
+    """Propositional skeletons over atom ordinals 0 to n - 1."""
+    return st.recursive(
+        st.integers(0, n - 1).map(lambda i: ("atom", i)),
+        lambda inner: st.one_of(
+            inner.map(lambda body: ("not", body)),
+            st.tuples(st.sampled_from(["and", "or", "implies", "iff", "xor"]), inner, inner),
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(["original", "optimized"]), st.sampled_from([10_000, 1, 2, 3, 5, 8]))
+def test_search_equals_the_forward_search_of_each_reading(data, mode, cap):
+    """Several readings searched in one walk, which evaluates only the
+    bindings that can change the report, give the report of the first best
+    reading searched forward on its own, every binding evaluated.  Edit
+    distances are drawn at random, so equal and out-of-order summed
+    distances are common, and similar names make several components."""
+    pred_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
+    ref_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
+    ref = CompiledReference(ref_atoms, data.draw(_skeletons(len(ref_atoms))))
+    config = LeConfig(component_cap=cap)
+    plan = _AtomTables(pred_atoms, ref, mode, config)
+    for i, row in plan.candidates.items():
+        plan.candidates[i] = sorted(((j, data.draw(st.integers(0, 3))) for j, _ in row), key=lambda jd: (jd[1], jd[0]))
+    # A reading may be the reference's own skeleton, whose best binding
+    # agrees on every row, so searches settle and drop tables early.
+    reading = _skeletons(len(pred_atoms))
+    if len(ref_atoms) <= len(pred_atoms):
+        reading = st.one_of(reading, st.just(ref.code))
+    codes = data.draw(st.lists(reading, min_size=1, max_size=5))
+
+    readings = [forward_search(code, plan, config.max_atoms) for code in codes]
+    best = readings[0]
+    for reading in readings[1:]:
+        if reading.score > best.score:
+            best = reading
+    report = _search(codes, plan)
+    assert (report.score, report.binding, report.atom_count) == (best.score, best.binding, best.atom_count)
+    assert report.bindings_explored == sum(r.bindings_explored for r in readings)
+    assert report.assignments_evaluated == sum(r.assignments_evaluated for r in readings)
+    assert report.truncated == best.truncated
+
+
+def test_truncated_only_when_a_binding_lies_past_the_cap():
+    # The component has exactly two bindings: a cap of 2 cuts none of them.
+    pair = "Likes(a) ∧ Like(a)"
+    for cap, bindings, truncated in [(1, 1, True), (2, 2, False), (3, 2, False)]:
+        report = le_score(pair, pair, config=LeConfig(component_cap=cap))
+        assert (report.score, report.bindings_explored, report.truncated) == (1.0, bindings, truncated)
 
 
 # --- top-level scoring ------------------------------------------------------------

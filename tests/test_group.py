@@ -262,13 +262,11 @@ def wrapped_chains(draw, most_operands=9):
     return "".join(wrappers) + f"({text})"
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data(), st.sampled_from(MODES), st.sampled_from([None, 2, 3, 4]))
-def test_group_equals_unshared_on_wrapped_chains(data, mode, chunk_size):
+def _group_equals_unshared(data, mode: str, config: LeConfig) -> None:
     # Unchunked, 9 operands have 1,430 readings; with 7 atoms, original mode
     # binds each of them 5,040 times, over a minute in the per-reading loop.
     # So unchunked chains stop at 7 operands (132 readings).
-    most = 9 if chunk_size else 7
+    most = 9 if config.chunk_size else 7
     first = data.draw(wrapped_chains(most), label="prediction")
     # The group's predictions draw from one atom pool, so they repeat atom
     # texts, and a repeated prediction text is scored once.  The others are
@@ -276,7 +274,6 @@ def test_group_equals_unshared_on_wrapped_chains(data, mode, chunk_size):
     others = data.draw(st.lists(st.one_of(st.just(first), wrapped_chains(6)), max_size=3), label="others")
     predictions = [first, *others]
     reference = data.draw(st.one_of(st.just(first), wrapped_chains(most)), label="reference")
-    config = LeConfig(chunk_size=chunk_size)
     group = score_group(predictions, reference, mode, config)
     for prediction, result in zip(predictions, group):
         try:
@@ -285,6 +282,21 @@ def test_group_equals_unshared_on_wrapped_chains(data, mode, chunk_size):
             expected = (type(exc), str(exc))
         got = (type(result), str(result)) if isinstance(result, Exception) else fields(result)
         assert got == expected, prediction
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(MODES), st.sampled_from([None, 2, 3, 4]))
+def test_group_equals_unshared_on_wrapped_chains(data, mode, chunk_size):
+    _group_equals_unshared(data, mode, LeConfig(chunk_size=chunk_size))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 6))
+def test_group_equals_unshared_on_wrapped_chains_under_a_component_cap(data, cap):
+    # The cap falls inside walks that several tables share, and inside the
+    # bindings the search counts without evaluating them.  Original mode
+    # has no component cap.
+    _group_equals_unshared(data, "optimized", LeConfig(component_cap=cap))
 
 
 def test_one_prediction_is_renamed_listed_and_tabled_once(monkeypatch):
@@ -486,6 +498,37 @@ def test_a_chain_of_many_tables_is_searched_in_one_walk(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "prediction, reference, evaluations, bindings, assignments",
+    [
+        # The first binding is the identity, and the reference's own reading
+        # agrees on every row: no other binding can change the report.
+        ("A ∧ B → C ∨ D ↔ E ⊕ F", "A ∧ B → C ∨ D ↔ E ⊕ F", 1, 4_320, 276_480),
+        (
+            "(A → B ↔ C ∧ D ⊕ E ∨ F → G ∧ A ↔ B → C ⊕ D ∨ E ∧ F ↔ G → A)",
+            "(A → B ↔ C ∧ D ⊕ E ∨ F → G ∧ A ↔ B → C ⊕ D ∨ E ∧ F ↔ G → A)",
+            1,
+            6_305_040,
+            807_045_120,
+        ),
+        # The prediction is true on 1 row of 16 and the reference on 3, so
+        # no binding disagrees on fewer than 2 rows, and the first does.
+        ("A ∧ B ∧ C ∧ D", "A ∧ B ∧ (C ∨ D)", 1, 120, 1_920),
+        # The best binding disagrees on more rows than the truth-table
+        # counts force, so every binding is evaluated.
+        ("A ∧ ¬B ∧ C ∧ D", "A ∧ B ∧ C ∧ D", 24, 120, 1_920),
+    ],
+)
+def test_bindings_that_cannot_change_the_report_are_counted_not_evaluated(
+    monkeypatch, prediction, reference, evaluations, bindings, assignments
+):
+    calls = []
+    monkeypatch.setattr(equivalence, "_reference_bits", _counting(calls, equivalence._reference_bits))
+    report = le_score(prediction, reference, "original")
+    assert len(calls) == evaluations
+    assert (report.bindings_explored, report.assignments_evaluated) == (bindings, assignments)
+
+
+@pytest.mark.parametrize(
     "prediction, reference",
     [
         # Two enumerated components, whose first one some readings win with
@@ -493,6 +536,13 @@ def test_a_chain_of_many_tables_is_searched_in_one_walk(monkeypatch):
         # distinct first winner.
         ("Owned(b) ∧ Liked(a) ⊕ Own(a) → Liked(a) ⊕ Owns(a) ⊕ Q", "Own(a) → Liked(a) ∨ Q ∨ Owned(b) ∨ Like(a)"),
         ("P ∧ Own(a) → Own(a) ∨ Likes(a) ∨ Q ∧ Own(a)", "Likes(a) ∨ Own(a) ∨ Owns(a) → Q ∨ Liked(a) ⊕ P"),
+        # The reported reading's first-component floor is above another
+        # reading's fewest disagreeing rows there, so the search must keep
+        # scoring it in that component: it wins only in the second.
+        (
+            "Owns(b) ∧ Own(a) ∧ Like(a) ∧ ¬Likes(b) ∧ Like(a) ∧ Owns(a) ⊕ Liked(a)",
+            "Liked(a) ⊕ Own(a) ∨ Likes(b) ∧ Like(a) ⊕ ¬Own(a) → Liked(a) ⊕ Owns(a) ∨ ¬Seen(a)",
+        ),
     ],
 )
 def test_readings_that_win_differently_equal_unshared(monkeypatch, prediction, reference):
