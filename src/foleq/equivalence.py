@@ -507,7 +507,8 @@ def _enumerate(
     candidates in ascending edit distance, then, while the budget lasts,
     staying unbound.  At each complete assignment, written into ``mapping``,
     it calls ``leaf(dist)`` with the summed edit distance; ``leaf`` returns
-    the bound for the leaves after it (None for none).
+    a new bound for the leaves after it, or None to keep the bound as it
+    is.
 
     Edit distances are not negative, so once a prefix's summed distance
     reaches the bound, no leaf under it is walked: its leaves are counted
@@ -551,7 +552,8 @@ def _enumerate(
             # The skip budget comes from a maximum matching, so no complete
             # assignment leaves any of it unspent.
             found = leaf(dist)
-            limit = sys.maxsize if found is None else found
+            if found is not None:
+                limit = found
             count += 1
         else:
             i = preds[pos]
@@ -666,34 +668,34 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
             if c == last and floor:
                 live = [t for t in members if (floor[t], t) <= (least, first)]
 
-            # The summed distance from which no leaf is evaluated.
-            bound = None if live else 0
-
             def leaf(dist: int) -> int | None:
-                nonlocal live, least, first, bound
+                nonlocal live, least, first
                 bits = _reference_bits(ref, mapping, patterns, mask)
                 if not floor:
                     ones = bits.bit_count()
                     floor.extend(abs(ones - table.bit_count()) for table in wide)
                 assign = None
+                settled = fewer = False
                 for t in live:
                     off = (wide[t] ^ bits).bit_count()
                     if off < best_off[t] or (off == best_off[t] and dist < best_dist[t]):
                         if assign is None:
                             assign = tuple([mapping[i] for i in preds])
                         best_off[t], best_dist[t], best_assign[t] = off, dist, assign
+                        settled = settled or off == floor[t]
                         if (off, t) < (least, first):
-                            least, first = off, t
-                if assign is not None:
-                    if c == last:
-                        live = [t for t in live if (floor[t], t) <= (least, first)]
-                    # A settled table's best is at its floor, so only a leaf
-                    # with a smaller summed distance can replace it.
-                    if all(best_off[t] == floor[t] for t in live):
-                        bound = max([best_dist[t] for t in live], default=0)
-                return bound
+                            least, first, fewer = off, t, True
+                if fewer and c == last:
+                    live = [t for t in live if (floor[t], t) <= (least, first)]
+                    settled = True
+                # A settled table's best is at its floor, so only a leaf with
+                # a smaller summed distance can replace it.  The bound changes
+                # only when a table settles, improves once settled or leaves.
+                if settled and all(best_off[t] == floor[t] for t in live):
+                    return max([best_dist[t] for t in live], default=0)
+                return None
 
-            count, cut = _enumerate(tables, preds, skips, mapping, leaf, bound)
+            count, cut = _enumerate(tables, preds, skips, mapping, leaf, None if live else 0)
             by_winner: dict[tuple[int | None, ...], list[int]] = {}
             for t in members:
                 by_winner.setdefault(best_assign[t], []).append(t)

@@ -12,7 +12,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 
 @dataclass(frozen=True)
@@ -65,24 +64,30 @@ def _gram_counts(text: str, sizes: frozenset[int]) -> Counter:
 
 # Cached entries are shared; callers must treat the returned counter as read-only.
 @lru_cache(maxsize=8192)
-def _gram_vector(text: str, sizes: frozenset[int]) -> tuple[Counter, float]:
+def _gram_vector(text: str, sizes: frozenset[int], case_sensitive: bool) -> tuple[str, Counter, float]:
+    """The text as compared (lower-cased unless ``case_sensitive``), its
+    gram counts and their Euclidean norm."""
+    if not case_sensitive:
+        text = text.lower()
     counts = _gram_counts(text, sizes)
-    return counts, math.sqrt(sum(c * c for c in counts.values()))
+    return text, counts, math.sqrt(sum(c * c for c in counts.values()))
 
 
+@lru_cache(maxsize=4096)
 def ngram_cosine(a: str, b: str, config: SimilarityConfig = DEFAULT_SIMILARITY) -> float:
-    """Cosine of pooled character n-gram count vectors, in [0, 1]."""
-    if not config.case_sensitive:
-        a, b = a.lower(), b.lower()
+    """Cosine of pooled character n-gram count vectors, in [0, 1].  Memoized
+    like ``levenshtein``: a candidate graph scores every pair of atom texts,
+    and the same texts recur from one scored pair to the next."""
+    a, va, norm_a = _gram_vector(a, config.ngram_sizes, config.case_sensitive)
+    b, vb, norm_b = _gram_vector(b, config.ngram_sizes, config.case_sensitive)
     if a == b and a:
         return 1.0  # the norms' product can round below the dot product
-    va, norm_a = _gram_vector(a, config.ngram_sizes)
-    vb, norm_b = _gram_vector(b, config.ngram_sizes)
-    common = va.keys() & vb.keys()
-    if not common:
-        return 0.0
-    dot = sum(map(mul, map(va.__getitem__, common), map(vb.__getitem__, common)))
-    return dot / (norm_a * norm_b)
+    if len(va) > len(vb):
+        va, vb = vb, va
+    # Counts are integers, so the dot product is exact in any order.
+    get = vb.get
+    dot = sum([count * get(gram, 0) for gram, count in va.items()])
+    return dot / (norm_a * norm_b) if dot else 0.0
 
 
 def is_related(a: str, b: str, config: SimilarityConfig = DEFAULT_SIMILARITY) -> bool:

@@ -513,6 +513,10 @@ def test_a_chain_of_many_tables_is_searched_in_one_walk(monkeypatch):
         # The prediction is true on 1 row of 16 and the reference on 3, so
         # no binding disagrees on fewer than 2 rows, and the first does.
         ("A ∧ B ∧ C ∧ D", "A ∧ B ∧ (C ∨ D)", 1, 120, 1_920),
+        # The first binding reaches the floor; the second reaches it too at
+        # a smaller summed edit distance, which lowers the bound below the
+        # third.
+        ("¬(P(z) ⊕ Like) ⊕ (Like ⊕ Owns)", "(∃y P ⊕ Own ∧ P) → P", 2, 6, 48),
         # The best binding disagrees on more rows than the truth-table
         # counts force, so every binding is evaluated.
         ("A ∧ ¬B ∧ C ∧ D", "A ∧ B ∧ C ∧ D", 24, 120, 1_920),
