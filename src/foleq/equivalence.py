@@ -72,7 +72,7 @@ from .syntax import (
     enumerate_bracketings,  # unused here, but tracers patch this attribute
     lex,
     parse,
-    render,
+    rebuild,
     split_chain,
 )
 
@@ -354,6 +354,14 @@ def compile_reference(reference: str) -> CompiledReference:
     return CompiledReference(lowering.atoms(), code)
 
 
+def _compile_tree(expr: FolExpr) -> CompiledReference:
+    """``compile_reference`` of the rendering of ``expr``, built straight
+    from the tree through the same lowering."""
+    lowering = _Lowering()
+    code = rebuild(expr, lowering)
+    return CompiledReference(lowering.atoms(), code)
+
+
 def _capped_patterns(k: int, max_atoms: int) -> tuple[tuple[int, ...], int, int]:
     """``_var_patterns(k)``, or ``CapExceeded`` when ``k`` passes ``max_atoms``."""
     if k > max_atoms:
@@ -394,12 +402,12 @@ def _binding_from(
 
 def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_atoms: int = 16) -> float:
     """Truth-table agreement of the two skeletons under a fixed binding.
-    Both trees are lowered through their rendering, and their bound
+    Both trees are lowered as their renderings would be, and their bound
     variables are renamed as ``canonicalize`` renames them, so the binding
     names atoms of the renamed trees; canonical trees are left as they are."""
-    lowered = compile_reference(render(pred))
+    lowered = _compile_tree(pred)
     pred_atoms = lowered.atoms
-    compiled = compile_reference(render(ref))
+    compiled = _compile_tree(ref)
     pred_index = {a.canonical_text: i for i, a in enumerate(pred_atoms)}
     ref_index = {a.canonical_text: j for j, a in enumerate(compiled.atoms)}
     mapping: list[int | None] = [None] * len(pred_atoms)
@@ -728,8 +736,8 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
 
 def _bind(pred: FolExpr, ref: FolExpr | CompiledReference, mode: str, config: LeConfig) -> LeReport:
     if not isinstance(ref, CompiledReference):
-        ref = compile_reference(render(ref))
-    lowered = compile_reference(render(pred))
+        ref = _compile_tree(ref)
+    lowered = _compile_tree(pred)
     return _search([lowered.code], _AtomTables(lowered.atoms, ref, mode, config))
 
 

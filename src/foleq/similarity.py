@@ -73,11 +73,8 @@ def _gram_vector(text: str, sizes: frozenset[int], case_sensitive: bool) -> tupl
     return text, counts, math.sqrt(sum(c * c for c in counts.values()))
 
 
-@lru_cache(maxsize=4096)
 def ngram_cosine(a: str, b: str, config: SimilarityConfig = DEFAULT_SIMILARITY) -> float:
-    """Cosine of pooled character n-gram count vectors, in [0, 1].  Memoized
-    like ``levenshtein``: a candidate graph scores every pair of atom texts,
-    and the same texts recur from one scored pair to the next."""
+    """Cosine of pooled character n-gram count vectors, in [0, 1]."""
     a, va, norm_a = _gram_vector(a, config.ngram_sizes, config.case_sensitive)
     b, vb, norm_b = _gram_vector(b, config.ngram_sizes, config.case_sensitive)
     if a == b and a:

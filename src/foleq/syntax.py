@@ -363,6 +363,18 @@ def parse(text: str, mode: str = "precedence", nodes=TREES):
     return _Parser(lex(text), mode, nodes).parse()
 
 
+def rebuild(expr: FolExpr, nodes=TREES):
+    """Build the tree ``expr`` again through the node factory ``nodes``,
+    with the calls, in the same order, that parsing its rendering makes."""
+    if isinstance(expr, Atom):
+        return nodes.atom(expr.predicate, expr.args)
+    if isinstance(expr, Not):
+        return nodes.negate(rebuild(expr.body, nodes))
+    if isinstance(expr, Quantified):
+        return nodes.quantify(expr.quantifier, expr.variable, lambda: rebuild(expr.body, nodes))
+    return nodes.join(expr.op, rebuild(expr.left, nodes), rebuild(expr.right, nodes))
+
+
 # --- rendering ---------------------------------------------------------------
 
 _UNICODE_SYMBOLS = {NOT: "¬", AND: "∧", OR: "∨", IMPLIES: "→", IFF: "↔", XOR: "⊕"}

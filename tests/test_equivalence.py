@@ -16,6 +16,7 @@ from foleq.equivalence import (
     bind_original,
     CompiledReference,
     _AtomTables,
+    _compile_tree,
     _enumerate,
     _Lowering,
     _search,
@@ -149,6 +150,9 @@ def _texts_and_codes(atoms, codes):
 def test_lowering_matches_rename_list_and_compile(tree):
     compiled = compile_reference(render(tree))
     assert _texts_and_codes(compiled.atoms, [compiled.code]) == _texts_and_codes(*lower_by_three_walks([tree]))
+    # The binding searches lower a tree without rendering it.
+    built = _compile_tree(tree)
+    assert _texts_and_codes(built.atoms, [built.code]) == _texts_and_codes(compiled.atoms, [compiled.code])
     # The chain form that scoring lowers: the operands of the outermost
     # chain inside the wrappers around it.
     try:
