@@ -73,6 +73,7 @@ from .syntax import (
     lex,
     parse,
     rebuild,
+    render,
     split_chain,
 )
 
@@ -356,9 +357,14 @@ def compile_reference(reference: str) -> CompiledReference:
 
 def _compile_tree(expr: FolExpr) -> CompiledReference:
     """``compile_reference`` of the rendering of ``expr``, built straight
-    from the tree through the same lowering."""
+    from the tree through the same lowering.  A tree too deep to rebuild
+    within the recursion limit renders past the token cap, so it goes
+    through its rendering, whose parse raises ``CapExceeded``."""
     lowering = _Lowering()
-    code = rebuild(expr, lowering)
+    try:
+        code = rebuild(expr, lowering)
+    except RecursionError:
+        return compile_reference(render(expr))
     return CompiledReference(lowering.atoms(), code)
 
 

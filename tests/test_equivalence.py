@@ -214,6 +214,17 @@ def test_bind_original_factorial_cap():
         bind_original(pred, ref)
 
 
+def test_a_tree_too_deep_to_rebuild_is_capped_through_its_rendering():
+    # 400 nested quantifiers pass the recursion limit when rebuilt, and
+    # their rendering has 804 tokens.
+    tree = Atom("P", ("x",))
+    for _ in range(400):
+        tree = Quantified("forall", "x", tree)
+    for bind in (bind_original, bind_optimized):
+        with pytest.raises(CapExceeded, match=r"formula has 804 tokens \(cap \d+\)"):
+            bind(tree, tree)
+
+
 def test_bind_original_prefers_smaller_edit_distance_on_ties():
     # both bindings of the symmetric conjunction score 1.0; the
     # name-preserving one has edit distance 0
