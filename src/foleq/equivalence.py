@@ -356,10 +356,10 @@ def compile_reference(reference: str) -> CompiledReference:
 
 
 def _compile_tree(expr: FolExpr) -> CompiledReference:
-    """``compile_reference`` of the rendering of ``expr``, built straight
-    from the tree through the same lowering.  A tree too deep to rebuild
-    within the recursion limit renders past the token cap, so it goes
-    through its rendering, whose parse raises ``CapExceeded``."""
+    """The tree ``expr`` compiled straight from its nodes through the same
+    lowering, as ``compile_reference`` compiles its rendering.  A tree too
+    deep to rebuild within the recursion limit renders past the token cap,
+    so it goes through its rendering, whose parse raises ``CapExceeded``."""
     lowering = _Lowering()
     try:
         code = rebuild(expr, lowering)
