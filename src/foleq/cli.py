@@ -251,9 +251,14 @@ def _demo_config_from_mapping(raw: dict) -> TrainDemoConfig:
     for key in ("vocab", "references"):
         if key in raw and not (isinstance(raw[key], list) and all(isinstance(v, str) for v in raw[key])):
             raise ValueError(f"{key} must be a list of strings")
+    learning_rate = _typed(raw, "learning_rate", (int, float), "a number", base.hp.learning_rate)
+    # Compared before conversion, so no integer overflows; nan and the
+    # infinities are Hyperparams' to refuse.
+    if isinstance(learning_rate, int) and abs(learning_rate) > sys.float_info.max:
+        raise ValueError("learning_rate must lie within the float range")
     hp = replace(
         base.hp,
-        learning_rate=float(_typed(raw, "learning_rate", (int, float), "a number", base.hp.learning_rate)),
+        learning_rate=float(learning_rate),
         seed=_typed(raw, "seed", int, "an integer", base.hp.seed),
         group_size=_typed(raw, "group_size", int, "an integer", base.hp.group_size),
     )

@@ -3,9 +3,10 @@
 Formula text is tokenized for BLEU by padding connectives, parentheses,
 and commas with spaces and splitting on whitespace, so ``P(x)∧Q(x)`` and
 ``P ( x ) ∧ Q ( x )`` tokenize identically.  BLEU is the standard corpus
-form: geometric mean of modified n-gram precisions for n = 1..4 times the
-brevity penalty, on a 0-100 scale.  Smoothing is off by default; a floor
-epsilon in [0, 1] can be configured for short corpora.
+form: geometric mean of modified n-gram precisions for n = 1..4
+(``MAX_ORDER``) times the brevity penalty, on a 0-100 scale.  Smoothing is
+off by default; a floor epsilon in [0, 1] can be configured for short
+corpora.
 
 Pairs that fail to parse score 0 rather than being dropped, so the mean
 equivalence score cannot be gamed by emitting garbage.
@@ -31,14 +32,18 @@ class EvalPair:
     reference: str
 
 
+# The longest n-gram whose precision corpus BLEU takes: BLEU-4.
+MAX_ORDER = 4
+
+
 @dataclass(frozen=True)
 class BleuConfig:
-    max_order: int = 4
+    """The one BLEU setting: the floor that stands in for a zero n-gram
+    precision (0 turns smoothing off)."""
+
     smoothing_floor: float = 0.0
 
     def __post_init__(self):
-        if self.max_order < 1:
-            raise ValueError("max_order must be positive")
         # a precision never exceeds 1, so neither may its floor; nan fails too
         if not 0.0 <= self.smoothing_floor <= 1.0:
             raise ValueError(f"smoothing_floor must lie in [0, 1], not {self.smoothing_floor!r}")
@@ -155,9 +160,9 @@ def corpus_bleu(pairs: list[EvalPair], config: BleuConfig = DEFAULT_BLEU) -> flo
     """
     if not pairs:
         raise ValueError("empty corpus")
-    orders = range(1, config.max_order + 1)
-    matched = [0] * config.max_order
-    total = [0] * config.max_order
+    orders = range(1, MAX_ORDER + 1)
+    matched = [0] * MAX_ORDER
+    total = [0] * MAX_ORDER
     pred_len = 0
     ref_len = 0
     references: dict[str, tuple[int, list[Counter]]] = {}
@@ -177,7 +182,7 @@ def corpus_bleu(pairs: list[EvalPair], config: BleuConfig = DEFAULT_BLEU) -> flo
     if pred_len == 0:
         return 0.0
     log_sum = 0.0
-    for n in range(config.max_order):
+    for n in range(MAX_ORDER):
         precision = matched[n] / total[n] if total[n] else 0.0
         if precision <= 0.0:
             if config.smoothing_floor > 0.0:
@@ -186,7 +191,7 @@ def corpus_bleu(pairs: list[EvalPair], config: BleuConfig = DEFAULT_BLEU) -> flo
                 return 0.0
         log_sum += math.log(precision)
     brevity = 1.0 if pred_len > ref_len else math.exp(1.0 - ref_len / pred_len)
-    return 100.0 * brevity * math.exp(log_sum / config.max_order)
+    return 100.0 * brevity * math.exp(log_sum / MAX_ORDER)
 
 
 def corpus_le(

@@ -19,12 +19,12 @@ edit-distance order.
     Searches the complete graph, every prediction atom a candidate for
     every reference atom, as one component with no cap: it exhausts every
     complete injective matching of the smaller atom set (n! for equal
-    sides), so ``max_factorial_atoms`` bounds it.
+    sides), so ``MAX_FACTORIAL_ATOMS`` bounds it.
 
 ``bind_optimized``
     Searches the relatedness graph, whose edges join atom pairs with
     similar names under the similarity backend, and stops a component
-    after ``component_cap`` scored assignments.
+    after ``COMPONENT_CAP`` scored assignments.
 
 Ties between equal-scoring bindings break toward the smaller summed edit
 distance, then toward the first-enumerated assignment, which makes both
@@ -75,6 +75,7 @@ from .syntax import (
     rebuild,
     render,
     split_chain,
+    token_cap,
 )
 
 
@@ -83,24 +84,30 @@ from .syntax import (
 # atoms, 0.13 s and 97 MB at 24, and both grow more than twofold per atom.
 MAX_TABLE_ATOMS = 20
 
+# The most atoms on either side of an original-mode search, which walks every
+# complete matching: 7! = 5,040 of them for seven atoms on each side.
+MAX_FACTORIAL_ATOMS = 7
+
+# The most bindings an optimized-mode search walks in one component before it
+# keeps its best so far and flags the report ``truncated``.
+COMPONENT_CAP = 10_000
+
 
 @dataclass(frozen=True)
 class LeConfig:
-    """Limits and knobs for equivalence scoring."""
+    """The settings of equivalence scoring.  The other limits are
+    constants: ``MAX_FACTORIAL_ATOMS``, ``COMPONENT_CAP`` and the
+    chain-operator cap of ``split_chain``."""
 
     similarity: SimilarityConfig = DEFAULT_SIMILARITY
     chunk_size: int | None = 4
     max_atoms: int = 16
-    max_factorial_atoms: int = 7
-    component_cap: int = 10_000
-    max_chain_operators: int = 16
 
     def __post_init__(self):
         if self.chunk_size is not None and self.chunk_size < 2:
             raise ValueError("chunk_size must be at least 2 (or None for full enumeration)")
-        for cap in ("max_atoms", "max_factorial_atoms", "component_cap", "max_chain_operators"):
-            if getattr(self, cap) < 1:
-                raise ValueError(f"{cap} must be positive, not {getattr(self, cap)}")
+        if self.max_atoms < 1:
+            raise ValueError(f"max_atoms must be positive, not {self.max_atoms}")
         if self.max_atoms > MAX_TABLE_ATOMS:
             raise ValueError(f"max_atoms must be at most {MAX_TABLE_ATOMS}")
 
@@ -359,12 +366,18 @@ def _compile_tree(expr: FolExpr) -> CompiledReference:
     """The tree ``expr`` compiled straight from its nodes through the same
     lowering, as ``compile_reference`` compiles its rendering.  A tree too
     deep to rebuild within the recursion limit renders past the token cap,
-    so it goes through its rendering, whose parse raises ``CapExceeded``."""
+    so it goes through its rendering, whose parse raises ``CapExceeded``; a
+    tree too deep even to render raises the token cap's ``CapExceeded``
+    itself."""
     lowering = _Lowering()
     try:
         code = rebuild(expr, lowering)
     except RecursionError:
-        return compile_reference(render(expr))
+        try:
+            return compile_reference(render(expr))
+        except RecursionError:
+            cap = token_cap()
+            raise CapExceeded(f"formula has more than {cap} tokens (cap {cap})") from None
     return CompiledReference(lowering.atoms(), code)
 
 
@@ -443,8 +456,9 @@ class _AtomTables:
     atoms and its skip budget: how many of them a maximum-cardinality
     assignment leaves unbound.  ``candidates`` gives each of those atoms its
     candidate reference atoms as (index, edit distance) in ascending
-    (distance, index) order; no other edit distance is computed.  The
-    component cap is None in original mode."""
+    (distance, index) order; no other edit distance is computed.
+    ``component_cap`` is ``COMPONENT_CAP``, or None in original mode, whose
+    atom count ``MAX_FACTORIAL_ATOMS`` bounds instead."""
 
     def __init__(
         self,
@@ -460,10 +474,8 @@ class _AtomTables:
         n_p, n_r = len(pred_atoms), len(ref.atoms)
         adj: dict[int, range | list[int]]
         if mode == "original":
-            if max(n_p, n_r) > config.max_factorial_atoms:
-                raise CapExceeded(
-                    f"{max(n_p, n_r)} atoms exceeds the factorial-search cap {config.max_factorial_atoms}"
-                )
+            if max(n_p, n_r) > MAX_FACTORIAL_ATOMS:
+                raise CapExceeded(f"{max(n_p, n_r)} atoms exceeds the factorial-search cap {MAX_FACTORIAL_ATOMS}")
             adj = {i: range(n_r) for i in range(n_p)}
             components: Sequence[Component] = (Component(tuple(range(n_p)), tuple(range(n_r))),)
             self.component_cap: int | None = None
@@ -475,7 +487,7 @@ class _AtomTables:
             for i, j, _ in graph.edges:
                 adj.setdefault(i, []).append(j)
             components = graph.components
-            self.component_cap = config.component_cap
+            self.component_cap = COMPONENT_CAP
         self.start: list[int | None] = [None] * n_p
         self.enumerated: list[tuple[tuple[int, ...], int]] = []
         self.candidates: dict[int, list[tuple[int, int]]] = {}
@@ -752,8 +764,8 @@ def bind_original(
 ) -> LeReport:
     """Exhaustive search over every complete injective matching of the
     smaller atom set, candidates tried in ascending edit-distance order: the
-    binding search over the complete graph, with no ``component_cap``.
-    Factorial in the atom count, so guarded by ``max_factorial_atoms``.
+    binding search over the complete graph, with no component cap.
+    Factorial in the atom count, so guarded by ``MAX_FACTORIAL_ATOMS``.
     ``pred`` is a tree; ``ref`` a tree or a compiled reference.  Bound
     variables are renamed as ``canonicalize`` renames them, so trees need
     not be canonicalized first and the report names the renamed atoms.
@@ -770,7 +782,7 @@ def bind_optimized(
     enumerates maximum-cardinality injective assignments inside each
     one-to-many component (components in first-occurrence order, earlier
     choices fixed, later components unbound while a component is searched).
-    A component stops early at ``component_cap`` assignments and keeps its
+    A component stops early at ``COMPONENT_CAP`` assignments and keeps its
     best so far, flagged via ``truncated`` when an assignment lies past the
     cap.  ``pred`` is a tree; ``ref`` a tree or a compiled reference.  Bound
     variables are renamed as ``canonicalize`` renames them, so trees need
@@ -797,7 +809,7 @@ def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config
     the report: the first best reading's binding and score, with one
     reading's counters times the number of readings."""
     lowering = _Lowering()
-    wrapped, operands, ops = split_chain(lex(prediction), config.max_chain_operators, lowering)
+    wrapped, operands, ops = split_chain(lex(prediction), nodes=lowering)
     negated = False
     while wrapped is not None and wrapped[0] == "not":
         negated, wrapped = not negated, wrapped[1]

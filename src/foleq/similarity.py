@@ -1,8 +1,9 @@
 """String similarity used to restrict atom-matching candidates.
 
 The default backend is a character n-gram cosine over pooled 2- and 3-gram
-counts.  Strings shorter than n contribute themselves as a single gram, and
-every non-empty string scores exactly 1.0 against itself.  The relatedness
+counts of the lower-cased strings.  Strings shorter than n contribute
+themselves as a single gram, and every non-empty string scores exactly 1.0
+against itself.  The relatedness
 threshold is inclusive: a score of exactly ``threshold`` counts as related.
 """
 
@@ -18,7 +19,6 @@ from functools import lru_cache
 class SimilarityConfig:
     ngram_sizes: frozenset[int] = frozenset({2, 3})
     threshold: float = 0.6
-    case_sensitive: bool = False
 
     def __post_init__(self):
         if not self.ngram_sizes:
@@ -64,19 +64,18 @@ def _gram_counts(text: str, sizes: frozenset[int]) -> Counter:
 
 # Cached entries are shared; callers must treat the returned counter as read-only.
 @lru_cache(maxsize=8192)
-def _gram_vector(text: str, sizes: frozenset[int], case_sensitive: bool) -> tuple[str, Counter, float]:
-    """The text as compared (lower-cased unless ``case_sensitive``), its
-    gram counts and their Euclidean norm."""
-    if not case_sensitive:
-        text = text.lower()
+def _gram_vector(text: str, sizes: frozenset[int]) -> tuple[str, Counter, float]:
+    """The text as compared (lower-cased), its gram counts and their
+    Euclidean norm."""
+    text = text.lower()
     counts = _gram_counts(text, sizes)
     return text, counts, math.sqrt(sum(c * c for c in counts.values()))
 
 
 def ngram_cosine(a: str, b: str, config: SimilarityConfig = DEFAULT_SIMILARITY) -> float:
     """Cosine of pooled character n-gram count vectors, in [0, 1]."""
-    a, va, norm_a = _gram_vector(a, config.ngram_sizes, config.case_sensitive)
-    b, vb, norm_b = _gram_vector(b, config.ngram_sizes, config.case_sensitive)
+    a, va, norm_a = _gram_vector(a, config.ngram_sizes)
+    b, vb, norm_b = _gram_vector(b, config.ngram_sizes)
     if a == b and a:
         return 1.0  # the norms' product can round below the dot product
     if len(va) > len(vb):

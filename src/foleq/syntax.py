@@ -239,13 +239,23 @@ _END = "end"  # the kind of the sentinel token after the last one
 _END_TOKEN = Token(_END, "", -1)
 
 
+MAX_TOKENS = 500  # the most tokens a formula may have (see ``token_cap``)
+
+
+def token_cap() -> int:
+    """The parser's token cap: ``MAX_TOKENS``, or half the recursion limit
+    where that is lower, since no parse or scoring walk nests deeper than
+    its token count.  Raising the limit leaves the cap, and so every score,
+    as it is."""
+    return min(MAX_TOKENS, sys.getrecursionlimit() // 2)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], mode: str = "precedence", nodes=TREES):
-        """Text of more tokens than half the recursion limit raises
-        ``CapExceeded``; no parse or scoring walk nests deeper than that."""
+        """Text of more tokens than ``token_cap()`` raises ``CapExceeded``."""
         if not tokens:
             raise ParseError("empty formula")
-        max_tokens = sys.getrecursionlimit() // 2
+        max_tokens = token_cap()
         if len(tokens) > max_tokens:
             raise CapExceeded(f"formula has {len(tokens)} tokens (cap {max_tokens})")
         # Reads index the list directly; the sentinel stops every one of them.

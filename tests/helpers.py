@@ -386,7 +386,7 @@ def unshared(prediction: str, reference: str, mode: str, config=DEFAULT_LE) -> t
     best tree wins.  In the order score, binding pairs, unbound prediction
     and reference texts, atom count, rows, bindings, trees, truncated."""
     ref_tree = canonicalize(parse(reference))
-    trees = enumerate_bracketings(lex(prediction), config.chunk_size, config.max_chain_operators)
+    trees = enumerate_bracketings(lex(prediction), config.chunk_size)
     results = [forward_bind(canonicalize(tree), ref_tree, mode, config) for tree in trees]
     best = results[0]
     for result in results[1:]:
@@ -615,12 +615,13 @@ def _slice_ngrams(tokens: list[str], n: int) -> Counter:
 
 
 def per_pair_bleu(pairs, config=DEFAULT_BLEU) -> float:
-    """Corpus BLEU that tokenizes and counts both sides of every pair anew,
-    one slice per n-gram and one lookup per predicted gram."""
+    """Corpus BLEU-4 that tokenizes and counts both sides of every pair
+    anew, one slice per n-gram and one lookup per predicted gram."""
     if not pairs:
         raise ValueError("empty corpus")
-    matched = [0] * config.max_order
-    total = [0] * config.max_order
+    order = 4
+    matched = [0] * order
+    total = [0] * order
     pred_len = 0
     ref_len = 0
     for pair in pairs:
@@ -628,7 +629,7 @@ def per_pair_bleu(pairs, config=DEFAULT_BLEU) -> float:
         ref_tokens = _pad_tokens(pair.reference)
         pred_len += len(pred_tokens)
         ref_len += len(ref_tokens)
-        for n in range(1, config.max_order + 1):
+        for n in range(1, order + 1):
             pred_grams = _slice_ngrams(pred_tokens, n)
             ref_grams = _slice_ngrams(ref_tokens, n)
             total[n - 1] += sum(pred_grams.values())
@@ -636,7 +637,7 @@ def per_pair_bleu(pairs, config=DEFAULT_BLEU) -> float:
     if pred_len == 0:
         return 0.0
     log_sum = 0.0
-    for n in range(config.max_order):
+    for n in range(order):
         precision = matched[n] / total[n] if total[n] else 0.0
         if precision <= 0.0:
             if config.smoothing_floor > 0.0:
@@ -645,4 +646,4 @@ def per_pair_bleu(pairs, config=DEFAULT_BLEU) -> float:
                 return 0.0
         log_sum += math.log(precision)
     brevity = 1.0 if pred_len > ref_len else math.exp(1.0 - ref_len / pred_len)
-    return 100.0 * brevity * math.exp(log_sum / config.max_order)
+    return 100.0 * brevity * math.exp(log_sum / order)

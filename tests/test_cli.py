@@ -10,6 +10,7 @@ import pytest
 from foleq.cli import _demo_config_from_mapping, run_cli
 from foleq.corpus import EvalPair, corpus_le
 from foleq.sgrpo import default_demo_config
+from foleq.syntax import MAX_TOKENS
 from test_service import NOT_UTF8_LINES, check_not_utf8_answers
 
 
@@ -45,7 +46,7 @@ def test_parse_error_exits_2(capsys):
 
 
 def test_parse_prints_a_tree_at_the_token_cap(capsys):
-    depth = sys.getrecursionlimit() // 2 - 1
+    depth = MAX_TOKENS - 1
     code, out, err = run(capsys, "parse", "¬" * depth + "A")
     assert code == 0
     assert out.splitlines() == ["Not(" * depth + "Atom('A')" + ")" * depth, "¬" * depth + "A"]
@@ -489,6 +490,7 @@ def test_train_demo_negative_seed_is_a_data_error(capsys):
         ('{"group_size": 1000000000000000000}', "group_size must be at most 1024"),
         ('{"group_size": 100000000000000000000}', "group_size must be at most 1024"),
         ('{"learning_rate": "0.1"}', "learning_rate must be a number, not '0.1'"),
+        ('{"learning_rate": 1' + "0" * 400 + "}", "learning_rate must lie within the float range"),
         ("not json", "Expecting value: line 1 column 1 (char 0)"),
         ("[2]", "config file must hold a JSON object"),
     ],

@@ -16,6 +16,7 @@ from foleq.corpus import (
     load_pairs,
     tokenize_formula,
 )
+from foleq.syntax import MAX_TOKENS
 from helpers import per_pair_bleu
 
 # Pieces joined without separators, so that "<" "-" ">" can meet as "<->"
@@ -145,7 +146,7 @@ def bleu_corpora(draw):
         EvalPair(str(i), draw(formula_text), draw(st.sampled_from(references)))
         for i in range(size)
     ]
-    config = BleuConfig(draw(st.integers(1, 6)), draw(st.sampled_from([0.0, 0.01])))
+    config = BleuConfig(draw(st.sampled_from([0.0, 0.01])))
     return pairs, config
 
 
@@ -193,7 +194,7 @@ def test_corpus_le_runs_in_both_modes():
 
 
 def test_corpus_le_scores_an_over_long_prediction_zero():
-    cap = sys.getrecursionlimit() // 2
+    cap = MAX_TOKENS
     pairs = [EvalPair("deep", "¬" * (3 * cap) + "A", "A"), EvalPair("same", "A", "A")]
     report = corpus_le(pairs)
     assert report.failures == [("deep", f"formula has {3 * cap + 1} tokens (cap {cap})")]
@@ -202,7 +203,7 @@ def test_corpus_le_scores_an_over_long_prediction_zero():
 
 
 def test_corpus_le_fails_every_pair_of_an_over_long_reference():
-    cap = sys.getrecursionlimit() // 2
+    cap = MAX_TOKENS
     deep = "(" * 600 + "A" + ")" * 600
     pairs = [EvalPair("a", "A", deep), EvalPair("b", "B", deep), EvalPair("same", "A", "A")]
     report = corpus_le(pairs)
@@ -305,5 +306,5 @@ def test_load_rejects_unknown_format(tmp_path):
 
 
 def test_default_bleu_config():
-    assert DEFAULT_BLEU.max_order == 4
+    assert corpus.MAX_ORDER == 4
     assert DEFAULT_BLEU.smoothing_floor == 0.0

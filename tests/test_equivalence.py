@@ -2,11 +2,15 @@ import itertools
 import random
 import sys
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import foleq.equivalence as equivalence
 from foleq.equivalence import (
+    COMPONENT_CAP,
+    MAX_FACTORIAL_ATOMS,
     BindingMap,
     CandidateGraph,
     DEFAULT_LE,
@@ -26,6 +30,7 @@ from foleq.equivalence import (
 )
 from foleq.similarity import SimilarityConfig, levenshtein
 from foleq.syntax import (
+    MAX_TOKENS,
     BINARY_OPS,
     Atom,
     AtomicUnit,
@@ -189,8 +194,9 @@ def test_bind_original_explores_all_permutations():
     pred = canon(" ∧ ".join(f"P{i}" for i in range(6)))
     ref = canon(" ∧ ".join(f"Q{i}" for i in range(6)))
     # original mode is exhaustive: the component cap does not apply to it
-    for config in (LeConfig(), LeConfig(component_cap=2)):
-        result = bind_original(pred, ref, config)
+    for cap in (COMPONENT_CAP, 2):
+        with patch.object(equivalence, "COMPONENT_CAP", cap):
+            result = bind_original(pred, ref)
         assert result.bindings_explored == 720
         assert result.score == 1.0
         assert not result.truncated
@@ -214,6 +220,14 @@ def test_bind_original_factorial_cap():
         bind_original(pred, ref)
 
 
+def test_fixed_caps_keep_their_values_and_messages():
+    assert (MAX_FACTORIAL_ATOMS, COMPONENT_CAP) == (7, 10_000)
+    with pytest.raises(CapExceeded, match=r"^connective chain has 17 operators \(cap 16\)$"):
+        le_score(" ∧ ".join(["A"] * 18), "A")
+    with pytest.raises(CapExceeded, match="^8 atoms exceeds the factorial-search cap 7$"):
+        le_score(" ∧ ".join(f"P{i}" for i in range(8)), "A", mode="original")
+
+
 def test_a_tree_too_deep_to_rebuild_is_capped_through_its_rendering():
     # 400 nested quantifiers pass the recursion limit when rebuilt, and
     # their rendering has 804 tokens.
@@ -223,6 +237,21 @@ def test_a_tree_too_deep_to_rebuild_is_capped_through_its_rendering():
     for bind in (bind_original, bind_optimized):
         with pytest.raises(CapExceeded, match=r"formula has 804 tokens \(cap \d+\)"):
             bind(tree, tree)
+
+
+def test_a_tree_too_deep_to_render_is_capped():
+    # 1,200 nested negations pass the recursion limit when rendered too.
+    deep = Atom("A")
+    for _ in range(1200):
+        deep = Not(deep)
+    shallow = Atom("A")
+    message = rf"^formula has more than {MAX_TOKENS} tokens \(cap {MAX_TOKENS}\)$"
+    for pred, ref in ((deep, shallow), (shallow, deep)):
+        for bind in (bind_original, bind_optimized):
+            with pytest.raises(CapExceeded, match=message):
+                bind(pred, ref)
+        with pytest.raises(CapExceeded, match=message):
+            propositional_score(pred, ref, BindingMap(()))
 
 
 def test_bind_original_prefers_smaller_edit_distance_on_ties():
@@ -293,12 +322,12 @@ def test_bind_optimized_never_exceeds_original(subtests=None):
 
 
 def test_bind_optimized_component_cap_truncates():
-    config = LeConfig(component_cap=2)
     pred = canon("Pred1(x) ∧ Pred2(x) ∧ Pred3(x)")
-    result = bind_optimized(pred, pred, config)
+    with patch.object(equivalence, "COMPONENT_CAP", 2):
+        result = bind_optimized(pred, pred)
+        report = le_score("Pred1(x) ∧ Pred2(x) ∧ Pred3(x)", "Pred1(x) ∧ Pred2(x) ∧ Pred3(x)")
     assert result.truncated
     assert result.bindings_explored <= 2
-    report = le_score("Pred1(x) ∧ Pred2(x) ∧ Pred3(x)", "Pred1(x) ∧ Pred2(x) ∧ Pred3(x)", config=config)
     assert report.truncated
 
 
@@ -334,17 +363,19 @@ _BIND_PREDICATES = ["Likes", "Like", "Liked", "Owns", "Own", "P"]
 @given(
     st.integers(0, 10 ** 9),
     st.sampled_from(["original", "optimized"]),
-    st.sampled_from([DEFAULT_LE, LeConfig(component_cap=3), LeConfig(max_atoms=5)]),
+    st.sampled_from([(DEFAULT_LE, COMPONENT_CAP), (DEFAULT_LE, 3), (LeConfig(max_atoms=5), COMPONENT_CAP)]),
 )
-def test_bind_equals_the_forward_search(seed, mode, config):
+def test_bind_equals_the_forward_search(seed, mode, config_and_cap):
     """One reading bound by the library equals the forward search, which
     evaluates the prediction under each binding against the reference's own
     table: score, binding, counters, truncation and ``CapExceeded`` text."""
+    config, cap = config_and_cap
     rng = random.Random(seed)
     pred = random_formula(rng, max_atoms=6, max_depth=4, predicates=_BIND_PREDICATES)
     ref = random_formula(rng, max_atoms=6, max_depth=4, predicates=_BIND_PREDICATES)
     bind = bind_original if mode == "original" else bind_optimized
-    assert _bound(lambda: bind(pred, ref, config)) == _bound(lambda: forward_bind(pred, ref, mode, config))
+    with patch.object(equivalence, "COMPONENT_CAP", cap):
+        assert _bound(lambda: bind(pred, ref, config)) == _bound(lambda: forward_bind(pred, ref, mode, config))
 
 
 @st.composite
@@ -430,8 +461,9 @@ def test_search_equals_the_forward_search_of_each_reading(data, mode, cap):
     pred_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
     ref_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
     ref = CompiledReference(ref_atoms, data.draw(_skeletons(len(ref_atoms))))
-    config = LeConfig(component_cap=cap)
-    plan = _AtomTables(pred_atoms, ref, mode, config)
+    plan = _AtomTables(pred_atoms, ref, mode, DEFAULT_LE)
+    if mode == "optimized":
+        plan.component_cap = cap
     for i, row in plan.candidates.items():
         plan.candidates[i] = sorted(((j, data.draw(st.integers(0, 3))) for j, _ in row), key=lambda jd: (jd[1], jd[0]))
     # A reading may be the reference's own skeleton, whose best binding
@@ -441,7 +473,7 @@ def test_search_equals_the_forward_search_of_each_reading(data, mode, cap):
         reading = st.one_of(reading, st.just(ref.code))
     codes = data.draw(st.lists(reading, min_size=1, max_size=5))
 
-    readings = [forward_search(code, plan, config.max_atoms) for code in codes]
+    readings = [forward_search(code, plan, DEFAULT_LE.max_atoms) for code in codes]
     best = readings[0]
     for reading in readings[1:]:
         if reading.score > best.score:
@@ -453,11 +485,56 @@ def test_search_equals_the_forward_search_of_each_reading(data, mode, cap):
     assert report.truncated == best.truncated
 
 
+def test_a_settled_group_is_bound_by_its_largest_best_distance():
+    """Once every table a group scores is settled, only leaves at or past
+    the largest of their best distances are cut: a shorter leaf can still
+    replace the best of the table that settled at that distance.  Reading
+    ``P0`` and reading ``P2`` against the reference ``R2`` agree on every
+    row exactly when their atom is bound to ``R2``.  The first component,
+    which is not the last, so it drops no table, walks its leaves at summed
+    distances 4, 3, 3, 4, 6 and 4: ``P2`` settles on the second leaf at 3,
+    ``P0`` on the fifth at 6, and the sixth, ``P0 → R2`` at 4, must still
+    replace the fifth."""
+    plan = SimpleNamespace(
+        pred_atoms=tuple(AtomicUnit(f"P{i}", ()) for i in range(5)),
+        ref=CompiledReference(tuple(AtomicUnit(f"R{j}", ()) for j in range(5)), ("atom", 2)),
+        mode="optimized",
+        max_atoms=DEFAULT_LE.max_atoms,
+        start=[None] * 5,
+        enumerated=[((0, 1, 2), 0), ((3, 4), 0)],
+        candidates={
+            0: [(0, 1), (1, 2), (2, 2)],
+            1: [(2, 1), (0, 2), (1, 2)],
+            2: [(0, 0), (2, 0), (1, 2)],
+            3: [(3, 0), (4, 0)],
+            4: [(3, 0), (4, 0)],
+        },
+        component_cap=COMPONENT_CAP,
+    )
+    codes = [("atom", 0), ("atom", 2)]
+
+    def fields(report):
+        return report.score, report.binding.as_dict(), report.bindings_explored, report.assignments_evaluated
+
+    readings = [forward_search(code, plan, plan.max_atoms) for code in codes]
+    for code, reading in zip(codes, readings):
+        assert fields(_search([code], plan)) == fields(reading)
+    report = _search(codes, plan)
+    assert fields(report) == (
+        readings[0].score,
+        readings[0].binding.as_dict(),
+        sum(r.bindings_explored for r in readings),
+        sum(r.assignments_evaluated for r in readings),
+    )
+    assert report.binding.as_dict() == {"P0": "R2", "P1": "R1", "P2": "R0", "P3": "R3", "P4": "R4"}
+
+
 def test_truncated_only_when_a_binding_lies_past_the_cap():
     # The component has exactly two bindings: a cap of 2 cuts none of them.
     pair = "Likes(a) ∧ Like(a)"
     for cap, bindings, truncated in [(1, 1, True), (2, 2, False), (3, 2, False)]:
-        report = le_score(pair, pair, config=LeConfig(component_cap=cap))
+        with patch.object(equivalence, "COMPONENT_CAP", cap):
+            report = le_score(pair, pair)
         assert (report.score, report.bindings_explored, report.truncated) == (1.0, bindings, truncated)
 
 
@@ -585,8 +662,18 @@ def test_prediction_fails_exactly_as_parse_does(parts):
     assert got == expected
 
 
+def test_raising_the_recursion_limit_keeps_the_token_cap():
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(5000)
+        with pytest.raises(CapExceeded, match=r"^formula has 701 tokens \(cap 500\)$"):
+            le_score("¬" * 700 + "A", "A")
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_over_long_prediction_is_cap_exceeded():
-    cap = sys.getrecursionlimit() // 2
+    cap = MAX_TOKENS
     with pytest.raises(CapExceeded, match=rf"formula has {3 * cap + 1} tokens \(cap {cap}\)"):
         le_score("¬" * (3 * cap) + "A", "A")
     # an even run of negations inside the cap still reads as its atom
@@ -599,9 +686,6 @@ def test_over_long_prediction_is_cap_exceeded():
     "field, value, message",
     [
         ("max_atoms", 0, "max_atoms must be positive, not 0"),
-        ("max_factorial_atoms", 0, "max_factorial_atoms must be positive, not 0"),
-        ("component_cap", -1, "component_cap must be positive, not -1"),
-        ("max_chain_operators", 0, "max_chain_operators must be positive, not 0"),
         ("max_atoms", MAX_TABLE_ATOMS + 1, f"max_atoms must be at most {MAX_TABLE_ATOMS}"),
     ],
 )

@@ -4,6 +4,7 @@ binding every bracketing tree from scratch, with nothing shared."""
 
 import itertools
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 import foleq.equivalence as equivalence
 from foleq.corpus import EvalPair, corpus_le
 from foleq.equivalence import (
+    COMPONENT_CAP,
     DEFAULT_LE,
     CandidateGraph,
     LeConfig,
@@ -296,7 +298,8 @@ def test_group_equals_unshared_on_wrapped_chains_under_a_component_cap(data, cap
     # The cap falls inside walks that several tables share, and inside the
     # bindings the search counts without evaluating them.  Original mode
     # has no component cap.
-    _group_equals_unshared(data, "optimized", LeConfig(component_cap=cap))
+    with patch.object(equivalence, "COMPONENT_CAP", cap):
+        _group_equals_unshared(data, "optimized", DEFAULT_LE)
 
 
 def test_one_prediction_is_renamed_listed_and_tabled_once(monkeypatch):
@@ -610,19 +613,21 @@ def similar_name_chains(draw):
     similar_name_chains(),
     similar_name_chains(),
     st.sampled_from(MODES),
-    st.sampled_from([LeConfig(component_cap=3), LeConfig(max_atoms=5)]),
+    st.sampled_from([(DEFAULT_LE, 3), (LeConfig(max_atoms=5), COMPONENT_CAP)]),
 )
-def test_lockstep_equals_unshared_on_unequal_atom_counts(prediction, reference, mode, config):
+def test_lockstep_equals_unshared_on_unequal_atom_counts(prediction, reference, mode, config_and_cap):
     # Unequal atom counts leave atoms unbound, which widens each reading's
     # table past the prediction's own atoms.
+    config, cap = config_and_cap
     pred_atoms = atoms_of(canonicalize(parse(prediction)))
     ref_atoms = atoms_of(canonicalize(parse(reference)))
     assume(len(pred_atoms) != len(ref_atoms))
-    got = outcome(lambda: le_score(prediction, reference, mode, config))
-    try:
-        expected = unshared(prediction, reference, mode, config)
-    except CapExceeded as exc:
-        expected = (type(exc), str(exc))
+    with patch.object(equivalence, "COMPONENT_CAP", cap):
+        got = outcome(lambda: le_score(prediction, reference, mode, config))
+        try:
+            expected = unshared(prediction, reference, mode, config)
+        except CapExceeded as exc:
+            expected = (type(exc), str(exc))
     assert got == expected
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import socket
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import foleq.service as service
+from foleq.corpus import BleuConfig
 from foleq.equivalence import LeConfig, le_score
-from foleq.syntax import lex
+from foleq.similarity import SimilarityConfig
+from foleq.syntax import MAX_TOKENS, lex
 from foleq.service import (
     BAD_REQUEST,
     CAP_EXCEEDED,
@@ -90,7 +93,7 @@ def test_cap_exceeded_reported():
 
 
 def test_over_long_prediction_is_cap_exceeded():
-    cap = sys.getrecursionlimit() // 2
+    cap = MAX_TOKENS
     response = handle_line(json.dumps(le_request("deep", "¬" * (3 * cap) + "A", "A")), CONFIG)
     assert response.error == {
         "code": CAP_EXCEEDED,
@@ -99,7 +102,7 @@ def test_over_long_prediction_is_cap_exceeded():
 
 
 def test_over_long_reference_is_bad_request():
-    cap = sys.getrecursionlimit() // 2
+    cap = MAX_TOKENS
     for reference, tokens in [("(" * 600 + "A" + ")" * 600, 1201), (" → ".join(["A"] * 1200), 2399)]:
         response = handle_line(json.dumps(le_request("deep", "A", reference)), CONFIG)
         assert response.error == {
@@ -119,7 +122,7 @@ _NESTINGS = [
 
 
 def test_every_nesting_at_the_token_cap_answers_without_internal():
-    cap = sys.getrecursionlimit() // 2
+    cap = MAX_TOKENS
     for build in _NESTINGS:
         base = len(lex(build(0)))
         deepest = (cap - base) // (len(lex(build(1))) - base)
@@ -485,6 +488,15 @@ def test_config_from_mapping_applies_values():
 
 def test_config_from_mapping_without_scoring_keys_keeps_the_defaults():
     assert ServiceConfig.from_mapping({"mode": "original"}).le is ServiceConfig().le
+
+
+def test_every_scoring_setting_is_a_config_key():
+    # A setting that no config file, flag or override can reach is a
+    # constant, not a field.
+    le_fields = {field.name for field in dataclasses.fields(LeConfig)} - {"similarity"}
+    similarity_fields = {field.name for field in dataclasses.fields(SimilarityConfig)}
+    assert le_fields | similarity_fields == service._LE_KEYS
+    assert [field.name for field in dataclasses.fields(BleuConfig)] == ["smoothing_floor"]
 
 
 def test_config_from_mapping_rejects_unknown_keys():

@@ -83,11 +83,6 @@ def test_cosine_case_insensitive_by_default():
     assert ngram_cosine("Happy(A)", "happy(a)") == pytest.approx(1.0)
 
 
-def test_cosine_case_sensitive_config():
-    config = SimilarityConfig(case_sensitive=True)
-    assert ngram_cosine("ABC", "abc", config) == 0.0
-
-
 def test_cosine_empty_inputs():
     assert ngram_cosine("", "") == 0.0
     assert ngram_cosine("", "ab") == 0.0
@@ -154,4 +149,3 @@ def test_config_validation():
 def test_default_config_values():
     assert DEFAULT_SIMILARITY.ngram_sizes == frozenset({2, 3})
     assert DEFAULT_SIMILARITY.threshold == 0.6
-    assert not DEFAULT_SIMILARITY.case_sensitive

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from foleq.syntax import (
+    MAX_TOKENS,
     Atom,
     Binary,
     CapExceeded,
@@ -228,7 +229,7 @@ def test_parse_error_texts_and_offsets(text, mode, error, message):
 
 @pytest.mark.parametrize("mode", ["precedence", "fully-parenthesized"])
 def test_token_cap_error_text(mode):
-    cap = sys.getrecursionlimit() // 2
+    cap = MAX_TOKENS
     with pytest.raises(CapExceeded) as err:
         parse("¬" * cap + "A", mode)
     assert str(err.value) == f"formula has {cap + 1} tokens (cap {cap})"
@@ -451,14 +452,21 @@ def test_operator_cap():
 
 
 def test_token_cap_follows_the_recursion_limit():
-    cap = sys.getrecursionlimit() // 2
-    assert len(enumerate_bracketings(lex("¬" * (cap - 1) + "A"))) == 1
-    with pytest.raises(CapExceeded, match=rf"formula has {cap + 1} tokens \(cap {cap}\)"):
-        enumerate_bracketings(lex("¬" * cap + "A"))
+    # The cap is fixed, unless the limit is too low for it: then it is half
+    # the limit, so no parse nests past the stack.
+    limit = sys.getrecursionlimit()
+    for host_limit, cap in ((limit, MAX_TOKENS), (5000, MAX_TOKENS), (800, 400)):
+        try:
+            sys.setrecursionlimit(host_limit)
+            assert len(enumerate_bracketings(lex("¬" * (cap - 1) + "A"))) == 1
+            with pytest.raises(CapExceeded, match=rf"formula has {cap + 1} tokens \(cap {cap}\)"):
+                enumerate_bracketings(lex("¬" * cap + "A"))
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 def test_parse_has_the_same_token_cap():
-    cap = sys.getrecursionlimit() // 2
+    cap = MAX_TOKENS
     depth = (cap - 1) // 2
     assert parse("(" * depth + "A" + ")" * depth) == Atom("A")
     for mode in ("precedence", "fully-parenthesized"):
@@ -467,7 +475,7 @@ def test_parse_has_the_same_token_cap():
 
 
 def test_repr_of_a_tree_at_the_token_cap():
-    cap = sys.getrecursionlimit() // 2
+    cap = MAX_TOKENS
     depth = cap - 1
     assert repr(parse("¬" * depth + "A")) == "Not(" * depth + "Atom('A')" + ")" * depth
     quantifiers = (cap - 4) // 2
