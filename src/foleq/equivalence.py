@@ -62,10 +62,13 @@ from .syntax import (
     IMPLIES,
     OR,
     XOR,
+    Atom,
     AtomicUnit,
     CapExceeded,
     FolExpr,
     FormulaError,
+    Not,
+    Quantified,
     atoms_of,  # unused here, but tracers patch this attribute
     canonicalize,  # unused here, but tracers patch this attribute
     chain_readings,
@@ -93,6 +96,14 @@ MAX_FACTORIAL_ATOMS = 7
 COMPONENT_CAP = 10_000
 
 
+def _check_max_atoms(max_atoms: int) -> None:
+    """Refuse a truth-table cap below 1 or above ``MAX_TABLE_ATOMS``."""
+    if max_atoms < 1:
+        raise ValueError(f"max_atoms must be positive, not {max_atoms}")
+    if max_atoms > MAX_TABLE_ATOMS:
+        raise ValueError(f"max_atoms must be at most {MAX_TABLE_ATOMS}")
+
+
 @dataclass(frozen=True)
 class LeConfig:
     """The settings of equivalence scoring.  The other limits are
@@ -106,10 +117,7 @@ class LeConfig:
     def __post_init__(self):
         if self.chunk_size is not None and self.chunk_size < 2:
             raise ValueError("chunk_size must be at least 2 (or None for full enumeration)")
-        if self.max_atoms < 1:
-            raise ValueError(f"max_atoms must be positive, not {self.max_atoms}")
-        if self.max_atoms > MAX_TABLE_ATOMS:
-            raise ValueError(f"max_atoms must be at most {MAX_TABLE_ATOMS}")
+        _check_max_atoms(self.max_atoms)
 
 
 DEFAULT_LE = LeConfig()
@@ -362,23 +370,45 @@ def compile_reference(reference: str) -> CompiledReference:
     return CompiledReference(lowering.atoms(), code)
 
 
+def _path_tokens(expr: FolExpr) -> int:
+    """The most tokens on one root-to-atom path of the tree's rendering:
+    one per connective or negation and two per quantifier above the atom,
+    then the atom's own.  The whole rendering has at least that many."""
+    most = 0
+    stack = [(expr, 0)]
+    while stack:
+        node, above = stack.pop()
+        if isinstance(node, Atom):
+            most = max(most, above + (2 * len(node.args) + 2 if node.args else 1))
+        elif isinstance(node, Not):
+            stack.append((node.body, above + 1))
+        elif isinstance(node, Quantified):
+            stack.append((node.body, above + 2))
+        else:
+            stack += [(node.left, above + 1), (node.right, above + 1)]
+    return most
+
+
 def _compile_tree(expr: FolExpr) -> CompiledReference:
     """The tree ``expr`` compiled straight from its nodes through the same
-    lowering, as ``compile_reference`` compiles its rendering.  A tree too
-    deep to rebuild within the recursion limit renders past the token cap,
-    so it goes through its rendering, whose parse raises ``CapExceeded``; a
-    tree too deep even to render raises the token cap's ``CapExceeded``
-    itself."""
-    lowering = _Lowering()
-    try:
-        code = rebuild(expr, lowering)
-    except RecursionError:
+    lowering, as ``compile_reference`` compiles its rendering.  A tree with
+    a path past the token cap renders past it too, so it goes through its
+    rendering, whose parse raises ``CapExceeded`` at any recursion limit;
+    so does a tree too deep to rebuild within the limit.  A tree too deep
+    even to render raises the token cap's ``CapExceeded`` itself."""
+    if _path_tokens(expr) <= token_cap():
+        lowering = _Lowering()
         try:
-            return compile_reference(render(expr))
+            code = rebuild(expr, lowering)
         except RecursionError:
-            cap = token_cap()
-            raise CapExceeded(f"formula has more than {cap} tokens (cap {cap})") from None
-    return CompiledReference(lowering.atoms(), code)
+            pass
+        else:
+            return CompiledReference(lowering.atoms(), code)
+    try:
+        return compile_reference(render(expr))
+    except RecursionError:
+        cap = token_cap()
+        raise CapExceeded(f"formula has more than {cap} tokens (cap {cap})") from None
 
 
 def _capped_patterns(k: int, max_atoms: int) -> tuple[tuple[int, ...], int, int]:
@@ -423,7 +453,9 @@ def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_at
     """Truth-table agreement of the two skeletons under a fixed binding.
     Both trees are lowered as their renderings would be, and their bound
     variables are renamed as ``canonicalize`` renames them, so the binding
-    names atoms of the renamed trees; canonical trees are left as they are."""
+    names atoms of the renamed trees; canonical trees are left as they are.
+    ``max_atoms`` is refused with ``ValueError`` as ``LeConfig`` refuses it."""
+    _check_max_atoms(max_atoms)
     lowered = _compile_tree(pred)
     pred_atoms = lowered.atoms
     compiled = _compile_tree(ref)

@@ -25,7 +25,6 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
-from typing import NamedTuple
 
 # Token kinds.
 FORALL = "forall"
@@ -72,10 +71,9 @@ class CapExceeded(FormulaError, RuntimeError):
     """A formula-length, search or enumeration limit was exceeded."""
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    position: int
+# A token is a plain ``(kind, text, offset)`` tuple: its kind (one of the
+# constants above), its text, and the 0-based character offset it starts at.
+Token = tuple[str, str, int]
 
 
 _KINDS = {
@@ -99,24 +97,31 @@ _KINDS = {
     "forall": FORALL,
     "exists": EXISTS,
 }
-# Whitespace, then a token (group 1) or a character that starts none (group
-# 2).  ``\s`` matches exactly the characters ``str.isspace`` accepts, and a
-# token never starts with one, so successive matches cover the text.  ``lex``
+# Whitespace (group 1), then a token (group 2) or a character that starts
+# none (group 3).  ``\s`` matches exactly the characters ``str.isspace``
+# accepts, and a token never starts with one, so successive matches cover the
+# text and a running sum of group lengths gives each token's offset.  ``lex``
 # scans the text without its trailing whitespace (``str.rstrip`` strips
 # exactly those characters and moves no offset): at a trailing-whitespace
 # offset the pattern fails only after backtracking over the rest of the run,
 # which makes a long run quadratic.
-_TOKEN_RE = re.compile(r"\s*(?:(<->|->|[∀∃¬~∧&∨|→↔⊕^(),]|[A-Za-z][A-Za-z0-9_]*)|(\S))")
+_TOKEN_RE = re.compile(r"(\s*)(?:(<->|->|[∀∃¬~∧&∨|→↔⊕^(),]|[A-Za-z][A-Za-z0-9_]*)|(\S))")
 
 
 def lex(text: str) -> list[Token]:
-    """Tokenize ``text``, accepting Unicode and ASCII spellings together."""
+    """Tokenize ``text``, accepting Unicode and ASCII spellings together,
+    into ``(kind, text, offset)`` tuples.  One ``findall`` scan splits the
+    text; a character that starts no token raises ``LexError`` at its
+    offset."""
     tokens: list[Token] = []
-    for match in _TOKEN_RE.finditer(text.rstrip()):
-        word = match[1]
-        if word is None:
-            raise LexError(f"unexpected character {match[2]!r}", match.start(2))
-        tokens.append(Token(_KINDS.get(word, IDENT), word, match.start(1)))
+    append, kind = tokens.append, _KINDS.get
+    offset = 0
+    for space, word, stray in _TOKEN_RE.findall(text.rstrip()):
+        offset += len(space)
+        if not word:
+            raise LexError(f"unexpected character {stray!r}", offset)
+        append((kind(word, IDENT), word, offset))
+        offset += len(word)
     return tokens
 
 
@@ -236,7 +241,7 @@ def _fold(operands: list, ops: list[str], join=Binary):
 
 
 _END = "end"  # the kind of the sentinel token after the last one
-_END_TOKEN = Token(_END, "", -1)
+_END_TOKEN: Token = (_END, "", -1)
 
 
 MAX_TOKENS = 500  # the most tokens a formula may have (see ``token_cap``)
@@ -251,6 +256,10 @@ def token_cap() -> int:
 
 
 class _Parser:
+    """A recursive-descent parser over ``lex``'s ``(kind, text, offset)``
+    tuples, read by index: ``tok[0]`` is the kind, ``tok[1]`` the text and
+    ``tok[2]`` the offset that a ``ParseError`` reports."""
+
     def __init__(self, tokens: list[Token], mode: str = "precedence", nodes=TREES):
         """Text of more tokens than ``token_cap()`` raises ``CapExceeded``."""
         if not tokens:
@@ -273,12 +282,12 @@ class _Parser:
     def ident(self, what: str) -> str:
         """Pass the identifier at the cursor and return its text."""
         tok = self.tokens[self.pos]
-        if tok.kind != IDENT:
-            if tok.kind == _END:
+        if tok[0] != IDENT:
+            if tok[0] == _END:
                 raise ParseError(f"expected {what}, found end of input")
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.position)
+            raise ParseError(f"expected {what}, found {tok[1]!r}", tok[2])
         self.pos += 1
-        return tok.text
+        return tok[1]
 
     def parse(self):
         expr = _fold(*self.chain(self.top_ops), self.nodes.join)
@@ -286,11 +295,11 @@ class _Parser:
         return expr
 
     def finish(self) -> None:
-        tok = self.tokens[self.pos]
-        if tok.kind == RPAREN:
-            raise ParseError("unbalanced parentheses", tok.position)
-        if tok.kind != _END:
-            raise ParseError(f"unexpected token {tok.text!r}", tok.position)
+        kind, text, offset = self.tokens[self.pos]
+        if kind == RPAREN:
+            raise ParseError("unbalanced parentheses", offset)
+        if kind != _END:
+            raise ParseError(f"unexpected token {text!r}", offset)
 
     def chain(self, max_ops: int | None = None) -> tuple[list, list[str]]:
         """A flat connective chain: its unary operands and operator kinds,
@@ -299,27 +308,28 @@ class _Parser:
         operands = [self.unary()]
         ops: list[str] = []
         while True:
-            tok = tokens[self.pos]
-            if tok.kind not in BINARY_OPS:
+            kind, text, offset = tokens[self.pos]
+            if kind not in BINARY_OPS:
                 return operands, ops
             if len(ops) == max_ops:
-                raise ParseError(f"connective {tok.text!r} needs its own parentheses", tok.position)
+                raise ParseError(f"connective {text!r} needs its own parentheses", offset)
             self.pos += 1
-            ops.append(tok.kind)
+            ops.append(kind)
             operands.append(self.unary())
 
     def unary(self):
         tok = self.tokens[self.pos]
-        if tok.kind == NOT:
+        kind = tok[0]
+        if kind == NOT:
             self.pos += 1
             return self.nodes.negate(self.unary())
-        if tok.kind in QUANTIFIERS:
+        if kind in QUANTIFIERS:
             self.pos += 1
             var = self.ident("a quantified variable name")
-            return self.nodes.quantify(tok.kind, var, self.unary)
-        if tok.kind == IDENT:
+            return self.nodes.quantify(kind, var, self.unary)
+        if kind == IDENT:
             return self.atom()
-        if tok.kind == LPAREN:
+        if kind == LPAREN:
             self.pos += 1
             operands, ops = self.chain(self.group_ops)
             self.close_paren(tok)
@@ -327,33 +337,33 @@ class _Parser:
                 return operands[0]
             self.last_group = (operands, ops)
             return _fold(operands, ops, self.nodes.join)
-        if tok.kind == _END:
+        if kind == _END:
             raise ParseError("unexpected end of input")
-        raise ParseError(f"unexpected token {tok.text!r}", tok.position)
+        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
     def atom(self):
         tokens = self.tokens
         name = tokens[self.pos]
         self.pos += 1
-        if tokens[self.pos].kind != LPAREN:
-            return self.nodes.atom(name.text, ())
+        if tokens[self.pos][0] != LPAREN:
+            return self.nodes.atom(name[1], ())
         self.pos += 1
         tok = tokens[self.pos]
-        if tok.kind == RPAREN:
-            raise ParseError("empty argument list", tok.position)
+        if tok[0] == RPAREN:
+            raise ParseError("empty argument list", tok[2])
         args = [self.ident("an argument name")]
-        while tokens[self.pos].kind == COMMA:
+        while tokens[self.pos][0] == COMMA:
             self.pos += 1
             args.append(self.ident("an argument name"))
         self.close_paren(name)
-        return self.nodes.atom(name.text, tuple(args))
+        return self.nodes.atom(name[1], tuple(args))
 
     def close_paren(self, opener: Token) -> None:
-        tok = self.tokens[self.pos]
-        if tok.kind != RPAREN:
-            if tok.kind == _END:
-                raise ParseError("unbalanced parentheses", opener.position)
-            raise ParseError(f"expected ')', found {tok.text!r}", tok.position)
+        kind, text, offset = self.tokens[self.pos]
+        if kind != RPAREN:
+            if kind == _END:
+                raise ParseError("unbalanced parentheses", opener[2])
+            raise ParseError(f"expected ')', found {text!r}", offset)
         self.pos += 1
 
 

@@ -111,22 +111,22 @@ def lex_by_char(text: str) -> list[Token]:
             i += 1
             continue
         if text.startswith("<->", i):
-            tokens.append(Token(IFF, "<->", i))
+            tokens.append((IFF, "<->", i))
             i += 3
             continue
         if text.startswith("->", i):
-            tokens.append(Token(IMPLIES, "->", i))
+            tokens.append((IMPLIES, "->", i))
             i += 2
             continue
         kind = _SINGLE_CHAR.get(ch)
         if kind is not None:
-            tokens.append(Token(kind, ch, i))
+            tokens.append((kind, ch, i))
             i += 1
             continue
         match = _IDENT_RE.match(text, i)
         if match is not None:
             word = match.group()
-            tokens.append(Token(_KEYWORDS.get(word, IDENT), word, i))
+            tokens.append((_KEYWORDS.get(word, IDENT), word, i))
             i = match.end()
             continue
         raise LexError(f"unexpected character {ch!r}", i)

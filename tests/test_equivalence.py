@@ -662,6 +662,28 @@ def test_prediction_fails_exactly_as_parse_does(parts):
     assert got == expected
 
 
+def test_raising_the_recursion_limit_keeps_the_token_cap_on_trees():
+    # A path through 1,200 nested negations passes the token cap, so they
+    # are capped at any recursion limit: too deep to render at the default
+    # one, and rendered to 1,201 tokens under a raised one.
+    deep = Atom("A")
+    for _ in range(1200):
+        deep = Not(deep)
+
+    def unbound(pred, ref):
+        return propositional_score(pred, ref, BindingMap(()))
+
+    limit = sys.getrecursionlimit()
+    for raised in (limit, 5000):
+        try:
+            sys.setrecursionlimit(raised)
+            for score in (bind_original, bind_optimized, unbound):
+                with pytest.raises(CapExceeded, match=r"^formula has (1201|more than 500) tokens \(cap 500\)$"):
+                    score(deep, Atom("A"))
+        finally:
+            sys.setrecursionlimit(limit)
+
+
 def test_raising_the_recursion_limit_keeps_the_token_cap():
     limit = sys.getrecursionlimit()
     try:
@@ -686,12 +708,19 @@ def test_over_long_prediction_is_cap_exceeded():
     "field, value, message",
     [
         ("max_atoms", 0, "max_atoms must be positive, not 0"),
+        ("max_atoms", -1, "max_atoms must be positive, not -1"),
         ("max_atoms", MAX_TABLE_ATOMS + 1, f"max_atoms must be at most {MAX_TABLE_ATOMS}"),
+        ("max_atoms", 64, f"max_atoms must be at most {MAX_TABLE_ATOMS}"),
     ],
 )
 def test_config_names_the_cap_it_refuses(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         LeConfig(**{field: value})
+    # propositional_score refuses the same caps before it builds a table.
+    # Under a cap of 64 a 21-atom conjunction would ask for a 2**42-row
+    # table, so only a one-atom formula is scored here.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        propositional_score(Atom("A"), Atom("A"), BindingMap(()), **{field: value})
 
 
 def test_atom_cap_may_reach_the_ceiling():

@@ -16,12 +16,14 @@ from foleq.syntax import (
     Not,
     ParseError,
     Quantified,
+    _Parser,
     atoms_of,
     canonicalize,
     enumerate_bracketings,
     lex,
     parse,
     render,
+    split_chain,
 )
 from helpers import lex_by_char, random_formula
 
@@ -31,14 +33,14 @@ from helpers import lex_by_char, random_formula
 def test_lex_unicode_and_ascii_agree():
     uni = lex("∀x (¬P(x) ∧ Q → R ↔ S ⊕ T ∨ U)")
     asc = lex("forall x (~P(x) & Q -> R <-> S ^ T | U)")
-    assert [t.kind for t in uni] == [t.kind for t in asc]
+    assert [t[0] for t in uni] == [t[0] for t in asc]
 
 
 def test_lex_positions_and_idents():
     tokens = lex("Happy(alice) -> Sad(bob_2)")
-    assert tokens[0].kind == "ident" and tokens[0].text == "Happy"
-    assert tokens[0].position == 0
-    kinds = [t.kind for t in tokens]
+    assert tokens[0][0] == "ident" and tokens[0][1] == "Happy"
+    assert tokens[0][2] == 0
+    kinds = [t[0] for t in tokens]
     assert kinds == ["ident", "lparen", "ident", "rparen", "implies",
                      "ident", "lparen", "ident", "rparen"]
 
@@ -225,6 +227,29 @@ def test_parse_error_texts_and_offsets(text, mode, error, message):
     assert str(err.value) == message
     offset = re.search(r" \(offset (\d+)\)$", message)
     assert err.value.position == (int(offset[1]) if offset else None)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except FormulaError as exc:
+        return (type(exc), str(exc), getattr(exc, "position", None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TOKEN_SOUP), max_size=24).map("".join))
+@example("∀x (P(x) ∧ Q) → R(x, y)")
+@example("¬(A ∧ B)) ∨ C")
+@example("(A ∧ B) ∨ C")
+@example("P(x, )")
+def test_parser_reads_offsets_from_the_lexed_tokens(text):
+    # Parsing lex's tokens gives what parsing the per-character lexer's
+    # gives: the same tree, or the same error type, text and offset.
+    for mode in ("precedence", "fully-parenthesized"):
+        got = _outcome(lambda: parse(text, mode))
+        assert got == _outcome(lambda: _Parser(lex_by_char(text), mode).parse())
+    got = _outcome(lambda: split_chain(lex(text)))
+    assert got == _outcome(lambda: split_chain(lex_by_char(text)))
 
 
 @pytest.mark.parametrize("mode", ["precedence", "fully-parenthesized"])
