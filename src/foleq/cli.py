@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .corpus import corpus_le, decode_json, load_pairs, open_text
+from .corpus import EvalPair, corpus_le, decode_json, load_pairs, open_text
 from .service import CAP_EXCEEDED, BindError, ScoreRequest, ServiceConfig, _typed, handle_request, serve, serve_socket
 from .sgrpo import TrainDemoConfig, default_demo_config, train_demo, write_trace
 from .syntax import FormulaError, canonicalize, parse, render
@@ -133,8 +133,6 @@ def _score_single(args, config: ServiceConfig) -> int:
 
 
 def _read_aligned(pred_path: str, ref_path: str):
-    from .corpus import EvalPair
-
     with open_text(pred_path) as handle:
         preds = [line.rstrip("\n") for line in handle]
     with open_text(ref_path) as handle:

@@ -62,23 +62,20 @@ from .syntax import (
     IMPLIES,
     OR,
     XOR,
-    Atom,
     AtomicUnit,
     CapExceeded,
     FolExpr,
     FormulaError,
-    Not,
-    Quantified,
     atoms_of,  # unused here, but tracers patch this attribute
     canonicalize,  # unused here, but tracers patch this attribute
+    cap_tokens,
     chain_readings,
     enumerate_bracketings,  # unused here, but tracers patch this attribute
     lex,
     parse,
     rebuild,
-    render,
     split_chain,
-    token_cap,
+    token_count,
 )
 
 
@@ -370,45 +367,16 @@ def compile_reference(reference: str) -> CompiledReference:
     return CompiledReference(lowering.atoms(), code)
 
 
-def _path_tokens(expr: FolExpr) -> int:
-    """The most tokens on one root-to-atom path of the tree's rendering:
-    one per connective or negation and two per quantifier above the atom,
-    then the atom's own.  The whole rendering has at least that many."""
-    most = 0
-    stack = [(expr, 0)]
-    while stack:
-        node, above = stack.pop()
-        if isinstance(node, Atom):
-            most = max(most, above + (2 * len(node.args) + 2 if node.args else 1))
-        elif isinstance(node, Not):
-            stack.append((node.body, above + 1))
-        elif isinstance(node, Quantified):
-            stack.append((node.body, above + 2))
-        else:
-            stack += [(node.left, above + 1), (node.right, above + 1)]
-    return most
-
-
 def _compile_tree(expr: FolExpr) -> CompiledReference:
     """The tree ``expr`` compiled straight from its nodes through the same
-    lowering, as ``compile_reference`` compiles its rendering.  A tree with
-    a path past the token cap renders past it too, so it goes through its
-    rendering, whose parse raises ``CapExceeded`` at any recursion limit;
-    so does a tree too deep to rebuild within the limit.  A tree too deep
-    even to render raises the token cap's ``CapExceeded`` itself."""
-    if _path_tokens(expr) <= token_cap():
-        lowering = _Lowering()
-        try:
-            code = rebuild(expr, lowering)
-        except RecursionError:
-            pass
-        else:
-            return CompiledReference(lowering.atoms(), code)
-    try:
-        return compile_reference(render(expr))
-    except RecursionError:
-        cap = token_cap()
-        raise CapExceeded(f"formula has more than {cap} tokens (cap {cap})") from None
+    lowering, as ``compile_reference`` compiles its rendering.  A tree whose
+    rendering passes the token cap raises the parser's ``CapExceeded`` for
+    its token count; any other rebuilds within the recursion limit, since no
+    rebuild nests deeper than its token count."""
+    cap_tokens(token_count(expr))
+    lowering = _Lowering()
+    code = rebuild(expr, lowering)
+    return CompiledReference(lowering.atoms(), code)
 
 
 def _capped_patterns(k: int, max_atoms: int) -> tuple[tuple[int, ...], int, int]:
@@ -454,7 +422,9 @@ def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_at
     Both trees are lowered as their renderings would be, and their bound
     variables are renamed as ``canonicalize`` renames them, so the binding
     names atoms of the renamed trees; canonical trees are left as they are.
-    ``max_atoms`` is refused with ``ValueError`` as ``LeConfig`` refuses it."""
+    A tree whose rendering passes the token cap raises the ``CapExceeded``
+    that ``le_score`` of its rendering raises.  ``max_atoms`` is refused
+    with ``ValueError`` as ``LeConfig`` refuses it."""
     _check_max_atoms(max_atoms)
     lowered = _compile_tree(pred)
     pred_atoms = lowered.atoms

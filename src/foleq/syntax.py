@@ -244,15 +244,17 @@ _END = "end"  # the kind of the sentinel token after the last one
 _END_TOKEN: Token = (_END, "", -1)
 
 
-MAX_TOKENS = 500  # the most tokens a formula may have (see ``token_cap``)
+MAX_TOKENS = 500  # the most tokens a formula may have (see ``cap_tokens``)
 
 
-def token_cap() -> int:
-    """The parser's token cap: ``MAX_TOKENS``, or half the recursion limit
-    where that is lower, since no parse or scoring walk nests deeper than
-    its token count.  Raising the limit leaves the cap, and so every score,
-    as it is."""
-    return min(MAX_TOKENS, sys.getrecursionlimit() // 2)
+def cap_tokens(count: int) -> None:
+    """Raise ``CapExceeded`` for a formula of ``count`` tokens past the token
+    cap: ``MAX_TOKENS``, or half the recursion limit where that is lower,
+    since no parse or scoring walk nests deeper than its token count.
+    Raising the limit leaves the cap, and so every score, as it is."""
+    cap = min(MAX_TOKENS, sys.getrecursionlimit() // 2)
+    if count > cap:
+        raise CapExceeded(f"formula has {count} tokens (cap {cap})")
 
 
 class _Parser:
@@ -261,12 +263,10 @@ class _Parser:
     ``tok[2]`` the offset that a ``ParseError`` reports."""
 
     def __init__(self, tokens: list[Token], mode: str = "precedence", nodes=TREES):
-        """Text of more tokens than ``token_cap()`` raises ``CapExceeded``."""
+        """Text past the token cap raises ``cap_tokens``'s ``CapExceeded``."""
         if not tokens:
             raise ParseError("empty formula")
-        max_tokens = token_cap()
-        if len(tokens) > max_tokens:
-            raise CapExceeded(f"formula has {len(tokens)} tokens (cap {max_tokens})")
+        cap_tokens(len(tokens))
         # Reads index the list directly; the sentinel stops every one of them.
         self.tokens = [*tokens, _END_TOKEN]
         self.pos = 0
@@ -385,13 +385,16 @@ def parse(text: str, mode: str = "precedence", nodes=TREES):
 
 def rebuild(expr: FolExpr, nodes=TREES):
     """Build the tree ``expr`` again through the node factory ``nodes``,
-    with the calls, in the same order, that parsing its rendering makes."""
+    with the calls, in the same order, that parsing its rendering makes.
+    As in the parser, a quantifier costs two interpreter frames (its body
+    is a ``functools.partial``, which adds none), so no rebuild nests deeper
+    than its rendering's token count."""
     if isinstance(expr, Atom):
         return nodes.atom(expr.predicate, expr.args)
     if isinstance(expr, Not):
         return nodes.negate(rebuild(expr.body, nodes))
     if isinstance(expr, Quantified):
-        return nodes.quantify(expr.quantifier, expr.variable, lambda: rebuild(expr.body, nodes))
+        return nodes.quantify(expr.quantifier, expr.variable, functools.partial(rebuild, expr.body, nodes))
     return nodes.join(expr.op, rebuild(expr.left, nodes), rebuild(expr.right, nodes))
 
 
@@ -403,48 +406,71 @@ _UNICODE_QUANT = {FORALL: "∀", EXISTS: "∃"}
 _ASCII_QUANT = {FORALL: "forall ", EXISTS: "exists "}
 
 
-def _prec(expr: FolExpr) -> int:
-    if isinstance(expr, Binary):
-        return _PREC[expr.op]
-    return _UNARY_PREC
+def _children(expr: FolExpr) -> tuple[tuple[FolExpr, bool], ...]:
+    """Each child of ``expr``, left to right, with whether its rendering is
+    wrapped in the parentheses that precedence-mode parsing needs."""
+    if isinstance(expr, Atom):
+        return ()
+    if not isinstance(expr, Binary):
+        return ((expr.body, isinstance(expr.body, Binary)),)
+    p = _PREC[expr.op]
+    left, right = (_PREC[c.op] if isinstance(c, Binary) else _UNARY_PREC for c in (expr.left, expr.right))
+    # For right-associative implies, an equal-precedence left child needs
+    # parentheses; for the left-associative connectives, the right child does.
+    return (
+        (expr.left, left < p or (left == p and expr.op == IMPLIES)),
+        (expr.right, right < p or (right == p and expr.op != IMPLIES)),
+    )
+
+
+def token_count(expr: FolExpr) -> int:
+    """The number of tokens in ``lex(render(expr))``, counted without
+    rendering or recursion: one per name, connective, negation, comma and
+    parenthesis, and two per quantifier and its variable.  A name counts
+    as one token, as it lexes in every tree that ``parse`` returns."""
+    count = 0
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            count += 2 * len(node.args) + 2 if node.args else 1
+            continue
+        count += 2 if isinstance(node, Quantified) else 1
+        for child, wrapped in _children(node):
+            count += 2 if wrapped else 0
+            stack.append(child)
+    return count
 
 
 def render(expr: FolExpr, style: str = "unicode") -> str:
     """Serialize a tree with the minimal parentheses that round-trip through
-    :func:`parse` in precedence mode."""
+    :func:`parse` in precedence mode.  Iterative, so any tree renders."""
     if style == "unicode":
         sym, quant = _UNICODE_SYMBOLS, _UNICODE_QUANT
     elif style == "ascii":
         sym, quant = _ASCII_SYMBOLS, _ASCII_QUANT
     else:
         raise ValueError(f"unknown render style {style!r}")
-
-    def walk(e: FolExpr) -> str:
-        if isinstance(e, Atom):
-            return atom_text(e.predicate, e.args)
-        if isinstance(e, Not):
-            body = walk(e.body)
-            if isinstance(e.body, Binary):
-                body = f"({body})"
-            return sym[NOT] + body
-        if isinstance(e, Quantified):
-            body = walk(e.body)
-            if isinstance(e.body, Binary):
-                body = f"({body})"
-            return f"{quant[e.quantifier]}{e.variable} {body}"
-        assert isinstance(e, Binary)
-        p = _PREC[e.op]
-        left = walk(e.left)
-        # For right-associative implies, an equal-precedence left child needs
-        # parentheses; for the left-associative connectives, the right child does.
-        if _prec(e.left) < p or (_prec(e.left) == p and e.op == IMPLIES):
-            left = f"({left})"
-        right = walk(e.right)
-        if _prec(e.right) < p or (_prec(e.right) == p and e.op != IMPLIES):
-            right = f"({right})"
-        return f"{left} {sym[e.op]} {right}"
-
-    return walk(expr)
+    parts: list[str] = []
+    stack: list[FolExpr | str] = [expr]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        if isinstance(item, Atom):
+            parts.append(atom_text(item.predicate, item.args))
+            continue
+        if isinstance(item, Not):
+            parts.append(sym[NOT])
+        elif isinstance(item, Quantified):
+            parts.append(f"{quant[item.quantifier]}{item.variable} ")
+        # Pushed right to left, so popped in reading order.
+        for i, (child, wrapped) in enumerate(reversed(_children(item))):
+            if i:
+                stack.append(f" {sym[item.op]} ")
+            stack += (")", child, "(") if wrapped else (child,)
+    return "".join(parts)
 
 
 # --- canonical form ----------------------------------------------------------

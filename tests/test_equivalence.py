@@ -45,6 +45,7 @@ from foleq.syntax import (
     parse,
     render,
     split_chain,
+    token_count,
 )
 from helpers import (
     agreement,
@@ -155,6 +156,8 @@ def _texts_and_codes(atoms, codes):
 def test_lowering_matches_rename_list_and_compile(tree):
     compiled = compile_reference(render(tree))
     assert _texts_and_codes(compiled.atoms, [compiled.code]) == _texts_and_codes(*lower_by_three_walks([tree]))
+    # The binding searches cap a tree by this count of its rendering's tokens.
+    assert token_count(tree) == len(lex(render(tree)))
     # The binding searches lower a tree without rendering it.
     built = _compile_tree(tree)
     assert _texts_and_codes(built.atoms, [built.code]) == _texts_and_codes(compiled.atoms, [compiled.code])
@@ -229,8 +232,8 @@ def test_fixed_caps_keep_their_values_and_messages():
 
 
 def test_a_tree_too_deep_to_rebuild_is_capped_through_its_rendering():
-    # 400 nested quantifiers pass the recursion limit when rebuilt, and
-    # their rendering has 804 tokens.
+    # 400 nested quantifiers would pass the recursion limit when rebuilt;
+    # their rendering's 804 tokens cap them before any rebuild.
     tree = Atom("P", ("x",))
     for _ in range(400):
         tree = Quantified("forall", "x", tree)
@@ -240,12 +243,13 @@ def test_a_tree_too_deep_to_rebuild_is_capped_through_its_rendering():
 
 
 def test_a_tree_too_deep_to_render_is_capped():
-    # 1,200 nested negations pass the recursion limit when rendered too.
+    # 1,200 nested negations, deeper than the recursion limit, are capped by
+    # their rendering's token count, which is counted without recursion.
     deep = Atom("A")
     for _ in range(1200):
         deep = Not(deep)
     shallow = Atom("A")
-    message = rf"^formula has more than {MAX_TOKENS} tokens \(cap {MAX_TOKENS}\)$"
+    message = rf"^formula has 1201 tokens \(cap {MAX_TOKENS}\)$"
     for pred, ref in ((deep, shallow), (shallow, deep)):
         for bind in (bind_original, bind_optimized):
             with pytest.raises(CapExceeded, match=message):
@@ -662,13 +666,22 @@ def test_prediction_fails_exactly_as_parse_does(parts):
     assert got == expected
 
 
+def _balanced_conjunction(leaves):
+    if len(leaves) == 1:
+        return leaves[0]
+    middle = len(leaves) // 2
+    return Binary("and", _balanced_conjunction(leaves[:middle]), _balanced_conjunction(leaves[middle:]))
+
+
 def test_raising_the_recursion_limit_keeps_the_token_cap_on_trees():
-    # A path through 1,200 nested negations passes the token cap, so they
-    # are capped at any recursion limit: too deep to render at the default
-    # one, and rendered to 1,201 tokens under a raised one.
+    # Every tree whose rendering passes the token cap raises, at any
+    # recursion limit, the error its rendering raises: 1,200 nested
+    # negations, deeper than the default limit, and a balanced 300-leaf
+    # conjunction only 10 nodes deep, whose right operands are parenthesized.
     deep = Atom("A")
     for _ in range(1200):
         deep = Not(deep)
+    wide = _balanced_conjunction([Atom(f"A{i % 4}") for i in range(300)])
 
     def unbound(pred, ref):
         return propositional_score(pred, ref, BindingMap(()))
@@ -677,11 +690,34 @@ def test_raising_the_recursion_limit_keeps_the_token_cap_on_trees():
     for raised in (limit, 5000):
         try:
             sys.setrecursionlimit(raised)
-            for score in (bind_original, bind_optimized, unbound):
-                with pytest.raises(CapExceeded, match=r"^formula has (1201|more than 500) tokens \(cap 500\)$"):
-                    score(deep, Atom("A"))
+            for tree, count in ((deep, 1201), (wide, 941)):
+                message = f"formula has {count} tokens (cap 500)"
+                with pytest.raises(CapExceeded) as text_error:
+                    le_score(render(tree), render(tree))
+                assert str(text_error.value) == message
+                for score in (bind_original, bind_optimized, unbound):
+                    with pytest.raises(CapExceeded) as tree_error:
+                        score(tree, Atom("A"))
+                    assert str(tree_error.value) == message
         finally:
             sys.setrecursionlimit(limit)
+
+
+def test_a_tree_at_the_token_cap_rebuilds_under_a_deep_caller():
+    # 248 nested quantifiers make 500 tokens.  Rebuilding one costs two
+    # interpreter frames, as parsing it does, so both fit in the default
+    # recursion limit under 450 frames of the caller's own recursion.
+    tree = Atom("P", ("x",))
+    for _ in range(248):
+        tree = Quantified("forall", "x", tree)
+    text = render(tree)
+
+    def under(frames, score):
+        return under(frames - 1, score) if frames else score()
+
+    assert under(450, lambda: le_score(text, text).score) == 1.0
+    for bind in (bind_original, bind_optimized):
+        assert under(450, lambda: bind(tree, tree).score) == 1.0
 
 
 def test_raising_the_recursion_limit_keeps_the_token_cap():
