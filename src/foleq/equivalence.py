@@ -104,8 +104,8 @@ def _check_max_atoms(max_atoms: int) -> None:
 @dataclass(frozen=True)
 class LeConfig:
     """The settings of equivalence scoring.  The other limits are
-    constants: ``MAX_FACTORIAL_ATOMS``, ``COMPONENT_CAP`` and the
-    chain-operator cap of ``split_chain``."""
+    constants: ``MAX_FACTORIAL_ATOMS``, ``COMPONENT_CAP``,
+    ``syntax.MAX_CHAIN_OPERATORS`` and ``syntax.MAX_TOKENS``."""
 
     similarity: SimilarityConfig = DEFAULT_SIMILARITY
     chunk_size: int | None = 4

@@ -11,13 +11,13 @@ and ascends
     (1/G) sum_i [ clip(ratio_i, 1-eps, 1+eps) * adv_i
                   + sft_weight * sft - kl_beta * kl_i ]
 
-where ratio_i is the sequence-level product of per-token probability
-ratios against the sampling log-probs (``SampleGroup.old_logprobs``), sft
-is the supervised log-ratio of the label sequence against the frozen
-reference policy, and kl_i is the per-token r - log r - 1 estimate
-against the reference averaged over positions.  The clip term is used as
-written (no pairwise min with the unclipped term); ``use_ppo_min=True``
-restores the conventional min form.
+where eps is ``CLIP_EPSILON``, ratio_i is the sequence-level product of
+per-token probability ratios against the sampling log-probs
+(``SampleGroup.old_logprobs``), sft is the supervised log-ratio of the
+label sequence against the frozen reference policy, and kl_i is the
+per-token r - log r - 1 estimate against the reference averaged over
+positions.  The clip term is used as written (no pairwise min with the
+unclipped term); ``use_ppo_min=True`` restores the conventional min form.
 
 A demo iteration is one step over every prompt at once, on arrays shaped
 (prompts, group, positions, vocab): one log-softmax and one ``exp`` serve
@@ -36,11 +36,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import open_text
-from .equivalence import DEFAULT_LE, CompiledReference, LeConfig, compile_reference, score_group
+from .equivalence import CompiledReference, compile_reference, score_group
 from .equivalence import le_score  # noqa: F401  (foleq.sgrpo.le_score stays importable; perfbench wraps it)
 from .syntax import FormulaError
 
-# A demo step holds about prompts * 2 * group_size * max_length * vocab
+# The half-width of the clip interval around a ratio of 1.
+CLIP_EPSILON = 0.2
+
+# The floor under a group's reward standard deviation in its advantages.
+STD_EPSILON = 1e-8
+
+# The tokens of every demo reference, and so of every sequence the demo
+# samples (a sequence has one token per position of the policy).
+SEQUENCE_LENGTH = 12
+
+# A demo step holds about prompts * 2 * group_size * SEQUENCE_LENGTH * vocab
 # floats (the gradient's stacked per-sample terms): 3 MiB per prompt at
 # 1024 samples, 12 positions and 16 tokens.
 MAX_GROUP_SIZE = 1024
@@ -49,31 +59,23 @@ MAX_GROUP_SIZE = 1024
 @dataclass(frozen=True)
 class Hyperparams:
     group_size: int = 8
-    clip_epsilon: float = 0.2
     kl_beta: float = 0.04
     sft_weight: float = 1.0
-    std_epsilon: float = 1e-8
     learning_rate: float = 0.5
-    max_length: int = 12
     seed: int = 0
     use_ppo_min: bool = False
 
     def __post_init__(self):
-        rates = (self.learning_rate, self.kl_beta, self.sft_weight, self.clip_epsilon)
-        if not all(map(math.isfinite, rates)):
-            raise ValueError("learning_rate, kl_beta, sft_weight and clip_epsilon must be finite")
+        for name in ("learning_rate", "kl_beta", "sft_weight"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
         if self.group_size < 2:
             raise ValueError("group_size must be at least 2")
         if self.group_size > MAX_GROUP_SIZE:
             raise ValueError(f"group_size must be at most {MAX_GROUP_SIZE}")
-        if not 0.0 < self.clip_epsilon < 1.0:
-            raise ValueError("clip_epsilon must lie in (0, 1)")
         if self.kl_beta < 0 or self.sft_weight < 0:
             raise ValueError("kl_beta and sft_weight must be non-negative")
-        if self.std_epsilon <= 0:
-            raise ValueError("std_epsilon must be positive")
-        if self.max_length < 1:
-            raise ValueError("max_length must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -93,7 +95,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PolicyParams:
-    """Logits shaped (num_prompts, max_length, vocab_size)."""
+    """Logits shaped (num_prompts, positions, vocab_size)."""
 
     logits: np.ndarray
 
@@ -104,7 +106,7 @@ class PolicyParams:
             raise ValueError("logits must be finite")
 
     def log_probs(self, prompt_id: int) -> np.ndarray:
-        """Per-position log-softmax, shape (max_length, vocab)."""
+        """Per-position log-softmax, shape (positions, vocab)."""
         return _log_softmax(self.logits[prompt_id])
 
 
@@ -159,14 +161,14 @@ def sample_group(
     return SampleGroup(outputs=outputs[0], old_logprobs=old_logprobs[0])
 
 
-def group_advantages(rewards: np.ndarray, std_epsilon: float = 1e-8) -> np.ndarray:
+def group_advantages(rewards: np.ndarray) -> np.ndarray:
     """Group-relative advantages, one group per row of the last axis: center
     by the group mean and divide by the population standard deviation
-    (floored at ``std_epsilon``).  An all-equal group yields all-zero
+    (floored at ``STD_EPSILON``).  An all-equal group yields all-zero
     advantages."""
     rewards = np.asarray(rewards, dtype=float)
     centered = rewards - rewards.mean(axis=-1, keepdims=True)
-    scale = np.maximum(rewards.std(axis=-1, keepdims=True), std_epsilon)
+    scale = np.maximum(rewards.std(axis=-1, keepdims=True), STD_EPSILON)
     # summing identical floats can round, leaving a spurious residue after centering
     equal = np.all(rewards == rewards[..., :1], axis=-1, keepdims=True)
     return np.where(equal, 0.0, centered / scale)
@@ -232,7 +234,7 @@ def _objective_and_gradient(
     lp_cur = logp[prompt_index, positions, outputs]  # (P, G, T)
     lp_ref = ref_logp[prompt_index, positions, outputs]
     ratios = np.exp((lp_cur - group.old_logprobs).sum(axis=-1))  # (P, G)
-    low, high = 1.0 - hp.clip_epsilon, 1.0 + hp.clip_epsilon
+    low, high = 1.0 - CLIP_EPSILON, 1.0 + CLIP_EPSILON
     clipped = np.clip(ratios, low, high)
     not_clipped = (low < ratios) & (ratios < high)
     if hp.use_ppo_min:
@@ -333,7 +335,6 @@ class TrainDemoConfig:
     references: tuple[str, ...]
     iterations: int = 500
     hp: Hyperparams = Hyperparams()
-    le: LeConfig = DEFAULT_LE
 
     def __post_init__(self):
         if not self.vocab or len(self.vocab) > 16:
@@ -353,13 +354,11 @@ class TrainDemoConfig:
             missing = [w for w in words if w not in index]
             if missing:
                 raise ValueError(f"reference tokens not in vocab: {missing}")
-            if len(words) != self.hp.max_length:
-                # sampled sequences always have max_length tokens, so a
+            if len(words) != SEQUENCE_LENGTH:
+                # sampled sequences always have SEQUENCE_LENGTH tokens, so a
                 # shorter label would leave trailing positions untrained and
                 # the extra tokens would break parsing
-                raise ValueError(
-                    f"reference must be exactly {self.hp.max_length} tokens: {reference!r}"
-                )
+                raise ValueError(f"reference must be exactly {SEQUENCE_LENGTH} tokens: {reference!r}")
             prompts.append(PromptSpec(pid, tuple(index[w] for w in words), reference))
         return prompts
 
@@ -368,7 +367,7 @@ def default_demo_config(
     iterations: int = 500, learning_rate: float = 0.5, seed: int = 0
 ) -> TrainDemoConfig:
     """A small self-contained task: three implication/conjunction targets
-    over a 12-token vocabulary, each reference exactly max_length tokens."""
+    over a 12-token vocabulary, each reference exactly SEQUENCE_LENGTH tokens."""
     vocab = ("(", ")", "P", "Q", "R", "x", "¬", "∧", "∨", "→", "∀", "y")
     references = (
         "( P ( x ) → ¬ Q ( x ) )",
@@ -385,17 +384,16 @@ _REWARD_MEMO_LIMIT = 4096
 
 
 class _PromptRewards:
-    """Optimized-mode rewards against one reference, compiled once, with a
-    bounded memo from prediction text to reward (scoring is deterministic
-    for a fixed mode and config).  A text (or the reference) that fails to
-    parse or exceeds a cap earns 0."""
+    """Optimized-mode rewards under the default scoring config against one
+    reference, compiled once, with a bounded memo from prediction text to
+    reward (scoring is deterministic).  A text (or the reference) that fails
+    to parse or exceeds a cap earns 0."""
 
-    def __init__(self, reference: str, config: LeConfig):
+    def __init__(self, reference: str):
         try:
             self.reference: CompiledReference | None = compile_reference(reference)
         except FormulaError:
             self.reference = None
-        self.config = config
         self.memo: dict[str, float] = {}
 
     def __call__(self, texts: list[str]) -> np.ndarray:
@@ -405,7 +403,7 @@ class _PromptRewards:
             self.memo.clear()
         todo = [text for text in dict.fromkeys(texts) if text not in self.memo]
         if todo:
-            results = score_group(todo, self.reference, "optimized", self.config)
+            results = score_group(todo, self.reference)
             for text, result in zip(todo, results):
                 self.memo[text] = 0.0 if isinstance(result, FormulaError) else result.score
         return np.array([self.memo[text] for text in texts])
@@ -418,11 +416,11 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
     hp = config.hp
     prompts = config.prompts()
     rng = np.random.default_rng(hp.seed)
-    shape = (len(prompts), hp.max_length, len(config.vocab))
+    shape = (len(prompts), SEQUENCE_LENGTH, len(config.vocab))
     current = PolicyParams(np.zeros(shape))
     ref_logp = _log_softmax(current.logits)  # the reference policy is the starting one
     labels = np.array([prompt.label for prompt in prompts])
-    reward_memos = [_PromptRewards(prompt.reference_formula, config.le) for prompt in prompts]
+    reward_memos = [_PromptRewards(prompt.reference_formula) for prompt in prompts]
     word = config.vocab.__getitem__
     trace: list[dict] = []
 
@@ -436,7 +434,7 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
             prompt_rewards([" ".join(map(word, output)) for output in prompt_outputs])
             for prompt_rewards, prompt_outputs in zip(reward_memos, outputs.tolist())
         ])
-        group = SampleGroup(outputs, old_logprobs, rewards, group_advantages(rewards, hp.std_epsilon))
+        group = SampleGroup(outputs, old_logprobs, rewards, group_advantages(rewards))
         parts, grad = _objective_and_gradient(logp, probs, ref_logp, labels, group, hp)
         current = PolicyParams(current.logits + hp.learning_rate * grad)
 

@@ -246,6 +246,10 @@ _END_TOKEN: Token = (_END, "", -1)
 
 MAX_TOKENS = 500  # the most tokens a formula may have (see ``cap_tokens``)
 
+# The most operators in the one connective chain that ``split_chain`` reads
+# in every bracketing (Catalan(16) = 35,357,670 readings unchunked).
+MAX_CHAIN_OPERATORS = 16
+
 
 def cap_tokens(count: int) -> None:
     """Raise ``CapExceeded`` for a formula of ``count`` tokens past the token
@@ -592,7 +596,7 @@ def chain_readings(operands: list, ops: list[str], chunk_size: int | None, join=
     return [precedence] + [reading for reading in enumerated if reading != precedence]
 
 
-def split_chain(tokens: list[Token], max_operators: int = 16, nodes=TREES) -> tuple:
+def split_chain(tokens: list[Token], nodes=TREES) -> tuple:
     """The whole formula when negations and quantifiers wrap its outermost
     flat connective chain (else None), that chain's operands and its operator
     kinds, built by ``nodes``; raises as enumerate_bracketings does."""
@@ -604,16 +608,12 @@ def split_chain(tokens: list[Token], max_operators: int = 16, nodes=TREES) -> tu
         # The formula is one operand; it ends in the last group closed.
         wrapped = operands[0]
         operands, ops = parser.last_group
-    if len(ops) > max_operators:
-        raise CapExceeded(f"connective chain has {len(ops)} operators (cap {max_operators})")
+    if len(ops) > MAX_CHAIN_OPERATORS:
+        raise CapExceeded(f"connective chain has {len(ops)} operators (cap {MAX_CHAIN_OPERATORS})")
     return wrapped, operands, ops
 
 
-def enumerate_bracketings(
-    tokens: list[Token],
-    chunk_size: int | None = None,
-    max_operators: int = 16,
-) -> list[FolExpr]:
+def enumerate_bracketings(tokens: list[Token], chunk_size: int | None = None) -> list[FolExpr]:
     """All binary-tree readings of a formula's outermost flat connective
     chain.
 
@@ -631,12 +631,12 @@ def enumerate_bracketings(
     k >= m.  Either way the precedence-mode parse is the first element and
     no reading repeats.
 
-    A chain of more than ``max_operators`` operators raises
+    A chain of more than ``MAX_CHAIN_OPERATORS`` operators raises
     ``CapExceeded``, as does a formula over the parser's token cap.
     """
     if chunk_size is not None and chunk_size < 2:
         raise ValueError("chunk_size must be at least 2")
-    wrapped, operands, ops = split_chain(tokens, max_operators)
+    wrapped, operands, ops = split_chain(tokens)
     readings = chain_readings(operands, ops, chunk_size)
     wrappers = []
     while isinstance(wrapped, (Not, Quantified)):

@@ -36,6 +36,8 @@ from foleq.equivalence import (
     compile_reference,
 )
 from foleq.sgrpo import (
+    CLIP_EPSILON,
+    SEQUENCE_LENGTH,
     ObjectiveParts,
     PolicyParams,
     _PromptRewards,
@@ -485,7 +487,7 @@ def _sequence_ratios(current, group, prompt):
 def per_sample_objective(current, reference, prompt, group, hp) -> ObjectiveParts:
     """The S-GRPO objective parts, with the KL term estimated per sample."""
     ratios = _sequence_ratios(current, group, prompt)
-    clipped = np.clip(ratios, 1.0 - hp.clip_epsilon, 1.0 + hp.clip_epsilon)
+    clipped = np.clip(ratios, 1.0 - CLIP_EPSILON, 1.0 + CLIP_EPSILON)
     if hp.use_ppo_min:
         surrogate_terms = np.minimum(ratios * group.advantages, clipped * group.advantages)
     else:
@@ -510,7 +512,7 @@ def per_sample_gradient(current, reference, prompt, group, hp) -> np.ndarray:
     positions = np.arange(T)
 
     ratios = _sequence_ratios(current, group, prompt)
-    low, high = 1.0 - hp.clip_epsilon, 1.0 + hp.clip_epsilon
+    low, high = 1.0 - CLIP_EPSILON, 1.0 + CLIP_EPSILON
     slice_grad = np.zeros_like(probs)
 
     for i in range(G):
@@ -565,10 +567,10 @@ def per_prompt_train_demo(config) -> list[dict]:
     hp = config.hp
     prompts = config.prompts()
     rng = np.random.default_rng(hp.seed)
-    shape = (len(prompts), hp.max_length, len(config.vocab))
+    shape = (len(prompts), SEQUENCE_LENGTH, len(config.vocab))
     current = PolicyParams(np.zeros(shape))
     reference = current  # the reference policy is the starting one
-    reward_memos = [_PromptRewards(prompt.reference_formula, config.le) for prompt in prompts]
+    reward_memos = [_PromptRewards(prompt.reference_formula) for prompt in prompts]
     trace = []
     for iteration in range(config.iterations):
         groups = []
@@ -576,7 +578,7 @@ def per_prompt_train_demo(config) -> list[dict]:
             group = sample_group(current, prompt, hp, rng)
             texts = [" ".join(config.vocab[t] for t in output) for output in group.outputs]
             rewards = prompt_rewards(texts)
-            groups.append(replace(group, rewards=rewards, advantages=group_advantages(rewards, hp.std_epsilon)))
+            groups.append(replace(group, rewards=rewards, advantages=group_advantages(rewards)))
 
         parts_acc = np.zeros(4)
         grad = np.zeros_like(current.logits)

@@ -466,7 +466,7 @@ def test_train_demo_config_sets_vocab_references_and_group_size(tmp_path, capsys
 def test_train_demo_non_finite_learning_rate_is_a_data_error(capsys, learning_rate):
     code, out, err = run(capsys, "train-demo", "--iterations", "3", f"--learning-rate={learning_rate}")
     assert (code, out) == (2, "")
-    assert err == "bad demo config: learning_rate, kl_beta, sft_weight and clip_epsilon must be finite\n"
+    assert err == f"bad demo config: learning_rate must be finite, not {learning_rate}\n"
 
 
 def test_train_demo_negative_seed_is_a_data_error(capsys):
@@ -481,7 +481,7 @@ def test_train_demo_negative_seed_is_a_data_error(capsys):
         ('{"iterations": 1e400}', "iterations must be an integer, not inf"),
         ('{"seed": 1e400}', "seed must be an integer, not inf"),
         ('{"group_size": -1e400}', "group_size must be an integer, not -inf"),
-        ('{"learning_rate": NaN}', "learning_rate, kl_beta, sft_weight and clip_epsilon must be finite"),
+        ('{"learning_rate": NaN}', "learning_rate must be finite, not nan"),
         ('{"iterations": 2.7}', "iterations must be an integer, not 2.7"),
         ('{"iterations": true}', "iterations must be an integer, not True"),
         ('{"seed": 1.9}', "seed must be an integer, not 1.9"),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import foleq.equivalence
 import foleq.sgrpo
-from foleq.equivalence import DEFAULT_LE
 from foleq.sgrpo import (
+    SEQUENCE_LENGTH,
     Hyperparams,
     PolicyParams,
     PromptSpec,
     SampleGroup,
+    TrainDemoConfig,
     default_demo_config,
     group_advantages,
     kl_estimate,
@@ -40,7 +42,7 @@ def make_group(rng, policy, prompt, hp):
     group = sample_group(policy, prompt, hp, rng)
     rewards = rng.random(hp.group_size)
     group = replace(group, rewards=rewards)
-    return replace(group, advantages=group_advantages(rewards, hp.std_epsilon))
+    return replace(group, advantages=group_advantages(rewards))
 
 
 # --- advantages -----------------------------------------------------------------
@@ -69,13 +71,12 @@ def test_advantages_all_equal_rewards():
 
 def test_advantages_epsilon_floor_caps_blowup():
     rewards = np.array([1e-12, 0.0, 0.0, 0.0])
-    adv = group_advantages(rewards, std_epsilon=1e-8)
+    adv = group_advantages(rewards)
     # deviation is tiny relative to the floor, so advantages stay tiny
     assert np.abs(adv).max() < 1e-3
 
 
-@pytest.mark.parametrize("std_epsilon", [1e-8, 1e-3])
-def test_advantages_of_many_groups_equal_row_by_row_calls(std_epsilon):
+def test_advantages_of_many_groups_equal_row_by_row_calls():
     rng = np.random.default_rng(19)
     rewards = np.stack([
         rng.random(8),
@@ -84,10 +85,10 @@ def test_advantages_of_many_groups_equal_row_by_row_calls(std_epsilon):
         rng.integers(0, 3, 8) / 2,
         rng.random(8),
     ])
-    batched = group_advantages(rewards, std_epsilon)
+    batched = group_advantages(rewards)
     assert batched.shape == rewards.shape
     for row, got in zip(rewards, batched):
-        assert got.tobytes() == group_advantages(row, std_epsilon).tobytes()
+        assert got.tobytes() == group_advantages(row).tobytes()
     assert np.all(batched[1] == 0.0)
     assert np.abs(batched[2]).max() < 1e-3
 
@@ -156,7 +157,7 @@ def test_sample_group_deterministic_and_consistent():
     rng_b = np.random.default_rng(9)
     policy = make_policy(rng_a)
     policy_b = PolicyParams(policy.logits.copy())
-    hp = Hyperparams(group_size=6, max_length=4)
+    hp = Hyperparams(group_size=6)
     prompt = PromptSpec(1, (0, 1, 2, 3), "A")
     g1 = sample_group(policy, prompt, hp, np.random.default_rng(42))
     g2 = sample_group(policy_b, prompt, hp, np.random.default_rng(42))
@@ -174,7 +175,7 @@ def test_sample_group_matches_distribution():
     logits = np.zeros((1, 1, 3))
     logits[0, 0] = [5.0, 0.0, 0.0]
     policy = PolicyParams(logits)
-    hp = Hyperparams(group_size=16, max_length=1)
+    hp = Hyperparams(group_size=16)
     counts = np.zeros(3)
     for seed in range(30):
         group = sample_group(policy, PromptSpec(0, (0,), "A"), hp, np.random.default_rng(seed))
@@ -186,7 +187,7 @@ def test_sample_group_matches_distribution():
 def test_sample_group_rejects_bad_rewards():
     rng = np.random.default_rng(10)
     policy = make_policy(rng)
-    hp = Hyperparams(group_size=4, max_length=4)
+    hp = Hyperparams(group_size=4)
     group = sample_group(policy, PromptSpec(0, (0,) * 4, "A"), hp, rng)
     with pytest.raises(ValueError):
         replace(group, rewards=np.array([0.5, 1.5, 0.0, 0.0]))
@@ -199,7 +200,7 @@ def test_sample_group_rejects_bad_rewards():
 def test_objective_requires_advantages():
     rng = np.random.default_rng(12)
     current = make_policy(rng)
-    hp = Hyperparams(group_size=4, max_length=4)
+    hp = Hyperparams(group_size=4)
     prompt = PromptSpec(0, (0,) * 4, "A")
     group = sample_group(current, prompt, hp, rng)
     with pytest.raises(ValueError):
@@ -211,7 +212,7 @@ def test_objective_composition():
     current = make_policy(rng)
     old = make_policy(rng)
     reference = make_policy(rng)
-    hp = Hyperparams(group_size=4, max_length=4)
+    hp = Hyperparams(group_size=4)
     prompt = PromptSpec(1, (0, 1, 2, 3), "A")
     group = make_group(rng, old, prompt, hp)
     parts = sgrpo_objective(current, reference, prompt, group, hp)
@@ -223,8 +224,9 @@ def test_objective_composition():
 
 def test_objective_surrogate_is_clipped():
     # boosting token 0 sends sample 0's ratio far above 1+eps and sample 1's
-    # far below 1-eps, so the surrogate is exactly (1.2*adv0 + 0.8*adv1)/2
-    hp = Hyperparams(group_size=2, max_length=2, clip_epsilon=0.2)
+    # far below 1-eps, so with eps = CLIP_EPSILON = 0.2 the surrogate is
+    # exactly (1.2*adv0 + 0.8*adv1)/2
+    hp = Hyperparams(group_size=2)
     old = PolicyParams(np.zeros((1, 2, 3)))
     current = PolicyParams(old.logits + np.array([8.0, 0.0, 0.0]))
     reference = old
@@ -246,7 +248,7 @@ def test_objective_min_form_lower_or_equal():
         current = make_policy(rng)
         old = make_policy(rng)
         reference = make_policy(rng)
-        hp = Hyperparams(group_size=4, max_length=4)
+        hp = Hyperparams(group_size=4)
         prompt = PromptSpec(0, (0, 1, 2, 3), "A")
         group = make_group(rng, old, prompt, hp)
         plain = sgrpo_objective(current, reference, prompt, group, hp)
@@ -271,7 +273,7 @@ def central_difference(current, reference, prompt, group, hp, step=1e-5):
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(15)
-    hp = Hyperparams(group_size=3, max_length=3)
+    hp = Hyperparams(group_size=3)
     current = make_policy(rng, prompts=2, length=3, vocab=4)
     old = make_policy(rng, prompts=2, length=3, vocab=4)
     reference = make_policy(rng, prompts=2, length=3, vocab=4)
@@ -285,7 +287,7 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_zero_outside_prompt_slice():
     rng = np.random.default_rng(16)
-    hp = Hyperparams(group_size=3, max_length=3)
+    hp = Hyperparams(group_size=3)
     current = make_policy(rng, prompts=3, length=3, vocab=4)
     old = make_policy(rng, prompts=3, length=3, vocab=4)
     reference = make_policy(rng, prompts=3, length=3, vocab=4)
@@ -299,7 +301,7 @@ def test_gradient_zero_outside_prompt_slice():
 def test_gradient_requires_advantages():
     rng = np.random.default_rng(17)
     current = make_policy(rng)
-    hp = Hyperparams(group_size=4, max_length=4)
+    hp = Hyperparams(group_size=4)
     prompt = PromptSpec(0, (0,) * 4, "A")
     group = sample_group(current, prompt, hp, rng)
     with pytest.raises(ValueError):
@@ -323,9 +325,7 @@ def test_group_pass_equals_the_per_sample_reference(
 ):
     # drift 0 keeps every ratio at 1 (unclipped); larger drifts clip more
     rng = np.random.default_rng(seed)
-    hp = Hyperparams(
-        group_size=G, max_length=T, kl_beta=kl_beta, sft_weight=sft_weight, use_ppo_min=use_ppo_min
-    )
+    hp = Hyperparams(group_size=G, kl_beta=kl_beta, sft_weight=sft_weight, use_ppo_min=use_ppo_min)
     old = make_policy(rng, prompts=2, length=T, vocab=V)
     current = PolicyParams(old.logits + drift * rng.normal(size=old.logits.shape))
     reference = make_policy(rng, prompts=2, length=T, vocab=V)
@@ -353,11 +353,22 @@ def test_log_probs_normalized():
         assert np.allclose(sums, 1.0)
 
 
-@pytest.mark.parametrize("field", ["learning_rate", "kl_beta", "sft_weight", "clip_epsilon"])
+@pytest.mark.parametrize("field", ["learning_rate", "kl_beta", "sft_weight"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_hyperparams_reject_non_finite_values(field, value):
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError) as raised:
         Hyperparams(**{field: value})
+    assert str(raised.value) == f"{field} must be finite, not {value}"
+
+
+def test_every_trainer_setting_is_set_by_a_caller():
+    # The CLI sets group_size, learning_rate and seed, and the objective's
+    # ablations set kl_beta, sft_weight and use_ppo_min; a setting that no
+    # caller sets is a constant (CLIP_EPSILON, STD_EPSILON, SEQUENCE_LENGTH).
+    hyperparams = [field.name for field in dataclasses.fields(Hyperparams)]
+    assert hyperparams == ["group_size", "kl_beta", "sft_weight", "learning_rate", "seed", "use_ppo_min"]
+    demo = [field.name for field in dataclasses.fields(TrainDemoConfig)]
+    assert demo == ["vocab", "references", "iterations", "hp"]
 
 
 def test_policy_validation():
@@ -374,11 +385,7 @@ def test_hyperparams_validation():
         Hyperparams(group_size=1025)
     assert Hyperparams(group_size=1024).group_size == 1024
     with pytest.raises(ValueError):
-        Hyperparams(clip_epsilon=0.0)
-    with pytest.raises(ValueError):
         Hyperparams(kl_beta=-0.1)
-    with pytest.raises(ValueError):
-        Hyperparams(std_epsilon=0.0)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         Hyperparams(seed=-1)
 
@@ -389,7 +396,7 @@ def test_default_demo_config_is_well_formed():
     config = default_demo_config()
     assert len(config.vocab) <= 16
     for reference in config.references:
-        assert len(reference.split()) == config.hp.max_length
+        assert len(reference.split()) == SEQUENCE_LENGTH
         parse(reference)  # references must be valid formulas
         assert le_score(reference, reference).score == 1.0
 
@@ -515,9 +522,9 @@ def test_train_demo_trace_is_pinned_with_a_one_entry_reward_memo(monkeypatch):
 
 
 def test_rewards_are_zero_for_a_failed_text_or_reference():
-    assert list(_PromptRewards("A", DEFAULT_LE)(["A", "((", "¬" * 600 + "A"])) == [1.0, 0.0, 0.0]
+    assert list(_PromptRewards("A")(["A", "((", "¬" * 600 + "A"])) == [1.0, 0.0, 0.0]
     for deep in ("(" * 600 + "A" + ")" * 600, " → ".join(["A"] * 1200)):
-        assert list(_PromptRewards(deep, DEFAULT_LE)(["A", "B"])) == [0.0, 0.0]
+        assert list(_PromptRewards(deep)(["A", "B"])) == [0.0, 0.0]
 
 
 def test_write_trace_round_trips(tmp_path):
