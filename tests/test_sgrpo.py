@@ -12,6 +12,7 @@ import foleq.equivalence
 import foleq.sgrpo
 from foleq.sgrpo import (
     SEQUENCE_LENGTH,
+    STD_EPSILON,
     Hyperparams,
     PolicyParams,
     PromptSpec,
@@ -74,6 +75,14 @@ def test_advantages_epsilon_floor_caps_blowup():
     adv = group_advantages(rewards)
     # deviation is tiny relative to the floor, so advantages stay tiny
     assert np.abs(adv).max() < 1e-3
+
+
+def test_advantages_divide_by_std_epsilon_under_a_smaller_spread():
+    # the population std of [STD_EPSILON / 2, 0] is STD_EPSILON / 4, so the
+    # floor binds and each deviation of STD_EPSILON / 4 becomes 0.25
+    adv = group_advantages(np.array([STD_EPSILON / 2, 0.0]))
+    assert adv == pytest.approx([0.25, -0.25], rel=1e-12)
+    assert group_advantages(np.array([1.0, 0.0])) == pytest.approx([1.0, -1.0], rel=1e-12)
 
 
 def test_advantages_of_many_groups_equal_row_by_row_calls():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from foleq.syntax import (
+    MAX_CHAIN_OPERATORS,
     MAX_TOKENS,
     Atom,
     Binary,
@@ -474,6 +475,20 @@ def test_operator_cap():
     tokens = lex(" ∧ ".join(f"A{i}" for i in range(20)))
     with pytest.raises(CapExceeded):
         enumerate_bracketings(tokens)
+
+
+@pytest.mark.parametrize(
+    "split", [split_chain, lambda tokens: enumerate_bracketings(tokens, chunk_size=4)],
+    ids=["split_chain", "enumerate_bracketings"],
+)
+def test_the_operator_cap_admits_exactly_max_chain_operators(split):
+    def chain(operators):
+        return lex(" ∧ ".join(f"A{i}" for i in range(operators + 1)))
+
+    split(chain(MAX_CHAIN_OPERATORS))
+    message = rf"^connective chain has {MAX_CHAIN_OPERATORS + 1} operators \(cap {MAX_CHAIN_OPERATORS}\)$"
+    with pytest.raises(CapExceeded, match=message):
+        split(chain(MAX_CHAIN_OPERATORS + 1))
 
 
 def test_token_cap_follows_the_recursion_limit():
