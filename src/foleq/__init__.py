@@ -36,7 +36,6 @@ from .sgrpo import (
 from .similarity import SimilarityConfig, is_related, levenshtein, ngram_cosine
 from .syntax import (
     Atom,
-    AtomicUnit,
     Binary,
     CapExceeded,
     FolExpr,

@@ -267,7 +267,7 @@ def _demo_config_from_mapping(raw: dict) -> TrainDemoConfig:
         iterations=_typed(raw, "iterations", int, "an integer", base.iterations),
         hp=hp,
     )
-    config.prompts()  # every reference must be max_length tokens of the vocab
+    config.prompts()  # every reference must be sgrpo.SEQUENCE_LENGTH tokens of the vocab
     return config
 
 

@@ -62,10 +62,10 @@ from .syntax import (
     IMPLIES,
     OR,
     XOR,
-    AtomicUnit,
     CapExceeded,
     FolExpr,
     FormulaError,
+    atom_text,
     atoms_of,  # unused here, but tracers patch this attribute
     canonicalize,  # unused here, but tracers patch this attribute
     cap_tokens,
@@ -93,14 +93,6 @@ MAX_FACTORIAL_ATOMS = 7
 COMPONENT_CAP = 10_000
 
 
-def _check_max_atoms(max_atoms: int) -> None:
-    """Refuse a truth-table cap below 1 or above ``MAX_TABLE_ATOMS``."""
-    if max_atoms < 1:
-        raise ValueError(f"max_atoms must be positive, not {max_atoms}")
-    if max_atoms > MAX_TABLE_ATOMS:
-        raise ValueError(f"max_atoms must be at most {MAX_TABLE_ATOMS}")
-
-
 @dataclass(frozen=True)
 class LeConfig:
     """The settings of equivalence scoring.  The other limits are
@@ -114,7 +106,10 @@ class LeConfig:
     def __post_init__(self):
         if self.chunk_size is not None and self.chunk_size < 2:
             raise ValueError("chunk_size must be at least 2 (or None for full enumeration)")
-        _check_max_atoms(self.max_atoms)
+        if self.max_atoms < 1:
+            raise ValueError(f"max_atoms must be positive, not {self.max_atoms}")
+        if self.max_atoms > MAX_TABLE_ATOMS:
+            raise ValueError(f"max_atoms must be at most {MAX_TABLE_ATOMS}")
 
 
 DEFAULT_LE = LeConfig()
@@ -122,32 +117,28 @@ DEFAULT_LE = LeConfig()
 
 @dataclass(frozen=True)
 class BindingMap:
-    """An injective map from prediction atoms to reference atoms."""
+    """An injective map from prediction atoms to reference atoms, each atom
+    its canonical text."""
 
-    pairs: tuple[tuple[AtomicUnit, AtomicUnit], ...]
-    unbound_prediction: tuple[AtomicUnit, ...] = ()
-    unbound_reference: tuple[AtomicUnit, ...] = ()
+    pairs: tuple[tuple[str, str], ...]
+    unbound_prediction: tuple[str, ...] = ()
+    unbound_reference: tuple[str, ...] = ()
 
     def __post_init__(self):
-        pred_texts = [p.canonical_text for p, _ in self.pairs]
-        ref_texts = [r.canonical_text for _, r in self.pairs]
-        if len(set(pred_texts)) != len(pred_texts) or len(set(ref_texts)) != len(ref_texts):
+        preds, refs = {p for p, _ in self.pairs}, {r for _, r in self.pairs}
+        if len(preds) != len(self.pairs) or len(refs) != len(self.pairs):
             raise ValueError("binding must be injective")
 
     def as_dict(self) -> dict[str, str]:
-        return {p.canonical_text: r.canonical_text for p, r in self.pairs}
+        return dict(self.pairs)
 
     @staticmethod
-    def identity(pred_atoms: tuple[AtomicUnit, ...], ref_atoms: tuple[AtomicUnit, ...]) -> "BindingMap":
-        """Pair up atoms with equal canonical text; leave the rest unbound."""
-        ref_by_text = {r.canonical_text: r for r in ref_atoms}
-        pairs = tuple((p, ref_by_text[p.canonical_text]) for p in pred_atoms if p.canonical_text in ref_by_text)
-        bound_pred = {p.canonical_text for p, _ in pairs}
-        bound_ref = {r.canonical_text for _, r in pairs}
+    def identity(pred_atoms: tuple[str, ...], ref_atoms: tuple[str, ...]) -> "BindingMap":
+        """Pair up equal atoms; leave the rest unbound."""
         return BindingMap(
-            pairs,
-            tuple(p for p in pred_atoms if p.canonical_text not in bound_pred),
-            tuple(r for r in ref_atoms if r.canonical_text not in bound_ref),
+            tuple((p, p) for p in pred_atoms if p in ref_atoms),
+            tuple(p for p in pred_atoms if p not in ref_atoms),
+            tuple(r for r in ref_atoms if r not in pred_atoms),
         )
 
 
@@ -169,8 +160,8 @@ class CandidateGraph:
     @classmethod
     def build(
         cls,
-        pred_atoms: tuple[AtomicUnit, ...],
-        ref_atoms: tuple[AtomicUnit, ...],
+        pred_atoms: tuple[str, ...],
+        ref_atoms: tuple[str, ...],
         config: SimilarityConfig = DEFAULT_SIMILARITY,
         rows: dict[str, tuple[tuple[int, float], ...]] | None = None,
     ) -> "CandidateGraph":
@@ -178,13 +169,12 @@ class CandidateGraph:
         (reference index, similarity) edges; it must belong to these
         reference atoms and this ``config``."""
         edges = []
-        for i, p in enumerate(pred_atoms):
-            text = p.canonical_text
+        for i, text in enumerate(pred_atoms):
             row = None if rows is None else rows.get(text)
             if row is None:
                 row = []
                 for j, r in enumerate(ref_atoms):
-                    sim = ngram_cosine(text, r.canonical_text, config)
+                    sim = ngram_cosine(text, r, config)
                     if sim >= config.threshold:
                         row.append((j, sim))
                 row = tuple(row)
@@ -244,8 +234,8 @@ class LeReport:
             "truncated": self.truncated,
             "binding": {
                 "pairs": self.binding.as_dict(),
-                "unbound_prediction": [a.canonical_text for a in self.binding.unbound_prediction],
-                "unbound_reference": [a.canonical_text for a in self.binding.unbound_reference],
+                "unbound_prediction": list(self.binding.unbound_prediction),
+                "unbound_reference": list(self.binding.unbound_reference),
             },
         }
 
@@ -304,13 +294,13 @@ class _Lowering:
         self.scope = outer
         return body
 
-    def atoms(self) -> tuple[AtomicUnit, ...]:
+    def atoms(self) -> tuple[str, ...]:
         # Fresh names skip every name that occurs free.
         free = {a for _, args in self.ordinals for a in args if isinstance(a, str)}
         fresh = (f"v{i}" for i in itertools.count(1) if f"v{i}" not in free)
         names = list(itertools.islice(fresh, self.quantifiers))
         return tuple(
-            AtomicUnit(predicate, tuple([a if isinstance(a, str) else names[a] for a in args]))
+            atom_text(predicate, tuple([a if isinstance(a, str) else names[a] for a in args]))
             for predicate, args in self.ordinals
         )
 
@@ -346,7 +336,7 @@ class CompiledReference:
     and each prediction atom text's candidate row (built on first use).
     ``compile_reference`` builds one from text."""
 
-    def __init__(self, atoms: tuple[AtomicUnit, ...], code):
+    def __init__(self, atoms: tuple[str, ...], code):
         self.atoms, self.code = atoms, code
         self._rows: dict[SimilarityConfig, dict[str, tuple[tuple[int, float], ...]]] = {}
 
@@ -405,9 +395,7 @@ def _reference_bits(
     return _eval_bits(ref.code, varmap, patterns, mask)
 
 
-def _binding_from(
-    pred_atoms: tuple[AtomicUnit, ...], ref_atoms: tuple[AtomicUnit, ...], mapping: list[int | None]
-) -> BindingMap:
+def _binding_from(pred_atoms: tuple[str, ...], ref_atoms: tuple[str, ...], mapping: list[int | None]) -> BindingMap:
     pairs = tuple((pred_atoms[i], ref_atoms[m]) for i, m in enumerate(mapping) if m is not None)
     used = {m for m in mapping if m is not None}
     return BindingMap(
@@ -417,28 +405,27 @@ def _binding_from(
     )
 
 
-def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap, max_atoms: int = 16) -> float:
+def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap) -> float:
     """Truth-table agreement of the two skeletons under a fixed binding.
     Both trees are lowered as their renderings would be, and their bound
     variables are renamed as ``canonicalize`` renames them, so the binding
     names atoms of the renamed trees; canonical trees are left as they are.
     A tree whose rendering passes the token cap raises the ``CapExceeded``
-    that ``le_score`` of its rendering raises.  ``max_atoms`` is refused
-    with ``ValueError`` as ``LeConfig`` refuses it."""
-    _check_max_atoms(max_atoms)
+    that ``le_score`` of its rendering raises, and the truth table is capped
+    at ``DEFAULT_LE.max_atoms``."""
     lowered = _compile_tree(pred)
     pred_atoms = lowered.atoms
     compiled = _compile_tree(ref)
-    pred_index = {a.canonical_text: i for i, a in enumerate(pred_atoms)}
-    ref_index = {a.canonical_text: j for j, a in enumerate(compiled.atoms)}
+    pred_index = {a: i for i, a in enumerate(pred_atoms)}
+    ref_index = {a: j for j, a in enumerate(compiled.atoms)}
     mapping: list[int | None] = [None] * len(pred_atoms)
     for p, r in binding.pairs:
-        if p.canonical_text not in pred_index:
-            raise ValueError(f"binding names unknown prediction atom {p.canonical_text!r}")
-        if r.canonical_text not in ref_index:
-            raise ValueError(f"binding names unknown reference atom {r.canonical_text!r}")
-        mapping[pred_index[p.canonical_text]] = ref_index[r.canonical_text]
-    patterns, mask, rows = _capped_patterns(len(compiled.atoms) + mapping.count(None), max_atoms)
+        if p not in pred_index:
+            raise ValueError(f"binding names unknown prediction atom {p!r}")
+        if r not in ref_index:
+            raise ValueError(f"binding names unknown reference atom {r!r}")
+        mapping[pred_index[p]] = ref_index[r]
+    patterns, mask, rows = _capped_patterns(len(compiled.atoms) + mapping.count(None), DEFAULT_LE.max_atoms)
     pred_bits = _eval_bits(lowered.code, range(len(pred_atoms)), patterns, mask)
     return (rows - (pred_bits ^ _reference_bits(compiled, mapping, patterns, mask)).bit_count()) / rows
 
@@ -464,7 +451,7 @@ class _AtomTables:
 
     def __init__(
         self,
-        pred_atoms: tuple[AtomicUnit, ...],
+        pred_atoms: tuple[str, ...],
         ref: CompiledReference,
         mode: str,
         config: LeConfig,
@@ -499,8 +486,7 @@ class _AtomTables:
                 self.start[preds[0]] = refs[0]
                 continue
             for i in preds:
-                text = pred_atoms[i].canonical_text
-                row = sorted((levenshtein(text, ref.atoms[j].canonical_text), j) for j in adj[i])
+                row = sorted((levenshtein(pred_atoms[i], ref.atoms[j]), j) for j in adj[i])
                 self.candidates[i] = [(j, dist) for dist, j in row]
             self.enumerated.append((preds, len(preds) - _max_matching_size(preds, self.candidates)))
 
@@ -754,30 +740,25 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
     )
 
 
-def _bind(pred: FolExpr, ref: FolExpr | CompiledReference, mode: str, config: LeConfig) -> LeReport:
-    if not isinstance(ref, CompiledReference):
-        ref = _compile_tree(ref)
+def _bind(pred: FolExpr, ref: FolExpr, mode: str, config: LeConfig) -> LeReport:
+    compiled = _compile_tree(ref)
     lowered = _compile_tree(pred)
-    return _search([lowered.code], _AtomTables(lowered.atoms, ref, mode, config))
+    return _search([lowered.code], _AtomTables(lowered.atoms, compiled, mode, config))
 
 
-def bind_original(
-    pred: FolExpr, ref: FolExpr | CompiledReference, config: LeConfig = DEFAULT_LE
-) -> LeReport:
+def bind_original(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -> LeReport:
     """Exhaustive search over every complete injective matching of the
     smaller atom set, candidates tried in ascending edit-distance order: the
     binding search over the complete graph, with no component cap.
     Factorial in the atom count, so guarded by ``MAX_FACTORIAL_ATOMS``.
-    ``pred`` is a tree; ``ref`` a tree or a compiled reference.  Bound
-    variables are renamed as ``canonicalize`` renames them, so trees need
-    not be canonicalized first and the report names the renamed atoms.
-    The report is ``_search``'s for one reading: ``trees_explored`` is 1."""
+    ``pred`` and ``ref`` are trees.  Bound variables are renamed as
+    ``canonicalize`` renames them, so trees need not be canonicalized first
+    and the report names the renamed atoms.  The report is ``_search``'s
+    for one reading: ``trees_explored`` is 1."""
     return _bind(pred, ref, "original", config)
 
 
-def bind_optimized(
-    pred: FolExpr, ref: FolExpr | CompiledReference, config: LeConfig = DEFAULT_LE
-) -> LeReport:
+def bind_optimized(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -> LeReport:
     """Candidate-restricted binding search.
 
     Builds the relatedness graph, fixes one-to-one components outright, and
@@ -786,10 +767,10 @@ def bind_optimized(
     choices fixed, later components unbound while a component is searched).
     A component stops early at ``COMPONENT_CAP`` assignments and keeps its
     best so far, flagged via ``truncated`` when an assignment lies past the
-    cap.  ``pred`` is a tree; ``ref`` a tree or a compiled reference.  Bound
-    variables are renamed as ``canonicalize`` renames them, so trees need
-    not be canonicalized first and the report names the renamed atoms.  The
-    report is ``_search``'s for one reading: ``trees_explored`` is 1.
+    cap.  ``pred`` and ``ref`` are trees.  Bound variables are renamed as
+    ``canonicalize`` renames them, so trees need not be canonicalized first
+    and the report names the renamed atoms.  The report is ``_search``'s
+    for one reading: ``trees_explored`` is 1.
     """
     return _bind(pred, ref, "optimized", config)
 

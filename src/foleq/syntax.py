@@ -23,7 +23,7 @@ import functools
 import itertools
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 # Token kinds.
@@ -182,25 +182,11 @@ class Quantified(FolExpr):
 
 
 def atom_text(predicate: str, args: tuple[str, ...]) -> str:
+    """An atom's canonical text, ``P(a, b)`` or a bare ``P``: every layer
+    that handles an atom handles this text."""
     if not args:
         return predicate
     return f"{predicate}({', '.join(args)})"
-
-
-@dataclass(frozen=True)
-class AtomicUnit:
-    """One distinct atom of a formula.  Two units compare equal exactly when
-    their canonical text is equal."""
-
-    predicate: str
-    args: tuple[str, ...]
-    canonical_text: str = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "canonical_text", atom_text(self.predicate, self.args))
-
-    def __repr__(self) -> str:
-        return f"AtomicUnit({self.canonical_text!r})"
 
 
 # --- parsing -----------------------------------------------------------------
@@ -529,15 +515,15 @@ def canonicalize(expr: FolExpr) -> FolExpr:
     return walk(expr, {})
 
 
-def atoms_of(expr: FolExpr) -> tuple[AtomicUnit, ...]:
-    """Distinct atoms in first-occurrence order (pre-order, left to right).
-    The expression should already be canonicalized."""
-    seen: dict[str, AtomicUnit] = {}
+def atoms_of(expr: FolExpr) -> tuple[str, ...]:
+    """Texts of the distinct atoms (``atom_text``) in first-occurrence order
+    (pre-order, left to right).  The expression should already be
+    canonicalized."""
+    seen: dict[str, None] = {}
 
     def walk(e: FolExpr) -> None:
         if isinstance(e, Atom):
-            unit = AtomicUnit(e.predicate, e.args)
-            seen.setdefault(unit.canonical_text, unit)
+            seen[atom_text(e.predicate, e.args)] = None
         elif isinstance(e, Not):
             walk(e.body)
         elif isinstance(e, Binary):
@@ -548,7 +534,7 @@ def atoms_of(expr: FolExpr) -> tuple[AtomicUnit, ...]:
             walk(e.body)
 
     walk(expr)
-    return tuple(seen.values())
+    return tuple(seen)
 
 
 # --- bracketing enumeration --------------------------------------------------

@@ -163,7 +163,7 @@ def lower_by_three_walks(operands: list[FolExpr], wrappers: list[FolExpr] = ()) 
             tree = Quantified(wrapper.quantifier, wrapper.variable, tree)
     tree = canonicalize(tree)
     atoms = atoms_of(tree)
-    code = _compile(tree, {a.canonical_text: i for i, a in enumerate(atoms)})
+    code = _compile(tree, {a: i for i, a in enumerate(atoms)})
     codes = []
     for _ in operands[1:]:
         _, code, right = code
@@ -212,8 +212,8 @@ def agreement(pred: FolExpr, ref: FolExpr, mapping: dict[str, str]) -> float:
     """Fraction of boolean assignments on which the two skeletons agree,
     with prediction atoms renamed through ``mapping`` (unmapped prediction
     atoms stay as themselves, i.e. free variables)."""
-    pred_names = [a.canonical_text for a in atoms_of(pred)]
-    ref_names = [a.canonical_text for a in atoms_of(ref)]
+    pred_names = atoms_of(pred)
+    ref_names = atoms_of(ref)
     variables = list(dict.fromkeys(ref_names))
     for name in pred_names:
         target = mapping.get(name, f"!unbound:{name}")
@@ -236,8 +236,8 @@ def best_complete_matching(pred: FolExpr, ref: FolExpr):
     """Best (score, summed-levenshtein) over every complete injective
     matching of the smaller atom set into the larger.  Returns
     (score, min_lev, set of optimal mappings as frozensets of pairs)."""
-    pred_names = [a.canonical_text for a in atoms_of(pred)]
-    ref_names = [a.canonical_text for a in atoms_of(ref)]
+    pred_names = atoms_of(pred)
+    ref_names = atoms_of(ref)
     n_p, n_r = len(pred_names), len(ref_names)
     best = None
     if n_p <= n_r:
@@ -397,8 +397,8 @@ def unshared(prediction: str, reference: str, mode: str, config=DEFAULT_LE) -> t
     return (
         best.score,
         best.binding.as_dict(),
-        [a.canonical_text for a in best.binding.unbound_prediction],
-        [a.canonical_text for a in best.binding.unbound_reference],
+        list(best.binding.unbound_prediction),
+        list(best.binding.unbound_reference),
         len(atoms_of(ref_tree)) + len(best.binding.unbound_prediction),
         sum(r.assignments_evaluated for r in results),
         sum(r.bindings_explored for r in results),

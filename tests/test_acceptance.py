@@ -241,9 +241,7 @@ def test_criterion_06_binding_oracle():
         result = bind_original(pred, ref)
         score, dist, mappings = best_complete_matching(pred, ref)
         assert result.score == pytest.approx(score, abs=1e-12), (render(pred), render(ref))
-        got_dist = sum(
-            levenshtein(p.canonical_text, r.canonical_text) for p, r in result.binding.pairs
-        )
+        got_dist = sum(levenshtein(p, r) for p, r in result.binding.pairs)
         assert got_dist == dist, (render(pred), render(ref))
         assert frozenset(result.binding.as_dict().items()) in mappings
 

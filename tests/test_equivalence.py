@@ -33,7 +33,6 @@ from foleq.syntax import (
     MAX_TOKENS,
     BINARY_OPS,
     Atom,
-    AtomicUnit,
     Binary,
     CapExceeded,
     Not,
@@ -116,7 +115,7 @@ def test_score_matches_row_oracle(seed):
         tuple(a for j, a in enumerate(ref_atoms) if j not in bound_r),
     )
     got = propositional_score(pred, ref, binding)
-    want = agreement(pred, ref, {p.canonical_text: r.canonical_text for p, r in pairs})
+    want = agreement(pred, ref, dict(pairs))
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -144,7 +143,7 @@ _LOWERING_FORMULAS = st.recursive(
 
 
 def _texts_and_codes(atoms, codes):
-    return [a.canonical_text for a in atoms], codes
+    return list(atoms), codes
 
 
 @settings(max_examples=300, deadline=None)
@@ -188,7 +187,7 @@ def test_bind_original_matches_matching_oracle(seed):
     result = bind_original(pred, ref)
     score, dist, mappings = best_complete_matching(pred, ref)
     assert result.score == pytest.approx(score, abs=1e-12)
-    got_dist = sum(levenshtein(p.canonical_text, r.canonical_text) for p, r in result.binding.pairs)
+    got_dist = sum(levenshtein(p, r) for p, r in result.binding.pairs)
     assert got_dist == dist
     assert frozenset(result.binding.as_dict().items()) in mappings
 
@@ -352,8 +351,8 @@ def _bound(bind):
     return (
         result.score,
         result.binding.as_dict(),
-        [a.canonical_text for a in result.binding.unbound_prediction],
-        [a.canonical_text for a in result.binding.unbound_reference],
+        list(result.binding.unbound_prediction),
+        list(result.binding.unbound_reference),
         result.bindings_explored,
         result.assignments_evaluated,
         result.truncated,
@@ -439,7 +438,7 @@ def test_walk_equals_the_product_of_candidate_rows(table, bound):
             assert mapping == [None] * len(preds)
 
 
-_PLAN_ATOMS = [AtomicUnit(name, (arg,)) for name in _BIND_PREDICATES for arg in "ab"]
+_PLAN_ATOMS = [f"{name}({arg})" for name in _BIND_PREDICATES for arg in "ab"]
 
 
 def _skeletons(n: int):
@@ -500,8 +499,8 @@ def test_a_settled_group_is_bound_by_its_largest_best_distance():
     ``P0`` on the fifth at 6, and the sixth, ``P0 → R2`` at 4, must still
     replace the fifth."""
     plan = SimpleNamespace(
-        pred_atoms=tuple(AtomicUnit(f"P{i}", ()) for i in range(5)),
-        ref=CompiledReference(tuple(AtomicUnit(f"R{j}", ()) for j in range(5)), ("atom", 2)),
+        pred_atoms=tuple(f"P{i}" for i in range(5)),
+        ref=CompiledReference(tuple(f"R{j}" for j in range(5)), ("atom", 2)),
         mode="optimized",
         max_atoms=DEFAULT_LE.max_atoms,
         start=[None] * 5,
@@ -752,11 +751,6 @@ def test_over_long_prediction_is_cap_exceeded():
 def test_config_names_the_cap_it_refuses(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         LeConfig(**{field: value})
-    # propositional_score refuses the same caps before it builds a table.
-    # Under a cap of 64 a 21-atom conjunction would ask for a 2**42-row
-    # table, so only a one-atom formula is scored here.
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        propositional_score(Atom("A"), Atom("A"), BindingMap(()), **{field: value})
 
 
 def test_atom_cap_may_reach_the_ceiling():
@@ -785,8 +779,9 @@ def test_scores_stay_in_unit_interval():
 
 def test_binding_map_rejects_duplicates():
     a, b = atoms_of(canon("A ∧ B"))
-    with pytest.raises(ValueError):
-        BindingMap(((a, a), (b, a)))
+    for pairs in (((a, a), (b, a)), (("A", "A"), ("A", "B"))):
+        with pytest.raises(ValueError):
+            BindingMap(pairs)
 
 
 def test_identity_binding_helper():
@@ -794,5 +789,35 @@ def test_identity_binding_helper():
     ref_atoms = atoms_of(canon("A ∧ B"))
     binding = BindingMap.identity(pred_atoms, ref_atoms)
     assert binding.as_dict() == {"A": "A"}
-    assert [x.canonical_text for x in binding.unbound_prediction] == ["C"]
-    assert [x.canonical_text for x in binding.unbound_reference] == ["B"]
+    assert list(binding.unbound_prediction) == ["C"]
+    assert list(binding.unbound_reference) == ["B"]
+
+
+def test_an_atom_is_its_text():
+    """Every layer hands an atom over as its canonical text, and the report
+    serialises those texts as they are."""
+    prediction, reference = "Likes(a) ∧ Happy(b) ∧ C", "Like(a) ∧ Happyy(b) ∧ D"
+    report = le_score(prediction, reference)
+    binding = report.binding
+    atoms = [
+        *atoms_of(canon(prediction)),
+        *compile_reference(reference).atoms,
+        *(atom for pair in binding.pairs for atom in pair),
+        *binding.unbound_prediction,
+        *binding.unbound_reference,
+    ]
+    assert len(atoms) == 12 and all(type(atom) is str for atom in atoms)
+    assert report.to_dict() == {
+        "score": 0.875,
+        "mode": "optimized",
+        "atom_count": 4,
+        "assignments_evaluated": 32,
+        "bindings_explored": 2,
+        "trees_explored": 2,
+        "truncated": False,
+        "binding": {
+            "pairs": {"Likes(a)": "Like(a)", "Happy(b)": "Happyy(b)"},
+            "unbound_prediction": ["C"],
+            "unbound_reference": ["D"],
+        },
+    }

@@ -46,8 +46,8 @@ def fields(report):
     return (
         report.score,
         report.binding.as_dict(),
-        [a.canonical_text for a in report.binding.unbound_prediction],
-        [a.canonical_text for a in report.binding.unbound_reference],
+        list(report.binding.unbound_prediction),
+        list(report.binding.unbound_reference),
         report.atom_count,
         report.assignments_evaluated,
         report.bindings_explored,
@@ -393,9 +393,7 @@ def test_edit_distances_only_for_enumerated_components(monkeypatch):
         if len(comp.prediction_atoms) > 1 or len(comp.reference_atoms) > 1
         for i in comp.prediction_atoms
     }
-    edges = [
-        (pred_atoms[i].canonical_text, ref_atoms[j].canonical_text) for i, j, _ in graph.edges if i in multi
-    ]
+    edges = [(pred_atoms[i], ref_atoms[j]) for i, j, _ in graph.edges if i in multi]
     assert len(multi) == 2 and len(edges) < len(graph.edges) < len(pred_atoms) * len(ref_atoms)
     assert le_score(prediction, reference).score == 1.0
     assert sorted(calls) == sorted(edges)
@@ -416,9 +414,9 @@ def test_a_group_computes_each_candidate_row_once(monkeypatch):
         "∀x (Likes(x) ↔ Owns(x))",
     ]
     score_group(predictions, reference)
-    ref_texts = [a.canonical_text for a in compile_reference(reference).atoms]
+    ref_texts = compile_reference(reference).atoms
     pred_atoms = [atoms_of(canonicalize(parse(p))) for p in predictions]
-    pred_texts = {a.canonical_text for atoms in pred_atoms for a in atoms}
+    pred_texts = {a for atoms in pred_atoms for a in atoms}
     assert sorted(calls) == sorted(itertools.product(pred_texts, ref_texts))
     assert len(calls) < sum(map(len, pred_atoms)) * len(ref_texts)
 
@@ -442,7 +440,7 @@ def _reading_tables(prediction: str) -> tuple[int, set]:
     """The number of readings of ``prediction`` and their distinct truth
     tables, row by row over the parsed trees."""
     trees = [canonicalize(tree) for tree in enumerate_bracketings(lex(prediction), DEFAULT_LE.chunk_size)]
-    names = [a.canonical_text for a in atoms_of(trees[0])]
+    names = atoms_of(trees[0])
     return len(trees), {_truth_table(tree, names) for tree in trees}
 
 
@@ -687,4 +685,4 @@ def test_candidate_row_memo_reset_keeps_every_report(monkeypatch):
     monkeypatch.setattr(equivalence, "_CANDIDATE_ROW_LIMIT", 1)
     reports, last = scored()
     assert reports == expected
-    assert last == {a.canonical_text for a in compile_reference(predictions[-1]).atoms} < memo
+    assert last == set(compile_reference(predictions[-1]).atoms) < memo

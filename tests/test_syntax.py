@@ -387,12 +387,12 @@ def test_canonicalize_is_idempotent(seed, x_name, y_name):
 
 def test_atoms_of_dedupes_in_order():
     atoms = atoms_of(parse("P(x) ∧ Q ∨ P(x) → R(y, z)"))
-    assert [a.canonical_text for a in atoms] == ["P(x)", "Q", "R(y, z)"]
+    assert atoms == ("P(x)", "Q", "R(y, z)")
 
 
 def test_atoms_differ_by_arguments():
     atoms = atoms_of(parse("P(x) ∧ P(y)"))
-    assert [a.canonical_text for a in atoms] == ["P(x)", "P(y)"]
+    assert atoms == ("P(x)", "P(y)")
 
 
 # --- bracketing enumeration -----------------------------------------------------
