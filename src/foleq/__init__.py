@@ -17,22 +17,6 @@ from .equivalence import (
     score_group,
 )
 from .service import BindError, ScoreRequest, ScoreResponse, ServiceConfig, handle_request, serve, serve_socket
-from .sgrpo import (
-    Hyperparams,
-    ObjectiveParts,
-    PolicyParams,
-    PromptSpec,
-    SampleGroup,
-    TrainDemoConfig,
-    default_demo_config,
-    group_advantages,
-    kl_estimate,
-    objective_gradient,
-    sample_group,
-    sft_term,
-    sgrpo_objective,
-    train_demo,
-)
 from .similarity import SimilarityConfig, is_related, levenshtein, ngram_cosine
 from .syntax import (
     Atom,
@@ -53,3 +37,23 @@ from .syntax import (
 )
 
 __version__ = "0.1.0"
+
+# The trainer's names load numpy, which parsing, scoring and serving never
+# use, so ``sgrpo`` is imported on the first lookup of one of them.
+_SGRPO_NAMES = frozenset({
+    "Hyperparams", "ObjectiveParts", "PolicyParams", "PromptSpec", "SampleGroup", "TrainDemoConfig",
+    "default_demo_config", "group_advantages", "kl_estimate", "objective_gradient", "sample_group",
+    "sft_term", "sgrpo_objective", "train_demo",
+})
+
+
+def __getattr__(name: str):
+    if name in _SGRPO_NAMES:
+        from . import sgrpo
+
+        return getattr(sgrpo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SGRPO_NAMES})

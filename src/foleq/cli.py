@@ -20,7 +20,6 @@ from dataclasses import replace
 
 from .corpus import EvalPair, corpus_le, decode_json, load_pairs, open_text
 from .service import CAP_EXCEEDED, BindError, ScoreRequest, ServiceConfig, _typed, handle_request, serve, serve_socket
-from .sgrpo import TrainDemoConfig, default_demo_config, train_demo, write_trace
 from .syntax import FormulaError, canonicalize, parse, render
 
 USAGE_ERROR = 1
@@ -224,6 +223,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_train_demo(args) -> int:
+    from .sgrpo import train_demo, write_trace  # numpy loads on the training path only
+
     config = _config(args, ("iterations", "learning_rate", "seed"), _demo_config_from_mapping, "bad demo config")
     if config is None or (args.trace and not _writable(args.trace)):
         return DATA_ERROR
@@ -240,7 +241,9 @@ def _cmd_train_demo(args) -> int:
     return 0
 
 
-def _demo_config_from_mapping(raw: dict) -> TrainDemoConfig:
+def _demo_config_from_mapping(raw: dict):
+    from .sgrpo import default_demo_config
+
     known = {"iterations", "learning_rate", "seed", "vocab", "references", "group_size"}
     unknown = set(raw) - known
     if unknown:

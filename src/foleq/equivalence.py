@@ -118,7 +118,8 @@ DEFAULT_LE = LeConfig()
 @dataclass(frozen=True)
 class BindingMap:
     """An injective map from prediction atoms to reference atoms, each atom
-    its canonical text."""
+    its canonical text, and the atoms of each side it leaves unbound, each
+    listed once and none of them bound."""
 
     pairs: tuple[tuple[str, str], ...]
     unbound_prediction: tuple[str, ...] = ()
@@ -128,6 +129,15 @@ class BindingMap:
         preds, refs = {p for p, _ in self.pairs}, {r for _, r in self.pairs}
         if len(preds) != len(self.pairs) or len(refs) != len(self.pairs):
             raise ValueError("binding must be injective")
+        for side, bound, unbound in (
+            ("prediction", preds, self.unbound_prediction),
+            ("reference", refs, self.unbound_reference),
+        ):
+            if len(set(unbound)) != len(unbound):
+                raise ValueError(f"binding lists an unbound {side} atom twice")
+            for atom in unbound:
+                if atom in bound:
+                    raise ValueError(f"binding both binds and leaves unbound {side} atom {atom!r}")
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.pairs)
@@ -410,20 +420,24 @@ def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap) -> flo
     Both trees are lowered as their renderings would be, and their bound
     variables are renamed as ``canonicalize`` renames them, so the binding
     names atoms of the renamed trees; canonical trees are left as they are.
-    A tree whose rendering passes the token cap raises the ``CapExceeded``
-    that ``le_score`` of its rendering raises, and the truth table is capped
-    at ``DEFAULT_LE.max_atoms``."""
+    A binding that names, bound or unbound, an atom its side's tree lacks
+    raises ``ValueError``.  A tree whose rendering passes the token cap
+    raises the ``CapExceeded`` that ``le_score`` of its rendering raises,
+    and the truth table is capped at ``DEFAULT_LE.max_atoms``."""
     lowered = _compile_tree(pred)
     pred_atoms = lowered.atoms
     compiled = _compile_tree(ref)
     pred_index = {a: i for i, a in enumerate(pred_atoms)}
     ref_index = {a: j for j, a in enumerate(compiled.atoms)}
+    for side, named, index in (
+        ("prediction", [p for p, _ in binding.pairs] + list(binding.unbound_prediction), pred_index),
+        ("reference", [r for _, r in binding.pairs] + list(binding.unbound_reference), ref_index),
+    ):
+        for atom in named:
+            if atom not in index:
+                raise ValueError(f"binding names unknown {side} atom {atom!r}")
     mapping: list[int | None] = [None] * len(pred_atoms)
     for p, r in binding.pairs:
-        if p not in pred_index:
-            raise ValueError(f"binding names unknown prediction atom {p!r}")
-        if r not in ref_index:
-            raise ValueError(f"binding names unknown reference atom {r!r}")
         mapping[pred_index[p]] = ref_index[r]
     patterns, mask, rows = _capped_patterns(len(compiled.atoms) + mapping.count(None), DEFAULT_LE.max_atoms)
     pred_bits = _eval_bits(lowered.code, range(len(pred_atoms)), patterns, mask)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 from dataclasses import dataclass, replace
 
 from .corpus import BleuConfig, DEFAULT_BLEU, EvalPair, JsonError, corpus_bleu, decode_json
@@ -247,6 +246,8 @@ def serve_socket(path: str, config: ServiceConfig | None = None) -> None:
     request closes the connection and stops the listener, which then removes
     the socket file it bound.  A path that cannot be bound, because it
     exists or its directory does not, raises :class:`BindError`."""
+    import socket  # the stdio service never needs it
+
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
         try:
             listener.bind(path)

@@ -85,6 +85,13 @@ def test_score_rejects_unknown_binding_atoms():
     binding = BindingMap(((atoms_of(canon("Z"))[0], atoms_of(ref)[0]),))
     with pytest.raises(ValueError):
         propositional_score(pred, ref, binding)
+    # an unbound list may name only atoms of its side's formula
+    for unbound_pred, unbound_ref, message in (
+        (("Nope",), ("Nope2",), "unknown prediction atom 'Nope'"),
+        ((), ("Nope2",), "unknown reference atom 'Nope2'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            propositional_score(Atom("A"), Atom("A"), BindingMap((), unbound_pred, unbound_ref))
 
 
 def test_score_respects_atom_cap():
@@ -782,6 +789,15 @@ def test_binding_map_rejects_duplicates():
     for pairs in (((a, a), (b, a)), (("A", "A"), ("A", "B"))):
         with pytest.raises(ValueError):
             BindingMap(pairs)
+    # an atom is bound or unbound, never both, and listed unbound once
+    for pairs, unbound_pred, unbound_ref, message in (
+        ((("A", "A"),), ("A",), (), "binds and leaves unbound prediction atom 'A'"),
+        ((("A", "B"),), (), ("B",), "binds and leaves unbound reference atom 'B'"),
+        ((), ("A", "A"), (), "unbound prediction atom twice"),
+        ((), (), ("B", "B"), "unbound reference atom twice"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            BindingMap(pairs, unbound_pred, unbound_ref)
 
 
 def test_identity_binding_helper():
