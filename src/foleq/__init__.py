@@ -46,6 +46,17 @@ _SGRPO_NAMES = frozenset({
     "sft_term", "sgrpo_objective", "train_demo",
 })
 
+# Every export.  A star-import binds each name, so it loads the trainer too.
+__all__ = [
+    "Atom", "Binary", "BindError", "BindingMap", "BleuConfig", "CandidateGraph", "CapExceeded",
+    "CompiledReference", "CorpusReport", "EvalPair", "FolExpr", "FormulaError", "LeConfig", "LeReport",
+    "LexError", "Not", "ParseError", "Quantified", "ScoreRequest", "ScoreResponse", "ServiceConfig",
+    "SimilarityConfig", "atoms_of", "bind_optimized", "bind_original", "canonicalize", "compile_reference",
+    "corpus_bleu", "corpus_le", "enumerate_bracketings", "handle_request", "is_related", "le_score",
+    "levenshtein", "lex", "load_pairs", "ngram_cosine", "parse", "propositional_score", "render",
+    "score_group", "serve", "serve_socket", "tokenize_formula", *sorted(_SGRPO_NAMES),
+]
+
 
 def __getattr__(name: str):
     if name in _SGRPO_NAMES:

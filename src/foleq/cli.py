@@ -19,6 +19,7 @@ import sys
 from dataclasses import replace
 
 from .corpus import EvalPair, corpus_le, decode_json, load_pairs, open_text
+from .equivalence import MODES
 from .service import CAP_EXCEEDED, BindError, ScoreRequest, ServiceConfig, _typed, handle_request, serve, serve_socket
 from .syntax import FormulaError, canonicalize, parse, render
 
@@ -46,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--ref-file", help="references file aligned line-by-line with --pred-file")
     p_score.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl",
                          help="combined pairs file format when --ref-file is absent")
-    p_score.add_argument("--mode", choices=("original", "optimized"))
+    p_score.add_argument("--mode", choices=MODES)
     p_score.add_argument("--threshold", type=float)
     p_score.add_argument("--chunk-size", type=int)
     p_score.add_argument("--max-atoms", type=int)

@@ -49,7 +49,6 @@ and ``le_score`` is the same path for a group of one.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,7 +64,7 @@ from .syntax import (
     CapExceeded,
     FolExpr,
     FormulaError,
-    atom_text,
+    Renaming,
     atoms_of,  # unused here, but tracers patch this attribute
     canonicalize,  # unused here, but tracers patch this attribute
     cap_tokens,
@@ -78,6 +77,10 @@ from .syntax import (
     token_count,
 )
 
+
+# The scoring modes: the binding search over the complete graph or over the
+# relatedness graph (see the module docstring).
+MODES = ("original", "optimized")
 
 # The highest truth-table cap.  A table over k atoms is a 2**k-bit integer:
 # scoring a reflexive balanced conjunction took 6 ms and 32 MB peak RSS at 20
@@ -274,45 +277,22 @@ def _var_patterns(k: int) -> tuple[tuple[int, ...], int, int]:
     return tuple(patterns), (1 << rows) - 1, rows
 
 
-class _Lowering:
+class _Lowering(Renaming):
     """A node factory (see ``syntax.TREES``) that lowers one formula while
     it is parsed: it builds each node's propositional skeleton, a nested
     tuple ``("atom", ordinal)``, ``("not", body)`` or ``(op, left, right)``
     with quantifiers dropped, and ``atoms()`` then lists the distinct atoms.
-    Bound variables are renamed as ``canonicalize`` renames them and the
-    atoms come in the order ``atoms_of`` gives for the renamed tree."""
-
-    def __init__(self):
-        # Atom keys in first-occurrence order, each a predicate and arguments
-        # in which a bound name is the index of its quantifier in pre-order.
-        self.ordinals: dict[tuple[str, tuple[str | int, ...]], int] = {}
-        self.scope: dict[str, int] = {}
-        self.quantifiers = 0
+    Bound variables are renamed by ``syntax.Renaming``'s one rule, so the
+    atoms are those of the canonical tree, in first-occurrence order."""
 
     def atom(self, name: str, args: tuple[str, ...]):
+        # Renaming.atom's key, computed inline: every scored atom comes here.
         key = (name, tuple([self.scope.get(a, a) for a in args]))
         return ("atom", self.ordinals.setdefault(key, len(self.ordinals)))
 
     negate = staticmethod(lambda body: ("not", body))
     join = staticmethod(lambda *node: node)
-
-    def quantify(self, kind: str, var: str, parse_body):
-        outer = self.scope
-        self.scope = {**outer, var: self.quantifiers}
-        self.quantifiers += 1
-        body = parse_body()
-        self.scope = outer
-        return body
-
-    def atoms(self) -> tuple[str, ...]:
-        # Fresh names skip every name that occurs free.
-        free = {a for _, args in self.ordinals for a in args if isinstance(a, str)}
-        fresh = (f"v{i}" for i in itertools.count(1) if f"v{i}" not in free)
-        names = list(itertools.islice(fresh, self.quantifiers))
-        return tuple(
-            atom_text(predicate, tuple([a if isinstance(a, str) else names[a] for a in args]))
-            for predicate, args in self.ordinals
-        )
+    quantified = staticmethod(lambda kind, index, body: body)
 
 
 def _eval_bits(node, varmap: list[int], patterns: tuple[int, ...], mask: int) -> int:
@@ -418,7 +398,7 @@ def _binding_from(pred_atoms: tuple[str, ...], ref_atoms: tuple[str, ...], mappi
 def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap) -> float:
     """Truth-table agreement of the two skeletons under a fixed binding.
     Both trees are lowered as their renderings would be, and their bound
-    variables are renamed as ``canonicalize`` renames them, so the binding
+    variables are renamed by ``syntax.Renaming``'s one rule, so the binding
     names atoms of the renamed trees; canonical trees are left as they are.
     A binding that names, bound or unbound, an atom its side's tree lacks
     raises ``ValueError``.  A tree whose rendering passes the token cap
@@ -765,8 +745,8 @@ def bind_original(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) ->
     smaller atom set, candidates tried in ascending edit-distance order: the
     binding search over the complete graph, with no component cap.
     Factorial in the atom count, so guarded by ``MAX_FACTORIAL_ATOMS``.
-    ``pred`` and ``ref`` are trees.  Bound variables are renamed as
-    ``canonicalize`` renames them, so trees need not be canonicalized first
+    ``pred`` and ``ref`` are trees.  Bound variables are renamed by
+    ``syntax.Renaming``'s one rule, so trees need not be canonicalized first
     and the report names the renamed atoms.  The report is ``_search``'s
     for one reading: ``trees_explored`` is 1."""
     return _bind(pred, ref, "original", config)
@@ -781,8 +761,8 @@ def bind_optimized(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -
     choices fixed, later components unbound while a component is searched).
     A component stops early at ``COMPONENT_CAP`` assignments and keeps its
     best so far, flagged via ``truncated`` when an assignment lies past the
-    cap.  ``pred`` and ``ref`` are trees.  Bound variables are renamed as
-    ``canonicalize`` renames them, so trees need not be canonicalized first
+    cap.  ``pred`` and ``ref`` are trees.  Bound variables are renamed by
+    ``syntax.Renaming``'s one rule, so trees need not be canonicalized first
     and the report names the renamed atoms.  The report is ``_search``'s
     for one reading: ``trees_explored`` is 1.
     """
@@ -831,7 +811,7 @@ def score_group(
     unknown mode raises ``ValueError`` and a reference that fails to parse
     raises its ``FormulaError``.
     """
-    if mode not in ("original", "optimized"):
+    if mode not in MODES:
         raise ValueError(f"unknown scoring mode {mode!r}")
     if not isinstance(reference, CompiledReference):
         reference = compile_reference(reference)

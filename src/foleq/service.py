@@ -26,12 +26,11 @@ import os
 from dataclasses import dataclass, replace
 
 from .corpus import BleuConfig, DEFAULT_BLEU, EvalPair, JsonError, corpus_bleu, decode_json
-from .equivalence import DEFAULT_LE, LeConfig, compile_reference, le_score
+from .equivalence import DEFAULT_LE, MODES, LeConfig, compile_reference, le_score
 from .syntax import CapExceeded, FormulaError, ParseError
 from .syntax import parse  # noqa: F401  (foleq.service.parse stays importable; perfbench wraps it)
 
 OPS = ("le_score", "bleu_pair")
-MODES = ("original", "optimized")
 
 BAD_REQUEST = "BAD_REQUEST"
 CAP_EXCEEDED = "CAP_EXCEEDED"

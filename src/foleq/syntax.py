@@ -466,74 +466,78 @@ def render(expr: FolExpr, style: str = "unicode") -> str:
 # --- canonical form ----------------------------------------------------------
 
 
-def _free_arg_names(expr: FolExpr) -> set[str]:
-    free: set[str] = set()
+class Renaming:
+    """The node factory (see ``TREES``) that holds the one rule renaming
+    bound variables for ``canonicalize``, the CLI and every score: a bound
+    name becomes its quantifier's pre-order index, and index i is named by
+    the i-th of ``v1, v2, ...`` that no atom has as a free argument, so the
+    renaming is capture-avoiding and idempotent.  It builds the tree with
+    indices for bound names; a subclass builds other nodes from the same
+    ``scope`` (each bound name in scope and its index) and ``ordinals``."""
 
-    def walk(e: FolExpr, bound: frozenset[str]) -> None:
-        if isinstance(e, Atom):
-            free.update(a for a in e.args if a not in bound)
-        elif isinstance(e, Not):
-            walk(e.body, bound)
-        elif isinstance(e, Binary):
-            walk(e.left, bound)
-            walk(e.right, bound)
-        else:
-            assert isinstance(e, Quantified)
-            walk(e.body, bound | {e.variable})
+    negate = staticmethod(Not)
+    join = staticmethod(Binary)
+    quantified = staticmethod(Quantified)  # a quantifier's node from its index
 
-    walk(expr, frozenset())
-    return free
+    def __init__(self):
+        # Atom keys in first-occurrence order, each a predicate and arguments
+        # in which a bound name is the index of its quantifier.
+        self.ordinals: dict[tuple[str, tuple[str | int, ...]], int] = {}
+        self.scope: dict[str, int] = {}
+        self.quantifiers = 0
+
+    def atom(self, name: str, args: tuple[str, ...]):
+        key = (name, tuple([self.scope.get(a, a) for a in args]))
+        self.ordinals.setdefault(key, len(self.ordinals))
+        return Atom(*key)
+
+    def quantify(self, kind: str, var: str, parse_body):
+        index, outer = self.quantifiers, self.scope
+        self.scope = {**outer, var: index}
+        self.quantifiers += 1
+        body = parse_body()
+        self.scope = outer
+        return self.quantified(kind, index, body)
+
+    def names(self) -> dict[int, str]:
+        """Each index's name: ``names.get(a, a)`` names a key's argument."""
+        free = {a for _, args in self.ordinals for a in args if isinstance(a, str)}
+        fresh = (f"v{i}" for i in itertools.count(1) if f"v{i}" not in free)
+        return dict(enumerate(itertools.islice(fresh, self.quantifiers)))
+
+    def atoms(self) -> tuple[str, ...]:
+        """The renamed texts (``atom_text``) of the distinct atoms, in first-occurrence order."""
+        names = self.names()
+        return tuple(atom_text(p, tuple([names.get(a, a) for a in args])) for p, args in self.ordinals)
 
 
 def canonicalize(expr: FolExpr) -> FolExpr:
-    """Rename bound variables to v1, v2, ... in order of quantifier
-    appearance.  Free names are left alone; fresh names skip any identifier
-    that occurs free, so the pass is capture-avoiding and idempotent."""
-    free = _free_arg_names(expr)
-    counter = [0]
-
-    def fresh() -> str:
-        while True:
-            counter[0] += 1
-            name = f"v{counter[0]}"
-            if name not in free:
-                return name
-
-    def walk(e: FolExpr, env: dict[str, str]) -> FolExpr:
-        if isinstance(e, Atom):
-            return Atom(e.predicate, tuple(env.get(a, a) for a in e.args))
-        if isinstance(e, Not):
-            return Not(walk(e.body, env))
-        if isinstance(e, Binary):
-            return Binary(e.op, walk(e.left, env), walk(e.right, env))
-        assert isinstance(e, Quantified)
-        name = fresh()
-        inner = dict(env)
-        inner[e.variable] = name
-        return Quantified(e.quantifier, name, walk(e.body, inner))
-
-    return walk(expr, {})
+    """Rename bound variables by ``Renaming``'s rule: v1, v2, ... in order
+    of quantifier appearance, skipping any name that occurs free.  Free
+    names are left alone.  Two ``rebuild`` passes: one to indices, one to
+    names."""
+    indexing = Renaming()
+    indexed = rebuild(expr, indexing)
+    names = indexing.names()
+    return rebuild(indexed, SimpleNamespace(
+        atom=lambda name, args: Atom(name, tuple([names.get(a, a) for a in args])),
+        negate=Not,
+        join=Binary,
+        quantify=lambda kind, index, parse_body: Quantified(kind, names[index], parse_body()),
+    ))
 
 
 def atoms_of(expr: FolExpr) -> tuple[str, ...]:
     """Texts of the distinct atoms (``atom_text``) in first-occurrence order
-    (pre-order, left to right).  The expression should already be
-    canonicalized."""
+    (pre-order, left to right), as written: canonicalize the tree first for
+    the atoms that scoring names."""
     seen: dict[str, None] = {}
-
-    def walk(e: FolExpr) -> None:
-        if isinstance(e, Atom):
-            seen[atom_text(e.predicate, e.args)] = None
-        elif isinstance(e, Not):
-            walk(e.body)
-        elif isinstance(e, Binary):
-            walk(e.left)
-            walk(e.right)
-        else:
-            assert isinstance(e, Quantified)
-            walk(e.body)
-
-    walk(expr)
+    rebuild(expr, SimpleNamespace(
+        atom=lambda name, args: seen.setdefault(atom_text(name, args)),
+        negate=lambda body: None,
+        join=lambda op, left, right: None,
+        quantify=lambda kind, var, parse_body: parse_body(),
+    ))
     return tuple(seen)
 
 

@@ -89,3 +89,20 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(foleq, "write_trace")  # an sgrpo name foleq never exported
     with pytest.raises(ImportError):
         from foleq import nope  # noqa: F401
+
+
+def test_star_import_binds_every_export_in_a_fresh_interpreter():
+    check = (
+        "from foleq import *\n"
+        "import types, foleq\n"
+        f"assert set({TRAINER_NAMES!r}) <= set(foleq.__all__)\n"
+        "missing = [name for name in foleq.__all__ if name not in globals()]\n"
+        "assert not missing, missing\n"
+        "public = {n for n, v in vars(foleq).items() if not n.startswith('_') and not isinstance(v, types.ModuleType)}\n"
+        "assert public <= set(foleq.__all__), public - set(foleq.__all__)\n"
+        "print('ok')\n"
+    )
+    done, imported = _run("-c", check)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
+    assert "numpy" in imported  # binding the trainer names loads it

@@ -1,12 +1,16 @@
+import importlib.util
 import random
 import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from foleq.equivalence import compile_reference
 from foleq.syntax import (
+    BINARY_OPS,
     MAX_CHAIN_OPERATORS,
     MAX_TOKENS,
     Atom,
@@ -16,6 +20,7 @@ from foleq.syntax import (
     LexError,
     Not,
     ParseError,
+    QUANTIFIERS,
     Quantified,
     _Parser,
     atoms_of,
@@ -383,6 +388,57 @@ def test_canonicalize_is_idempotent(seed, x_name, y_name):
     assert canonicalize(once) == once
 
 
+def _load_oracle():
+    """The benchmark's oracle, which re-derives the renaming rule without
+    importing foleq; its ``from gen import ...`` needs perfbench on the path."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_oracle", perfbench / "oracle.py")
+        oracle = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(oracle)
+    finally:
+        sys.path.remove(str(perfbench))
+    return oracle
+
+
+ORACLE = _load_oracle()
+
+
+def _as_oracle_tree(expr):
+    """``expr`` in the benchmark's tuple form, built without foleq's walks."""
+    if isinstance(expr, Atom):
+        return ("atom", expr.predicate, expr.args)
+    if isinstance(expr, Not):
+        return ("not", _as_oracle_tree(expr.body))
+    if isinstance(expr, Quantified):
+        return ("q", expr.quantifier, expr.variable, _as_oracle_tree(expr.body))
+    return ("bin", expr.op, _as_oracle_tree(expr.left), _as_oracle_tree(expr.right))
+
+
+# Bound names shadow one another, and v1 / v2 also occur free.
+_NAMES = st.sampled_from(("x", "y", "v1", "v2"))
+_FORMULAS = st.recursive(
+    st.builds(Atom, st.sampled_from(("P", "Q", "R")), st.lists(_NAMES, max_size=2).map(tuple)),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(Binary, st.sampled_from(BINARY_OPS), sub, sub),
+        st.builds(Quantified, st.sampled_from(QUANTIFIERS), _NAMES, sub),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FORMULAS)
+def test_renaming_agrees_with_the_benchmark_oracle(expr):
+    canonical = ORACLE.canonical(_as_oracle_tree(expr))
+    assert _as_oracle_tree(canonicalize(expr)) == canonical
+    names = tuple(ORACLE.atom_names(canonical))
+    assert atoms_of(canonicalize(expr)) == names
+    assert compile_reference(render(expr)).atoms == names
+
+
 # --- atom extraction -----------------------------------------------------------
 
 def test_atoms_of_dedupes_in_order():
@@ -393,6 +449,11 @@ def test_atoms_of_dedupes_in_order():
 def test_atoms_differ_by_arguments():
     atoms = atoms_of(parse("P(x) ∧ P(y)"))
     assert atoms == ("P(x)", "P(y)")
+
+
+def test_atoms_of_lists_a_tree_as_written():
+    # only canonicalize renames; atoms_of keeps the bound name x
+    assert atoms_of(parse("∀x P(x) ∧ Q(y)")) == ("P(x)", "Q(y)")
 
 
 # --- bracketing enumeration -----------------------------------------------------
