@@ -178,21 +178,23 @@ class CandidateGraph:
         config: SimilarityConfig = DEFAULT_SIMILARITY,
         rows: dict[str, tuple[tuple[int, float], ...]] | None = None,
     ) -> "CandidateGraph":
-        """``rows``, when given, memoizes each prediction atom text's
-        (reference index, similarity) edges; it must belong to these
-        reference atoms and this ``config``."""
+        """``rows`` memoizes each prediction atom text's (reference index,
+        similarity) edges; it must belong to these reference atoms and this
+        ``config``, and a fresh one is filled when none is given.  Edges come
+        in prediction-atom order, so each component is first met at its
+        smallest prediction atom and the components come in that order."""
+        if rows is None:
+            rows = {}
         edges = []
         for i, text in enumerate(pred_atoms):
-            row = None if rows is None else rows.get(text)
+            row = rows.get(text)
             if row is None:
                 row = []
                 for j, r in enumerate(ref_atoms):
                     sim = ngram_cosine(text, r, config)
                     if sim >= config.threshold:
                         row.append((j, sim))
-                row = tuple(row)
-                if rows is not None:
-                    rows[text] = row
+                row = rows[text] = tuple(row)
             edges.extend((i, j, sim) for j, sim in row)
 
         # Union-find over node ids: prediction atom i is node i, reference
@@ -217,12 +219,11 @@ class CandidateGraph:
             preds, refs = groups.setdefault(root, (set(), set()))
             preds.add(i)
             refs.add(j)
-        components = [
+        components = tuple(
             Component(tuple(sorted(preds)), tuple(sorted(refs)))
             for preds, refs in groups.values()
-        ]
-        components.sort(key=lambda c: c.prediction_atoms[0])
-        return cls(tuple(edges), tuple(components))
+        )
+        return cls(tuple(edges), components)
 
 
 @dataclass(eq=False)
@@ -439,7 +440,9 @@ class _AtomTables:
     atoms and its skip budget: how many of them a maximum-cardinality
     assignment leaves unbound.  ``candidates`` gives each of those atoms its
     candidate reference atoms as (index, edit distance) in ascending
-    (distance, index) order; no other edit distance is computed.
+    (distance, index) order; no other edit distance is computed.  They are
+    the atom's memo row that ``CandidateGraph.build`` has just filled, or
+    every reference atom in original mode.
     ``component_cap`` is ``COMPONENT_CAP``, or None in original mode, whose
     atom count ``MAX_FACTORIAL_ATOMS`` bounds instead."""
 
@@ -455,21 +458,14 @@ class _AtomTables:
         self.mode = mode
         self.max_atoms = config.max_atoms
         n_p, n_r = len(pred_atoms), len(ref.atoms)
-        adj: dict[int, range | list[int]]
         if mode == "original":
             if max(n_p, n_r) > MAX_FACTORIAL_ATOMS:
                 raise CapExceeded(f"{max(n_p, n_r)} atoms exceeds the factorial-search cap {MAX_FACTORIAL_ATOMS}")
-            adj = {i: range(n_r) for i in range(n_p)}
             components: Sequence[Component] = (Component(tuple(range(n_p)), tuple(range(n_r))),)
             self.component_cap: int | None = None
         else:
-            graph = CandidateGraph.build(
-                pred_atoms, ref.atoms, config.similarity, ref.candidate_rows(config.similarity)
-            )
-            adj = {}
-            for i, j, _ in graph.edges:
-                adj.setdefault(i, []).append(j)
-            components = graph.components
+            rows = ref.candidate_rows(config.similarity)
+            components = CandidateGraph.build(pred_atoms, ref.atoms, config.similarity, rows).components
             self.component_cap = COMPONENT_CAP
         self.start: list[int | None] = [None] * n_p
         self.enumerated: list[tuple[tuple[int, ...], int]] = []
@@ -480,7 +476,8 @@ class _AtomTables:
                 self.start[preds[0]] = refs[0]
                 continue
             for i in preds:
-                row = sorted((levenshtein(pred_atoms[i], ref.atoms[j]), j) for j in adj[i])
+                refs = range(n_r) if mode == "original" else [j for j, _ in rows[pred_atoms[i]]]
+                row = sorted((levenshtein(pred_atoms[i], ref.atoms[j]), j) for j in refs)
                 self.candidates[i] = [(j, dist) for dist, j in row]
             self.enumerated.append((preds, len(preds) - _max_matching_size(preds, self.candidates)))
 
@@ -521,17 +518,17 @@ def _enumerate(
     Edit distances are not negative, so once a prefix's summed distance
     reaches the bound, no leaf under it is walked: its leaves are counted
     (memoised on the position, the reference atoms in use and the skips
-    left).  With no bound every leaf is walked.  The walk stops at the
-    component cap, counting past it only far enough to see whether a leaf
-    lies there.  Returns the number of leaves walked or counted, at most the
-    cap, and whether any leaf lies past the cap; ``mapping`` is left as it
-    was given."""
+    left); the walk carries the reference atoms in use as that key's
+    bitmask, ``taken``.  With no bound every leaf is walked.  The walk stops
+    at the component cap, counting past it only far enough to see whether a
+    leaf lies there.  Returns the number of leaves walked or counted, at
+    most the cap, and whether any leaf lies past the cap; ``mapping`` is
+    left as it was given."""
     # sys.maxsize stands for no cap and no bound: ints compare faster than
     # math.inf, and no count or summed distance reaches it.
     adj = tables.candidates
     cap = sys.maxsize if tables.component_cap is None else tables.component_cap
     end = len(preds)
-    used = [False] * len(tables.ref.atoms)
     count = 0
     limit = sys.maxsize if bound is None else bound
     sizes: dict[tuple[int, int, int], int] = {}
@@ -550,12 +547,13 @@ def _enumerate(
             sizes[key] = found
         return found
 
-    def rec(pos: int, skips_left: int, dist: int) -> bool:
-        """Extend the assignment from ``preds[pos]`` on; ``dist`` is the
-        edit distance summed so far.  True once a leaf lies past the cap."""
+    def rec(pos: int, taken: int, skips_left: int, dist: int) -> bool:
+        """Extend the assignment from ``preds[pos]`` on; the bits of
+        ``taken`` are the reference atoms in use and ``dist`` is the edit
+        distance summed so far.  True once a leaf lies past the cap."""
         nonlocal count, limit
         if dist >= limit:
-            count += size(pos, sum([1 << j for j, in_use in enumerate(used) if in_use]), skips_left)
+            count += size(pos, taken, skips_left)
         elif pos == end:
             # The skip budget comes from a maximum matching, so no complete
             # assignment leaves any of it unspent.
@@ -566,22 +564,20 @@ def _enumerate(
         else:
             i = preds[pos]
             for j, d in adj[i]:
-                if not used[j]:
-                    used[j] = True
+                if not taken >> j & 1:
                     mapping[i] = j
-                    stop = rec(pos + 1, skips_left, dist + d)
+                    stop = rec(pos + 1, taken | 1 << j, skips_left, dist + d)
                     mapping[i] = None
-                    used[j] = False
                     if stop:
                         return True
-            return skips_left > 0 and rec(pos + 1, skips_left - 1, dist)
+            return skips_left > 0 and rec(pos + 1, taken, skips_left - 1, dist)
         if count < cap:
             return False
         # At the cap: the rest is only counted, until a leaf lies past it.
         limit = 0
         return count > cap
 
-    past = rec(0, skips, 0)
+    past = rec(0, 0, skips, 0)
     return (cap, True) if past else (count, False)
 
 

@@ -136,12 +136,13 @@ def _sample(
     """``group_size`` sequences per prompt from the policy whose (P, T, V)
     log-softmax is ``logp`` and softmax ``probs``, with one (P, G, T) draw:
     the token ids and their log-probs, both (P, G, T)."""
-    P, T, V = probs.shape
+    P, T, _ = probs.shape
+    # Draws lie in [0, 1) and the last cumulative probability is 1, so no
+    # count of the cumulative probabilities at or below a draw reaches V.
     cumulative = np.cumsum(probs, axis=-1)
     cumulative[..., -1] = 1.0
     draws = rng.random((P, group_size, T))
     outputs = (draws[..., None] >= cumulative[:, None]).sum(axis=-1)
-    outputs = np.minimum(outputs, V - 1)
     return outputs, logp[np.arange(P)[:, None, None], np.arange(T), outputs]
 
 

@@ -495,6 +495,47 @@ def test_search_equals_the_forward_search_of_each_reading(data, mode, cap):
     assert report.truncated == best.truncated
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_plan_reads_the_candidate_graph(data):
+    """In optimized mode the plan gives each enumerated atom exactly its
+    candidate graph edges, in ascending (edit distance, index) order, and
+    starts from the graph's one-to-one components.  The graph is the same
+    with no memo, with the reference's memo and with a memo emptied before
+    each lookup, and its components come in ascending order of their first
+    prediction atom."""
+    pred_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
+    ref_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
+    ref = CompiledReference(ref_atoms, ("atom", 0))
+    plan = _AtomTables(pred_atoms, ref, "optimized", DEFAULT_LE)
+
+    graph = CandidateGraph.build(pred_atoms, ref_atoms, DEFAULT_LE.similarity)
+    edges: dict[int, list[int]] = {}
+    for i, j, _ in graph.edges:
+        edges.setdefault(i, []).append(j)
+    one_to_one = {
+        c.prediction_atoms[0]: c.reference_atoms[0]
+        for c in graph.components
+        if len(c.prediction_atoms) == len(c.reference_atoms) == 1
+    }
+    assert plan.start == [one_to_one.get(i) for i in range(len(pred_atoms))]
+    assert set(plan.candidates) == set(edges) - set(one_to_one)
+    for i, row in plan.candidates.items():
+        distance = {j: levenshtein(pred_atoms[i], ref_atoms[j]) for j in edges[i]}
+        assert row == sorted(distance.items(), key=lambda jd: (jd[1], jd[0]))
+
+    firsts = [c.prediction_atoms[0] for c in graph.components]
+    assert firsts == sorted(set(firsts))
+    # The plan has filled the reference's memo, so this build reads it.
+    memo = ref.candidate_rows(DEFAULT_LE.similarity)
+    assert set(memo) == set(pred_atoms)
+    assert CandidateGraph.build(pred_atoms, ref_atoms, DEFAULT_LE.similarity, memo) == graph
+    with patch.object(equivalence, "_CANDIDATE_ROW_LIMIT", 1):
+        emptied = ref.candidate_rows(DEFAULT_LE.similarity)
+        assert not emptied
+        assert CandidateGraph.build(pred_atoms, ref_atoms, DEFAULT_LE.similarity, emptied) == graph
+
+
 def test_a_settled_group_is_bound_by_its_largest_best_distance():
     """Once every table a group scores is settled, only leaves at or past
     the largest of their best distances are cut: a shorter leaf can still

@@ -23,6 +23,7 @@ from foleq.equivalence import (
 )
 from foleq.similarity import SimilarityConfig
 from foleq.syntax import (
+    MAX_CHAIN_OPERATORS,
     Atom,
     Binary,
     CapExceeded,
@@ -320,6 +321,42 @@ def test_one_prediction_is_renamed_listed_and_tabled_once(monkeypatch):
     assert report.trees_explored == 3126
     assert report.score == 1.0
     assert calls == {"split_chain": 1, "_AtomTables": 1}
+
+
+def test_the_graph_span_times_each_built_plan_once(monkeypatch):
+    """A tracer times graph building by swapping a wrapper into the
+    ``CandidateGraph.build`` class attribute.  An optimized-mode group calls
+    it once for each distinct prediction whose search plan is built, one
+    past the truth-table cap included, and not for a repeat, one that fails
+    to parse or one past the chain-operator cap; original mode builds no
+    graph."""
+    calls = []
+    real = CandidateGraph.build.__func__
+
+    def counting(cls, pred_atoms, *args):
+        calls.append(pred_atoms)
+        return real(cls, pred_atoms, *args)
+
+    monkeypatch.setattr(CandidateGraph, "build", classmethod(counting))
+    wide = " ∧ ".join(f"Wide{i}(a)" for i in range(17))
+    predictions = [
+        "Likes(a) ∧ Owns(b)",
+        "((",
+        "Like(a) ∨ Owns(b) ∨ P",
+        "Likes(a) ∧ Owns(b)",
+        " ∧ ".join("A" * (MAX_CHAIN_OPERATORS + 2)),
+        f"({wide})",
+    ]
+    results = score_group(predictions, "Likes(a) ∧ Own(b) ∨ P")
+    assert [type(r).__name__ for r in results] == [
+        "LeReport", "ParseError", "LeReport", "LeReport", "CapExceeded", "CapExceeded"
+    ]
+    assert "chain" in str(results[4]) and "chain" not in str(results[5])
+    assert calls == [("Likes(a)", "Owns(b)"), ("Like(a)", "Owns(b)", "P"), tuple(f"Wide{i}(a)" for i in range(17))]
+
+    calls.clear()
+    score_group(predictions, "Likes(a) ∧ Own(b) ∨ P", "original")
+    assert calls == []
 
 
 def test_scoring_text_builds_no_tree(monkeypatch):

@@ -193,6 +193,20 @@ def test_sample_group_matches_distribution():
     assert counts[0] / counts.sum() > 0.9
 
 
+def test_a_draw_just_below_one_samples_the_last_token():
+    # The largest draw below 1.0 passes every cumulative probability but the
+    # last, which is 1.0 itself, so the sampled id is V - 1 and never V.
+    class Highest:
+        def random(self, shape):
+            return np.full(shape, np.nextafter(1.0, 0.0))
+
+    vocab = 7
+    policy = PolicyParams(np.zeros((1, 3, vocab)))
+    group = sample_group(policy, PromptSpec(0, (0,) * 3, "A"), Hyperparams(group_size=4), Highest())
+    assert np.array_equal(group.outputs, np.full((4, 3), vocab - 1))
+    assert np.array_equal(group.old_logprobs, np.broadcast_to(policy.log_probs(0)[:, vocab - 1], (4, 3)))
+
+
 def test_sample_group_rejects_bad_rewards():
     rng = np.random.default_rng(10)
     policy = make_policy(rng)
