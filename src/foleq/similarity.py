@@ -52,18 +52,27 @@ def levenshtein(a: str, b: str) -> int:
 
 
 def _gram_counts(text: str, sizes: frozenset[int]) -> Counter:
+    # A full-length gram is keyed by its own text, whose length names its
+    # size; a text shorter than n keeps an (n, text) key, so no two sizes
+    # share a key.
     counts: Counter = Counter()
     for n in sizes:
         if len(text) >= n:
-            for i in range(len(text) - n + 1):
-                counts[(n, text[i : i + n])] += 1
+            counts.update(map("".join, zip(*[text[i:] for i in range(n)])))
         elif text:
             counts[(n, text)] += 1
     return counts
 
 
 # Cached entries are shared; callers must treat the returned counter as read-only.
-@lru_cache(maxsize=8192)
+# An entry is one atom text's compared form, gram counts and norm, a few
+# hundred bytes to a few kilobytes, so 1,024 entries hold a few megabytes.
+# The reuse it serves lies within one scoring group or one serving session.
+# In the seed-29 benchmark runs, 16,500 serve_mixed requests miss 24 times and
+# 48 train_demo calls of 50 iterations miss 27 times at any size from 64
+# entries up, while 750 corpus_groups miss 8,835 / 8,792 / 8,647 / 8,334 times
+# out of about 138,000 lookups at 64 / 256 / 1,024 / 8,192 entries.
+@lru_cache(maxsize=1024)
 def _gram_vector(text: str, sizes: frozenset[int]) -> tuple[str, Counter, float]:
     """The text as compared (lower-cased), its gram counts and their
     Euclidean norm."""

@@ -6,12 +6,13 @@ oracle enumerates complete injective matchings with itertools, the
 forward search scores one reading at a time against the reference's own
 table (it shares only the library's search plan and assignment walk),
 the per-reading loop binds every bracketing tree of a prediction from
-scratch through it, the S-GRPO oracle computes the objective and its
-gradient one sample at a time, the demo-trainer oracle samples, scores
-and steps one prompt at a time, the BLEU oracle re-counts both sides of
-every pair, the lexer oracle reads one character at a time, and the
-lowering oracle renames, lists atoms and compiles a skeleton in three
-separate walks.  Slow but obviously correct, which is the point.
+scratch through it, the n-gram oracle keys every gram by its (size,
+text) pair and counts it one position at a time, the S-GRPO oracle
+computes the objective and its gradient one sample at a time, the
+demo-trainer oracle samples, scores and steps one prompt at a time, the
+BLEU oracle re-counts both sides of every pair, the lexer oracle reads
+one character at a time, and the lowering oracle renames, lists atoms
+and compiles a skeleton in three separate walks.  Slow but obviously correct, which is the point.
 """
 
 from __future__ import annotations
@@ -649,3 +650,32 @@ def per_pair_bleu(pairs, config=DEFAULT_BLEU) -> float:
         log_sum += math.log(precision)
     brevity = 1.0 if pred_len > ref_len else math.exp(1.0 - ref_len / pred_len)
     return 100.0 * brevity * math.exp(log_sum / order)
+
+
+# --- (size, text)-keyed n-gram cosine ------------------------------------------
+
+
+def tuple_gram_vector(text: str, sizes: frozenset[int]) -> tuple[str, Counter, float]:
+    """The text lower-cased, its grams counted under (n, gram) keys one
+    position at a time (a non-empty text shorter than n counts as one
+    gram), and their Euclidean norm."""
+    text = text.lower()
+    counts: Counter = Counter()
+    for n in sizes:
+        if len(text) >= n:
+            for i in range(len(text) - n + 1):
+                counts[(n, text[i : i + n])] += 1
+        elif text:
+            counts[(n, text)] += 1
+    return text, counts, math.sqrt(sum(c * c for c in counts.values()))
+
+
+def tuple_cosine(a: str, b: str, sizes: frozenset[int]) -> float:
+    """Cosine of the two texts' tuple-keyed gram counts; equal non-empty
+    texts score exactly 1.0."""
+    a, va, norm_a = tuple_gram_vector(a, sizes)
+    b, vb, norm_b = tuple_gram_vector(b, sizes)
+    if a == b and a:
+        return 1.0
+    dot = sum(count * vb[gram] for gram, count in va.items())
+    return dot / (norm_a * norm_b) if dot else 0.0

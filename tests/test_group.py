@@ -21,7 +21,7 @@ from foleq.equivalence import (
     propositional_score,
     score_group,
 )
-from foleq.similarity import SimilarityConfig
+from foleq.similarity import SimilarityConfig, _gram_vector
 from foleq.syntax import (
     MAX_CHAIN_OPERATORS,
     Atom,
@@ -193,6 +193,32 @@ def test_compiled_reference_is_reusable():
     second = score_group(list(reversed(texts)), reference)
     assert [fields(r) for r in first] == [fields(r) for r in reversed(second)]
     assert [fields(r) for r in first] == [fields(le_score(t, "∀x (P(x) → Q(x))")) for t in texts]
+
+
+def test_a_group_computes_each_atom_texts_gram_vector_once():
+    # The n-gram vector cache serves reuse within a group and across the
+    # requests of one session, each of which compiles its own reference.
+    predictions = [
+        "Teaches(x, y) ∧ Likes(y)",
+        "Likes(y) ∧ Teaches(x, y)",
+        "Teach(x, y) ∧ Loves(y)",
+        "Teaches(x, y)",
+        "Likes(x) ∨ Helps(y, x)",
+        "¬Likes(y) → Teaches(x, y)",
+        "Helps(x, y) ∧ Loves(y) ∧ Knows(x)",
+        "Knows(x) ↔ Likes(y)",
+    ]
+    reference = "Teaches(x, y) ∧ Loves(y)"
+    texts = {"Teaches(x, y)", "Likes(y)", "Teach(x, y)", "Loves(y)", "Likes(x)", "Helps(y, x)", "Helps(x, y)", "Knows(x)"}
+    _gram_vector.cache_clear()
+    try:
+        first = score_group(predictions, reference, mode="optimized")
+        assert all(not isinstance(report, Exception) for report in first)
+        assert _gram_vector.cache_info().misses == len(texts)
+        score_group(list(reversed(predictions)), compile_reference(reference), mode="optimized")
+        assert _gram_vector.cache_info().misses == len(texts)
+    finally:
+        _gram_vector.cache_clear()
 
 
 # --- why one prediction's trees can share one set of tables ----------------

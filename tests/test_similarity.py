@@ -1,10 +1,19 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foleq.similarity import DEFAULT_SIMILARITY, SimilarityConfig, is_related, levenshtein, ngram_cosine
+from foleq.similarity import (
+    DEFAULT_SIMILARITY,
+    SimilarityConfig,
+    _gram_vector,
+    is_related,
+    levenshtein,
+    ngram_cosine,
+)
+from helpers import tuple_cosine, tuple_gram_vector
 
 
 # --- reference implementations -------------------------------------------------
@@ -107,6 +116,55 @@ def test_unigram_config_exact_boundary():
 @given(st.text(alphabet="abcxyz()", max_size=14), st.text(alphabet="abcxyz()", max_size=14))
 def test_cosine_matches_reference(a, b):
     assert ngram_cosine(a, b) == pytest.approx(slow_cosine(a, b), abs=1e-12)
+
+
+@st.composite
+def _sizes_and_texts(draw):
+    """A non-empty subset of {1, ..., 5} and two texts, each empty, shorter
+    than every size, mixed-case (with İ, whose lower-case form is two
+    characters), atom-like or arbitrary."""
+    sizes = frozenset(draw(st.sets(st.integers(1, 5), min_size=1)))
+    name = st.text(alphabet="AbCdİı", min_size=1, max_size=8)
+    args = st.lists(st.sampled_from("xyzİ"), max_size=3)
+    texts = st.one_of(
+        st.just(""),
+        st.text(alphabet="aAİ(", min_size=1, max_size=min(sizes) - 1) if min(sizes) > 1 else st.just(""),
+        st.text(alphabet="aAbBİi(), ", max_size=14),
+        st.builds(lambda n, a: f"{n}({', '.join(a)})", name, args),
+        st.text(max_size=10),
+    )
+    return sizes, draw(texts), draw(texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sizes_and_texts())
+def test_cosine_and_norm_equal_the_tuple_keyed_oracle_exactly(case):
+    sizes, a, b = case
+    config = SimilarityConfig(ngram_sizes=sizes)
+    assert ngram_cosine(a, b, config) == tuple_cosine(a, b, sizes)
+    for text in (a, b):
+        compared, counts, norm = _gram_vector(text, sizes)
+        oracle_text, oracle_counts, oracle_norm = tuple_gram_vector(text, sizes)
+        assert (compared, norm) == (oracle_text, oracle_norm)
+        # A string key is a full-length gram, whose length is its size.
+        assert {(len(g), g) if isinstance(g, str) else g: c for g, c in counts.items()} == oracle_counts
+
+
+def test_cached_gram_vectors_stay_small():
+    # 5,000 cosines over 5,001 distinct 20-character atom texts: the cache
+    # keeps at most 1,024 string-keyed count vectors.
+    texts = [f"Atom{i:07d}(x, y, z)" for i in range(5001)]
+    assert {len(text) for text in texts} == {20}
+    _gram_vector.cache_clear()
+    tracemalloc.start()
+    try:
+        for a, b in zip(texts, texts[1:]):
+            ngram_cosine(a, b)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _gram_vector.cache_clear()
+    assert traced < 8 * 2**20
 
 
 @settings(max_examples=200, deadline=None)
