@@ -65,6 +65,7 @@ from .syntax import (
     FolExpr,
     FormulaError,
     Renaming,
+    Token,
     atoms_of,  # unused here, but tracers patch this attribute
     canonicalize,  # unused here, but tracers patch this attribute
     cap_tokens,
@@ -769,6 +770,11 @@ def bind_optimized(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -
 
 
 def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config: LeConfig) -> LeReport:
+    """Lex ``prediction`` and score its tokens (``_score_tokens``)."""
+    return _score_tokens(lex(prediction), ref, mode, config)
+
+
+def _score_tokens(tokens: list[Token], ref: CompiledReference, mode: str, config: LeConfig) -> LeReport:
     """Bind every reading that enumerate_bracketings gives.  Readings keep
     the quantifiers and atoms in one pre-order, so the prediction is parsed
     and lowered once, straight to the renaming, the atom list and the
@@ -782,7 +788,7 @@ def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config
     the report: the first best reading's binding and score, with one
     reading's counters times the number of readings."""
     lowering = _Lowering()
-    wrapped, operands, ops = split_chain(lex(prediction), nodes=lowering)
+    wrapped, operands, ops = split_chain(tokens, nodes=lowering)
     negated = False
     while wrapped is not None and wrapped[0] == "not":
         negated, wrapped = not negated, wrapped[1]

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import open_text
-from .equivalence import CompiledReference, compile_reference, score_group
+from .equivalence import DEFAULT_LE, CompiledReference, _score_tokens, compile_reference
 from .equivalence import le_score  # noqa: F401  (foleq.sgrpo.le_score stays importable; perfbench wraps it)
-from .syntax import FormulaError
+from .syntax import FormulaError, _word_lexer
 
 # The half-width of the clip interval around a ratio of 1.
 CLIP_EPSILON = 0.2
@@ -379,35 +379,45 @@ def default_demo_config(
     return TrainDemoConfig(vocab=vocab, references=references, iterations=iterations, hp=hp)
 
 
-# Prediction texts whose reward one prompt remembers; a full memo is
+# Sampled sequences whose reward one prompt remembers; a full memo is
 # emptied before the next group is looked up in it.
 _REWARD_MEMO_LIMIT = 4096
 
 
 class _PromptRewards:
     """Optimized-mode rewards under the default scoring config against one
-    reference, compiled once, with a bounded memo from prediction text to
-    reward (scoring is deterministic).  A text (or the reference) that fails
-    to parse or exceeds a cap earns 0."""
+    reference, compiled once, with a bounded memo from a sampled sequence's
+    id tuple to its reward (scoring is deterministic).  ``tokens`` maps an
+    id sequence to the tokens of its words joined by spaces (a
+    ``syntax._word_lexer``), so no text is joined or lexed.  A sequence (or
+    the reference) that fails to lex or parse or exceeds a cap earns 0."""
 
-    def __init__(self, reference: str):
+    def __init__(self, reference: str, tokens):
         try:
             self.reference: CompiledReference | None = compile_reference(reference)
         except FormulaError:
             self.reference = None
-        self.memo: dict[str, float] = {}
+        self.tokens = tokens
+        self.memo: dict[tuple[int, ...], float] = {}
 
-    def __call__(self, texts: list[str]) -> np.ndarray:
+    def __call__(self, samples: list[list[int]]) -> list[float]:
         if self.reference is None:
-            return np.zeros(len(texts))
-        if len(self.memo) >= _REWARD_MEMO_LIMIT:
-            self.memo.clear()
-        todo = [text for text in dict.fromkeys(texts) if text not in self.memo]
-        if todo:
-            results = score_group(todo, self.reference)
-            for text, result in zip(todo, results):
-                self.memo[text] = 0.0 if isinstance(result, FormulaError) else result.score
-        return np.array([self.memo[text] for text in texts])
+            return [0.0] * len(samples)
+        memo = self.memo
+        if len(memo) >= _REWARD_MEMO_LIMIT:
+            memo.clear()
+        rewards = []
+        for sample in samples:
+            key = tuple(sample)
+            reward = memo.get(key)
+            if reward is None:
+                try:
+                    reward = _score_tokens(self.tokens(key), self.reference, "optimized", DEFAULT_LE).score
+                except FormulaError:
+                    reward = 0.0
+                memo[key] = reward
+            rewards.append(reward)
+        return rewards
 
 
 def train_demo(config: TrainDemoConfig) -> list[dict]:
@@ -421,8 +431,8 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
     current = PolicyParams(np.zeros(shape))
     ref_logp = _log_softmax(current.logits)  # the reference policy is the starting one
     labels = np.array([prompt.label for prompt in prompts])
-    reward_memos = [_PromptRewards(prompt.reference_formula) for prompt in prompts]
-    word = config.vocab.__getitem__
+    tokens = _word_lexer(config.vocab)
+    reward_memos = [_PromptRewards(prompt.reference_formula, tokens) for prompt in prompts]
     trace: list[dict] = []
 
     for iteration in range(config.iterations):
@@ -432,8 +442,7 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
         probs = np.exp(logp)
         outputs, old_logprobs = _sample(logp, probs, hp.group_size, rng)
         rewards = np.array([
-            prompt_rewards([" ".join(map(word, output)) for output in prompt_outputs])
-            for prompt_rewards, prompt_outputs in zip(reward_memos, outputs.tolist())
+            prompt_rewards(prompt_outputs) for prompt_rewards, prompt_outputs in zip(reward_memos, outputs.tolist())
         ])
         group = SampleGroup(outputs, old_logprobs, rewards, group_advantages(rewards))
         parts, grad = _objective_and_gradient(logp, probs, ref_logp, labels, group, hp)

@@ -25,6 +25,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
+from typing import Sequence
 
 # Token kinds.
 FORALL = "forall"
@@ -122,6 +123,45 @@ def lex(text: str) -> list[Token]:
             raise LexError(f"unexpected character {stray!r}", offset)
         append((kind(word, IDENT), word, offset))
         offset += len(word)
+    return tokens
+
+
+def _word_lexer(words: Sequence[str]):
+    """A function from a sequence of indices into ``words`` to the tokens of
+    ``lex(" ".join(words[i] for i in ids))``, with each word lexed once here.
+
+    No token holds whitespace, and a word's last token ends where the word
+    ends or at whitespace, so the joined text's tokens are its words' tokens
+    in order, each offset shifted by its word's start (the sum of
+    ``len(word) + 1`` over the words before it).  A word's tokens shifted to
+    a start are kept, so each (word, start) pair is shifted once.  A
+    sequence holding a word that does not lex raises the ``LexError`` that
+    the joined text raises: the first such word's, at its shifted offset."""
+    lexed: list[list[Token] | int] = []  # a word's tokens, or its first stray's offset
+    for word in words:
+        try:
+            lexed.append(lex(word))
+        except LexError as error:
+            lexed.append(error.position)
+    widths = [len(word) + 1 for word in words]
+    n = len(words)
+    shifted: dict[int, list[Token]] = {}  # start * n + index -> shifted tokens
+
+    def tokens(ids: Sequence[int]) -> list[Token]:
+        out: list[Token] = []
+        start = 0
+        for i in ids:
+            key = start * n + i
+            word_tokens = shifted.get(key)
+            if word_tokens is None:
+                word_tokens = lexed[i]
+                if isinstance(word_tokens, int):
+                    raise LexError(f"unexpected character {words[i][word_tokens]!r}", start + word_tokens)
+                word_tokens = shifted[key] = [(kind, text, start + offset) for kind, text, offset in word_tokens]
+            out += word_tokens
+            start += widths[i]
+        return out
+
     return tokens
 
 

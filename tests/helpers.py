@@ -9,9 +9,9 @@ the per-reading loop binds every bracketing tree of a prediction from
 scratch through it, the n-gram oracle keys every gram by its (size,
 text) pair and counts it one position at a time, the S-GRPO oracle
 computes the objective and its gradient one sample at a time, the
-demo-trainer oracle samples, scores and steps one prompt at a time, the
-BLEU oracle re-counts both sides of every pair, the lexer oracle reads
-one character at a time, and the lowering oracle renames, lists atoms
+demo-trainer oracle samples, scores joined texts and steps one prompt at a
+time, the BLEU oracle re-counts both sides of every pair, the lexer oracle
+reads one character at a time, and the lowering oracle renames, lists atoms
 and compiles a skeleton in three separate walks.  Slow but obviously correct, which is the point.
 """
 
@@ -35,13 +35,13 @@ from foleq.equivalence import (
     _AtomTables,
     _enumerate,
     compile_reference,
+    score_group,
 )
 from foleq.sgrpo import (
     CLIP_EPSILON,
     SEQUENCE_LENGTH,
     ObjectiveParts,
     PolicyParams,
-    _PromptRewards,
     group_advantages,
     kl_estimate,
     sample_group,
@@ -65,6 +65,7 @@ from foleq.syntax import (
     Binary,
     CapExceeded,
     FolExpr,
+    FormulaError,
     LexError,
     Not,
     Quantified,
@@ -560,18 +561,39 @@ def per_sample_gradient(current, reference, prompt, group, hp) -> np.ndarray:
 # --- per-prompt S-GRPO demo loop --------------------------------------------------
 
 
+def text_rewards(reference: str):
+    """A prompt's rewards by text: each sampled text is scored by
+    ``score_group`` the first time it is seen, and a text (or the reference)
+    that fails to parse or exceeds a cap earns 0."""
+    try:
+        compiled = compile_reference(reference)
+    except FormulaError:
+        compiled = None
+    memo: dict[str, float] = {}
+
+    def rewards(texts: list[str]) -> np.ndarray:
+        if compiled is None:
+            return np.zeros(len(texts))
+        todo = [text for text in dict.fromkeys(texts) if text not in memo]
+        for text, result in zip(todo, score_group(todo, compiled)):
+            memo[text] = 0.0 if isinstance(result, FormulaError) else result.score
+        return np.array([memo[text] for text in texts])
+
+    return rewards
+
+
 def per_prompt_train_demo(config) -> list[dict]:
-    """``train_demo`` one prompt at a time: each iteration samples and
-    scores each prompt's group in turn from the current policy, then adds
-    each prompt's per-sample objective parts and gradient slice to running
-    totals."""
+    """``train_demo`` one prompt at a time: each iteration samples each
+    prompt's group in turn from the current policy and scores the texts its
+    words join into (``text_rewards``), then adds each prompt's per-sample
+    objective parts and gradient slice to running totals."""
     hp = config.hp
     prompts = config.prompts()
     rng = np.random.default_rng(hp.seed)
     shape = (len(prompts), SEQUENCE_LENGTH, len(config.vocab))
     current = PolicyParams(np.zeros(shape))
     reference = current  # the reference policy is the starting one
-    reward_memos = [_PromptRewards(prompt.reference_formula) for prompt in prompts]
+    reward_memos = [text_rewards(prompt.reference_formula) for prompt in prompts]
     trace = []
     for iteration in range(config.iterations):
         groups = []

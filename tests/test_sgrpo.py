@@ -29,8 +29,8 @@ from foleq.sgrpo import (
     train_demo,
     write_trace,
 )
-from foleq.equivalence import le_score
-from foleq.syntax import parse
+from foleq.equivalence import le_score, score_group
+from foleq.syntax import FormulaError, LexError, _word_lexer, lex, parse
 
 from helpers import per_prompt_train_demo, per_sample_gradient, per_sample_objective
 
@@ -512,28 +512,33 @@ def test_train_demo_compiles_each_reference_once_and_scores_each_text_once(monke
         return real_compile(text)
 
     scored = []
-    real_score = foleq.equivalence._score_prediction
+    real_score = foleq.sgrpo._score_tokens
 
-    def counting_score(prediction, ref, mode, config):
-        scored.append((id(ref), prediction))
-        return real_score(prediction, ref, mode, config)
+    def counting_score(tokens, ref, mode, config):
+        scored.append((id(ref), tuple(tokens)))
+        return real_score(tokens, ref, mode, config)
 
     requested = set()
     real_call = _PromptRewards.__call__
 
-    def recording_call(self, texts):
-        requested.update((id(self.reference), text) for text in texts)
-        return real_call(self, texts)
+    def recording_call(self, samples):
+        requested.update((id(self.reference), tuple(sample)) for sample in samples)
+        return real_call(self, samples)
 
     monkeypatch.setattr(foleq.sgrpo, "compile_reference", counting_compile)
     monkeypatch.setattr(foleq.equivalence, "compile_reference", counting_compile)
-    monkeypatch.setattr(foleq.equivalence, "_score_prediction", counting_score)
+    monkeypatch.setattr(foleq.sgrpo, "_score_tokens", counting_score)
     monkeypatch.setattr(_PromptRewards, "__call__", recording_call)
     config = default_demo_config(iterations=30, seed=0)
     train_demo(config)
     assert sorted(compiled) == sorted(config.references)
     assert len(scored) == len(set(scored))
-    assert set(scored) == requested
+    # each distinct (prompt, id tuple) reaches the token entry once, with
+    # the tokens of its joined text (distinct here, as every word is one
+    # distinct token)
+    joined = {(ref, tuple(lex(" ".join(config.vocab[i] for i in ids)))) for ref, ids in requested}
+    assert len(joined) == len(requested)
+    assert set(scored) == joined
 
 
 def test_train_demo_trace_is_pinned_with_a_one_entry_reward_memo(monkeypatch):
@@ -545,9 +550,75 @@ def test_train_demo_trace_is_pinned_with_a_one_entry_reward_memo(monkeypatch):
 
 
 def test_rewards_are_zero_for_a_failed_text_or_reference():
-    assert list(_PromptRewards("A")(["A", "((", "¬" * 600 + "A"])) == [1.0, 0.0, 0.0]
+    tokens = _word_lexer(("A", "((", "¬" * 600 + "A", "B"))
+    assert _PromptRewards("A", tokens)([[0], [1], [2]]) == [1.0, 0.0, 0.0]
     for deep in ("(" * 600 + "A" + ")" * 600, " → ".join(["A"] * 1200)):
-        assert list(_PromptRewards(deep)(["A", "B"])) == [0.0, 0.0]
+        assert _PromptRewards(deep, tokens)([[0], [3]]) == [0.0, 0.0]
+
+
+# Vocabulary words: atoms of several tokens, ASCII spellings, words that
+# would merge with a neighbour but for the joining space, empty and
+# whitespace-only words, and words holding a character that starts no token.
+_WORDS = st.one_of(
+    st.sampled_from([
+        "P(x)", "Q(x, y)", "P", "Q", "x", "x1", "y", "(", ")", ",", "->", "<->", "<-", ">",
+        "forall", "exists", "∀", "∃x", "¬", "~", "∧", "&", "∨", "|", "→", "↔", "⊕", "^",
+        "", " ", "\t", "  P ", "$", "-", "1P", "P$", "x_1",
+    ]),
+    st.text(alphabet="PQxy1_ ()<->,$¬∧∀\t", max_size=6),
+)
+_VOCABS = st.lists(_WORDS, min_size=1, max_size=16, unique=True)
+
+
+def _lexed(tokens, *args):
+    """The tokens, or the type, text and offset of the LexError raised."""
+    try:
+        return tokens(*args)
+    except LexError as error:
+        return type(error), str(error), error.position
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_word_tokens_equal_the_tokens_of_the_joined_text(data):
+    words = data.draw(_VOCABS)
+    tokens = _word_lexer(words)
+    sequences = data.draw(st.lists(st.lists(st.integers(0, len(words) - 1), max_size=14), max_size=8))
+    for ids in sequences:
+        assert _lexed(tokens, ids) == _lexed(lex, " ".join(words[i] for i in ids))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rewards_from_ids_equal_score_group_on_the_joined_texts(data):
+    words = data.draw(_VOCABS)
+    samples = st.lists(st.integers(0, len(words) - 1), max_size=12)
+    reference = data.draw(
+        st.sampled_from(["P(x) -> Q(x, y)", "∀x (P(x) ∧ Q(x, y))", "P ∧ x1", "A", "(("])
+        | samples.map(lambda ids: " ".join(words[i] for i in ids))
+    )
+    rewards = _PromptRewards(reference, _word_lexer(words))
+    for group in data.draw(st.lists(st.lists(samples, min_size=1, max_size=6), max_size=3)):
+        texts = [" ".join(words[i] for i in ids) for ids in group]
+        try:
+            results = score_group(texts, reference)
+        except FormulaError:
+            expected = [0.0] * len(texts)
+        else:
+            expected = [0.0 if isinstance(result, FormulaError) else result.score for result in results]
+        assert rewards(group) == expected
+
+
+def test_train_demo_equals_the_per_prompt_reference_over_words_of_any_shape():
+    # a word of several tokens, an ASCII connective and a word that does not
+    # lex: the id path must give the text path's trace
+    vocab = ("(", ")", "P(x)", "Q", "R", "x", "¬", "∧", "->", "y", "$")
+    references = ("P(x) -> ¬ Q ( x ) ∧ R ( y )", "( P(x) ∧ ¬ R ( x ) ) -> ¬ P(x)")
+    hp = Hyperparams(group_size=6, seed=3)
+    config = TrainDemoConfig(vocab=vocab, references=references, iterations=30, hp=hp)
+    trace = train_demo(config)
+    assert json.dumps(trace) == json.dumps(per_prompt_train_demo(config))
+    assert any(record["mean_reward"] > 0.0 for record in trace)
 
 
 def test_write_trace_round_trips(tmp_path):
