@@ -23,6 +23,13 @@ A demo iteration is one step over every prompt at once, on arrays shaped
 (prompts, group, positions, vocab): one log-softmax and one ``exp`` serve
 the sampling, the sampling log-probs and the objective, since the policy
 moves once per iteration.  Only the reward lookups run per prompt.
+What no iteration changes is built once per call: the index grids, the
+labels' log-probs under the frozen reference policy and the supervised
+gradient's label one-hot.  Every reduction is a direct ufunc call that
+repeats numpy's own float steps (a mean is ``np.add.reduce`` over the axis
+divided by its length, a standard deviation the square root of the mean
+squared deviation from that mean, as ``ndarray.std`` computes it), so a
+demo trace stays bit-identical to stepping one prompt at a time.
 ``sample_group``, ``sgrpo_objective``, ``objective_gradient`` and
 ``group_advantages`` are the one-prompt case of the same code.
 """
@@ -32,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +97,8 @@ class PromptSpec:
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-softmax over the last (vocab) axis."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +110,7 @@ class PolicyParams:
     def __post_init__(self):
         if self.logits.ndim != 3:
             raise ValueError("logits must be (prompts, positions, vocab)")
-        if not np.all(np.isfinite(self.logits)):
+        if not np.isfinite(self.logits).all():
             raise ValueError("logits must be finite")
 
     def log_probs(self, prompt_id: int) -> np.ndarray:
@@ -126,24 +134,38 @@ class SampleGroup:
         if self.rewards is not None:
             if self.rewards.shape != self.outputs.shape[:-1]:
                 raise ValueError("rewards must have one entry per sampled sequence")
-            if np.any(self.rewards < 0.0) or np.any(self.rewards > 1.0):
+            # every comparison with NaN is false, so a NaN reward fails this
+            if not ((0.0 <= self.rewards) & (self.rewards <= 1.0)).all():
                 raise ValueError("rewards must lie in [0, 1]")
 
 
+class _Grids(NamedTuple):
+    """Index arrays that pick entry [p, g, t] of a (P, G, T) draw out of a
+    (P, ..., T, V) array, and the draw's shape."""
+
+    prompts: np.ndarray  # (P, 1, 1)
+    samples: np.ndarray  # (G, 1)
+    positions: np.ndarray  # (T,)
+    shape: tuple[int, int, int]
+
+
+def _grids(P: int, G: int, T: int) -> _Grids:
+    return _Grids(np.arange(P)[:, None, None], np.arange(G)[:, None], np.arange(T), (P, G, T))
+
+
 def _sample(
-    logp: np.ndarray, probs: np.ndarray, group_size: int, rng: np.random.Generator
+    logp: np.ndarray, probs: np.ndarray, grids: _Grids, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``group_size`` sequences per prompt from the policy whose (P, T, V)
-    log-softmax is ``logp`` and softmax ``probs``, with one (P, G, T) draw:
-    the token ids and their log-probs, both (P, G, T)."""
-    P, T, _ = probs.shape
+    """G sequences per prompt from the policy whose (P, T, V) log-softmax
+    is ``logp`` and softmax ``probs``, with one (P, G, T) draw: the token
+    ids and their log-probs, both (P, G, T)."""
     # Draws lie in [0, 1) and the last cumulative probability is 1, so no
     # count of the cumulative probabilities at or below a draw reaches V.
-    cumulative = np.cumsum(probs, axis=-1)
+    cumulative = np.add.accumulate(probs, axis=-1)
     cumulative[..., -1] = 1.0
-    draws = rng.random((P, group_size, T))
-    outputs = (draws[..., None] >= cumulative[:, None]).sum(axis=-1)
-    return outputs, logp[np.arange(P)[:, None, None], np.arange(T), outputs]
+    draws = rng.random(grids.shape)
+    outputs = np.add.reduce(draws[..., None] >= cumulative[:, None], axis=-1)
+    return outputs, logp[grids.prompts, grids.positions, outputs]
 
 
 def sample_group(
@@ -158,7 +180,8 @@ def sample_group(
     if rng is None:
         rng = np.random.default_rng(hp.seed)
     logp = policy.log_probs(prompt.prompt_id)[None]
-    outputs, old_logprobs = _sample(logp, np.exp(logp), hp.group_size, rng)
+    grids = _grids(1, hp.group_size, logp.shape[1])
+    outputs, old_logprobs = _sample(logp, np.exp(logp), grids, rng)
     return SampleGroup(outputs=outputs[0], old_logprobs=old_logprobs[0])
 
 
@@ -168,10 +191,12 @@ def group_advantages(rewards: np.ndarray) -> np.ndarray:
     (floored at ``STD_EPSILON``).  An all-equal group yields all-zero
     advantages."""
     rewards = np.asarray(rewards, dtype=float)
-    centered = rewards - rewards.mean(axis=-1, keepdims=True)
-    scale = np.maximum(rewards.std(axis=-1, keepdims=True), STD_EPSILON)
+    G = rewards.shape[-1]
+    centered = rewards - np.add.reduce(rewards, axis=-1, keepdims=True) / G
+    # the population standard deviation, in the steps of ndarray.std
+    scale = np.maximum(np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / G), STD_EPSILON)
     # summing identical floats can round, leaving a spurious residue after centering
-    equal = np.all(rewards == rewards[..., :1], axis=-1, keepdims=True)
+    equal = np.logical_and.reduce(rewards == rewards[..., :1], axis=-1, keepdims=True)
     return np.where(equal, 0.0, centered / scale)
 
 
@@ -208,19 +233,44 @@ class ObjectiveParts:
     kl: float
 
 
+@dataclass(frozen=True, eq=False)
+class _Frozen:
+    """What no step of a call changes, since the reference policy and the
+    labels are fixed: the index grids of the draws, the reference
+    log-softmax, the labels with their index grids and reference log-probs,
+    and the supervised gradient's label one-hot."""
+
+    grids: _Grids
+    ref_logp: np.ndarray  # (P, T, V)
+    labels: np.ndarray  # (P, L)
+    label_prompts: np.ndarray  # (P, 1)
+    label_positions: np.ndarray  # (L,)
+    ref_label_logp: np.ndarray  # (P, L)
+    label_onehot: np.ndarray  # (P, T, V), 1.0 at each label token
+
+
+def _frozen(ref_logp: np.ndarray, labels: np.ndarray, shape: tuple[int, int, int]) -> _Frozen:
+    """The frozen arrays of steps over (P, G, T) draws."""
+    grids = _grids(*shape)
+    label_prompts = grids.prompts[:, 0]
+    label_positions = np.arange(labels.shape[-1])
+    label_onehot = np.zeros_like(ref_logp)
+    label_onehot[label_prompts, label_positions, labels] = 1.0
+    ref_label_logp = ref_logp[label_prompts, label_positions, labels]
+    return _Frozen(grids, ref_logp, labels, label_prompts, label_positions, ref_label_logp, label_onehot)
+
+
 def _objective_and_gradient(
     logp: np.ndarray,
     probs: np.ndarray,
-    ref_logp: np.ndarray,
-    labels: np.ndarray,
+    frozen: _Frozen,
     group: SampleGroup,
     hp: Hyperparams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The objective parts of every prompt's group and their analytic
     gradient in the logits, vectorized over the P prompts and G samples.
-    ``logp`` is the current log-softmax, ``probs`` its ``exp`` and
-    ``ref_logp`` the reference log-softmax, each (P, T, V); ``labels`` is
-    (P, L) and ``group`` holds (P, G, T) samples with their advantages.
+    ``logp`` is the current log-softmax and ``probs`` its ``exp``, each
+    (P, T, V), and ``group`` holds (P, G, T) samples with their advantages.
     Returns the parts as (P, 4) rows of (total, surrogate, sft, kl) and the
     (P, T, V) gradient.
 
@@ -229,14 +279,13 @@ def _objective_and_gradient(
     bit-identical to one."""
     adv = group.advantages
     outputs = group.outputs
-    P, G, T = outputs.shape
-    prompt_index = np.arange(P)[:, None, None]
-    positions = np.arange(T)
-    lp_cur = logp[prompt_index, positions, outputs]  # (P, G, T)
-    lp_ref = ref_logp[prompt_index, positions, outputs]
-    ratios = np.exp((lp_cur - group.old_logprobs).sum(axis=-1))  # (P, G)
+    grids = frozen.grids
+    P, G, T = grids.shape
+    lp_cur = logp[grids.prompts, grids.positions, outputs]  # (P, G, T)
+    lp_ref = frozen.ref_logp[grids.prompts, grids.positions, outputs]
+    ratios = np.exp(np.add.reduce(lp_cur - group.old_logprobs, axis=-1))  # (P, G)
     low, high = 1.0 - CLIP_EPSILON, 1.0 + CLIP_EPSILON
-    clipped = np.clip(ratios, low, high)
+    clipped = np.minimum(np.maximum(ratios, low), high)
     not_clipped = (low < ratios) & (ratios < high)
     if hp.use_ppo_min:
         unclipped_terms, clipped_terms = ratios * adv, clipped * adv
@@ -249,17 +298,19 @@ def _objective_and_gradient(
         active = not_clipped
     log_r = lp_ref - lp_cur
     r = np.exp(log_r)
-    kl = (r - log_r - 1.0).mean(axis=-1).mean(axis=-1)
-    label_index = np.arange(P)[:, None]
-    label_positions = np.arange(labels.shape[-1])
-    sft = (logp[label_index, label_positions, labels] - ref_logp[label_index, label_positions, labels]).sum(axis=-1)
-    surrogate = surrogate_terms.mean(axis=-1)
-    total = surrogate + hp.sft_weight * sft - hp.kl_beta * kl
-    parts = np.stack([total, surrogate, sft, kl], axis=-1)
+    kl = np.add.reduce(np.add.reduce(r - log_r - 1.0, axis=-1) / T, axis=-1) / G
+    label_logp = logp[frozen.label_prompts, frozen.label_positions, frozen.labels]
+    sft = np.add.reduce(label_logp - frozen.ref_label_logp, axis=-1)
+    surrogate = np.add.reduce(surrogate_terms, axis=-1) / G
+    parts = np.empty((P, 4))
+    parts[:, 0] = surrogate + hp.sft_weight * sft - hp.kl_beta * kl
+    parts[:, 1] = surrogate
+    parts[:, 2] = sft
+    parts[:, 3] = kl
 
     # d log pi(o_t) / d z[t, v] = onehot(o_t) - p[t]
     onehot = np.zeros((P, G) + probs.shape[1:])
-    onehot[prompt_index, np.arange(G)[:, None], positions, outputs] = 1.0
+    onehot[grids.prompts, grids.samples, grids.positions, outputs] = 1.0
     d_logp = onehot - probs[:, None]
     coeff = np.where(active, adv * ratios, 0.0)
     surrogate_grads = (coeff / G)[..., None, None] * d_logp
@@ -272,11 +323,11 @@ def _objective_and_gradient(
     else:
         terms = surrogate_grads
     # a sum over an outer axis adds its slices in order
-    grad = terms.sum(axis=1)
+    grad = np.add.reduce(terms, axis=1)
     if hp.sft_weight != 0.0:
-        sft_grad = np.zeros_like(probs)
-        sft_grad[label_index, label_positions, labels] += 1.0
-        sft_grad[:, label_positions] -= probs[:, label_positions]
+        L = len(frozen.label_positions)
+        sft_grad = frozen.label_onehot.copy()
+        sft_grad[:, :L] -= probs[:, :L]
         grad += hp.sft_weight * sft_grad
     return parts, grad
 
@@ -295,9 +346,8 @@ def _one_prompt(
     pid = prompt.prompt_id
     logp = current.log_probs(pid)[None]
     batch = SampleGroup(group.outputs[None], group.old_logprobs[None], advantages=group.advantages[None])
-    parts, grad = _objective_and_gradient(
-        logp, np.exp(logp), reference.log_probs(pid)[None], np.array([prompt.label]), batch, hp
-    )
+    frozen = _frozen(reference.log_probs(pid)[None], np.array([prompt.label]), batch.outputs.shape)
+    parts, grad = _objective_and_gradient(logp, np.exp(logp), frozen, batch, hp)
     return ObjectiveParts(*map(float, parts[0])), grad[0]
 
 
@@ -429,8 +479,9 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
     rng = np.random.default_rng(hp.seed)
     shape = (len(prompts), SEQUENCE_LENGTH, len(config.vocab))
     current = PolicyParams(np.zeros(shape))
-    ref_logp = _log_softmax(current.logits)  # the reference policy is the starting one
     labels = np.array([prompt.label for prompt in prompts])
+    # the reference policy is the starting one
+    frozen = _frozen(_log_softmax(current.logits), labels, (len(prompts), hp.group_size, SEQUENCE_LENGTH))
     tokens = _word_lexer(config.vocab)
     reward_memos = [_PromptRewards(prompt.reference_formula, tokens) for prompt in prompts]
     trace: list[dict] = []
@@ -440,22 +491,24 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
         # the current one: one log-softmax serves every phase.
         logp = _log_softmax(current.logits)
         probs = np.exp(logp)
-        outputs, old_logprobs = _sample(logp, probs, hp.group_size, rng)
+        outputs, old_logprobs = _sample(logp, probs, frozen.grids, rng)
         rewards = np.array([
             prompt_rewards(prompt_outputs) for prompt_rewards, prompt_outputs in zip(reward_memos, outputs.tolist())
         ])
         group = SampleGroup(outputs, old_logprobs, rewards, group_advantages(rewards))
-        parts, grad = _objective_and_gradient(logp, probs, ref_logp, labels, group, hp)
+        parts, grad = _objective_and_gradient(logp, probs, frozen, group, hp)
         current = PolicyParams(current.logits + hp.learning_rate * grad)
 
         pooled = rewards.ravel()
+        mean_reward = np.add.reduce(pooled) / pooled.size
+        deviations = pooled - mean_reward
         # a running total over the prompts, in order, from 0.0
-        mean_parts = parts.sum(axis=0, initial=0.0) / len(prompts)
+        mean_parts = np.add.reduce(parts, axis=0, initial=0.0) / len(prompts)
         trace.append(
             {
                 "iter": iteration,
-                "mean_reward": float(pooled.mean()),
-                "reward_std": float(pooled.std()),
+                "mean_reward": float(mean_reward),
+                "reward_std": float(np.sqrt(np.add.reduce(deviations * deviations) / pooled.size)),
                 "surrogate": float(mean_parts[1]),
                 "sft": float(mean_parts[2]),
                 "kl": float(mean_parts[3]),

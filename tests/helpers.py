@@ -7,10 +7,11 @@ forward search scores one reading at a time against the reference's own
 table (it shares only the library's search plan and assignment walk),
 the per-reading loop binds every bracketing tree of a prediction from
 scratch through it, the n-gram oracle keys every gram by its (size,
-text) pair and counts it one position at a time, the S-GRPO oracle
-computes the objective and its gradient one sample at a time, the
-demo-trainer oracle samples, scores joined texts and steps one prompt at a
-time, the BLEU oracle re-counts both sides of every pair, the lexer oracle
+text) pair and counts it one position at a time, the advantages oracle
+takes numpy's own ``mean`` and ``std``, the S-GRPO oracle computes the
+objective and its gradient one sample at a time, the demo-trainer oracle
+samples, scores joined texts, takes that oracle's advantages and steps one
+prompt at a time, the BLEU oracle re-counts both sides of every pair, the lexer oracle
 reads one character at a time, and the lowering oracle renames, lists atoms
 and compiles a skeleton in three separate walks.  Slow but obviously correct, which is the point.
 """
@@ -40,9 +41,9 @@ from foleq.equivalence import (
 from foleq.sgrpo import (
     CLIP_EPSILON,
     SEQUENCE_LENGTH,
+    STD_EPSILON,
     ObjectiveParts,
     PolicyParams,
-    group_advantages,
     kl_estimate,
     sample_group,
     sft_term,
@@ -476,6 +477,21 @@ def random_formula(
         return expr
 
 
+# --- group advantages through ndarray.mean and ndarray.std --------------------
+
+
+def reference_group_advantages(rewards: np.ndarray) -> np.ndarray:
+    """Group-relative advantages from numpy's own ``mean`` and ``std``:
+    centered by the group mean, divided by the population standard
+    deviation floored at ``STD_EPSILON``, and all zero for an all-equal
+    group."""
+    rewards = np.asarray(rewards, dtype=float)
+    centered = rewards - rewards.mean(axis=-1, keepdims=True)
+    scale = np.maximum(rewards.std(axis=-1, keepdims=True), STD_EPSILON)
+    equal = np.all(rewards == rewards[..., :1], axis=-1, keepdims=True)
+    return np.where(equal, 0.0, centered / scale)
+
+
 # --- per-sample S-GRPO objective and gradient ----------------------------------
 
 
@@ -601,7 +617,7 @@ def per_prompt_train_demo(config) -> list[dict]:
             group = sample_group(current, prompt, hp, rng)
             texts = [" ".join(config.vocab[t] for t in output) for output in group.outputs]
             rewards = prompt_rewards(texts)
-            groups.append(replace(group, rewards=rewards, advantages=group_advantages(rewards)))
+            groups.append(replace(group, rewards=rewards, advantages=reference_group_advantages(rewards)))
 
         parts_acc = np.zeros(4)
         grad = np.zeros_like(current.logits)

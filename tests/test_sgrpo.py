@@ -32,7 +32,7 @@ from foleq.sgrpo import (
 from foleq.equivalence import le_score, score_group
 from foleq.syntax import FormulaError, LexError, _word_lexer, lex, parse
 
-from helpers import per_prompt_train_demo, per_sample_gradient, per_sample_objective
+from helpers import per_prompt_train_demo, per_sample_gradient, per_sample_objective, reference_group_advantages
 
 
 def make_policy(rng, prompts=2, length=4, vocab=5, scale=0.8):
@@ -100,6 +100,33 @@ def test_advantages_of_many_groups_equal_row_by_row_calls():
         assert got.tobytes() == group_advantages(row).tobytes()
     assert np.all(batched[1] == 0.0)
     assert np.abs(batched[2]).max() < 1e-3
+
+
+# few distinct values, so rows repeat them, plus any value in [0, 1]
+_REWARDS = st.one_of(st.sampled_from([0.0, 1e-12, 0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _reward_groups(draw):
+    """(G,) rewards, or (P, G) rewards with some all-equal rows."""
+    size = draw(st.integers(2, 16))
+
+    def row():
+        if draw(st.booleans()):
+            return [draw(_REWARDS)] * size
+        return draw(st.lists(_REWARDS, min_size=size, max_size=size))
+
+    rewards = np.array([row() for _ in range(draw(st.integers(1, 5)))])
+    return rewards[0] if draw(st.booleans()) else rewards
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reward_groups())
+def test_group_advantages_equal_numpys_mean_and_std(rewards):
+    got, want = group_advantages(rewards), reference_group_advantages(rewards)
+    assert got.shape == rewards.shape
+    # bit for bit, so -0.0 and 0.0 differ too
+    assert got.tobytes() == want.tobytes()
 
 
 # --- KL and SFT terms --------------------------------------------------------------
@@ -216,6 +243,15 @@ def test_sample_group_rejects_bad_rewards():
         replace(group, rewards=np.array([0.5, 1.5, 0.0, 0.0]))
     with pytest.raises(ValueError):
         replace(group, rewards=np.array([0.5, 0.5]))
+
+
+def test_sample_group_refuses_a_nan_reward():
+    rng = np.random.default_rng(10)
+    group = sample_group(make_policy(rng), PromptSpec(0, (0,) * 4, "A"), Hyperparams(group_size=2), rng)
+    with pytest.raises(ValueError, match=r"^rewards must lie in \[0, 1\]$"):
+        replace(group, rewards=np.array([math.nan, 0.5]))
+    with pytest.raises(ValueError, match=r"^rewards must lie in \[0, 1\]$"):
+        SampleGroup(group.outputs[None], group.old_logprobs[None], np.array([[0.5, math.nan]]))
 
 
 # --- objective --------------------------------------------------------------------------
