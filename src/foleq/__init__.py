@@ -9,6 +9,7 @@ from .equivalence import (
     CompiledReference,
     LeConfig,
     LeReport,
+    Scorer,
     bind_optimized,
     bind_original,
     compile_reference,
@@ -50,7 +51,7 @@ _SGRPO_NAMES = frozenset({
 __all__ = [
     "Atom", "Binary", "BindError", "BindingMap", "BleuConfig", "CandidateGraph", "CapExceeded",
     "CompiledReference", "CorpusReport", "EvalPair", "FolExpr", "FormulaError", "LeConfig", "LeReport",
-    "LexError", "Not", "ParseError", "Quantified", "ScoreRequest", "ScoreResponse", "ServiceConfig",
+    "LexError", "Not", "ParseError", "Quantified", "ScoreRequest", "ScoreResponse", "Scorer", "ServiceConfig",
     "SimilarityConfig", "atoms_of", "bind_optimized", "bind_original", "canonicalize", "compile_reference",
     "corpus_bleu", "corpus_le", "enumerate_bracketings", "handle_request", "is_related", "le_score",
     "levenshtein", "lex", "load_pairs", "ngram_cosine", "parse", "propositional_score", "render",

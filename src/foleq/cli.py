@@ -20,7 +20,8 @@ from dataclasses import replace
 
 from .corpus import EvalPair, corpus_le, decode_json, load_pairs, open_text
 from .equivalence import MODES
-from .service import CAP_EXCEEDED, BindError, ScoreRequest, ServiceConfig, _typed, handle_request, serve, serve_socket
+from .service import CAP_EXCEEDED, BindError, ScoreRequest, ServiceConfig, handle_request, serve, serve_socket
+from .service import typed_value
 from .syntax import FormulaError, canonicalize, parse, render
 
 USAGE_ERROR = 1
@@ -253,7 +254,7 @@ def _demo_config_from_mapping(raw: dict):
     for key in ("vocab", "references"):
         if key in raw and not (isinstance(raw[key], list) and all(isinstance(v, str) for v in raw[key])):
             raise ValueError(f"{key} must be a list of strings")
-    learning_rate = _typed(raw, "learning_rate", (int, float), "a number", base.hp.learning_rate)
+    learning_rate = typed_value(raw, "learning_rate", (int, float), "a number", base.hp.learning_rate)
     # Compared before conversion, so no integer overflows; nan and the
     # infinities are Hyperparams' to refuse.
     if isinstance(learning_rate, int) and abs(learning_rate) > sys.float_info.max:
@@ -261,14 +262,14 @@ def _demo_config_from_mapping(raw: dict):
     hp = replace(
         base.hp,
         learning_rate=float(learning_rate),
-        seed=_typed(raw, "seed", int, "an integer", base.hp.seed),
-        group_size=_typed(raw, "group_size", int, "an integer", base.hp.group_size),
+        seed=typed_value(raw, "seed", int, "an integer", base.hp.seed),
+        group_size=typed_value(raw, "group_size", int, "an integer", base.hp.group_size),
     )
     config = replace(
         base,
         vocab=tuple(raw.get("vocab", base.vocab)),
         references=tuple(raw.get("references", base.references)),
-        iterations=_typed(raw, "iterations", int, "an integer", base.iterations),
+        iterations=typed_value(raw, "iterations", int, "an integer", base.iterations),
         hp=hp,
     )
     config.prompts()  # every reference must be sgrpo.SEQUENCE_LENGTH tokens of the vocab

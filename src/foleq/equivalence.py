@@ -30,21 +30,23 @@ Ties between equal-scoring bindings break toward the smaller summed edit
 distance, then toward the first-enumerated assignment, which makes both
 modes deterministic.
 
-A GRPO-style group scores many predictions against one reference, so
-``score_group`` compiles the reference once (``CompiledReference``) and
-scores each distinct prediction text once, with one renaming, atom list and
-search plan (``_AtomTables``) for all of its readings, each joined from
-operand codes.  The compiled reference remembers each prediction atom text's
-candidate row, and edit distances are computed only where the search
-enumerates.  Every prediction's bindings are walked once (``_search``),
-however many readings it has: at each binding the reference skeleton is
-evaluated once under the inverse mapping, and each distinct reading truth
-table is scored against it with one XOR; bindings that cannot change the
-report are counted, not evaluated.  The search returns the report:
-the binding and score of the first best reading, and counters that are one
-reading's walk times the number of readings.  ``bind_original`` and
-``bind_optimized`` are that search for one reading (``trees_explored`` 1),
-and ``le_score`` is the same path for a group of one.
+A GRPO-style group scores many predictions against one reference, so a
+``Scorer`` compiles the reference once (``CompiledReference``) and scores
+each distinct prediction once, with one renaming, atom list and search plan
+(``_AtomTables``) for all of its readings, each joined from operand codes.
+It is the one memo path, for each prediction's result and each prediction
+atom text's candidate row, and the one failure rule, a ``FormulaError``
+becoming that prediction's result: ``score_group``, ``le_score``,
+``corpus_le`` and the trainer's rewards all score through it.  Edit
+distances are computed only where the search enumerates.  Every
+prediction's bindings are walked once (``_search``), however many readings
+it has: at each binding the reference skeleton is evaluated once under the
+inverse mapping, and each distinct reading truth table is scored against it
+with one XOR; bindings that cannot change the report are counted, not
+evaluated.  The search returns the report: the binding and score of the
+first best reading, and counters that are one reading's walk times the
+number of readings.  ``bind_original`` and ``bind_optimized`` are that
+search for one reading (``trees_explored`` 1).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .similarity import DEFAULT_SIMILARITY, SimilarityConfig, levenshtein, ngram_cosine
 from .syntax import (
@@ -317,28 +319,14 @@ def _eval_bits(node, varmap: list[int], patterns: tuple[int, ...], mask: int) ->
     return left ^ right
 
 
-# Prediction atom texts whose candidate row one compiled reference remembers
-# per similarity config; a full memo is emptied before the next lookup.
-_CANDIDATE_ROW_LIMIT = 4096
-
-
+@dataclass(frozen=True)
 class CompiledReference:
     """A reference formula prepared once for scoring any number of
-    predictions: its distinct atoms, its compiled quantifier-free skeleton
-    and each prediction atom text's candidate row (built on first use).
-    ``compile_reference`` builds one from text."""
+    predictions: its distinct atoms and its compiled quantifier-free
+    skeleton.  ``compile_reference`` builds one from text."""
 
-    def __init__(self, atoms: tuple[str, ...], code):
-        self.atoms, self.code = atoms, code
-        self._rows: dict[SimilarityConfig, dict[str, tuple[tuple[int, float], ...]]] = {}
-
-    def candidate_rows(self, config: SimilarityConfig) -> dict[str, tuple[tuple[int, float], ...]]:
-        """The memo that ``CandidateGraph.build`` reads and fills for these
-        atoms under ``config``."""
-        rows = self._rows.setdefault(config, {})
-        if len(rows) >= _CANDIDATE_ROW_LIMIT:
-            rows.clear()
-        return rows
+    atoms: tuple[str, ...]
+    code: object
 
 
 def compile_reference(reference: str) -> CompiledReference:
@@ -442,18 +430,13 @@ class _AtomTables:
     assignment leaves unbound.  ``candidates`` gives each of those atoms its
     candidate reference atoms as (index, edit distance) in ascending
     (distance, index) order; no other edit distance is computed.  They are
-    the atom's memo row that ``CandidateGraph.build`` has just filled, or
-    every reference atom in original mode.
+    the atom's row in ``rows``, the candidate-row memo of this reference and
+    ``config`` that ``CandidateGraph.build`` reads and fills, or every
+    reference atom in original mode.
     ``component_cap`` is ``COMPONENT_CAP``, or None in original mode, whose
     atom count ``MAX_FACTORIAL_ATOMS`` bounds instead."""
 
-    def __init__(
-        self,
-        pred_atoms: tuple[str, ...],
-        ref: CompiledReference,
-        mode: str,
-        config: LeConfig,
-    ):
+    def __init__(self, pred_atoms: tuple[str, ...], ref: CompiledReference, mode: str, config: LeConfig, rows: dict):
         self.pred_atoms = pred_atoms
         self.ref = ref
         self.mode = mode
@@ -465,7 +448,6 @@ class _AtomTables:
             components: Sequence[Component] = (Component(tuple(range(n_p)), tuple(range(n_r))),)
             self.component_cap: int | None = None
         else:
-            rows = ref.candidate_rows(config.similarity)
             components = CandidateGraph.build(pred_atoms, ref.atoms, config.similarity, rows).components
             self.component_cap = COMPONENT_CAP
         self.start: list[int | None] = [None] * n_p
@@ -734,7 +716,7 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
 def _bind(pred: FolExpr, ref: FolExpr, mode: str, config: LeConfig) -> LeReport:
     compiled = _compile_tree(ref)
     lowered = _compile_tree(pred)
-    return _search([lowered.code], _AtomTables(lowered.atoms, compiled, mode, config))
+    return _search([lowered.code], _AtomTables(lowered.atoms, compiled, mode, config, {}))
 
 
 def bind_original(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -> LeReport:
@@ -769,12 +751,12 @@ def bind_optimized(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -
 # --- top-level scoring -------------------------------------------------------
 
 
-def _score_prediction(prediction: str, ref: CompiledReference, mode: str, config: LeConfig) -> LeReport:
-    """Lex ``prediction`` and score its tokens (``_score_tokens``)."""
-    return _score_tokens(lex(prediction), ref, mode, config)
+# The entries each memo of a ``Scorer`` holds, its results and its candidate
+# rows; a full memo is emptied at the start of the next call, never during one.
+_MEMO_LIMIT = 4096
 
 
-def _score_tokens(tokens: list[Token], ref: CompiledReference, mode: str, config: LeConfig) -> LeReport:
+def _score_tokens(tokens: list[Token], ref: CompiledReference, mode: str, config: LeConfig, rows: dict) -> LeReport:
     """Bind every reading that enumerate_bracketings gives.  Readings keep
     the quantifiers and atoms in one pre-order, so the prediction is parsed
     and lowered once, straight to the renaming, the atom list and the
@@ -786,7 +768,8 @@ def _score_tokens(tokens: list[Token], ref: CompiledReference, mode: str, config
     the reading.  So every reading goes to one ``_search``, which walks the
     bindings once, scores each distinct table at every binding and returns
     the report: the first best reading's binding and score, with one
-    reading's counters times the number of readings."""
+    reading's counters times the number of readings.  ``rows`` is the
+    candidate-row memo of ``ref`` and ``config`` (see ``_AtomTables``)."""
     lowering = _Lowering()
     wrapped, operands, ops = split_chain(tokens, nodes=lowering)
     negated = False
@@ -794,7 +777,52 @@ def _score_tokens(tokens: list[Token], ref: CompiledReference, mode: str, config
         negated, wrapped = not negated, wrapped[1]
     readings = chain_readings(operands, ops, config.chunk_size, lowering.join)
     skeletons = [("not", reading) if negated else reading for reading in readings]
-    return _search(skeletons, _AtomTables(lowering.atoms(), ref, mode, config))
+    return _search(skeletons, _AtomTables(lowering.atoms(), ref, mode, config, rows))
+
+
+class Scorer:
+    """Scores predictions against one reference, in one mode under one
+    config: a call gives each prediction its ``LeReport`` or the
+    ``FormulaError`` it raised, without its traceback.  The reference is
+    compiled once (a ``CompiledReference`` is taken as given).  A prediction
+    is text for ``syntax.lex``, or any key that ``tokens`` lexes, such as a
+    ``syntax.word_lexer``'s id tuple.  Each distinct prediction is scored
+    once, so equal ones share a report (treat it as read-only), and each
+    prediction atom text's candidate row is built once.  Each memo holds up
+    to ``_MEMO_LIMIT`` entries, and a full one is emptied only at the start
+    of a call.  An unknown mode raises ``ValueError`` and a reference that
+    fails to parse raises its ``FormulaError``."""
+
+    def __init__(
+        self, reference: str | CompiledReference, mode: str = "optimized", config: LeConfig = DEFAULT_LE, tokens=None
+    ):
+        if mode not in MODES:
+            raise ValueError(f"unknown scoring mode {mode!r}")
+        self.reference = reference if isinstance(reference, CompiledReference) else compile_reference(reference)
+        self.mode, self.config, self.tokens = mode, config, tokens
+        self.results: dict[Hashable, LeReport | FormulaError] = {}
+        self.rows: dict[str, tuple[tuple[int, float], ...]] = {}
+
+    def __call__(self, predictions: Iterable[Hashable]) -> list[LeReport | FormulaError]:
+        results, rows = self.results, self.rows
+        for memo in (results, rows):
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+        # ``lex`` is read at each call, so a tracer that wraps it sees it.
+        tokens = lex if self.tokens is None else self.tokens
+        out = []
+        for prediction in predictions:
+            result = results.get(prediction)
+            if result is None:
+                try:
+                    result = _score_tokens(tokens(prediction), self.reference, self.mode, self.config, rows)
+                except FormulaError as exc:
+                    # The traceback's frames lead back to this frame, which holds
+                    # the exception: dropping it avoids a cycle per failure.
+                    result = exc.with_traceback(None)
+                results[prediction] = result
+            out.append(result)
+        return out
 
 
 def score_group(
@@ -803,34 +831,14 @@ def score_group(
     mode: str = "optimized",
     config: LeConfig = DEFAULT_LE,
 ) -> list[LeReport | FormulaError]:
-    """Score each of ``predictions`` against one shared ``reference``.
-
-    The reference is compiled once (pass a ``CompiledReference`` to reuse
-    one across calls) and each distinct prediction text is scored once, so
-    equal predictions share one ``LeReport``; treat reports as read-only.
-    The result is aligned with ``predictions``: a report, or the
-    ``FormulaError`` that prediction raised (without its traceback).  An
-    unknown mode raises ``ValueError`` and a reference that fails to parse
-    raises its ``FormulaError``.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown scoring mode {mode!r}")
-    if not isinstance(reference, CompiledReference):
-        reference = compile_reference(reference)
-    scored: dict[str, LeReport | FormulaError] = {}
-    results = []
-    for prediction in predictions:
-        result = scored.get(prediction)
-        if result is None:
-            try:
-                result = _score_prediction(prediction, reference, mode, config)
-            except FormulaError as exc:
-                # The traceback's frames lead back to this frame, which holds
-                # the exception: dropping it avoids a cycle per failure.
-                result = exc.with_traceback(None)
-            scored[prediction] = result
-        results.append(result)
-    return results
+    """Score each of ``predictions`` against one shared ``reference``: one
+    call of a fresh ``Scorer``, so the reference is compiled once and each
+    distinct prediction text is scored once.  Keep a ``Scorer`` to keep its
+    memos across calls.  The result is aligned with ``predictions``: a
+    report, or the ``FormulaError`` that prediction raised.  An unknown
+    mode raises ``ValueError`` and a reference that fails to parse raises
+    its ``FormulaError``."""
+    return Scorer(reference, mode, config)(predictions)
 
 
 def le_score(

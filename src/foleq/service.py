@@ -49,16 +49,16 @@ def _le_config(raw: dict, base: LeConfig) -> LeConfig:
     if not _LE_KEYS & raw.keys():
         return base
     sim = base.similarity
-    sizes = _typed(raw, "ngram_sizes", list, "a list of positive integers", sim.ngram_sizes)
+    sizes = typed_value(raw, "ngram_sizes", list, "a list of positive integers", sim.ngram_sizes)
     if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in sizes):
         raise ValueError(f"ngram_sizes must be a list of positive integers, not {sizes!r}")
     sim = replace(sim, threshold=_fraction(raw, "threshold", sim.threshold), ngram_sizes=frozenset(sizes))
-    chunk_size = _typed(raw, "chunk_size", int, "an integer", base.chunk_size)
-    max_atoms = _typed(raw, "max_atoms", int, "an integer", base.max_atoms)
+    chunk_size = typed_value(raw, "chunk_size", int, "an integer", base.chunk_size)
+    max_atoms = typed_value(raw, "max_atoms", int, "an integer", base.max_atoms)
     return replace(base, similarity=sim, chunk_size=chunk_size, max_atoms=max_atoms)
 
 
-def _typed(raw: dict, key: str, types, kind: str, default):
+def typed_value(raw: dict, key: str, types, kind: str, default):
     """``raw[key]``, or ``default`` when ``raw`` has no ``key``.  A given
     value must be an instance of ``types`` and not a bool."""
     if key not in raw:
@@ -72,7 +72,7 @@ def _typed(raw: dict, key: str, types, kind: str, default):
 def _fraction(raw: dict, key: str, default: float) -> float:
     """``raw[key]`` as a float in [0, 1], or ``default`` when ``raw`` has
     no ``key``; compared before conversion, so no integer overflows."""
-    value = _typed(raw, key, (int, float), "a number", default)
+    value = typed_value(raw, key, (int, float), "a number", default)
     if not 0 <= value <= 1:  # nan fails too
         raise ValueError(f"{key} must lie in [0, 1], not {value!r}")
     return float(value)

@@ -22,7 +22,9 @@ unclipped term); ``use_ppo_min=True`` restores the conventional min form.
 A demo iteration is one step over every prompt at once, on arrays shaped
 (prompts, group, positions, vocab): one log-softmax and one ``exp`` serve
 the sampling, the sampling log-probs and the objective, since the policy
-moves once per iteration.  Only the reward lookups run per prompt.
+moves once per iteration.  Only the reward lookups run per prompt, each
+prompt's through its own ``equivalence.Scorer``, which is keyed by the
+sampled id tuples.
 What no iteration changes is built once per call: the index grids, the
 labels' log-probs under the frozen reference policy and the supervised
 gradient's label one-hot.  Every reduction is a direct ufunc call that
@@ -44,9 +46,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import open_text
-from .equivalence import DEFAULT_LE, CompiledReference, _score_tokens, compile_reference
+from .equivalence import LeReport, Scorer
 from .equivalence import le_score  # noqa: F401  (foleq.sgrpo.le_score stays importable; perfbench wraps it)
-from .syntax import FormulaError, _word_lexer
+from .syntax import FormulaError, word_lexer
 
 # The half-width of the clip interval around a ratio of 1.
 CLIP_EPSILON = 0.2
@@ -429,45 +431,23 @@ def default_demo_config(
     return TrainDemoConfig(vocab=vocab, references=references, iterations=iterations, hp=hp)
 
 
-# Sampled sequences whose reward one prompt remembers; a full memo is
-# emptied before the next group is looked up in it.
-_REWARD_MEMO_LIMIT = 4096
-
-
 class _PromptRewards:
     """Optimized-mode rewards under the default scoring config against one
-    reference, compiled once, with a bounded memo from a sampled sequence's
-    id tuple to its reward (scoring is deterministic).  ``tokens`` maps an
-    id sequence to the tokens of its words joined by spaces (a
-    ``syntax._word_lexer``), so no text is joined or lexed.  A sequence (or
+    reference: a ``Scorer`` keyed by a sampled sequence's id tuple, whose
+    ``tokens`` maps it to the tokens of its words joined by spaces (a
+    ``syntax.word_lexer``), so no text is joined or lexed.  A sequence (or
     the reference) that fails to lex or parse or exceeds a cap earns 0."""
 
     def __init__(self, reference: str, tokens):
         try:
-            self.reference: CompiledReference | None = compile_reference(reference)
+            self.scorer: Scorer | None = Scorer(reference, tokens=tokens)
         except FormulaError:
-            self.reference = None
-        self.tokens = tokens
-        self.memo: dict[tuple[int, ...], float] = {}
+            self.scorer = None
 
     def __call__(self, samples: list[list[int]]) -> list[float]:
-        if self.reference is None:
+        if self.scorer is None:
             return [0.0] * len(samples)
-        memo = self.memo
-        if len(memo) >= _REWARD_MEMO_LIMIT:
-            memo.clear()
-        rewards = []
-        for sample in samples:
-            key = tuple(sample)
-            reward = memo.get(key)
-            if reward is None:
-                try:
-                    reward = _score_tokens(self.tokens(key), self.reference, "optimized", DEFAULT_LE).score
-                except FormulaError:
-                    reward = 0.0
-                memo[key] = reward
-            rewards.append(reward)
-        return rewards
+        return [result.score if isinstance(result, LeReport) else 0.0 for result in self.scorer(map(tuple, samples))]
 
 
 def train_demo(config: TrainDemoConfig) -> list[dict]:
@@ -482,7 +462,7 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
     labels = np.array([prompt.label for prompt in prompts])
     # the reference policy is the starting one
     frozen = _frozen(_log_softmax(current.logits), labels, (len(prompts), hp.group_size, SEQUENCE_LENGTH))
-    tokens = _word_lexer(config.vocab)
+    tokens = word_lexer(config.vocab)
     reward_memos = [_PromptRewards(prompt.reference_formula, tokens) for prompt in prompts]
     trace: list[dict] = []
 

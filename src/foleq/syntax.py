@@ -126,7 +126,7 @@ def lex(text: str) -> list[Token]:
     return tokens
 
 
-def _word_lexer(words: Sequence[str]):
+def word_lexer(words: Sequence[str]):
     """A function from a sequence of indices into ``words`` to the tokens of
     ``lex(" ".join(words[i] for i in ids))``, with each word lexed once here.
 

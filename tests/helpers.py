@@ -303,12 +303,18 @@ def skeleton_table(code, n: int) -> int:
     return skeleton_bits(code, range(n), patterns, mask)
 
 
+def scored_result(result) -> dict | tuple:
+    """A scoring result as a comparable value: a report's ``to_dict()``, or
+    an error's type and text."""
+    return result.to_dict() if isinstance(result, LeReport) else (type(result), str(result))
+
+
 def forward_bind(pred: FolExpr, ref: FolExpr, mode: str, config=DEFAULT_LE) -> LeReport:
     """``bind_original`` / ``bind_optimized`` for one reading, by the
     forward search over the library's search plan (``_AtomTables``)."""
     compiled = compile_reference(render(ref))
     pred_atoms, (code,) = lower_by_three_walks([pred])
-    return forward_search(code, _AtomTables(pred_atoms, compiled, mode, config), config.max_atoms)
+    return forward_search(code, _AtomTables(pred_atoms, compiled, mode, config, {}), config.max_atoms)
 
 
 def forward_search(code, tables, max_atoms: int) -> LeReport:

@@ -471,7 +471,7 @@ def test_search_equals_the_forward_search_of_each_reading(data, mode, cap):
     pred_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
     ref_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
     ref = CompiledReference(ref_atoms, data.draw(_skeletons(len(ref_atoms))))
-    plan = _AtomTables(pred_atoms, ref, mode, DEFAULT_LE)
+    plan = _AtomTables(pred_atoms, ref, mode, DEFAULT_LE, {})
     if mode == "optimized":
         plan.component_cap = cap
     for i, row in plan.candidates.items():
@@ -501,13 +501,13 @@ def test_plan_reads_the_candidate_graph(data):
     """In optimized mode the plan gives each enumerated atom exactly its
     candidate graph edges, in ascending (edit distance, index) order, and
     starts from the graph's one-to-one components.  The graph is the same
-    with no memo, with the reference's memo and with a memo emptied before
-    each lookup, and its components come in ascending order of their first
-    prediction atom."""
+    with no memo and with the memo the plan filled, and its components come
+    in ascending order of their first prediction atom."""
     pred_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
     ref_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
     ref = CompiledReference(ref_atoms, ("atom", 0))
-    plan = _AtomTables(pred_atoms, ref, "optimized", DEFAULT_LE)
+    memo = {}
+    plan = _AtomTables(pred_atoms, ref, "optimized", DEFAULT_LE, memo)
 
     graph = CandidateGraph.build(pred_atoms, ref_atoms, DEFAULT_LE.similarity)
     edges: dict[int, list[int]] = {}
@@ -526,14 +526,9 @@ def test_plan_reads_the_candidate_graph(data):
 
     firsts = [c.prediction_atoms[0] for c in graph.components]
     assert firsts == sorted(set(firsts))
-    # The plan has filled the reference's memo, so this build reads it.
-    memo = ref.candidate_rows(DEFAULT_LE.similarity)
+    # The plan has filled the memo, so this build reads it.
     assert set(memo) == set(pred_atoms)
     assert CandidateGraph.build(pred_atoms, ref_atoms, DEFAULT_LE.similarity, memo) == graph
-    with patch.object(equivalence, "_CANDIDATE_ROW_LIMIT", 1):
-        emptied = ref.candidate_rows(DEFAULT_LE.similarity)
-        assert not emptied
-        assert CandidateGraph.build(pred_atoms, ref_atoms, DEFAULT_LE.similarity, emptied) == graph
 
 
 def test_a_settled_group_is_bound_by_its_largest_best_distance():

@@ -16,6 +16,7 @@ from foleq.equivalence import (
     DEFAULT_LE,
     CandidateGraph,
     LeConfig,
+    Scorer,
     compile_reference,
     le_score,
     propositional_score,
@@ -37,7 +38,7 @@ from foleq.syntax import (
     parse,
     render,
 )
-from helpers import eval_row, random_formula, skeleton_table, unshared
+from helpers import eval_row, random_formula, scored_result, skeleton_table, unshared
 from test_acceptance import LAW_PAIRS
 
 MODES = ("original", "optimized")
@@ -186,13 +187,20 @@ def test_group_of_eight_parses_reference_once(monkeypatch):
     assert calls == ["A ∧ B"]
 
 
-def test_compiled_reference_is_reusable():
-    reference = compile_reference("∀x (P(x) → Q(x))")
-    texts = ["∀y (P(y) → Q(y))", "∀x (Q(x) → P(x))", "P(a)"]
-    first = score_group(texts, reference)
-    second = score_group(list(reversed(texts)), reference)
-    assert [fields(r) for r in first] == [fields(r) for r in reversed(second)]
-    assert [fields(r) for r in first] == [fields(le_score(t, "∀x (P(x) → Q(x))")) for t in texts]
+@pytest.mark.parametrize("limit", [1, equivalence._MEMO_LIMIT])
+def test_a_reused_scorer_equals_a_fresh_one_per_call(monkeypatch, limit):
+    # At a limit of 1 every call but the first starts with emptied memos.
+    monkeypatch.setattr(equivalence, "_MEMO_LIMIT", limit)
+    reference = "∀x (P(x) → Q(x))"
+    texts = ["∀y (P(y) → Q(y))", "∀x (Q(x) → P(x))", "((", "P(a)", "∀y (P(y) → Q(y))", "(("]
+    scorer = Scorer(compile_reference(reference))
+    for predictions in (texts, texts[::-1], texts[1:4], ["P(a) ∧ Q(b)", "P(a)", "P(a) ∧ Q(b)"]):
+        reused = scorer(predictions)
+        assert [scored_result(r) for r in reused] == [scored_result(r) for r in Scorer(reference)(predictions)]
+        # equal predictions in one call share one result
+        for prediction, result in zip(predictions, reused):
+            assert result is reused[predictions.index(prediction)]
+    assert [scored_result(r) for r in scorer(texts[:2])] == [le_score(t, reference).to_dict() for t in texts[:2]]
 
 
 def test_a_group_computes_each_atom_texts_gram_vector_once():
@@ -483,13 +491,14 @@ def test_a_group_computes_each_candidate_row_once(monkeypatch):
     assert sorted(calls) == sorted(itertools.product(pred_texts, ref_texts))
     assert len(calls) < sum(map(len, pred_atoms)) * len(ref_texts)
 
-    # A compiled reference keeps its rows across calls, per similarity config.
-    compiled = compile_reference(reference)
-    score_group(predictions, compiled)
+    # A Scorer keeps its rows across calls, and one under another config
+    # fills its own.
+    scorer = Scorer(reference)
+    scorer(predictions)
     calls.clear()
-    score_group(predictions[::-1], compiled)
+    scorer([f"¬({p})" for p in predictions])
     assert calls == []
-    score_group(predictions, compiled, config=LeConfig(similarity=SimilarityConfig(threshold=0.5)))
+    Scorer(reference, config=LeConfig(similarity=SimilarityConfig(threshold=0.5)))(predictions)
     assert len(calls) == len(pred_texts) * len(ref_texts)
 
 
@@ -739,13 +748,13 @@ def test_candidate_row_memo_reset_keeps_every_report(monkeypatch):
     predictions = [render(random_formula(rng, max_atoms=5, max_depth=4, predicates=_PLAN_PREDICATES)) for _ in range(16)]
 
     def scored():
-        compiled = compile_reference(reference)
-        reports = [r.to_dict() for r in score_group(predictions, compiled)]
-        return reports, set(compiled._rows[DEFAULT_LE.similarity])
+        scorer = Scorer(reference)
+        reports = [scorer([prediction])[0].to_dict() for prediction in predictions]
+        return reports, set(scorer.rows)
 
     expected, memo = scored()
-    # A one-entry memo is emptied before every prediction but the first.
-    monkeypatch.setattr(equivalence, "_CANDIDATE_ROW_LIMIT", 1)
+    # One-entry memos are emptied before every call but the first.
+    monkeypatch.setattr(equivalence, "_MEMO_LIMIT", 1)
     reports, last = scored()
     assert reports == expected
     assert last == set(compile_reference(predictions[-1]).atoms) < memo

@@ -1,9 +1,11 @@
 """The import boundary: parsing, scoring and serving load neither numpy nor
-the trainer, and the trainer's names stay importable from ``foleq``.
+the trainer, the trainer's names stay importable from ``foleq``, and no
+module of the package imports another's private name.
 
 Each entry point runs in a fresh interpreter under ``-X importtime``,
 which writes one stderr line per module the run imports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -106,3 +108,12 @@ def test_star_import_binds_every_export_in_a_fresh_interpreter():
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
     assert "numpy" in imported  # binding the trainer names loads it
+
+
+def test_no_module_imports_another_modules_private_name():
+    private = []
+    for path in sorted(Path(SRC, "foleq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert private == []

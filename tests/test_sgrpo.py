@@ -29,10 +29,16 @@ from foleq.sgrpo import (
     train_demo,
     write_trace,
 )
-from foleq.equivalence import le_score, score_group
-from foleq.syntax import FormulaError, LexError, _word_lexer, lex, parse
+from foleq.equivalence import Scorer, le_score, score_group
+from foleq.syntax import FormulaError, LexError, lex, parse, word_lexer
 
-from helpers import per_prompt_train_demo, per_sample_gradient, per_sample_objective, reference_group_advantages
+from helpers import (
+    per_prompt_train_demo,
+    per_sample_gradient,
+    per_sample_objective,
+    reference_group_advantages,
+    scored_result,
+)
 
 
 def make_policy(rng, prompts=2, length=4, vocab=5, scale=0.8):
@@ -548,22 +554,21 @@ def test_train_demo_compiles_each_reference_once_and_scores_each_text_once(monke
         return real_compile(text)
 
     scored = []
-    real_score = foleq.sgrpo._score_tokens
+    real_score = foleq.equivalence._score_tokens
 
-    def counting_score(tokens, ref, mode, config):
+    def counting_score(tokens, ref, mode, config, rows):
         scored.append((id(ref), tuple(tokens)))
-        return real_score(tokens, ref, mode, config)
+        return real_score(tokens, ref, mode, config, rows)
 
     requested = set()
     real_call = _PromptRewards.__call__
 
     def recording_call(self, samples):
-        requested.update((id(self.reference), tuple(sample)) for sample in samples)
+        requested.update((id(self.scorer.reference), tuple(sample)) for sample in samples)
         return real_call(self, samples)
 
-    monkeypatch.setattr(foleq.sgrpo, "compile_reference", counting_compile)
     monkeypatch.setattr(foleq.equivalence, "compile_reference", counting_compile)
-    monkeypatch.setattr(foleq.sgrpo, "_score_tokens", counting_score)
+    monkeypatch.setattr(foleq.equivalence, "_score_tokens", counting_score)
     monkeypatch.setattr(_PromptRewards, "__call__", recording_call)
     config = default_demo_config(iterations=30, seed=0)
     train_demo(config)
@@ -578,15 +583,15 @@ def test_train_demo_compiles_each_reference_once_and_scores_each_text_once(monke
 
 
 def test_train_demo_trace_is_pinned_with_a_one_entry_reward_memo(monkeypatch):
-    # a memo emptied every group: each lookup must still find what it scored
-    monkeypatch.setattr(foleq.sgrpo, "_REWARD_MEMO_LIMIT", 1)
+    # memos emptied every group: each lookup must still find what it scored
+    monkeypatch.setattr(foleq.equivalence, "_MEMO_LIMIT", 1)
     trace = train_demo(default_demo_config(iterations=30, seed=0))
     assert [record["mean_reward"] for record in trace] == PINNED_MEAN_REWARDS
     assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == PINNED_TRACE_SHA256
 
 
 def test_rewards_are_zero_for_a_failed_text_or_reference():
-    tokens = _word_lexer(("A", "((", "¬" * 600 + "A", "B"))
+    tokens = word_lexer(("A", "((", "¬" * 600 + "A", "B"))
     assert _PromptRewards("A", tokens)([[0], [1], [2]]) == [1.0, 0.0, 0.0]
     for deep in ("(" * 600 + "A" + ")" * 600, " → ".join(["A"] * 1200)):
         assert _PromptRewards(deep, tokens)([[0], [3]]) == [0.0, 0.0]
@@ -618,7 +623,7 @@ def _lexed(tokens, *args):
 @given(st.data())
 def test_word_tokens_equal_the_tokens_of_the_joined_text(data):
     words = data.draw(_VOCABS)
-    tokens = _word_lexer(words)
+    tokens = word_lexer(words)
     sequences = data.draw(st.lists(st.lists(st.integers(0, len(words) - 1), max_size=14), max_size=8))
     for ids in sequences:
         assert _lexed(tokens, ids) == _lexed(lex, " ".join(words[i] for i in ids))
@@ -633,15 +638,24 @@ def test_rewards_from_ids_equal_score_group_on_the_joined_texts(data):
         st.sampled_from(["P(x) -> Q(x, y)", "∀x (P(x) ∧ Q(x, y))", "P ∧ x1", "A", "(("])
         | samples.map(lambda ids: " ".join(words[i] for i in ids))
     )
-    rewards = _PromptRewards(reference, _word_lexer(words))
+    tokens = word_lexer(words)
+    rewards = _PromptRewards(reference, tokens)
+    try:
+        by_ids, by_text = Scorer(reference, tokens=tokens), Scorer(reference)
+    except FormulaError:
+        by_ids = by_text = None
     for group in data.draw(st.lists(st.lists(samples, min_size=1, max_size=6), max_size=3)):
         texts = [" ".join(words[i] for i in ids) for ids in group]
         try:
             results = score_group(texts, reference)
         except FormulaError:
             expected = [0.0] * len(texts)
+            assert by_ids is None
         else:
             expected = [0.0 if isinstance(result, FormulaError) else result.score for result in results]
+            # result for result: the same report, or the same error
+            from_ids = [scored_result(r) for r in by_ids([tuple(ids) for ids in group])]
+            assert from_ids == [scored_result(r) for r in by_text(texts)] == [scored_result(r) for r in results]
         assert rewards(group) == expected
 
 
