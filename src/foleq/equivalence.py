@@ -424,12 +424,13 @@ class _AtomTables:
     its skeleton.
 
     ``start`` binds every one-to-one component of the candidate graph and
-    leaves every other atom unbound.  ``enumerated`` lists each larger
-    component (more than one atom on a side), in order, as its prediction
-    atoms and its skip budget: how many of them a maximum-cardinality
-    assignment leaves unbound.  ``candidates`` gives each of those atoms its
-    candidate reference atoms as (index, edit distance) in ascending
-    (distance, index) order; no other edit distance is computed.  They are
+    each larger component (more than one atom on a side) by one maximum
+    matching, and leaves every other atom unbound.  ``enumerated`` lists
+    each larger component, in order, as its prediction atoms and its skip
+    budget: how many of them a maximum-cardinality assignment leaves
+    unbound.  ``candidates`` gives each of those atoms its candidate
+    reference atoms as (index, edit distance) in ascending (distance,
+    index) order; no other edit distance is computed.  They are
     the atom's row in ``rows``, the candidate-row memo of this reference and
     ``config`` that ``CandidateGraph.build`` reads and fills, or every
     reference atom in original mode.
@@ -462,12 +463,16 @@ class _AtomTables:
                 refs = range(n_r) if mode == "original" else [j for j, _ in rows[pred_atoms[i]]]
                 row = sorted((levenshtein(pred_atoms[i], ref.atoms[j]), j) for j in refs)
                 self.candidates[i] = [(j, dist) for dist, j in row]
-            self.enumerated.append((preds, len(preds) - _max_matching_size(preds, self.candidates)))
+            matching = _max_matching(preds, self.candidates)
+            for j, i in matching.items():
+                self.start[i] = j
+            self.enumerated.append((preds, len(preds) - len(matching)))
 
 
-def _max_matching_size(preds: tuple[int, ...], adj: dict[int, list[tuple[int, int]]]) -> int:
-    """Maximum bipartite matching size via augmenting paths over candidate
-    rows of (reference index, edit distance)."""
+def _max_matching(preds: tuple[int, ...], adj: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
+    """A maximum bipartite matching, reference index to prediction atom, via
+    augmenting paths over candidate rows of (reference index, edit
+    distance)."""
     match_ref: dict[int, int] = {}
 
     def augment(i: int, visited: set[int]) -> bool:
@@ -480,11 +485,9 @@ def _max_matching_size(preds: tuple[int, ...], adj: dict[int, list[tuple[int, in
                 return True
         return False
 
-    size = 0
     for i in preds:
-        if augment(i, set()):
-            size += 1
-    return size
+        augment(i, set())
+    return match_ref
 
 
 def _enumerate(
@@ -572,33 +575,36 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
 
     From the plan's start mapping, the walk enumerates the
     maximum-cardinality injective assignments of each enumerated component
-    in turn, candidates in ascending edit distance.  At each binding the
-    reference skeleton is evaluated once under the inverse mapping
-    (``_reference_bits``).  That uses one variable per bound pair and per
-    unbound atom on either side, as many as a forward evaluation of the
-    prediction would, and only renames them, so the agreeing rows are the
-    same.  Each distinct reading truth table over the prediction's own
-    atoms, atom i being variable i, is built once, widened to those
-    variables by repetition and scored with one XOR and ``bit_count``; each
-    keeps its best binding by (score, summed distance, first enumerated).
+    in turn, candidates in ascending edit distance, while the later
+    components keep their start matchings.  So every binding walked leaves
+    the start mapping's number of prediction atoms unbound, and every truth
+    table has one width, whose cap is checked before any table is built.
+    At each binding the reference skeleton is evaluated once under the
+    inverse mapping (``_reference_bits``).  That uses one variable per bound
+    pair and per unbound atom on either side, as many as a forward
+    evaluation of the prediction would, and only renames them, so the
+    agreeing rows are the same.  Each distinct reading truth table over the
+    prediction's own atoms, atom i being variable i, is built once, widened
+    to those variables by repetition once and scored with one XOR and
+    ``bit_count``; each keeps its best binding by (score, summed distance,
+    first enumerated).
 
     A later component sees what the earlier ones won, which can differ
     between tables.  So tables walk in groups keyed by their earlier
     winners, and a group splits where its tables' winners differ.  A
     component's leaves and their row count do not depend on the reading,
     so the walk counts one reading's and the report multiplies that by the
-    number of readings, as scoring each reading on its own would.  Every
-    table's final score is over the last component's rows, and the tables
-    come in the order of their first reading, so the first table with the
-    fewest disagreeing rows holds the first best reading.
+    number of readings, as scoring each reading on its own would.  The
+    tables come in the order of their first reading, so the first table
+    with the fewest disagreeing rows holds the first best reading.
 
     The walk evaluates only the bindings that can still change the report
     (branch and bound with an exact bound); the counters still cover every
     binding walked or counted, so the report is the exhaustive walk's.  At
-    every leaf of a component the reference's atoms take distinct variables
-    out of the same number, so its table has the same number of true rows,
-    and no leaf disagrees with table t on fewer than ``floor[t]``, the
-    difference of the two tables' true-row counts.  A table whose best is at
+    every leaf the reference's atoms take distinct variables out of the one
+    width, so its table has the same number of true rows, and no leaf
+    disagrees with table t on fewer than ``floor[t]``, the difference of
+    the two tables' true-row counts.  A table whose best is at
     its floor is settled: only a leaf with a smaller summed distance can
     replace its best.  In the last component a table is dropped once its
     floor is above the fewest disagreeing rows found so far, or equal to it
@@ -607,49 +613,41 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
     winners seed the later groups.  Once every table a group still scores
     is settled, no leaf whose summed distance reaches the largest of their
     best distances is evaluated, and ``_enumerate`` counts those subtrees
-    instead of walking them.
-
-    The first component's binding has the most variables, never fewer than
-    the prediction's atoms, so its truth-table cap is checked before any
-    table is built."""
+    instead of walking them."""
     ref = tables.ref
     n_p, n_r = len(tables.start), len(ref.atoms)
-    unbound = tables.start.count(None)
-    preds, skips = tables.enumerated[0] if tables.enumerated else ((), 0)
-    patterns, mask, rows = _capped_patterns(n_r + unbound - len(preds) + skips, tables.max_atoms)
+    patterns, mask, rows = _capped_patterns(n_r + tables.start.count(None), tables.max_atoms)
 
     own_patterns, own_mask, _ = _var_patterns(n_p)
-    truth_tables = list(dict.fromkeys(_eval_bits(code, range(n_p), own_patterns, own_mask) for code in skeletons))
+    own_tables = dict.fromkeys(_eval_bits(code, range(n_p), own_patterns, own_mask) for code in skeletons)
+    repeat = mask // own_mask
+    wide = [table * repeat for table in own_tables]
     # Each group: the mapping its tables' earlier components won, and the
     # indices of its tables.
-    groups: list[tuple[list[int | None], Sequence[int]]] = [(tables.start, range(len(truth_tables)))]
+    groups: list[tuple[list[int | None], Sequence[int]]] = [(tables.start, range(len(wide)))]
 
     explored = assignments = 0
     truncated = False
     if not tables.enumerated:
         bits = _reference_bits(ref, tables.start, patterns, mask)
-        repeat = mask // own_mask
-        best_off = [(table * repeat ^ bits).bit_count() for table in truth_tables]
+        best_off = [(table ^ bits).bit_count() for table in wide]
         explored, assignments = 1, rows
+    # No leaf disagrees with table t on fewer than floor[t] rows.
+    floor: list[int] = []
     last = len(tables.enumerated) - 1
     for c, (preds, skips) in enumerate(tables.enumerated):
-        unbound -= len(preds) - skips
-        patterns, mask, rows = _var_patterns(n_r + unbound)
-        repeat = mask // own_mask
-        wide = [table * repeat for table in truth_tables]
         # Each table's best leaf so far: disagreeing rows, summed distance
-        # and the component's assignment.
-        best_off = [rows + 1] * len(truth_tables)
-        best_dist = [0] * len(truth_tables)
-        best_assign: list[tuple[int | None, ...]] = [()] * len(truth_tables)
-        # No leaf disagrees with table t on fewer than floor[t] rows, set at
-        # the first evaluated leaf; in the last component, the fewest
+        # and the component's assignment; in the last component, the fewest
         # disagreeing rows found so far and the first table with them.
-        floor: list[int] = []
-        least, first = rows + 1, len(truth_tables)
+        best_off = [rows + 1] * len(wide)
+        best_dist = [0] * len(wide)
+        best_assign: list[tuple[int | None, ...]] = [()] * len(wide)
+        least, first = rows + 1, len(wide)
         split = []
         for start, members in groups:
             mapping = start.copy()
+            for i in preds:
+                mapping[i] = None
             # The tables whose best can still change the report.
             live = members
             if c == last and floor:
@@ -737,7 +735,8 @@ def bind_optimized(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -
     Builds the relatedness graph, fixes one-to-one components outright, and
     enumerates maximum-cardinality injective assignments inside each
     one-to-many component (components in first-occurrence order, earlier
-    choices fixed, later components unbound while a component is searched).
+    choices fixed, later components at their start matching while a
+    component is searched).
     A component stops early at ``COMPONENT_CAP`` assignments and keeps its
     best so far, flagged via ``truncated`` when an assignment lies past the
     cap.  ``pred`` and ``ref`` are trees.  Bound variables are renamed by

@@ -357,6 +357,8 @@ def forward_search(code, tables, max_atoms: int) -> LeReport:
             if score > best_score or (score == best_score and dist < best_dist):
                 best_assign, best_score, best_dist = [mapping[i] for i in preds], score, dist
 
+        for i in preds:
+            mapping[i] = None
         count, cut = _enumerate(tables, preds, skips, mapping, leaf)
         truncated = truncated or cut
         explored += count

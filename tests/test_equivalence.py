@@ -500,7 +500,9 @@ def test_search_equals_the_forward_search_of_each_reading(data, mode, cap):
 def test_plan_reads_the_candidate_graph(data):
     """In optimized mode the plan gives each enumerated atom exactly its
     candidate graph edges, in ascending (edit distance, index) order, and
-    starts from the graph's one-to-one components.  The graph is the same
+    starts from the graph's one-to-one components and, on each enumerated
+    component, from an injective assignment of its candidate rows that
+    leaves exactly its skip budget unbound.  The graph is the same
     with no memo and with the memo the plan filled, and its components come
     in ascending order of their first prediction atom."""
     pred_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
@@ -518,11 +520,18 @@ def test_plan_reads_the_candidate_graph(data):
         for c in graph.components
         if len(c.prediction_atoms) == len(c.reference_atoms) == 1
     }
-    assert plan.start == [one_to_one.get(i) for i in range(len(pred_atoms))]
     assert set(plan.candidates) == set(edges) - set(one_to_one)
     for i, row in plan.candidates.items():
         distance = {j: levenshtein(pred_atoms[i], ref_atoms[j]) for j in edges[i]}
         assert row == sorted(distance.items(), key=lambda jd: (jd[1], jd[0]))
+    start = [one_to_one.get(i) for i in range(len(pred_atoms))]
+    for preds, skips in plan.enumerated:
+        bound = {i: plan.start[i] for i in preds if plan.start[i] is not None}
+        assert len(set(bound.values())) == len(bound) == len(preds) - skips
+        assert all(j in dict(plan.candidates[i]) for i, j in bound.items())
+        for i, j in bound.items():
+            start[i] = j
+    assert plan.start == start
 
     firsts = [c.prediction_atoms[0] for c in graph.components]
     assert firsts == sorted(set(firsts))
@@ -546,7 +555,7 @@ def test_a_settled_group_is_bound_by_its_largest_best_distance():
         ref=CompiledReference(tuple(f"R{j}" for j in range(5)), ("atom", 2)),
         mode="optimized",
         max_atoms=DEFAULT_LE.max_atoms,
-        start=[None] * 5,
+        start=[1, 2, 0, 3, 4],
         enumerated=[((0, 1, 2), 0), ((3, 4), 0)],
         candidates={
             0: [(0, 1), (1, 2), (2, 2)],
@@ -617,6 +626,19 @@ def test_reflexivity_random_formulas():
         text = render(formula)
         for mode in ("original", "optimized"):
             assert le_score(text, text, mode=mode).score == 1.0
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_reflexivity_of_similar_named_atom_ladders(n):
+    """``(P0(x) ∨ Q0(x)) ∧ (P1(x) ∨ Q1(x)) ∧ ...`` over n atoms scores 1.0
+    against itself up to the default truth-table cap of 16 atoms.  The two
+    names of a clause are similar, so each clause is an enumerated
+    component, and the cap counts the final binding's atoms, not those of a
+    component's bindings with the later components unbound."""
+    atoms = [f"{letter}{i}(x)" for i in range((n + 1) // 2) for letter in "PQ"][:n]
+    text = " ∧ ".join(f"({atoms[i]} ∨ {atoms[i + 1]})" if i + 1 < n else atoms[i] for i in range(0, n, 2))
+    report = le_score(text, text)
+    assert (report.score, report.atom_count) == (1.0, n)
 
 
 @pytest.mark.parametrize("mode", ["original", "optimized"])

@@ -7,13 +7,15 @@ import random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import foleq.equivalence as equivalence
 from foleq.corpus import EvalPair, corpus_le
 from foleq.equivalence import (
     COMPONENT_CAP,
     DEFAULT_LE,
+    MAX_FACTORIAL_ATOMS,
+    MAX_TABLE_ATOMS,
     CandidateGraph,
     LeConfig,
     Scorer,
@@ -645,14 +647,14 @@ def test_readings_that_win_differently_equal_unshared(monkeypatch, prediction, r
             "Likes(a) → Like(a) ↔ Liked(a) ∧ Owns(a) ⊕ Own(a) ∨ P",
             "Likes(a) ∨ Own(a)",
             5,
-            {"original": 6, "optimized": 7},
+            {"original": 6, "optimized": 6},
         ),
     ],
 )
 @pytest.mark.parametrize("mode", MODES)
 def test_a_prediction_past_the_truth_table_cap_keeps_its_message(mode, prediction, reference, readings, combined):
     # The prediction alone has 6 atoms, past max_atoms=5; the message counts
-    # the combined atoms of the first component's bindings.
+    # the combined atoms of the final binding.
     assert len(atoms_of(canonicalize(parse(prediction)))) == 6
     count, tables = _reading_tables(prediction)
     assert count == len(tables) == readings
@@ -665,12 +667,12 @@ _SIMILAR_NAMES = ["Likes(a)", "Like(a)", "Liked(a)", "Owns(a)", "Own(a)", "Owned
 
 
 @st.composite
-def similar_name_chains(draw):
-    """A flat chain of 2-6 operands over names similar enough to share
-    candidate components; an operand may be negated."""
+def similar_name_chains(draw, max_operands=6):
+    """A flat chain of 2 to ``max_operands`` operands over names similar
+    enough to share candidate components; an operand may be negated."""
     operands = [
         draw(st.sampled_from(["", "¬"])) + draw(st.sampled_from(_SIMILAR_NAMES))
-        for _ in range(draw(st.integers(2, 6)))
+        for _ in range(draw(st.integers(2, max_operands)))
     ]
     text = operands[0]
     for operand in operands[1:]:
@@ -701,6 +703,32 @@ def test_lockstep_equals_unshared_on_unequal_atom_counts(prediction, reference, 
     assert got == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    similar_name_chains(max_operands=9), similar_name_chains(max_operands=9), st.integers(-2, 2), st.sampled_from(MODES)
+)
+@example("Likes(a) → Like(a) ↔ Liked(a) ∧ Owns(a) ⊕ Own(a) ∨ P", "Likes(a) ∨ Own(a)", 0, "optimized")
+def test_the_truth_table_cap_counts_the_final_binding(prediction, reference, offset, mode):
+    """Under any ``max_atoms``, a score raises ``CapExceeded`` exactly when
+    the report under the highest cap has more combined atoms than it, and
+    is otherwise that report.  The cap tried lies within two of the
+    report's ``atom_count``; both sides have at most 8 atoms, so the
+    highest cap never raises."""
+    full = outcome(lambda: le_score(prediction, reference, mode, LeConfig(max_atoms=MAX_TABLE_ATOMS)))
+    if isinstance(full[0], type):
+        # Past the factorial-search cap, which no truth-table cap changes.
+        assert full[1].endswith(f"exceeds the factorial-search cap {MAX_FACTORIAL_ATOMS}")
+        max_atoms, expected = 1, full
+    else:
+        atom_count = full[4]
+        max_atoms = max(1, atom_count + offset)
+        if atom_count > max_atoms:
+            expected = (CapExceeded, f"{atom_count} combined atoms exceeds the truth-table cap {max_atoms}")
+        else:
+            expected = full
+    assert outcome(lambda: le_score(prediction, reference, mode, LeConfig(max_atoms=max_atoms))) == expected
+
+
 # --- one search plan per prediction ---------------------------------------------------
 
 
@@ -716,7 +744,7 @@ def test_lockstep_equals_unshared_on_unequal_atom_counts(prediction, reference, 
 @pytest.mark.parametrize("mode", MODES)
 def test_each_component_is_matched_once_per_prediction(monkeypatch, mode, prediction, components):
     matchings, searches = [], []
-    monkeypatch.setattr(equivalence, "_max_matching_size", _counting(matchings, equivalence._max_matching_size))
+    monkeypatch.setattr(equivalence, "_max_matching", _counting(matchings, equivalence._max_matching))
     monkeypatch.setattr(equivalence, "_search", _counting(searches, equivalence._search))
     report = le_score(prediction, prediction, mode)
     assert report.score == 1.0
