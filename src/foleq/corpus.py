@@ -204,7 +204,8 @@ def corpus_le(
     unparseable or over a cap as 0.
 
     Pairs are scored in groups that share a reference (one ``score_group``
-    call each), so equal pairs share one ``LeReport``.  The mean is taken
+    call each), so equal pairs share one ``LeReport`` and every pair of a
+    failing reference carries its one error.  The mean is taken
     over the whole corpus (failures contribute 0), and ``per_pair`` keeps
     one slot per input pair so callers can line results back up with their
     inputs.
@@ -216,11 +217,7 @@ def corpus_le(
         by_reference.setdefault(pair.reference, []).append(index)
     results: list[LeReport | FormulaError | None] = [None] * len(pairs)
     for reference, indices in by_reference.items():
-        predictions = [pairs[i].prediction for i in indices]
-        try:
-            group = score_group(predictions, reference, mode=mode, config=config)
-        except FormulaError as exc:
-            group = [exc] * len(indices)
+        group = score_group([pairs[i].prediction for i in indices], reference, mode=mode, config=config)
         for i, result in zip(indices, group):
             results[i] = result
 

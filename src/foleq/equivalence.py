@@ -36,7 +36,8 @@ each distinct prediction once, with one renaming, atom list and search plan
 (``_AtomTables``) for all of its readings, each joined from operand codes.
 It is the one memo path, for each prediction's result and each prediction
 atom text's candidate row, and the one failure rule, a ``FormulaError``
-becoming that prediction's result: ``score_group``, ``le_score``,
+becoming the result of the prediction that raised it, or of every
+prediction when the reference raised it: ``score_group``, ``le_score``,
 ``corpus_le`` and the trainer's rewards all score through it.  Edit
 distances are computed only where the search enumerates.  Every
 prediction's bindings are walked once (``_search``), however many readings
@@ -628,6 +629,8 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
 
     explored = assignments = 0
     truncated = False
+    # Kept apart from the loop below: folding it in cost 7-13 µs on a 67 µs
+    # score, and 77% of seed-29 corpus searches and 50% of serve ones take it.
     if not tables.enumerated:
         bits = _reference_bits(ref, tables.start, patterns, mask)
         best_off = [(table ^ bits).bit_count() for table in wide]
@@ -789,20 +792,26 @@ class Scorer:
     once, so equal ones share a report (treat it as read-only), and each
     prediction atom text's candidate row is built once.  Each memo holds up
     to ``_MEMO_LIMIT`` entries, and a full one is emptied only at the start
-    of a call.  An unknown mode raises ``ValueError`` and a reference that
-    fails to parse raises its ``FormulaError``."""
+    of a call.  An unknown mode raises ``ValueError``.  A reference that
+    fails to parse or passes a cap is kept as its ``FormulaError``
+    (``reference``), which is then every prediction's result, one object."""
 
     def __init__(
         self, reference: str | CompiledReference, mode: str = "optimized", config: LeConfig = DEFAULT_LE, tokens=None
     ):
         if mode not in MODES:
             raise ValueError(f"unknown scoring mode {mode!r}")
-        self.reference = reference if isinstance(reference, CompiledReference) else compile_reference(reference)
+        try:
+            self.reference = reference if isinstance(reference, CompiledReference) else compile_reference(reference)
+        except FormulaError as exc:
+            self.reference = exc.with_traceback(None)
         self.mode, self.config, self.tokens = mode, config, tokens
         self.results: dict[Hashable, LeReport | FormulaError] = {}
         self.rows: dict[str, tuple[tuple[int, float], ...]] = {}
 
     def __call__(self, predictions: Iterable[Hashable]) -> list[LeReport | FormulaError]:
+        if isinstance(self.reference, FormulaError):
+            return [self.reference for _ in predictions]
         results, rows = self.results, self.rows
         for memo in (results, rows):
             if len(memo) >= _MEMO_LIMIT:
@@ -834,9 +843,9 @@ def score_group(
     call of a fresh ``Scorer``, so the reference is compiled once and each
     distinct prediction text is scored once.  Keep a ``Scorer`` to keep its
     memos across calls.  The result is aligned with ``predictions``: a
-    report, or the ``FormulaError`` that prediction raised.  An unknown
-    mode raises ``ValueError`` and a reference that fails to parse raises
-    its ``FormulaError``."""
+    report, or the ``FormulaError`` that prediction raised, or, in every
+    entry, the one the reference raised.  An unknown mode raises
+    ``ValueError``; no formula text raises."""
     return Scorer(reference, mode, config)(predictions)
 
 

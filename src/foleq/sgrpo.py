@@ -23,8 +23,12 @@ A demo iteration is one step over every prompt at once, on arrays shaped
 (prompts, group, positions, vocab): one log-softmax and one ``exp`` serve
 the sampling, the sampling log-probs and the objective, since the policy
 moves once per iteration.  Only the reward lookups run per prompt, each
-prompt's through its own ``equivalence.Scorer``, which is keyed by the
-sampled id tuples.
+prompt's through its own ``equivalence.Scorer`` (optimized mode, default
+config), which is keyed by the sampled id tuples and lexes them with a
+``syntax.word_lexer``, so no text is joined or lexed.  A reward is the
+report's score, or 0.0 where the Scorer gives a ``FormulaError``: for a
+sequence that fails to lex or parse or passes a cap, or for every sequence
+of a prompt whose reference does.
 What no iteration changes is built once per call: the index grids, the
 labels' log-probs under the frozen reference policy and the supervised
 gradient's label one-hot.  Every reduction is a direct ufunc call that
@@ -48,7 +52,7 @@ import numpy as np
 from .corpus import open_text
 from .equivalence import LeReport, Scorer
 from .equivalence import le_score  # noqa: F401  (foleq.sgrpo.le_score stays importable; perfbench wraps it)
-from .syntax import FormulaError, word_lexer
+from .syntax import word_lexer
 
 # The half-width of the clip interval around a ratio of 1.
 CLIP_EPSILON = 0.2
@@ -431,25 +435,6 @@ def default_demo_config(
     return TrainDemoConfig(vocab=vocab, references=references, iterations=iterations, hp=hp)
 
 
-class _PromptRewards:
-    """Optimized-mode rewards under the default scoring config against one
-    reference: a ``Scorer`` keyed by a sampled sequence's id tuple, whose
-    ``tokens`` maps it to the tokens of its words joined by spaces (a
-    ``syntax.word_lexer``), so no text is joined or lexed.  A sequence (or
-    the reference) that fails to lex or parse or exceeds a cap earns 0."""
-
-    def __init__(self, reference: str, tokens):
-        try:
-            self.scorer: Scorer | None = Scorer(reference, tokens=tokens)
-        except FormulaError:
-            self.scorer = None
-
-    def __call__(self, samples: list[list[int]]) -> list[float]:
-        if self.scorer is None:
-            return [0.0] * len(samples)
-        return [result.score if isinstance(result, LeReport) else 0.0 for result in self.scorer(map(tuple, samples))]
-
-
 def train_demo(config: TrainDemoConfig) -> list[dict]:
     """Run the demo loop and return one trace record per iteration with keys
     iter, mean_reward, reward_std, surrogate, sft, kl, objective.  Each
@@ -463,7 +448,7 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
     # the reference policy is the starting one
     frozen = _frozen(_log_softmax(current.logits), labels, (len(prompts), hp.group_size, SEQUENCE_LENGTH))
     tokens = word_lexer(config.vocab)
-    reward_memos = [_PromptRewards(prompt.reference_formula, tokens) for prompt in prompts]
+    scorers = [Scorer(prompt.reference_formula, tokens=tokens) for prompt in prompts]
     trace: list[dict] = []
 
     for iteration in range(config.iterations):
@@ -473,7 +458,8 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
         probs = np.exp(logp)
         outputs, old_logprobs = _sample(logp, probs, frozen.grids, rng)
         rewards = np.array([
-            prompt_rewards(prompt_outputs) for prompt_rewards, prompt_outputs in zip(reward_memos, outputs.tolist())
+            [result.score if isinstance(result, LeReport) else 0.0 for result in scorer(map(tuple, prompt_outputs))]
+            for scorer, prompt_outputs in zip(scorers, outputs.tolist())
         ])
         group = SampleGroup(outputs, old_logprobs, rewards, group_advantages(rewards))
         parts, grad = _objective_and_gradient(logp, probs, frozen, group, hp)

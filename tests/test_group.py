@@ -158,15 +158,27 @@ def test_errors_match_scoring_alone():
     assert isinstance(group[0], CapExceeded)
 
 
-@pytest.mark.parametrize("reference", ["", "A ∧", "P(x", "A B"])
-def test_bad_reference_raises_like_scoring_alone(reference):
-    with pytest.raises(ParseError) as alone:
+@pytest.mark.parametrize(
+    "reference, error",
+    [("", ParseError), ("A ∧", ParseError), ("P(x", ParseError), ("A B", ParseError),
+     ("(" * 600 + "A" + ")" * 600, CapExceeded)],
+)
+def test_bad_reference_fails_like_scoring_alone(reference, error):
+    # a failing reference is every entry's result, one object, as scoring
+    # alone or parsing raises it
+    with pytest.raises(error) as alone:
         le_score("A", reference)
-    with pytest.raises(ParseError) as grouped:
-        score_group(["A", "B", "garbage ∧"], reference)
-    with pytest.raises(ParseError) as parsed:
+    with pytest.raises(error) as parsed:
         parse(reference)
-    assert str(grouped.value) == str(alone.value) == str(parsed.value)
+    grouped = score_group(["A", "B", "garbage ∧"], reference)
+    assert len(grouped) == 3 and all(result is grouped[0] for result in grouped)
+    assert type(grouped[0]) is type(alone.value) is type(parsed.value)
+    assert str(grouped[0]) == str(alone.value) == str(parsed.value)
+    if error is CapExceeded:
+        assert str(grouped[0]) == "formula has 1201 tokens (cap 500)"
+    scorer = Scorer(reference)
+    assert scorer(["A", "A"]) == [scorer.reference] * 2
+    assert scorer.results == scorer.rows == {}
 
 
 def test_unknown_mode_is_value_error():

@@ -8,8 +8,9 @@ effect of another change.
 
 import pytest
 
-from foleq.equivalence import le_score
+from foleq.equivalence import BindingMap, le_score, propositional_score
 from foleq.similarity import ngram_cosine
+from foleq.syntax import CapExceeded, enumerate_bracketings, lex, parse
 
 MODES = ["optimized", "original"]
 
@@ -60,3 +61,35 @@ def test_exact_threshold_pair_is_unrelated_in_floating_point(mode, score):
     report = le_score("P(x)", "Q(x)", mode=mode)
     assert report.score == score
     assert report.binding.as_dict() == ({} if mode == "optimized" else {"P(x)": "Q(x)"})
+
+
+def test_component_winners_are_picked_one_component_at_a_time():
+    # The search picks each enumerated component's winner with the later
+    # components at their start matching, never jointly, so a complete
+    # binding of the same components that scores higher can be missed:
+    # swapping both JoinsHappy pairs and both RidesSafe pairs reaches
+    # 0.73046875 on the first of the 6 readings, and the search reports
+    # 0.71484375.  Original mode refuses the pair: 8 atoms is past its
+    # factorial cap.  Changing these values is a deliberate decision about
+    # the metric.
+    prediction = "PicksQuiet(z, y) ∨ JoinsHappy(y, x) → RidesSafe(a, y) ∨ JoinsHappy(x, y) → RidesSafe(y, a)"
+    reference = (
+        "¬(¬((MovesFast(z, x) ∧ ¬RidesSafe(a, y)) → (PicksQuiet(y, z) ∨ (MovesFast(x, z) ∧ "
+        "(¬JoinsHappy(x, y) ∧ RidesSafe(y, a))))) ∧ (JoinsHappy(y, x) → PicksQuiet(z, y)))"
+    )
+    assert le_score(prediction, reference).score == 0.71484375
+    swapped = BindingMap(
+        pairs=(
+            ("PicksQuiet(z, y)", "PicksQuiet(z, y)"),
+            ("JoinsHappy(y, x)", "JoinsHappy(x, y)"),
+            ("JoinsHappy(x, y)", "JoinsHappy(y, x)"),
+            ("RidesSafe(a, y)", "RidesSafe(y, a)"),
+            ("RidesSafe(y, a)", "RidesSafe(a, y)"),
+        ),
+        unbound_reference=("MovesFast(z, x)", "PicksQuiet(y, z)", "MovesFast(x, z)"),
+    )
+    readings = enumerate_bracketings(lex(prediction), 4)
+    assert len(readings) == 6
+    assert max(propositional_score(tree, parse(reference), swapped) for tree in readings) == 0.73046875
+    with pytest.raises(CapExceeded, match="^8 atoms exceeds the factorial-search cap 7$"):
+        le_score(prediction, reference, mode="original")

@@ -25,11 +25,10 @@ from foleq.sgrpo import (
     sample_group,
     sft_term,
     sgrpo_objective,
-    _PromptRewards,
     train_demo,
     write_trace,
 )
-from foleq.equivalence import Scorer, le_score, score_group
+from foleq.equivalence import LeReport, Scorer, le_score, score_group
 from foleq.syntax import FormulaError, LexError, lex, parse, word_lexer
 
 from helpers import (
@@ -561,15 +560,16 @@ def test_train_demo_compiles_each_reference_once_and_scores_each_text_once(monke
         return real_score(tokens, ref, mode, config, rows)
 
     requested = set()
-    real_call = _PromptRewards.__call__
+    real_call = Scorer.__call__
 
-    def recording_call(self, samples):
-        requested.update((id(self.scorer.reference), tuple(sample)) for sample in samples)
-        return real_call(self, samples)
+    def recording_call(self, predictions):
+        predictions = list(predictions)
+        requested.update((id(self.reference), prediction) for prediction in predictions)
+        return real_call(self, predictions)
 
     monkeypatch.setattr(foleq.equivalence, "compile_reference", counting_compile)
     monkeypatch.setattr(foleq.equivalence, "_score_tokens", counting_score)
-    monkeypatch.setattr(_PromptRewards, "__call__", recording_call)
+    monkeypatch.setattr(Scorer, "__call__", recording_call)
     config = default_demo_config(iterations=30, seed=0)
     train_demo(config)
     assert sorted(compiled) == sorted(config.references)
@@ -590,11 +590,27 @@ def test_train_demo_trace_is_pinned_with_a_one_entry_reward_memo(monkeypatch):
     assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == PINNED_TRACE_SHA256
 
 
+def _rewards(scorer, samples):
+    """The trainer's rewards for ``samples`` (lists of ids): each result's
+    score, or 0.0 for a ``FormulaError``."""
+    return [result.score if isinstance(result, LeReport) else 0.0 for result in scorer(map(tuple, samples))]
+
+
 def test_rewards_are_zero_for_a_failed_text_or_reference():
     tokens = word_lexer(("A", "((", "¬" * 600 + "A", "B"))
-    assert _PromptRewards("A", tokens)([[0], [1], [2]]) == [1.0, 0.0, 0.0]
+    assert _rewards(Scorer("A", tokens=tokens), [[0], [1], [2]]) == [1.0, 0.0, 0.0]
     for deep in ("(" * 600 + "A" + ")" * 600, " → ".join(["A"] * 1200)):
-        assert _PromptRewards(deep, tokens)([[0], [3]]) == [0.0, 0.0]
+        scorer = Scorer(deep, tokens=tokens)
+        assert isinstance(scorer.reference, FormulaError)
+        assert _rewards(scorer, [[0], [3]]) == [0.0, 0.0]
+
+
+def test_train_demo_with_a_failing_reference_equals_the_per_prompt_reference():
+    # every sample of the unparseable prompt earns 0; the other prompt trains
+    config = replace(default_demo_config(iterations=20), references=("( P ( x ) → ¬ Q ( x ) )", " ".join("(" * 12)))
+    trace = train_demo(config)
+    assert json.dumps(trace) == json.dumps(per_prompt_train_demo(config))
+    assert trace[0]["mean_reward"] == 0.0
 
 
 # Vocabulary words: atoms of several tokens, ASCII spellings, words that
@@ -639,24 +655,16 @@ def test_rewards_from_ids_equal_score_group_on_the_joined_texts(data):
         | samples.map(lambda ids: " ".join(words[i] for i in ids))
     )
     tokens = word_lexer(words)
-    rewards = _PromptRewards(reference, tokens)
-    try:
-        by_ids, by_text = Scorer(reference, tokens=tokens), Scorer(reference)
-    except FormulaError:
-        by_ids = by_text = None
+    by_ids, by_text = Scorer(reference, tokens=tokens), Scorer(reference)
     for group in data.draw(st.lists(st.lists(samples, min_size=1, max_size=6), max_size=3)):
         texts = [" ".join(words[i] for i in ids) for ids in group]
-        try:
-            results = score_group(texts, reference)
-        except FormulaError:
-            expected = [0.0] * len(texts)
-            assert by_ids is None
-        else:
-            expected = [0.0 if isinstance(result, FormulaError) else result.score for result in results]
-            # result for result: the same report, or the same error
-            from_ids = [scored_result(r) for r in by_ids([tuple(ids) for ids in group])]
-            assert from_ids == [scored_result(r) for r in by_text(texts)] == [scored_result(r) for r in results]
-        assert rewards(group) == expected
+        results = score_group(texts, reference)
+        expected = [0.0 if isinstance(result, FormulaError) else result.score for result in results]
+        # result for result: the same report, or the same error, a failing
+        # reference's included
+        from_ids = [scored_result(r) for r in by_ids([tuple(ids) for ids in group])]
+        assert from_ids == [scored_result(r) for r in by_text(texts)] == [scored_result(r) for r in results]
+        assert _rewards(by_ids, group) == expected
 
 
 def test_train_demo_equals_the_per_prompt_reference_over_words_of_any_shape():
