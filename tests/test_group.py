@@ -24,7 +24,7 @@ from foleq.equivalence import (
     propositional_score,
     score_group,
 )
-from foleq.similarity import SimilarityConfig, _gram_vector
+from foleq.similarity import SimilarityConfig, _gram_vector, _pair_cosine
 from foleq.syntax import (
     MAX_CHAIN_OPERATORS,
     Atom,
@@ -232,6 +232,9 @@ def test_a_group_computes_each_atom_texts_gram_vector_once():
     ]
     reference = "Teaches(x, y) ∧ Loves(y)"
     texts = {"Teaches(x, y)", "Likes(y)", "Teach(x, y)", "Loves(y)", "Likes(x)", "Helps(y, x)", "Helps(x, y)", "Knows(x)"}
+    # A pair the cosine memo already holds never reaches the vector cache,
+    # so both start empty.
+    _pair_cosine.cache_clear()
     _gram_vector.cache_clear()
     try:
         first = score_group(predictions, reference, mode="optimized")
@@ -240,6 +243,7 @@ def test_a_group_computes_each_atom_texts_gram_vector_once():
         score_group(list(reversed(predictions)), compile_reference(reference), mode="optimized")
         assert _gram_vector.cache_info().misses == len(texts)
     finally:
+        _pair_cosine.cache_clear()
         _gram_vector.cache_clear()
 
 

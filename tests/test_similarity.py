@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -9,6 +10,7 @@ from foleq.similarity import (
     DEFAULT_SIMILARITY,
     SimilarityConfig,
     _gram_vector,
+    _pair_cosine,
     is_related,
     levenshtein,
     ngram_cosine,
@@ -148,6 +150,37 @@ def test_cosine_and_norm_equal_the_tuple_keyed_oracle_exactly(case):
         assert (compared, norm) == (oracle_text, oracle_norm)
         # A string key is a full-length gram, whose length is its size.
         assert {(len(g), g) if isinstance(g, str) else g: c for g, c in counts.items()} == oracle_counts
+
+
+# More distinct pairs than the cosine memo holds, over few enough texts that
+# their gram vectors stay cached.
+_FILLER = list(itertools.combinations([f"Fill{i}(x)" for i in range(46)], 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sizes_and_texts())
+def test_the_cosine_memo_is_exact_cold_warm_and_after_eviction(case):
+    sizes, a, b = case
+    config = SimilarityConfig(ngram_sizes=sizes)
+    oracle = tuple_cosine(a, b, sizes)
+    maxsize = _pair_cosine.cache_info().maxsize
+    filler = [pair for pair in _FILLER if sorted(pair) != sorted((a, b))][:maxsize]
+    _pair_cosine.cache_clear()
+    try:
+        assert ngram_cosine(a, b, config) == oracle
+        # warm, in either order: both orders share one entry
+        assert ngram_cosine(b, a, config) == oracle
+        assert ngram_cosine(a, b, config) == oracle
+        assert _pair_cosine.cache_info()[:2] == (2, 1)
+        for x, y in filler:
+            ngram_cosine(x, y, config)
+        assert _pair_cosine.cache_info().currsize == maxsize
+        misses = _pair_cosine.cache_info().misses
+        assert ngram_cosine(b, a, config) == oracle
+        assert _pair_cosine.cache_info().misses == misses + 1  # it was evicted
+        assert ngram_cosine(a, b, config) == oracle
+    finally:
+        _pair_cosine.cache_clear()
 
 
 def test_cached_gram_vectors_stay_small():
