@@ -151,9 +151,10 @@ def _cmd_score(args) -> int:
         return DATA_ERROR
 
     if args.prediction is not None and args.reference is not None and not args.pred_file:
-        if args.out:
-            print("--out needs --pred-file", file=sys.stderr)
-            return USAGE_ERROR
+        for option, given in (("--ref-file", args.ref_file), ("--out", args.out)):
+            if given:
+                print(f"{option} needs --pred-file", file=sys.stderr)
+                return USAGE_ERROR
         return _score_single(args, config)
     if not args.pred_file:
         print("score needs either two formulas or --pred-file", file=sys.stderr)

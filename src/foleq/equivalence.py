@@ -34,11 +34,11 @@ A GRPO-style group scores many predictions against one reference, so a
 ``Scorer`` compiles the reference once (``CompiledReference``) and scores
 each distinct prediction once, with one renaming, atom list and search plan
 (``_AtomTables``) for all of its readings, each joined from operand codes.
-It is the one memo path, for each prediction's result and each prediction
-atom text's candidate row, and the one failure rule, a ``FormulaError``
-becoming the result of the prediction that raised it, or of every
-prediction when the reference raised it: ``score_group``, ``le_score``,
-``corpus_le`` and the trainer's rewards all score through it.  Edit
+It is the one memo path, for each prediction's result, and the one failure
+rule, a ``FormulaError`` becoming the result of the prediction that raised
+it, or of every prediction when the reference raised it: ``score_group``,
+``le_score``, ``corpus_le`` and the trainer's rewards all score through it.
+Atom-pair cosines are remembered by ``similarity.ngram_cosine`` alone.  Edit
 distances are computed only where the search enumerates.  Every
 prediction's bindings are walked once (``_search``), however many readings
 it has: at each binding the reference skeleton is evaluated once under the
@@ -180,26 +180,16 @@ class CandidateGraph:
         pred_atoms: tuple[str, ...],
         ref_atoms: tuple[str, ...],
         config: SimilarityConfig = DEFAULT_SIMILARITY,
-        rows: dict[str, tuple[tuple[int, float], ...]] | None = None,
     ) -> "CandidateGraph":
-        """``rows`` memoizes each prediction atom text's (reference index,
-        similarity) edges; it must belong to these reference atoms and this
-        ``config``, and a fresh one is filled when none is given.  Edges come
-        in prediction-atom order, so each component is first met at its
-        smallest prediction atom and the components come in that order."""
-        if rows is None:
-            rows = {}
+        """Edges come in (prediction atom, reference atom) order, so each
+        component is first met at its smallest prediction atom and the
+        components come in that order."""
         edges = []
         for i, text in enumerate(pred_atoms):
-            row = rows.get(text)
-            if row is None:
-                row = []
-                for j, r in enumerate(ref_atoms):
-                    sim = ngram_cosine(text, r, config)
-                    if sim >= config.threshold:
-                        row.append((j, sim))
-                row = rows[text] = tuple(row)
-            edges.extend((i, j, sim) for j, sim in row)
+            for j, r in enumerate(ref_atoms):
+                sim = ngram_cosine(text, r, config)
+                if sim >= config.threshold:
+                    edges.append((i, j, sim))
 
         # Union-find over node ids: prediction atom i is node i, reference
         # atom j is node n_p + j.
@@ -431,14 +421,13 @@ class _AtomTables:
     budget: how many of them a maximum-cardinality assignment leaves
     unbound.  ``candidates`` gives each of those atoms its candidate
     reference atoms as (index, edit distance) in ascending (distance,
-    index) order; no other edit distance is computed.  They are
-    the atom's row in ``rows``, the candidate-row memo of this reference and
-    ``config`` that ``CandidateGraph.build`` reads and fills, or every
-    reference atom in original mode.
+    index) order; no other edit distance is computed.  They are the atom's
+    edges in the ``CandidateGraph``, or every reference atom in original
+    mode.
     ``component_cap`` is ``COMPONENT_CAP``, or None in original mode, whose
     atom count ``MAX_FACTORIAL_ATOMS`` bounds instead."""
 
-    def __init__(self, pred_atoms: tuple[str, ...], ref: CompiledReference, mode: str, config: LeConfig, rows: dict):
+    def __init__(self, pred_atoms: tuple[str, ...], ref: CompiledReference, mode: str, config: LeConfig):
         self.pred_atoms = pred_atoms
         self.ref = ref
         self.mode = mode
@@ -448,9 +437,14 @@ class _AtomTables:
             if max(n_p, n_r) > MAX_FACTORIAL_ATOMS:
                 raise CapExceeded(f"{max(n_p, n_r)} atoms exceeds the factorial-search cap {MAX_FACTORIAL_ATOMS}")
             components: Sequence[Component] = (Component(tuple(range(n_p)), tuple(range(n_r))),)
+            neighbours = [range(n_r)] * n_p
             self.component_cap: int | None = None
         else:
-            components = CandidateGraph.build(pred_atoms, ref.atoms, config.similarity, rows).components
+            graph = CandidateGraph.build(pred_atoms, ref.atoms, config.similarity)
+            components = graph.components
+            neighbours = [[] for _ in pred_atoms]
+            for i, j, _ in graph.edges:
+                neighbours[i].append(j)
             self.component_cap = COMPONENT_CAP
         self.start: list[int | None] = [None] * n_p
         self.enumerated: list[tuple[tuple[int, ...], int]] = []
@@ -461,8 +455,7 @@ class _AtomTables:
                 self.start[preds[0]] = refs[0]
                 continue
             for i in preds:
-                refs = range(n_r) if mode == "original" else [j for j, _ in rows[pred_atoms[i]]]
-                row = sorted((levenshtein(pred_atoms[i], ref.atoms[j]), j) for j in refs)
+                row = sorted((levenshtein(pred_atoms[i], ref.atoms[j]), j) for j in neighbours[i])
                 self.candidates[i] = [(j, dist) for dist, j in row]
             matching = _max_matching(preds, self.candidates)
             for j, i in matching.items():
@@ -717,7 +710,7 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
 def _bind(pred: FolExpr, ref: FolExpr, mode: str, config: LeConfig) -> LeReport:
     compiled = _compile_tree(ref)
     lowered = _compile_tree(pred)
-    return _search([lowered.code], _AtomTables(lowered.atoms, compiled, mode, config, {}))
+    return _search([lowered.code], _AtomTables(lowered.atoms, compiled, mode, config))
 
 
 def bind_original(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -> LeReport:
@@ -753,12 +746,12 @@ def bind_optimized(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -
 # --- top-level scoring -------------------------------------------------------
 
 
-# The entries each memo of a ``Scorer`` holds, its results and its candidate
-# rows; a full memo is emptied at the start of the next call, never during one.
+# The entries a ``Scorer``'s results memo holds; a full memo is emptied at the
+# start of the next call, never during one.
 _MEMO_LIMIT = 4096
 
 
-def _score_tokens(tokens: list[Token], ref: CompiledReference, mode: str, config: LeConfig, rows: dict) -> LeReport:
+def _score_tokens(tokens: list[Token], ref: CompiledReference, mode: str, config: LeConfig) -> LeReport:
     """Bind every reading that enumerate_bracketings gives.  Readings keep
     the quantifiers and atoms in one pre-order, so the prediction is parsed
     and lowered once, straight to the renaming, the atom list and the
@@ -770,8 +763,7 @@ def _score_tokens(tokens: list[Token], ref: CompiledReference, mode: str, config
     the reading.  So every reading goes to one ``_search``, which walks the
     bindings once, scores each distinct table at every binding and returns
     the report: the first best reading's binding and score, with one
-    reading's counters times the number of readings.  ``rows`` is the
-    candidate-row memo of ``ref`` and ``config`` (see ``_AtomTables``)."""
+    reading's counters times the number of readings."""
     lowering = _Lowering()
     wrapped, operands, ops = split_chain(tokens, nodes=lowering)
     negated = False
@@ -779,7 +771,7 @@ def _score_tokens(tokens: list[Token], ref: CompiledReference, mode: str, config
         negated, wrapped = not negated, wrapped[1]
     readings = chain_readings(operands, ops, config.chunk_size, lowering.join)
     skeletons = [("not", reading) if negated else reading for reading in readings]
-    return _search(skeletons, _AtomTables(lowering.atoms(), ref, mode, config, rows))
+    return _search(skeletons, _AtomTables(lowering.atoms(), ref, mode, config))
 
 
 class Scorer:
@@ -789,12 +781,12 @@ class Scorer:
     compiled once (a ``CompiledReference`` is taken as given).  A prediction
     is text for ``syntax.lex``, or any key that ``tokens`` lexes, such as a
     ``syntax.word_lexer``'s id tuple.  Each distinct prediction is scored
-    once, so equal ones share a report (treat it as read-only), and each
-    prediction atom text's candidate row is built once.  Each memo holds up
-    to ``_MEMO_LIMIT`` entries, and a full one is emptied only at the start
-    of a call.  An unknown mode raises ``ValueError``.  A reference that
-    fails to parse or passes a cap is kept as its ``FormulaError``
-    (``reference``), which is then every prediction's result, one object."""
+    once, so equal ones share a report (treat it as read-only).  The memo
+    holds up to ``_MEMO_LIMIT`` results, and a full one is emptied only at
+    the start of a call.  An unknown mode raises ``ValueError``.  A
+    reference that fails to parse or passes a cap is kept as its
+    ``FormulaError`` (``reference``), which is then every prediction's
+    result, one object."""
 
     def __init__(
         self, reference: str | CompiledReference, mode: str = "optimized", config: LeConfig = DEFAULT_LE, tokens=None
@@ -807,15 +799,13 @@ class Scorer:
             self.reference = exc.with_traceback(None)
         self.mode, self.config, self.tokens = mode, config, tokens
         self.results: dict[Hashable, LeReport | FormulaError] = {}
-        self.rows: dict[str, tuple[tuple[int, float], ...]] = {}
 
     def __call__(self, predictions: Iterable[Hashable]) -> list[LeReport | FormulaError]:
         if isinstance(self.reference, FormulaError):
             return [self.reference for _ in predictions]
-        results, rows = self.results, self.rows
-        for memo in (results, rows):
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
+        results = self.results
+        if len(results) >= _MEMO_LIMIT:
+            results.clear()
         # ``lex`` is read at each call, so a tracer that wraps it sees it.
         tokens = lex if self.tokens is None else self.tokens
         out = []
@@ -823,7 +813,7 @@ class Scorer:
             result = results.get(prediction)
             if result is None:
                 try:
-                    result = _score_tokens(tokens(prediction), self.reference, self.mode, self.config, rows)
+                    result = _score_tokens(tokens(prediction), self.reference, self.mode, self.config)
                 except FormulaError as exc:
                     # The traceback's frames lead back to this frame, which holds
                     # the exception: dropping it avoids a cycle per failure.
@@ -842,7 +832,7 @@ def score_group(
     """Score each of ``predictions`` against one shared ``reference``: one
     call of a fresh ``Scorer``, so the reference is compiled once and each
     distinct prediction text is scored once.  Keep a ``Scorer`` to keep its
-    memos across calls.  The result is aligned with ``predictions``: a
+    memo across calls.  The result is aligned with ``predictions``: a
     report, or the ``FormulaError`` that prediction raised, or, in every
     entry, the one the reference raised.  An unknown mode raises
     ``ValueError``; no formula text raises."""

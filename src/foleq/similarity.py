@@ -75,10 +75,11 @@ def _gram_counts(text: str, sizes: frozenset[int]) -> Counter:
 # The pair memo below serves a serving session, which sees one task's
 # predicate vocabulary again and again: those 16,500 serve_mixed requests make
 # 201,005 cosine calls over 576 distinct ordered atom pairs (300 unordered),
-# and the memo serves 99.85% of the calls.  750 corpus_groups make 68,968
-# calls over 67,191 ordered and 50,471 unordered pairs; their reuse is a pair
-# and its reverse within one group, so the memo serves 24% / 25% / 26% of the
-# calls at 64 / 1,024 / 16,384 entries.  train_demo makes 1.25 calls per
+# and the memo serves 99.85% of the calls.  750 corpus_groups make 266,426
+# calls over 67,191 ordered and 50,471 unordered pairs; their reuse lies
+# within one group, an atom text met again in another prediction or a pair
+# met reversed, so 51,601 calls miss and the memo serves 69% / 80.6% / 81% of
+# the calls at 64 / 1,024 / 16,384 entries.  train_demo makes 3.2 calls per
 # iteration.  A larger memo would only cost memory.
 @lru_cache(maxsize=1024)
 def _gram_vector(text: str, sizes: frozenset[int]) -> tuple[str, Counter, float]:

@@ -314,7 +314,7 @@ def forward_bind(pred: FolExpr, ref: FolExpr, mode: str, config=DEFAULT_LE) -> L
     forward search over the library's search plan (``_AtomTables``)."""
     compiled = compile_reference(render(ref))
     pred_atoms, (code,) = lower_by_three_walks([pred])
-    return forward_search(code, _AtomTables(pred_atoms, compiled, mode, config, {}), config.max_atoms)
+    return forward_search(code, _AtomTables(pred_atoms, compiled, mode, config), config.max_atoms)
 
 
 def forward_search(code, tables, max_atoms: int) -> LeReport:

@@ -296,6 +296,13 @@ def test_score_out_with_a_single_pair_is_a_usage_error(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_score_ref_file_with_a_single_pair_is_a_usage_error(tmp_path, capsys):
+    ref_path = tmp_path / "refs.txt"
+    ref_path.write_text("B\n", encoding="utf-8")
+    code, out, err = run(capsys, "score", "A", "A", "--ref-file", str(ref_path))
+    assert (code, out, err) == (1, "", "--ref-file needs --pred-file\n")
+
+
 def test_bad_config_file_is_data_error(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"volume": 11}), encoding="utf-8")

@@ -471,7 +471,7 @@ def test_search_equals_the_forward_search_of_each_reading(data, mode, cap):
     pred_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
     ref_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
     ref = CompiledReference(ref_atoms, data.draw(_skeletons(len(ref_atoms))))
-    plan = _AtomTables(pred_atoms, ref, mode, DEFAULT_LE, {})
+    plan = _AtomTables(pred_atoms, ref, mode, DEFAULT_LE)
     if mode == "optimized":
         plan.component_cap = cap
     for i, row in plan.candidates.items():
@@ -502,14 +502,12 @@ def test_plan_reads_the_candidate_graph(data):
     candidate graph edges, in ascending (edit distance, index) order, and
     starts from the graph's one-to-one components and, on each enumerated
     component, from an injective assignment of its candidate rows that
-    leaves exactly its skip budget unbound.  The graph is the same
-    with no memo and with the memo the plan filled, and its components come
+    leaves exactly its skip budget unbound.  The graph's components come
     in ascending order of their first prediction atom."""
     pred_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
     ref_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
     ref = CompiledReference(ref_atoms, ("atom", 0))
-    memo = {}
-    plan = _AtomTables(pred_atoms, ref, "optimized", DEFAULT_LE, memo)
+    plan = _AtomTables(pred_atoms, ref, "optimized", DEFAULT_LE)
 
     graph = CandidateGraph.build(pred_atoms, ref_atoms, DEFAULT_LE.similarity)
     edges: dict[int, list[int]] = {}
@@ -535,9 +533,6 @@ def test_plan_reads_the_candidate_graph(data):
 
     firsts = [c.prediction_atoms[0] for c in graph.components]
     assert firsts == sorted(set(firsts))
-    # The plan has filled the memo, so this build reads it.
-    assert set(memo) == set(pred_atoms)
-    assert CandidateGraph.build(pred_atoms, ref_atoms, DEFAULT_LE.similarity, memo) == graph
 
 
 def test_a_settled_group_is_bound_by_its_largest_best_distance():

@@ -178,7 +178,7 @@ def test_bad_reference_fails_like_scoring_alone(reference, error):
         assert str(grouped[0]) == "formula has 1201 tokens (cap 500)"
     scorer = Scorer(reference)
     assert scorer(["A", "A"]) == [scorer.reference] * 2
-    assert scorer.results == scorer.rows == {}
+    assert scorer.results == {}
 
 
 def test_unknown_mode_is_value_error():
@@ -201,14 +201,22 @@ def test_group_of_eight_parses_reference_once(monkeypatch):
     assert calls == ["A ∧ B"]
 
 
-@pytest.mark.parametrize("limit", [1, equivalence._MEMO_LIMIT])
-def test_a_reused_scorer_equals_a_fresh_one_per_call(monkeypatch, limit):
-    # At a limit of 1 every call but the first starts with emptied memos.
+@pytest.mark.parametrize(
+    "limit, cold", [(1, False), (equivalence._MEMO_LIMIT, False), (equivalence._MEMO_LIMIT, True)],
+    ids=["1", str(equivalence._MEMO_LIMIT), "cold-cosines"],
+)
+def test_a_reused_scorer_equals_a_fresh_one_per_call(monkeypatch, limit, cold):
+    # At a limit of 1 every call but the first starts with an emptied memo;
+    # cold, every call of the kept Scorer starts with empty cosine caches,
+    # while the fresh one finds them warm.
     monkeypatch.setattr(equivalence, "_MEMO_LIMIT", limit)
     reference = "∀x (P(x) → Q(x))"
     texts = ["∀y (P(y) → Q(y))", "∀x (Q(x) → P(x))", "((", "P(a)", "∀y (P(y) → Q(y))", "(("]
     scorer = Scorer(compile_reference(reference))
     for predictions in (texts, texts[::-1], texts[1:4], ["P(a) ∧ Q(b)", "P(a)", "P(a) ∧ Q(b)"]):
+        if cold:
+            _pair_cosine.cache_clear()
+            _gram_vector.cache_clear()
         reused = scorer(predictions)
         assert [scored_result(r) for r in reused] == [scored_result(r) for r in Scorer(reference)(predictions)]
         # equal predictions in one call share one result
@@ -488,9 +496,7 @@ def test_edit_distances_only_for_enumerated_components(monkeypatch):
     assert sorted(calls) == sorted(edges)
 
 
-def test_a_group_computes_each_candidate_row_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(equivalence, "ngram_cosine", _counting(calls, equivalence.ngram_cosine))
+def test_a_group_computes_each_atom_pair_cosine_once():
     reference = "∀x (Likes(x) → (Owns(x) ∧ Rides(x)))"
     predictions = [
         "∀x (Likes(x) → (Owns(x) ∧ Rides(x)))",
@@ -502,22 +508,26 @@ def test_a_group_computes_each_candidate_row_once(monkeypatch):
         "Owns(a) ∨ Likes(a) ∨ Rides(a)",
         "∀x (Likes(x) ↔ Owns(x))",
     ]
-    score_group(predictions, reference)
     ref_texts = compile_reference(reference).atoms
     pred_atoms = [atoms_of(canonicalize(parse(p))) for p in predictions]
     pred_texts = {a for atoms in pred_atoms for a in atoms}
-    assert sorted(calls) == sorted(itertools.product(pred_texts, ref_texts))
-    assert len(calls) < sum(map(len, pred_atoms)) * len(ref_texts)
+    # The cosine memo keys the unordered pair.
+    pairs = {tuple(sorted(pair)) for pair in itertools.product(pred_texts, ref_texts)}
+    assert len(pairs) < sum(map(len, pred_atoms)) * len(ref_texts)
+    _pair_cosine.cache_clear()
+    try:
+        score_group(predictions, reference)
+        assert _pair_cosine.cache_info().misses == len(pairs)
 
-    # A Scorer keeps its rows across calls, and one under another config
-    # fills its own.
-    scorer = Scorer(reference)
-    scorer(predictions)
-    calls.clear()
-    scorer([f"¬({p})" for p in predictions])
-    assert calls == []
-    Scorer(reference, config=LeConfig(similarity=SimilarityConfig(threshold=0.5)))(predictions)
-    assert len(calls) == len(pred_texts) * len(ref_texts)
+        # Another group, or another threshold, over the same atoms computes
+        # no cosine; other n-gram sizes compute their own.
+        score_group([f"¬({p})" for p in predictions], reference)
+        Scorer(reference, config=LeConfig(similarity=SimilarityConfig(threshold=0.5)))(predictions)
+        assert _pair_cosine.cache_info().misses == len(pairs)
+        Scorer(reference, config=LeConfig(similarity=SimilarityConfig(ngram_sizes=frozenset({2}))))(predictions)
+        assert _pair_cosine.cache_info().misses == 2 * len(pairs)
+    finally:
+        _pair_cosine.cache_clear()
 
 
 def _truth_table(tree, names):
@@ -786,7 +796,7 @@ def test_a_reports_binding_rescores_to_its_score(seed, mode):
     assert propositional_score(pred, ref, report.binding) == report.score
 
 
-def test_candidate_row_memo_reset_keeps_every_report(monkeypatch):
+def test_results_memo_reset_keeps_every_report(monkeypatch):
     rng = random.Random(5)
     reference = render(random_formula(rng, max_atoms=5, max_depth=4, predicates=_PLAN_PREDICATES))
     predictions = [render(random_formula(rng, max_atoms=5, max_depth=4, predicates=_PLAN_PREDICATES)) for _ in range(16)]
@@ -794,11 +804,11 @@ def test_candidate_row_memo_reset_keeps_every_report(monkeypatch):
     def scored():
         scorer = Scorer(reference)
         reports = [scorer([prediction])[0].to_dict() for prediction in predictions]
-        return reports, set(scorer.rows)
+        return reports, set(scorer.results)
 
     expected, memo = scored()
-    # One-entry memos are emptied before every call but the first.
+    # A one-entry memo is emptied before every call but the first.
     monkeypatch.setattr(equivalence, "_MEMO_LIMIT", 1)
     reports, last = scored()
     assert reports == expected
-    assert last == set(compile_reference(predictions[-1]).atoms) < memo
+    assert last == {predictions[-1]} < memo == set(predictions)
