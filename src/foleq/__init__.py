@@ -18,7 +18,7 @@ from .equivalence import (
     score_group,
 )
 from .service import BindError, ScoreRequest, ScoreResponse, ServiceConfig, handle_request, serve, serve_socket
-from .similarity import SimilarityConfig, is_related, levenshtein, ngram_cosine
+from .similarity import is_related, levenshtein, ngram_cosine
 from .syntax import (
     Atom,
     Binary,
@@ -52,7 +52,7 @@ __all__ = [
     "Atom", "Binary", "BindError", "BindingMap", "BleuConfig", "CandidateGraph", "CapExceeded",
     "CompiledReference", "CorpusReport", "EvalPair", "FolExpr", "FormulaError", "LeConfig", "LeReport",
     "LexError", "Not", "ParseError", "Quantified", "ScoreRequest", "ScoreResponse", "Scorer", "ServiceConfig",
-    "SimilarityConfig", "atoms_of", "bind_optimized", "bind_original", "canonicalize", "compile_reference",
+    "atoms_of", "bind_optimized", "bind_original", "canonicalize", "compile_reference",
     "corpus_bleu", "corpus_le", "enumerate_bracketings", "handle_request", "is_related", "le_score",
     "levenshtein", "lex", "load_pairs", "ngram_cosine", "parse", "propositional_score", "render",
     "score_group", "serve", "serve_socket", "tokenize_formula", *sorted(_SGRPO_NAMES),

@@ -46,8 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("reference", nargs="?")
     p_score.add_argument("--pred-file", help="predictions file, or combined pairs file")
     p_score.add_argument("--ref-file", help="references file aligned line-by-line with --pred-file")
-    p_score.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl",
-                         help="combined pairs file format when --ref-file is absent")
+    p_score.add_argument("--format", choices=("jsonl", "tsv"),
+                         help="combined pairs file format when --ref-file is absent (default jsonl)")
     p_score.add_argument("--mode", choices=MODES)
     p_score.add_argument("--threshold", type=float)
     p_score.add_argument("--chunk-size", type=int)
@@ -150,6 +150,9 @@ def _cmd_score(args) -> int:
     if config is None:
         return DATA_ERROR
 
+    if args.format is not None and (args.ref_file or not args.pred_file):
+        print("--format needs --pred-file without --ref-file", file=sys.stderr)
+        return USAGE_ERROR
     if args.prediction is not None and args.reference is not None and not args.pred_file:
         for option, given in (("--ref-file", args.ref_file), ("--out", args.out)):
             if given:
@@ -168,7 +171,7 @@ def _cmd_score(args) -> int:
             pairs = _read_aligned(args.pred_file, args.ref_file)
             load_failures: list = []
         else:
-            pairs, load_failures = load_pairs(args.pred_file, fmt=args.format)
+            pairs, load_failures = load_pairs(args.pred_file, fmt=args.format or "jsonl")
     except (OSError, ValueError) as exc:
         print(f"cannot read pairs: {exc}", file=sys.stderr)
         return DATA_ERROR

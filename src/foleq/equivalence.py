@@ -17,9 +17,9 @@ edit-distance order.
 
 ``bind_original``
     Searches the complete graph, every prediction atom a candidate for
-    every reference atom, as one component with no cap: it exhausts every
-    complete injective matching of the smaller atom set (n! for equal
-    sides), so ``MAX_FACTORIAL_ATOMS`` bounds it.
+    every reference atom, as one component: it exhausts every complete
+    injective matching of the smaller atom set (n! for equal sides), so
+    ``MAX_FACTORIAL_ATOMS`` bounds it, below ``COMPONENT_CAP``.
 
 ``bind_optimized``
     Searches the relatedness graph, whose edges join atom pairs with
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Sequence
 
-from .similarity import DEFAULT_SIMILARITY, SimilarityConfig, levenshtein, ngram_cosine
+from .similarity import THRESHOLD, levenshtein, ngram_cosine
 from .syntax import (
     AND,
     IFF,
@@ -95,8 +95,9 @@ MAX_TABLE_ATOMS = 20
 # complete matching: 7! = 5,040 of them for seven atoms on each side.
 MAX_FACTORIAL_ATOMS = 7
 
-# The most bindings an optimized-mode search walks in one component before it
-# keeps its best so far and flags the report ``truncated``.
+# The most bindings a search walks in one component before it keeps its best
+# so far and flags the report ``truncated``.  Only an optimized-mode search
+# reaches it: an original-mode one walks at most 7! = 5,040.
 COMPONENT_CAP = 10_000
 
 
@@ -104,13 +105,16 @@ COMPONENT_CAP = 10_000
 class LeConfig:
     """The settings of equivalence scoring.  The other limits are
     constants: ``MAX_FACTORIAL_ATOMS``, ``COMPONENT_CAP``,
-    ``syntax.MAX_CHAIN_OPERATORS`` and ``syntax.MAX_TOKENS``."""
+    ``similarity.NGRAM_SIZES``, ``syntax.MAX_CHAIN_OPERATORS`` and
+    ``syntax.MAX_TOKENS``."""
 
-    similarity: SimilarityConfig = DEFAULT_SIMILARITY
+    threshold: float = THRESHOLD
     chunk_size: int | None = 4
     max_atoms: int = 16
 
     def __post_init__(self):
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must lie in [0, 1]")
         if self.chunk_size is not None and self.chunk_size < 2:
             raise ValueError("chunk_size must be at least 2 (or None for full enumeration)")
         if self.max_atoms < 1:
@@ -169,7 +173,7 @@ class Component:
 class CandidateGraph:
     """Bipartite relatedness graph between prediction and reference atoms.
     Edge entries are (prediction index, reference index, similarity), every
-    similarity at or above the configured threshold."""
+    similarity at or above the threshold."""
 
     edges: tuple[tuple[int, int, float], ...]
     components: tuple[Component, ...]
@@ -179,7 +183,7 @@ class CandidateGraph:
         cls,
         pred_atoms: tuple[str, ...],
         ref_atoms: tuple[str, ...],
-        config: SimilarityConfig = DEFAULT_SIMILARITY,
+        threshold: float = THRESHOLD,
     ) -> "CandidateGraph":
         """Edges come in (prediction atom, reference atom) order, so each
         component is first met at its smallest prediction atom and the
@@ -187,8 +191,8 @@ class CandidateGraph:
         edges = []
         for i, text in enumerate(pred_atoms):
             for j, r in enumerate(ref_atoms):
-                sim = ngram_cosine(text, r, config)
-                if sim >= config.threshold:
+                sim = ngram_cosine(text, r)
+                if sim >= threshold:
                     edges.append((i, j, sim))
 
         # Union-find over node ids: prediction atom i is node i, reference
@@ -423,9 +427,7 @@ class _AtomTables:
     reference atoms as (index, edit distance) in ascending (distance,
     index) order; no other edit distance is computed.  They are the atom's
     edges in the ``CandidateGraph``, or every reference atom in original
-    mode.
-    ``component_cap`` is ``COMPONENT_CAP``, or None in original mode, whose
-    atom count ``MAX_FACTORIAL_ATOMS`` bounds instead."""
+    mode."""
 
     def __init__(self, pred_atoms: tuple[str, ...], ref: CompiledReference, mode: str, config: LeConfig):
         self.pred_atoms = pred_atoms
@@ -438,14 +440,12 @@ class _AtomTables:
                 raise CapExceeded(f"{max(n_p, n_r)} atoms exceeds the factorial-search cap {MAX_FACTORIAL_ATOMS}")
             components: Sequence[Component] = (Component(tuple(range(n_p)), tuple(range(n_r))),)
             neighbours = [range(n_r)] * n_p
-            self.component_cap: int | None = None
         else:
-            graph = CandidateGraph.build(pred_atoms, ref.atoms, config.similarity)
+            graph = CandidateGraph.build(pred_atoms, ref.atoms, config.threshold)
             components = graph.components
             neighbours = [[] for _ in pred_atoms]
             for i, j, _ in graph.edges:
                 neighbours[i].append(j)
-            self.component_cap = COMPONENT_CAP
         self.start: list[int | None] = [None] * n_p
         self.enumerated: list[tuple[tuple[int, ...], int]] = []
         self.candidates: dict[int, list[tuple[int, int]]] = {}
@@ -500,14 +500,13 @@ def _enumerate(
     (memoised on the position, the reference atoms in use and the skips
     left); the walk carries the reference atoms in use as that key's
     bitmask, ``taken``.  With no bound every leaf is walked.  The walk stops
-    at the component cap, counting past it only far enough to see whether a
+    at ``COMPONENT_CAP``, counting past it only far enough to see whether a
     leaf lies there.  Returns the number of leaves walked or counted, at
     most the cap, and whether any leaf lies past the cap; ``mapping`` is
     left as it was given."""
-    # sys.maxsize stands for no cap and no bound: ints compare faster than
-    # math.inf, and no count or summed distance reaches it.
+    # sys.maxsize stands for no bound: ints compare faster than math.inf,
+    # and no summed distance reaches it.
     adj = tables.candidates
-    cap = sys.maxsize if tables.component_cap is None else tables.component_cap
     end = len(preds)
     count = 0
     limit = sys.maxsize if bound is None else bound
@@ -551,14 +550,14 @@ def _enumerate(
                     if stop:
                         return True
             return skips_left > 0 and rec(pos + 1, taken, skips_left - 1, dist)
-        if count < cap:
+        if count < COMPONENT_CAP:
             return False
         # At the cap: the rest is only counted, until a leaf lies past it.
         limit = 0
-        return count > cap
+        return count > COMPONENT_CAP
 
     past = rec(0, 0, skips, 0)
-    return (cap, True) if past else (count, False)
+    return (COMPONENT_CAP, True) if past else (count, False)
 
 
 def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
@@ -716,8 +715,9 @@ def _bind(pred: FolExpr, ref: FolExpr, mode: str, config: LeConfig) -> LeReport:
 def bind_original(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -> LeReport:
     """Exhaustive search over every complete injective matching of the
     smaller atom set, candidates tried in ascending edit-distance order: the
-    binding search over the complete graph, with no component cap.
-    Factorial in the atom count, so guarded by ``MAX_FACTORIAL_ATOMS``.
+    binding search over the complete graph.  Factorial in the atom count,
+    so guarded by ``MAX_FACTORIAL_ATOMS``, whose 7! leaves stay below
+    ``COMPONENT_CAP``.
     ``pred`` and ``ref`` are trees.  Bound variables are renamed by
     ``syntax.Renaming``'s one rule, so trees need not be canonicalized first
     and the report names the renamed atoms.  The report is ``_search``'s

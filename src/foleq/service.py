@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .corpus import BleuConfig, DEFAULT_BLEU, EvalPair, JsonError, corpus_bleu, decode_json
 from .equivalence import DEFAULT_LE, MODES, LeConfig, compile_reference, le_score
@@ -36,7 +36,8 @@ BAD_REQUEST = "BAD_REQUEST"
 CAP_EXCEEDED = "CAP_EXCEEDED"
 INTERNAL = "INTERNAL"
 
-_LE_KEYS = frozenset({"threshold", "ngram_sizes", "chunk_size", "max_atoms"})
+# The config keys and wire overrides that set an ``LeConfig`` field.
+_LE_KEYS = frozenset(field.name for field in fields(LeConfig))
 
 # Seconds a socket connection may stay silent (or leave a response unread)
 # before it is closed, so that one idle client cannot hold the listener.
@@ -44,18 +45,16 @@ _READ_TIMEOUT_S = 10.0
 
 
 def _le_config(raw: dict, base: LeConfig) -> LeConfig:
-    """``base`` with the flat keys threshold, ngram_sizes, chunk_size and
-    max_atoms of ``raw`` applied; ``base`` itself when ``raw`` has none."""
+    """``base`` with the keys threshold, chunk_size and max_atoms of ``raw``
+    applied; ``base`` itself when ``raw`` has none."""
     if not _LE_KEYS & raw.keys():
         return base
-    sim = base.similarity
-    sizes = typed_value(raw, "ngram_sizes", list, "a list of positive integers", sim.ngram_sizes)
-    if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in sizes):
-        raise ValueError(f"ngram_sizes must be a list of positive integers, not {sizes!r}")
-    sim = replace(sim, threshold=_fraction(raw, "threshold", sim.threshold), ngram_sizes=frozenset(sizes))
-    chunk_size = typed_value(raw, "chunk_size", int, "an integer", base.chunk_size)
-    max_atoms = typed_value(raw, "max_atoms", int, "an integer", base.max_atoms)
-    return replace(base, similarity=sim, chunk_size=chunk_size, max_atoms=max_atoms)
+    return replace(
+        base,
+        threshold=_fraction(raw, "threshold", base.threshold),
+        chunk_size=typed_value(raw, "chunk_size", int, "an integer", base.chunk_size),
+        max_atoms=typed_value(raw, "max_atoms", int, "an integer", base.max_atoms),
+    )
 
 
 def typed_value(raw: dict, key: str, types, kind: str, default):
@@ -91,8 +90,8 @@ class ServiceConfig:
     @staticmethod
     def from_mapping(raw: dict) -> "ServiceConfig":
         """Build from a flat key-value mapping (the config-file format).
-        Recognized keys: threshold, chunk_size, max_atoms, mode,
-        ngram_sizes, bleu_smoothing."""
+        Recognized keys: threshold, chunk_size, max_atoms, mode and
+        bleu_smoothing."""
         unknown = set(raw) - _LE_KEYS - {"mode", "bleu_smoothing"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -157,7 +156,7 @@ def parse_request(raw: dict) -> ScoreRequest:
     if overrides is not None:
         if not isinstance(overrides, dict):
             raise ValueError("overrides must be an object")
-        unknown = set(overrides) - (_LE_KEYS - {"ngram_sizes"})
+        unknown = set(overrides) - _LE_KEYS
         if unknown:
             raise ValueError(f"unknown override keys: {sorted(unknown)}")
     return ScoreRequest(rid, op, prediction, reference, mode, overrides)

@@ -1,37 +1,24 @@
 """String similarity used to restrict atom-matching candidates.
 
-The default backend is a character n-gram cosine over pooled 2- and 3-gram
-counts of the lower-cased strings.  Strings shorter than n contribute
-themselves as a single gram, and every non-empty string scores exactly 1.0
-against itself.  The relatedness
-threshold is inclusive: a score of exactly ``threshold`` counts as related.
+The one backend is a character n-gram cosine over pooled 2- and 3-gram
+counts (``NGRAM_SIZES``) of the lower-cased strings.  Strings shorter than n
+contribute themselves as a single gram, and every non-empty string scores
+exactly 1.0 against itself.  The relatedness threshold is inclusive: a score
+of exactly ``threshold`` counts as related.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
-class SimilarityConfig:
-    ngram_sizes: frozenset[int] = frozenset({2, 3})
-    threshold: float = 0.6
+# The character n-gram sizes pooled in every cosine.
+NGRAM_SIZES = (2, 3)
 
-    def __post_init__(self):
-        if not self.ngram_sizes:
-            raise ValueError("ngram_sizes must be non-empty")
-        if any(isinstance(n, bool) or not isinstance(n, int) for n in self.ngram_sizes):
-            raise ValueError("ngram sizes must be integers")
-        if any(n < 1 for n in self.ngram_sizes):
-            raise ValueError("ngram sizes must be >= 1")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must lie in [0, 1]")
-
-
-DEFAULT_SIMILARITY = SimilarityConfig()
+# The relatedness threshold, inclusive, the default of ``LeConfig.threshold``.
+THRESHOLD = 0.6
 
 
 @lru_cache(maxsize=16384)
@@ -51,12 +38,12 @@ def levenshtein(a: str, b: str) -> int:
     return previous[-1]
 
 
-def _gram_counts(text: str, sizes: frozenset[int]) -> Counter:
+def _gram_counts(text: str) -> Counter:
     # A full-length gram is keyed by its own text, whose length names its
     # size; a text shorter than n keeps an (n, text) key, so no two sizes
     # share a key.
     counts: Counter = Counter()
-    for n in sizes:
+    for n in NGRAM_SIZES:
         if len(text) >= n:
             counts.update(map("".join, zip(*[text[i:] for i in range(n)])))
         elif text:
@@ -65,7 +52,8 @@ def _gram_counts(text: str, sizes: frozenset[int]) -> Counter:
 
 
 # Cached entries are shared; callers must treat the returned counter as read-only.
-# An entry is one atom text's compared form, gram counts and norm, a few
+# Both memos key atom texts alone: the gram sizes are the constant
+# ``NGRAM_SIZES``, and the threshold never changes a cosine.  An entry is one atom text's compared form, gram counts and norm, a few
 # hundred bytes to a few kilobytes, so 1,024 entries hold a few megabytes.
 # The reuse it serves lies within one scoring group or one serving session.
 # In the seed-29 benchmark runs, 16,500 serve_mixed requests miss 24 times and
@@ -82,27 +70,27 @@ def _gram_counts(text: str, sizes: frozenset[int]) -> Counter:
 # the calls at 64 / 1,024 / 16,384 entries.  train_demo makes 3.2 calls per
 # iteration.  A larger memo would only cost memory.
 @lru_cache(maxsize=1024)
-def _gram_vector(text: str, sizes: frozenset[int]) -> tuple[str, Counter, float]:
+def _gram_vector(text: str) -> tuple[str, Counter, float]:
     """The text as compared (lower-cased), its gram counts and their
     Euclidean norm."""
     text = text.lower()
-    counts = _gram_counts(text, sizes)
+    counts = _gram_counts(text)
     return text, counts, math.sqrt(sum(c * c for c in counts.values()))
 
 
-def ngram_cosine(a: str, b: str, config: SimilarityConfig = DEFAULT_SIMILARITY) -> float:
+def ngram_cosine(a: str, b: str) -> float:
     """Cosine of pooled character n-gram count vectors, in [0, 1]."""
     # The cosine is symmetric to the last bit, so the memo keys the unordered
-    # pair; the threshold never changes a cosine, so it keys only the sizes.
+    # pair.
     if b < a:
         a, b = b, a
-    return _pair_cosine(a, b, config.ngram_sizes)
+    return _pair_cosine(a, b)
 
 
 @lru_cache(maxsize=1024)
-def _pair_cosine(a: str, b: str, sizes: frozenset[int]) -> float:
-    a, va, norm_a = _gram_vector(a, sizes)
-    b, vb, norm_b = _gram_vector(b, sizes)
+def _pair_cosine(a: str, b: str) -> float:
+    a, va, norm_a = _gram_vector(a)
+    b, vb, norm_b = _gram_vector(b)
     if a == b and a:
         return 1.0  # the norms' product can round below the dot product
     if len(va) > len(vb):
@@ -114,6 +102,6 @@ def _pair_cosine(a: str, b: str, sizes: frozenset[int]) -> float:
     return dot / (norm_a * norm_b) if dot else 0.0
 
 
-def is_related(a: str, b: str, config: SimilarityConfig = DEFAULT_SIMILARITY) -> bool:
+def is_related(a: str, b: str, threshold: float = THRESHOLD) -> bool:
     """True when the strings are similar enough to be matching candidates."""
-    return ngram_cosine(a, b, config) >= config.threshold
+    return ngram_cosine(a, b) >= threshold

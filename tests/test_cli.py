@@ -303,6 +303,20 @@ def test_score_ref_file_with_a_single_pair_is_a_usage_error(tmp_path, capsys):
     assert (code, out, err) == (1, "", "--ref-file needs --pred-file\n")
 
 
+@pytest.mark.parametrize("files", [False, True])
+def test_score_format_without_a_combined_pairs_file_is_a_usage_error(tmp_path, capsys, files):
+    """``--format`` names the layout of a combined pairs file, so it is
+    refused, not ignored, beside two formulas or aligned files."""
+    if files:
+        (tmp_path / "preds.txt").write_text("A\n", encoding="utf-8")
+        (tmp_path / "refs.txt").write_text("A\n", encoding="utf-8")
+        argv = ["--pred-file", str(tmp_path / "preds.txt"), "--ref-file", str(tmp_path / "refs.txt")]
+    else:
+        argv = ["A", "A"]
+    code, out, err = run(capsys, "score", *argv, "--format", "tsv")
+    assert (code, out, err) == (1, "", "--format needs --pred-file without --ref-file\n")
+
+
 def test_bad_config_file_is_data_error(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"volume": 11}), encoding="utf-8")
@@ -312,15 +326,22 @@ def test_bad_config_file_is_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["score", "A", "A"], ["serve", "--stdio"]])
+def test_ngram_sizes_in_a_config_file_is_an_unknown_key(tmp_path, monkeypatch, capsys, command):
+    """The n-gram sizes are the constant ``similarity.NGRAM_SIZES``, not a
+    setting, so a config file that names them is refused."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"ngram_sizes": [2, 3]}), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code, out, err = run(capsys, *command, "--config", str(config_path))
+    assert (code, out, err) == (2, "", "bad config: unknown config keys: ['ngram_sizes']\n")
+
+
+@pytest.mark.parametrize("command", [["score", "A", "A"], ["serve", "--stdio"]])
 @pytest.mark.parametrize(
     "content",
     [
         {"chunk_size": None},
-        {"ngram_sizes": 3},
-        {"ngram_sizes": "23"},
-        {"ngram_sizes": {"2": 1}},
-        {"ngram_sizes": [2.5]},
-        {"ngram_sizes": [2, 3.0]},
+        {"chunk_size": True},
         {"chunk_size": 2.7},
         {"max_atoms": "3"},
         {"max_atoms": 0},

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from types import SimpleNamespace
@@ -28,7 +29,7 @@ from foleq.equivalence import (
     le_score,
     propositional_score,
 )
-from foleq.similarity import SimilarityConfig, levenshtein
+from foleq.similarity import levenshtein
 from foleq.syntax import (
     MAX_TOKENS,
     BINARY_OPS,
@@ -202,13 +203,16 @@ def test_bind_original_matches_matching_oracle(seed):
 def test_bind_original_explores_all_permutations():
     pred = canon(" ∧ ".join(f"P{i}" for i in range(6)))
     ref = canon(" ∧ ".join(f"Q{i}" for i in range(6)))
-    # original mode is exhaustive: the component cap does not apply to it
-    for cap in (COMPONENT_CAP, 2):
-        with patch.object(equivalence, "COMPONENT_CAP", cap):
-            result = bind_original(pred, ref)
-        assert result.bindings_explored == 720
-        assert result.score == 1.0
-        assert not result.truncated
+    # original mode is exhaustive: its walks stay below the component cap
+    result = bind_original(pred, ref)
+    assert result.bindings_explored == 720
+    assert result.score == 1.0
+    assert not result.truncated
+
+
+def test_an_original_mode_walk_never_reaches_the_component_cap():
+    # The most matchings of at most MAX_FACTORIAL_ATOMS atoms a side.
+    assert math.factorial(MAX_FACTORIAL_ATOMS) < COMPONENT_CAP
 
 
 def test_bind_original_unequal_sides_binds_smaller_side_fully():
@@ -384,7 +388,8 @@ def test_bind_equals_the_forward_search(seed, mode, config_and_cap):
     pred = random_formula(rng, max_atoms=6, max_depth=4, predicates=_BIND_PREDICATES)
     ref = random_formula(rng, max_atoms=6, max_depth=4, predicates=_BIND_PREDICATES)
     bind = bind_original if mode == "original" else bind_optimized
-    with patch.object(equivalence, "COMPONENT_CAP", cap):
+    # Only an optimized-mode walk can reach the cap.
+    with patch.object(equivalence, "COMPONENT_CAP", cap if mode == "optimized" else COMPONENT_CAP):
         assert _bound(lambda: bind(pred, ref, config)) == _bound(lambda: forward_bind(pred, ref, mode, config))
 
 
@@ -425,11 +430,9 @@ def test_walk_equals_the_product_of_candidate_rows(table, bound):
         if combo.count(None) == skips
     ]
 
-    for component_cap in (None, *range(1, 7)):
-        tables = SimpleNamespace(
-            candidates=dict(enumerate(rows)), component_cap=component_cap, ref=SimpleNamespace(atoms=range(n_r))
-        )
-        walked = expected if component_cap is None else expected[:component_cap]
+    tables = SimpleNamespace(candidates=dict(enumerate(rows)), ref=SimpleNamespace(atoms=range(n_r)))
+    for cap in (COMPONENT_CAP, *range(1, 7)):
+        walked = expected[:cap]
         for walk_bound in (None, bound):
             mapping = [None] * len(preds)
             leaves = []
@@ -438,7 +441,8 @@ def test_walk_equals_the_product_of_candidate_rows(table, bound):
                 leaves.append((tuple(mapping), dist))
                 return walk_bound
 
-            count, cut = _enumerate(tables, preds, skips, mapping, leaf, walk_bound)
+            with patch.object(equivalence, "COMPONENT_CAP", cap):
+                count, cut = _enumerate(tables, preds, skips, mapping, leaf, walk_bound)
             assert leaves == [(combo, dist) for combo, dist in walked if walk_bound is None or dist < walk_bound]
             assert count == len(walked)
             assert cut == (len(walked) < len(expected))
@@ -461,7 +465,7 @@ def _skeletons(n: int):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.sampled_from(["original", "optimized"]), st.sampled_from([10_000, 1, 2, 3, 5, 8]))
+@given(st.data(), st.sampled_from(["original", "optimized"]), st.sampled_from([COMPONENT_CAP, 1, 2, 3, 5, 8]))
 def test_search_equals_the_forward_search_of_each_reading(data, mode, cap):
     """Several readings searched in one walk, which evaluates only the
     bindings that can change the report, give the report of the first best
@@ -472,8 +476,6 @@ def test_search_equals_the_forward_search_of_each_reading(data, mode, cap):
     ref_atoms = tuple(data.draw(st.lists(st.sampled_from(_PLAN_ATOMS), min_size=1, max_size=6, unique=True)))
     ref = CompiledReference(ref_atoms, data.draw(_skeletons(len(ref_atoms))))
     plan = _AtomTables(pred_atoms, ref, mode, DEFAULT_LE)
-    if mode == "optimized":
-        plan.component_cap = cap
     for i, row in plan.candidates.items():
         plan.candidates[i] = sorted(((j, data.draw(st.integers(0, 3))) for j, _ in row), key=lambda jd: (jd[1], jd[0]))
     # A reading may be the reference's own skeleton, whose best binding
@@ -483,12 +485,14 @@ def test_search_equals_the_forward_search_of_each_reading(data, mode, cap):
         reading = st.one_of(reading, st.just(ref.code))
     codes = data.draw(st.lists(reading, min_size=1, max_size=5))
 
-    readings = [forward_search(code, plan, DEFAULT_LE.max_atoms) for code in codes]
+    # Only an optimized-mode walk can reach the cap.
+    with patch.object(equivalence, "COMPONENT_CAP", cap if mode == "optimized" else COMPONENT_CAP):
+        readings = [forward_search(code, plan, DEFAULT_LE.max_atoms) for code in codes]
+        report = _search(codes, plan)
     best = readings[0]
     for reading in readings[1:]:
         if reading.score > best.score:
             best = reading
-    report = _search(codes, plan)
     assert (report.score, report.binding, report.atom_count) == (best.score, best.binding, best.atom_count)
     assert report.bindings_explored == sum(r.bindings_explored for r in readings)
     assert report.assignments_evaluated == sum(r.assignments_evaluated for r in readings)
@@ -509,7 +513,7 @@ def test_plan_reads_the_candidate_graph(data):
     ref = CompiledReference(ref_atoms, ("atom", 0))
     plan = _AtomTables(pred_atoms, ref, "optimized", DEFAULT_LE)
 
-    graph = CandidateGraph.build(pred_atoms, ref_atoms, DEFAULT_LE.similarity)
+    graph = CandidateGraph.build(pred_atoms, ref_atoms, DEFAULT_LE.threshold)
     edges: dict[int, list[int]] = {}
     for i, j, _ in graph.edges:
         edges.setdefault(i, []).append(j)
@@ -559,7 +563,6 @@ def test_a_settled_group_is_bound_by_its_largest_best_distance():
             3: [(3, 0), (4, 0)],
             4: [(3, 0), (4, 0)],
         },
-        component_cap=COMPONENT_CAP,
     )
     codes = [("atom", 0), ("atom", 2)]
 
@@ -640,7 +643,7 @@ def test_reflexivity_of_similar_named_atom_ladders(n):
 @pytest.mark.parametrize("formula", ["B", "P(x)", "Mortal(x)", "A ∧ B", "∀x (P(x) → Q(x))"])
 def test_reflexivity_at_threshold_one(mode, formula):
     # Every atom is related to itself even when only equal texts relate.
-    config = LeConfig(similarity=SimilarityConfig(threshold=1.0))
+    config = LeConfig(threshold=1.0)
     report = le_score(formula, formula, mode=mode, config=config)
     assert report.score == 1.0
     assert report.binding.unbound_prediction == ()

@@ -24,7 +24,7 @@ from foleq.equivalence import (
     propositional_score,
     score_group,
 )
-from foleq.similarity import SimilarityConfig, _gram_vector, _pair_cosine
+from foleq.similarity import _gram_vector, _pair_cosine
 from foleq.syntax import (
     MAX_CHAIN_OPERATORS,
     Atom,
@@ -357,8 +357,8 @@ def test_group_equals_unshared_on_wrapped_chains(data, mode, chunk_size):
 @given(st.data(), st.integers(1, 6))
 def test_group_equals_unshared_on_wrapped_chains_under_a_component_cap(data, cap):
     # The cap falls inside walks that several tables share, and inside the
-    # bindings the search counts without evaluating them.  Original mode
-    # has no component cap.
+    # bindings the search counts without evaluating them.  An original-mode
+    # walk never reaches the cap.
     with patch.object(equivalence, "COMPONENT_CAP", cap):
         _group_equals_unshared(data, "optimized", DEFAULT_LE)
 
@@ -520,12 +520,10 @@ def test_a_group_computes_each_atom_pair_cosine_once():
         assert _pair_cosine.cache_info().misses == len(pairs)
 
         # Another group, or another threshold, over the same atoms computes
-        # no cosine; other n-gram sizes compute their own.
+        # no cosine.
         score_group([f"¬({p})" for p in predictions], reference)
-        Scorer(reference, config=LeConfig(similarity=SimilarityConfig(threshold=0.5)))(predictions)
+        Scorer(reference, config=LeConfig(threshold=0.5))(predictions)
         assert _pair_cosine.cache_info().misses == len(pairs)
-        Scorer(reference, config=LeConfig(similarity=SimilarityConfig(ngram_sizes=frozenset({2}))))(predictions)
-        assert _pair_cosine.cache_info().misses == 2 * len(pairs)
     finally:
         _pair_cosine.cache_clear()
 
@@ -720,7 +718,8 @@ def test_lockstep_equals_unshared_on_unequal_atom_counts(prediction, reference, 
     pred_atoms = atoms_of(canonicalize(parse(prediction)))
     ref_atoms = atoms_of(canonicalize(parse(reference)))
     assume(len(pred_atoms) != len(ref_atoms))
-    with patch.object(equivalence, "COMPONENT_CAP", cap):
+    # Only an optimized-mode walk can reach the cap.
+    with patch.object(equivalence, "COMPONENT_CAP", cap if mode == "optimized" else COMPONENT_CAP):
         got = outcome(lambda: le_score(prediction, reference, mode, config))
         try:
             expected = unshared(prediction, reference, mode, config)

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 import foleq.service as service
 from foleq.corpus import BleuConfig
 from foleq.equivalence import LeConfig, le_score
-from foleq.similarity import SimilarityConfig
 from foleq.syntax import MAX_TOKENS, lex
 from foleq.service import (
     BAD_REQUEST,
@@ -52,7 +51,7 @@ def test_parse_request_happy_path():
     {"id": "x", "op": "le_score", "prediction": "A"},                  # missing reference
     le_request("x", "A", "A", mode="turbo"),
     le_request("x", "A", "A", overrides={"verbosity": 3}),
-    le_request("x", "A", "A", overrides={"ngram_sizes": [2]}),         # a config key, not an override
+    le_request("x", "A", "A", overrides={"ngram_sizes": [2]}),         # a constant, not a setting
     le_request("x", "A", "A", overrides=[1, 2]),
     "just a string",
 ])
@@ -475,11 +474,9 @@ def test_serve_reports_whether_shutdown_ended_it():
 
 def test_config_from_mapping_applies_values():
     config = ServiceConfig.from_mapping(
-        {"threshold": 0.4, "chunk_size": 3, "max_atoms": 8, "mode": "original",
-         "ngram_sizes": [2], "bleu_smoothing": 0.01}
+        {"threshold": 0.4, "chunk_size": 3, "max_atoms": 8, "mode": "original", "bleu_smoothing": 0.01}
     )
-    assert config.le.similarity.threshold == 0.4
-    assert config.le.similarity.ngram_sizes == frozenset({2})
+    assert config.le.threshold == 0.4
     assert config.le.chunk_size == 3
     assert config.le.max_atoms == 8
     assert config.mode == "original"
@@ -490,13 +487,29 @@ def test_config_from_mapping_without_scoring_keys_keeps_the_defaults():
     assert ServiceConfig.from_mapping({"mode": "original"}).le is ServiceConfig().le
 
 
-def test_every_scoring_setting_is_a_config_key():
+def test_the_scoring_settings_are_one_key_set():
     # A setting that no config file, flag or override can reach is a
-    # constant, not a field.
-    le_fields = {field.name for field in dataclasses.fields(LeConfig)} - {"similarity"}
-    similarity_fields = {field.name for field in dataclasses.fields(SimilarityConfig)}
-    assert le_fields | similarity_fields == service._LE_KEYS
+    # constant, not a field: the fields, the config keys and the override
+    # keys are one set.
+    keys = {"threshold", "chunk_size", "max_atoms"}
+    assert {field.name for field in dataclasses.fields(LeConfig)} == keys
+    assert service._LE_KEYS == keys
+    accepted = set()
+    for key in keys | {"ngram_sizes", "similarity", "mode", "bleu_smoothing"}:
+        try:
+            parse_request(le_request("a", "A", "A", overrides={key: 1}))
+            accepted.add(key)
+        except ValueError:
+            pass
+    assert accepted == keys
     assert [field.name for field in dataclasses.fields(BleuConfig)] == ["smoothing_floor"]
+
+
+def test_an_ngram_sizes_override_answers_as_before():
+    line = json.dumps(le_request("x", "A", "A", overrides={"ngram_sizes": [2]}))
+    assert handle_line(line, CONFIG).to_json() == (
+        '{"id": "x", "error": {"code": "BAD_REQUEST", "message": "unknown override keys: [\'ngram_sizes\']"}}'
+    )
 
 
 def test_config_from_mapping_rejects_unknown_keys():

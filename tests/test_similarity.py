@@ -6,9 +6,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foleq.equivalence import LeConfig
 from foleq.similarity import (
-    DEFAULT_SIMILARITY,
-    SimilarityConfig,
+    NGRAM_SIZES,
+    THRESHOLD,
     _gram_vector,
     _pair_cosine,
     is_related,
@@ -16,6 +17,8 @@ from foleq.similarity import (
     ngram_cosine,
 )
 from helpers import tuple_cosine, tuple_gram_vector
+
+SIZES = frozenset({2, 3})
 
 
 # --- reference implementations -------------------------------------------------
@@ -105,13 +108,12 @@ def test_short_strings_fall_back_to_whole_string():
     assert ngram_cosine("a", "b") == 0.0
 
 
-def test_unigram_config_exact_boundary():
-    # 7 chars of which 3 are 'a' against the single gram "a":
-    # dot = 3, |a| = sqrt(9 + 16) = 5, |b| = 1, cosine = 3/5 exactly
-    config = SimilarityConfig(ngram_sizes=frozenset({1}), threshold=0.6)
-    value = ngram_cosine("aaabbbb", "a", config)
-    assert value == 0.6
-    assert is_related("aaabbbb", "a", config)
+def test_default_threshold_exact_boundary():
+    # Texts of 6 and 14 distinct letters have 9 and 25 distinct grams, the
+    # shorter's all shared: dot = 9, |a| = 3, |b| = 5, cosine = 3/5 exactly
+    value = ngram_cosine("abcdef", "abcdefghijklmn")
+    assert value == THRESHOLD == 0.6
+    assert is_related("abcdef", "abcdefghijklmn")
 
 
 @settings(max_examples=200, deadline=None)
@@ -120,33 +122,33 @@ def test_cosine_matches_reference(a, b):
     assert ngram_cosine(a, b) == pytest.approx(slow_cosine(a, b), abs=1e-12)
 
 
-@st.composite
-def _sizes_and_texts(draw):
-    """A non-empty subset of {1, ..., 5} and two texts, each empty, shorter
-    than every size, mixed-case (with İ, whose lower-case form is two
-    characters), atom-like or arbitrary."""
-    sizes = frozenset(draw(st.sets(st.integers(1, 5), min_size=1)))
-    name = st.text(alphabet="AbCdİı", min_size=1, max_size=8)
-    args = st.lists(st.sampled_from("xyzİ"), max_size=3)
-    texts = st.one_of(
-        st.just(""),
-        st.text(alphabet="aAİ(", min_size=1, max_size=min(sizes) - 1) if min(sizes) > 1 else st.just(""),
-        st.text(alphabet="aAbBİi(), ", max_size=14),
-        st.builds(lambda n, a: f"{n}({', '.join(a)})", name, args),
-        st.text(max_size=10),
-    )
-    return sizes, draw(texts), draw(texts)
+def test_the_gram_sizes_are_two_and_three():
+    assert NGRAM_SIZES == (2, 3)
+    assert THRESHOLD == LeConfig().threshold == 0.6
+
+
+# Texts each empty, shorter than both gram sizes, mixed-case (with İ, whose
+# lower-case form is two characters), atom-like or arbitrary.
+_TEXTS = st.one_of(
+    st.just(""),
+    st.text(alphabet="aAİ(", min_size=1, max_size=1),
+    st.text(alphabet="aAbBİi(), ", max_size=14),
+    st.builds(
+        lambda n, a: f"{n}({', '.join(a)})",
+        st.text(alphabet="AbCdİı", min_size=1, max_size=8),
+        st.lists(st.sampled_from("xyzİ"), max_size=3),
+    ),
+    st.text(max_size=10),
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_sizes_and_texts())
-def test_cosine_and_norm_equal_the_tuple_keyed_oracle_exactly(case):
-    sizes, a, b = case
-    config = SimilarityConfig(ngram_sizes=sizes)
-    assert ngram_cosine(a, b, config) == tuple_cosine(a, b, sizes)
+@given(_TEXTS, _TEXTS)
+def test_cosine_and_norm_equal_the_tuple_keyed_oracle_exactly(a, b):
+    assert ngram_cosine(a, b) == tuple_cosine(a, b, SIZES)
     for text in (a, b):
-        compared, counts, norm = _gram_vector(text, sizes)
-        oracle_text, oracle_counts, oracle_norm = tuple_gram_vector(text, sizes)
+        compared, counts, norm = _gram_vector(text)
+        oracle_text, oracle_counts, oracle_norm = tuple_gram_vector(text, SIZES)
         assert (compared, norm) == (oracle_text, oracle_norm)
         # A string key is a full-length gram, whose length is its size.
         assert {(len(g), g) if isinstance(g, str) else g: c for g, c in counts.items()} == oracle_counts
@@ -158,27 +160,25 @@ _FILLER = list(itertools.combinations([f"Fill{i}(x)" for i in range(46)], 2))
 
 
 @settings(max_examples=100, deadline=None)
-@given(_sizes_and_texts())
-def test_the_cosine_memo_is_exact_cold_warm_and_after_eviction(case):
-    sizes, a, b = case
-    config = SimilarityConfig(ngram_sizes=sizes)
-    oracle = tuple_cosine(a, b, sizes)
+@given(_TEXTS, _TEXTS)
+def test_the_cosine_memo_is_exact_cold_warm_and_after_eviction(a, b):
+    oracle = tuple_cosine(a, b, SIZES)
     maxsize = _pair_cosine.cache_info().maxsize
     filler = [pair for pair in _FILLER if sorted(pair) != sorted((a, b))][:maxsize]
     _pair_cosine.cache_clear()
     try:
-        assert ngram_cosine(a, b, config) == oracle
+        assert ngram_cosine(a, b) == oracle
         # warm, in either order: both orders share one entry
-        assert ngram_cosine(b, a, config) == oracle
-        assert ngram_cosine(a, b, config) == oracle
+        assert ngram_cosine(b, a) == oracle
+        assert ngram_cosine(a, b) == oracle
         assert _pair_cosine.cache_info()[:2] == (2, 1)
         for x, y in filler:
-            ngram_cosine(x, y, config)
+            ngram_cosine(x, y)
         assert _pair_cosine.cache_info().currsize == maxsize
         misses = _pair_cosine.cache_info().misses
-        assert ngram_cosine(b, a, config) == oracle
+        assert ngram_cosine(b, a) == oracle
         assert _pair_cosine.cache_info().misses == misses + 1  # it was evicted
-        assert ngram_cosine(a, b, config) == oracle
+        assert ngram_cosine(a, b) == oracle
     finally:
         _pair_cosine.cache_clear()
 
@@ -217,26 +217,14 @@ def test_default_threshold_on_similar_predicates():
 
 
 def test_threshold_is_inclusive():
-    config = SimilarityConfig(threshold=1.0)
     # One-character and bracketed texts too: their cosine against
     # themselves must not round below 1.0.
     for text in ("abc", "a", "P(x)"):
-        assert ngram_cosine(text, text, config) == 1.0
-        assert is_related(text, text, config)
+        assert ngram_cosine(text, text) == 1.0
+        assert is_related(text, text, 1.0)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SimilarityConfig(threshold=1.5)
-    with pytest.raises(ValueError):
-        SimilarityConfig(ngram_sizes=frozenset())
-    with pytest.raises(ValueError):
-        SimilarityConfig(ngram_sizes=frozenset({0}))
-    for sizes in ({2.5}, {2, 3.0}, {True}):
-        with pytest.raises(ValueError, match="ngram sizes must be integers"):
-            SimilarityConfig(ngram_sizes=frozenset(sizes))
-
-
-def test_default_config_values():
-    assert DEFAULT_SIMILARITY.ngram_sizes == frozenset({2, 3})
-    assert DEFAULT_SIMILARITY.threshold == 0.6
+@pytest.mark.parametrize("threshold", [-0.1, 1.5, math.nan])
+def test_threshold_validation(threshold):
+    with pytest.raises(ValueError, match=r"^threshold must lie in \[0, 1\]$"):
+        LeConfig(threshold=threshold)
