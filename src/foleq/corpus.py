@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .equivalence import DEFAULT_LE, LeConfig, LeReport, score_group
@@ -149,46 +148,47 @@ def tokenize_formula(text: str) -> list[str]:
     return " ".join(_PAD_RE.split(text)).split()
 
 
-def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
+def _grams(tokens: list[str]) -> list:
+    """Each order's n-grams: the tokens themselves, then tuples of 2 to MAX_ORDER."""
+    shifted = [tokens[i:] for i in range(1, MAX_ORDER)]
+    return [tokens] + [zip(tokens, *shifted[:n]) for n in range(1, MAX_ORDER)]
 
 
 def corpus_bleu(pairs: list[EvalPair], config: BleuConfig = DEFAULT_BLEU) -> float:
-    """Corpus BLEU on a 0-100 scale with a single reference per pair.
-
-    Each distinct reference text is tokenized and counted once per call.
-    """
+    """Corpus BLEU on a 0-100 scale, one reference per pair.  Each distinct
+    reference's n-grams are counted once per call; a prediction's n-grams walk a
+    copy of those counts, each hit taking one copy, so hits = sum(min(pred, ref))."""
     if not pairs:
         raise ValueError("empty corpus")
-    orders = range(1, MAX_ORDER + 1)
-    matched = [0] * MAX_ORDER
-    total = [0] * MAX_ORDER
-    pred_len = 0
+    matched, total = [0] * MAX_ORDER, [0] * MAX_ORDER
     ref_len = 0
-    references: dict[str, tuple[int, list[Counter]]] = {}
+    references: dict[str, tuple[int, list[dict]]] = {}
     for pair in pairs:
-        if pair.reference not in references:
+        ref = references.get(pair.reference)
+        if ref is None:
             ref_tokens = tokenize_formula(pair.reference)
-            references[pair.reference] = len(ref_tokens), [_ngrams(ref_tokens, n) for n in orders]
-        ref_count, ref_counters = references[pair.reference]
-        ref_len += ref_count
+            ref = references[pair.reference] = len(ref_tokens), [{} for _ in range(MAX_ORDER)]
+            for counts, grams in zip(ref[1], _grams(ref_tokens)):
+                for gram in grams:
+                    counts[gram] = counts.get(gram, 0) + 1
+        ref_len += ref[0]
         pred_tokens = tokenize_formula(pair.prediction)
-        pred_len += len(pred_tokens)
-        for n, ref_grams in zip(orders, ref_counters):
-            pred_grams = _ngrams(pred_tokens, n)
-            common = pred_grams.keys() & ref_grams.keys()
-            total[n - 1] += max(0, len(pred_tokens) - n + 1)
-            matched[n - 1] += sum(map(min, map(pred_grams.__getitem__, common), map(ref_grams.__getitem__, common)))
-    if pred_len == 0:
+        for n, (counts, grams) in enumerate(zip(ref[1], _grams(pred_tokens))):
+            left, hits = counts.copy(), 0
+            for gram in grams:
+                copies = left.get(gram)
+                if copies:
+                    left[gram] = copies - 1
+                    hits += 1
+            matched[n] += hits
+            total[n] += max(0, len(pred_tokens) - n)
+    if not (pred_len := total[0]):  # one unigram per prediction token
         return 0.0
     log_sum = 0.0
     for n in range(MAX_ORDER):
-        precision = matched[n] / total[n] if total[n] else 0.0
-        if precision <= 0.0:
-            if config.smoothing_floor > 0.0:
-                precision = config.smoothing_floor
-            else:
-                return 0.0
+        precision = matched[n] / total[n] if matched[n] else config.smoothing_floor
+        if precision == 0.0:
+            return 0.0
         log_sum += math.log(precision)
     brevity = 1.0 if pred_len > ref_len else math.exp(1.0 - ref_len / pred_len)
     return 100.0 * brevity * math.exp(log_sum / MAX_ORDER)

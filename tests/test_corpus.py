@@ -11,6 +11,7 @@ from foleq.corpus import (
     BleuConfig,
     DEFAULT_BLEU,
     EvalPair,
+    MAX_ORDER,
     corpus_bleu,
     corpus_le,
     load_pairs,
@@ -155,6 +156,56 @@ def bleu_corpora(draw):
 def test_bleu_equals_per_pair_counting(case):
     pairs, config = case
     assert corpus_bleu(pairs, config) == per_pair_bleu(pairs, config)
+
+
+@st.composite
+def clipped_prediction(draw, ref_tokens):
+    """A prediction made of the reference's own tokens, so that its n-grams
+    meet the reference's and the clipping decides the match counts."""
+    kind = draw(st.sampled_from(["repeat", "shuffle", "prefix", "twice"]))
+    if kind == "repeat":
+        # one reference n-gram, repeated past its count in the reference
+        n = draw(st.integers(1, min(MAX_ORDER, len(ref_tokens))))
+        start = draw(st.integers(0, len(ref_tokens) - n))
+        gram = ref_tokens[start : start + n]
+        count = sum(ref_tokens[i : i + n] == gram for i in range(len(ref_tokens) - n + 1))
+        tokens = gram * (count + draw(st.integers(1, 3)))
+    elif kind == "shuffle":
+        tokens = draw(st.permutations(ref_tokens))
+    elif kind == "prefix":
+        tokens = ref_tokens[: draw(st.integers(0, 3))]
+    else:
+        tokens = ref_tokens * 2
+    return " ".join(tokens)
+
+
+@st.composite
+def clipping_corpora(draw):
+    token_lists = st.lists(st.sampled_from(["A", "B", "P", "x", "∧", "∨", "(", ")"]), min_size=1, max_size=12)
+    references = draw(st.lists(token_lists, min_size=1, max_size=3))
+    pairs = []
+    for i in range(draw(st.integers(1, 8))):
+        ref_tokens = draw(st.sampled_from(references))
+        pairs.append(EvalPair(str(i), draw(clipped_prediction(ref_tokens)), " ".join(ref_tokens)))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(clipping_corpora())
+def test_bleu_clips_predictions_built_from_the_reference_like_per_pair_counting(pairs):
+    for floor in (0.0, 0.01):
+        config = BleuConfig(smoothing_floor=floor)
+        assert corpus_bleu(pairs, config) == per_pair_bleu(pairs, config)
+
+
+def test_bleu_clips_a_repeated_unigram_by_hand():
+    # "A ∧ A ∧ A" against "A ∧ B": A may match once and ∧ once of the five
+    # unigrams; only the bigram "A ∧" once of four; no 3-gram or 4-gram
+    pairs = [EvalPair("0", "A ∧ A ∧ A", "A ∧ B")]
+    assert corpus_bleu(pairs) == 0.0
+    smoothed = corpus_bleu(pairs, BleuConfig(smoothing_floor=0.01))
+    assert smoothed == pytest.approx(100 * (0.4 * 0.25 * 0.01 * 0.01) ** 0.25)
+    assert smoothed == pytest.approx(5.6234, abs=1e-4)
 
 
 def test_bleu_tokenizes_a_shared_reference_once(monkeypatch):
