@@ -15,10 +15,9 @@ from .equivalence import (
     compile_reference,
     le_score,
     propositional_score,
-    score_group,
 )
 from .service import BindError, ScoreRequest, ScoreResponse, ServiceConfig, handle_request, serve, serve_socket
-from .similarity import is_related, levenshtein, ngram_cosine
+from .similarity import levenshtein, ngram_cosine
 from .syntax import (
     Atom,
     Binary,
@@ -53,9 +52,9 @@ __all__ = [
     "CompiledReference", "CorpusReport", "EvalPair", "FolExpr", "FormulaError", "LeConfig", "LeReport",
     "LexError", "Not", "ParseError", "Quantified", "ScoreRequest", "ScoreResponse", "Scorer", "ServiceConfig",
     "atoms_of", "bind_optimized", "bind_original", "canonicalize", "compile_reference",
-    "corpus_bleu", "corpus_le", "enumerate_bracketings", "handle_request", "is_related", "le_score",
+    "corpus_bleu", "corpus_le", "enumerate_bracketings", "handle_request", "le_score",
     "levenshtein", "lex", "load_pairs", "ngram_cosine", "parse", "propositional_score", "render",
-    "score_group", "serve", "serve_socket", "tokenize_formula", *sorted(_SGRPO_NAMES),
+    "serve", "serve_socket", "tokenize_formula", *sorted(_SGRPO_NAMES),
 ]
 
 

@@ -175,6 +175,8 @@ def _cmd_score(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read pairs: {exc}", file=sys.stderr)
         return DATA_ERROR
+    for lineno, message in load_failures:
+        print(f"warning: line {lineno}: {message}", file=sys.stderr)
     if not pairs:
         print("no valid pairs found", file=sys.stderr)
         return DATA_ERROR
@@ -182,8 +184,6 @@ def _cmd_score(args) -> int:
         return DATA_ERROR
 
     report = corpus_le(pairs, mode=config.mode, config=config.le, bleu_config=config.bleu)
-    for lineno, message in load_failures:
-        print(f"warning: line {lineno}: {message}", file=sys.stderr)
     summary = {
         "pairs": len(pairs),
         "mean_le": report.mean_le,

@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .equivalence import DEFAULT_LE, LeConfig, LeReport, score_group
+from .equivalence import DEFAULT_LE, LeConfig, LeReport, Scorer
 from .equivalence import le_score  # noqa: F401  (foleq.corpus.le_score stays importable; perfbench wraps it)
 from .syntax import FormulaError
 
@@ -75,12 +75,12 @@ def decode_json(text: str):
 
 
 def open_text(path, mode: str = "r"):
-    """``path`` opened as UTF-8 text, for every outside file.  Bytes that are
-    not UTF-8 read as U+FFFD, so only the row holding them goes bad, and a
-    lone surrogate (a JSON escape such as ``"\\ud800"``) is written back as
-    that escape, as on the wire."""
-    errors = "replace" if mode == "r" else "backslashreplace"
-    return open(path, mode, encoding="utf-8", errors=errors)
+    """``path`` opened as UTF-8 text, for every outside file.  A leading
+    byte-order mark is skipped on reading and none is written.  Bytes that are
+    not UTF-8 read as U+FFFD, so only the row holding them goes bad, and a lone
+    surrogate (a JSON escape such as ``"\\ud800"``) is written back as that escape."""
+    encoding, errors = ("utf-8-sig", "replace") if mode == "r" else ("utf-8", "backslashreplace")
+    return open(path, mode, encoding=encoding, errors=errors)
 
 
 @dataclass(eq=False)
@@ -203,8 +203,8 @@ def corpus_le(
     """Score every pair, treating a pair whose prediction or reference is
     unparseable or over a cap as 0.
 
-    Pairs are scored in groups that share a reference (one ``score_group``
-    call each), so equal pairs share one ``LeReport`` and every pair of a
+    Pairs are scored in groups that share a reference (one call of a fresh
+    ``Scorer`` each), so equal pairs share one ``LeReport`` and every pair of a
     failing reference carries its one error.  The mean is taken
     over the whole corpus (failures contribute 0), and ``per_pair`` keeps
     one slot per input pair so callers can line results back up with their
@@ -217,7 +217,7 @@ def corpus_le(
         by_reference.setdefault(pair.reference, []).append(index)
     results: list[LeReport | FormulaError | None] = [None] * len(pairs)
     for reference, indices in by_reference.items():
-        group = score_group([pairs[i].prediction for i in indices], reference, mode=mode, config=config)
+        group = Scorer(reference, mode, config)([pairs[i].prediction for i in indices])
         for i, result in zip(indices, group):
             results[i] = result
 

@@ -36,8 +36,8 @@ each distinct prediction once, with one renaming, atom list and search plan
 (``_AtomTables``) for all of its readings, each joined from operand codes.
 It is the one memo path, for each prediction's result, and the one failure
 rule, a ``FormulaError`` becoming the result of the prediction that raised
-it, or of every prediction when the reference raised it: ``score_group``,
-``le_score``, ``corpus_le`` and the trainer's rewards all score through it.
+it, or of every prediction when the reference raised it: a group is scored by
+calling one, and ``le_score``, ``corpus_le`` and the trainer's rewards do so.
 Atom-pair cosines are remembered by ``similarity.ngram_cosine`` alone.  Edit
 distances are computed only where the search enumerates.  Every
 prediction's bindings are walked once (``_search``), however many readings
@@ -823,22 +823,6 @@ class Scorer:
         return out
 
 
-def score_group(
-    predictions: list[str],
-    reference: str | CompiledReference,
-    mode: str = "optimized",
-    config: LeConfig = DEFAULT_LE,
-) -> list[LeReport | FormulaError]:
-    """Score each of ``predictions`` against one shared ``reference``: one
-    call of a fresh ``Scorer``, so the reference is compiled once and each
-    distinct prediction text is scored once.  Keep a ``Scorer`` to keep its
-    memo across calls.  The result is aligned with ``predictions``: a
-    report, or the ``FormulaError`` that prediction raised, or, in every
-    entry, the one the reference raised.  An unknown mode raises
-    ``ValueError``; no formula text raises."""
-    return Scorer(reference, mode, config)(predictions)
-
-
 def le_score(
     prediction: str,
     reference: str | CompiledReference,
@@ -852,10 +836,10 @@ def le_score(
     every bracketing of that chain is scored (chunked per
     ``config.chunk_size``) and the maximum over trees and bindings wins.
     A ``FormulaError`` propagates; callers that need a never-fail reward
-    map it to 0 (the service and corpus layers do).  This is
-    ``score_group`` for a group of one.
+    map it to 0 (the service and corpus layers do).  This is one call of
+    a fresh ``Scorer`` on a group of one.
     """
-    (result,) = score_group([prediction], reference, mode, config)
+    (result,) = Scorer(reference, mode, config)([prediction])
     if isinstance(result, Exception):
         raise result
     return result

@@ -100,8 +100,3 @@ def _pair_cosine(a: str, b: str) -> float:
     get = vb.get
     dot = sum([count * get(gram, 0) for gram, count in va.items()])
     return dot / (norm_a * norm_b) if dot else 0.0
-
-
-def is_related(a: str, b: str, threshold: float = THRESHOLD) -> bool:
-    """True when the strings are similar enough to be matching candidates."""
-    return ngram_cosine(a, b) >= threshold

@@ -35,8 +35,8 @@ from foleq.equivalence import (
     LeReport,
     _AtomTables,
     _enumerate,
+    Scorer,
     compile_reference,
-    score_group,
 )
 from foleq.sgrpo import (
     CLIP_EPSILON,
@@ -586,9 +586,9 @@ def per_sample_gradient(current, reference, prompt, group, hp) -> np.ndarray:
 
 
 def text_rewards(reference: str):
-    """A prompt's rewards by text: each sampled text is scored by
-    ``score_group`` the first time it is seen, and a text (or the reference)
-    that fails to parse or exceeds a cap earns 0."""
+    """A prompt's rewards by text: each sampled text is scored by a fresh
+    ``Scorer`` the first time it is seen, and a text (or the reference) that
+    fails to parse or exceeds a cap earns 0."""
     try:
         compiled = compile_reference(reference)
     except FormulaError:
@@ -599,7 +599,7 @@ def text_rewards(reference: str):
         if compiled is None:
             return np.zeros(len(texts))
         todo = [text for text in dict.fromkeys(texts) if text not in memo]
-        for text, result in zip(todo, score_group(todo, compiled)):
+        for text, result in zip(todo, Scorer(compiled)(todo)):
             memo[text] = 0.0 if isinstance(result, FormulaError) else result.score
         return np.array([memo[text] for text in texts])
 

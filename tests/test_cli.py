@@ -223,6 +223,49 @@ def test_score_fails_only_the_row_with_a_byte_that_is_not_utf8(tmp_path, capsys,
     assert rows[1]["score"] == 1.0
 
 
+@pytest.mark.parametrize("layout", ["jsonl", "tsv", "aligned"])
+def test_score_reads_a_byte_order_mark_as_no_content(tmp_path, capsys, layout):
+    preds, refs = tmp_path / "preds", tmp_path / "refs"
+    if layout == "jsonl":
+        rows = ['{"prediction": "A", "reference": "A"}', '{"prediction": "B", "reference": "B"}']
+        preds.write_text("\ufeff" + "\n".join(rows) + "\n", encoding="utf-8")
+        argv = ["--pred-file", str(preds)]
+    elif layout == "tsv":
+        preds.write_text("\ufeffA\tA\nB\tB\n", encoding="utf-8")
+        argv = ["--pred-file", str(preds), "--format", "tsv"]
+    else:
+        preds.write_text("\ufeffA\nB\n", encoding="utf-8")
+        refs.write_text("\ufeffA\nB\n", encoding="utf-8")
+        argv = ["--pred-file", str(preds), "--ref-file", str(refs)]
+    out_path = tmp_path / "per-pair.jsonl"
+    code, out, err = run(capsys, "score", *argv, "--out", str(out_path))
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    assert (summary["pairs"], summary["failures"], summary["mean_le"]) == (2, 0, 1.0)
+    # --out is written without a mark
+    assert out_path.read_bytes().startswith(b'{"id": "0", "score": 1.0')
+
+
+def test_score_reads_a_config_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text("\ufeff" + json.dumps({"threshold": 0.4}), encoding="utf-8")
+    code, out, err = run(capsys, "score", "Pred(x)", "Predicate(x)", "--config", str(config_path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["score"] == 1.0
+
+
+def test_score_reports_malformed_rows_before_finding_no_valid_pair(tmp_path, capsys):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text('not json\n{"prediction": 1}\n', encoding="utf-8")
+    code, out, err = run(capsys, "score", "--pred-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "warning: line 1: invalid json: Expecting value",
+        "warning: line 2: prediction and reference must be strings",
+        "no valid pairs found",
+    ]
+
+
 def test_score_out_writes_a_lone_surrogate_id_as_its_escape(tmp_path, capsys):
     path = tmp_path / "pairs.jsonl"
     path.write_text('{"id": "\\ud800", "prediction": "A", "reference": "A"}\n', encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Group scoring: ``score_group`` must give every prediction exactly the
+"""Group scoring: a ``Scorer`` call must give every prediction exactly the
 report (or exception) it gets when scored alone, and alone must equal
 binding every bracketing tree from scratch, with nothing shared."""
 
@@ -18,11 +18,11 @@ from foleq.equivalence import (
     MAX_TABLE_ATOMS,
     CandidateGraph,
     LeConfig,
+    LeReport,
     Scorer,
     compile_reference,
     le_score,
     propositional_score,
-    score_group,
 )
 from foleq.similarity import _gram_vector, _pair_cosine
 from foleq.syntax import (
@@ -68,7 +68,7 @@ def outcome(fn):
 
 
 def check_group(predictions, reference, mode, config=DEFAULT_LE):
-    group = score_group(predictions, reference, mode, config)
+    group = Scorer(reference, mode, config)(predictions)
     assert len(group) == len(predictions)
     for prediction, result in zip(predictions, group):
         alone = outcome(lambda: le_score(prediction, reference, mode, config))
@@ -170,7 +170,7 @@ def test_bad_reference_fails_like_scoring_alone(reference, error):
         le_score("A", reference)
     with pytest.raises(error) as parsed:
         parse(reference)
-    grouped = score_group(["A", "B", "garbage ∧"], reference)
+    grouped = Scorer(reference)(["A", "B", "garbage ∧"])
     assert len(grouped) == 3 and all(result is grouped[0] for result in grouped)
     assert type(grouped[0]) is type(alone.value) is type(parsed.value)
     assert str(grouped[0]) == str(alone.value) == str(parsed.value)
@@ -183,7 +183,7 @@ def test_bad_reference_fails_like_scoring_alone(reference, error):
 
 def test_unknown_mode_is_value_error():
     with pytest.raises(ValueError):
-        score_group(["A"], "A", mode="fast")
+        Scorer("A", mode="fast")
 
 
 def test_group_of_eight_parses_reference_once(monkeypatch):
@@ -196,7 +196,7 @@ def test_group_of_eight_parses_reference_once(monkeypatch):
 
     monkeypatch.setattr(equivalence, "parse", counting_parse)
     predictions = ["A ∧ B", "B ∧ A", "A", "A ∨ B", "A → B", "garbage ∧", "A ∧ B ∧ C", "B"]
-    group = score_group(predictions, "A ∧ B")
+    group = Scorer("A ∧ B")(predictions)
     assert len(group) == 8
     assert calls == ["A ∧ B"]
 
@@ -245,10 +245,10 @@ def test_a_group_computes_each_atom_texts_gram_vector_once():
     _pair_cosine.cache_clear()
     _gram_vector.cache_clear()
     try:
-        first = score_group(predictions, reference, mode="optimized")
+        first = Scorer(reference, mode="optimized")(predictions)
         assert all(not isinstance(report, Exception) for report in first)
         assert _gram_vector.cache_info().misses == len(texts)
-        score_group(list(reversed(predictions)), compile_reference(reference), mode="optimized")
+        Scorer(compile_reference(reference), mode="optimized")(list(reversed(predictions)))
         assert _gram_vector.cache_info().misses == len(texts)
     finally:
         _pair_cosine.cache_clear()
@@ -337,7 +337,7 @@ def _group_equals_unshared(data, mode: str, config: LeConfig) -> None:
     others = data.draw(st.lists(st.one_of(st.just(first), wrapped_chains(6)), max_size=3), label="others")
     predictions = [first, *others]
     reference = data.draw(st.one_of(st.just(first), wrapped_chains(most)), label="reference")
-    group = score_group(predictions, reference, mode, config)
+    group = Scorer(reference, mode, config)(predictions)
     for prediction, result in zip(predictions, group):
         try:
             expected = unshared(prediction, reference, mode, config)
@@ -351,6 +351,24 @@ def _group_equals_unshared(data, mode: str, config: LeConfig) -> None:
 @given(st.data(), st.sampled_from(MODES), st.sampled_from([None, 2, 3, 4]))
 def test_group_equals_unshared_on_wrapped_chains(data, mode, chunk_size):
     _group_equals_unshared(data, mode, LeConfig(chunk_size=chunk_size))
+
+
+def _random_text(seed: int) -> str:
+    return render(random_formula(random.Random(seed), max_atoms=5, max_depth=4))
+
+
+_FORMULA_TEXTS = st.one_of(st.integers(0, 10 ** 9).map(_random_text), wrapped_chains(6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FORMULA_TEXTS, min_size=1, max_size=4), _FORMULA_TEXTS, st.sampled_from(MODES))
+def test_every_report_counts_a_full_table_per_binding(predictions, reference, mode):
+    # Every binding the search covers, evaluated or counted under a cut,
+    # leaves as many atoms unbound as the final one, so it stands for the
+    # final truth table's 2 ** atom_count rows, for each chained reading.
+    for result in Scorer(reference, mode)(predictions):
+        if isinstance(result, LeReport):
+            assert result.assignments_evaluated == result.bindings_explored << result.atom_count
 
 
 @settings(max_examples=100, deadline=None)
@@ -407,7 +425,7 @@ def test_the_graph_span_times_each_built_plan_once(monkeypatch):
         " ∧ ".join("A" * (MAX_CHAIN_OPERATORS + 2)),
         f"({wide})",
     ]
-    results = score_group(predictions, "Likes(a) ∧ Own(b) ∨ P")
+    results = Scorer("Likes(a) ∧ Own(b) ∨ P")(predictions)
     assert [type(r).__name__ for r in results] == [
         "LeReport", "ParseError", "LeReport", "LeReport", "CapExceeded", "CapExceeded"
     ]
@@ -415,7 +433,7 @@ def test_the_graph_span_times_each_built_plan_once(monkeypatch):
     assert calls == [("Likes(a)", "Owns(b)"), ("Like(a)", "Owns(b)", "P"), tuple(f"Wide{i}(a)" for i in range(17))]
 
     calls.clear()
-    score_group(predictions, "Likes(a) ∧ Own(b) ∨ P", "original")
+    Scorer("Likes(a) ∧ Own(b) ∨ P", "original")(predictions)
     assert calls == []
 
 
@@ -434,7 +452,7 @@ def test_scoring_text_builds_no_tree(monkeypatch):
         def shown(result):
             return (type(result), str(result)) if isinstance(result, Exception) else result.to_dict()
 
-        groups = [[shown(r) for r in score_group(predictions, reference, mode)] for mode in MODES]
+        groups = [[shown(r) for r in Scorer(reference, mode)(predictions)] for mode in MODES]
         corpus = corpus_le(pairs)
         corpus_rows = [None if r is None else r.to_dict() for r in corpus.per_pair]
         return groups, le_score(predictions[1], reference).to_dict(), corpus.mean_le, corpus_rows, corpus.failures
@@ -516,12 +534,12 @@ def test_a_group_computes_each_atom_pair_cosine_once():
     assert len(pairs) < sum(map(len, pred_atoms)) * len(ref_texts)
     _pair_cosine.cache_clear()
     try:
-        score_group(predictions, reference)
+        Scorer(reference)(predictions)
         assert _pair_cosine.cache_info().misses == len(pairs)
 
         # Another group, or another threshold, over the same atoms computes
         # no cosine.
-        score_group([f"¬({p})" for p in predictions], reference)
+        Scorer(reference)([f"¬({p})" for p in predictions])
         Scorer(reference, config=LeConfig(threshold=0.5))(predictions)
         assert _pair_cosine.cache_info().misses == len(pairs)
     finally:

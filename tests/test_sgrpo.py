@@ -28,7 +28,7 @@ from foleq.sgrpo import (
     train_demo,
     write_trace,
 )
-from foleq.equivalence import LeReport, Scorer, le_score, score_group
+from foleq.equivalence import LeReport, Scorer, le_score
 from foleq.syntax import FormulaError, LexError, lex, parse, word_lexer
 
 from helpers import (
@@ -647,7 +647,7 @@ def test_word_tokens_equal_the_tokens_of_the_joined_text(data):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_rewards_from_ids_equal_score_group_on_the_joined_texts(data):
+def test_rewards_from_ids_equal_a_fresh_scorer_on_the_joined_texts(data):
     words = data.draw(_VOCABS)
     samples = st.lists(st.integers(0, len(words) - 1), max_size=12)
     reference = data.draw(
@@ -658,7 +658,7 @@ def test_rewards_from_ids_equal_score_group_on_the_joined_texts(data):
     by_ids, by_text = Scorer(reference, tokens=tokens), Scorer(reference)
     for group in data.draw(st.lists(st.lists(samples, min_size=1, max_size=6), max_size=3)):
         texts = [" ".join(words[i] for i in ids) for ids in group]
-        results = score_group(texts, reference)
+        results = Scorer(reference)(texts)
         expected = [0.0 if isinstance(result, FormulaError) else result.score for result in results]
         # result for result: the same report, or the same error, a failing
         # reference's included

@@ -6,13 +6,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foleq.equivalence import LeConfig
+from foleq.equivalence import CandidateGraph, LeConfig
 from foleq.similarity import (
     NGRAM_SIZES,
     THRESHOLD,
     _gram_vector,
     _pair_cosine,
-    is_related,
     levenshtein,
     ngram_cosine,
 )
@@ -113,7 +112,7 @@ def test_default_threshold_exact_boundary():
     # shorter's all shared: dot = 9, |a| = 3, |b| = 5, cosine = 3/5 exactly
     value = ngram_cosine("abcdef", "abcdefghijklmn")
     assert value == THRESHOLD == 0.6
-    assert is_related("abcdef", "abcdefghijklmn")
+    assert CandidateGraph.build(("abcdef",), ("abcdefghijklmn",)).edges == ((0, 0, 0.6),)
 
 
 @settings(max_examples=200, deadline=None)
@@ -212,8 +211,8 @@ def test_cosine_symmetric_and_bounded(a, b):
 
 def test_default_threshold_on_similar_predicates():
     # shared stem keeps renamed predicates related
-    assert is_related("Happy(x)", "Happyy(x)")
-    assert not is_related("Happy(x)", "Grumpy(y)")
+    edges = CandidateGraph.build(("Happy(x)",), ("Happyy(x)", "Grumpy(y)")).edges
+    assert [(i, j) for i, j, _ in edges] == [(0, 0)]
 
 
 def test_threshold_is_inclusive():
@@ -221,7 +220,7 @@ def test_threshold_is_inclusive():
     # themselves must not round below 1.0.
     for text in ("abc", "a", "P(x)"):
         assert ngram_cosine(text, text) == 1.0
-        assert is_related(text, text, 1.0)
+        assert CandidateGraph.build((text,), (text,), 1.0).edges == ((0, 0, 1.0),)
 
 
 @pytest.mark.parametrize("threshold", [-0.1, 1.5, math.nan])
