@@ -212,12 +212,13 @@ def _cmd_serve(args) -> int:
     if config is None:
         return DATA_ERROR
     if args.stdio:
-        # As on the socket: bytes that are not UTF-8 read as U+FFFD, and a
-        # lone surrogate from a JSON escape is written back as that escape.
-        for stream, errors in ((sys.stdin, "replace"), (sys.stdout, "backslashreplace")):
+        # As on the socket: a byte-order mark at the start is skipped, bytes
+        # that are not UTF-8 read as U+FFFD, and a lone surrogate from a JSON
+        # escape is written back as that escape.
+        for stream, encoding, errors in ((sys.stdin, "utf-8-sig", "replace"), (sys.stdout, None, "backslashreplace")):
             reconfigure = getattr(stream, "reconfigure", None)
             if reconfigure is not None:
-                reconfigure(errors=errors)
+                reconfigure(encoding=encoding, errors=errors)
         serve(sys.stdin, sys.stdout, config)
         return 0
     try:

@@ -71,14 +71,12 @@ from .syntax import (
     Token,
     atoms_of,  # unused here, but tracers patch this attribute
     canonicalize,  # unused here, but tracers patch this attribute
-    cap_tokens,
     chain_readings,
     enumerate_bracketings,  # unused here, but tracers patch this attribute
     lex,
     parse,
-    rebuild,
+    render,
     split_chain,
-    token_count,
 )
 
 
@@ -332,18 +330,6 @@ def compile_reference(reference: str) -> CompiledReference:
     return CompiledReference(lowering.atoms(), code)
 
 
-def _compile_tree(expr: FolExpr) -> CompiledReference:
-    """The tree ``expr`` compiled straight from its nodes through the same
-    lowering, as ``compile_reference`` compiles its rendering.  A tree whose
-    rendering passes the token cap raises the parser's ``CapExceeded`` for
-    its token count; any other rebuilds within the recursion limit, since no
-    rebuild nests deeper than its token count."""
-    cap_tokens(token_count(expr))
-    lowering = _Lowering()
-    code = rebuild(expr, lowering)
-    return CompiledReference(lowering.atoms(), code)
-
-
 def _capped_patterns(k: int, max_atoms: int) -> tuple[tuple[int, ...], int, int]:
     """``_var_patterns(k)``, or ``CapExceeded`` when ``k`` passes ``max_atoms``."""
     if k > max_atoms:
@@ -382,16 +368,17 @@ def _binding_from(pred_atoms: tuple[str, ...], ref_atoms: tuple[str, ...], mappi
 
 def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap) -> float:
     """Truth-table agreement of the two skeletons under a fixed binding.
-    Both trees are lowered as their renderings would be, and their bound
-    variables are renamed by ``syntax.Renaming``'s one rule, so the binding
-    names atoms of the renamed trees; canonical trees are left as they are.
-    A binding that names, bound or unbound, an atom its side's tree lacks
-    raises ``ValueError``.  A tree whose rendering passes the token cap
-    raises the ``CapExceeded`` that ``le_score`` of its rendering raises,
-    and the truth table is capped at ``DEFAULT_LE.max_atoms``."""
-    lowered = _compile_tree(pred)
+    Both trees are compiled from their renderings, as ``le_score`` compiles
+    text, and their bound variables are renamed by ``syntax.Renaming``'s one
+    rule, so the binding names atoms of the renamed trees; canonical trees
+    are left as they are.  A binding that names, bound or unbound, an atom
+    its side's tree lacks raises ``ValueError``.  A tree whose rendering
+    does not parse or passes the token cap raises the ``FormulaError`` that
+    ``le_score`` of its rendering raises, and the truth table is capped at
+    ``DEFAULT_LE.max_atoms``."""
+    lowered = compile_reference(render(pred))
     pred_atoms = lowered.atoms
-    compiled = _compile_tree(ref)
+    compiled = compile_reference(render(ref))
     pred_index = {a: i for i, a in enumerate(pred_atoms)}
     ref_index = {a: j for j, a in enumerate(compiled.atoms)}
     for side, named, index in (
@@ -707,8 +694,8 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
 
 
 def _bind(pred: FolExpr, ref: FolExpr, mode: str, config: LeConfig) -> LeReport:
-    compiled = _compile_tree(ref)
-    lowered = _compile_tree(pred)
+    compiled = compile_reference(render(ref))
+    lowered = compile_reference(render(pred))
     return _search([lowered.code], _AtomTables(lowered.atoms, compiled, mode, config))
 
 
@@ -718,10 +705,12 @@ def bind_original(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) ->
     binding search over the complete graph.  Factorial in the atom count,
     so guarded by ``MAX_FACTORIAL_ATOMS``, whose 7! leaves stay below
     ``COMPONENT_CAP``.
-    ``pred`` and ``ref`` are trees.  Bound variables are renamed by
-    ``syntax.Renaming``'s one rule, so trees need not be canonicalized first
-    and the report names the renamed atoms.  The report is ``_search``'s
-    for one reading: ``trees_explored`` is 1."""
+    ``pred`` and ``ref`` are trees, each compiled from its rendering as
+    ``le_score`` compiles text, so one whose rendering does not parse or
+    passes the token cap raises that text's ``FormulaError``.  Bound
+    variables are renamed by ``syntax.Renaming``'s one rule, so trees need
+    not be canonicalized first and the report names the renamed atoms.  The
+    report is ``_search``'s for one reading: ``trees_explored`` is 1."""
     return _bind(pred, ref, "original", config)
 
 
@@ -735,10 +724,12 @@ def bind_optimized(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -
     component is searched).
     A component stops early at ``COMPONENT_CAP`` assignments and keeps its
     best so far, flagged via ``truncated`` when an assignment lies past the
-    cap.  ``pred`` and ``ref`` are trees.  Bound variables are renamed by
-    ``syntax.Renaming``'s one rule, so trees need not be canonicalized first
-    and the report names the renamed atoms.  The report is ``_search``'s
-    for one reading: ``trees_explored`` is 1.
+    cap.  ``pred`` and ``ref`` are trees, each compiled from its rendering
+    as ``le_score`` compiles text, so one whose rendering does not parse or
+    passes the token cap raises that text's ``FormulaError``.  Bound
+    variables are renamed by ``syntax.Renaming``'s one rule, so trees need
+    not be canonicalized first and the report names the renamed atoms.  The
+    report is ``_search``'s for one reading: ``trees_explored`` is 1.
     """
     return _bind(pred, ref, "optimized", config)
 

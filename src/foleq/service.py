@@ -236,9 +236,10 @@ class BindError(OSError):
 
 def serve_socket(path: str, config: ServiceConfig | None = None) -> None:
     """Accept one Unix-socket connection at a time and run :func:`serve` on
-    it.  Bytes that are not UTF-8 are read as U+FFFD, so they get the answer
-    any other bad text gets, and a lone surrogate that a request spelled as
-    a JSON escape is written back as that escape.  A connection silent for
+    it.  A byte-order mark at the start of a connection is skipped, bytes
+    that are not UTF-8 are read as U+FFFD, so they get the answer any other
+    bad text gets, and a lone surrogate that a request spelled as a JSON
+    escape is written back as that escape.  A connection silent for
     ``_READ_TIMEOUT_S`` seconds, or closed by its client before it reads its
     answers, is closed and the listener accepts the next one.  A shutdown
     request closes the connection and stops the listener, which then removes
@@ -260,7 +261,7 @@ def serve_socket(path: str, config: ServiceConfig | None = None) -> None:
                 try:
                     with (
                         conn,
-                        conn.makefile("r", encoding="utf-8", errors="replace", newline="\n") as reader,
+                        conn.makefile("r", encoding="utf-8-sig", errors="replace", newline="\n") as reader,
                         conn.makefile("w", encoding="utf-8", errors="backslashreplace", newline="\n") as writer,
                     ):
                         shut_down = serve(reader, writer, config)

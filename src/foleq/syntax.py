@@ -453,25 +453,6 @@ def _children(expr: FolExpr) -> tuple[tuple[FolExpr, bool], ...]:
     )
 
 
-def token_count(expr: FolExpr) -> int:
-    """The number of tokens in ``lex(render(expr))``, counted without
-    rendering or recursion: one per name, connective, negation, comma and
-    parenthesis, and two per quantifier and its variable.  A name counts
-    as one token, as it lexes in every tree that ``parse`` returns."""
-    count = 0
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            count += 2 * len(node.args) + 2 if node.args else 1
-            continue
-        count += 2 if isinstance(node, Quantified) else 1
-        for child, wrapped in _children(node):
-            count += 2 if wrapped else 0
-            stack.append(child)
-    return count
-
-
 def render(expr: FolExpr, style: str = "unicode") -> str:
     """Serialize a tree with the minimal parentheses that round-trip through
     :func:`parse` in precedence mode.  Iterative, so any tree renders."""

@@ -11,7 +11,7 @@ from foleq.cli import _demo_config_from_mapping, run_cli
 from foleq.corpus import EvalPair, corpus_le
 from foleq.sgrpo import default_demo_config
 from foleq.syntax import MAX_TOKENS
-from test_service import NOT_UTF8_LINES, check_not_utf8_answers
+from test_service import BOM_LINES, NOT_UTF8_LINES, check_bom_answers, check_not_utf8_answers
 
 
 def run(capsys, *argv):
@@ -438,6 +438,15 @@ def test_serve_stdio_under_strict_decoding_outlives_requests_that_are_not_utf8(m
     answers = [json.loads(line) for line in out.getvalue().splitlines()]
     check_not_utf8_answers(answers[:4])
     assert answers[4]["id"] == "q2" and answers[4]["score"] == 1.0
+
+
+def test_serve_stdio_skips_a_byte_order_mark_at_the_start_only(monkeypatch):
+    out = io.BytesIO()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"".join(BOM_LINES)), encoding="utf-8"))
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="utf-8", newline="\n"))
+    assert run_cli(["serve", "--stdio"]) == 0
+    sys.stdout.flush()
+    check_bom_answers([json.loads(line) for line in out.getvalue().splitlines()])
 
 
 def test_serve_socket_on_an_existing_path_is_data_error_and_keeps_the_file(tmp_path, capsys):

@@ -21,7 +21,6 @@ from foleq.equivalence import (
     bind_original,
     CompiledReference,
     _AtomTables,
-    _compile_tree,
     _enumerate,
     _Lowering,
     _search,
@@ -45,7 +44,6 @@ from foleq.syntax import (
     parse,
     render,
     split_chain,
-    token_count,
 )
 from helpers import (
     agreement,
@@ -163,11 +161,6 @@ def _texts_and_codes(atoms, codes):
 def test_lowering_matches_rename_list_and_compile(tree):
     compiled = compile_reference(render(tree))
     assert _texts_and_codes(compiled.atoms, [compiled.code]) == _texts_and_codes(*lower_by_three_walks([tree]))
-    # The binding searches cap a tree by this count of its rendering's tokens.
-    assert token_count(tree) == len(lex(render(tree)))
-    # The binding searches lower a tree without rendering it.
-    built = _compile_tree(tree)
-    assert _texts_and_codes(built.atoms, [built.code]) == _texts_and_codes(compiled.atoms, [compiled.code])
     # The chain form that scoring lowers: the operands of the outermost
     # chain inside the wrappers around it.
     try:
@@ -242,8 +235,8 @@ def test_fixed_caps_keep_their_values_and_messages():
 
 
 def test_a_tree_too_deep_to_rebuild_is_capped_through_its_rendering():
-    # 400 nested quantifiers would pass the recursion limit when rebuilt;
-    # their rendering's 804 tokens cap them before any rebuild.
+    # A tree is compiled from its rendering: 400 nested quantifiers render
+    # to 804 tokens, which the parser's token cap refuses before it parses.
     tree = Atom("P", ("x",))
     for _ in range(400):
         tree = Quantified("forall", "x", tree)
@@ -253,8 +246,8 @@ def test_a_tree_too_deep_to_rebuild_is_capped_through_its_rendering():
 
 
 def test_a_tree_too_deep_to_render_is_capped():
-    # 1,200 nested negations, deeper than the recursion limit, are capped by
-    # their rendering's token count, which is counted without recursion.
+    # 1,200 nested negations, deeper than the recursion limit, render
+    # without recursion, and the parser's token cap refuses the rendering.
     deep = Atom("A")
     for _ in range(1200):
         deep = Not(deep)
@@ -266,6 +259,21 @@ def test_a_tree_too_deep_to_render_is_capped():
                 bind(pred, ref)
         with pytest.raises(CapExceeded, match=message):
             propositional_score(pred, ref, BindingMap(()))
+
+
+@pytest.mark.parametrize("bad", [Atom("forall"), Atom("p-q")], ids=["forall", "p-q"])
+def test_a_tree_whose_rendering_does_not_parse_raises_as_its_rendering(bad):
+    # A tree takes the lexer, parser and lowering that its rendering takes,
+    # so an atom name that does not lex as one name is no atom.
+    good = Atom("A")
+    for pred, ref in ((bad, good), (good, bad)):
+        with pytest.raises(ParseError) as expected:
+            le_score(render(pred), render(ref))
+        for score in (bind_original, bind_optimized, lambda p, r: propositional_score(p, r, BindingMap(()))):
+            with pytest.raises(ParseError) as caught:
+                score(pred, ref)
+            assert type(caught.value) is type(expected.value)
+            assert str(caught.value) == str(expected.value)
 
 
 def test_bind_original_prefers_smaller_edit_distance_on_ties():
@@ -766,9 +774,10 @@ def test_raising_the_recursion_limit_keeps_the_token_cap_on_trees():
 
 
 def test_a_tree_at_the_token_cap_rebuilds_under_a_deep_caller():
-    # 248 nested quantifiers make 500 tokens.  Rebuilding one costs two
-    # interpreter frames, as parsing it does, so both fit in the default
-    # recursion limit under 450 frames of the caller's own recursion.
+    # 248 nested quantifiers render to 500 tokens.  Parsing a quantifier
+    # costs two interpreter frames, so the text and the tree, compiled from
+    # its rendering, both fit in the default recursion limit under 450
+    # frames of the caller's own recursion.
     tree = Atom("P", ("x",))
     for _ in range(248):
         tree = Quantified("forall", "x", tree)

@@ -453,6 +453,38 @@ def test_serve_socket_outlives_requests_that_are_not_utf8(tmp_path):
     assert answer["id"] == "t3" and answer["score"] == 1.0
 
 
+# A stream that starts with a UTF-8 byte-order mark, then a mark inside a
+# later prediction and one before a later line, with the answer each gets.
+BOM_LINES = [
+    b"\xef\xbb\xbf" + json.dumps(le_request("a", "A", "A")).encode() + b"\n",
+    json.dumps(le_request("b", "\ufeffA", "A"), ensure_ascii=False).encode() + b"\n",
+    b"\xef\xbb\xbf" + json.dumps(le_request("c", "A", "A")).encode() + b"\n",
+]
+
+
+def check_bom_answers(answers):
+    assert answers[0]["id"] == "a" and answers[0]["score"] == 1.0
+    assert answers[1] == {
+        "id": "b",
+        "score": 0.0,
+        "detail": {"warning": "unparseable prediction: unexpected character '\\ufeff' (offset 0)"},
+    }
+    assert answers[2]["id"] == "?" and answers[2]["error"]["code"] == BAD_REQUEST
+
+
+def test_serve_socket_skips_a_byte_order_mark_at_the_start_only(tmp_path):
+    path = tmp_path / "scoring.sock"
+    thread, client = start_socket_service(str(path))
+    client.settimeout(10)
+    with client, client.makefile("rb") as reader:
+        client.sendall(b"".join(BOM_LINES))
+        answers = [json.loads(reader.readline()) for _ in BOM_LINES]
+        client.sendall(b'{"op": "shutdown"}\n')
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    check_bom_answers(answers)
+
+
 def test_serve_socket_restarts_on_the_same_path(tmp_path):
     path = tmp_path / "scoring.sock"
     for _ in range(2):
