@@ -413,21 +413,6 @@ def parse(text: str, mode: str = "precedence", nodes=TREES):
     return _Parser(lex(text), mode, nodes).parse()
 
 
-def rebuild(expr: FolExpr, nodes=TREES):
-    """Build the tree ``expr`` again through the node factory ``nodes``,
-    with the calls, in the same order, that parsing its rendering makes.
-    As in the parser, a quantifier costs two interpreter frames (its body
-    is a ``functools.partial``, which adds none), so no rebuild nests deeper
-    than its rendering's token count."""
-    if isinstance(expr, Atom):
-        return nodes.atom(expr.predicate, expr.args)
-    if isinstance(expr, Not):
-        return nodes.negate(rebuild(expr.body, nodes))
-    if isinstance(expr, Quantified):
-        return nodes.quantify(expr.quantifier, expr.variable, functools.partial(rebuild, expr.body, nodes))
-    return nodes.join(expr.op, rebuild(expr.left, nodes), rebuild(expr.right, nodes))
-
-
 # --- rendering ---------------------------------------------------------------
 
 _UNICODE_SYMBOLS = {NOT: "¬", AND: "∧", OR: "∨", IMPLIES: "→", IFF: "↔", XOR: "⊕"}
@@ -493,8 +478,10 @@ class Renaming:
     name becomes its quantifier's pre-order index, and index i is named by
     the i-th of ``v1, v2, ...`` that no atom has as a free argument, so the
     renaming is capture-avoiding and idempotent.  It builds the tree with
-    indices for bound names; a subclass builds other nodes from the same
-    ``scope`` (each bound name in scope and its index) and ``ordinals``."""
+    indices for bound names; ``canonicalize`` and a subclass build other
+    nodes from the same ``scope`` (each bound name in scope and its index)
+    and ``ordinals``.  A tree reaches it only through a parse of the
+    tree's rendering, so the token cap bounds every pass over a tree."""
 
     negate = staticmethod(Not)
     join = staticmethod(Binary)
@@ -535,25 +522,26 @@ class Renaming:
 def canonicalize(expr: FolExpr) -> FolExpr:
     """Rename bound variables by ``Renaming``'s rule: v1, v2, ... in order
     of quantifier appearance, skipping any name that occurs free.  Free
-    names are left alone.  Two ``rebuild`` passes: one to indices, one to
-    names."""
+    names are left alone.  Two parses of the tree's rendering, which raise
+    as that text does: one learns the names, and one builds the named tree
+    from the same scope."""
+    text = render(expr)
     indexing = Renaming()
-    indexed = rebuild(expr, indexing)
+    parse(text, nodes=indexing)
     names = indexing.names()
-    return rebuild(indexed, SimpleNamespace(
-        atom=lambda name, args: Atom(name, tuple([names.get(a, a) for a in args])),
-        negate=Not,
-        join=Binary,
-        quantify=lambda kind, index, parse_body: Quantified(kind, names[index], parse_body()),
-    ))
+    naming = Renaming()
+    naming.atom = lambda name, args: Atom(name, tuple([names.get(naming.scope.get(a, a), a) for a in args]))
+    naming.quantified = lambda kind, index, body: Quantified(kind, names[index], body)
+    return parse(text, nodes=naming)
 
 
 def atoms_of(expr: FolExpr) -> tuple[str, ...]:
     """Texts of the distinct atoms (``atom_text``) in first-occurrence order
     (pre-order, left to right), as written: canonicalize the tree first for
-    the atoms that scoring names."""
+    the atoms that scoring names.  One parse of the tree's rendering, which
+    raises as that text does."""
     seen: dict[str, None] = {}
-    rebuild(expr, SimpleNamespace(
+    parse(render(expr), nodes=SimpleNamespace(
         atom=lambda name, args: seen.setdefault(atom_text(name, args)),
         negate=lambda body: None,
         join=lambda op, left, right: None,

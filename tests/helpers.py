@@ -157,7 +157,8 @@ def lower_by_three_walks(operands: list[FolExpr], wrappers: list[FolExpr] = ()) 
     """The atoms and operand skeletons of the left-deep chain of
     ``operands`` inside the quantifiers among ``wrappers``: the chain is
     built as a tree, renamed by ``canonicalize``, listed by ``atoms_of`` and
-    compiled, and the code is split back into operand codes."""
+    compiled by a walk of its own, three separate passes where the lowering
+    makes one parse, and the code is split back into operand codes."""
     tree = operands[0]
     for operand in operands[1:]:
         tree = Binary("and", tree, operand)

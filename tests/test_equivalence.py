@@ -234,7 +234,7 @@ def test_fixed_caps_keep_their_values_and_messages():
         le_score(" ∧ ".join(f"P{i}" for i in range(8)), "A", mode="original")
 
 
-def test_a_tree_too_deep_to_rebuild_is_capped_through_its_rendering():
+def test_a_tree_past_the_token_cap_is_capped_through_its_rendering():
     # A tree is compiled from its rendering: 400 nested quantifiers render
     # to 804 tokens, which the parser's token cap refuses before it parses.
     tree = Atom("P", ("x",))
@@ -259,6 +259,9 @@ def test_a_tree_too_deep_to_render_is_capped():
                 bind(pred, ref)
         with pytest.raises(CapExceeded, match=message):
             propositional_score(pred, ref, BindingMap(()))
+    for tree_function in (canonicalize, atoms_of):
+        with pytest.raises(CapExceeded, match=message):
+            tree_function(deep)
 
 
 @pytest.mark.parametrize("bad", [Atom("forall"), Atom("p-q")], ids=["forall", "p-q"])
@@ -274,6 +277,13 @@ def test_a_tree_whose_rendering_does_not_parse_raises_as_its_rendering(bad):
                 score(pred, ref)
             assert type(caught.value) is type(expected.value)
             assert str(caught.value) == str(expected.value)
+    with pytest.raises(ParseError) as expected:
+        le_score(render(bad), render(good))
+    for tree_function in (canonicalize, atoms_of):
+        with pytest.raises(ParseError) as caught:
+            tree_function(bad)
+        assert type(caught.value) is type(expected.value)
+        assert str(caught.value) == str(expected.value)
 
 
 def test_bind_original_prefers_smaller_edit_distance_on_ties():
@@ -773,11 +783,12 @@ def test_raising_the_recursion_limit_keeps_the_token_cap_on_trees():
             sys.setrecursionlimit(limit)
 
 
-def test_a_tree_at_the_token_cap_rebuilds_under_a_deep_caller():
+def test_a_tree_at_the_token_cap_parses_under_a_deep_caller():
     # 248 nested quantifiers render to 500 tokens.  Parsing a quantifier
-    # costs two interpreter frames, so the text and the tree, compiled from
-    # its rendering, both fit in the default recursion limit under 450
-    # frames of the caller's own recursion.
+    # costs two interpreter frames, so the text and the tree, scored,
+    # renamed and listed through its rendering, all fit in the default
+    # recursion limit under 450 frames of the caller's own recursion.  A
+    # balanced 300-leaf conjunction renders past the cap and is refused.
     tree = Atom("P", ("x",))
     for _ in range(248):
         tree = Quantified("forall", "x", tree)
@@ -789,6 +800,12 @@ def test_a_tree_at_the_token_cap_rebuilds_under_a_deep_caller():
     assert under(450, lambda: le_score(text, text).score) == 1.0
     for bind in (bind_original, bind_optimized):
         assert under(450, lambda: bind(tree, tree).score) == 1.0
+    assert under(450, lambda: atoms_of(canonicalize(tree))) == ("P(v248)",)
+    assert under(450, lambda: atoms_of(tree)) == ("P(x)",)
+    wide = _balanced_conjunction([Atom(f"A{i % 4}") for i in range(300)])
+    for tree_function in (canonicalize, atoms_of):
+        with pytest.raises(CapExceeded, match=r"^formula has 941 tokens \(cap 500\)$"):
+            under(450, lambda: tree_function(wide))
 
 
 def test_raising_the_recursion_limit_keeps_the_token_cap():
