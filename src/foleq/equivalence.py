@@ -48,13 +48,22 @@ evaluated.  The search returns the report: the binding and score of the
 first best reading, and counters that are one reading's walk times the
 number of readings.  ``bind_original`` and ``bind_optimized`` are that
 search for one reading (``trees_explored`` 1).
+
+A walk over an enumerated component evaluates the reference at every
+binding it does not cut, so it uses the reference's compiled evaluator: the
+skeleton turned once into nested closures, cached on the
+``CompiledReference`` and shared by every prediction scored against it.
+Building them costs about two interpreted evaluations, so the evaluations
+made once interpret the skeleton (``_eval_bits``): a search with no
+enumerated component, each reading's own table, and
+``propositional_score``.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Hashable, Iterable, Sequence
 
 from .similarity import THRESHOLD, levenshtein, ngram_cosine
@@ -292,14 +301,15 @@ class _Lowering(Renaming):
     quantified = staticmethod(lambda kind, index, body: body)
 
 
-def _eval_bits(node, varmap: list[int], patterns: tuple[int, ...], mask: int) -> int:
+def _eval_bits(node, values: Sequence[int], mask: int) -> int:
+    """Truth-table mask of a skeleton, atom ordinal o taking ``values[o]``."""
     tag = node[0]
     if tag == "atom":
-        return patterns[varmap[node[1]]]
+        return values[node[1]]
     if tag == "not":
-        return mask ^ _eval_bits(node[1], varmap, patterns, mask)
-    left = _eval_bits(node[1], varmap, patterns, mask)
-    right = _eval_bits(node[2], varmap, patterns, mask)
+        return mask ^ _eval_bits(node[1], values, mask)
+    left = _eval_bits(node[1], values, mask)
+    right = _eval_bits(node[2], values, mask)
     if tag == AND:
         return left & right
     if tag == OR:
@@ -312,14 +322,67 @@ def _eval_bits(node, varmap: list[int], patterns: tuple[int, ...], mask: int) ->
     return left ^ right
 
 
+# The compiled evaluator's closures of the atom values ``v`` and the all-ones
+# mask ``m``, keyed by a node's tag and whether each operand is an atom: an
+# atom operand is its ordinal, read from ``v`` inline, and any other operand
+# is its own closure.  Each computes what ``_eval_bits`` computes for its tag.
+_CLOSURES = {
+    ("atom",): lambda a: lambda v, m: v[a],
+    ("not", True): lambda a: lambda v, m: m ^ v[a],
+    ("not", False): lambda f: lambda v, m: m ^ f(v, m),
+    (AND, True, True): lambda a, b: lambda v, m: v[a] & v[b],
+    (AND, True, False): lambda a, g: lambda v, m: v[a] & g(v, m),
+    (AND, False, True): lambda f, b: lambda v, m: f(v, m) & v[b],
+    (AND, False, False): lambda f, g: lambda v, m: f(v, m) & g(v, m),
+    (OR, True, True): lambda a, b: lambda v, m: v[a] | v[b],
+    (OR, True, False): lambda a, g: lambda v, m: v[a] | g(v, m),
+    (OR, False, True): lambda f, b: lambda v, m: f(v, m) | v[b],
+    (OR, False, False): lambda f, g: lambda v, m: f(v, m) | g(v, m),
+    (IMPLIES, True, True): lambda a, b: lambda v, m: (m ^ v[a]) | v[b],
+    (IMPLIES, True, False): lambda a, g: lambda v, m: (m ^ v[a]) | g(v, m),
+    (IMPLIES, False, True): lambda f, b: lambda v, m: (m ^ f(v, m)) | v[b],
+    (IMPLIES, False, False): lambda f, g: lambda v, m: (m ^ f(v, m)) | g(v, m),
+    (IFF, True, True): lambda a, b: lambda v, m: m ^ (v[a] ^ v[b]),
+    (IFF, True, False): lambda a, g: lambda v, m: m ^ (v[a] ^ g(v, m)),
+    (IFF, False, True): lambda f, b: lambda v, m: m ^ (f(v, m) ^ v[b]),
+    (IFF, False, False): lambda f, g: lambda v, m: m ^ (f(v, m) ^ g(v, m)),
+    (XOR, True, True): lambda a, b: lambda v, m: v[a] ^ v[b],
+    (XOR, True, False): lambda a, g: lambda v, m: v[a] ^ g(v, m),
+    (XOR, False, True): lambda f, b: lambda v, m: f(v, m) ^ v[b],
+    (XOR, False, False): lambda f, g: lambda v, m: f(v, m) ^ g(v, m),
+}
+
+
+def _compile_evaluator(node):
+    """A skeleton as one closure of the atom values and the all-ones mask,
+    equal to ``_eval_bits`` on them.  One frame per node that is not an
+    atom, in the build and in each evaluation, as ``_eval_bits`` takes one
+    per node, so the token cap bounds both."""
+    if node[0] == "atom":
+        return _CLOSURES[("atom",)](node[1])
+    key, args = [node[0]], []
+    for operand in node[1:]:
+        atom = operand[0] == "atom"
+        key.append(atom)
+        args.append(operand[1] if atom else _compile_evaluator(operand))
+    return _CLOSURES[tuple(key)](*args)
+
+
 @dataclass(frozen=True)
 class CompiledReference:
     """A reference formula prepared once for scoring any number of
     predictions: its distinct atoms and its compiled quantifier-free
-    skeleton.  ``compile_reference`` builds one from text."""
+    skeleton.  ``compile_reference`` builds one from text.  ``evaluate``
+    is the skeleton compiled into closures (``_compile_evaluator``), built
+    at its first use and then shared by every search against this
+    reference."""
 
     atoms: tuple[str, ...]
     code: object
+
+    @cached_property
+    def evaluate(self):
+        return _compile_evaluator(self.code)
 
 
 def compile_reference(reference: str) -> CompiledReference:
@@ -337,23 +400,30 @@ def _capped_patterns(k: int, max_atoms: int) -> tuple[tuple[int, ...], int, int]
     return _var_patterns(k)
 
 
-def _reference_bits(
-    ref: CompiledReference, mapping: list[int | None], patterns: tuple[int, ...], mask: int
-) -> int:
-    """Truth-table mask of ``ref``'s skeleton under the inverse of one
-    binding: prediction atom i is variable i, the reference atom bound to it
-    shares that variable, and each unbound reference atom takes a variable
-    after the prediction's, in order."""
-    varmap = [-1] * len(ref.atoms)
+def _atom_values(mapping: list[int | None], n_r: int, patterns: tuple[int, ...]) -> list[int]:
+    """Each reference atom's pattern under the inverse of one binding:
+    prediction atom i is variable i, the reference atom bound to it shares
+    that variable, and each unbound reference atom takes a variable after
+    the prediction's, in order.  No pattern is 0, so 0 marks an unbound
+    atom until it is given one."""
+    values = [0] * n_r
     for i, j in enumerate(mapping):
         if j is not None:
-            varmap[j] = i
-    free = len(mapping)
-    for j, var in enumerate(varmap):
-        if var < 0:
-            varmap[j] = free
-            free += 1
-    return _eval_bits(ref.code, varmap, patterns, mask)
+            values[j] = patterns[i]
+    if 0 in values:
+        free = len(mapping)
+        for j, value in enumerate(values):
+            if not value:
+                values[j] = patterns[free]
+                free += 1
+    return values
+
+
+def _reference_bits(evaluate, mapping: list[int | None], n_r: int, patterns: tuple[int, ...], mask: int) -> int:
+    """Truth-table mask of a reference of ``n_r`` atoms under the inverse of
+    one binding (``_atom_values``), by its compiled ``evaluate``: the one
+    evaluation per binding of a search's walk."""
+    return evaluate(_atom_values(mapping, n_r, patterns), mask)
 
 
 def _binding_from(pred_atoms: tuple[str, ...], ref_atoms: tuple[str, ...], mapping: list[int | None]) -> BindingMap:
@@ -392,8 +462,9 @@ def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap) -> flo
     for p, r in binding.pairs:
         mapping[pred_index[p]] = ref_index[r]
     patterns, mask, rows = _capped_patterns(len(compiled.atoms) + mapping.count(None), DEFAULT_LE.max_atoms)
-    pred_bits = _eval_bits(lowered.code, range(len(pred_atoms)), patterns, mask)
-    return (rows - (pred_bits ^ _reference_bits(compiled, mapping, patterns, mask)).bit_count()) / rows
+    pred_bits = _eval_bits(lowered.code, patterns, mask)
+    ref_bits = _eval_bits(compiled.code, _atom_values(mapping, len(compiled.atoms), patterns), mask)
+    return (rows - (pred_bits ^ ref_bits).bit_count()) / rows
 
 
 # --- binding searches --------------------------------------------------------
@@ -563,7 +634,11 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
     inverse mapping (``_reference_bits``).  That uses one variable per bound
     pair and per unbound atom on either side, as many as a forward
     evaluation of the prediction would, and only renames them, so the
-    agreeing rows are the same.  Each distinct reading truth table over the
+    agreeing rows are the same.  The walk evaluates by the reference's
+    compiled evaluator, built before the walk and kept for later searches;
+    a search with no enumerated component makes its one evaluation by
+    interpreting the skeleton, which costs about half the build.  Each
+    distinct reading truth table over the
     prediction's own atoms, atom i being variable i, is built once, widened
     to those variables by repetition once and scored with one XOR and
     ``bit_count``; each keeps its best binding by (score, summed distance,
@@ -599,7 +674,7 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
     patterns, mask, rows = _capped_patterns(n_r + tables.start.count(None), tables.max_atoms)
 
     own_patterns, own_mask, _ = _var_patterns(n_p)
-    own_tables = dict.fromkeys(_eval_bits(code, range(n_p), own_patterns, own_mask) for code in skeletons)
+    own_tables = dict.fromkeys(_eval_bits(code, own_patterns, own_mask) for code in skeletons)
     repeat = mask // own_mask
     wide = [table * repeat for table in own_tables]
     # Each group: the mapping its tables' earlier components won, and the
@@ -610,10 +685,14 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
     truncated = False
     # Kept apart from the loop below: folding it in cost 7-13 µs on a 67 µs
     # score, and 77% of seed-29 corpus searches and 50% of serve ones take it.
+    # Its one evaluation is interpreted: compiling costs about two.
     if not tables.enumerated:
-        bits = _reference_bits(ref, tables.start, patterns, mask)
+        bits = _eval_bits(ref.code, _atom_values(tables.start, n_r, patterns), mask)
         best_off = [(table ^ bits).bit_count() for table in wide]
         explored, assignments = 1, rows
+    else:
+        # Compiled here, above the walk, whose leaves lie deeper in the stack.
+        evaluate = ref.evaluate
     # No leaf disagrees with table t on fewer than floor[t] rows.
     floor: list[int] = []
     last = len(tables.enumerated) - 1
@@ -637,7 +716,7 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
 
             def leaf(dist: int) -> int | None:
                 nonlocal live, least, first
-                bits = _reference_bits(ref, mapping, patterns, mask)
+                bits = _reference_bits(evaluate, mapping, n_r, patterns, mask)
                 if not floor:
                     ones = bits.bit_count()
                     floor.extend(abs(ones - table.bit_count()) for table in wide)

@@ -113,11 +113,22 @@ def lex(text: str) -> list[Token]:
     """Tokenize ``text``, accepting Unicode and ASCII spellings together,
     into ``(kind, text, offset)`` tuples.  One ``findall`` scan splits the
     text; a character that starts no token raises ``LexError`` at its
-    offset."""
+    offset.  Text of more than ``MAX_TOKENS`` tokens and no such character
+    raises ``cap_tokens``'s ``CapExceeded``, with its exact count, before
+    any token is built: ``lex`` itself refuses over-cap text."""
+    matches = _TOKEN_RE.findall(text.rstrip())
+    if len(matches) > MAX_TOKENS and not any([stray for _, _, stray in matches]):
+        cap_tokens(len(matches))
+    return _tokens(matches)
+
+
+def _tokens(matches: list[tuple[str, str, str]]) -> list[Token]:
+    """The tokens of ``_TOKEN_RE``'s matches over a text, or the
+    ``LexError`` of its first stray character."""
     tokens: list[Token] = []
     append, kind = tokens.append, _KINDS.get
     offset = 0
-    for space, word, stray in _TOKEN_RE.findall(text.rstrip()):
+    for space, word, stray in matches:
         offset += len(space)
         if not word:
             raise LexError(f"unexpected character {stray!r}", offset)
@@ -140,7 +151,8 @@ def word_lexer(words: Sequence[str]):
     lexed: list[list[Token] | int] = []  # a word's tokens, or its first stray's offset
     for word in words:
         try:
-            lexed.append(lex(word))
+            # Uncapped: the cap applies to a sequence's tokens, not a word's.
+            lexed.append(_tokens(_TOKEN_RE.findall(word.rstrip())))
         except LexError as error:
             lexed.append(error.position)
     widths = [len(word) + 1 for word in words]
@@ -515,8 +527,10 @@ class Renaming:
 
     def atoms(self) -> tuple[str, ...]:
         """The renamed texts (``atom_text``) of the distinct atoms, in first-occurrence order."""
+        if not self.quantifiers:  # no bound name to rename
+            return tuple([atom_text(p, args) for p, args in self.ordinals])
         names = self.names()
-        return tuple(atom_text(p, tuple([names.get(a, a) for a in args])) for p, args in self.ordinals)
+        return tuple([atom_text(p, tuple([names.get(a, a) for a in args])) for p, args in self.ordinals])
 
 
 def canonicalize(expr: FolExpr) -> FolExpr:

@@ -46,12 +46,14 @@ from foleq.syntax import (
     split_chain,
 )
 from helpers import (
+    _row_patterns,
     agreement,
     best_complete_matching,
     forward_bind,
     forward_search,
     lower_by_three_walks,
     random_formula,
+    skeleton_bits,
 )
 
 
@@ -175,6 +177,44 @@ def test_lowering_matches_rename_list_and_compile(tree):
         wrapped = wrapped.body
     lowered = _texts_and_codes(lowering.atoms(), codes)
     assert lowered == _texts_and_codes(*lower_by_three_walks(operands, wrappers))
+
+
+# --- the compiled evaluator against the interpreting oracle -----------------------
+
+def _evaluations(compiled: CompiledReference, varmap: list[int], k: int) -> tuple[int, int]:
+    """The compiled evaluator's and the oracle's tables of ``compiled`` over
+    ``k`` variables, atom ordinal o being variable ``varmap[o]``."""
+    patterns, mask, _ = _row_patterns(k)
+    values = [patterns[var] for var in varmap]
+    return compiled.evaluate(values, mask), skeleton_bits(compiled.code, varmap, patterns, mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 9), st.randoms(use_true_random=False))
+def test_the_compiled_evaluator_equals_the_oracle(seed, rng):
+    """A lowered reference's closures give the interpreting oracle's table,
+    bit for bit, under any injective map of its atoms onto variables."""
+    compiled = compile_reference(render(random_formula(random.Random(seed), max_atoms=6, max_depth=5)))
+    n = len(compiled.atoms)
+    k = rng.randint(n, n + 3)
+    compiled_bits, oracle_bits = _evaluations(compiled, rng.sample(range(k), n), k)
+    assert compiled_bits == oracle_bits
+
+
+# Every closure the evaluator builds: each connective with an atom or a
+# negation on either side, a negated atom, a negated negation, and an atom.
+_CLOSURE_SHAPES = ["A", "¬A", "¬¬A"] + [
+    f"{left} {op} {right}" for op in "∧∨→↔⊕" for left in ("A", "¬A") for right in ("B", "¬B")
+]
+
+
+@pytest.mark.parametrize("text", _CLOSURE_SHAPES)
+def test_every_closure_shape_equals_the_oracle(text):
+    compiled = compile_reference(text)
+    n = len(compiled.atoms)
+    for varmap in itertools.permutations(range(n + 1), n):
+        compiled_bits, oracle_bits = _evaluations(compiled, list(varmap), n + 1)
+        assert compiled_bits == oracle_bits
 
 
 # --- exhaustive binding search ---------------------------------------------------
@@ -806,6 +846,21 @@ def test_a_tree_at_the_token_cap_parses_under_a_deep_caller():
     for tree_function in (canonicalize, atoms_of):
         with pytest.raises(CapExceeded, match=r"^formula has 941 tokens \(cap 500\)$"):
             under(450, lambda: tree_function(wide))
+
+
+def test_a_reference_at_the_token_cap_is_walked_under_a_deep_caller():
+    # 495 negations around a parenthesized two-atom chain are 500 tokens.
+    # An original-mode walk evaluates the reference by its compiled
+    # closures, one frame per node that is not an atom, so it fits in the
+    # default recursion limit under 450 frames of the caller's own recursion.
+    compiled = compile_reference("¬" * 495 + "(A ∧ B)")
+
+    def under(frames, score):
+        return under(frames - 1, score) if frames else score()
+
+    report = under(450, lambda: le_score("¬(B ∧ A)", compiled, "original"))
+    assert (report.score, report.bindings_explored) == (1.0, 2)
+    assert "evaluate" in vars(compiled)
 
 
 def test_raising_the_recursion_limit_keeps_the_token_cap():

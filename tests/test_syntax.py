@@ -60,6 +60,19 @@ def test_lex_error_is_parse_error():
     assert issubclass(LexError, ParseError)
 
 
+def test_lex_refuses_over_cap_text_with_its_exact_count():
+    with pytest.raises(CapExceeded) as err:
+        lex("A ∧ " * 250000 + "A")
+    assert str(err.value) == "formula has 500001 tokens (cap 500)"
+
+
+def test_a_stray_character_in_over_cap_text_is_reported_first():
+    # 702 matches, past the cap, but the last one starts no token.
+    with pytest.raises(LexError) as err:
+        lex("¬" * 700 + "A$")
+    assert (str(err.value), err.value.position) == ("unexpected character '$' (offset 701)", 701)
+
+
 def test_regex_whitespace_is_exactly_str_isspace():
     # lex skips whitespace with the regex class \s; the per-character
     # lexer it replaced skipped what str.isspace accepts.
