@@ -57,6 +57,21 @@ Building them costs about two interpreted evaluations, so the evaluations
 made once interpret the skeleton (``_eval_bits``): a search with no
 enumerated component, each reading's own table, and
 ``propositional_score``.
+
+The walk keeps one value per reference atom, its pattern under the binding,
+and rewrites only what a step changes: binding prediction atom i to
+reference atom j writes variable i's pattern for j, and a leaf gives the
+component's reference atoms it leaves unbound the free variables that the
+walk's start left to them.  Which unbound atom takes which free variable
+does not matter.  Every prediction table reads only the prediction's own
+variables, below its atom count, so renaming the variables above them maps
+one reference table's rows one to one onto the other's, and every
+disagreement count and floor stays the same.
+
+No search leaves a reference cycle: the recursive walks clear their own
+names when they return, so reference counting frees all a search made and
+the cyclic collector, which would pause whichever call it lands on, finds
+nothing to do.
 """
 
 from __future__ import annotations
@@ -192,9 +207,9 @@ class CandidateGraph:
         ref_atoms: tuple[str, ...],
         threshold: float = THRESHOLD,
     ) -> "CandidateGraph":
-        """Edges come in (prediction atom, reference atom) order, so each
-        component is first met at its smallest prediction atom and the
-        components come in that order."""
+        """Edges come in (prediction atom, reference atom) order.  Each
+        component is grown from its smallest prediction atom across the
+        edges both ways, so the components come in that order."""
         edges = []
         for i, text in enumerate(pred_atoms):
             for j, r in enumerate(ref_atoms):
@@ -202,33 +217,29 @@ class CandidateGraph:
                 if sim >= threshold:
                     edges.append((i, j, sim))
 
-        # Union-find over node ids: prediction atom i is node i, reference
-        # atom j is node n_p + j.
-        n_p = len(pred_atoms)
-        parent = list(range(n_p + len(ref_atoms)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        neighbours: list[list[int]] = [[] for _ in pred_atoms]
+        back: list[list[int]] = [[] for _ in ref_atoms]
         for i, j, _ in edges:
-            a, b = find(i), find(n_p + j)
-            if a != b:
-                parent[a] = b
-
-        groups: dict[int, tuple[set[int], set[int]]] = {}
-        for i, j, _ in edges:
-            root = find(i)
-            preds, refs = groups.setdefault(root, (set(), set()))
-            preds.add(i)
-            refs.add(j)
-        components = tuple(
-            Component(tuple(sorted(preds)), tuple(sorted(refs)))
-            for preds, refs in groups.values()
-        )
-        return cls(tuple(edges), components)
+            neighbours[i].append(j)
+            back[j].append(i)
+        seen = [False] * len(pred_atoms)
+        components = []
+        for first in range(len(pred_atoms)):
+            if seen[first] or not neighbours[first]:
+                continue
+            seen[first] = True
+            preds, refs, stack = [first], set(), [first]
+            while stack:
+                for j in neighbours[stack.pop()]:
+                    if j not in refs:
+                        refs.add(j)
+                        for i in back[j]:
+                            if not seen[i]:
+                                seen[i] = True
+                                preds.append(i)
+                                stack.append(i)
+            components.append(Component(tuple(sorted(preds)), tuple(sorted(refs))))
+        return cls(tuple(edges), tuple(components))
 
 
 @dataclass(eq=False)
@@ -419,11 +430,11 @@ def _atom_values(mapping: list[int | None], n_r: int, patterns: tuple[int, ...])
     return values
 
 
-def _reference_bits(evaluate, mapping: list[int | None], n_r: int, patterns: tuple[int, ...], mask: int) -> int:
-    """Truth-table mask of a reference of ``n_r`` atoms under the inverse of
-    one binding (``_atom_values``), by its compiled ``evaluate``: the one
-    evaluation per binding of a search's walk."""
-    return evaluate(_atom_values(mapping, n_r, patterns), mask)
+def _reference_bits(evaluate, values: list[int], mask: int) -> int:
+    """Truth-table mask of a reference, atom ordinal o taking ``values[o]``,
+    by its compiled ``evaluate``: the one evaluation per binding of a
+    search's walk."""
+    return evaluate(values, mask)
 
 
 def _binding_from(pred_atoms: tuple[str, ...], ref_atoms: tuple[str, ...], mapping: list[int | None]) -> BindingMap:
@@ -537,13 +548,19 @@ def _max_matching(preds: tuple[int, ...], adj: dict[int, list[tuple[int, int]]])
                 return True
         return False
 
-    for i in preds:
-        augment(i, set())
+    try:
+        for i in preds:
+            augment(i, set())
+    finally:
+        # ``augment`` refers to itself: clearing its name frees it without
+        # the cyclic collector.
+        del augment
     return match_ref
 
 
 def _enumerate(
-    tables: _AtomTables, preds: tuple[int, ...], skips: int, mapping: list[int | None], leaf, bound: int | None = None
+    tables: _AtomTables, preds: tuple[int, ...], skips: int, mapping: list[int | None], leaf, bound: int | None = None,
+    values: list[int] | None = None, patterns: Sequence[int] = (), refs: Sequence[int] = (), free: Sequence[int] = (),
 ) -> tuple[int, bool]:
     """Walk the maximum-cardinality injective assignments of the enumerated
     component ``preds`` with skip budget ``skips``: each atom tries its
@@ -553,6 +570,17 @@ def _enumerate(
     a new bound for the leaves after it, or None to keep the bound as it
     is.
 
+    The walk keeps in ``values`` each reference atom's pattern under the
+    assignment, so a leaf reads the reference's values without building
+    them: binding prediction atom i to reference atom j writes
+    ``patterns[i]`` to ``values[j]``.  When the component's reference atoms
+    ``refs`` outnumber the atoms its assignments bind, the ones a leaf
+    leaves unbound take the patterns ``free``, in order, from a table keyed
+    by the reference atoms in use and built as leaves reach it; otherwise
+    nothing is filled.  No other entry of ``values`` is written, and the
+    order of ``free`` changes no count (see the module docstring).  Without
+    ``values`` the walk writes into zeros no leaf need read.
+
     Edit distances are not negative, so once a prefix's summed distance
     reaches the bound, no leaf under it is walked: its leaves are counted
     (memoised on the position, the reference atoms in use and the skips
@@ -561,19 +589,26 @@ def _enumerate(
     at ``COMPONENT_CAP``, counting past it only far enough to see whether a
     leaf lies there.  Returns the number of leaves walked or counted, at
     most the cap, and whether any leaf lies past the cap; ``mapping`` is
-    left as it was given."""
+    left as it was given.  The last atom's options are the leaves, walked
+    in a loop in its parent's frame.  It leaves no reference cycle (see the
+    module docstring)."""
     # sys.maxsize stands for no bound: ints compare faster than math.inf,
     # and no summed distance reaches it.
     adj = tables.candidates
-    end = len(preds)
+    last = len(preds) - 1
+    # The last atom's options when it may stay unbound: None is the skip.
+    last_options = [*adj[preds[last]], (None, 0)]
+    if values is None:
+        values, patterns = [0] * len(tables.ref.atoms), [0] * len(mapping)
     count = 0
     limit = sys.maxsize if bound is None else bound
     sizes: dict[tuple[int, int, int], int] = {}
+    fills: dict[int, list[tuple[int, int]]] = {}
 
     def size(pos: int, taken: int, skips_left: int) -> int:
         """The number of leaves under a prefix whose reference atoms in use
         are the bits of ``taken``."""
-        if pos == end:
+        if pos > last:
             return 1
         key = (pos, taken, skips_left)
         found = sizes.get(key)
@@ -591,30 +626,57 @@ def _enumerate(
         nonlocal count, limit
         if dist >= limit:
             count += size(pos, taken, skips_left)
-        elif pos == end:
-            # The skip budget comes from a maximum matching, so no complete
-            # assignment leaves any of it unspent.
-            found = leaf(dist)
-            if found is not None:
-                limit = found
-            count += 1
-        else:
-            i = preds[pos]
+            if count < COMPONENT_CAP:
+                return False
+            limit = 0
+            return count > COMPONENT_CAP
+        i = preds[pos]
+        pattern = patterns[i]
+        if pos < last:
             for j, d in adj[i]:
                 if not taken >> j & 1:
                     mapping[i] = j
+                    values[j] = pattern
                     stop = rec(pos + 1, taken | 1 << j, skips_left, dist + d)
                     mapping[i] = None
                     if stop:
                         return True
             return skips_left > 0 and rec(pos + 1, taken, skips_left - 1, dist)
-        if count < COMPONENT_CAP:
-            return False
-        # At the cap: the rest is only counted, until a leaf lies past it.
-        limit = 0
-        return count > COMPONENT_CAP
+        # The skip budget comes from a maximum matching, so no complete
+        # assignment leaves any of it unspent.
+        for j, d in last_options if skips_left else adj[i]:
+            if j is not None and taken >> j & 1:
+                continue
+            if dist + d < limit:
+                mapping[i] = j
+                if j is not None:
+                    values[j] = pattern
+                if free:
+                    key = taken if j is None else taken | 1 << j
+                    fill = fills.get(key)
+                    if fill is None:
+                        fill = fills[key] = list(zip([r for r in refs if not key >> r & 1], free))
+                    for r, value in fill:
+                        values[r] = value
+                found = leaf(dist + d)
+                mapping[i] = None
+                if found is not None:
+                    limit = found
+            count += 1
+            if count >= COMPONENT_CAP:
+                # At the cap: the rest is only counted, until a leaf lies
+                # past it.
+                limit = 0
+                if count > COMPONENT_CAP:
+                    return True
+        return False
 
-    past = rec(0, 0, skips, 0)
+    try:
+        past = rec(0, 0, skips, 0)
+    finally:
+        # Both walks refer to themselves: clearing their names frees them,
+        # and all they hold, without the cyclic collector.
+        del rec, size
     return (COMPONENT_CAP, True) if past else (count, False)
 
 
@@ -631,10 +693,14 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
     the start mapping's number of prediction atoms unbound, and every truth
     table has one width, whose cap is checked before any table is built.
     At each binding the reference skeleton is evaluated once under the
-    inverse mapping (``_reference_bits``).  That uses one variable per bound
-    pair and per unbound atom on either side, as many as a forward
+    inverse mapping (``_reference_bits``), from the values the walk keeps
+    (``_enumerate``): each bound reference atom holds its prediction atom's
+    pattern, and the unbound ones hold the free patterns of the group's
+    start, in the order the walk gives them.  That uses one variable per
+    bound pair and per unbound atom on either side, as many as a forward
     evaluation of the prediction would, and only renames them, so the
-    agreeing rows are the same.  The walk evaluates by the reference's
+    agreeing rows are the same, in any order of the free patterns (see the
+    module docstring).  The walk evaluates by the reference's
     compiled evaluator, built before the walk and kept for later searches;
     a search with no enumerated component makes its one evaluation by
     interpreting the skeleton, which costs about half the build.  Each
@@ -668,7 +734,8 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
     winners seed the later groups.  Once every table a group still scores
     is settled, no leaf whose summed distance reaches the largest of their
     best distances is evaluated, and ``_enumerate`` counts those subtrees
-    instead of walking them."""
+    instead of walking them.  No search leaves a reference cycle (see the
+    module docstring)."""
     ref = tables.ref
     n_p, n_r = len(tables.start), len(ref.atoms)
     patterns, mask, rows = _capped_patterns(n_r + tables.start.count(None), tables.max_atoms)
@@ -705,10 +772,19 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
         best_assign: list[tuple[int | None, ...]] = [()] * len(wide)
         least, first = rows + 1, len(wide)
         split = []
+        # The component's reference atoms, and whether a leaf leaves any
+        # of them unbound.
+        refs = sorted({j for i in preds for j, _ in tables.candidates[i]})
+        spare = len(refs) > len(preds) - skips
         for start, members in groups:
             mapping = start.copy()
             for i in preds:
                 mapping[i] = None
+            # The reference atoms' patterns at the group's start; the walk
+            # rewrites the component's.  Its unbound atoms take the free
+            # patterns that the start's unbound ones hold.
+            values = _atom_values(start, n_r, patterns)
+            free = [values[j] for j in refs if j not in start] if spare else ()
             # The tables whose best can still change the report.
             live = members
             if c == last and floor:
@@ -716,7 +792,7 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
 
             def leaf(dist: int) -> int | None:
                 nonlocal live, least, first
-                bits = _reference_bits(evaluate, mapping, n_r, patterns, mask)
+                bits = _reference_bits(evaluate, values, mask)
                 if not floor:
                     ones = bits.bit_count()
                     floor.extend(abs(ones - table.bit_count()) for table in wide)
@@ -741,7 +817,9 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
                     return max([best_dist[t] for t in live], default=0)
                 return None
 
-            count, cut = _enumerate(tables, preds, skips, mapping, leaf, None if live else 0)
+            count, cut = _enumerate(
+                tables, preds, skips, mapping, leaf, None if live else 0, values, patterns, refs, free
+            )
             by_winner: dict[tuple[int | None, ...], list[int]] = {}
             for t in members:
                 by_winner.setdefault(best_assign[t], []).append(t)
@@ -911,5 +989,10 @@ def le_score(
     """
     (result,) = Scorer(reference, mode, config)([prediction])
     if isinstance(result, Exception):
-        raise result
+        try:
+            raise result
+        finally:
+            # The traceback holds this frame: dropping the local that holds
+            # the error avoids a cycle per failure.
+            del result
     return result

@@ -19,7 +19,6 @@ reads as ``(∀x P(x)) ∧ Q(x)``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 import sys
@@ -98,6 +97,8 @@ _KINDS = {
     "forall": FORALL,
     "exists": EXISTS,
 }
+# One token: an operator, a parenthesis, a comma or an identifier.
+_TOKEN = r"<->|->|[∀∃¬~∧&∨|→↔⊕^(),]|[A-Za-z][A-Za-z0-9_]*"
 # Whitespace (group 1), then a token (group 2) or a character that starts
 # none (group 3).  ``\s`` matches exactly the characters ``str.isspace``
 # accepts, and a token never starts with one, so successive matches cover the
@@ -106,20 +107,27 @@ _KINDS = {
 # exactly those characters and moves no offset): at a trailing-whitespace
 # offset the pattern fails only after backtracking over the rest of the run,
 # which makes a long run quadratic.
-_TOKEN_RE = re.compile(r"(\s*)(?:(<->|->|[∀∃¬~∧&∨|→↔⊕^(),]|[A-Za-z][A-Za-z0-9_]*)|(\S))")
+_TOKEN_RE = re.compile(rf"(\s*)(?:({_TOKEN})|(\S))")
+# The same matches with one group, the character that starts no token, so
+# ``findall`` gives one string per match: "" for a token.
+_COUNT_RE = re.compile(rf"\s*(?:{_TOKEN}|(\S))")
 
 
 def lex(text: str) -> list[Token]:
     """Tokenize ``text``, accepting Unicode and ASCII spellings together,
     into ``(kind, text, offset)`` tuples.  One ``findall`` scan splits the
     text; a character that starts no token raises ``LexError`` at its
-    offset.  Text of more than ``MAX_TOKENS`` tokens and no such character
-    raises ``cap_tokens``'s ``CapExceeded``, with its exact count, before
-    any token is built: ``lex`` itself refuses over-cap text."""
-    matches = _TOKEN_RE.findall(text.rstrip())
-    if len(matches) > MAX_TOKENS and not any([stray for _, _, stray in matches]):
-        cap_tokens(len(matches))
-    return _tokens(matches)
+    offset.  Text longer than ``MAX_TOKENS`` characters is first counted by
+    a scan that builds one string per match and no token: more than
+    ``MAX_TOKENS`` matches and no such character raise ``cap_tokens``'s
+    ``CapExceeded`` with the exact count, so ``lex`` itself refuses
+    over-cap text."""
+    text = text.rstrip()
+    if len(text) > MAX_TOKENS:
+        strays = _COUNT_RE.findall(text)
+        if len(strays) > MAX_TOKENS and not any(strays):
+            cap_tokens(len(strays))
+    return _tokens(_TOKEN_RE.findall(text))
 
 
 def _tokens(matches: list[tuple[str, str, str]]) -> list[Token]:
@@ -363,8 +371,16 @@ class _Parser:
         tok = self.tokens[self.pos]
         kind = tok[0]
         if kind == NOT:
-            self.pos += 1
-            return self.nodes.negate(self.unary())
+            # A run of negations is read in a loop and its operand parsed
+            # once: one frame for the run, not one per ``¬``.
+            start = self.pos
+            while self.tokens[self.pos][0] == NOT:
+                self.pos += 1
+            negations = self.pos - start
+            node, negate = self.unary(), self.nodes.negate
+            for _ in range(negations):
+                node = negate(node)
+            return node
         if kind in QUANTIFIERS:
             self.pos += 1
             var = self.ident("a quantified variable name")
@@ -433,23 +449,6 @@ _UNICODE_QUANT = {FORALL: "∀", EXISTS: "∃"}
 _ASCII_QUANT = {FORALL: "forall ", EXISTS: "exists "}
 
 
-def _children(expr: FolExpr) -> tuple[tuple[FolExpr, bool], ...]:
-    """Each child of ``expr``, left to right, with whether its rendering is
-    wrapped in the parentheses that precedence-mode parsing needs."""
-    if isinstance(expr, Atom):
-        return ()
-    if not isinstance(expr, Binary):
-        return ((expr.body, isinstance(expr.body, Binary)),)
-    p = _PREC[expr.op]
-    left, right = (_PREC[c.op] if isinstance(c, Binary) else _UNARY_PREC for c in (expr.left, expr.right))
-    # For right-associative implies, an equal-precedence left child needs
-    # parentheses; for the left-associative connectives, the right child does.
-    return (
-        (expr.left, left < p or (left == p and expr.op == IMPLIES)),
-        (expr.right, right < p or (right == p and expr.op != IMPLIES)),
-    )
-
-
 def render(expr: FolExpr, style: str = "unicode") -> str:
     """Serialize a tree with the minimal parentheses that round-trip through
     :func:`parse` in precedence mode.  Iterative, so any tree renders."""
@@ -460,24 +459,30 @@ def render(expr: FolExpr, style: str = "unicode") -> str:
     else:
         raise ValueError(f"unknown render style {style!r}")
     parts: list[str] = []
+    # Children are pushed right to left, so popped in reading order, each
+    # between parentheses when precedence-mode parsing needs them.
     stack: list[FolExpr | str] = [expr]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             parts.append(item)
-            continue
-        if isinstance(item, Atom):
+        elif isinstance(item, Atom):
             parts.append(atom_text(item.predicate, item.args))
-            continue
-        if isinstance(item, Not):
-            parts.append(sym[NOT])
-        elif isinstance(item, Quantified):
-            parts.append(f"{quant[item.quantifier]}{item.variable} ")
-        # Pushed right to left, so popped in reading order.
-        for i, (child, wrapped) in enumerate(reversed(_children(item))):
-            if i:
-                stack.append(f" {sym[item.op]} ")
-            stack += (")", child, "(") if wrapped else (child,)
+        elif isinstance(item, Binary):
+            op, left, right = item.op, item.left, item.right
+            p = _PREC[op]
+            # For right-associative implies, an equal-precedence left child
+            # needs parentheses; for the left-associative connectives, the
+            # right child does.
+            q = _PREC[right.op] if isinstance(right, Binary) else _UNARY_PREC
+            stack += (")", right, "(") if q < p or (q == p and op != IMPLIES) else (right,)
+            stack.append(f" {sym[op]} ")
+            q = _PREC[left.op] if isinstance(left, Binary) else _UNARY_PREC
+            stack += (")", left, "(") if q < p or (q == p and op == IMPLIES) else (left,)
+        else:
+            parts.append(sym[NOT] if isinstance(item, Not) else f"{quant[item.quantifier]}{item.variable} ")
+            body = item.body
+            stack += (")", body, "(") if isinstance(body, Binary) else (body,)
     return "".join(parts)
 
 
@@ -533,6 +538,21 @@ class Renaming:
         return tuple([atom_text(p, tuple([names.get(a, a) for a in args])) for p, args in self.ordinals])
 
 
+class _Naming(Renaming):
+    """The renaming that builds the canonical tree, each bound index named by ``bound``."""
+
+    def __init__(self, bound: dict[int, str]):
+        super().__init__()
+        self.bound = bound
+
+    def atom(self, name: str, args: tuple[str, ...]):
+        bound, scope = self.bound, self.scope
+        return Atom(name, tuple([bound.get(scope.get(a, a), a) for a in args]))
+
+    def quantified(self, kind: str, index: int, body):
+        return Quantified(kind, self.bound[index], body)
+
+
 def canonicalize(expr: FolExpr) -> FolExpr:
     """Rename bound variables by ``Renaming``'s rule: v1, v2, ... in order
     of quantifier appearance, skipping any name that occurs free.  Free
@@ -542,11 +562,7 @@ def canonicalize(expr: FolExpr) -> FolExpr:
     text = render(expr)
     indexing = Renaming()
     parse(text, nodes=indexing)
-    names = indexing.names()
-    naming = Renaming()
-    naming.atom = lambda name, args: Atom(name, tuple([names.get(naming.scope.get(a, a), a) for a in args]))
-    naming.quantified = lambda kind, index, body: Quantified(kind, names[index], body)
-    return parse(text, nodes=naming)
+    return parse(text, nodes=_Naming(indexing.names()))
 
 
 def atoms_of(expr: FolExpr) -> tuple[str, ...]:
@@ -568,18 +584,22 @@ def atoms_of(expr: FolExpr) -> tuple[str, ...]:
 
 
 def _all_bracketings(operands: list, ops: list[str], join) -> list:
-    @functools.cache
-    def trees(i: int, j: int) -> list:
-        if i == j:
-            return [operands[i]]
-        return [
-            join(ops[split], left, right)
-            for split in range(i, j)
-            for left in trees(i, split)
-            for right in trees(split + 1, j)
-        ]
-
-    return trees(0, len(operands) - 1)
+    """Every reading of a chain, in the order of its split from left to
+    right, then its left reading, then its right one.  Built shortest span
+    first: ``spans[i][w]`` lists the readings of operands i to i + w, and
+    each is built once and shared by the longer spans over it."""
+    n = len(operands)
+    spans = [[[operand]] for operand in operands]
+    for width in range(1, n):
+        for i in range(n - width):
+            j = i + width
+            spans[i].append([
+                join(ops[split], left, right)
+                for split in range(i, j)
+                for left in spans[i][split - i]
+                for right in spans[split + 1][j - split - 1]
+            ])
+    return spans[0][n - 1]
 
 
 def chain_readings(operands: list, ops: list[str], chunk_size: int | None, join=Binary) -> list:

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import json
 import math
 import random
 import sys
@@ -17,6 +19,7 @@ from foleq.equivalence import (
     DEFAULT_LE,
     MAX_TABLE_ATOMS,
     LeConfig,
+    Scorer,
     bind_optimized,
     bind_original,
     CompiledReference,
@@ -28,6 +31,8 @@ from foleq.equivalence import (
     le_score,
     propositional_score,
 )
+from foleq.corpus import EvalPair, corpus_le
+from foleq.service import ServiceConfig, handle_line
 from foleq.similarity import levenshtein
 from foleq.syntax import (
     MAX_TOKENS,
@@ -37,9 +42,11 @@ from foleq.syntax import (
     CapExceeded,
     Not,
     ParseError,
+    FormulaError,
     Quantified,
     atoms_of,
     canonicalize,
+    enumerate_bracketings,
     lex,
     parse,
     render,
@@ -364,6 +371,35 @@ def test_candidate_graph_no_edges_below_threshold():
     assert graph.components == ()
 
 
+_STEMS = ["Alpha", "Alphb", "Beta", "Betb", "Gamma", "Likes", "Like", "P"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(_STEMS), max_size=7),
+    st.lists(st.sampled_from(_STEMS), max_size=7),
+    st.sampled_from([0.3, 0.5, 0.6, 0.8]),
+)
+def test_candidate_graph_components_are_the_edges_connected_pieces_in_order(pred, ref, threshold):
+    """The components partition the edges' ends into the graph's connected
+    pieces, each a sorted pair of tuples, in order of their smallest
+    prediction atom: checked against a closure over the edges."""
+    pred = tuple(f"{stem}{i % 3}(x)" for i, stem in enumerate(pred))
+    ref = tuple(f"{stem}{i % 2}(x)" for i, stem in enumerate(ref))
+    graph = CandidateGraph.build(pred, ref, threshold)
+    pieces: list[tuple[set[int], set[int]]] = []
+    for i, j, _ in graph.edges:
+        joined = [p for p in pieces if i in p[0] or j in p[1]]
+        merged = ({i}, {j})
+        for p in joined:
+            pieces.remove(p)
+            merged[0].update(p[0])
+            merged[1].update(p[1])
+        pieces.append(merged)
+    want = sorted((tuple(sorted(p)), tuple(sorted(r))) for p, r in pieces)
+    assert [(c.prediction_atoms, c.reference_atoms) for c in graph.components] == want
+
+
 # --- candidate-restricted binding search -------------------------------------------
 
 def test_bind_optimized_identity_pair():
@@ -505,6 +541,42 @@ def test_walk_equals_the_product_of_candidate_rows(table, bound):
             assert count == len(walked)
             assert cut == (len(walked) < len(expected))
             assert mapping == [None] * len(preds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_tables(), st.integers(0, 16))
+def test_the_walk_keeps_each_reference_atoms_pattern(table, bound):
+    """Given values, ``_enumerate`` holds at every leaf each bound reference
+    atom at its prediction atom's pattern and the component's unbound
+    reference atoms at the free patterns, each once, and writes no
+    reference atom outside the component."""
+    n_r, rows = table
+    preds = tuple(range(len(rows)))
+    refs = sorted({j for row in rows for j, _ in row})
+    most_bound = max(
+        len(combo) - combo.count(None)
+        for combo in itertools.product(*[[j for j, _ in row] + [None] for row in rows])
+        if len({j for j in combo if j is not None}) == len(combo) - combo.count(None)
+    )
+    patterns = [f"p{i}" for i in preds]
+    free = [f"free{k}" for k in range(len(refs) - most_bound)]
+    tables = SimpleNamespace(candidates=dict(enumerate(rows)), ref=SimpleNamespace(atoms=range(n_r)))
+    for walk_bound in (None, bound):
+        mapping = [None] * len(preds)
+        values = ["unwritten"] * n_r
+        leaves = []
+
+        def leaf(dist):
+            bound_refs = {j: patterns[i] for i, j in enumerate(mapping) if j is not None}
+            assert all(values[j] == pattern for j, pattern in bound_refs.items())
+            assert sorted(values[j] for j in refs if j not in bound_refs) == free
+            assert all(values[j] == "unwritten" for j in range(n_r) if j not in refs)
+            leaves.append(dist)
+            return walk_bound
+
+        count, _ = _enumerate(tables, preds, len(preds) - most_bound, mapping, leaf, walk_bound, values, patterns, refs, free)
+        assert leaves or walk_bound is not None
+        assert count >= len(leaves)
 
 
 _PLAN_ATOMS = [f"{name}({arg})" for name in _BIND_PREDICATES for arg in "ab"]
@@ -974,3 +1046,78 @@ def test_an_atom_is_its_text():
             "unbound_reference": ["D"],
         },
     }
+
+
+# --- no cyclic garbage ------------------------------------------------------------
+
+
+def _refused(function, *args) -> None:
+    """Call ``function``, which must raise a ``FormulaError``; the error is
+    dropped here, with nothing left holding it."""
+    try:
+        function(*args)
+    except FormulaError:
+        return
+    raise AssertionError(f"{function.__name__} accepted {args!r}")
+
+
+def _train_demo() -> None:
+    from foleq.sgrpo import default_demo_config, train_demo
+
+    train_demo(default_demo_config(iterations=3))
+
+
+def _request(**fields) -> str:
+    return json.dumps({"id": "r", **fields})
+
+
+_SIX_ATOMS = "(Likes(x, y) ∨ Owns(x)) ∧ ¬Sees(y) → Knows(x, y) ⊕ Helps(y) ∧ Trusts(x)"
+_SERVICE = ServiceConfig()
+_SERVED = {
+    "le_score": _request(op="le_score", prediction="Likes(a) ∧ Owns(b) ∨ C", reference="Like(a) ∧ (Own(b) ∨ C)"),
+    "le_score-original": _request(op="le_score", prediction="A ∧ B ∨ C", reference="B ∨ A ∧ C", mode="original"),
+    "bleu_pair": _request(op="bleu_pair", prediction="A ∧ B", reference="B ∧ A"),
+    "warning": _request(op="le_score", prediction="A ∧", reference="A"),
+    "CAP_EXCEEDED": _request(op="le_score", prediction="¬" * 600 + "A", reference="A"),
+    "BAD_REQUEST-json": "{",
+    "BAD_REQUEST-op": _request(op="score", prediction="A", reference="A"),
+    "BAD_REQUEST-reference": _request(op="le_score", prediction="A", reference="A ∧"),
+    "BAD_REQUEST-overrides": _request(op="le_score", prediction="A", reference="A", overrides={"max_atoms": 99}),
+    "shutdown": json.dumps({"op": "shutdown"}),
+}
+
+# Each scoring entry point, every failure it reports and every service
+# outcome that input can reach (no input reaches INTERNAL).
+SCORING_CALLS = {
+    "le_score-original-near-miss": lambda: le_score(_SIX_ATOMS, _SIX_ATOMS.replace("⊕", "↔"), "original"),
+    "le_score-flat-chain": lambda: le_score("A ∧ B → C ∨ D ↔ E ⊕ Likes(a) ∧ B", "Like(a) ∧ B → C ∨ D"),
+    "le_score-parse-error": lambda: _refused(le_score, "A ∧ (B", "A"),
+    "le_score-lex-error": lambda: _refused(le_score, "A $ B", "A"),
+    "le_score-cap-refusal": lambda: _refused(le_score, "¬" * 600 + "A", "A"),
+    "Scorer": lambda: Scorer("Likes(a) ∧ B ∨ C", "original")(["C ∨ Like(a) ∧ B", "A ∧", "¬" * 600 + "A"]),
+    "corpus_le-one-failure": lambda: corpus_le([EvalPair("ok", "A ∧ B ∨ C", "C ∨ B ∧ A"), EvalPair("bad", "A ∧", "A")]),
+    "bind_original": lambda: bind_original(parse("∀x (P(x) → Q(x) ∧ R)"), parse("∀y (Q(y) ∧ R → P(y))")),
+    "bind_optimized": lambda: bind_optimized(parse("Likes(a) ∧ Liked(a) ∨ Owns(b)"), parse("Like(a) ∨ Likes(a) ∧ Own(b)")),
+    "propositional_score": lambda: propositional_score(
+        parse("A ∧ B"), parse("B ∨ C"), BindingMap((("A", "B"),), ("B",), ("C",))
+    ),
+    "canonicalize": lambda: canonicalize(parse("∀x ∃y (P(x, y) ∧ Q(v1)) → ∀x P(x, x)")),
+    "atoms_of": lambda: atoms_of(parse("∀x (P(x) ∧ Q) ∨ P(y) ∧ Q")),
+    "enumerate_bracketings": lambda: enumerate_bracketings(lex("¬(A ∧ B ∨ C → D ↔ E ⊕ F)"), chunk_size=4),
+    **{f"handle_line-{name}": (lambda line=line: handle_line(line, _SERVICE)) for name, line in _SERVED.items()},
+    "train_demo": _train_demo,
+}
+
+
+@pytest.mark.parametrize("call", SCORING_CALLS.values(), ids=SCORING_CALLS.keys())
+def test_scoring_leaves_no_cyclic_garbage(call):
+    """Reference counting frees everything a scoring call makes: with the
+    cyclic collector off, a call leaves nothing for it to collect."""
+    call()  # fills every memo and lazily built evaluator the call uses
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

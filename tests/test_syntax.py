@@ -73,6 +73,28 @@ def test_a_stray_character_in_over_cap_text_is_reported_first():
     assert (str(err.value), err.value.position) == ("unexpected character '$' (offset 701)", 701)
 
 
+def test_over_cap_text_is_refused_by_its_count_of_tokens():
+    with pytest.raises(CapExceeded) as err:
+        lex("~" * 600 + "A")
+    assert str(err.value) == "formula has 601 tokens (cap 500)"
+
+
+def test_text_longer_than_the_cap_but_within_it_lexes_as_before():
+    # 60 names of 14 or 15 characters and their operators: about 1,000
+    # characters, but 119 tokens, so the count scan passes it to the lexer.
+    names = [f"LongPredicate{i}" for i in range(60)]
+    text = "  " + " ∧ ".join(names) + " \t"
+    expected, offset = [], 2
+    for i, name in enumerate(names):
+        if i:
+            expected.append(("and", "∧", offset + 1))
+            offset += 3
+        expected.append(("ident", name, offset))
+        offset += len(name)
+    assert len(text) > MAX_TOKENS
+    assert lex(text) == expected
+
+
 def test_regex_whitespace_is_exactly_str_isspace():
     # lex skips whitespace with the regex class \s; the per-character
     # lexer it replaced skipped what str.isspace accepts.
@@ -224,6 +246,11 @@ PARSE_ERRORS = [
     ("(A", None, ParseError, "unbalanced parentheses (offset 0)"),
     ("P(x", None, ParseError, "unbalanced parentheses (offset 0)"),
     ("((A ∧ B)", None, ParseError, "unbalanced parentheses (offset 0)"),
+    # A run of negations is read in a loop: what follows it fails as it
+    # does after one negation.
+    ("¬" * 300, None, ParseError, "unexpected end of input"),
+    ("¬" * 300 + ")", None, ParseError, "unexpected token ')' (offset 300)"),
+    ("¬" * 300 + "∀", None, ParseError, "expected a quantified variable name, found end of input"),
     ("A ∧ (B", "precedence", ParseError, "unbalanced parentheses (offset 4)"),
     ("A ∧ (B", "fully-parenthesized", ParseError, "connective '∧' needs its own parentheses (offset 2)"),
     ("(A B", None, ParseError, "expected ')', found 'B' (offset 3)"),
@@ -269,6 +296,16 @@ def test_parser_reads_offsets_from_the_lexed_tokens(text):
         assert got == _outcome(lambda: _Parser(lex_by_char(text), mode).parse())
     got = _outcome(lambda: split_chain(lex(text)))
     assert got == _outcome(lambda: split_chain(lex_by_char(text)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 10 ** 9))
+def test_a_run_of_negations_wraps_its_operand(k, seed):
+    tree = random_formula(random.Random(seed), max_atoms=4, max_depth=4)
+    expected = parse(render(tree))
+    for _ in range(k):
+        expected = Not(expected)
+    assert parse("¬" * k + "(" + render(tree) + ")") == expected
 
 
 @pytest.mark.parametrize("mode", ["precedence", "fully-parenthesized"])
