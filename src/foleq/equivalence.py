@@ -159,8 +159,9 @@ class BindingMap:
     unbound_reference: tuple[str, ...] = ()
 
     def __post_init__(self):
-        preds, refs = {p for p, _ in self.pairs}, {r for _, r in self.pairs}
-        if len(preds) != len(self.pairs) or len(refs) != len(self.pairs):
+        pairs = self.pairs
+        preds, refs = map(set, zip(*pairs)) if pairs else (set(), set())
+        if len(preds) != len(pairs) or len(refs) != len(pairs):
             raise ValueError("binding must be injective")
         for side, bound, unbound in (
             ("prediction", preds, self.unbound_prediction),
@@ -168,9 +169,9 @@ class BindingMap:
         ):
             if len(set(unbound)) != len(unbound):
                 raise ValueError(f"binding lists an unbound {side} atom twice")
-            for atom in unbound:
-                if atom in bound:
-                    raise ValueError(f"binding both binds and leaves unbound {side} atom {atom!r}")
+            if not bound.isdisjoint(unbound):
+                atom = next(atom for atom in unbound if atom in bound)
+                raise ValueError(f"binding both binds and leaves unbound {side} atom {atom!r}")
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.pairs)
@@ -185,20 +186,22 @@ class BindingMap:
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class Component:
     prediction_atoms: tuple[int, ...]
     reference_atoms: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class CandidateGraph:
     """Bipartite relatedness graph between prediction and reference atoms.
     Edge entries are (prediction index, reference index, similarity), every
-    similarity at or above the threshold."""
+    similarity at or above the threshold; ``neighbours[i]`` lists the
+    reference indices of prediction atom i's edges, in order."""
 
     edges: tuple[tuple[int, int, float], ...]
     components: tuple[Component, ...]
+    neighbours: list[list[int]]
 
     @classmethod
     def build(
@@ -211,21 +214,26 @@ class CandidateGraph:
         component is grown from its smallest prediction atom across the
         edges both ways, so the components come in that order."""
         edges = []
+        neighbours: list[list[int]] = []
+        back: list[list[int]] = [[] for _ in ref_atoms]
         for i, text in enumerate(pred_atoms):
+            row = []
             for j, r in enumerate(ref_atoms):
                 sim = ngram_cosine(text, r)
                 if sim >= threshold:
                     edges.append((i, j, sim))
+                    row.append(j)
+                    back[j].append(i)
+            neighbours.append(row)
 
-        neighbours: list[list[int]] = [[] for _ in pred_atoms]
-        back: list[list[int]] = [[] for _ in ref_atoms]
-        for i, j, _ in edges:
-            neighbours[i].append(j)
-            back[j].append(i)
         seen = [False] * len(pred_atoms)
         components = []
-        for first in range(len(pred_atoms)):
-            if seen[first] or not neighbours[first]:
+        for first, row in enumerate(neighbours):
+            if seen[first] or not row:
+                continue
+            if len(row) == 1 and len(back[row[0]]) == 1:
+                # One edge, whose ends have no other: no later atom reaches it.
+                components.append(Component((first,), (row[0],)))
                 continue
             seen[first] = True
             preds, refs, stack = [first], set(), [first]
@@ -239,7 +247,7 @@ class CandidateGraph:
                                 preds.append(i)
                                 stack.append(i)
             components.append(Component(tuple(sorted(preds)), tuple(sorted(refs))))
-        return cls(tuple(edges), tuple(components))
+        return cls(tuple(edges), tuple(components), neighbours)
 
 
 @dataclass(eq=False)
@@ -303,9 +311,12 @@ class _Lowering(Renaming):
     atoms are those of the canonical tree, in first-occurrence order."""
 
     def atom(self, name: str, args: tuple[str, ...]):
-        # Renaming.atom's key, computed inline: every scored atom comes here.
-        key = (name, tuple([self.scope.get(a, a) for a in args]))
-        return ("atom", self.ordinals.setdefault(key, len(self.ordinals)))
+        # Renaming.atom's key, computed inline: every scored atom comes here,
+        # and outside any quantifier its arguments are the key's.
+        scope = self.scope
+        key = (name, tuple([scope.get(a, a) for a in args]) if scope else args)
+        ordinals = self.ordinals
+        return ("atom", ordinals.setdefault(key, len(ordinals)))
 
     negate = staticmethod(lambda body: ("not", body))
     join = staticmethod(lambda *node: node)
@@ -438,13 +449,15 @@ def _reference_bits(evaluate, values: list[int], mask: int) -> int:
 
 
 def _binding_from(pred_atoms: tuple[str, ...], ref_atoms: tuple[str, ...], mapping: list[int | None]) -> BindingMap:
-    pairs = tuple((pred_atoms[i], ref_atoms[m]) for i, m in enumerate(mapping) if m is not None)
-    used = {m for m in mapping if m is not None}
-    return BindingMap(
-        pairs,
-        tuple(pred_atoms[i] for i, m in enumerate(mapping) if m is None),
-        tuple(ref_atoms[j] for j in range(len(ref_atoms)) if j not in used),
-    )
+    pairs, unbound = [], []
+    unused = list(ref_atoms)
+    for atom, j in zip(pred_atoms, mapping):
+        if j is None:
+            unbound.append(atom)
+        else:
+            pairs.append((atom, ref_atoms[j]))
+            unused[j] = None
+    return BindingMap(tuple(pairs), tuple(unbound), tuple([r for r in unused if r is not None]))
 
 
 def propositional_score(pred: FolExpr, ref: FolExpr, binding: BindingMap) -> float:
@@ -511,10 +524,7 @@ class _AtomTables:
             neighbours = [range(n_r)] * n_p
         else:
             graph = CandidateGraph.build(pred_atoms, ref.atoms, config.threshold)
-            components = graph.components
-            neighbours = [[] for _ in pred_atoms]
-            for i, j, _ in graph.edges:
-                neighbours[i].append(j)
+            components, neighbours = graph.components, graph.neighbours
         self.start: list[int | None] = [None] * n_p
         self.enumerated: list[tuple[tuple[int, ...], int]] = []
         self.candidates: dict[int, list[tuple[int, int]]] = {}
@@ -613,7 +623,10 @@ def _enumerate(
         key = (pos, taken, skips_left)
         found = sizes.get(key)
         if found is None:
-            found = sum(size(pos + 1, taken | 1 << j, skips_left) for j, _ in adj[preds[pos]] if not taken >> j & 1)
+            found = 0
+            for j, _ in adj[preds[pos]]:
+                if not taken >> j & 1:
+                    found += size(pos + 1, taken | 1 << j, skips_left)
             if skips_left:
                 found += size(pos + 1, taken, skips_left - 1)
             sizes[key] = found

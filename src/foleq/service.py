@@ -12,7 +12,8 @@ responses.  :func:`handle_request` is the one place that decides between a
 score, a zero and an error; the CLI scores a single pair through it too.
 A prediction that fails to parse scores 0.0 with a warning detail, because
 a reward channel that stalls its training loop is worse than one that
-reports a zero, and a prediction over a cap answers ``CAP_EXCEEDED``.  A
+reports a zero, and a prediction over a cap answers ``CAP_EXCEEDED``, as
+does a ``bleu_pair`` text of more than ``syntax.MAX_TOKENS`` BLEU tokens.  A
 reference that fails to parse or is over the token cap is a caller bug and
 answers ``BAD_REQUEST``, as does an override that raises ``chunk_size`` or
 ``max_atoms`` above the configured value.  Anything else answers
@@ -25,9 +26,9 @@ import json
 import os
 from dataclasses import dataclass, fields, replace
 
-from .corpus import BleuConfig, DEFAULT_BLEU, EvalPair, JsonError, corpus_bleu, decode_json
+from .corpus import BleuConfig, DEFAULT_BLEU, EvalPair, JsonError, corpus_bleu, decode_json, tokenize_formula
 from .equivalence import DEFAULT_LE, MODES, LeConfig, compile_reference, le_score
-from .syntax import CapExceeded, FormulaError, ParseError
+from .syntax import MAX_TOKENS, CapExceeded, FormulaError, ParseError, cap_tokens
 from .syntax import parse  # noqa: F401  (foleq.service.parse stays importable; perfbench wraps it)
 
 OPS = ("le_score", "bleu_pair")
@@ -38,6 +39,9 @@ INTERNAL = "INTERNAL"
 
 # The config keys and wire overrides that set an ``LeConfig`` field.
 _LE_KEYS = frozenset(field.name for field in fields(LeConfig))
+
+# ``json.dumps(body, ensure_ascii=False)``, with its encoder built once.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 # Seconds a socket connection may stay silent (or leave a response unread)
 # before it is closed, so that one idle client cannot hold the listener.
@@ -99,7 +103,7 @@ class ServiceConfig:
         return ServiceConfig(le=_le_config(raw, DEFAULT_LE), bleu=bleu, mode=raw.get("mode", "optimized"))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScoreRequest:
     id: str
     op: str
@@ -109,7 +113,7 @@ class ScoreRequest:
     overrides: dict | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ScoreResponse:
     id: str
     score: float | None = None
@@ -128,7 +132,7 @@ class ScoreResponse:
             body["score"] = self.score
             if self.detail is not None:
                 body["detail"] = self.detail
-        return json.dumps(body, ensure_ascii=False)
+        return _encode(body)
 
 
 def _error(request_id: str, code: str, message: str) -> ScoreResponse:
@@ -162,20 +166,37 @@ def parse_request(raw: dict) -> ScoreRequest:
     return ScoreRequest(rid, op, prediction, reference, mode, overrides)
 
 
+def _cap_bleu_tokens(text: str) -> None:
+    """Raise ``cap_tokens``' ``CapExceeded`` for a ``bleu_pair`` text of more
+    than ``MAX_TOKENS`` BLEU tokens (``tokenize_formula``).  A token is at
+    least one character, so a text no longer than the cap is not tokenized."""
+    if len(text) > MAX_TOKENS:
+        count = len(tokenize_formula(text))
+        if count > MAX_TOKENS:
+            cap_tokens(count)
+
+
 def handle_request(req: ScoreRequest, config: ServiceConfig) -> ScoreResponse:
     """Score one request.  Stateless; never raises for request-level
     problems, returning an error response instead."""
     try:
         try:
-            le_config = _le_config(req.overrides or {}, config.le)
-            for key in ("chunk_size", "max_atoms"):
-                limit, value = getattr(config.le, key), getattr(le_config, key)
-                if limit is not None and value > limit:
-                    raise ValueError(f"{key} {value} is above the service's {limit}")
+            le_config = config.le
+            if req.overrides:
+                le_config = _le_config(req.overrides, config.le)
+                for key in ("chunk_size", "max_atoms"):
+                    limit, value = getattr(config.le, key), getattr(le_config, key)
+                    if limit is not None and value > limit:
+                        raise ValueError(f"{key} {value} is above the service's {limit}")
         except (ValueError, TypeError, OverflowError) as exc:
             return _error(req.id, BAD_REQUEST, f"bad overrides: {exc}")
 
         if req.op == "bleu_pair":
+            try:
+                for text in (req.prediction, req.reference):
+                    _cap_bleu_tokens(text)
+            except CapExceeded as exc:
+                return _error(req.id, CAP_EXCEEDED, str(exc))
             pair = EvalPair(req.id, req.prediction, req.reference)
             value = corpus_bleu([pair], config.bleu) / 100.0
             return ScoreResponse(id=req.id, score=value)

@@ -264,11 +264,6 @@ TREES = SimpleNamespace(
 )
 
 
-def _reduce(out: list, pending: list[str], join) -> None:
-    right = out.pop()
-    out[-1] = join(pending.pop(), out[-1], right)
-
-
 def _fold(operands: list, ops: list[str], join=Binary):
     """The precedence-mode reading of a flat chain, built without recursion:
     an operator first reduces every pending one that binds tighter, or as
@@ -278,12 +273,14 @@ def _fold(operands: list, ops: list[str], join=Binary):
     for op, operand in zip(ops, operands[1:]):
         prec = _PREC[op]
         while pending and (_PREC[pending[-1]] > prec or (_PREC[pending[-1]] == prec and op != IMPLIES)):
-            _reduce(out, pending, join)
+            right = out.pop()
+            out[-1] = join(pending.pop(), out[-1], right)
         pending.append(op)
         out.append(operand)
+    node = out.pop()
     while pending:
-        _reduce(out, pending, join)
-    return out[0]
+        node = join(pending.pop(), out.pop(), node)
+    return node
 
 
 _END = "end"  # the kind of the sentinel token after the last one
@@ -368,13 +365,39 @@ class _Parser:
             operands.append(self.unary())
 
     def unary(self):
-        tok = self.tokens[self.pos]
+        tokens = self.tokens
+        tok = tokens[self.pos]
         kind = tok[0]
+        if kind == IDENT:
+            # An atom, read here: ``ident`` and ``close_paren`` are called
+            # only to raise their errors.
+            pos = self.pos + 1
+            if tokens[pos][0] != LPAREN:
+                self.pos = pos
+                return self.nodes.atom(tok[1], ())
+            args = []
+            while True:
+                pos += 1
+                arg = tokens[pos]
+                if arg[0] != IDENT:
+                    self.pos = pos
+                    if arg[0] == RPAREN and not args:
+                        raise ParseError("empty argument list", arg[2])
+                    self.ident("an argument name")
+                args.append(arg[1])
+                pos += 1
+                if tokens[pos][0] != COMMA:
+                    break
+            if tokens[pos][0] != RPAREN:
+                self.pos = pos
+                self.close_paren(tok)
+            self.pos = pos + 1
+            return self.nodes.atom(tok[1], tuple(args))
         if kind == NOT:
             # A run of negations is read in a loop and its operand parsed
             # once: one frame for the run, not one per ``¬``.
             start = self.pos
-            while self.tokens[self.pos][0] == NOT:
+            while tokens[self.pos][0] == NOT:
                 self.pos += 1
             negations = self.pos - start
             node, negate = self.unary(), self.nodes.negate
@@ -385,8 +408,6 @@ class _Parser:
             self.pos += 1
             var = self.ident("a quantified variable name")
             return self.nodes.quantify(kind, var, self.unary)
-        if kind == IDENT:
-            return self.atom()
         if kind == LPAREN:
             self.pos += 1
             operands, ops = self.chain(self.group_ops)
@@ -394,27 +415,12 @@ class _Parser:
             if not ops:
                 return operands[0]
             self.last_group = (operands, ops)
+            if len(ops) == 1:
+                return self.nodes.join(ops[0], operands[0], operands[1])
             return _fold(operands, ops, self.nodes.join)
         if kind == _END:
             raise ParseError("unexpected end of input")
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
-
-    def atom(self):
-        tokens = self.tokens
-        name = tokens[self.pos]
-        self.pos += 1
-        if tokens[self.pos][0] != LPAREN:
-            return self.nodes.atom(name[1], ())
-        self.pos += 1
-        tok = tokens[self.pos]
-        if tok[0] == RPAREN:
-            raise ParseError("empty argument list", tok[2])
-        args = [self.ident("an argument name")]
-        while tokens[self.pos][0] == COMMA:
-            self.pos += 1
-            args.append(self.ident("an argument name"))
-        self.close_paren(name)
-        return self.nodes.atom(name[1], tuple(args))
 
     def close_paren(self, opener: Token) -> None:
         kind, text, offset = self.tokens[self.pos]
@@ -512,7 +518,8 @@ class Renaming:
         self.quantifiers = 0
 
     def atom(self, name: str, args: tuple[str, ...]):
-        key = (name, tuple([self.scope.get(a, a) for a in args]))
+        scope = self.scope  # empty outside every quantifier
+        key = (name, tuple([scope.get(a, a) for a in args]) if scope else args)
         self.ordinals.setdefault(key, len(self.ordinals))
         return Atom(*key)
 

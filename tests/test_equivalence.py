@@ -383,7 +383,8 @@ _STEMS = ["Alpha", "Alphb", "Beta", "Betb", "Gamma", "Likes", "Like", "P"]
 def test_candidate_graph_components_are_the_edges_connected_pieces_in_order(pred, ref, threshold):
     """The components partition the edges' ends into the graph's connected
     pieces, each a sorted pair of tuples, in order of their smallest
-    prediction atom: checked against a closure over the edges."""
+    prediction atom: checked against a closure over the edges.  Each
+    prediction atom's neighbours are its edges' reference atoms, in order."""
     pred = tuple(f"{stem}{i % 3}(x)" for i, stem in enumerate(pred))
     ref = tuple(f"{stem}{i % 2}(x)" for i, stem in enumerate(ref))
     graph = CandidateGraph.build(pred, ref, threshold)
@@ -398,6 +399,7 @@ def test_candidate_graph_components_are_the_edges_connected_pieces_in_order(pred
         pieces.append(merged)
     want = sorted((tuple(sorted(p)), tuple(sorted(r))) for p, r in pieces)
     assert [(c.prediction_atoms, c.reference_atoms) for c in graph.components] == want
+    assert graph.neighbours == [[j for e, j, _ in graph.edges if e == i] for i in range(len(pred))]
 
 
 # --- candidate-restricted binding search -------------------------------------------

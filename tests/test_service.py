@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import foleq.service as service
-from foleq.corpus import BleuConfig
+from foleq.corpus import BleuConfig, tokenize_formula
 from foleq.equivalence import LeConfig, le_score
 from foleq.syntax import MAX_TOKENS, lex
 from foleq.service import (
@@ -258,6 +258,27 @@ def test_bleu_pair_rescaled_to_unit_interval():
     assert response.score == pytest.approx(0.596949, abs=1e-5)
 
 
+def test_bleu_pair_over_the_token_cap_is_cap_exceeded():
+    """A ``bleu_pair`` text of more than ``MAX_TOKENS`` BLEU tokens, on
+    either side, answers ``CAP_EXCEEDED`` with the token cap's message
+    before any n-gram is counted; one at the cap is scored."""
+    long = "P(x) ∧ Q(x, y) ∨ " * 100000  # 2.1 MB, 1,200,000 BLEU tokens
+    at_cap = " ".join(["P"] * MAX_TOKENS)  # longer than the cap, so it is tokenized
+    assert len(tokenize_formula(at_cap)) == MAX_TOKENS < len(at_cap)
+    for prediction, reference in ((long, "P(x) ∧ Q(x, y)"), ("P(x) ∧ Q(x, y)", long)):
+        line = json.dumps({"id": "big", "op": "bleu_pair", "prediction": prediction, "reference": reference})
+        assert handle_line(line, CONFIG).error == {
+            "code": CAP_EXCEEDED,
+            "message": f"formula has 1200000 tokens (cap {MAX_TOKENS})",
+        }
+    with_one_more = {"id": "b", "op": "bleu_pair", "prediction": at_cap + " P", "reference": "P"}
+    assert handle_line(json.dumps(with_one_more), CONFIG).error["message"] == (
+        f"formula has {MAX_TOKENS + 1} tokens (cap {MAX_TOKENS})"
+    )
+    response = handle_line(json.dumps({"id": "b", "op": "bleu_pair", "prediction": at_cap, "reference": at_cap}), CONFIG)
+    assert response.score == 1.0
+
+
 def test_responses_match_direct_library_calls():
     cases = [("A → B", "¬A ∨ B"), ("P(a) ∧ Q(a)", "P(a)"), ("A ⊕ B", "A ↔ B")]
     for i, (pred, ref) in enumerate(cases):
@@ -272,6 +293,49 @@ def test_service_is_stateless():
     first = handle_line(line, CONFIG).to_json()
     second = handle_line(line, CONFIG).to_json()
     assert first == second
+
+
+# Any character, with lone surrogates, escapes and non-ASCII text drawn often.
+_WIRE_TEXT = st.text(
+    st.one_of(st.characters(), st.characters(categories=("Cs",)), st.sampled_from('"\\\x00\x7f\u2028é∧¬∀')),
+    max_size=12,
+)
+_WIRE_FLOAT = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 2.2250738585072014e-308, 1e-07]),
+    st.floats(0.0, 1.0),
+)
+_DETAIL = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _WIRE_FLOAT, _WIRE_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_WIRE_TEXT, inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _WIRE_TEXT,
+    st.one_of(
+        st.tuples(_WIRE_FLOAT, st.none() | st.dictionaries(_WIRE_TEXT, _DETAIL, max_size=4), st.none()),
+        st.tuples(st.none(), st.none(), st.fixed_dictionaries({"code": _WIRE_TEXT, "message": _WIRE_TEXT})),
+    ),
+)
+@example("r\ud800", (None, None, {"code": "INTERNAL", "message": "\udfff é ∧ \x00"}))
+@example("∀", (1e-300, {"warning": "unparseable prediction: ¬ \ud83d"}, None))
+@example("a", (0.0, None, None))
+def test_response_json_is_json_dumps_of_its_body(rid, outcome):
+    """``to_json`` writes what ``json.dumps(body, ensure_ascii=False)``
+    writes for a score, detail or error body: non-ASCII text as it is, a
+    lone surrogate as it is, and every float by its repr."""
+    score, detail, error = outcome
+    body: dict = {"id": rid}
+    if error is not None:
+        body["error"] = error
+    else:
+        body["score"] = score
+        if detail is not None:
+            body["detail"] = detail
+    response = ScoreResponse(id=rid, score=score, detail=detail, error=error)
+    assert response.to_json() == json.dumps(body, ensure_ascii=False)
 
 
 def test_response_requires_exactly_one_outcome():

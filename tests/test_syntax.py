@@ -255,6 +255,13 @@ PARSE_ERRORS = [
     ("A ∧ (B", "fully-parenthesized", ParseError, "connective '∧' needs its own parentheses (offset 2)"),
     ("(A B", None, ParseError, "expected ')', found 'B' (offset 3)"),
     ("P(x y)", None, ParseError, "expected ')', found 'y' (offset 4)"),
+    # An atom's argument list, read in the operand's own frame.
+    ("P(forall)", None, ParseError, "expected an argument name, found 'forall' (offset 2)"),
+    ("P(x ∧ y)", None, ParseError, "expected ')', found '∧' (offset 4)"),
+    ("P(x,,y)", None, ParseError, "expected an argument name, found ',' (offset 4)"),
+    ("P((x))", None, ParseError, "expected an argument name, found '(' (offset 2)"),
+    ("∀x P(x", None, ParseError, "unbalanced parentheses (offset 3)"),
+    ("P(x)(y)", None, ParseError, "unexpected token '(' (offset 4)"),
 ]
 
 
