@@ -50,12 +50,11 @@ number of readings.  ``bind_original`` and ``bind_optimized`` are that
 search for one reading (``trees_explored`` 1).
 
 A walk over an enumerated component evaluates the reference at every
-binding it does not cut, so it uses the reference's compiled evaluator: the
-skeleton turned once into nested closures, cached on the
-``CompiledReference`` and shared by every prediction scored against it.
-Building them costs about two interpreted evaluations, so the evaluations
-made once interpret the skeleton (``_eval_bits``): a search with no
-enumerated component, each reading's own table, and
+binding it does not cut, so it uses a compiled evaluator: the skeleton
+turned into nested closures, built by each search that enumerates, above
+its walk.  Building them costs about two interpreted evaluations, so the
+evaluations made once interpret the skeleton (``_eval_bits``): a search
+with no enumerated component, each reading's own table, and
 ``propositional_score``.
 
 The walk keeps one value per reference atom, its pattern under the binding,
@@ -78,7 +77,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Hashable, Iterable, Sequence
 
 from .similarity import THRESHOLD, levenshtein, ngram_cosine
@@ -194,12 +193,11 @@ class Component:
 
 @dataclass
 class CandidateGraph:
-    """Bipartite relatedness graph between prediction and reference atoms.
-    Edge entries are (prediction index, reference index, similarity), every
-    similarity at or above the threshold; ``neighbours[i]`` lists the
-    reference indices of prediction atom i's edges, in order."""
+    """Bipartite relatedness graph between prediction and reference atoms:
+    an edge joins each pair whose similarity is at or above the threshold,
+    and ``neighbours[i]`` lists the reference indices of prediction atom
+    i's edges, in order."""
 
-    edges: tuple[tuple[int, int, float], ...]
     components: tuple[Component, ...]
     neighbours: list[list[int]]
 
@@ -210,18 +208,14 @@ class CandidateGraph:
         ref_atoms: tuple[str, ...],
         threshold: float = THRESHOLD,
     ) -> "CandidateGraph":
-        """Edges come in (prediction atom, reference atom) order.  Each
-        component is grown from its smallest prediction atom across the
-        edges both ways, so the components come in that order."""
-        edges = []
+        """Each component is grown from its smallest prediction atom across
+        the edges both ways, so the components come in that order."""
         neighbours: list[list[int]] = []
         back: list[list[int]] = [[] for _ in ref_atoms]
         for i, text in enumerate(pred_atoms):
             row = []
             for j, r in enumerate(ref_atoms):
-                sim = ngram_cosine(text, r)
-                if sim >= threshold:
-                    edges.append((i, j, sim))
+                if ngram_cosine(text, r) >= threshold:
                     row.append(j)
                     back[j].append(i)
             neighbours.append(row)
@@ -247,7 +241,7 @@ class CandidateGraph:
                                 preds.append(i)
                                 stack.append(i)
             components.append(Component(tuple(sorted(preds)), tuple(sorted(refs))))
-        return cls(tuple(edges), tuple(components), neighbours)
+        return cls(tuple(components), neighbours)
 
 
 @dataclass(eq=False)
@@ -393,18 +387,11 @@ def _compile_evaluator(node):
 @dataclass(frozen=True)
 class CompiledReference:
     """A reference formula prepared once for scoring any number of
-    predictions: its distinct atoms and its compiled quantifier-free
-    skeleton.  ``compile_reference`` builds one from text.  ``evaluate``
-    is the skeleton compiled into closures (``_compile_evaluator``), built
-    at its first use and then shared by every search against this
-    reference."""
+    predictions: its distinct atoms and its quantifier-free skeleton.
+    ``compile_reference`` builds one from text."""
 
     atoms: tuple[str, ...]
     code: object
-
-    @cached_property
-    def evaluate(self):
-        return _compile_evaluator(self.code)
 
 
 def compile_reference(reference: str) -> CompiledReference:
@@ -503,13 +490,13 @@ class _AtomTables:
     ``start`` binds every one-to-one component of the candidate graph and
     each larger component (more than one atom on a side) by one maximum
     matching, and leaves every other atom unbound.  ``enumerated`` lists
-    each larger component, in order, as its prediction atoms and its skip
-    budget: how many of them a maximum-cardinality assignment leaves
-    unbound.  ``candidates`` gives each of those atoms its candidate
-    reference atoms as (index, edit distance) in ascending (distance,
-    index) order; no other edit distance is computed.  They are the atom's
-    edges in the ``CandidateGraph``, or every reference atom in original
-    mode."""
+    each larger component, in order, as its prediction atoms, its reference
+    atoms and its skip budget: how many of its prediction atoms a
+    maximum-cardinality assignment leaves unbound.  ``candidates`` gives
+    each of those prediction atoms its candidate reference atoms as (index,
+    edit distance) in ascending (distance, index) order; no other edit
+    distance is computed.  They are the atom's edges in the
+    ``CandidateGraph``, or every reference atom in original mode."""
 
     def __init__(self, pred_atoms: tuple[str, ...], ref: CompiledReference, mode: str, config: LeConfig):
         self.pred_atoms = pred_atoms
@@ -526,7 +513,7 @@ class _AtomTables:
             graph = CandidateGraph.build(pred_atoms, ref.atoms, config.threshold)
             components, neighbours = graph.components, graph.neighbours
         self.start: list[int | None] = [None] * n_p
-        self.enumerated: list[tuple[tuple[int, ...], int]] = []
+        self.enumerated: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
         self.candidates: dict[int, list[tuple[int, int]]] = {}
         for comp in components:
             preds, refs = comp.prediction_atoms, comp.reference_atoms
@@ -539,7 +526,7 @@ class _AtomTables:
             matching = _max_matching(preds, self.candidates)
             for j, i in matching.items():
                 self.start[i] = j
-            self.enumerated.append((preds, len(preds) - len(matching)))
+            self.enumerated.append((preds, refs, len(preds) - len(matching)))
 
 
 def _max_matching(preds: tuple[int, ...], adj: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
@@ -547,25 +534,22 @@ def _max_matching(preds: tuple[int, ...], adj: dict[int, list[tuple[int, int]]])
     augmenting paths over candidate rows of (reference index, edit
     distance)."""
     match_ref: dict[int, int] = {}
-
-    def augment(i: int, visited: set[int]) -> bool:
-        for j, _ in adj[i]:
-            if j in visited:
-                continue
-            visited.add(j)
-            if j not in match_ref or augment(match_ref[j], visited):
-                match_ref[j] = i
-                return True
-        return False
-
-    try:
-        for i in preds:
-            augment(i, set())
-    finally:
-        # ``augment`` refers to itself: clearing its name frees it without
-        # the cyclic collector.
-        del augment
+    for i in preds:
+        _augment(i, adj, match_ref, set())
     return match_ref
+
+
+def _augment(i: int, adj: dict[int, list[tuple[int, int]]], match_ref: dict[int, int], visited: set[int]) -> bool:
+    """Extend ``match_ref`` by an augmenting path from prediction atom i
+    through reference atoms not in ``visited``; True if one was found."""
+    for j, _ in adj[i]:
+        if j in visited:
+            continue
+        visited.add(j)
+        if j not in match_ref or _augment(match_ref[j], adj, match_ref, visited):
+            match_ref[j] = i
+            return True
+    return False
 
 
 def _enumerate(
@@ -713,15 +697,14 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
     bound pair and per unbound atom on either side, as many as a forward
     evaluation of the prediction would, and only renames them, so the
     agreeing rows are the same, in any order of the free patterns (see the
-    module docstring).  The walk evaluates by the reference's
-    compiled evaluator, built before the walk and kept for later searches;
-    a search with no enumerated component makes its one evaluation by
-    interpreting the skeleton, which costs about half the build.  Each
-    distinct reading truth table over the
-    prediction's own atoms, atom i being variable i, is built once, widened
-    to those variables by repetition once and scored with one XOR and
-    ``bit_count``; each keeps its best binding by (score, summed distance,
-    first enumerated).
+    module docstring).  The walk evaluates by the reference's compiled
+    evaluator, built once per search before the walk; a search with no
+    enumerated component makes its one evaluation by interpreting the
+    skeleton, which costs about half the build.  Each distinct reading
+    truth table over the prediction's own atoms, atom i being variable i,
+    is built once, widened to those variables by repetition once and scored
+    with one XOR and ``bit_count``; each keeps its best binding by (score,
+    summed distance, first enumerated).
 
     A later component sees what the earlier ones won, which can differ
     between tables.  So tables walk in groups keyed by their earlier
@@ -772,11 +755,11 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
         explored, assignments = 1, rows
     else:
         # Compiled here, above the walk, whose leaves lie deeper in the stack.
-        evaluate = ref.evaluate
+        evaluate = _compile_evaluator(ref.code)
     # No leaf disagrees with table t on fewer than floor[t] rows.
     floor: list[int] = []
     last = len(tables.enumerated) - 1
-    for c, (preds, skips) in enumerate(tables.enumerated):
+    for c, (preds, refs, skips) in enumerate(tables.enumerated):
         # Each table's best leaf so far: disagreeing rows, summed distance
         # and the component's assignment; in the last component, the fewest
         # disagreeing rows found so far and the first table with them.
@@ -785,9 +768,8 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
         best_assign: list[tuple[int | None, ...]] = [()] * len(wide)
         least, first = rows + 1, len(wide)
         split = []
-        # The component's reference atoms, and whether a leaf leaves any
-        # of them unbound.
-        refs = sorted({j for i in preds for j, _ in tables.candidates[i]})
+        # Whether a leaf leaves any of the component's reference atoms
+        # unbound.
         spare = len(refs) > len(preds) - skips
         for start, members in groups:
             mapping = start.copy()

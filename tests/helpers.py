@@ -346,7 +346,7 @@ def forward_search(code, tables, max_atoms: int) -> LeReport:
     explored = assignments = 0
     truncated = False
     final_score = None
-    for preds, skips in tables.enumerated:
+    for preds, _, skips in tables.enumerated:
         best_assign: list = []
         best_score, best_dist = -1.0, 0
 

@@ -93,3 +93,20 @@ def test_component_winners_are_picked_one_component_at_a_time():
     assert max(propositional_score(tree, parse(reference), swapped) for tree in readings) == 0.73046875
     with pytest.raises(CapExceeded, match="^8 atoms exceeds the factorial-search cap 7$"):
         le_score(prediction, reference, mode="original")
+
+
+@pytest.mark.parametrize("mode, score", [("optimized", 0.5), ("original", 1.0)])
+def test_operand_order_moves_an_optimized_score(mode, score):
+    # Canonical renaming names a bound variable by its quantifier's
+    # pre-order index, so commuting the operands renames Q(v1) to Q(v2).
+    # The same predicate under the two names is less similar than the two
+    # predicates under one name, so optimized mode binds across predicates;
+    # original mode binds every atom regardless.  Changing these values is
+    # a deliberate decision about the metric.
+    assert ngram_cosine("P(v1)", "P(v2)") == 0.4285714285714285
+    assert ngram_cosine("P(v1)", "Q(v1)") == 0.7142857142857142
+    report = le_score("∃y ¬Q(y) ∧ ∀x P(x)", "∀x P(x) ∧ ∃y ¬Q(y)", mode=mode)
+    assert report.score == score
+    assert report.binding.as_dict() == (
+        {"Q(v1)": "P(v1)", "P(v2)": "Q(v2)"} if mode == "optimized" else {"Q(v1)": "Q(v2)", "P(v2)": "P(v1)"}
+    )

@@ -112,7 +112,7 @@ def test_default_threshold_exact_boundary():
     # shorter's all shared: dot = 9, |a| = 3, |b| = 5, cosine = 3/5 exactly
     value = ngram_cosine("abcdef", "abcdefghijklmn")
     assert value == THRESHOLD == 0.6
-    assert CandidateGraph.build(("abcdef",), ("abcdefghijklmn",)).edges == ((0, 0, 0.6),)
+    assert CandidateGraph.build(("abcdef",), ("abcdefghijklmn",)).neighbours == [[0]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,8 +211,7 @@ def test_cosine_symmetric_and_bounded(a, b):
 
 def test_default_threshold_on_similar_predicates():
     # shared stem keeps renamed predicates related
-    edges = CandidateGraph.build(("Happy(x)",), ("Happyy(x)", "Grumpy(y)")).edges
-    assert [(i, j) for i, j, _ in edges] == [(0, 0)]
+    assert CandidateGraph.build(("Happy(x)",), ("Happyy(x)", "Grumpy(y)")).neighbours == [[0]]
 
 
 def test_threshold_is_inclusive():
@@ -220,7 +219,7 @@ def test_threshold_is_inclusive():
     # themselves must not round below 1.0.
     for text in ("abc", "a", "P(x)"):
         assert ngram_cosine(text, text) == 1.0
-        assert CandidateGraph.build((text,), (text,), 1.0).edges == ((0, 0, 1.0),)
+        assert CandidateGraph.build((text,), (text,), 1.0).neighbours == [[0]]
 
 
 @pytest.mark.parametrize("threshold", [-0.1, 1.5, math.nan])
