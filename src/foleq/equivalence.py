@@ -38,7 +38,12 @@ It is the one memo path, for each prediction's result, and the one failure
 rule, a ``FormulaError`` becoming the result of the prediction that raised
 it, or of every prediction when the reference raised it: a group is scored by
 calling one, and ``le_score``, ``corpus_le`` and the trainer's rewards do so.
-Atom-pair cosines are remembered by ``similarity.ngram_cosine`` alone.  Edit
+A candidate graph's rows come from one of two sources: a call of more than
+one prediction, as a group's is, reads them from a ``similarity.GramIndex``
+of the reference's atoms, which computes each distinct atom text's row once
+from that text's grams; a call of one, as ``le_score``'s is, reads them
+through ``similarity.ngram_cosine``, whose pair memo remembers each
+atom-pair cosine.  Both give the same rows, bit for bit.  Edit
 distances are computed only where the search enumerates.  Every
 prediction's bindings are walked once (``_search``), however many readings
 it has: at each binding the reference skeleton is evaluated once under the
@@ -80,7 +85,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Sequence
 
-from .similarity import THRESHOLD, levenshtein, ngram_cosine
+from .similarity import THRESHOLD, GramIndex, levenshtein, ngram_cosine
 from .syntax import (
     AND,
     IFF,
@@ -126,8 +131,8 @@ COMPONENT_CAP = 10_000
 class LeConfig:
     """The settings of equivalence scoring.  The other limits are
     constants: ``MAX_FACTORIAL_ATOMS``, ``COMPONENT_CAP``,
-    ``similarity.NGRAM_SIZES``, ``syntax.MAX_CHAIN_OPERATORS`` and
-    ``syntax.MAX_TOKENS``."""
+    ``similarity.NGRAM_SIZES``, ``syntax.MAX_CHAIN_OPERATORS``,
+    ``syntax.MAX_READINGS`` and ``syntax.MAX_TOKENS``."""
 
     threshold: float = THRESHOLD
     chunk_size: int | None = 4
@@ -196,7 +201,7 @@ class CandidateGraph:
     """Bipartite relatedness graph between prediction and reference atoms:
     an edge joins each pair whose similarity is at or above the threshold,
     and ``neighbours[i]`` lists the reference indices of prediction atom
-    i's edges, in order."""
+    i's edges, in order (treat it as read-only)."""
 
     components: tuple[Component, ...]
     neighbours: list[list[int]]
@@ -207,16 +212,26 @@ class CandidateGraph:
         pred_atoms: tuple[str, ...],
         ref_atoms: tuple[str, ...],
         threshold: float = THRESHOLD,
+        rows=None,
     ) -> "CandidateGraph":
-        """Each component is grown from its smallest prediction atom across
-        the edges both ways, so the components come in that order."""
+        """Each prediction atom's edges are its row: ``rows(text)`` when a
+        row source is given, such as ``GramIndex.row`` over ``ref_atoms`` at
+        ``threshold``, else the reference atoms whose ``ngram_cosine`` with
+        it reaches the threshold.  Each component is grown from its smallest
+        prediction atom across the edges both ways, so the components come
+        in that order."""
         neighbours: list[list[int]] = []
         back: list[list[int]] = [[] for _ in ref_atoms]
         for i, text in enumerate(pred_atoms):
-            row = []
-            for j, r in enumerate(ref_atoms):
-                if ngram_cosine(text, r) >= threshold:
-                    row.append(j)
+            if rows is None:
+                row = []
+                for j, r in enumerate(ref_atoms):
+                    if ngram_cosine(text, r) >= threshold:
+                        row.append(j)
+                        back[j].append(i)
+            else:
+                row = rows(text)
+                for j in row:
                     back[j].append(i)
             neighbours.append(row)
 
@@ -496,9 +511,10 @@ class _AtomTables:
     each of those prediction atoms its candidate reference atoms as (index,
     edit distance) in ascending (distance, index) order; no other edit
     distance is computed.  They are the atom's edges in the
-    ``CandidateGraph``, or every reference atom in original mode."""
+    ``CandidateGraph``, whose rows come from ``rows`` when it is given, or
+    every reference atom in original mode."""
 
-    def __init__(self, pred_atoms: tuple[str, ...], ref: CompiledReference, mode: str, config: LeConfig):
+    def __init__(self, pred_atoms: tuple[str, ...], ref: CompiledReference, mode: str, config: LeConfig, rows=None):
         self.pred_atoms = pred_atoms
         self.ref = ref
         self.mode = mode
@@ -510,7 +526,7 @@ class _AtomTables:
             components: Sequence[Component] = (Component(tuple(range(n_p)), tuple(range(n_r))),)
             neighbours = [range(n_r)] * n_p
         else:
-            graph = CandidateGraph.build(pred_atoms, ref.atoms, config.threshold)
+            graph = CandidateGraph.build(pred_atoms, ref.atoms, config.threshold, rows)
             components, neighbours = graph.components, graph.neighbours
         self.start: list[int | None] = [None] * n_p
         self.enumerated: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
@@ -894,7 +910,7 @@ def bind_optimized(pred: FolExpr, ref: FolExpr, config: LeConfig = DEFAULT_LE) -
 _MEMO_LIMIT = 4096
 
 
-def _score_tokens(tokens: list[Token], ref: CompiledReference, mode: str, config: LeConfig) -> LeReport:
+def _score_tokens(tokens: list[Token], ref: CompiledReference, mode: str, config: LeConfig, rows=None) -> LeReport:
     """Bind every reading that enumerate_bracketings gives.  Readings keep
     the quantifiers and atoms in one pre-order, so the prediction is parsed
     and lowered once, straight to the renaming, the atom list and the
@@ -906,7 +922,8 @@ def _score_tokens(tokens: list[Token], ref: CompiledReference, mode: str, config
     the reading.  So every reading goes to one ``_search``, which walks the
     bindings once, scores each distinct table at every binding and returns
     the report: the first best reading's binding and score, with one
-    reading's counters times the number of readings."""
+    reading's counters times the number of readings.  ``rows`` is the
+    candidate graph's row source (see ``CandidateGraph.build``)."""
     lowering = _Lowering()
     wrapped, operands, ops = split_chain(tokens, nodes=lowering)
     negated = False
@@ -914,7 +931,7 @@ def _score_tokens(tokens: list[Token], ref: CompiledReference, mode: str, config
         negated, wrapped = not negated, wrapped[1]
     readings = chain_readings(operands, ops, config.chunk_size, lowering.join)
     skeletons = [("not", reading) if negated else reading for reading in readings]
-    return _search(skeletons, _AtomTables(lowering.atoms(), ref, mode, config))
+    return _search(skeletons, _AtomTables(lowering.atoms(), ref, mode, config, rows))
 
 
 class Scorer:
@@ -929,7 +946,14 @@ class Scorer:
     the start of a call.  An unknown mode raises ``ValueError``.  A
     reference that fails to parse or passes a cap is kept as its
     ``FormulaError`` (``reference``), which is then every prediction's
-    result, one object."""
+    result, one object.
+
+    A call of more than one prediction reads its candidate graphs' rows
+    from a ``similarity.GramIndex`` of the reference's atoms, built at the
+    first graph such a call builds and dropped with the results memo; a
+    call of one reads them through ``ngram_cosine``'s pair memo, which a
+    serving session's repeated vocabulary keeps warm.  Both give the same
+    rows."""
 
     def __init__(
         self, reference: str | CompiledReference, mode: str = "optimized", config: LeConfig = DEFAULT_LE, tokens=None
@@ -942,21 +966,25 @@ class Scorer:
             self.reference = exc.with_traceback(None)
         self.mode, self.config, self.tokens = mode, config, tokens
         self.results: dict[Hashable, LeReport | FormulaError] = {}
+        self._index: GramIndex | None = None
 
     def __call__(self, predictions: Iterable[Hashable]) -> list[LeReport | FormulaError]:
+        predictions = list(predictions)
         if isinstance(self.reference, FormulaError):
             return [self.reference for _ in predictions]
         results = self.results
         if len(results) >= _MEMO_LIMIT:
             results.clear()
+            self._index = None
         # ``lex`` is read at each call, so a tracer that wraps it sees it.
         tokens = lex if self.tokens is None else self.tokens
+        rows = self._row if len(predictions) > 1 else None
         out = []
         for prediction in predictions:
             result = results.get(prediction)
             if result is None:
                 try:
-                    result = _score_tokens(tokens(prediction), self.reference, self.mode, self.config)
+                    result = _score_tokens(tokens(prediction), self.reference, self.mode, self.config, rows)
                 except FormulaError as exc:
                     # The traceback's frames lead back to this frame, which holds
                     # the exception: dropping it avoids a cycle per failure.
@@ -964,6 +992,13 @@ class Scorer:
                 results[prediction] = result
             out.append(result)
         return out
+
+    def _row(self, text: str) -> list[int]:
+        """``text``'s candidate-graph row from the reference's gram index."""
+        index = self._index
+        if index is None:
+            index = self._index = GramIndex(self.reference.atoms, self.config.threshold)
+        return index.row(text)
 
 
 def le_score(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
+from typing import Sequence
 
 
 # The character n-gram sizes pooled in every cosine.
@@ -53,22 +54,22 @@ def _gram_counts(text: str) -> Counter:
 
 # Cached entries are shared; callers must treat the returned counter as read-only.
 # Both memos key atom texts alone: the gram sizes are the constant
-# ``NGRAM_SIZES``, and the threshold never changes a cosine.  An entry is one atom text's compared form, gram counts and norm, a few
-# hundred bytes to a few kilobytes, so 1,024 entries hold a few megabytes.
-# The reuse it serves lies within one scoring group or one serving session.
-# In the seed-29 benchmark runs, 16,500 serve_mixed requests miss 24 times and
-# 48 train_demo calls of 50 iterations miss 27 times at any size from 64
-# entries up, while 750 corpus_groups miss 8,835 / 8,792 / 8,647 / 8,334 times
-# out of about 138,000 lookups at 64 / 256 / 1,024 / 8,192 entries.
-# The pair memo below serves a serving session, which sees one task's
-# predicate vocabulary again and again: those 16,500 serve_mixed requests make
-# 201,005 cosine calls over 576 distinct ordered atom pairs (300 unordered),
-# and the memo serves 99.85% of the calls.  750 corpus_groups make 266,426
-# calls over 67,191 ordered and 50,471 unordered pairs; their reuse lies
-# within one group, an atom text met again in another prediction or a pair
-# met reversed, so 51,601 calls miss and the memo serves 69% / 80.6% / 81% of
-# the calls at 64 / 1,024 / 16,384 entries.  train_demo makes 3.2 calls per
-# iteration.  A larger memo would only cost memory.
+# ``NGRAM_SIZES``, and the threshold never changes a cosine.  An entry is one
+# atom text's compared form, gram counts and norm, a few hundred bytes to a
+# few kilobytes, so 1,024 entries hold a few megabytes.  The reuse it serves
+# lies within one scoring group or one serving session.  In the seed-29
+# benchmark runs, 16,500 serve_mixed requests miss 24 times and 48 train_demo
+# calls of 50 iterations miss 27 times at any size from 64 entries up, while
+# 750 corpus_groups groups look up 13,874 vectors, once per reference atom
+# and once per distinct prediction atom text of each group, and miss 8,647
+# times at 1,024 entries.
+# The pair memo below serves scoring one prediction at a time, as a serving
+# session does, which sees one task's predicate vocabulary again and again:
+# 16,500 serve_mixed requests make 201,005 cosine calls over 576 distinct
+# ordered atom pairs (300 unordered), and the memo serves 99.85% of the
+# calls.  A group of predictions does not call it: its rows come from a
+# ``GramIndex``.  train_demo makes no call either, as its rewards are scored
+# a group at a time.  A larger memo would only cost memory.
 @lru_cache(maxsize=1024)
 def _gram_vector(text: str) -> tuple[str, Counter, float]:
     """The text as compared (lower-cased), its gram counts and their
@@ -100,3 +101,56 @@ def _pair_cosine(a: str, b: str) -> float:
     get = vb.get
     dot = sum([count * get(gram, 0) for gram, count in va.items()])
     return dot / (norm_a * norm_b) if dot else 0.0
+
+
+class GramIndex:
+    """The gram postings of some texts, each gram listing the (index,
+    count) pairs of the texts that hold it, for reading the row of texts
+    related to another text from one pass over that text's grams.
+
+    ``row(text)`` equals ``[j for j, r in enumerate(texts) if
+    ngram_cosine(text, r) >= threshold]`` bit for bit: each text's gram
+    counts and norm are ``_gram_vector``'s, the dot product is an integer sum,
+    exact in any order, and it is divided by the two norms' product, which
+    commutes.  Equal compared texts score 1.0, and texts that share no gram
+    score 0.0.  Each distinct text's row is computed once and kept; treat it
+    as read-only."""
+
+    def __init__(self, texts: Sequence[str], threshold: float):
+        self.threshold = threshold
+        self.vectors = [_gram_vector(text) for text in texts]
+        self.postings: dict = {}
+        for j, (_, counts, _) in enumerate(self.vectors):
+            for gram, count in counts.items():
+                self.postings.setdefault(gram, []).append((j, count))
+        self.rows: dict[str, list[int]] = {}
+
+    def row(self, text: str) -> list[int]:
+        """The indices of the texts whose cosine with ``text`` reaches the
+        threshold, in order."""
+        row = self.rows.get(text)
+        if row is None:
+            row = self.rows[text] = self._row(text)
+        return row
+
+    def _row(self, text: str) -> list[int]:
+        compared, counts, norm = _gram_vector(text)
+        vectors = self.vectors
+        dots = [0] * len(vectors)
+        get = self.postings.get
+        for gram, count in counts.items():
+            for j, other in get(gram, ()):
+                dots[j] += count * other
+        threshold = self.threshold
+        row = []
+        for j, dot in enumerate(dots):
+            # Equal non-empty texts share a gram, so a text that shares none
+            # scores 0.0.
+            if dot:
+                other, _, other_norm = vectors[j]
+                cosine = 1.0 if other == compared else dot / (norm * other_norm)
+            else:
+                cosine = 0.0
+            if cosine >= threshold:
+                row.append(j)
+        return row

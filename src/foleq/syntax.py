@@ -20,6 +20,7 @@ reads as ``(∀x P(x)) ∧ Q(x)``.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -292,6 +293,12 @@ MAX_TOKENS = 500  # the most tokens a formula may have (see ``cap_tokens``)
 # The most operators in the one connective chain that ``split_chain`` reads
 # in every bracketing (Catalan(16) = 35,357,670 readings unchunked).
 MAX_CHAIN_OPERATORS = 16
+
+# The most bracketings of one chain that ``chain_readings`` builds.  Every
+# chunk size up to 6 stays inside it on a 16-operator chain (49,392
+# bracketings at 6, 8,750 at the default 4), as does any unchunked chain of
+# up to 10 operators (16,796); 11 unchunked operators make 58,786.
+MAX_READINGS = 50_000
 
 
 def cap_tokens(count: int) -> None:
@@ -609,23 +616,35 @@ def _all_bracketings(operands: list, ops: list[str], join) -> list:
     return spans[0][n - 1]
 
 
+def _catalan(n: int) -> int:
+    """The number of bracketings of a chain of ``n`` operators."""
+    return math.comb(2 * n, n) // (n + 1)
+
+
 def chain_readings(operands: list, ops: list[str], chunk_size: int | None, join=Binary) -> list:
     """The readings of one flat chain, described at enumerate_bracketings,
-    each built by ``join`` as :func:`_fold` builds one."""
+    each built by ``join`` as :func:`_fold` builds one.  Raises
+    ``CapExceeded``, before building any, when the chain has more than
+    ``MAX_READINGS`` bracketings."""
     k = len(ops)
-    precedence = _fold(operands, ops, join)
     if k <= 1:
-        return [precedence]
-
+        return [_fold(operands, ops, join)]
     if chunk_size is None or k < chunk_size:
+        bounds = None
+        count = _catalan(k)
+    else:
+        bounds = [(s, min(s + chunk_size, len(operands))) for s in range(0, len(operands), chunk_size)]
+        # Each chunk's bracketings times the bridge chain's.
+        count = math.prod([_catalan(e - s - 1) for s, e in bounds]) * _catalan(len(bounds) - 1)
+    if count > MAX_READINGS:
+        raise CapExceeded(f"connective chain has {count} readings (cap {MAX_READINGS})")
+    precedence = _fold(operands, ops, join)
+
+    if bounds is None:
         enumerated = _all_bracketings(operands, ops, join)
     else:
-        starts = list(range(0, len(operands), chunk_size))
-        chunk_lists = []
-        for s in starts:
-            e = min(s + chunk_size, len(operands))
-            chunk_lists.append(_all_bracketings(operands[s:e], ops[s : e - 1], join))
-        bridge_ops = [ops[min(s + chunk_size, len(operands)) - 1] for s in starts[:-1]]
+        chunk_lists = [_all_bracketings(operands[s:e], ops[s : e - 1], join) for s, e in bounds]
+        bridge_ops = [ops[e - 1] for _, e in bounds[:-1]]
         # Cartesian product over per-chunk trees, then bracket the roots.
         enumerated = []
         for combo in itertools.product(*chunk_lists):
@@ -672,7 +691,8 @@ def enumerate_bracketings(tokens: list[Token], chunk_size: int | None = None) ->
     no reading repeats.
 
     A chain of more than ``MAX_CHAIN_OPERATORS`` operators raises
-    ``CapExceeded``, as does a formula over the parser's token cap.
+    ``CapExceeded``, as do a chain of more than ``MAX_READINGS``
+    bracketings and a formula over the parser's token cap.
     """
     if chunk_size is not None and chunk_size < 2:
         raise ValueError("chunk_size must be at least 2")

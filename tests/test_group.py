@@ -24,7 +24,7 @@ from foleq.equivalence import (
     le_score,
     propositional_score,
 )
-from foleq.similarity import _gram_vector, _pair_cosine
+from foleq.similarity import GramIndex, _gram_vector, _pair_cosine
 from foleq.syntax import (
     MAX_CHAIN_OPERATORS,
     Atom,
@@ -515,36 +515,91 @@ def test_edit_distances_only_for_enumerated_components(monkeypatch):
     assert sorted(calls) == sorted(edges)
 
 
-def test_a_group_computes_each_atom_pair_cosine_once():
-    reference = "∀x (Likes(x) → (Owns(x) ∧ Rides(x)))"
-    predictions = [
-        "∀x (Likes(x) → (Owns(x) ∧ Rides(x)))",
-        "∀y (Like(y) → (Rides(y) ∧ Owns(y)))",
-        "∀x (¬Likes(x) ∨ (Owns(x) ∧ Rides(x)))",
-        "∀x (Likes(x) → Owns(x)) ∧ ∀x (Likes(x) → Rides(x))",
-        "Likes(a) ∧ Owns(a)",
-        "∀x (Liked(x) → Owns(x) ∧ Ride(x))",
-        "Owns(a) ∨ Likes(a) ∨ Rides(a)",
-        "∀x (Likes(x) ↔ Owns(x))",
-    ]
-    ref_texts = compile_reference(reference).atoms
-    pred_atoms = [atoms_of(canonicalize(parse(p))) for p in predictions]
-    pred_texts = {a for atoms in pred_atoms for a in atoms}
+_COSINE_REFERENCE = "∀x (Likes(x) → (Owns(x) ∧ Rides(x)))"
+_COSINE_PREDICTIONS = [
+    "∀x (Likes(x) → (Owns(x) ∧ Rides(x)))",
+    "∀y (Like(y) → (Rides(y) ∧ Owns(y)))",
+    "∀x (¬Likes(x) ∨ (Owns(x) ∧ Rides(x)))",
+    "∀x (Likes(x) → Owns(x)) ∧ ∀x (Likes(x) → Rides(x))",
+    "Likes(a) ∧ Owns(a)",
+    "∀x (Liked(x) → Owns(x) ∧ Ride(x))",
+    "Owns(a) ∨ Likes(a) ∨ Rides(a)",
+    "∀x (Likes(x) ↔ Owns(x))",
+]
+
+
+def _prediction_atom_texts(predictions):
+    atoms = [atoms_of(canonicalize(parse(p))) for p in predictions]
+    return atoms, {a for texts in atoms for a in texts}
+
+
+def test_a_group_computes_each_atom_texts_row_once(monkeypatch):
+    # A group reads its rows from the reference's gram index: one row per
+    # distinct prediction atom text, and no pair cosine.
+    pred_atoms, pred_texts = _prediction_atom_texts(_COSINE_PREDICTIONS)
+    assert len(pred_texts) < sum(map(len, pred_atoms))
+    rows = []
+    real_row = GramIndex._row
+    monkeypatch.setattr(GramIndex, "_row", lambda index, text: rows.append(text) or real_row(index, text))
+    _pair_cosine.cache_clear()
+    try:
+        scorer = Scorer(_COSINE_REFERENCE)
+        scorer(_COSINE_PREDICTIONS)
+        assert sorted(rows) == sorted(pred_texts)
+        # The rows are kept for the Scorer's next call.
+        scorer([f"¬({p})" for p in _COSINE_PREDICTIONS])
+        assert sorted(rows) == sorted(pred_texts)
+        assert _pair_cosine.cache_info()[:2] == (0, 0)
+    finally:
+        _pair_cosine.cache_clear()
+
+
+def test_calls_of_one_compute_each_atom_pair_cosine_once():
+    ref_texts = compile_reference(_COSINE_REFERENCE).atoms
+    pred_atoms, pred_texts = _prediction_atom_texts(_COSINE_PREDICTIONS)
     # The cosine memo keys the unordered pair.
     pairs = {tuple(sorted(pair)) for pair in itertools.product(pred_texts, ref_texts)}
     assert len(pairs) < sum(map(len, pred_atoms)) * len(ref_texts)
     _pair_cosine.cache_clear()
     try:
-        Scorer(reference)(predictions)
+        scorer = Scorer(_COSINE_REFERENCE)
+        for prediction in _COSINE_PREDICTIONS:
+            scorer([prediction])
         assert _pair_cosine.cache_info().misses == len(pairs)
 
-        # Another group, or another threshold, over the same atoms computes
-        # no cosine.
-        Scorer(reference)([f"¬({p})" for p in predictions])
-        Scorer(reference, config=LeConfig(threshold=0.5))(predictions)
+        # Another call of one, through le_score or at another threshold,
+        # over the same atoms computes no cosine.
+        for prediction in _COSINE_PREDICTIONS:
+            le_score(f"¬({prediction})", _COSINE_REFERENCE)
+            Scorer(_COSINE_REFERENCE, config=LeConfig(threshold=0.5))([prediction])
         assert _pair_cosine.cache_info().misses == len(pairs)
     finally:
         _pair_cosine.cache_clear()
+
+
+def test_only_a_group_that_builds_a_candidate_graph_builds_a_gram_index(monkeypatch):
+    built = []
+
+    class CountingIndex(GramIndex):
+        def __init__(self, texts, threshold):
+            built.append((texts, threshold))
+            super().__init__(texts, threshold)
+
+    monkeypatch.setattr(equivalence, "GramIndex", CountingIndex)
+    reference = _COSINE_REFERENCE
+    le_score(_COSINE_PREDICTIONS[1], reference)
+    Scorer(reference)([_COSINE_PREDICTIONS[1]])
+    Scorer(reference, "original")(_COSINE_PREDICTIONS[:3])
+    Scorer(reference)(["((", "A ∧", "Likes(a) $"])
+    Scorer("((")(_COSINE_PREDICTIONS)
+    assert built == []
+
+    scorer = Scorer(reference, config=LeConfig(threshold=0.5))
+    grouped = scorer(iter(_COSINE_PREDICTIONS))
+    scorer(_COSINE_PREDICTIONS[::-1] + ["Owns(b) ∧ Rides(b)"])
+    assert built == [(compile_reference(reference).atoms, 0.5)]
+    alone = [le_score(p, reference, config=LeConfig(threshold=0.5)).to_dict() for p in _COSINE_PREDICTIONS]
+    assert [report.to_dict() for report in grouped] == alone
 
 
 def _truth_table(tree, names):

@@ -91,6 +91,21 @@ def test_cap_exceeded_reported():
     assert response.error["code"] == CAP_EXCEEDED
 
 
+def test_an_unchunked_long_chain_is_cap_exceeded_before_it_is_read():
+    # 16 operators read in every bracketing would make Catalan(16) =
+    # 35,357,670 readings; 10 make 16,796, inside the cap.
+    unchunked = ServiceConfig(le=LeConfig(chunk_size=None))
+    chain = "(" + " ∧ ".join("ABCDEFGHIJKLMNOPA") + ")"
+    start = time.perf_counter()
+    response = handle_request(parse_request(le_request("a", chain, chain)), unchunked)
+    assert time.perf_counter() - start < 0.5
+    assert response.error == {"code": CAP_EXCEEDED, "message": "connective chain has 35357670 readings (cap 50000)"}
+    chain = " ∧ ".join("ABCDEFGHIJK")
+    response = handle_request(parse_request(le_request("a", chain, chain)), unchunked)
+    assert response.score == 1.0
+    assert response.detail["trees_explored"] == 16_796
+
+
 def test_over_long_prediction_is_cap_exceeded():
     cap = MAX_TOKENS
     response = handle_line(json.dumps(le_request("deep", "¬" * (3 * cap) + "A", "A")), CONFIG)

@@ -555,9 +555,9 @@ def test_train_demo_compiles_each_reference_once_and_scores_each_text_once(monke
     scored = []
     real_score = foleq.equivalence._score_tokens
 
-    def counting_score(tokens, ref, mode, config):
+    def counting_score(tokens, ref, mode, config, rows=None):
         scored.append((id(ref), tuple(tokens)))
-        return real_score(tokens, ref, mode, config)
+        return real_score(tokens, ref, mode, config, rows)
 
     requested = set()
     real_call = Scorer.__call__

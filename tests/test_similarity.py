@@ -10,6 +10,7 @@ from foleq.equivalence import CandidateGraph, LeConfig
 from foleq.similarity import (
     NGRAM_SIZES,
     THRESHOLD,
+    GramIndex,
     _gram_vector,
     _pair_cosine,
     levenshtein,
@@ -220,6 +221,44 @@ def test_threshold_is_inclusive():
     for text in ("abc", "a", "P(x)"):
         assert ngram_cosine(text, text) == 1.0
         assert CandidateGraph.build((text,), (text,), 1.0).neighbours == [[0]]
+
+
+# --- gram index rows ----------------------------------------------------------------
+
+# Texts shorter than 3 characters, texts that differ only in case, and texts
+# that repeat a gram.
+_INDEX_TEXTS = st.one_of(
+    st.text(alphabet="aAbB", max_size=2),
+    st.text(alphabet="aAbB(x), ", max_size=12),
+    st.sampled_from(["Likes(x)", "likes(X)", "LIKES(x)", "Like(x)", "aaaa", "abab", "P(x)", "Q(x)", "x"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_INDEX_TEXTS, min_size=1, max_size=8),
+    st.lists(_INDEX_TEXTS, min_size=1, max_size=8),
+    st.sampled_from([0.0, 0.5, 0.6, 1.0]),
+)
+def test_a_gram_index_row_equals_the_pair_memo_row(refs, texts, threshold):
+    index = GramIndex(refs, threshold)
+    for text in texts:
+        assert index.row(text) == [j for j, r in enumerate(refs) if ngram_cosine(text, r) >= threshold]
+
+
+def test_a_gram_index_row_holds_a_cosine_exactly_at_the_threshold():
+    assert ngram_cosine("aaaab", "abbbaaa") == THRESHOLD
+    refs = ("abbbaaa", "b", "AAAAB")
+    assert GramIndex(refs, THRESHOLD).row("aaaab") == [0, 2]
+    assert GramIndex(refs, math.nextafter(THRESHOLD, 1.0)).row("aaaab") == [2]
+
+
+def test_a_gram_index_computes_each_texts_row_once():
+    index = GramIndex(("Likes(x)", "Owns(x)"), THRESHOLD)
+    row = index.row("Like(x)")
+    assert row == [0]
+    assert index.row("Like(x)") is row
+    assert list(index.rows) == ["Like(x)"]
 
 
 @pytest.mark.parametrize("threshold", [-0.1, 1.5, math.nan])

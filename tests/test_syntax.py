@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import foleq.syntax as syntax
 from foleq.equivalence import compile_reference
 from foleq.syntax import (
     BINARY_OPS,
     MAX_CHAIN_OPERATORS,
+    MAX_READINGS,
     MAX_TOKENS,
     Atom,
     Binary,
@@ -25,6 +27,7 @@ from foleq.syntax import (
     _Parser,
     atoms_of,
     canonicalize,
+    chain_readings,
     enumerate_bracketings,
     lex,
     parse,
@@ -607,6 +610,47 @@ def test_the_operator_cap_admits_exactly_max_chain_operators(split):
     message = rf"^connective chain has {MAX_CHAIN_OPERATORS + 1} operators \(cap {MAX_CHAIN_OPERATORS}\)$"
     with pytest.raises(CapExceeded, match=message):
         split(chain(MAX_CHAIN_OPERATORS + 1))
+
+
+def _flat_chain_readings(operators, chunk_size):
+    return chain_readings(list(range(operators + 1)), ["and"] * operators, chunk_size, lambda *node: node)
+
+
+@pytest.mark.parametrize("operators, chunk_size, readings", [
+    (MAX_CHAIN_OPERATORS, 4, 8_751),  # 8,750 bracketings and the precedence reading
+    (MAX_CHAIN_OPERATORS, 6, 49_393),
+    (10, None, 16_796),
+])
+def test_the_readings_cap_admits_every_default_chain(operators, chunk_size, readings):
+    assert len(_flat_chain_readings(operators, chunk_size)) == readings
+
+
+@pytest.mark.parametrize("operators, chunk_size, bracketings", [
+    (MAX_CHAIN_OPERATORS, 7, 69_696),
+    (11, None, 58_786),
+    (MAX_CHAIN_OPERATORS, None, 35_357_670),
+])
+def test_the_readings_cap_refuses_a_chain_before_building_it(operators, chunk_size, bracketings):
+    built = []
+    message = rf"^connective chain has {bracketings} readings \(cap {MAX_READINGS}\)$"
+    with pytest.raises(CapExceeded, match=message):
+        chain_readings(list(range(operators + 1)), ["and"] * operators, chunk_size, lambda *node: built.append(node))
+    assert built == []
+
+
+def test_the_readings_cap_counts_the_bracketings_chain_readings_builds(monkeypatch):
+    # Every bracketing but the precedence one is built once; the precedence
+    # reading comes first, and is among the bracketings unless chunking
+    # leaves it out.  Under a cap of 0 the refusal names the count.
+    for operators in range(2, 11):
+        for chunk_size in (2, 3, 4, 5, 6, None):
+            readings = len(_flat_chain_readings(operators, chunk_size))
+            with monkeypatch.context() as patched:
+                patched.setattr(syntax, "MAX_READINGS", 0)
+                with pytest.raises(CapExceeded) as refused:
+                    _flat_chain_readings(operators, chunk_size)
+            counted = int(re.match(r"connective chain has (\d+) readings", str(refused.value))[1])
+            assert readings - 1 <= counted <= readings
 
 
 def test_token_cap_follows_the_recursion_limit():
