@@ -9,22 +9,22 @@ truth assignments on which the two skeletons agree, so it is 1.0 exactly
 for equivalent readings and 0.0 for a formula against its negation under
 the identity binding.
 
-One binding search serves both modes; the mode picks the candidate
-graph it searches.  The search fixes every one-to-one component of the
-graph outright and enumerates the maximum-cardinality injective
-assignments inside each larger component, trying candidates in ascending
-edit-distance order.
+One binding search serves both modes, over one candidate graph
+(``CandidateGraph.build``); the mode picks only the graph's rows.  The
+search fixes every one-to-one component of the graph outright and
+enumerates the maximum-cardinality injective assignments inside each
+larger component, trying candidates in ascending edit-distance order.
 
 ``bind_original``
-    Searches the complete graph, every prediction atom a candidate for
-    every reference atom, as one component: it exhausts every complete
-    injective matching of the smaller atom set (n! for equal sides), so
-    ``MAX_FACTORIAL_ATOMS`` bounds it, below ``COMPONENT_CAP``.
+    Gives each prediction atom every reference atom as its row, so the
+    graph is complete and one component: the search exhausts every
+    complete injective matching of the smaller atom set (n! for equal
+    sides), so ``MAX_FACTORIAL_ATOMS`` bounds it, below ``COMPONENT_CAP``.
 
 ``bind_optimized``
-    Searches the relatedness graph, whose edges join atom pairs with
-    similar names under the similarity backend, and stops a component
-    after ``COMPONENT_CAP`` scored assignments.
+    Gives each prediction atom the reference atoms whose names are similar
+    to its own under the similarity backend, and stops a component after
+    ``COMPONENT_CAP`` scored assignments.
 
 Ties between equal-scoring bindings break toward the smaller summed edit
 distance, then toward the first-enumerated assignment, which makes both
@@ -38,21 +38,21 @@ It is the one memo path, for each prediction's result, and the one failure
 rule, a ``FormulaError`` becoming the result of the prediction that raised
 it, or of every prediction when the reference raised it: a group is scored by
 calling one, and ``le_score``, ``corpus_le`` and the trainer's rewards do so.
-A candidate graph's rows come from one of two sources: a call of more than
-one prediction, as a group's is, reads them from a ``similarity.GramIndex``
-of the reference's atoms, which computes each distinct atom text's row once
-from that text's grams; a call of one, as ``le_score``'s is, reads them
-through ``similarity.ngram_cosine``, whose pair memo remembers each
-atom-pair cosine.  Both give the same rows, bit for bit.  Edit
-distances are computed only where the search enumerates.  Every
-prediction's bindings are walked once (``_search``), however many readings
-it has: at each binding the reference skeleton is evaluated once under the
-inverse mapping, and each distinct reading truth table is scored against it
-with one XOR; bindings that cannot change the report are counted, not
-evaluated.  The search returns the report: the binding and score of the
-first best reading, and counters that are one reading's walk times the
-number of readings.  ``bind_original`` and ``bind_optimized`` are that
-search for one reading (``trees_explored`` 1).
+An optimized-mode graph's rows come from one of two sources: a call of more
+than one prediction, as a group's is, reads them from a
+``similarity.GramIndex`` of the reference's atoms, which computes each
+distinct atom text's row once from that text's grams; a call of one, as
+``le_score``'s is, reads them through ``similarity.ngram_cosine``, whose
+pair memo remembers each atom-pair cosine.  Both give the same rows, bit
+for bit.  Edit distances are computed only where the search enumerates.
+Every prediction's bindings are walked once (``_search``), however many
+readings it has: at each binding the reference skeleton is evaluated once
+under the inverse mapping, and each distinct reading truth table is scored
+against it with one XOR; bindings that cannot change the report are
+counted, not evaluated.  The search returns the report: the binding and
+score of the first best reading, and counters that are one reading's walk
+times the number of readings.  ``bind_original`` and ``bind_optimized`` are
+that search for one reading (``trees_explored`` 1).
 
 A walk over an enumerated component evaluates the reference at every
 binding it does not cut, so it uses a compiled evaluator: the skeleton
@@ -198,10 +198,11 @@ class Component:
 
 @dataclass
 class CandidateGraph:
-    """Bipartite relatedness graph between prediction and reference atoms:
-    an edge joins each pair whose similarity is at or above the threshold,
-    and ``neighbours[i]`` lists the reference indices of prediction atom
-    i's edges, in order (treat it as read-only)."""
+    """Bipartite graph between prediction and reference atoms: an edge joins
+    each pair that its row source relates, by default each pair whose
+    similarity is at or above the threshold, and ``neighbours[i]`` lists
+    the reference indices of prediction atom i's edges, in order (treat it
+    as read-only)."""
 
     components: tuple[Component, ...]
     neighbours: list[list[int]]
@@ -216,8 +217,9 @@ class CandidateGraph:
     ) -> "CandidateGraph":
         """Each prediction atom's edges are its row: ``rows(text)`` when a
         row source is given, such as ``GramIndex.row`` over ``ref_atoms`` at
-        ``threshold``, else the reference atoms whose ``ngram_cosine`` with
-        it reaches the threshold.  Each component is grown from its smallest
+        ``threshold`` or original mode's row of every reference atom, else
+        the reference atoms whose ``ngram_cosine`` with it reaches the
+        threshold.  Each component is grown from its smallest
         prediction atom across the edges both ways, so the components come
         in that order."""
         neighbours: list[list[int]] = []
@@ -510,9 +512,11 @@ class _AtomTables:
     maximum-cardinality assignment leaves unbound.  ``candidates`` gives
     each of those prediction atoms its candidate reference atoms as (index,
     edit distance) in ascending (distance, index) order; no other edit
-    distance is computed.  They are the atom's edges in the
-    ``CandidateGraph``, whose rows come from ``rows`` when it is given, or
-    every reference atom in original mode."""
+    distance is computed.  They are the atom's edges in the plan's
+    ``CandidateGraph``, which both modes build; the mode picks only its
+    rows.  Original mode gives each prediction atom every reference atom,
+    under the ``MAX_FACTORIAL_ATOMS`` cap; optimized mode reads ``rows``
+    when it is given (see ``CandidateGraph.build``)."""
 
     def __init__(self, pred_atoms: tuple[str, ...], ref: CompiledReference, mode: str, config: LeConfig, rows=None):
         self.pred_atoms = pred_atoms
@@ -523,21 +527,19 @@ class _AtomTables:
         if mode == "original":
             if max(n_p, n_r) > MAX_FACTORIAL_ATOMS:
                 raise CapExceeded(f"{max(n_p, n_r)} atoms exceeds the factorial-search cap {MAX_FACTORIAL_ATOMS}")
-            components: Sequence[Component] = (Component(tuple(range(n_p)), tuple(range(n_r))),)
-            neighbours = [range(n_r)] * n_p
-        else:
-            graph = CandidateGraph.build(pred_atoms, ref.atoms, config.threshold, rows)
-            components, neighbours = graph.components, graph.neighbours
+            every = list(range(n_r))
+            rows = lambda text: every
+        graph = CandidateGraph.build(pred_atoms, ref.atoms, config.threshold, rows)
         self.start: list[int | None] = [None] * n_p
         self.enumerated: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
         self.candidates: dict[int, list[tuple[int, int]]] = {}
-        for comp in components:
+        for comp in graph.components:
             preds, refs = comp.prediction_atoms, comp.reference_atoms
             if len(preds) == 1 and len(refs) == 1:
                 self.start[preds[0]] = refs[0]
                 continue
             for i in preds:
-                row = sorted((levenshtein(pred_atoms[i], ref.atoms[j]), j) for j in neighbours[i])
+                row = sorted((levenshtein(pred_atoms[i], ref.atoms[j]), j) for j in graph.neighbours[i])
                 self.candidates[i] = [(j, dist) for dist, j in row]
             matching = _max_matching(preds, self.candidates)
             for j, i in matching.items():
@@ -569,16 +571,16 @@ def _augment(i: int, adj: dict[int, list[tuple[int, int]]], match_ref: dict[int,
 
 
 def _enumerate(
-    tables: _AtomTables, preds: tuple[int, ...], skips: int, mapping: list[int | None], leaf, bound: int | None = None,
-    values: list[int] | None = None, patterns: Sequence[int] = (), refs: Sequence[int] = (), free: Sequence[int] = (),
+    adj: dict[int, list[tuple[int, int]]], preds: tuple[int, ...], skips: int, mapping: list[int | None], leaf,
+    bound: int | None, values: list[int], patterns: Sequence[int], refs: Sequence[int], free: Sequence[int],
 ) -> tuple[int, bool]:
     """Walk the maximum-cardinality injective assignments of the enumerated
-    component ``preds`` with skip budget ``skips``: each atom tries its
-    candidates in ascending edit distance, then, while the budget lasts,
-    staying unbound.  At each complete assignment, written into ``mapping``,
-    it calls ``leaf(dist)`` with the summed edit distance; ``leaf`` returns
-    a new bound for the leaves after it, or None to keep the bound as it
-    is.
+    component ``preds`` with skip budget ``skips``: each atom i tries its
+    candidates ``adj[i]``, (reference index, edit distance) in ascending
+    distance, then, while the budget lasts, staying unbound.  At each
+    complete assignment, written into ``mapping``, it calls ``leaf(dist)``
+    with the summed edit distance; ``leaf`` returns a new bound for the
+    leaves after it, or None to keep the bound as it is.
 
     The walk keeps in ``values`` each reference atom's pattern under the
     assignment, so a leaf reads the reference's values without building
@@ -588,8 +590,7 @@ def _enumerate(
     leaves unbound take the patterns ``free``, in order, from a table keyed
     by the reference atoms in use and built as leaves reach it; otherwise
     nothing is filled.  No other entry of ``values`` is written, and the
-    order of ``free`` changes no count (see the module docstring).  Without
-    ``values`` the walk writes into zeros no leaf need read.
+    order of ``free`` changes no count (see the module docstring).
 
     Edit distances are not negative, so once a prefix's summed distance
     reaches the bound, no leaf under it is walked: its leaves are counted
@@ -604,12 +605,9 @@ def _enumerate(
     module docstring)."""
     # sys.maxsize stands for no bound: ints compare faster than math.inf,
     # and no summed distance reaches it.
-    adj = tables.candidates
     last = len(preds) - 1
     # The last atom's options when it may stay unbound: None is the skip.
     last_options = [*adj[preds[last]], (None, 0)]
-    if values is None:
-        values, patterns = [0] * len(tables.ref.atoms), [0] * len(mapping)
     count = 0
     limit = sys.maxsize if bound is None else bound
     sizes: dict[tuple[int, int, int], int] = {}
@@ -829,7 +827,7 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
                 return None
 
             count, cut = _enumerate(
-                tables, preds, skips, mapping, leaf, None if live else 0, values, patterns, refs, free
+                tables.candidates, preds, skips, mapping, leaf, None if live else 0, values, patterns, refs, free
             )
             by_winner: dict[tuple[int | None, ...], list[int]] = {}
             for t in members:

@@ -442,11 +442,12 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
     hp = config.hp
     prompts = config.prompts()
     rng = np.random.default_rng(hp.seed)
-    shape = (len(prompts), SEQUENCE_LENGTH, len(config.vocab))
-    current = PolicyParams(np.zeros(shape))
     labels = np.array([prompt.label for prompt in prompts])
+    # One policy row per label position: the labels fix the sequence length.
+    P, T = labels.shape
+    current = PolicyParams(np.zeros((P, T, len(config.vocab))))
     # the reference policy is the starting one
-    frozen = _frozen(_log_softmax(current.logits), labels, (len(prompts), hp.group_size, SEQUENCE_LENGTH))
+    frozen = _frozen(_log_softmax(current.logits), labels, (P, hp.group_size, T))
     tokens = word_lexer(config.vocab)
     scorers = [Scorer(prompt.reference_formula, tokens=tokens) for prompt in prompts]
     trace: list[dict] = []

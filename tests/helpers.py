@@ -360,7 +360,10 @@ def forward_search(code, tables, max_atoms: int) -> LeReport:
 
         for i in preds:
             mapping[i] = None
-        count, cut = _enumerate(tables, preds, skips, mapping, leaf)
+        # No leaf here reads the walk's values, so it writes into zeros.
+        count, cut = _enumerate(
+            tables.candidates, preds, skips, mapping, leaf, None, [0] * n_r, [0] * len(mapping), (), ()
+        )
         truncated = truncated or cut
         explored += count
         for i, j in zip(preds, best_assign):

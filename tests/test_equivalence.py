@@ -61,6 +61,7 @@ from helpers import (
     forward_search,
     lower_by_three_walks,
     random_formula,
+    scored_result,
     skeleton_bits,
 )
 
@@ -491,6 +492,44 @@ def test_bind_equals_the_forward_search(seed, mode, config_and_cap):
         assert _bound(lambda: bind(pred, ref, config)) == _bound(lambda: forward_bind(pred, ref, mode, config))
 
 
+def _all_but_mode(result):
+    """A scoring result as ``scored_result`` gives it, without the report's
+    ``mode``."""
+    result = scored_result(result)
+    if isinstance(result, dict):
+        del result["mode"]
+    return result
+
+
+def _alone(prediction: str, reference: str, mode: str, config: LeConfig = DEFAULT_LE):
+    try:
+        return _all_but_mode(le_score(prediction, reference, mode, config))
+    except FormulaError as exc:
+        return _all_but_mode(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(2, 4))
+def test_the_modes_differ_only_in_their_rows(seed, size):
+    """Inside the factorial cap, original mode is optimized mode at
+    threshold 0, whose candidate rows hold every reference atom: every
+    report field but ``mode`` is equal, for each pair alone (rows from the
+    pair memo) and for one ``Scorer`` call of the group (rows from the gram
+    index)."""
+    rng = random.Random(seed)
+    reference, *predictions = [
+        render(random_formula(rng, max_atoms=MAX_FACTORIAL_ATOMS, predicates=_BIND_PREDICATES + ["Zebra"]))
+        for _ in range(size + 1)
+    ]
+    complete = LeConfig(threshold=0.0)
+    for prediction in predictions:
+        assert _alone(prediction, reference, "original") == _alone(prediction, reference, "optimized", complete)
+    optimized = Scorer(reference, "optimized", complete)
+    grouped = [_all_but_mode(result) for result in optimized(predictions)]
+    assert optimized._index is not None
+    assert [_all_but_mode(result) for result in Scorer(reference, "original")(predictions)] == grouped
+
+
 @st.composite
 def candidate_tables(draw):
     """Up to 5 prediction atoms, each with a row of (reference index, edit
@@ -528,7 +567,7 @@ def test_walk_equals_the_product_of_candidate_rows(table, bound):
         if combo.count(None) == skips
     ]
 
-    tables = SimpleNamespace(candidates=dict(enumerate(rows)), ref=SimpleNamespace(atoms=range(n_r)))
+    adj = dict(enumerate(rows))
     for cap in (COMPONENT_CAP, *range(1, 7)):
         walked = expected[:cap]
         for walk_bound in (None, bound):
@@ -540,7 +579,9 @@ def test_walk_equals_the_product_of_candidate_rows(table, bound):
                 return walk_bound
 
             with patch.object(equivalence, "COMPONENT_CAP", cap):
-                count, cut = _enumerate(tables, preds, skips, mapping, leaf, walk_bound)
+                count, cut = _enumerate(
+                    adj, preds, skips, mapping, leaf, walk_bound, [0] * n_r, [0] * len(mapping), (), ()
+                )
             assert leaves == [(combo, dist) for combo, dist in walked if walk_bound is None or dist < walk_bound]
             assert count == len(walked)
             assert cut == (len(walked) < len(expected))
@@ -564,7 +605,6 @@ def test_the_walk_keeps_each_reference_atoms_pattern(table, bound):
     )
     patterns = [f"p{i}" for i in preds]
     free = [f"free{k}" for k in range(len(refs) - most_bound)]
-    tables = SimpleNamespace(candidates=dict(enumerate(rows)), ref=SimpleNamespace(atoms=range(n_r)))
     for walk_bound in (None, bound):
         mapping = [None] * len(preds)
         values = ["unwritten"] * n_r
@@ -578,7 +618,9 @@ def test_the_walk_keeps_each_reference_atoms_pattern(table, bound):
             leaves.append(dist)
             return walk_bound
 
-        count, _ = _enumerate(tables, preds, len(preds) - most_bound, mapping, leaf, walk_bound, values, patterns, refs, free)
+        count, _ = _enumerate(
+            dict(enumerate(rows)), preds, len(preds) - most_bound, mapping, leaf, walk_bound, values, patterns, refs, free
+        )
         assert leaves or walk_bound is not None
         assert count >= len(leaves)
 

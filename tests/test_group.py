@@ -406,8 +406,8 @@ def test_the_graph_span_times_each_built_plan_once(monkeypatch):
     ``CandidateGraph.build`` class attribute.  An optimized-mode group calls
     it once for each distinct prediction whose search plan is built, one
     past the truth-table cap included, and not for a repeat, one that fails
-    to parse or one past the chain-operator cap; original mode builds no
-    graph."""
+    to parse or one past the chain-operator cap; so does original mode,
+    whose factorial cap refuses the widest prediction before its graph."""
     calls = []
     real = CandidateGraph.build.__func__
 
@@ -434,7 +434,7 @@ def test_the_graph_span_times_each_built_plan_once(monkeypatch):
 
     calls.clear()
     Scorer("Likes(a) ∧ Own(b) ∨ P", "original")(predictions)
-    assert calls == []
+    assert calls == [("Likes(a)", "Owns(b)"), ("Like(a)", "Owns(b)", "P")]
 
 
 def test_scoring_text_builds_no_tree(monkeypatch):
