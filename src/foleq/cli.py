@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .corpus import EvalPair, corpus_le, decode_json, load_pairs, open_text
+from .corpus import EvalPair, corpus_bleu, corpus_le, decode_json, load_pairs, open_text
 from .equivalence import MODES
 from .service import CAP_EXCEEDED, BindError, ScoreRequest, ServiceConfig, handle_request, serve, serve_socket
 from .service import typed_value
@@ -183,11 +183,13 @@ def _cmd_score(args) -> int:
     if args.out and not _writable(args.out):
         return DATA_ERROR
 
-    report = corpus_le(pairs, mode=config.mode, config=config.le, bleu_config=config.bleu)
+    # corpus_le reports equivalence only; the summary's BLEU is corpus_bleu
+    # over the same loaded pairs.
+    report = corpus_le(pairs, mode=config.mode, config=config.le)
     summary = {
         "pairs": len(pairs),
         "mean_le": report.mean_le,
-        "bleu": report.bleu,
+        "bleu": corpus_bleu(pairs, config.bleu),
         "failures": len(report.failures) + len(load_failures),
     }
     print(json.dumps(summary, ensure_ascii=False))

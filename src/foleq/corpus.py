@@ -1,4 +1,8 @@
-"""Corpus loading and corpus-level metrics (BLEU and mean equivalence).
+"""Corpus loading and corpus-level metrics: mean equivalence and BLEU.
+
+``corpus_le`` reports equivalence only.  BLEU, the baseline that the logic
+reward is compared with, comes from ``corpus_bleu``, a separate call over
+the same pairs; ``foleq score --pred-file`` makes both calls for its summary.
 
 Formula text is tokenized for BLEU by padding connectives, parentheses,
 and commas with spaces and splitting on whitespace, so ``P(x)∧Q(x)`` and
@@ -85,10 +89,11 @@ def open_text(path, mode: str = "r"):
 
 @dataclass(eq=False)
 class CorpusReport:
-    """``per_pair`` is aligned with the input pairs; entries are None for
-    pairs that failed to score (their ids and messages sit in ``failures``)."""
+    """The equivalence scores of a corpus, with no BLEU (that is
+    ``corpus_bleu``'s).  ``per_pair`` is aligned with the input pairs;
+    entries are None for pairs that failed to score (their ids and messages
+    sit in ``failures``)."""
 
-    bleu: float
     mean_le: float
     per_pair: list[LeReport | None] = field(default_factory=list)
     failures: list[tuple[str, str]] = field(default_factory=list)
@@ -198,10 +203,10 @@ def corpus_le(
     pairs: list[EvalPair],
     mode: str = "optimized",
     config: LeConfig = DEFAULT_LE,
-    bleu_config: BleuConfig = DEFAULT_BLEU,
 ) -> CorpusReport:
-    """Score every pair, treating a pair whose prediction or reference is
-    unparseable or over a cap as 0.
+    """Score every pair's equivalence, treating a pair whose prediction or
+    reference is unparseable or over a cap as 0.  No BLEU is computed; call
+    ``corpus_bleu`` on the same pairs for it.
 
     Pairs are scored in groups that share a reference (one call of a fresh
     ``Scorer`` each), so equal pairs share one ``LeReport`` and every pair of a
@@ -231,9 +236,4 @@ def corpus_le(
         else:
             failures.append((pair.id, str(result)))
             per_pair.append(None)
-    return CorpusReport(
-        bleu=corpus_bleu(pairs, bleu_config),
-        mean_le=score_sum / len(pairs),
-        per_pair=per_pair,
-        failures=failures,
-    )
+    return CorpusReport(mean_le=score_sum / len(pairs), per_pair=per_pair, failures=failures)

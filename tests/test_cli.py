@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from foleq.cli import _demo_config_from_mapping, run_cli
-from foleq.corpus import EvalPair, corpus_le
+from foleq.corpus import BleuConfig, EvalPair, corpus_bleu, corpus_le
 from foleq.sgrpo import default_demo_config
 from foleq.syntax import MAX_TOKENS
 from test_service import BOM_LINES, NOT_UTF8_LINES, check_bom_answers, check_not_utf8_answers
@@ -163,11 +163,34 @@ def test_score_jsonl_corpus_matches_library(tmp_path, capsys):
     code, out, _ = run(capsys, "score", "--pred-file", str(path))
     assert code == 0
     summary = json.loads(out)
-    oracle = corpus_le([EvalPair(r["id"], r["prediction"], r["reference"]) for r in FIXTURE])
+    pairs = [EvalPair(r["id"], r["prediction"], r["reference"]) for r in FIXTURE]
+    oracle = corpus_le(pairs)
     assert summary["mean_le"] == pytest.approx(oracle.mean_le)
-    assert summary["bleu"] == pytest.approx(oracle.bleu)
+    assert summary["bleu"] == corpus_bleu(pairs)
     assert summary["pairs"] == 3
     assert summary["failures"] == 1
+
+
+def test_score_corpus_summary_bleu_reads_the_configured_smoothing(tmp_path, capsys):
+    # No prediction shares a 3-gram with its reference, so the summary's
+    # BLEU is 0 without smoothing and corpus_bleu's smoothed value with it.
+    rows = [
+        {"id": "a", "prediction": "A ∧ A ∧ A", "reference": "A ∧ B"},
+        {"id": "b", "prediction": "B ∧ A", "reference": "A ∧ B"},
+    ]
+    path = tmp_path / "pairs.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    pairs = [EvalPair(r["id"], r["prediction"], r["reference"]) for r in rows]
+    code, out, _ = run(capsys, "score", "--pred-file", str(path))
+    assert code == 0
+    assert json.loads(out)["bleu"] == 0.0
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"bleu_smoothing": 0.01}), encoding="utf-8")
+    code, out, _ = run(capsys, "score", "--pred-file", str(path), "--config", str(config_path))
+    assert code == 0
+    smoothed = corpus_bleu(pairs, BleuConfig(0.01))
+    assert smoothed > 0.0
+    assert json.loads(out)["bleu"] == smoothed
 
 
 def test_score_corpus_out_file(tmp_path, capsys):

@@ -17,7 +17,8 @@ from foleq.corpus import (
     load_pairs,
     tokenize_formula,
 )
-from foleq.syntax import MAX_TOKENS
+from foleq.equivalence import le_score
+from foleq.syntax import FormulaError, MAX_TOKENS
 from helpers import per_pair_bleu
 
 # Pieces joined without separators, so that "<" "-" ">" can meet as "<->"
@@ -262,6 +263,41 @@ def test_corpus_le_fails_every_pair_of_an_over_long_reference():
     assert report.failures == [("a", message), ("b", message)]
     assert report.per_pair[:2] == [None, None]
     assert report.mean_le == pytest.approx(1 / 3)
+
+
+def test_corpus_le_computes_no_bleu(monkeypatch):
+    """corpus_le reports equivalence only: with BLEU and its tokenizer made to
+    raise it still scores every pair as le_score does alone, over a shared
+    reference, a repeated pair and a pair that fails."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("corpus_le reached BLEU")
+
+    pairs = [
+        EvalPair("shared-1", "A ∧ B", "B ∧ A ∨ C"),
+        EvalPair("shared-2", "C ∨ A", "B ∧ A ∨ C"),
+        EvalPair("repeat-1", "P(a)", "P(a) ∧ Q(a)"),
+        EvalPair("repeat-2", "P(a)", "P(a) ∧ Q(a)"),
+        EvalPair("broken", "A ∧", "B ∧ A ∨ C"),
+    ]
+    expected_rows, expected_failures, total = [], [], 0.0
+    for pair in pairs:
+        try:
+            row = le_score(pair.prediction, pair.reference).to_dict()
+        except FormulaError as exc:
+            expected_rows.append(None)
+            expected_failures.append((pair.id, str(exc)))
+        else:
+            expected_rows.append(row)
+            total += row["score"]
+    monkeypatch.setattr(corpus, "corpus_bleu", refuse)
+    monkeypatch.setattr(corpus, "tokenize_formula", refuse)
+    report = corpus_le(pairs)
+    assert [None if row is None else row.to_dict() for row in report.per_pair] == expected_rows
+    assert report.failures == expected_failures == [("broken", "unexpected end of input")]
+    assert report.mean_le == total / len(pairs)
+    assert report.per_pair[2] is report.per_pair[3]
+    assert not hasattr(report, "bleu")
 
 
 def test_corpus_le_empty_rejected():
