@@ -445,13 +445,6 @@ def _atom_values(mapping: list[int | None], n_r: int, patterns: tuple[int, ...])
     return values
 
 
-def _reference_bits(evaluate, values: list[int], mask: int) -> int:
-    """Truth-table mask of a reference, atom ordinal o taking ``values[o]``,
-    by its compiled ``evaluate``: the one evaluation per binding of a
-    search's walk."""
-    return evaluate(values, mask)
-
-
 def _binding_from(pred_atoms: tuple[str, ...], ref_atoms: tuple[str, ...], mapping: list[int | None]) -> BindingMap:
     pairs, unbound = [], []
     unused = list(ref_atoms)
@@ -704,7 +697,7 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
     the start mapping's number of prediction atoms unbound, and every truth
     table has one width, whose cap is checked before any table is built.
     At each binding the reference skeleton is evaluated once under the
-    inverse mapping (``_reference_bits``), from the values the walk keeps
+    inverse mapping, from the values the walk keeps
     (``_enumerate``): each bound reference atom holds its prediction atom's
     pattern, and the unbound ones hold the free patterns of the group's
     start, in the order the walk gives them.  That uses one variable per
@@ -758,7 +751,7 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
     # indices of its tables.
     groups: list[tuple[list[int | None], Sequence[int]]] = [(tables.start, range(len(wide)))]
 
-    explored = assignments = 0
+    explored = 0
     truncated = False
     # Kept apart from the loop below: folding it in cost 7-13 µs on a 67 µs
     # score, and 77% of seed-29 corpus searches and 50% of serve ones take it.
@@ -766,7 +759,7 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
     if not tables.enumerated:
         bits = _eval_bits(ref.code, _atom_values(tables.start, n_r, patterns), mask)
         best_off = [(table ^ bits).bit_count() for table in wide]
-        explored, assignments = 1, rows
+        explored = 1
     else:
         # Compiled here, above the walk, whose leaves lie deeper in the stack.
         evaluate = _compile_evaluator(ref.code)
@@ -782,18 +775,16 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
         best_assign: list[tuple[int | None, ...]] = [()] * len(wide)
         least, first = rows + 1, len(wide)
         split = []
-        # Whether a leaf leaves any of the component's reference atoms
-        # unbound.
-        spare = len(refs) > len(preds) - skips
         for start, members in groups:
             mapping = start.copy()
             for i in preds:
                 mapping[i] = None
             # The reference atoms' patterns at the group's start; the walk
             # rewrites the component's.  Its unbound atoms take the free
-            # patterns that the start's unbound ones hold.
+            # patterns that the start's unbound ones hold: none when the
+            # start binds every reference atom of the component.
             values = _atom_values(start, n_r, patterns)
-            free = [values[j] for j in refs if j not in start] if spare else ()
+            free = [values[j] for j in refs if j not in start]
             # The tables whose best can still change the report.
             live = members
             if c == last and floor:
@@ -801,7 +792,7 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
 
             def leaf(dist: int) -> int | None:
                 nonlocal live, least, first
-                bits = _reference_bits(evaluate, values, mask)
+                bits = evaluate(values, mask)
                 if not floor:
                     ones = bits.bit_count()
                     floor.extend(abs(ones - table.bit_count()) for table in wide)
@@ -840,7 +831,6 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
         groups = split
         # Every group walks the same leaves.
         explored += count
-        assignments += count * rows
         truncated = truncated or cut
 
     off = min(best_off)
@@ -851,7 +841,7 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
         score=(rows - off) / rows,
         binding=binding,
         atom_count=n_r + len(binding.unbound_prediction),
-        assignments_evaluated=assignments * len(skeletons),
+        assignments_evaluated=explored * rows * len(skeletons),
         bindings_explored=explored * len(skeletons),
         trees_explored=len(skeletons),
         mode=tables.mode,

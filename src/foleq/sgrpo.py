@@ -88,6 +88,8 @@ class Hyperparams:
             raise ValueError("group_size must be at least 2")
         if self.group_size > MAX_GROUP_SIZE:
             raise ValueError(f"group_size must be at most {MAX_GROUP_SIZE}")
+        if self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be non-negative, not {self.learning_rate}")
         if self.kl_beta < 0 or self.sft_weight < 0:
             raise ValueError("kl_beta and sft_weight must be non-negative")
         if self.seed < 0:

@@ -585,6 +585,7 @@ def test_train_demo_negative_seed_is_a_data_error(capsys):
         ('{"seed": 1e400}', "seed must be an integer, not inf"),
         ('{"group_size": -1e400}', "group_size must be an integer, not -inf"),
         ('{"learning_rate": NaN}', "learning_rate must be finite, not nan"),
+        ('{"learning_rate": -1e308}', "learning_rate must be non-negative, not -1e+308"),
         ('{"iterations": 2.7}', "iterations must be an integer, not 2.7"),
         ('{"iterations": true}', "iterations must be an integer, not True"),
         ('{"seed": 1.9}', "seed must be an integer, not 1.9"),
@@ -627,6 +628,8 @@ def test_train_demo_hostile_config_is_a_data_error(tmp_path, capsys, content):
         ({"references": [["P"]]}, "references must be a list of strings"),
         ({"vocab": "()PQRx¬∧∨→∀y"}, "vocab must be a list of strings"),
         ({"vocab": ["(", ")", 1]}, "vocab must be a list of strings"),
+        ({"vocab": ["P", "Q", "P"]}, "vocab tokens must be distinct"),
+        ({"references": []}, "at least one reference formula is required"),
     ],
 )
 def test_train_demo_bad_prompts_are_a_data_error(tmp_path, capsys, content, message):

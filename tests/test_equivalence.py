@@ -1006,6 +1006,7 @@ def test_over_long_prediction_is_cap_exceeded():
         ("max_atoms", -1, "max_atoms must be positive, not -1"),
         ("max_atoms", MAX_TABLE_ATOMS + 1, f"max_atoms must be at most {MAX_TABLE_ATOMS}"),
         ("max_atoms", 64, f"max_atoms must be at most {MAX_TABLE_ATOMS}"),
+        ("chunk_size", 1, r"chunk_size must be at least 2 \(or None for full enumeration\)"),
     ],
 )
 def test_config_names_the_cap_it_refuses(field, value, message):

@@ -699,7 +699,14 @@ def test_bindings_that_cannot_change_the_report_are_counted_not_evaluated(
     monkeypatch, prediction, reference, evaluations, bindings, assignments
 ):
     calls = []
-    monkeypatch.setattr(equivalence, "_reference_bits", _counting(calls, equivalence._reference_bits))
+    walk = equivalence._enumerate
+
+    def counted_walk(adj, preds, skips, mapping, leaf, *rest):
+        # A leaf's first statement evaluates the reference: one call, one
+        # evaluation.
+        return walk(adj, preds, skips, mapping, _counting(calls, leaf), *rest)
+
+    monkeypatch.setattr(equivalence, "_enumerate", counted_walk)
     report = le_score(prediction, reference, "original")
     assert len(calls) == evaluations
     assert (report.bindings_explored, report.assignments_evaluated) == (bindings, assignments)

@@ -381,6 +381,8 @@ def test_shutdown_line_returns_none():
 def test_serve_stream_loop():
     lines = [
         json.dumps(le_request("r1", "A ∧ B", "B ∧ A")),
+        "",  # blank and whitespace-only lines get no reply
+        " \t ",
         "garbage",
         json.dumps(le_request("r2", "¬¬A", "A")),
         json.dumps({"op": "shutdown"}),

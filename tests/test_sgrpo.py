@@ -209,6 +209,11 @@ def test_sample_group_deterministic_and_consistent():
     logp = policy.log_probs(1)
     expect = logp[np.arange(4)[None, :], g1.outputs]
     assert np.allclose(g1.old_logprobs, expect)
+    # Without a generator, one seeded from the hyperparameters.
+    unseeded = sample_group(policy, prompt, hp)
+    seeded = sample_group(policy, prompt, hp, np.random.default_rng(hp.seed))
+    assert np.array_equal(unseeded.outputs, seeded.outputs)
+    assert np.array_equal(unseeded.old_logprobs, seeded.old_logprobs)
 
 
 def test_sample_group_matches_distribution():
@@ -452,6 +457,8 @@ def test_hyperparams_validation():
         Hyperparams(kl_beta=-0.1)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         Hyperparams(seed=-1)
+    with pytest.raises(ValueError, match="^learning_rate must be non-negative, not -1e\\+308$"):
+        Hyperparams(learning_rate=-1e308)
 
 
 # --- demo loop -------------------------------------------------------------------------------
@@ -469,6 +476,12 @@ def test_demo_config_validation():
     base = default_demo_config()
     with pytest.raises(ValueError):
         type(base)(vocab=("a",) * 17, references=base.references, hp=base.hp)
+    with pytest.raises(ValueError, match="^vocab tokens must be distinct$"):
+        type(base)(vocab=base.vocab + base.vocab[:1], references=base.references, hp=base.hp)
+    with pytest.raises(ValueError, match="^at least one reference formula is required$"):
+        type(base)(vocab=base.vocab, references=(), hp=base.hp)
+    with pytest.raises(ValueError, match="^iterations must be positive$"):
+        replace(base, iterations=0)
     unknown_token = type(base)(vocab=base.vocab, references=("zzz P",), hp=base.hp)
     with pytest.raises(ValueError):
         unknown_token.prompts()

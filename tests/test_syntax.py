@@ -397,6 +397,13 @@ def test_render_ascii_style():
     assert render(expr, style="ascii") == "forall x (P(x) -> ~Q(x))"
 
 
+def test_unknown_parse_mode_and_render_style_are_refused():
+    with pytest.raises(ValueError, match="^unknown parse mode 'bogus'$"):
+        parse("A", mode="bogus")
+    with pytest.raises(ValueError, match="^unknown render style 'bogus'$"):
+        render(Atom("A"), style="bogus")
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_render_parse_round_trip(seed):
