@@ -313,6 +313,18 @@ def _var_patterns(k: int) -> tuple[tuple[int, ...], int, int]:
     return tuple(patterns), (1 << rows) - 1, rows
 
 
+def _widen(table: int, own_rows: int, rows: int) -> int:
+    """A truth table of ``own_rows`` rows repeated to fill ``rows``, both
+    powers of two: the same table over more variables, the added ones
+    ignored.  Each doubling shifts once, so the whole takes time linear in
+    ``rows``."""
+    step = own_rows
+    while step < rows:
+        table |= table << step
+        step <<= 1
+    return table
+
+
 class _Lowering(Renaming):
     """A node factory (see ``syntax.TREES``) that lowers one formula while
     it is parsed: it builds each node's propositional skeleton, a nested
@@ -743,10 +755,9 @@ def _search(skeletons: Sequence, tables: _AtomTables) -> LeReport:
     n_p, n_r = len(tables.start), len(ref.atoms)
     patterns, mask, rows = _capped_patterns(n_r + tables.start.count(None), tables.max_atoms)
 
-    own_patterns, own_mask, _ = _var_patterns(n_p)
+    own_patterns, own_mask, own_rows = _var_patterns(n_p)
     own_tables = dict.fromkeys(_eval_bits(code, own_patterns, own_mask) for code in skeletons)
-    repeat = mask // own_mask
-    wide = [table * repeat for table in own_tables]
+    wide = [_widen(table, own_rows, rows) for table in own_tables]
     # Each group: the mapping its tables' earlier components won, and the
     # indices of its tables.
     groups: list[tuple[list[int | None], Sequence[int]]] = [(tables.start, range(len(wide)))]

@@ -56,13 +56,16 @@ def _gram_counts(text: str) -> Counter:
 # Both memos key atom texts alone: the gram sizes are the constant
 # ``NGRAM_SIZES``, and the threshold never changes a cosine.  An entry is one
 # atom text's compared form, gram counts and norm, a few hundred bytes to a
-# few kilobytes, so 1,024 entries hold a few megabytes.  The reuse it serves
-# lies within one scoring group or one serving session.  In the seed-29
-# benchmark runs, 16,500 serve_mixed requests miss 24 times and 48 train_demo
-# calls of 50 iterations miss 27 times at any size from 64 entries up, while
-# 750 corpus_groups groups look up 13,874 vectors, once per reference atom
-# and once per distinct prediction atom text of each group, and miss 8,647
-# times at 1,024 entries.
+# few kilobytes.  A group of predictions does not lean on this memo: its
+# ``GramIndex`` holds its reference atoms' vectors and reads them there, and
+# a prediction atom's row is computed once per group.  What is left for the
+# memo is the pair memo's misses in a serving session and the texts that
+# recur across ``train_demo`` calls.  In the seed-29 benchmark runs at 64
+# entries, 750 corpus_groups groups miss 8,835 times and hit twice, as
+# nearly every text is new to the process; 16,500 serve_mixed requests miss
+# 24 times and hit 576 times; and 48 train_demo calls of 50 iterations miss
+# 29 times.  1,024 entries would miss 8,647, 24 and 29 times, and hold
+# about 2.4 MB more of vectors that no later group reads.
 # The pair memo below serves scoring one prediction at a time, as a serving
 # session does, which sees one task's predicate vocabulary again and again:
 # 16,500 serve_mixed requests make 201,005 cosine calls over 576 distinct
@@ -70,7 +73,7 @@ def _gram_counts(text: str) -> Counter:
 # calls.  A group of predictions does not call it: its rows come from a
 # ``GramIndex``.  train_demo makes no call either, as its rewards are scored
 # a group at a time.  A larger memo would only cost memory.
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=64)
 def _gram_vector(text: str) -> tuple[str, Counter, float]:
     """The text as compared (lower-cased), its gram counts and their
     Euclidean norm."""
@@ -119,6 +122,9 @@ class GramIndex:
     def __init__(self, texts: Sequence[str], threshold: float):
         self.threshold = threshold
         self.vectors = [_gram_vector(text) for text in texts]
+        # Each indexed text's position, so a row of one reads its vector
+        # here rather than from the process-wide memo.
+        self._positions = {text: j for j, text in enumerate(texts)}
         self.postings: dict = {}
         for j, (_, counts, _) in enumerate(self.vectors):
             for gram, count in counts.items():
@@ -134,8 +140,9 @@ class GramIndex:
         return row
 
     def _row(self, text: str) -> list[int]:
-        compared, counts, norm = _gram_vector(text)
         vectors = self.vectors
+        position = self._positions.get(text)
+        compared, counts, norm = _gram_vector(text) if position is None else vectors[position]
         dots = [0] * len(vectors)
         get = self.postings.get
         for gram, count in counts.items():

@@ -28,6 +28,7 @@ from foleq.equivalence import (
     _enumerate,
     _Lowering,
     _search,
+    _widen,
     compile_reference,
     le_score,
     propositional_score,
@@ -224,6 +225,24 @@ def test_every_closure_shape_equals_the_oracle(text):
     for varmap in itertools.permutations(range(n + 1), n):
         compiled_bits, oracle_bits = _evaluations(compiled, list(varmap), n + 1)
         assert compiled_bits == oracle_bits
+
+
+def test_widening_a_table_equals_multiplying_by_its_repetition():
+    """The binding search widens a reading's table over the prediction's
+    n_p atoms to the search's W variables by repetition: for every
+    0 <= n_p <= W <= MAX_TABLE_ATOMS, doubling gives the product of the
+    table and the mask that repeats it, the quotient of the two widths'
+    all-ones masks."""
+    rng = random.Random(52)
+    for n_p in range(MAX_TABLE_ATOMS + 1):
+        own_rows = 1 << n_p
+        own_mask = (1 << own_rows) - 1
+        tables = [0, own_mask, 1, 1 << (own_rows - 1), rng.getrandbits(own_rows), rng.getrandbits(own_rows)]
+        for width in range(n_p, MAX_TABLE_ATOMS + 1):
+            rows = 1 << width
+            repeat = ((1 << rows) - 1) // own_mask
+            for table in tables:
+                assert _widen(table, own_rows, rows) == table * repeat
 
 
 # --- exhaustive binding search ---------------------------------------------------

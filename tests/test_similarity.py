@@ -185,7 +185,7 @@ def test_the_cosine_memo_is_exact_cold_warm_and_after_eviction(a, b):
 
 def test_cached_gram_vectors_stay_small():
     # 5,000 cosines over 5,001 distinct 20-character atom texts: the cache
-    # keeps at most 1,024 string-keyed count vectors.
+    # keeps at most 64 string-keyed count vectors.
     texts = [f"Atom{i:07d}(x, y, z)" for i in range(5001)]
     assert {len(text) for text in texts} == {20}
     _gram_vector.cache_clear()
@@ -197,7 +197,7 @@ def test_cached_gram_vectors_stay_small():
     finally:
         tracemalloc.stop()
         _gram_vector.cache_clear()
-    assert traced < 8 * 2**20
+    assert traced < 2**20
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,6 +259,22 @@ def test_a_gram_index_computes_each_texts_row_once():
     assert row == [0]
     assert index.row("Like(x)") is row
     assert list(index.rows) == ["Like(x)"]
+
+
+def test_a_gram_index_reads_its_own_texts_vectors():
+    # The rows of 100 other texts evict every indexed text from the
+    # 64-entry vector memo, yet the rows of the indexed texts read their
+    # vectors from the index: one miss per distinct text.
+    refs = [f"Ref{i:02d}(x, y)" for i in range(16)]
+    others = [f"Other{i:03d}(x)" for i in range(100)]
+    _gram_vector.cache_clear()
+    try:
+        index = GramIndex(refs, THRESHOLD)
+        for text in others + refs:
+            index.row(text)
+        assert _gram_vector.cache_info().misses == len(refs) + len(others)
+    finally:
+        _gram_vector.cache_clear()
 
 
 @pytest.mark.parametrize("threshold", [-0.1, 1.5, math.nan])
