@@ -14,11 +14,11 @@ be bound).  Diagnostics go to stderr; results go to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
-from .corpus import EvalPair, corpus_bleu, corpus_le, decode_json, load_pairs, open_text
+from .corpus import READ_TEXT, WRITE_TEXT, EvalPair, corpus_bleu, corpus_le, load_pairs
+from .corpus import decode_json, encode_json, open_text
 from .equivalence import MODES
 from .service import CAP_EXCEEDED, BindError, ScoreRequest, ServiceConfig, handle_request, serve, serve_socket
 from .service import typed_value
@@ -126,10 +126,10 @@ def _score_single(args, config: ServiceConfig) -> int:
     elif "warning" in response.detail:
         reason, _, message = response.detail["warning"].partition(": ")
     else:
-        print(json.dumps(response.detail, ensure_ascii=False))
+        print(encode_json(response.detail))
         return 0
     print(f"warning: {reason}, scoring 0: {message}", file=sys.stderr)
-    print(json.dumps({"score": 0.0, "mode": config.mode}, ensure_ascii=False))
+    print(encode_json({"score": 0.0, "mode": config.mode}))
     return 0
 
 
@@ -192,7 +192,7 @@ def _cmd_score(args) -> int:
         "bleu": corpus_bleu(pairs, config.bleu),
         "failures": len(report.failures) + len(load_failures),
     }
-    print(json.dumps(summary, ensure_ascii=False))
+    print(encode_json(summary))
     if args.out:
         # failures follow the input order of the None slots in per_pair;
         # ids need not be unique, so pair them by position, not by id.
@@ -205,7 +205,7 @@ def _cmd_score(args) -> int:
                     record["error"] = next(errors)
                 else:
                     record.update(item.to_dict())
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+                handle.write(encode_json(record) + "\n")
     return 0
 
 
@@ -214,13 +214,6 @@ def _cmd_serve(args) -> int:
     if config is None:
         return DATA_ERROR
     if args.stdio:
-        # As on the socket: a byte-order mark at the start is skipped, bytes
-        # that are not UTF-8 read as U+FFFD, and a lone surrogate from a JSON
-        # escape is written back as that escape.
-        for stream, encoding, errors in ((sys.stdin, "utf-8-sig", "replace"), (sys.stdout, None, "backslashreplace")):
-            reconfigure = getattr(stream, "reconfigure", None)
-            if reconfigure is not None:
-                reconfigure(encoding=encoding, errors=errors)
         serve(sys.stdin, sys.stdout, config)
         return 0
     try:
@@ -241,7 +234,7 @@ def _cmd_train_demo(args) -> int:
     if args.trace:
         write_trace(trace, args.trace)
     first, last = trace[0], trace[-1]
-    print(json.dumps({
+    print(encode_json({
         "iterations": len(trace),
         "first_mean_reward": first["mean_reward"],
         "final_mean_reward": last["mean_reward"],
@@ -284,6 +277,12 @@ def _demo_config_from_mapping(raw: dict):
 
 
 def run_cli(argv: list[str] | None = None) -> int:
+    # The standard streams take the text policy of files and the socket,
+    # stdout its LF line ends too, whatever the host's own encoding.
+    for stream, settings in ((sys.stdin, READ_TEXT), (sys.stdout, dict(WRITE_TEXT, newline="\n"))):
+        reconfigure = getattr(stream, "reconfigure", None)
+        if reconfigure is not None:
+            reconfigure(**settings)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

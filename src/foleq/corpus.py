@@ -55,6 +55,15 @@ class BleuConfig:
 DEFAULT_BLEU = BleuConfig()
 
 
+# How every outside text is read and written: files (``open_text``), the
+# socket and the standard streams.  A leading byte-order mark is skipped on
+# reading and none is written.  Bytes that are not UTF-8 read as U+FFFD, so
+# only the row or request holding them goes bad, and a lone surrogate (a JSON
+# escape such as ``"\\ud800"``) is written back as that escape.
+READ_TEXT = {"encoding": "utf-8-sig", "errors": "replace"}
+WRITE_TEXT = {"encoding": "utf-8", "errors": "backslashreplace"}
+
+
 class JsonError(ValueError):
     """Text that ``decode_json`` cannot read.  Its text gives the reason and,
     for malformed JSON, the position; ``msg`` gives the reason alone."""
@@ -78,13 +87,14 @@ def decode_json(text: str):
         raise JsonError(str(exc), str(exc)) from None
 
 
+# The text of one JSON value, written for every output: non-ASCII text as it is.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def open_text(path, mode: str = "r"):
-    """``path`` opened as UTF-8 text, for every outside file.  A leading
-    byte-order mark is skipped on reading and none is written.  Bytes that are
-    not UTF-8 read as U+FFFD, so only the row holding them goes bad, and a lone
-    surrogate (a JSON escape such as ``"\\ud800"``) is written back as that escape."""
-    encoding, errors = ("utf-8-sig", "replace") if mode == "r" else ("utf-8", "backslashreplace")
-    return open(path, mode, encoding=encoding, errors=errors)
+    """``path`` opened for reading with ``READ_TEXT`` or for writing with
+    ``WRITE_TEXT``, for every outside file."""
+    return open(path, mode, **(READ_TEXT if mode == "r" else WRITE_TEXT))
 
 
 @dataclass(eq=False)

@@ -1,6 +1,7 @@
 """Line-delimited JSON scoring service.
 
-One UTF-8 JSON object per line, LF terminated.  Requests carry the keys
+One UTF-8 JSON object per line, LF terminated, on both transports (stdio
+and the socket) and on any host.  Requests carry the keys
 id, op, prediction, reference, mode, overrides; responses carry id plus
 either score (with optional detail) or error, never both.  Scores are
 always inside [0, 1]; pair-level BLEU is divided by 100 before it goes
@@ -22,11 +23,11 @@ answers ``BAD_REQUEST``, as does an override that raises ``chunk_size`` or
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, fields, replace
 
-from .corpus import BleuConfig, DEFAULT_BLEU, EvalPair, JsonError, corpus_bleu, decode_json, tokenize_formula
+from .corpus import BleuConfig, DEFAULT_BLEU, EvalPair, JsonError, READ_TEXT, WRITE_TEXT
+from .corpus import corpus_bleu, decode_json, encode_json, tokenize_formula
 from .equivalence import DEFAULT_LE, MODES, LeConfig, compile_reference, le_score
 from .syntax import MAX_TOKENS, CapExceeded, FormulaError, ParseError, cap_tokens
 from .syntax import parse  # noqa: F401  (foleq.service.parse stays importable; perfbench wraps it)
@@ -39,9 +40,6 @@ INTERNAL = "INTERNAL"
 
 # The config keys and wire overrides that set an ``LeConfig`` field.
 _LE_KEYS = frozenset(field.name for field in fields(LeConfig))
-
-# ``json.dumps(body, ensure_ascii=False)``, with its encoder built once.
-_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 # Seconds a socket connection may stay silent (or leave a response unread)
 # before it is closed, so that one idle client cannot hold the listener.
@@ -132,7 +130,7 @@ class ScoreResponse:
             body["score"] = self.score
             if self.detail is not None:
                 body["detail"] = self.detail
-        return _encode(body)
+        return encode_json(body)
 
 
 def _error(request_id: str, code: str, message: str) -> ScoreResponse:
@@ -257,15 +255,13 @@ class BindError(OSError):
 
 def serve_socket(path: str, config: ServiceConfig | None = None) -> None:
     """Accept one Unix-socket connection at a time and run :func:`serve` on
-    it.  A byte-order mark at the start of a connection is skipped, bytes
-    that are not UTF-8 are read as U+FFFD, so they get the answer any other
-    bad text gets, and a lone surrogate that a request spelled as a JSON
-    escape is written back as that escape.  A connection silent for
-    ``_READ_TIMEOUT_S`` seconds, or closed by its client before it reads its
-    answers, is closed and the listener accepts the next one.  A shutdown
-    request closes the connection and stops the listener, which then removes
-    the socket file it bound.  A path that cannot be bound, because it
-    exists or its directory does not, raises :class:`BindError`."""
+    it, its text read and written as ``corpus.READ_TEXT`` and ``WRITE_TEXT``
+    say.  A connection silent for ``_READ_TIMEOUT_S`` seconds, or closed by
+    its client before it reads its answers, is closed and the listener
+    accepts the next one.  A shutdown request closes the connection and
+    stops the listener, which then removes the socket file it bound.  A path
+    that cannot be bound, because it exists or its directory does not,
+    raises :class:`BindError`."""
     import socket  # the stdio service never needs it
 
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
@@ -282,8 +278,8 @@ def serve_socket(path: str, config: ServiceConfig | None = None) -> None:
                 try:
                     with (
                         conn,
-                        conn.makefile("r", encoding="utf-8-sig", errors="replace", newline="\n") as reader,
-                        conn.makefile("w", encoding="utf-8", errors="backslashreplace", newline="\n") as writer,
+                        conn.makefile("r", newline="\n", **READ_TEXT) as reader,
+                        conn.makefile("w", newline="\n", **WRITE_TEXT) as writer,
                     ):
                         shut_down = serve(reader, writer, config)
                 except (TimeoutError, ConnectionError):

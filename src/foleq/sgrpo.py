@@ -42,14 +42,13 @@ demo trace stays bit-identical to stepping one prompt at a time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import open_text
+from .corpus import encode_json, open_text
 from .equivalence import LeReport, Scorer
 from .equivalence import le_score  # noqa: F401  (foleq.sgrpo.le_score stays importable; perfbench wraps it)
 from .syntax import word_lexer
@@ -490,4 +489,4 @@ def train_demo(config: TrainDemoConfig) -> list[dict]:
 def write_trace(trace: list[dict], path) -> None:
     with open_text(path, "w") as handle:
         for record in trace:
-            handle.write(json.dumps(record) + "\n")
+            handle.write(encode_json(record) + "\n")

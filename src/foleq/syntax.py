@@ -629,26 +629,21 @@ def chain_readings(operands: list, ops: list[str], chunk_size: int | None, join=
     k = len(ops)
     if k <= 1:
         return [_fold(operands, ops, join)]
-    if chunk_size is None or k < chunk_size:
-        bounds = None
-        count = _catalan(k)
-    else:
-        bounds = [(s, min(s + chunk_size, len(operands))) for s in range(0, len(operands), chunk_size)]
-        # Each chunk's bracketings times the bridge chain's.
-        count = math.prod([_catalan(e - s - 1) for s, e in bounds]) * _catalan(len(bounds) - 1)
+    # No chunk size reads the chain as one chunk, whose bridge has no operator.
+    width = chunk_size or len(operands)
+    bounds = [(s, min(s + width, len(operands))) for s in range(0, len(operands), width)]
+    # Each chunk's bracketings times the bridge chain's.
+    count = math.prod([_catalan(e - s - 1) for s, e in bounds]) * _catalan(len(bounds) - 1)
     if count > MAX_READINGS:
         raise CapExceeded(f"connective chain has {count} readings (cap {MAX_READINGS})")
     precedence = _fold(operands, ops, join)
 
-    if bounds is None:
-        enumerated = _all_bracketings(operands, ops, join)
-    else:
-        chunk_lists = [_all_bracketings(operands[s:e], ops[s : e - 1], join) for s, e in bounds]
-        bridge_ops = [ops[e - 1] for _, e in bounds[:-1]]
-        # Cartesian product over per-chunk trees, then bracket the roots.
-        enumerated = []
-        for combo in itertools.product(*chunk_lists):
-            enumerated.extend(_all_bracketings(list(combo), bridge_ops, join))
+    chunk_lists = [_all_bracketings(operands[s:e], ops[s : e - 1], join) for s, e in bounds]
+    bridge_ops = [ops[e - 1] for _, e in bounds[:-1]]
+    # Cartesian product over per-chunk trees, then bracket the roots.
+    enumerated = []
+    for combo in itertools.product(*chunk_lists):
+        enumerated.extend(_all_bracketings(list(combo), bridge_ops, join))
 
     # Distinct bracketings build distinct readings (the more operands a left
     # subtree spans, the larger it is), so only the precedence one can repeat.

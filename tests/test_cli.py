@@ -1,12 +1,16 @@
 import io
 import json
 import math
+import os
 import socket
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import foleq
 from foleq.cli import _demo_config_from_mapping, run_cli
 from foleq.corpus import BleuConfig, EvalPair, corpus_bleu, corpus_le
 from foleq.sgrpo import default_demo_config
@@ -496,6 +500,43 @@ def test_serve_socket_error_after_binding_is_not_a_bind_error(tmp_path, monkeypa
 def test_serve_requires_transport(capsys):
     code, _, _ = run(capsys, "serve")
     assert code == 1
+
+
+# --- the standard streams on a host whose own encoding is not UTF-8 -------------------------
+
+def _entry_point(*argv: str, stdin: bytes = b"", encoding: str | None = None) -> subprocess.CompletedProcess:
+    """``python -m foleq *argv`` in a fresh interpreter, with the standard
+    streams in ``encoding`` (``PYTHONIOENCODING``) or the host's own."""
+    env = dict(os.environ, PYTHONPATH=str(Path(foleq.__file__).resolve().parents[1]))
+    env.pop("PYTHONIOENCODING", None)
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
+    return subprocess.run(
+        [sys.executable, "-m", "foleq", *argv], input=stdin, capture_output=True, env=env, timeout=60
+    )
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "cp1252"])
+def test_serve_stdio_replies_in_utf8_whatever_the_stdout_encoding(encoding):
+    requests = [
+        {"id": "é¬", "op": "le_score", "prediction": "A ¬", "reference": "A"},
+        {"id": "a", "op": "le_score", "prediction": "A", "reference": "A"},
+    ]
+    wire = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in requests).encode("utf-8")
+    done = _entry_point("serve", "--stdio", stdin=wire, encoding=encoding)
+    assert done.returncode == 0 and b"Traceback" not in done.stderr, done.stderr
+    replies = [json.loads(line) for line in done.stdout.decode("utf-8").splitlines()]
+    assert [reply["id"] for reply in replies] == ["é¬", "a"]
+    assert replies[0]["detail"]["warning"] == "unparseable prediction: unexpected token '¬' (offset 2)"
+    assert replies[1]["score"] == 1.0
+    assert done.stdout == _entry_point("serve", "--stdio", stdin=wire).stdout
+
+
+@pytest.mark.parametrize("encoding", ["latin-1", "cp1252"])
+def test_parse_prints_utf8_whatever_the_stdout_encoding(encoding):
+    done = _entry_point("parse", "A ∧ B", encoding=encoding)
+    assert done.returncode == 0 and b"Traceback" not in done.stderr, done.stderr
+    assert done.stdout.decode("utf-8").split("\n")[1] == "A ∧ B"
 
 
 # --- train-demo subcommand -------------------------------------------------------------------
